@@ -90,7 +90,6 @@ def cmd_demo(args):
 
 def cmd_eval(args):
     from .evaluate import DIFFICULTIES, EvalConfig, evaluate_class
-    from .geometry import Box2D
     from .kitti import parse_label_file
     from .postproc import Detection
 
@@ -122,7 +121,9 @@ def cmd_eval(args):
     print(f"{'class':<12}{'easy':>10}{'moderate':>10}{'hard':>10}")
     csv_lines = ["class,task,mode,easy,moderate,hard"]
     for cls in class_names:
-        aps = [evaluate_class(frames, cls, cfg, difficulty=d) for d in DIFFICULTIES]
+        k = class_names.index(cls)
+        own = [([det for det in dets if det.class_id == k], gts) for dets, gts in frames]
+        aps = [evaluate_class(own, cls, cfg, difficulty=d) for d in DIFFICULTIES]
         fmt = lambda v: "n/a" if v != v else format(v, ".4f")
         print(f"{cls:<12}" + "".join(f"{fmt(v):>10}" for v in aps))
         csv_lines.append(f"{cls},{args.task},{args.mode}," + ",".join(fmt(v) for v in aps))

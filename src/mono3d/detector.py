@@ -14,8 +14,7 @@ import numpy as np
 from .anchors import BoxDeltas, decode
 from .geometry import Box3D, alpha_to_yaw, backproject
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
-from .train import (LossConfig, Scene, ToyDetector, ToyDetectorConfig, TrainConfig,
-                    make_synthetic_scenes, train_toy)
+from .train import TrainConfig, train_toy
 
 __all__ = ["detect", "ToyPipeline"]
 

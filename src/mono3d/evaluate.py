@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box2D, iou_2d, iou_bev, iou_3d
+from .geometry import iou_2d_pairs, iou_3d_pairs, iou_bev_pairs
 
 __all__ = [
     "EvalConfig",
@@ -64,51 +64,46 @@ def bucket(height_px, occlusion, truncation, table=None):
     return "ignored"
 
 
-def _iou_fn(task):
-    if task == "2d":
-        return lambda det, gt: iou_2d(det.box2d, gt.as_box2d())
-    if task == "bev":
-        return lambda det, gt: iou_bev(det.box3d, gt.as_box3d())
-    return lambda det, gt: iou_3d(det.box3d, gt.as_box3d())
+def _matrix(m, n_rows):
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or len(m) != n_rows:
+        raise ValueError(f"IoU matrix needs one row per detection ({n_rows}), got shape {m.shape}")
+    return m
 
 
-def match_detections(dets, gts, iou_fn, thresh, ignored_gts=(), dontcare_boxes=()):
+def match_detections(scores, iou, thresh, iou_ignored=None, iou_dontcare=None):
     """Greedy score-ordered matching of one image's detections.
 
-    Each detection takes the highest-IoU still-unmatched ground truth above
-    the threshold. Detections landing on ignored gts or DontCare regions are
-    dropped from scoring (neither TP nor FP). Returns (tp_flags, drop_flags,
-    n_matched) with flags aligned to score-descending detection order.
+    `iou` is the (D, G) IoU matrix of detections against valid ground truths,
+    `iou_ignored` (D, I) against ignored ground truths and `iou_dontcare`
+    (D, C) against DontCare regions. Detections are taken by descending
+    score, equal scores by index; each takes the highest-IoU still-unmatched
+    ground truth with IoU >= thresh, equal IoUs going to the last index. An
+    unmatched detection with IoU >= thresh on an ignored ground truth or a
+    DontCare region is dropped from scoring (neither TP nor FP).
+
+    Returns (scores, tp_flags, drop_flags, matched) in score-descending
+    detection order; `matched` holds each detection's ground-truth column, or
+    -1.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gts)
-    tp = np.zeros(len(dets), dtype=bool)
-    drop = np.zeros(len(dets), dtype=bool)
-    for rank, i in enumerate(order):
-        det = dets[i]
-        best, best_j = thresh, -1
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            iou = iou_fn(det, gt)
-            if iou >= best:
-                best, best_j = iou, j
-        if best_j >= 0:
-            taken[best_j] = True
-            tp[rank] = True
-            continue
-        # ignored gts and DontCare regions absorb unmatched detections
-        for gt in ignored_gts:
-            if iou_fn(det, gt) >= thresh:
-                drop[rank] = True
-                break
-        if not drop[rank]:
-            for dc in dontcare_boxes:
-                if iou_2d(det.box2d, dc) >= thresh:
-                    drop[rank] = True
-                    break
-    scores = np.array([dets[i].score for i in order])
-    return scores, tp, drop
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    iou = _matrix(iou, len(scores))[order]
+    hits = iou >= thresh
+    taken = np.zeros(iou.shape[1], dtype=bool)
+    matched = np.full(len(scores), -1)
+    for rank in np.flatnonzero(hits.any(axis=1)):
+        free = hits[rank] & ~taken
+        if free.any():
+            row = np.where(free, iou[rank], -np.inf)[::-1]
+            matched[rank] = len(row) - 1 - int(np.argmax(row))
+            taken[matched[rank]] = True
+    tp = matched >= 0
+    absorbed = np.zeros(len(scores), dtype=bool)
+    for m in (iou_ignored, iou_dontcare):
+        if m is not None:
+            absorbed |= (_matrix(m, len(scores))[order] >= thresh).any(axis=1)
+    return scores[order], tp, absorbed & ~tp, matched
 
 
 def average_precision(scores, tp, num_gt, mode="r40"):
@@ -135,19 +130,37 @@ def average_precision(scores, tp, num_gt, mode="r40"):
     return total / len(points)
 
 
+def _pair_ious(rows, cols, n_rows, n_cols, kernel):
+    """Per-frame (n_rows[f], n_cols[f]) IoU matrices of the stacked row and
+    column arrays of all frames, from one kernel call over every pair."""
+    n_cols = np.asarray(n_cols, dtype=np.int64)
+    reps = np.repeat(n_cols, n_rows)    # each row pairs with its frame's columns
+    first_col = np.repeat(np.cumsum(n_cols) - n_cols, n_rows)
+    i = np.repeat(np.arange(len(reps)), reps)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps - first_col, reps)
+    flat = kernel(rows[i], cols[j])
+    sizes = np.asarray(n_rows, dtype=np.int64) * n_cols
+    return [m.reshape(r, c) for m, r, c in zip(np.split(flat, np.cumsum(sizes)[:-1]),
+                                               n_rows, n_cols)]
+
+
+def _stack(arrays, width):
+    return np.array(arrays, dtype=np.float64).reshape(-1, width)
+
+
 def evaluate_class(frames, class_name, config, difficulty="moderate"):
     """AP for one class over (dets, gt_records) frame pairs.
 
     gt records are kitti.LabelRecord objects; gts of the class that fail the
     difficulty test are ignored (absorb detections, never count as FN), as
-    are DontCare regions.
+    are DontCare regions. Every detection given is scored as this class, so
+    pass only the class's own detections.
     """
-    iou_fn = _iou_fn(config.task)
     thresh = config.threshold_for(class_name)
-    all_scores, all_tp = [], []
     num_gt = 0
+    scores, n_det, n_valid, n_gt, n_dc = [], [], [], [], []
+    det_2d, det_3d, gt_rows, dc_rows = [], [], [], []
     for dets, gts in frames:
-        dets = [d for d in dets]
         valid, ignored, dontcare = [], [], []
         for g in gts:
             if g.type == "DontCare":
@@ -159,36 +172,53 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
                 else:
                     ignored.append(g)
         num_gt += len(valid)
-        scores, tp, drop = match_detections(
-            dets, valid, iou_fn, thresh, ignored_gts=ignored, dontcare_boxes=dontcare
-        )
-        all_scores.extend(scores[~drop])
-        all_tp.extend(tp[~drop])
+        if not dets:
+            continue
+        scores.append([d.score for d in dets])
+        n_det.append(len(dets))
+        n_valid.append(len(valid))
+        n_gt.append(len(valid) + len(ignored))
+        n_dc.append(len(dontcare))
+        det_2d += [d.box2d.as_array() for d in dets]
+        dc_rows += [b.as_array() for b in dontcare]
+        if config.task == "2d":
+            gt_rows += [g.as_box2d().as_array() for g in valid + ignored]
+        else:
+            det_3d += [d.box3d.as_array() for d in dets]
+            gt_rows += [g.as_box3d().as_array() for g in valid + ignored]
     if num_gt == 0:
         return float("nan")
-    return average_precision(np.array(all_scores), np.array(all_tp), num_gt, config.mode)
+    det_2d = _stack(det_2d, 4)
+    if config.task == "2d":
+        ious = _pair_ious(det_2d, _stack(gt_rows, 4), n_det, n_gt, iou_2d_pairs)
+    else:
+        kernel = iou_bev_pairs if config.task == "bev" else iou_3d_pairs
+        ious = _pair_ious(_stack(det_3d, 7), _stack(gt_rows, 7), n_det, n_gt, kernel)
+    dc_ious = _pair_ious(det_2d, _stack(dc_rows, 4), n_det, n_dc, iou_2d_pairs)
+    all_scores, all_tp = [np.zeros(0)], [np.zeros(0, dtype=bool)]
+    for s, iou, dc, nv in zip(scores, ious, dc_ious, n_valid):
+        s, tp, drop, _ = match_detections(s, iou[:, :nv], thresh, iou[:, nv:], dc)
+        all_scores.append(s[~drop])
+        all_tp.append(tp[~drop])
+    return average_precision(np.concatenate(all_scores), np.concatenate(all_tp), num_gt,
+                             config.mode)
 
 
 def depth_error_report(dets, gts, bin_edges, by="depth", iou_thresh=0.5):
     """Mean |z_pred - z_gt| per bin of gt depth (or of mean 2D box size).
 
-    Pairs are matched greedily by score on 2D IoU >= iou_thresh. Returns
+    Pairs are matched by `match_detections` on 2D IoU >= iou_thresh. Returns
     {(lo, hi): mean_abs_error} with empty bins absent.
     """
     if by not in ("depth", "size"):
         raise ValueError(f"binning must be by depth or size, got {by}")
-    iou_fn = lambda det, gt: iou_2d(det.box2d, gt.as_box2d())
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gts)
-    pairs = []
-    for i in order:
-        best, best_j = iou_thresh, -1
-        for j, gt in enumerate(gts):
-            if not taken[j] and iou_fn(dets[i], gt) >= best:
-                best, best_j = iou_fn(dets[i], gt), j
-        if best_j >= 0:
-            taken[best_j] = True
-            pairs.append((dets[i], gts[best_j]))
+    scores = [d.score for d in dets]
+    (iou,) = _pair_ious(_stack([d.box2d.as_array() for d in dets], 4),
+                        _stack([g.as_box2d().as_array() for g in gts], 4),
+                        [len(dets)], [len(gts)], iou_2d_pairs)
+    _, _, _, matched = match_detections(scores, iou, iou_thresh)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    pairs = [(dets[i], gts[j]) for i, j in zip(order, matched) if j >= 0]
 
     edges = list(bin_edges)
     sums = {k: [0.0, 0] for k in range(len(edges) - 1)}

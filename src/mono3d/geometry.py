@@ -26,6 +26,9 @@ __all__ = [
     "iou_2d",
     "iou_bev",
     "iou_3d",
+    "iou_2d_pairs",
+    "iou_bev_pairs",
+    "iou_3d_pairs",
     "bev_footprint",
     "polygon_area",
     "clip_polygon",
@@ -104,6 +107,10 @@ class Box3D:
     def __post_init__(self):
         if self.w <= 0 or self.h <= 0 or self.l <= 0:
             raise ValueError(f"non-positive 3D dimensions {(self.w, self.h, self.l)}")
+
+    def as_array(self):
+        """The (7,) row [x, y, z, w, h, l, yaw] the pair IoU kernels take."""
+        return np.array([self.x, self.y, self.z, self.w, self.h, self.l, self.yaw])
 
 
 def wrap_angle(a):
@@ -197,18 +204,12 @@ def polygon_area(poly):
 
 
 def clip_polygon(subject, clip):
-    """Sutherland-Hodgman: clip `subject` by convex polygon `clip` (CCW)."""
-    def inside(p, a, b):
-        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
+    """Sutherland-Hodgman: clip `subject` by convex polygon `clip` (CCW).
 
-    def intersect(p, q, a, b):
-        # line p-q with line a-b
-        d1 = np.asarray(q) - np.asarray(p)
-        d2 = np.asarray(b) - np.asarray(a)
-        denom = d1[0] * d2[1] - d1[1] * d2[0]
-        t = ((a[0] - p[0]) * d2[1] - (a[1] - p[1]) * d2[0]) / denom
-        return (p[0] + t * d1[0], p[1] + t * d1[1])
-
+    A crossing point is placed by the signed distances of the edge's two ends
+    to the clip line, which differ in sign wherever a crossing is emitted: a
+    subject edge (nearly) collinear with a clip edge cannot divide by zero.
+    """
     output = [tuple(p) for p in subject]
     n = len(clip)
     for i in range(n):
@@ -216,44 +217,140 @@ def clip_polygon(subject, clip):
         inp, output = output, []
         if not inp:
             break
-        prev = inp[-1]
-        for cur in inp:
-            if inside(cur, a, b):
-                if not inside(prev, a, b):
-                    output.append(intersect(prev, cur, a, b))
+        side = [(b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) for p in inp]
+        for k, cur in enumerate(inp):
+            prev, s_prev, s_cur = inp[k - 1], side[k - 1], side[k]
+            if (s_cur >= 0.0) != (s_prev >= 0.0):
+                t = s_prev / (s_prev - s_cur)
+                output.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if s_cur >= 0.0:
                 output.append(cur)
-            elif inside(prev, a, b):
-                output.append(intersect(prev, cur, a, b))
-            prev = cur
     return output
 
 
-def _ccw(poly):
-    p = np.asarray(poly)
-    signed = 0.5 * (np.dot(p[:, 0], np.roll(p[:, 1], -1)) - np.dot(np.roll(p[:, 0], -1), p[:, 1]))
-    return poly if signed >= 0 else poly[::-1]
+# Pairs clipped at once. A rectangle clipped by a rectangle keeps at most 8
+# vertices (more only where rounding splits a near-collinear edge; the
+# compaction keeps those too), so a block holds about (block, 16, 2)
+# candidate vertices per clip edge. On the eval benchmark's inputs 256 ran as
+# fast as 1024 and peaked about 1 MB lower.
+_PAIR_BLOCK = 256
+
+
+def _footprints(boxes):
+    """(P, 4, 2) ground-plane corners of (P, 7) box rows: the arithmetic of
+    `bev_footprint` with the corners in reverse order, because its corners run
+    clockwise (a rotation keeps orientation) and the clip wants CCW."""
+    x, z, w, l, yaw = boxes[:, 0:1], boxes[:, 2:3], boxes[:, 3:4], boxes[:, 5:6], boxes[:, 6:7]
+    c, s = np.cos(yaw), np.sin(yaw)
+    lx = np.array([-1, -1, 1, 1]) * (l / 2.0)
+    lz = np.array([1, -1, -1, 1]) * (w / 2.0)
+    return np.stack([x + lx * c + lz * s, z - lx * s + lz * c], axis=2)
+
+
+def _clip_area(subject, clip):
+    """Area of `subject` clipped by `clip`, (P, 4, 2) CCW rectangles each.
+
+    `clip_polygon` run on every pair at once: per clip edge each vertex emits
+    (intersection with the edge, vertex) under the same masks, and a stable
+    sort of the emit mask compacts the emitted ones to the front. Then the
+    shoelace area of `polygon_area`.
+    """
+    P = len(subject)
+    poly, n = subject, np.full(P, 4)
+    for e in range(4):
+        a, b = clip[:, e, None, :], clip[:, (e + 1) % 4, None, :]
+        k = np.arange(poly.shape[1])
+        valid = k < n[:, None]
+        prev_idx = np.maximum(np.where(k == 0, n[:, None] - 1, k - 1), 0)
+        px, py = (np.take_along_axis(poly[..., i], prev_idx, axis=1) for i in (0, 1))
+        cx, cy = poly[..., 0], poly[..., 1]
+        s_cur = ((b[..., 0] - a[..., 0]) * (cy - a[..., 1])
+                 - (b[..., 1] - a[..., 1]) * (cx - a[..., 0]))
+        s_prev = np.take_along_axis(s_cur, prev_idx, axis=1)
+        cur_in, prev_in = s_cur >= 0.0, s_prev >= 0.0
+        t = s_prev / (s_prev - s_cur)
+        cand = np.stack([np.stack([px + t * (cx - px), py + t * (cy - py)], axis=2), poly], axis=2)
+        emit = np.stack([valid & (cur_in != prev_in), valid & cur_in], axis=2).reshape(P, -1)
+        n = emit.sum(axis=1)
+        keep = np.argsort(~emit, axis=1, kind="stable")[:, :max(int(n.max()), 1)]
+        poly = np.take_along_axis(cand.reshape(P, -1, 2), keep[..., None], axis=1)
+    k = np.arange(poly.shape[1])
+    valid = k < n[:, None]
+    nxt = np.where(k + 1 < n[:, None], k + 1, 0)
+    x, y = np.where(valid, poly[..., 0], 0.0), np.where(valid, poly[..., 1], 0.0)
+    x_next, y_next = (np.take_along_axis(v, nxt, axis=1) for v in (x, y))
+    # summed column by column, so that a pair's area does not depend on the
+    # padded width, which is set by the other pairs of its block
+    s1, s2 = np.zeros(P), np.zeros(P)
+    for k in range(poly.shape[1]):
+        s1 += x[:, k] * y_next[:, k]
+        s2 += x_next[:, k] * y[:, k]
+    return np.where(n >= 3, 0.5 * np.abs(s1 - s2), 0.0)
+
+
+def _rows(a, b, width):
+    a = np.asarray(a, dtype=np.float64).reshape(-1, width)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, width)
+    if a.shape != b.shape:
+        raise ValueError(f"pair arrays differ in shape: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _ratio(inter, union):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
+
+
+def _bev_intersection(a, b):
+    """Footprint intersection areas of (P, 7) box-row pairs, clipped in blocks.
+
+    Pairs whose centre distance exceeds the sum of the half-diagonals cannot
+    overlap; they skip the clip with area 0.
+    """
+    inter = np.zeros(len(a))
+    reach = 0.5 * (np.hypot(a[:, 3], a[:, 5]) + np.hypot(b[:, 3], b[:, 5]))
+    near = np.flatnonzero(~(np.hypot(a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]) > reach))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, len(near), _PAIR_BLOCK):
+            idx = near[s:s + _PAIR_BLOCK]
+            inter[idx] = _clip_area(_footprints(a[idx]), _footprints(b[idx]))
+    inter[inter < _AREA_EPS] = 0.0
+    return inter
+
+
+def iou_2d_pairs(a, b):
+    """`iou_2d` of (P, 4) [x1, y1, x2, y2] row pairs, (P,)."""
+    a, b = _rows(a, b, 4)
+    ix = np.maximum(0.0, np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]))
+    iy = np.maximum(0.0, np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]))
+    inter = ix * iy
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return _ratio(inter, area_a + area_b - inter)
+
+
+def iou_bev_pairs(a, b):
+    """Rotated-footprint IoU of (P, 7) [x, y, z, w, h, l, yaw] row pairs, (P,)."""
+    a, b = _rows(a, b, 7)
+    inter = _bev_intersection(a, b)
+    return _ratio(inter, a[:, 3] * a[:, 5] + b[:, 3] * b[:, 5] - inter)
+
+
+def iou_3d_pairs(a, b):
+    """BEV intersection x vertical overlap over union volume of (P, 7) row pairs."""
+    a, b = _rows(a, b, 7)
+    # bottom at y, top at y - h (camera y points down)
+    y_overlap = np.maximum(0.0, np.minimum(a[:, 1], b[:, 1])
+                           - np.maximum(a[:, 1] - a[:, 4], b[:, 1] - b[:, 4]))
+    inter = _bev_intersection(a, b) * y_overlap
+    return _ratio(inter, a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter)
 
 
 def iou_bev(a, b):
-    """Rotated-footprint IoU on the ground plane via polygon clipping."""
-    pa = _ccw(bev_footprint(a))
-    pb = _ccw(bev_footprint(b))
-    inter = polygon_area(clip_polygon(pa, pb))
-    if inter < _AREA_EPS:
-        inter = 0.0
-    union = a.w * a.l + b.w * b.l - inter
-    return inter / union if union > 0.0 else 0.0
+    """Rotated-footprint IoU on the ground plane of two Box3D."""
+    return float(iou_bev_pairs(a.as_array(), b.as_array())[0])
 
 
 def iou_3d(a, b):
-    """BEV intersection x vertical overlap over union volume."""
-    pa = _ccw(bev_footprint(a))
-    pb = _ccw(bev_footprint(b))
-    inter_area = polygon_area(clip_polygon(pa, pb))
-    if inter_area < _AREA_EPS:
-        inter_area = 0.0
-    # bottom at y, top at y - h (camera y points down)
-    y_overlap = max(0.0, min(a.y, b.y) - max(a.y - a.h, b.y - b.h))
-    inter = inter_area * y_overlap
-    union = a.w * a.h * a.l + b.w * b.h * b.l - inter
-    return inter / union if union > 0.0 else 0.0
+    """3D IoU of two Box3D."""
+    return float(iou_3d_pairs(a.as_array(), b.as_array())[0])

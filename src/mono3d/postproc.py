@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +53,21 @@ def optimize_rotation(det, cam, sigma0=0.3, sigma_min=1e-3, max_iter=64):
     Coordinate search: try yaw +- sigma, accept any improvement of the L1
     corner distance, halve sigma when neither direction improves. The
     objective never increases. Boxes behind the camera come back unchanged
-    (flagged via the second return value).
+    (flagged via the second return value); a candidate yaw that turns a
+    corner behind the camera counts as not improving.
     """
     box = det.box3d
     target = det.box2d.as_array()
 
     def objective(yaw):
-        env = project_box(dataclasses.replace(box, yaw=yaw), cam)
+        try:
+            env = project_box(dataclasses.replace(box, yaw=yaw), cam)
+        except ValueError:  # a corner behind the camera
+            return math.inf
         return float(np.abs(env.as_array() - target).sum())
 
-    try:
-        best = objective(box.yaw)
-    except ValueError:
+    best = objective(box.yaw)
+    if best == math.inf:
         return det, False
 
     yaw = box.yaw

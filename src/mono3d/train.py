@@ -9,7 +9,7 @@ synthetic rectangle scenes with a fixed seed so runs are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,7 +311,6 @@ class ToyDetector:
             [tx3.reshape(-1, 1), ty3.reshape(-1, 1), tz, d3_rest], axis=1)
 
         targets_d3 = []
-        from .anchors import BoxDeltas  # local import to avoid cycle at module load
         for a_idx, g in zip(pos_idx, labels[pos_idx]):
             anc = self.grid.anchor(a_idx)
             deltas = encode(anc, scene.boxes2d[g], scene.params3d[g])

@@ -60,6 +60,17 @@ class TestEval:
         out = capsys.readouterr().out
         assert "Car,2d,r40,1.0000,1.0000,1.0000" in out
 
+    def test_other_class_detections_not_scored(self, tmp_path, capsys):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        ped = "Pedestrian 0.00 0 0.00 300.00 100.00 330.00 180.00 1.70 0.60 0.80 3.00 1.70 20.00 0.00"
+        with open(det / "000000.txt", "a") as f:
+            f.write(ped + " 0.990000\n")
+        code = main(["eval", "--gt", str(gt), "--det", str(det),
+                     "--task", "2d", "--mode", "r40", "--classes", "Car,Pedestrian"])
+        assert code == 0
+        assert "Car,2d,r40,1.0000,1.0000,1.0000" in capsys.readouterr().out
+
     def test_missing_dir_usage_exit(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope"), "--det", str(tmp_path)])
         assert code == USAGE_EXIT

@@ -6,7 +6,7 @@ import pytest
 from mono3d.evaluate import (DIFFICULTY_TABLE, EvalConfig, average_precision, bucket,
                              depth_error_report, evaluate_class, match_detections,
                              passes_difficulty)
-from mono3d.geometry import Box2D, Box3D, iou_2d
+from mono3d.geometry import Box2D, Box3D, iou_2d, iou_3d, iou_bev
 from mono3d.kitti import LabelRecord
 from mono3d.postproc import Detection
 
@@ -23,6 +23,18 @@ def gt_at(x1, y1, x2, y2, cls="Car", occ=0, trunc=0.0, z=20.0):
 
 def iou2d_fn(det, gt):
     return iou_2d(det.box2d, gt.as_box2d())
+
+
+def iou2d_matrix(dets, boxes):
+    return np.array([[iou_2d(d.box2d, b) for b in boxes] for d in dets]).reshape(len(dets), len(boxes))
+
+
+def match(dets, gts, thresh, ignored=(), dontcare=()):
+    """match_detections on the 2D IoU matrices of detection and label lists."""
+    scores, tp, drop, _ = match_detections(
+        [d.score for d in dets], iou2d_matrix(dets, [g.as_box2d() for g in gts]), thresh,
+        iou2d_matrix(dets, [g.as_box2d() for g in ignored]), iou2d_matrix(dets, dontcare))
+    return scores, tp, drop
 
 
 def brute_force_ap(scores, tp, num_gt, mode):
@@ -82,19 +94,19 @@ class TestMatching:
     def test_perfect_match(self):
         dets = [det_at(0.9, 0, 0, 10, 40)]
         gts = [gt_at(0, 0, 10, 40)]
-        scores, tp, drop = match_detections(dets, gts, iou2d_fn, 0.7)
+        scores, tp, drop = match(dets, gts, 0.7)
         assert tp.tolist() == [True] and drop.tolist() == [False]
 
     def test_one_gt_two_dets(self):
         dets = [det_at(0.9, 0, 0, 10, 40), det_at(0.8, 1, 0, 11, 40)]
         gts = [gt_at(0, 0, 10, 40)]
-        scores, tp, drop = match_detections(dets, gts, iou2d_fn, 0.5)
+        scores, tp, drop = match(dets, gts, 0.5)
         assert tp.tolist() == [True, False]  # second one is a duplicate FP
 
     def test_higher_score_matches_first(self):
         dets = [det_at(0.6, 0, 0, 10, 40), det_at(0.9, 0, 0, 10, 40)]
         gts = [gt_at(0, 0, 10, 40)]
-        scores, tp, drop = match_detections(dets, gts, iou2d_fn, 0.5)
+        scores, tp, drop = match(dets, gts, 0.5)
         # flags are in score order: the 0.9 det wins the gt
         assert scores.tolist() == [0.9, 0.6]
         assert tp.tolist() == [True, False]
@@ -103,14 +115,72 @@ class TestMatching:
         dets = [det_at(0.9, 0, 0, 10, 20)]
         gts = []
         ignored = [gt_at(0, 0, 10, 20)]  # too small for the difficulty
-        scores, tp, drop = match_detections(dets, gts, iou2d_fn, 0.5, ignored_gts=ignored)
+        scores, tp, drop = match(dets, gts, 0.5, ignored=ignored)
         assert drop.tolist() == [True] and tp.tolist() == [False]
 
     def test_dontcare_absorbs(self):
         dets = [det_at(0.9, 0, 0, 10, 20)]
-        scores, tp, drop = match_detections(dets, [], iou2d_fn, 0.5,
-                                            dontcare_boxes=[Box2D(0, 0, 10, 20)])
+        scores, tp, drop = match(dets, [], 0.5, dontcare=[Box2D(0, 0, 10, 20)])
         assert drop.tolist() == [True]
+
+
+def brute_force_match(scores, iou, thresh, iou_ignored, iou_dontcare):
+    """The per-pair greedy loop `match_detections` replaced, reading IoUs from
+    the matrices instead of computing them pair by pair."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    taken = [False] * iou.shape[1]
+    tp = np.zeros(len(scores), dtype=bool)
+    drop = np.zeros(len(scores), dtype=bool)
+    matched = np.full(len(scores), -1)
+    for rank, i in enumerate(order):
+        best, best_j = thresh, -1
+        for j in range(iou.shape[1]):
+            if taken[j]:
+                continue
+            if iou[i, j] >= best:
+                best, best_j = iou[i, j], j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[rank] = True
+            matched[rank] = best_j
+            continue
+        for j in range(iou_ignored.shape[1]):
+            if iou_ignored[i, j] >= thresh:
+                drop[rank] = True
+                break
+        if not drop[rank]:
+            for j in range(iou_dontcare.shape[1]):
+                if iou_dontcare[i, j] >= thresh:
+                    drop[rank] = True
+                    break
+    return np.array([scores[i] for i in order]), tp, drop, matched
+
+
+class TestMatchingOracle:
+    def test_matches_per_pair_loop_with_ties(self):
+        rng = np.random.default_rng(12)
+        levels = np.array([0.0, 0.3, 0.5, 0.6, 0.7, 0.7, 0.9, 1.0])
+        for _ in range(2000):
+            D, G, I, C = (int(rng.integers(0, n)) for n in (12, 7, 3, 3))
+            scores = rng.choice([0.2, 0.5, 0.5, 0.8, 0.9], size=D)
+            iou, ign, dc = (rng.choice(levels, size=(D, n)) for n in (G, I, C))
+            thresh = float(rng.choice([0.5, 0.7]))
+            got = match_detections(scores, iou, thresh, ign, dc)
+            want = brute_force_match(scores, iou, thresh, ign, dc)
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist()
+
+    def test_equal_iou_goes_to_last_index(self):
+        scores, tp, drop, matched = match_detections([0.9, 0.8], [[0.8, 0.8], [0.8, 0.8]], 0.7)
+        assert matched.tolist() == [1, 0] and tp.tolist() == [True, True]
+
+    def test_empty(self):
+        scores, tp, drop, matched = match_detections([], np.zeros((0, 3)), 0.5)
+        assert len(scores) == len(tp) == len(drop) == len(matched) == 0
+
+    def test_matrix_shape_checked(self):
+        with pytest.raises(ValueError, match="one row per detection"):
+            match_detections([0.9, 0.8], np.zeros((3, 2)), 0.5)
 
 
 class TestAveragePrecision:
@@ -208,6 +278,46 @@ class TestEvaluateClass:
         frames = self.frames_perfect()
         frames.append(([det_at(0.99, 200, 0, 230, 45)], [gt_at(200, 0, 230, 45, cls="Van")]))
         assert evaluate_class(frames, "Car", cfg, "easy") < 1.0
+
+    @pytest.mark.parametrize("task", ["2d", "bev", "3d"])
+    def test_matches_per_pair_reference(self, task):
+        iou = {"2d": lambda d, g: iou_2d(d.box2d, g.as_box2d()),
+               "bev": lambda d, g: iou_bev(d.box3d, g.as_box3d()),
+               "3d": lambda d, g: iou_3d(d.box3d, g.as_box3d())}[task]
+        rng = np.random.default_rng(13)
+        frames = []
+        for _ in range(30):
+            gts = []
+            for _ in range(int(rng.integers(0, 6))):
+                x, z = rng.uniform(0, 100), rng.uniform(15, 25)
+                gts.append(gt_at(x, 0, x + 20, rng.choice([20, 30, 45]), z=z,
+                                 cls=rng.choice(["Car", "Van", "DontCare"])))
+            dets = [det_at(float(rng.choice([0.5, 0.7, 0.9])), g.box2d[0] + rng.uniform(-4, 4), 0,
+                           g.box2d[2] + rng.uniform(-4, 4), g.box2d[3], z=g.location[2] + rng.uniform(-2, 2))
+                    for g in gts for _ in range(int(rng.integers(0, 3)))]
+            frames.append((dets, gts))
+        cfg = EvalConfig(task=task, mode="r40", iou_thresholds={"Car": 0.5})
+
+        def matrix(dets, group, f):
+            return np.array([[f(d, g) for g in group] for d in dets]).reshape(len(dets), len(group))
+
+        for difficulty in ("easy", "hard"):
+            all_scores, all_tp, num_gt = [], [], 0
+            for dets, gts in frames:
+                valid, ignored = [], []
+                for g in gts:
+                    if g.type == "Car":
+                        h = g.box2d[3] - g.box2d[1]
+                        (valid if passes_difficulty(h, 0, 0.0, difficulty) else ignored).append(g)
+                dc = [g for g in gts if g.type == "DontCare"]
+                num_gt += len(valid)
+                scores, tp, drop, _ = brute_force_match(
+                    [d.score for d in dets], matrix(dets, valid, iou), 0.5,
+                    matrix(dets, ignored, iou), matrix(dets, dc, iou2d_fn))
+                all_scores += list(scores[~drop])
+                all_tp += list(tp[~drop])
+            want = average_precision(np.array(all_scores), np.array(all_tp), num_gt, "r40")
+            assert evaluate_class(frames, "Car", cfg, difficulty) == want
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):

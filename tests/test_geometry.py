@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3d.geometry import (Box2D, Box3D, CameraIntrinsics, alpha_to_yaw, backproject,
-                             bev_footprint, box3d_corners, clip_polygon, iou_2d, iou_3d,
-                             iou_bev, polygon_area, project, project_box, wrap_angle,
-                             yaw_to_alpha)
+                             bev_footprint, box3d_corners, clip_polygon, iou_2d, iou_2d_pairs,
+                             iou_3d, iou_3d_pairs, iou_bev, iou_bev_pairs, polygon_area,
+                             project, project_box, wrap_angle, yaw_to_alpha)
 
 CAM = CameraIntrinsics.simple(700.0, 600.0, 180.0)
 
@@ -267,3 +268,93 @@ class TestIou3d:
         b = dataclasses.replace(a, yaw=a.yaw + 0.3)  # same y span, same dims
         bev = iou_bev(a, b)
         assert iou_3d(a, b) == pytest.approx(bev, abs=1e-12)
+
+
+def reference_ious(a, b):
+    """(BEV, 3D) IoU of two Box3D by the scalar clip_polygon + polygon_area."""
+    inter = polygon_area(clip_polygon(_ccw_poly(bev_footprint(a)), _ccw_poly(bev_footprint(b))))
+    if inter < 1e-12:
+        inter = 0.0
+    bev = inter / (a.w * a.l + b.w * b.l - inter)
+    vol = inter * max(0.0, min(a.y, b.y) - max(a.y - a.h, b.y - b.h))
+    return bev, vol / (a.w * a.h * a.l + b.w * b.h * b.l - vol)
+
+
+def degenerate_pairs(rng, n):
+    """n pairs per kind: identical, shared edge, collinear edges, containment,
+    90-degree turn, corner touch, disc-rejected far pair, and random near pairs."""
+    pairs = []
+    for _ in range(n):
+        a = random_box3d(rng)
+        c, s = math.cos(a.yaw), math.sin(a.yaw)
+        along = lambda d: dataclasses.replace(a, x=a.x + d * c, z=a.z - d * s)
+        b = random_box3d(rng)
+        half_diag = math.hypot(a.w, a.l) / 2.0 + math.hypot(b.w, b.l) / 2.0
+        square = dataclasses.replace(a, w=a.l)
+        axis = dataclasses.replace(a, yaw=0.0)
+        pairs += [
+            (a, a),
+            (a, along(a.l)),
+            (a, along(rng.uniform(-0.9, 0.9) * a.l)),
+            (a, dataclasses.replace(a, w=0.2 * a.w, l=0.2 * a.l, yaw=rng.uniform(-math.pi, math.pi))),
+            (a, dataclasses.replace(a, yaw=a.yaw + math.pi / 2.0)),
+            (square, dataclasses.replace(square, yaw=square.yaw + math.pi / 2.0)),
+            (axis, dataclasses.replace(b, yaw=0.0, x=a.x + (a.l + b.l) / 2.0,
+                                       z=a.z + (a.w + b.w) / 2.0)),
+            (a, dataclasses.replace(b, x=a.x + 1.001 * half_diag, z=a.z)),
+            (a, dataclasses.replace(b, x=a.x + rng.uniform(-3.0, 3.0),
+                                    z=a.z + rng.uniform(-3.0, 3.0))),
+        ]
+    return pairs
+
+
+class TestPairKernels:
+    def test_matches_scalar_clip_reference(self):
+        rng = np.random.default_rng(9)
+        pairs = degenerate_pairs(rng, 1200)
+        assert len(pairs) >= 10_000
+        a = np.array([p.as_array() for p, _ in pairs])
+        b = np.array([q.as_array() for _, q in pairs])
+        want = np.array([reference_ious(p, q) for p, q in pairs])
+        assert np.abs(iou_bev_pairs(a, b) - want[:, 0]).max() <= 1e-9
+        assert np.abs(iou_3d_pairs(a, b) - want[:, 1]).max() <= 1e-9
+        # closed forms per kind, on the reference itself
+        kinds = want[:, 0].reshape(-1, 9)
+        box = a[::9]
+        w, l = box[:, 3], box[:, 5]
+        shift = np.abs(b[2::9, 0] - box[:, 0]) / np.abs(np.cos(box[:, 6]))
+        short = np.minimum(w, l)
+        assert np.abs(kinds[:, 0] - 1.0).max() <= 1e-9                         # identical
+        assert np.abs(kinds[:, 1]).max() <= 1e-9                               # shared edge
+        assert np.abs(kinds[:, 2] - (l - shift) / (l + shift)).max() <= 1e-9   # collinear edges
+        assert np.abs(kinds[:, 3] - 0.04).max() <= 1e-9                        # containment
+        assert np.abs(kinds[:, 4] - short ** 2 / (2 * w * l - short ** 2)).max() <= 1e-9
+        assert np.abs(kinds[:, 5] - 1.0).max() <= 1e-9                         # square, 90 deg
+        assert np.abs(kinds[:, 6]).max() <= 1e-9                               # corner touch
+        assert np.all(kinds[:, 7] == 0.0)                                      # disc-rejected
+
+    def test_empty_and_single(self):
+        empty = np.zeros((0, 7))
+        assert iou_bev_pairs(empty, empty).shape == (0,)
+        assert iou_3d_pairs(empty, empty).shape == (0,)
+        assert iou_2d_pairs(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
+        rng = np.random.default_rng(10)
+        a = random_box3d(rng)
+        b = dataclasses.replace(random_box3d(rng), x=a.x + 0.5, z=a.z - 0.3)
+        for kernel, k in ((iou_bev_pairs, 0), (iou_3d_pairs, 1)):
+            got = kernel(a.as_array()[None], b.as_array()[None])
+            assert got.shape == (1,) and abs(got[0] - reference_ious(a, b)[k]) <= 1e-9
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            iou_bev_pairs(np.zeros((2, 7)), np.zeros((3, 7)))
+
+    def test_2d_pairs_bitwise_scalar(self):
+        rng = np.random.default_rng(11)
+        lo = rng.uniform(0.0, 50.0, size=(500, 2, 2))
+        boxes = np.concatenate([lo, lo + rng.uniform(0.0, 30.0, size=lo.shape)], axis=2)
+        boxes[:50, 1] = boxes[:50, 0]   # identical
+        boxes[50:60, :, 2] = boxes[50:60, :, 0]   # zero width: empty union
+        got = iou_2d_pairs(boxes[:, 0], boxes[:, 1])
+        want = [iou_2d(Box2D(*p), Box2D(*q)) for p, q in boxes]
+        assert got.tolist() == want

@@ -168,3 +168,16 @@ class TestOptimizeRotation:
         refined, ok = optimize_rotation(det, CAM)
         assert not ok
         assert refined == det
+
+    def test_candidate_yaw_behind_camera_not_improving(self):
+        # a car 2.4 m away whose half-diagonal (2.49 m) exceeds its depth: the
+        # start yaw keeps every corner in front, the first candidate (+sigma0)
+        # turns one behind the camera
+        box3d = Box3D(0.0, 1.5, 2.4, 1.9, 1.5, 4.6, 0.7)
+        assert math.hypot(box3d.l / 2.0, box3d.w / 2.0) > box3d.z
+        with pytest.raises(ValueError, match="behind the camera"):
+            project_box(dataclasses.replace(box3d, yaw=0.7 + 0.3), CAM)
+        env = project_box(dataclasses.replace(box3d, yaw=0.2), CAM)
+        refined, ok = optimize_rotation(Detection(1, 0.9, env, box3d, 0.0), CAM)
+        assert ok
+        assert abs(refined.box3d.yaw - 0.2) < 1e-2
