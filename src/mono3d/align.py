@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ConvSpec, gather_bilinear
+from .ops import ConvSpec, _bilinear_corners, _bilinear_slopes, _columns_backward, _columns_forward
 from .tensor import Tensor
 
 __all__ = [
@@ -132,6 +132,10 @@ def align_conv(x, spec, field):
     Stride-1, odd kernels, 'same' padding only: the offset field is defined
     on the output grid, which must coincide with the input grid. Differentiable
     in the input, the conv parameters, and the offsets.
+
+    The taps are read into a column tensor and convolved by the column kernel
+    that conv2d uses. The bilinear slopes that the offset gradient needs are
+    kept only when the offsets require a gradient.
     """
     kh, kw = spec.kernel
     if kh % 2 == 0 or kw % 2 == 0:
@@ -149,45 +153,50 @@ def align_conv(x, spec, field):
         )
     off = field.offsets
     ph = kh // 2
-    wdat, bdat = spec.weight.data, spec.bias.data
-    oh = np.arange(H)[:, None]
-    ow = np.arange(W)[None, :]
-    b_idx = np.arange(B)[:, None, None, None]
-    c_idx = np.arange(Ci)[None, :, None, None]
+    K, P = kh * kw, H * W
+    grid_y = np.arange(H)[:, None]
+    grid_x = np.arange(W)[None, :]
+    xf = x.data.reshape(B, Ci, P)
 
-    out = np.empty((B, spec.out_channels, H, W))
-    out[:] = bdat[None, :, None, None]
-    taps = []
+    # one column per tap, read bilinearly; the corner index map and weights
+    # are shared by every (b, ci) and serve the scatter in the backward
+    cols = np.empty((B, Ci, K, H, W))
+    idx = np.empty((4, K, H, W), dtype=np.intp)
+    wgt = np.empty((4, K, H, W))
+    # d(column)/dy and d(column)/dx, kept only when the offsets need a grad
+    dcols = np.empty((2, B, Ci, K, H, W)) if off.requires_grad else None
     for i in range(kh):
         for j in range(kw):
             t = i * kw + j
-            ys = oh + (i - ph) + off.data[:, :, t, 0]
-            xs = ow + (j - ph) + off.data[:, :, t, 1]
-            samp, backward = gather_bilinear(x.data, b_idx, c_idx, ys, xs)
-            for ci in range(Ci):
-                out += samp[:, ci][:, None] * wdat[None, :, ci, i, j, None, None]
-            taps.append((t, i, j, samp, backward))
+            ys = grid_y + (i - ph) + off.data[:, :, t, 0]
+            xs = grid_x + (j - ph) + off.data[:, :, t, 1]
+            corners = _bilinear_corners(ys, xs, H, W)
+            vals = [xf[:, :, flat] for flat, _, _ in corners]
+            cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, corners))
+            for c, (flat, wy, wx) in enumerate(corners):
+                idx[c, t] = flat
+                wgt[c, t] = wy * wx
+            if dcols is not None:
+                dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, corners)
+    w3 = spec.weight.data.reshape(spec.out_channels, Ci, K)
+    out = _columns_forward(cols, w3, spec.bias.data)
 
     def bw(g):
         g = np.asarray(g)
-        gx = np.zeros_like(x.data) if x.requires_grad else None
-        goff = np.zeros_like(off.data) if off.requires_grad else None
-        gw = np.zeros_like(wdat) if spec.weight.requires_grad else None
-        for t, i, j, samp, backward in taps:
-            # upstream grad on the sampled values, per (b, ci, h, w)
-            gsamp = np.einsum("bohw,oc->bchw", g, wdat[:, :, i, j])
-            gy, gxc = backward(gsamp, gx)
-            if goff is not None:
-                goff[:, :, t, 0] = gy.sum(axis=(0, 1))
-                goff[:, :, t, 1] = gxc.sum(axis=(0, 1))
-            if gw is not None:
-                gw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, samp)
-        if gx is not None:
-            x.accumulate_grad(gx)
-        if goff is not None:
+        gcols, gw = _columns_backward(g, cols, w3, x.requires_grad or off.requires_grad,
+                                      spec.weight.requires_grad)
+        if x.requires_grad:
+            gx = np.empty((B, Ci, P))
+            flat = idx.ravel()
+            for b in range(B):
+                for ci in range(Ci):
+                    gx[b, ci] = np.bincount(flat, weights=(wgt * gcols[b, ci]).ravel(), minlength=P)
+            x.accumulate_grad(gx.reshape(x.shape))
+        if off.requires_grad:
+            goff = np.einsum("bckhw,dbckhw->hwkd", gcols, dcols)
             off.accumulate_grad(goff)
         if gw is not None:
-            spec.weight.accumulate_grad(gw)
+            spec.weight.accumulate_grad(gw.reshape(spec.weight.shape))
         if spec.bias.requires_grad:
             spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 

@@ -32,8 +32,11 @@ def load_config(path):
     return values
 
 
-def _apply_config(args, parser):
+def _apply_config(args, parser, argv):
+    """Fill args from the --config file, except flags given explicitly in argv."""
     if getattr(args, "config", None):
+        # long flags written out in argv, as `--key value` or `--key=value`
+        given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
         try:
             overrides = load_config(args.config)
         except (OSError, ValueError) as e:
@@ -42,7 +45,7 @@ def _apply_config(args, parser):
             if not hasattr(args, key):
                 parser.error(f"unknown config key {key!r}")
             current = getattr(args, key)
-            if f"--{key.replace('_', '-')}" in sys.argv or f"--{key}" in sys.argv:
+            if f"--{key.replace('_', '-')}" in given or f"--{key}" in given:
                 continue  # explicit flag wins
             cast = type(current) if current is not None else str
             setattr(args, key, cast(val) if cast is not bool else val.lower() in ("1", "true", "yes"))
@@ -177,7 +180,11 @@ def cmd_viz_attention(args):
     from .train import ToyDetector, make_synthetic_scenes
 
     if args.tensor:
-        feats = load_tensor(args.tensor)
+        try:
+            feats = load_tensor(args.tensor)
+        except (OSError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return USAGE_EXIT
     else:
         scenes = make_synthetic_scenes(count=1, seed=args.seed)
         model = ToyDetector(scenes[0].image.shape[2:], seed=args.seed)
@@ -263,8 +270,9 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    args = _apply_config(args, parser, argv)
     return args.fn(args)
 
 

@@ -8,6 +8,7 @@ scikit-learn-style fit/predict/get_params surface.
 from __future__ import annotations
 
 import inspect
+import warnings
 
 import numpy as np
 
@@ -21,7 +22,11 @@ __all__ = ["detect", "ToyPipeline"]
 
 def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
            refine_rotation=True):
-    """Full inference for one scene: decode, NMS, filter, yaw refinement."""
+    """Full inference for one scene: decode, NMS, filter, yaw refinement.
+
+    A candidate whose score or decoded box is non-finite is dropped, and the
+    scene's drop count is reported in one RuntimeWarning.
+    """
     heads = model.forward(scene.image)
     H, W = model.feature_hw
     A = model.grid.per_position
@@ -40,8 +45,13 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     center_map = heads["center"].data[0]  # (2, H, W), pixel units after scaling
     best_hw = heads["best_hw"]
 
+    finite = (np.isfinite(score_map) & np.isfinite(d2_map).all(axis=1)
+              & np.isfinite(d3rest_map).all(axis=1) & np.isfinite(tz_map[:, 0])
+              & np.isfinite(center_map).all(axis=0))
+    candidates = (score_map >= score_floor) | ~np.isfinite(score_map)
+    non_finite = int((candidates & ~finite).sum())
     dets = []
-    for t, hh, ww in zip(*np.nonzero(score_map >= score_floor)):
+    for t, hh, ww in zip(*np.nonzero(candidates & finite)):
         flat = (hh * W + ww) * A + t
         anchor = model.grid.anchor(flat)
         w_b, h_b = best_hw[hh, ww, 1], best_hw[hh, ww, 0]
@@ -51,8 +61,12 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
             tz_map[t, 0, hh, ww],
             *d3rest_map[t, :, hh, ww],
         ])
-        box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(
-            anchor, BoxDeltas(d2_map[t, :, hh, ww], d3))
+        try:
+            box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(
+                anchor, BoxDeltas(d2_map[t, :, hh, ww], d3))
+        except OverflowError:  # a size delta too large for exp: an infinite box
+            non_finite += 1
+            continue
         if zp <= 0.0:
             continue
         x, y, z = backproject(scene.cam, (xp, yp, zp))
@@ -60,6 +74,9 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
         box3d = Box3D(x, y, z, w3, h3, l3, yaw, alpha=alpha)
         dets.append(Detection(int(class_map[t, hh, ww]), float(score_map[t, hh, ww]),
                               box2d, box3d, alpha))
+    if non_finite:
+        warnings.warn(f"detect: dropped {non_finite} candidate(s) with a non-finite score "
+                      "or box", RuntimeWarning, stacklevel=2)
 
     dets = nms(dets, iou_thresh=nms_iou)
     dets = confidence_filter(dets, thresh=conf_thresh)

@@ -1,8 +1,11 @@
 """Neural-net primitives on the autodiff tensor: conv, bilinear sampling, softmax, pooling.
 
-conv2d accumulates taps in (kh, kw, ci) order, one tap-plane at a time, so its
-floating-point summation order is identical to the naive nested-loop reference
-(and to the offset-sampled convolution with all offsets zero).
+conv2d and the offset-sampled convolution (`align.align_conv`) share one
+column kernel: each builds a (B, Ci, K = kh*kw, OH, OW) column tensor, by
+strided slices or by bilinear reads. The forward adds taps in (kh, kw, ci)
+order, one tap-plane at a time, so its floating-point summation order is
+identical to the naive nested-loop reference (and align_conv with all offsets
+zero is bit-identical to conv2d). The backward is two matrix contractions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ __all__ = [
     "ConvSpec",
     "conv2d",
     "bilinear_sample",
-    "gather_bilinear",
     "softmax_lastdim",
     "adaptive_avg_pool",
 ]
@@ -65,6 +67,42 @@ class ConvSpec:
         return [self.weight, self.bias]
 
 
+def _columns_forward(cols, w, b):
+    """Convolve a (B, Ci, K, OH, OW) column tensor with (Co, Ci, K) weights.
+
+    Starts from the bias and adds one tap plane at a time in (t, ci) order,
+    the naive loop's summation order, so the result is bitwise reproducible
+    against it. No BLAS call: a matrix product would reorder the sum.
+    """
+    B, Ci, K = cols.shape[:3]
+    out = np.empty((B, w.shape[0]) + cols.shape[3:])
+    out[:] = b[None, :, None, None]
+    term = np.empty_like(out)
+    for t in range(K):
+        for ci in range(Ci):
+            np.multiply(cols[:, ci, t, None], w[None, :, ci, t, None, None], out=term)
+            out += term
+    return out
+
+
+def _columns_backward(g, cols, w, need_cols, need_w):
+    """Gradients of `_columns_forward` for upstream `g` (B, Co, OH, OW).
+
+    Two contractions: gcols = W^T @ G per batch item, shaped like `cols`, and
+    gw = sum over b of G_b @ cols_b^T, shaped like `w`. Either is None when
+    not needed. The caller scatters gcols back onto its input.
+    """
+    B, Co = g.shape[:2]
+    Ci, K = w.shape[1:]
+    G = g.reshape(B, Co, -1)
+    gcols = gw = None
+    if need_cols:
+        gcols = (w.reshape(Co, Ci * K).T @ G).reshape(cols.shape)
+    if need_w:
+        gw = np.tensordot(G, cols.reshape(B, Ci * K, -1), axes=([0, 2], [0, 2])).reshape(w.shape)
+    return gcols, gw
+
+
 def conv2d(x, spec):
     """Cross-correlation of a (B, Ci, H, W) tensor with `spec`, zero padding."""
     if x.ndim != 4:
@@ -79,89 +117,67 @@ def conv2d(x, spec):
     if OH < 1 or OW < 1:
         raise ValueError(f"empty output for input {H}x{W}, kernel {kh}x{kw}, pad {p}")
 
-    wdat, bdat = spec.weight.data, spec.bias.data
-    padded = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
-    padded[:, :, p:p + H, p:p + W] = x.data
-
-    out = np.empty((B, spec.out_channels, OH, OW))
-    out[:] = bdat[None, :, None, None]
-    for i in range(kh):
-        for j in range(kw):
-            for ci in range(Ci):
-                patch = padded[:, ci, i:i + OH * s:s, j:j + OW * s:s]
-                out += patch[:, None] * wdat[None, :, ci, i, j, None, None]
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    if (kh, kw, s, p) == (1, 1, 1, 0):
+        cols = x.data[:, :, None]
+    else:
+        padded = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
+        padded[:, :, p:p + H, p:p + W] = x.data
+        cols = np.empty((B, Ci, kh * kw, OH, OW))
+        for t, (i, j) in enumerate(taps):
+            cols[:, :, t] = padded[:, :, i:i + OH * s:s, j:j + OW * s:s]
+        del padded
+    w3 = spec.weight.data.reshape(spec.out_channels, Ci, kh * kw)
+    out = _columns_forward(cols, w3, spec.bias.data)
 
     def bw(g):
         g = np.asarray(g)
-        if x.requires_grad:
-            gpad = np.zeros_like(padded)
-            for i in range(kh):
-                for j in range(kw):
-                    for ci in range(Ci):
-                        gpad[:, ci, i:i + OH * s:s, j:j + OW * s:s] += np.einsum(
-                            "bohw,o->bhw", g, wdat[:, ci, i, j]
-                        )
+        gcols, gw = _columns_backward(g, cols, w3, x.requires_grad, spec.weight.requires_grad)
+        if gcols is not None:
+            gpad = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
+            for t, (i, j) in enumerate(taps):
+                gpad[:, :, i:i + OH * s:s, j:j + OW * s:s] += gcols[:, :, t]
             x.accumulate_grad(gpad[:, :, p:p + H, p:p + W])
-        if spec.weight.requires_grad:
-            gw = np.empty_like(wdat)
-            for i in range(kh):
-                for j in range(kw):
-                    for ci in range(Ci):
-                        patch = padded[:, ci, i:i + OH * s:s, j:j + OW * s:s]
-                        gw[:, ci, i, j] = np.einsum("bohw,bhw->o", g, patch)
-            spec.weight.accumulate_grad(gw)
+        if gw is not None:
+            spec.weight.accumulate_grad(gw.reshape(spec.weight.shape))
         if spec.bias.requires_grad:
             spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return Tensor.from_op(out, (x, spec.weight, spec.bias), bw)
 
 
-def _corner_gather(data, b, c, yi, xi):
-    """Value planes at integer grid coords with zero padding outside."""
-    _, _, H, W = data.shape
-    valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
-    yc = np.clip(yi, 0, H - 1)
-    xc = np.clip(xi, 0, W - 1)
-    return data[b, c, yc, xc] * valid, valid, yc, xc
+def _bilinear_corners(y, x_coord, H, W):
+    """The four grid corners around fractional (y, x) on an H x W map.
 
-
-def gather_bilinear(x, b, c, y, x_coord):
-    """Bilinearly sample `x[b, c]` at fractional (y, x) arrays, zero padded.
-
-    All of b, c, y, x_coord are broadcast-compatible numpy arrays. Returns
-    (values, backward) where backward(g) yields (grad_into_input, gy, gx);
-    grad_into_input is accumulated into a caller-provided array via np.add.at.
+    Returns four (flat, wy, wx) triples, corners (dy, dx) = (0, 0), (0, 1),
+    (1, 0), (1, 1) in that order: the corner's flat index y * W + x, clipped
+    into the map, and its two bilinear factors, both zero where the corner
+    lies outside the map (zero padding). A corner's value is
+    v[flat] * wy * wx, multiplied in that order (the per-tap loop's order, so
+    reads are bitwise unchanged).
     """
     y = np.asarray(y, dtype=np.float64)
     xq = np.asarray(x_coord, dtype=np.float64)
     y0 = np.floor(y).astype(np.intp)
     x0 = np.floor(xq).astype(np.intp)
     fy, fx = y - y0, xq - x0
-
     corners = []
-    for dy, dx, wy, wx in (
-        (0, 0, 1.0 - fy, 1.0 - fx),
-        (0, 1, 1.0 - fy, fx),
-        (1, 0, fy, 1.0 - fx),
-        (1, 1, fy, fx),
-    ):
-        v, valid, yc, xc = _corner_gather(x, b, c, y0 + dy, x0 + dx)
-        corners.append((v, valid, yc, xc, wy, wx, dy, dx))
-    val = sum(v * wy * wx for v, _, _, _, wy, wx, _, _ in corners)
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        yi, xi = y0 + dy, x0 + dx
+        valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
+        flat = np.clip(yi, 0, H - 1) * W + np.clip(xi, 0, W - 1)
+        wy = np.where(valid, fy if dy else 1.0 - fy, 0.0)
+        wx = np.where(valid, fx if dx else 1.0 - fx, 0.0)
+        corners.append((flat, wy, wx))
+    return corners
 
-    def backward(g, gx_accum=None):
-        """g: upstream grad, same shape as val. Returns (gy, gx) coordinate grads."""
-        gy, gxc = 0.0, 0.0
-        for v, valid, yc, xc, wy, wx, dy, dx in corners:
-            if gx_accum is not None:
-                np.add.at(gx_accum, (b, c, yc, xc), g * wy * wx * valid)
-            sy = 1.0 if dy == 1 else -1.0
-            sx = 1.0 if dx == 1 else -1.0
-            gy = gy + g * v * sy * wx
-            gxc = gxc + g * v * sx * wy
-        return np.asarray(gy), np.asarray(gxc)
 
-    return val, backward
+def _bilinear_slopes(vals, corners):
+    """d/dy and d/dx of a bilinear read, from its four corner values."""
+    v00, v01, v10, v11 = vals
+    (_, wy00, wx00), (_, wy01, wx01), (_, wy10, wx10), (_, wy11, wx11) = corners
+    return (v10 * wx10 - v00 * wx00 + v11 * wx11 - v01 * wx01,
+            v01 * wy01 - v00 * wy00 + v11 * wy11 - v10 * wy10)
 
 
 def bilinear_sample(x, y, x_coord, b=0, c=0):
@@ -172,20 +188,24 @@ def bilinear_sample(x, y, x_coord, b=0, c=0):
     """
     yt = y if isinstance(y, Tensor) else Tensor(y)
     xt = x_coord if isinstance(x_coord, Tensor) else Tensor(x_coord)
-    val, backward = gather_bilinear(
-        x.data, np.asarray(b), np.asarray(c), yt.data, xt.data
-    )
+    B, C, H, W = x.shape
+    b, c = np.asarray(b), np.asarray(c)
+    corners = _bilinear_corners(yt.data, xt.data, H, W)
+    vals = [x.data.reshape(B, C, H * W)[b, c, flat] for flat, _, _ in corners]
+    val = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, corners))
 
     def bw(g):
         g = np.asarray(g)
-        gx_accum = np.zeros_like(x.data) if x.requires_grad else None
-        gy, gxc = backward(g, gx_accum)
         if x.requires_grad:
-            x.accumulate_grad(gx_accum)
+            gx = np.zeros((B, C, H * W))
+            for flat, wy, wx in corners:
+                np.add.at(gx, (b, c, flat), g * wy * wx)
+            x.accumulate_grad(gx.reshape(x.shape))
+        dy, dx = _bilinear_slopes(vals, corners)
         if yt.requires_grad:
-            yt.accumulate_grad(gy)
+            yt.accumulate_grad(g * dy)
         if xt.requires_grad:
-            xt.accumulate_grad(gxc)
+            xt.accumulate_grad(g * dx)
 
     return Tensor.from_op(val, (x, yt, xt), bw)
 

@@ -8,6 +8,7 @@ a topological sort and replays it. No graph rewriting, no fusion.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -172,7 +173,8 @@ class Tensor:
         return self._coerce(other) / self
 
     def __pow__(self, p):
-        assert isinstance(p, (int, float))
+        if not isinstance(p, (int, float)):
+            raise TypeError(f"exponent must be an int or float scalar, got {type(p).__name__}")
         out_data = self.data ** p
 
         def bw(g):
@@ -360,15 +362,21 @@ def save_tensor(t, path):
 
 
 def load_tensor(path):
+    """Read a tensor written by `save_tensor`; a malformed file raises ValueError."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        shape = struct.unpack("<4I", f.read(16))
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    if payload.size != int(np.prod(shape)):
-        raise ValueError(f"payload size {payload.size} does not match shape {shape}")
-    return Tensor(payload.reshape(shape).astype(np.float64))
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+        header = f.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path}: truncated header, {len(header)} of 16 shape bytes")
+        shape = struct.unpack("<4I", header)
+        payload = f.read()
+    if len(payload) != 8 * math.prod(shape):
+        raise ValueError(
+            f"{path}: payload of {len(payload)} bytes does not match shape {shape}"
+        )
+    return Tensor(np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64))
 
 
 def dump_text(t, path):

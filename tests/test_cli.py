@@ -50,6 +50,18 @@ class TestConfigFile:
         assert "task=bev" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag", [["--steps", "1"], ["--steps=1"]])
+    def test_explicit_flag_in_given_argv_wins(self, tmp_path, capsys, flag, monkeypatch):
+        # the flag is looked for in main's argv, not in sys.argv
+        monkeypatch.setattr("sys.argv", ["mono3d"])
+        cfg = tmp_path / "cfg"
+        cfg.write_text("steps=5\nscenes=2\n")
+        trace = tmp_path / "trace.csv"
+        assert main(["train-toy", "--config", str(cfg), "--trace", str(trace)] + flag) == 0
+        assert "step 0: total" in capsys.readouterr().out
+        assert len(trace.read_text().splitlines()) == 1 + 1  # header + one step
+
+
 class TestEval:
     def test_identical_dirs_perfect_ap(self, tmp_path, capsys):
         gt, det = tmp_path / "gt", tmp_path / "det"
@@ -111,6 +123,14 @@ class TestVizAttention:
         assert main(["viz-attention", "--out", str(out), "--tensor", str(tpath)]) == 0
         header = out.read_bytes().split(b"\n", 2)
         assert header[1] == b"10 6"
+
+    def test_truncated_tensor_file_is_a_usage_error(self, tmp_path, capsys):
+        tpath = tmp_path / "feats.m3tn"
+        tpath.write_bytes(b"M3TN\x01\x00")
+        out = tmp_path / "attn.pgm"
+        assert main(["viz-attention", "--out", str(out), "--tensor", str(tpath)]) == USAGE_EXIT
+        assert "feats.m3tn" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainToy:

@@ -1,0 +1,203 @@
+"""The shared column kernel of conv2d and align_conv against per-tap references.
+
+The references below are the per-(kh, kw, ci) loops that conv2d and
+align_conv ran before they shared one column kernel: the forward adds one
+tap plane at a time, the backward loops over every (tap, channel) with
+einsum and np.add.at. The forward must match them bitwise; the gradients,
+whose summation order changed, within 1e-12 relative to each array's largest
+entry.
+"""
+
+import numpy as np
+import pytest
+
+from mono3d.align import OffsetField, align_conv
+from mono3d.ops import ConvSpec, conv2d
+from mono3d.tensor import Tensor
+
+RTOL = 1e-12
+
+
+def ref_conv2d(x, w, b, stride, pad, g):
+    """Per-tap conv2d: returns (out, gx, gw, gb) for upstream grad `g`."""
+    B, Ci, H, W = x.shape
+    Co, _, kh, kw = w.shape
+    s, p = stride, pad
+    OH = (H + 2 * p - kh) // s + 1
+    OW = (W + 2 * p - kw) // s + 1
+    padded = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
+    padded[:, :, p:p + H, p:p + W] = x
+    out = np.empty((B, Co, OH, OW))
+    out[:] = b[None, :, None, None]
+    for i in range(kh):
+        for j in range(kw):
+            for ci in range(Ci):
+                patch = padded[:, ci, i:i + OH * s:s, j:j + OW * s:s]
+                out += patch[:, None] * w[None, :, ci, i, j, None, None]
+    if g is None:
+        return out, None, None, None
+    gpad = np.zeros_like(padded)
+    gw = np.empty_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            for ci in range(Ci):
+                gpad[:, ci, i:i + OH * s:s, j:j + OW * s:s] += np.einsum(
+                    "bohw,o->bhw", g, w[:, ci, i, j])
+                patch = padded[:, ci, i:i + OH * s:s, j:j + OW * s:s]
+                gw[:, ci, i, j] = np.einsum("bohw,bhw->o", g, patch)
+    return out, gpad[:, :, p:p + H, p:p + W], gw, g.sum(axis=(0, 2, 3))
+
+
+def ref_gather_bilinear(data, b, c, y, x_coord):
+    """Per-corner bilinear gather with its own zero-padding masks."""
+    _, _, H, W = data.shape
+    y0 = np.floor(y).astype(np.intp)
+    x0 = np.floor(x_coord).astype(np.intp)
+    fy, fx = y - y0, x_coord - x0
+    corners = []
+    for dy, dx, wy, wx in ((0, 0, 1.0 - fy, 1.0 - fx), (0, 1, 1.0 - fy, fx),
+                           (1, 0, fy, 1.0 - fx), (1, 1, fy, fx)):
+        yi, xi = y0 + dy, x0 + dx
+        valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
+        yc, xc = np.clip(yi, 0, H - 1), np.clip(xi, 0, W - 1)
+        v = data[b, c, yc, xc] * valid
+        corners.append((v, valid, yc, xc, wy, wx, dy, dx))
+    val = sum(v * wy * wx for v, _, _, _, wy, wx, _, _ in corners)
+
+    def backward(g, gx_accum):
+        gy, gxc = 0.0, 0.0
+        for v, valid, yc, xc, wy, wx, dy, dx in corners:
+            np.add.at(gx_accum, (b, c, yc, xc), g * wy * wx * valid)
+            gy = gy + g * v * (1.0 if dy else -1.0) * wx
+            gxc = gxc + g * v * (1.0 if dx else -1.0) * wy
+        return gy, gxc
+
+    return val, backward
+
+
+def ref_align_conv(x, w, b, off, g):
+    """Per-tap offset-sampled conv: returns (out, gx, gw, gb, goff)."""
+    B, Ci, H, W = x.shape
+    Co, _, kh, kw = w.shape
+    ph = kh // 2
+    oh, ow = np.arange(H)[:, None], np.arange(W)[None, :]
+    b_idx = np.arange(B)[:, None, None, None]
+    c_idx = np.arange(Ci)[None, :, None, None]
+    out = np.empty((B, Co, H, W))
+    out[:] = b[None, :, None, None]
+    taps = []
+    for i in range(kh):
+        for j in range(kw):
+            t = i * kw + j
+            ys = oh + (i - ph) + off[:, :, t, 0]
+            xs = ow + (j - ph) + off[:, :, t, 1]
+            samp, backward = ref_gather_bilinear(x, b_idx, c_idx, ys, xs)
+            for ci in range(Ci):
+                out += samp[:, ci][:, None] * w[None, :, ci, i, j, None, None]
+            taps.append((t, i, j, samp, backward))
+    if g is None:
+        return out, None, None, None, None
+    gx, goff, gw = np.zeros_like(x), np.zeros_like(off), np.zeros_like(w)
+    for t, i, j, samp, backward in taps:
+        gsamp = np.einsum("bohw,oc->bchw", g, w[:, :, i, j])
+        gy, gxc = backward(gsamp, gx)
+        goff[:, :, t, 0] = gy.sum(axis=(0, 1))
+        goff[:, :, t, 1] = gxc.sum(axis=(0, 1))
+        gw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, samp)
+    return out, gx, gw, g.sum(axis=(0, 2, 3)), goff
+
+
+def assert_close(got, want, name):
+    scale = np.abs(want).max()
+    err = np.abs(got - want).max()
+    assert err <= RTOL * scale, f"{name}: max error {err:.3g} vs scale {scale:.3g}"
+
+
+def random_spec(rng, ci, co, kernel, stride, pad):
+    spec = ConvSpec.init_random(ci, co, kernel, stride, pad, rng=rng)
+    spec.bias.data[:] = rng.normal(size=co)
+    return spec
+
+
+class TestConv2dColumns:
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_matches_per_tap_reference(self, stride, pad):
+        rng = np.random.default_rng(10 * stride + pad)
+        x = Tensor(rng.normal(size=(2, 3, 7, 9)), requires_grad=True)
+        spec = random_spec(rng, 3, 4, (2, 3), stride, pad)
+        out = conv2d(x, spec)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        want, gx, gw, gb = ref_conv2d(x.data, spec.weight.data, spec.bias.data, stride, pad, g)
+        assert np.array_equal(out.data, want)
+        assert_close(x.grad, gx, "x")
+        assert_close(spec.weight.grad, gw, "w")
+        assert_close(spec.bias.grad, gb, "b")
+
+    def test_pointwise_reads_the_input_in_place(self):
+        # the 1x1 stride-1 pad-0 column tensor is a view of the input
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(2, 5, 4, 6)), requires_grad=True)
+        spec = random_spec(rng, 5, 3, (1, 1), 1, 0)
+        out = conv2d(x, spec)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        want, gx, gw, _ = ref_conv2d(x.data, spec.weight.data, spec.bias.data, 1, 0, g)
+        assert np.array_equal(out.data, want)
+        assert_close(x.grad, gx, "x")
+        assert_close(spec.weight.grad, gw, "w")
+
+
+def run_align(rng, off, B=2, Ci=3, Co=4, H=5, W=6, kernel=(3, 3)):
+    x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
+    spec = random_spec(rng, Ci, Co, kernel, 1, kernel[0] // 2)
+    offt = Tensor(off, requires_grad=True)
+    out = align_conv(x, spec, OffsetField(offt, kernel))
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    ref = ref_align_conv(x.data, spec.weight.data, spec.bias.data, off, g)
+    return out.data, (x.grad, spec.weight.grad, spec.bias.grad, offt.grad), ref
+
+
+class TestAlignConvColumns:
+    def test_fractional_border_crossing_forward_bitwise(self):
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            # offsets up to 3 cells push taps across every border
+            off = rng.uniform(-3.0, 3.0, size=(5, 6, 9, 2))
+            out, _, ref = run_align(rng, off)
+            assert np.array_equal(out, ref[0])
+
+    @pytest.mark.parametrize("kind", ["integer", "fractional"])
+    def test_gradients_match_per_tap_reference(self, kind):
+        rng = np.random.default_rng(3 if kind == "integer" else 4)
+        if kind == "integer":
+            off = rng.integers(-3, 4, size=(5, 6, 9, 2)).astype(np.float64)
+        else:
+            off = rng.uniform(-3.0, 3.0, size=(5, 6, 9, 2))
+        out, grads, ref = run_align(rng, off)
+        assert np.array_equal(out, ref[0])
+        for got, want, name in zip(grads, (ref[1], ref[2], ref[3], ref[4]), "xwbo"):
+            assert_close(got, want, name)
+
+    def test_pointwise_kernel(self):
+        # the 1x1 center-alignment shape, offsets crossing the border
+        rng = np.random.default_rng(5)
+        off = rng.uniform(-2.0, 2.0, size=(4, 7, 1, 2))
+        out, grads, ref = run_align(rng, off, H=4, W=7, kernel=(1, 1))
+        assert np.array_equal(out, ref[0])
+        for got, want, name in zip(grads, (ref[1], ref[2], ref[3], ref[4]), "xwbo"):
+            assert_close(got, want, name)
+
+    def test_offsets_without_grad_skip_their_gradient(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(1, 2, 4, 5)), requires_grad=True)
+        spec = random_spec(rng, 2, 3, (3, 3), 1, 1)
+        off = Tensor(rng.uniform(-1.5, 1.5, size=(4, 5, 9, 2)))
+        out = align_conv(x, spec, OffsetField(off, (3, 3)))
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        _, gx, gw, _, _ = ref_align_conv(x.data, spec.weight.data, spec.bias.data, off.data, g)
+        assert off.grad is None
+        assert_close(x.grad, gx, "x")
+        assert_close(spec.weight.grad, gw, "w")

@@ -71,3 +71,42 @@ class TestDetect:
             assert 0.05 <= d.score <= 1.0
             assert d.box2d.w > 0.0 and d.box2d.h > 0.0
             assert d.box3d.z > 0.0
+
+
+class TestNonFiniteOutputs:
+    """A non-finite head output drops its candidates with one warning per
+    scene; predict still returns for every scene."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        scenes = make_synthetic_scenes(count=3, seed=1)
+        pipe = ToyPipeline(steps=10, seed=0, batch_size=2, conf_thresh=0.05,
+                           refine_rotation=False).fit(scenes)
+        return pipe, scenes, pipe.predict(scenes)
+
+    def poison(self, pipe, image, head, index, value, monkeypatch):
+        forward = pipe.model_.forward
+
+        def poisoned(img):
+            heads = forward(img)
+            if img is image:
+                heads[head].data[index] = value
+            return heads
+
+        monkeypatch.setattr(pipe.model_, "forward", poisoned)
+
+    @pytest.mark.parametrize("head,index,value,count", [
+        ("cls", (0, 1, 0, 0), np.nan, "1"),   # one logit: anchor 0, class 1, cell (0, 0)
+        ("box2d", (0, 0), np.nan, r"\d+"),    # tx of anchor 0 in every cell
+        ("box3d", (0, 0), 1e4, r"\d+"),       # tw of anchor 0: exp overflows
+    ])
+    def test_other_scenes_unchanged(self, fitted, head, index, value, count, monkeypatch):
+        pipe, scenes, want = fitted
+        self.poison(pipe, scenes[1].image, head, index, value, monkeypatch)
+        with pytest.warns(RuntimeWarning, match=rf"dropped {count} candidate") as rec:
+            got = pipe.predict(scenes)
+        assert sum("dropped" in str(w.message) for w in rec) == 1
+        assert len(got) == len(scenes)
+        assert got[0] == want[0] and got[2] == want[2]
+        for d in got[1]:
+            assert np.isfinite(d.score) and np.isfinite(d.box3d.as_array()).all()

@@ -72,6 +72,21 @@ def test_serialization_rejects_bad_magic(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.parametrize("cut", [4 + 7, 4 + 16 + 8 * 5])
+def test_serialization_rejects_truncated_file(tmp_path, cut):
+    # cut inside the shape header, then inside the payload
+    path = tmp_path / "t.m3tn"
+    save_tensor(Tensor(np.ones((1, 2, 3, 4))), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="t.m3tn"):
+        load_tensor(path)
+
+
+def test_pow_rejects_non_scalar_exponent():
+    with pytest.raises(TypeError, match="exponent"):
+        Tensor(np.ones(3)) ** np.array([1.0, 2.0, 3.0])
+
+
 def test_serialization_requires_4d(tmp_path):
     with pytest.raises(ValueError, match="4-D"):
         save_tensor(Tensor(np.ones((2, 2))), tmp_path / "x.m3tn")
