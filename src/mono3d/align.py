@@ -17,6 +17,7 @@ from .ops import ConvSpec, _bilinear_corners, _bilinear_slopes, _columns_backwar
 from .tensor import Tensor
 
 __all__ = [
+    "NonFiniteOffsetsError",
     "OffsetField",
     "shape_align_offsets",
     "select_best_anchor",
@@ -24,6 +25,10 @@ __all__ = [
     "align_conv",
     "export_offsets_csv",
 ]
+
+
+class NonFiniteOffsetsError(ValueError):
+    """An offset field with a NaN or infinite entry."""
 
 
 @dataclass
@@ -45,7 +50,7 @@ class OffsetField:
                 f"offset field {self.offsets.shape} does not match kernel {self.kernel}"
             )
         if not np.all(np.isfinite(self.offsets.data)):
-            raise ValueError("offset field contains non-finite values")
+            raise NonFiniteOffsetsError("offset field contains non-finite values")
 
     @staticmethod
     def zeros(hw, kernel):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ConvSpec, conv2d, softmax_lastdim
+from .ops import ConvSpec, _bin_grid, _bin_spread, _bin_sum, conv2d, softmax_lastdim
 from .tensor import Tensor
 
 __all__ = [
@@ -87,10 +87,6 @@ def attention_map(x, conv1x1):
     return conv2d(x, conv1x1).sigmoid()
 
 
-def _bin_ranges(n_in, n_bins):
-    return [((p * n_in) // n_bins, ((p + 1) * n_in) // n_bins) for p in range(n_bins)]
-
-
 def pa2_pool(features, attn, spec):
     """Attention-weighted pyramid pooling of a (C, H, W) map to (L, C) rows.
 
@@ -102,35 +98,30 @@ def pa2_pool(features, attn, spec):
         raise ValueError(f"attention map {attn.shape} does not match features {features.shape}")
     a = attn.data.reshape(H, W)
     f = features.data
-    eps = spec.epsilon
-
-    rows, meta = [], []
+    af = f * a
+    grids, dens, descs = [], [], []
     for level in spec.levels:
-        nh, nw = _level_bins(level)
-        for r0, r1 in _bin_ranges(H, nh):
-            for c0, c1 in _bin_ranges(W, nw):
-                den = a[r0:r1, c0:c1].sum() + eps
-                num = (f[:, r0:r1, c0:c1] * a[r0:r1, c0:c1]).sum(axis=(1, 2))
-                rows.append(num / den)
-                meta.append((r0, r1, c0, c1, den))
-    out = np.stack(rows, axis=0)
+        grids.append(_bin_grid((H, W), _level_bins(level)))
+        dens.append(_bin_sum(a, grids[-1]) + spec.epsilon)
+        descs.append(_bin_sum(af, grids[-1]) / dens[-1])  # (C, nh, nw)
+    out = np.concatenate([d.reshape(C, -1).T for d in descs], axis=0)
 
     def bw(g):
         g = np.asarray(g)
-        gf = np.zeros_like(f) if features.requires_grad else None
-        ga = np.zeros((H, W)) if attn.requires_grad else None
-        for l, (r0, r1, c0, c1, den) in enumerate(meta):
-            if gf is not None:
-                gf[:, r0:r1, c0:c1] += g[l][:, None, None] * a[r0:r1, c0:c1] / den
-            if ga is not None:
-                # d desc_c / d a(p) = (f_c(p) - desc_c) / den
-                ga[r0:r1, c0:c1] += np.einsum(
-                    "c,chw->hw", g[l], f[:, r0:r1, c0:c1] - out[l][:, None, None]
-                ) / den
-        if gf is not None:
-            features.accumulate_grad(gf)
-        if ga is not None:
-            attn.accumulate_grad(ga.reshape(attn.shape))
+        # d desc_c / d f_c(p) = a(p) / den and d desc_c / d a(p) = (f_c(p) - desc_c) / den
+        spread = np.zeros_like(f)     # sum over levels of spread(g / den), (C, H, W)
+        spread_dot = np.zeros((H, W))  # sum over levels of spread(sum_c (g / den) * desc)
+        row = 0
+        for grid, den, desc in zip(grids, dens, descs):
+            n = den.size
+            gd = g[row:row + n].T.reshape(desc.shape) / den
+            row += n
+            spread += _bin_spread(gd, grid)
+            spread_dot += _bin_spread((gd * desc).sum(axis=0), grid)
+        if features.requires_grad:
+            features.accumulate_grad(a * spread)
+        if attn.requires_grad:
+            attn.accumulate_grad(((f * spread).sum(axis=0) - spread_dot).reshape(attn.shape))
 
     return Tensor.from_op(out, (features, attn), bw)
 
@@ -180,51 +171,23 @@ def reference_nonlocal(x, residual=True):
     return y + x if residual else y
 
 
-# -- forward-only numpy paths for timing --------------------------------------
-
-
-def _anab_forward_fast(x, spec):
-    """Tape-free forward used only by the benchmark; weights folded to identity."""
-    C, H, W = x.shape
-    a = 1.0 / (1.0 + np.exp(-x.mean(axis=0)))  # stand-in attention map
-    m_q = x.reshape(C, -1).T
-    rows = []
-    for level in spec.levels:
-        nh, nw = _level_bins(level)
-        for r0, r1 in _bin_ranges(H, nh):
-            for c0, c1 in _bin_ranges(W, nw):
-                den = a[r0:r1, c0:c1].sum() + spec.epsilon
-                rows.append((x[:, r0:r1, c0:c1] * a[r0:r1, c0:c1]).sum(axis=(1, 2)) / den)
-    m_k = np.stack(rows, axis=0)
-    s = m_q @ m_k.T
-    s -= s.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return (p @ m_k).T.reshape(C, H, W)
-
-
-def _nonlocal_forward_fast(x):
-    C, H, W = x.shape
-    m = x.reshape(C, -1).T
-    s = m @ m.T
-    s -= s.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return (p @ m).T.reshape(C, H, W)
-
-
 def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
-    """Wall-clock one forward of each block at the given size.
+    """Wall-clock one forward of `anab_forward` and `reference_nonlocal`.
 
-    Returns a dict with anab_time / nonlocal_time (best of `repeats`), the
-    descriptor count L and pixel count N. `nonlocal_hw` lets the quadratic
-    reference run at a smaller size when N would not fit comfortably.
+    The attention block runs with `init_random` weights; inputs and weights
+    carry no gradient, so no tape is recorded. Returns a dict with
+    anab_time / nonlocal_time (best of `repeats`), the descriptor count L and
+    pixel count N. `nonlocal_hw` lets the quadratic reference run at a smaller
+    size when N would not fit comfortably.
     """
     spec = spec or PyramidSpec()
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(C, H, W))
+    params = AnabParams.init_random(C, pyramid=spec, rng=rng)
+    for p in params.params():
+        p.requires_grad = False
+    x = Tensor(rng.normal(size=(1, C, H, W)))
     nh, nw = nonlocal_hw or (H, W)
-    xn = rng.normal(size=(C, nh, nw))
+    xn = Tensor(rng.normal(size=(1, C, nh, nw)))
 
     def best_of(fn, arg):
         t0 = time.perf_counter()
@@ -242,8 +205,8 @@ def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
 
     def run():
         return {
-            "anab_time": best_of(lambda t: _anab_forward_fast(t, spec), x),
-            "nonlocal_time": best_of(_nonlocal_forward_fast, xn),
+            "anab_time": best_of(lambda t: anab_forward(t, params), x),
+            "nonlocal_time": best_of(reference_nonlocal, xn),
             "L": spec.descriptor_count,
             "N": H * W,
             "nonlocal_N": nh * nw,

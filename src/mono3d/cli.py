@@ -33,23 +33,21 @@ def load_config(path):
 
 
 def _apply_config(args, parser, argv):
-    """Fill args from the --config file, except flags given explicitly in argv."""
-    if getattr(args, "config", None):
-        # long flags written out in argv, as `--key value` or `--key=value`
-        given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-        try:
-            overrides = load_config(args.config)
-        except (OSError, ValueError) as e:
-            parser.error(str(e))
-        for key, val in overrides.items():
-            if not hasattr(args, key):
-                parser.error(f"unknown config key {key!r}")
-            current = getattr(args, key)
-            if f"--{key.replace('_', '-')}" in given or f"--{key}" in given:
-                continue  # explicit flag wins
-            cast = type(current) if current is not None else str
-            setattr(args, key, cast(val) if cast is not bool else val.lower() in ("1", "true", "yes"))
-    return args
+    """Parse argv again with the --config file's values as the defaults.
+
+    argparse itself then resolves every flag in argv, unique abbreviations
+    included, so each flag given in argv wins over the file.
+    """
+    if not getattr(args, "config", None):
+        return args
+    try:
+        overrides = load_config(args.config)
+    except (OSError, ValueError) as e:
+        parser.error(str(e))
+    for key in overrides:
+        if not hasattr(args, key):
+            parser.error(f"unknown config key {key!r}")
+    return build_parser(overrides).parse_args(argv)
 
 
 def cmd_demo(args):
@@ -174,9 +172,9 @@ def cmd_bench_anab(args):
 
 
 def cmd_viz_attention(args):
-    from .attention import write_pgm
-    from .ops import ConvSpec, conv2d
-    from .tensor import Tensor, load_tensor
+    from .attention import attention_map, write_pgm
+    from .ops import ConvSpec
+    from .tensor import load_tensor
     from .train import ToyDetector, make_synthetic_scenes
 
     if args.tensor:
@@ -185,13 +183,15 @@ def cmd_viz_attention(args):
         except (OSError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return USAGE_EXIT
-    else:
+        # arbitrary channel count: a random attention conv of matching width
+        attn_conv = ConvSpec.init_random(feats.shape[1], 1, (1, 1),
+                                         rng=np.random.default_rng(args.seed))
+    else:  # the map the model's attention block pools with
         scenes = make_synthetic_scenes(count=1, seed=args.seed)
         model = ToyDetector(scenes[0].image.shape[2:], seed=args.seed)
-        feats = Tensor(model.forward(scenes[0].image)["features"].data)
-    rng = np.random.default_rng(args.seed)
-    attn_conv = ConvSpec.init_random(feats.shape[1], 1, (1, 1), rng=rng)
-    amap = conv2d(feats, attn_conv).sigmoid().data[0, 0]
+        feats = model.forward(scenes[0].image)["features"]
+        attn_conv = model.anab.attention
+    amap = attention_map(feats, attn_conv).data[0, 0]
     write_pgm(amap, args.out)
     print(f"wrote {amap.shape[1]}x{amap.shape[0]} attention map to {args.out}")
     return 0
@@ -211,7 +211,8 @@ def cmd_train_toy(args):
     return 0
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The mono3d parser; `defaults` (key -> string) override every subcommand's defaults."""
     parser = argparse.ArgumentParser(prog="mono3d",
                                      description="Monocular 3D detection blocks: demo, eval, oracles")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,6 +266,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", help="CSV output path")
     p.set_defaults(fn=cmd_train_toy)
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 

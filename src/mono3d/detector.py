@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from .align import NonFiniteOffsetsError
 from .anchors import BoxDeltas, decode
 from .geometry import Box3D, alpha_to_yaw, backproject
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
@@ -25,9 +26,16 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     """Full inference for one scene: decode, NMS, filter, yaw refinement.
 
     A candidate whose score or decoded box is non-finite is dropped, and the
-    scene's drop count is reported in one RuntimeWarning.
+    scene's drop count is reported in one RuntimeWarning. A scene whose
+    center offsets are non-finite (a non-finite center-head output or input
+    pixel) gives no detections, also reported in one RuntimeWarning.
     """
-    heads = model.forward(scene.image)
+    try:
+        heads = model.forward(scene.image)
+    except NonFiniteOffsetsError:
+        warnings.warn("detect: non-finite center offsets; the scene gives no detections",
+                      RuntimeWarning, stacklevel=2)
+        return []
     H, W = model.feature_hw
     A = model.grid.per_position
     ncls = model.num_classes

@@ -224,10 +224,37 @@ def softmax_lastdim(x):
     return Tensor.from_op(out, (x,), bw)
 
 
-def _bin_edges(n_in, n_bins):
-    starts = [(p * n_in) // n_bins for p in range(n_bins)]
-    ends = [((p + 1) * n_in) // n_bins for p in range(n_bins)]
-    return list(zip(starts, ends))
+def _bin_grid(hw, bins):
+    """Row and column bins of an (nh, nw) grid over (H, W), as (starts, lengths) pairs.
+
+    Bin p of n over H cells covers [floor(p*H/n), floor((p+1)*H/n)).
+    """
+    grid = []
+    for n_in, n_bins in zip(hw, bins):
+        edges = np.arange(n_bins + 1) * n_in // n_bins
+        grid.append((edges[:-1], edges[1:] - edges[:-1]))
+    return grid
+
+
+def _bin_sum(x, grid):
+    """Sum the last two (H, W) axes of `x` over a `_bin_grid`.
+
+    Separable: one `np.add.reduceat` over the row starts, one over the column
+    starts; empty bins (more bins than cells) sum to 0. Every bin is summed
+    directly, not as a difference of prefix sums, so a one-pixel bin returns
+    its pixel exactly.
+    """
+    (r0, nr), (c0, nc) = grid
+    s = np.add.reduceat(np.add.reduceat(x, r0, axis=-2), c0, axis=-1)
+    s[..., nr == 0, :] = 0.0
+    s[..., nc == 0] = 0.0
+    return s
+
+
+def _bin_spread(g, grid):
+    """Transpose of `_bin_sum`: each bin's value copied onto its (H, W) cells."""
+    (_, nr), (_, nc) = grid
+    return np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1)
 
 
 def adaptive_avg_pool(x, bins):
@@ -235,24 +262,11 @@ def adaptive_avg_pool(x, bins):
 
     Bin p covers rows [floor(p*H/n), floor((p+1)*H/n)); empty bins yield 0.
     """
-    nh, nw = bins
-    B, C, H, W = x.shape
-    rows = _bin_edges(H, nh)
-    cols = _bin_edges(W, nw)
-    out = np.zeros((B, C, nh, nw))
-    for p, (r0, r1) in enumerate(rows):
-        for q, (c0, c1) in enumerate(cols):
-            if r1 > r0 and c1 > c0:
-                out[:, :, p, q] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+    grid = _bin_grid(x.shape[2:], bins)
+    count = np.maximum(np.outer(grid[0][1], grid[1][1]), 1)  # an empty bin sums to 0 and stays 0
+    out = _bin_sum(x.data, grid) / count
 
     def bw(g):
-        g = np.asarray(g)
-        gx = np.zeros_like(x.data)
-        for p, (r0, r1) in enumerate(rows):
-            for q, (c0, c1) in enumerate(cols):
-                cnt = (r1 - r0) * (c1 - c0)
-                if cnt > 0:
-                    gx[:, :, r0:r1, c0:c1] += g[:, :, p, q, None, None] / cnt
-        x.accumulate_grad(gx)
+        x.accumulate_grad(_bin_spread(np.asarray(g) / count, grid))
 
     return Tensor.from_op(out, (x,), bw)

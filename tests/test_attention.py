@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mono3d.attention import (AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool,
-                              reference_nonlocal, write_pgm)
+import mono3d.attention as attention
+from mono3d.attention import (AnabParams, PyramidSpec, anab_forward, attention_map,
+                              complexity_bench, pa2_pool, reference_nonlocal, write_pgm)
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, adaptive_avg_pool
 from mono3d.tensor import Tensor
@@ -16,6 +17,91 @@ def identity_params(channels, pyramid, attn_bias=5.0, residual=True):
     attn.bias.data[:] = attn_bias
     return AnabParams(query=mk(), key=mk(), value=mk(), out=mk(),
                       attention=attn, pyramid=pyramid, residual=residual)
+
+
+RTOL = 1e-12
+
+
+def ref_bins(n_in, n_bins):
+    return [((p * n_in) // n_bins, ((p + 1) * n_in) // n_bins) for p in range(n_bins)]
+
+
+def ref_pa2_pool(f, a, levels, eps, g):
+    """Per-bin pa2_pool: returns (out, gf, ga) for upstream grad `g` (L, C)."""
+    C, H, W = f.shape
+    a = a.reshape(H, W)
+    rows, gf, ga = [], np.zeros_like(f), np.zeros((H, W))
+    for level in levels:
+        nh, nw = level if isinstance(level, tuple) else (level, level)
+        for r0, r1 in ref_bins(H, nh):
+            for c0, c1 in ref_bins(W, nw):
+                fb, ab = f[:, r0:r1, c0:c1], a[r0:r1, c0:c1]
+                den = ab.sum() + eps
+                desc = (fb * ab).sum(axis=(1, 2)) / den
+                gl = g[len(rows)]
+                gf[:, r0:r1, c0:c1] += gl[:, None, None] * ab / den
+                ga[r0:r1, c0:c1] += np.einsum("c,chw->hw", gl, fb - desc[:, None, None]) / den
+                rows.append(desc)
+    return np.stack(rows), gf, ga.reshape(1, H, W)
+
+
+def ref_adaptive_avg_pool(x, bins, g):
+    """Per-bin adaptive average pooling: returns (out, gx) for upstream grad `g`."""
+    nh, nw = bins
+    out, gx = np.zeros(x.shape[:2] + (nh, nw)), np.zeros_like(x)
+    for p, (r0, r1) in enumerate(ref_bins(x.shape[2], nh)):
+        for q, (c0, c1) in enumerate(ref_bins(x.shape[3], nw)):
+            cnt = (r1 - r0) * (c1 - c0)
+            if cnt:
+                out[:, :, p, q] = x[:, :, r0:r1, c0:c1].sum(axis=(2, 3)) / cnt
+                gx[:, :, r0:r1, c0:c1] += g[:, :, p, q, None, None] / cnt
+    return out, gx
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=RTOL * max(1.0, np.abs(want).max()))
+
+
+class TestBinPrimitiveAgainstPerBinLoop:
+    """pa2_pool and adaptive_avg_pool sum each bin with one separable
+    reduceat/repeat pair; the per-bin loops above are the reference."""
+
+    @pytest.mark.parametrize("hw,levels,eps", [
+        ((3, 5), [1, (4, 7)], 1e-6),              # empty bins: more bins than pixels
+        ((6, 10), [(1, 2), (2, 3), (3, 5)], 1e-6),  # non-square levels
+        ((1, 9), [1, (1, 4), (2, 9)], 1e-6),      # H = 1, empty bin rows
+        ((7, 1), [1, (3, 1), (7, 1)], 1e-6),      # W = 1
+        ((6, 10), [1, (2, 3), (6, 10)], 0.0),     # eps = 0, one bin per pixel
+        ((8, 8), [1, 4], 1e-6),
+    ])
+    def test_pa2_pool(self, hw, levels, eps):
+        rng = np.random.default_rng(100 * hw[0] + 10 * hw[1] + len(levels))
+        f = rng.normal(size=(3,) + hw)
+        a = rng.uniform(0.05, 1.0, size=(1,) + hw)
+        spec = PyramidSpec(levels, epsilon=eps)
+        g = rng.normal(size=(spec.descriptor_count, 3))
+        ft, at = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
+        out = pa2_pool(ft, at, spec)
+        out.backward(g)
+        want, gf, ga = ref_pa2_pool(f, a, levels, eps, g)
+        assert_close(out.data, want)
+        assert_close(ft.grad, gf)
+        assert_close(at.grad, ga)
+
+    @pytest.mark.parametrize("hw,bins", [
+        ((5, 7), (2, 3)), ((3, 5), (4, 7)), ((1, 9), (1, 4)), ((1, 9), (2, 5)),
+        ((7, 1), (3, 1)), ((6, 10), (6, 10)),
+    ])
+    def test_adaptive_avg_pool(self, hw, bins):
+        rng = np.random.default_rng(sum(hw) * 31 + sum(bins))
+        x = rng.normal(size=(2, 3) + hw)
+        g = rng.normal(size=(2, 3) + bins)
+        xt = Tensor(x, requires_grad=True)
+        out = adaptive_avg_pool(xt, bins)
+        out.backward(g)
+        want, gx = ref_adaptive_avg_pool(x, bins, g)
+        assert_close(out.data, want)
+        assert_close(xt.grad, gx)
 
 
 class TestPyramidSpec:
@@ -193,6 +279,26 @@ class TestAnabForward:
         r = grad_check(lambda *a: anab_forward(a[0], params), [x] + params.params(),
                        name="anab")
         assert r.passed, str(r)
+
+
+class TestComplexityBench:
+    def test_times_the_real_blocks(self, monkeypatch):
+        calls = {"anab": 0, "nonlocal": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                out = fn(*args)
+                assert not out.requires_grad  # tape-free: nothing is recorded
+                return out
+            return wrapper
+
+        monkeypatch.setattr(attention, "anab_forward", counted("anab", anab_forward))
+        monkeypatch.setattr(attention, "reference_nonlocal",
+                            counted("nonlocal", reference_nonlocal))
+        r = complexity_bench(4, 6, 3, PyramidSpec([1, 2]), repeats=1)
+        assert calls["anab"] >= 2 and calls["nonlocal"] >= 2  # warm-up plus timed calls
+        assert r["L"] == 5 and r["N"] == 24 and r["anab_time"] > 0.0
 
 
 class TestWritePgm:

@@ -50,7 +50,8 @@ class TestConfigFile:
         assert "task=bev" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("flag", [["--steps", "1"], ["--steps=1"]])
+    @pytest.mark.parametrize("flag", [["--steps", "1"], ["--steps=1"], ["--step", "1"],
+                                      ["--ste=1"]])
     def test_explicit_flag_in_given_argv_wins(self, tmp_path, capsys, flag, monkeypatch):
         # the flag is looked for in main's argv, not in sys.argv
         monkeypatch.setattr("sys.argv", ["mono3d"])
@@ -113,6 +114,17 @@ class TestVizAttention:
         assert main(["viz-attention", "--out", str(out)]) == 0
         raw = out.read_bytes()
         assert raw.startswith(b"P5\n")
+
+    def test_draws_the_models_own_attention_map(self, tmp_path):
+        from mono3d.attention import attention_map, write_pgm
+        from mono3d.train import ToyDetector, make_synthetic_scenes
+        out = tmp_path / "attn.pgm"
+        assert main(["viz-attention", "--out", str(out), "--seed", "3"]) == 0
+        scene = make_synthetic_scenes(count=1, seed=3)[0]
+        model = ToyDetector(scene.image.shape[2:], seed=3)
+        feats = model.forward(scene.image)["features"]
+        write_pgm(attention_map(feats, model.anab.attention).data[0, 0], tmp_path / "want.pgm")
+        assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes()
 
     def test_from_tensor_file(self, tmp_path):
         from mono3d.tensor import Tensor, save_tensor

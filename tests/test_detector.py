@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mono3d.detector import ToyPipeline, detect
 from mono3d.postproc import Detection
+from mono3d.tensor import Tensor
 from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy, TrainConfig
 
 
@@ -110,3 +113,15 @@ class TestNonFiniteOutputs:
         assert got[0] == want[0] and got[2] == want[2]
         for d in got[1]:
             assert np.isfinite(d.score) and np.isfinite(d.box3d.as_array()).all()
+
+    def test_non_finite_pixel_gives_no_detections(self, fitted):
+        # a NaN pixel reaches the center offsets, whose OffsetField check rejects it
+        pipe, scenes, want = fitted
+        image = scenes[1].image.data.copy()
+        image[0, 0, 20, 30] = np.nan
+        poisoned = dataclasses.replace(scenes[1], image=Tensor(image))
+        with pytest.warns(RuntimeWarning, match="non-finite center offsets") as rec:
+            got = pipe.predict([scenes[0], poisoned, scenes[2]])
+        assert len(rec) == 1
+        assert got[1] == []
+        assert got[0] == want[0] and got[2] == want[2]
