@@ -159,30 +159,29 @@ def align_conv(x, spec, field):
     off = field.offsets
     ph = kh // 2
     K, P = kh * kw, H * W
-    grid_y = np.arange(H)[:, None]
-    grid_x = np.arange(W)[None, :]
     xf = x.data.reshape(B, Ci, P)
 
-    # one column per tap, read bilinearly; the corner index map and weights
-    # are shared by every (b, ci) and serve the scatter in the backward
+    # the bilinear corners of every tap at once: tap t = i * kw + j reads at
+    # (h + i - ph + dy, w + j - ph + dx); the corner index map and weights are
+    # shared by every (b, ci) and serve the scatter in the backward
+    tap_y = np.repeat(np.arange(kh) - ph, kw)[:, None, None]
+    tap_x = np.tile(np.arange(kw) - ph, kh)[:, None, None]
+    ys = np.arange(H)[None, :, None] + tap_y + off.data[..., 0].transpose(2, 0, 1)
+    xs = np.arange(W)[None, None, :] + tap_x + off.data[..., 1].transpose(2, 0, 1)
+    corners = _bilinear_corners(ys, xs, H, W)  # each (K, H, W)
+    idx = np.stack([flat for flat, _, _ in corners])
+    wgt = np.stack([wy * wx for _, wy, wx in corners])
+
+    # one column per tap, gathered and weighted in the per-tap loop's order
     cols = np.empty((B, Ci, K, H, W))
-    idx = np.empty((4, K, H, W), dtype=np.intp)
-    wgt = np.empty((4, K, H, W))
     # d(column)/dy and d(column)/dx, kept only when the offsets need a grad
     dcols = np.empty((2, B, Ci, K, H, W)) if off.requires_grad else None
-    for i in range(kh):
-        for j in range(kw):
-            t = i * kw + j
-            ys = grid_y + (i - ph) + off.data[:, :, t, 0]
-            xs = grid_x + (j - ph) + off.data[:, :, t, 1]
-            corners = _bilinear_corners(ys, xs, H, W)
-            vals = [xf[:, :, flat] for flat, _, _ in corners]
-            cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, corners))
-            for c, (flat, wy, wx) in enumerate(corners):
-                idx[c, t] = flat
-                wgt[c, t] = wy * wx
-            if dcols is not None:
-                dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, corners)
+    for t in range(K):
+        tap = [(flat[t], wy[t], wx[t]) for flat, wy, wx in corners]
+        vals = [xf[:, :, flat] for flat, _, _ in tap]
+        cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, tap))
+        if dcols is not None:
+            dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, tap)
     w3 = spec.weight.data.reshape(spec.out_channels, Ci, K)
     out = _columns_forward(cols, w3, spec.bias.data)
 

@@ -35,6 +35,8 @@ def load_config(path):
 def _apply_config(args, parser, argv):
     """Parse argv again with the --config file's values as the defaults.
 
+    A key must name a long option of the chosen subcommand other than
+    --config; any other key (`fn`, `command`, `config`) is a usage error.
     argparse itself then resolves every flag in argv, unique abbreviations
     included, so each flag given in argv wins over the file.
     """
@@ -44,9 +46,13 @@ def _apply_config(args, parser, argv):
         overrides = load_config(args.config)
     except (OSError, ValueError) as e:
         parser.error(str(e))
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    keys = {a.dest for a in command._actions
+            if a.dest not in ("help", "config") and any(o.startswith("--") for o in a.option_strings)}
     for key in overrides:
-        if not hasattr(args, key):
-            parser.error(f"unknown config key {key!r}")
+        if key not in keys:
+            command.error(f"{args.config}: unknown config key {key!r}")
     return build_parser(overrides).parse_args(argv)
 
 

@@ -67,21 +67,44 @@ class ConvSpec:
         return [self.weight, self.bias]
 
 
+_CHUNK = 1 << 17  # float64 products per ordered reduce (1 MiB, cache-sized)
+
+
 def _columns_forward(cols, w, b):
     """Convolve a (B, Ci, K, OH, OW) column tensor with (Co, Ci, K) weights.
 
     Starts from the bias and adds one tap plane at a time in (t, ci) order,
     the naive loop's summation order, so the result is bitwise reproducible
     against it. No BLAS call: a matrix product would reorder the sum.
+
+    Within a tap, the products of a chunk of channels are made by one
+    multiply into rows 1.. of a stack whose row 0 holds the running sum, and
+    added by one reduce over that outer axis, which adds row after row: each
+    element's summation order stays that of the loop. The reduce starts from
+    -0.0, the exact additive identity (numpy's default 0.0 would turn a
+    -0.0 sum into +0.0). When a chunk would hold fewer than two product
+    rows, each product is added in place instead.
     """
     B, Ci, K = cols.shape[:3]
     out = np.empty((B, w.shape[0]) + cols.shape[3:])
     out[:] = b[None, :, None, None]
-    term = np.empty_like(out)
+    n = min(_CHUNK // out.size, Ci)
+    if n < 2:
+        term = np.empty_like(out)
+        for t in range(K):
+            for ci in range(Ci):
+                np.multiply(cols[:, ci, t, None], w[None, :, ci, t, None, None], out=term)
+                out += term
+        return out
+    xs = cols.transpose(1, 2, 0, 3, 4)[:, :, :, None]  # (Ci, K, B, 1, OH, OW), a view
+    ws = w.transpose(1, 2, 0)[:, :, None, :, None, None]  # (Ci, K, 1, Co, 1, 1)
+    stack = np.empty((n + 1,) + out.shape)
     for t in range(K):
-        for ci in range(Ci):
-            np.multiply(cols[:, ci, t, None], w[None, :, ci, t, None, None], out=term)
-            out += term
+        for c0 in range(0, Ci, n):
+            m = min(n, Ci - c0)
+            np.multiply(xs[c0:c0 + m, t], ws[c0:c0 + m, t], out=stack[1:m + 1])
+            stack[0] = out
+            np.add.reduce(stack[:m + 1], axis=0, out=out, initial=-0.0)
     return out
 
 

@@ -81,9 +81,12 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
+        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
+            # a fresh array equal to zeros + g bitwise (a -0.0 reads +0.0), never g itself
+            self.grad = np.add(0.0, g, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     # -- autodiff -------------------------------------------------------------
 

@@ -62,6 +62,26 @@ class TestConfigFile:
         assert "step 0: total" in capsys.readouterr().out
         assert len(trace.read_text().splitlines()) == 1 + 1  # header + one step
 
+    @pytest.mark.parametrize("key", ["fn", "command", "config"])
+    def test_key_that_is_not_a_long_option_is_a_usage_error(self, tmp_path, capsys, key):
+        # `fn` and `command` are parsed attributes but no flags; `config` names the file itself
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key}=1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--config", str(cfg)])
+        assert exc.value.code == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err
+        assert str(cfg) in err
+
+    def test_long_option_of_another_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("steps=1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--config", str(cfg)])
+        assert exc.value.code == USAGE_EXIT
+        assert "unknown config key 'steps'" in capsys.readouterr().err
+
 
 class TestEval:
     def test_identical_dirs_perfect_ap(self, tmp_path, capsys):

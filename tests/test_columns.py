@@ -5,14 +5,16 @@ align_conv ran before they shared one column kernel: the forward adds one
 tap plane at a time, the backward loops over every (tap, channel) with
 einsum and np.add.at. The forward must match them bitwise; the gradients,
 whose summation order changed, within 1e-12 relative to each array's largest
-entry.
+entry. The column forward itself, which adds chunks of channels by ordered
+reduces, is checked bitwise against one product at a time, and align_conv's
+all-tap corner math against the per-tap corner loop it replaced.
 """
 
 import numpy as np
 import pytest
 
 from mono3d.align import OffsetField, align_conv
-from mono3d.ops import ConvSpec, conv2d
+from mono3d.ops import _CHUNK, ConvSpec, _bilinear_corners, _bilinear_slopes, _columns_forward, conv2d
 from mono3d.tensor import Tensor
 
 RTOL = 1e-12
@@ -201,3 +203,146 @@ class TestAlignConvColumns:
         assert off.grad is None
         assert_close(x.grad, gx, "x")
         assert_close(spec.weight.grad, gw, "w")
+
+
+def brute_columns_forward(cols, w, b):
+    """One (tap, channel) product at a time added in place onto the bias."""
+    B, Ci, K, OH, OW = cols.shape
+    out = np.empty((B, w.shape[0], OH, OW))
+    out[:] = b[None, :, None, None]
+    for t in range(K):
+        for ci in range(Ci):
+            out += cols[:, ci, t][:, None] * w[:, ci, t][None, :, None, None]
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def with_specials(rng, a, p=0.01):
+    """`a` with a share `p` of its entries each -0.0, +inf, -inf and NaN."""
+    a = a.copy()
+    u = rng.random(a.shape)
+    for k, v in enumerate((-0.0, np.inf, -np.inf, np.nan)):
+        a[(u >= k * p) & (u < (k + 1) * p)] = v
+    return a
+
+
+def chunk_of(B, Co, OH, OW, Ci):
+    """Channels per ordered reduce for this output; < 2 means the in-place loop."""
+    return min(_CHUNK // (B * Co * OH * OW), Ci)
+
+
+class TestColumnsForwardChunks:
+    # (B, Ci, K, Co, OH, OW): the products one chunk holds follow from B*Co*OH*OW
+    CASES = {
+        "several_chunks": (1, 12, 3, 4, 64, 100),         # 5 per chunk: 5, 5, 2
+        "one_channel_last_chunk": (2, 7, 2, 4, 32, 200),  # 2 per chunk: 2, 2, 2, 1
+        "wide_chunk": (1, 40, 2, 3, 9, 11),               # 40 rows in one reduce
+        "in_place_row": (1, 3, 2, 8, 128, 128),           # one row of 2**17 products
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bitwise_against_one_product_at_a_time(self, name):
+        B, Ci, K, Co, OH, OW = self.CASES[name]
+        rng = np.random.default_rng(sorted(self.CASES).index(name))
+        cols = with_specials(rng, rng.normal(size=(B, Ci, K, OH, OW)))
+        w = rng.normal(size=(Co, Ci, K))
+        w[0] = -np.abs(w[0])  # channel 0 of a zero column sums -0.0 products only
+        cols[:, :, :, 0, 0] = 0.0
+        b = rng.normal(size=Co)
+        b[0] = -0.0
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = _columns_forward(cols, w, b)
+            want = brute_columns_forward(cols, w, b)
+        assert np.signbit(want[:, 0, 0, 0]).all() and (want[:, 0, 0, 0] == 0.0).all()
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_cases_reach_every_path(self):
+        n = {k: chunk_of(B, Co, OH, OW, Ci) for k, (B, Ci, K, Co, OH, OW) in self.CASES.items()}
+        ci = {k: v[1] for k, v in self.CASES.items()}
+        assert n["several_chunks"] >= 2 and ci["several_chunks"] % n["several_chunks"] > 1
+        assert n["one_channel_last_chunk"] == 2
+        assert ci["one_channel_last_chunk"] % n["one_channel_last_chunk"] == 1
+        assert n["wide_chunk"] == ci["wide_chunk"] > 8  # past numpy's 8-way unrolled sums
+        B, _, _, Co, OH, OW = self.CASES["in_place_row"]
+        assert B * Co * OH * OW >= _CHUNK and n["in_place_row"] < 2
+
+    @pytest.mark.parametrize("B,Ci,Co,H,W,kernel,stride,pad", [
+        (2, 7, 5, 9, 11, (3, 3), 1, 1),
+        (2, 7, 5, 9, 11, (3, 3), 2, 1),
+        (2, 8, 6, 100, 120, (3, 3), 2, 1),  # 3 channels per chunk: 3, 3, 2
+        (2, 11, 4, 30, 70, (1, 1), 1, 0),   # pointwise, 7 channels per chunk: 7, 4
+        (1, 5, 3, 33, 41, (1, 1), 2, 0),
+    ])
+    def test_conv2d_bitwise_with_non_finite_inputs(self, B, Ci, Co, H, W, kernel, stride, pad):
+        rng = np.random.default_rng(B * 1000 + Ci * 10 + stride)
+        x = Tensor(with_specials(rng, rng.normal(size=(B, Ci, H, W))))
+        spec = random_spec(rng, Ci, Co, kernel, stride, pad)
+        with np.errstate(invalid="ignore"):
+            out = conv2d(x, spec)
+            want, _, _, _ = ref_conv2d(x.data, spec.weight.data, spec.bias.data, stride, pad, None)
+        assert np.array_equal(bits(out.data), bits(want))
+
+
+def per_tap_align_columns(x, off, kernel):
+    """align_conv's column build as it ran one tap at a time: (cols, idx, wgt, dcols)."""
+    kh, kw = kernel
+    B, Ci, H, W = x.shape
+    ph, K, P = kh // 2, kh * kw, H * W
+    grid_y, grid_x = np.arange(H)[:, None], np.arange(W)[None, :]
+    xf = x.reshape(B, Ci, P)
+    cols = np.empty((B, Ci, K, H, W))
+    idx = np.empty((4, K, H, W), dtype=np.intp)
+    wgt = np.empty((4, K, H, W))
+    dcols = np.empty((2, B, Ci, K, H, W))
+    for i in range(kh):
+        for j in range(kw):
+            t = i * kw + j
+            ys = grid_y + (i - ph) + off[:, :, t, 0]
+            xs = grid_x + (j - ph) + off[:, :, t, 1]
+            corners = _bilinear_corners(ys, xs, H, W)
+            vals = [xf[:, :, flat] for flat, _, _ in corners]
+            cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, corners))
+            for c, (flat, wy, wx) in enumerate(corners):
+                idx[c, t] = flat
+                wgt[c, t] = wy * wx
+            dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, corners)
+    return cols, idx, wgt, dcols
+
+
+class TestAlignConvAllTapCorners:
+    def test_bitwise_against_per_tap_corner_loop(self):
+        rng = np.random.default_rng(11)
+        B, Ci, Co, H, W = 2, 4, 5, 6, 7
+        off = rng.uniform(-2.5, 2.5, size=(H, W, 9, 2))
+        off[0, 0, :, 0] = -2.0  # integer offsets on the border too
+        # the offsets cross the border on several taps
+        ty = np.repeat(np.arange(3) - 1, 3)[:, None, None]
+        tx = np.tile(np.arange(3) - 1, 3)[:, None, None]
+        ys = np.arange(H)[None, :, None] + ty + off[..., 0].transpose(2, 0, 1)
+        xs = np.arange(W)[None, None, :] + tx + off[..., 1].transpose(2, 0, 1)
+        outside = (ys < 0) | (ys > H - 1) | (xs < 0) | (xs > W - 1)
+        assert outside.any(axis=(1, 2)).sum() >= 5
+        x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
+        spec = random_spec(rng, Ci, Co, (3, 3), 1, 1)
+        offt = Tensor(off, requires_grad=True)
+        out = align_conv(x, spec, OffsetField(offt, (3, 3)))
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+
+        cols, idx, wgt, dcols = per_tap_align_columns(x.data, off, (3, 3))
+        w3 = spec.weight.data.reshape(Co, Ci, 9)
+        assert np.array_equal(bits(out.data), bits(_columns_forward(cols, w3, spec.bias.data)))
+        # the backward, fed the per-tap loop's index map, weights and slopes
+        gcols = (w3.reshape(Co, Ci * 9).T @ g.reshape(B, Co, -1)).reshape(cols.shape)
+        gx = np.empty((B, Ci, H * W))
+        for b in range(B):
+            for ci in range(Ci):
+                gx[b, ci] = np.bincount(idx.ravel(), weights=(wgt * gcols[b, ci]).ravel(),
+                                        minlength=H * W)
+        goff = np.einsum("bckhw,dbckhw->hwkd", gcols, dcols)
+        assert np.array_equal(bits(x.grad), bits(gx.reshape(x.shape)))
+        assert np.array_equal(bits(offt.grad), bits(goff))

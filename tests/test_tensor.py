@@ -38,6 +38,37 @@ def test_reused_node_accumulates():
     assert x.grad == pytest.approx(2 * 2.0 + 3.0)
 
 
+class TestAccumulateGrad:
+    def test_first_negative_zero_reads_positive_zero(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        t.accumulate_grad(np.array([-0.0, 1.0, -0.0]))
+        assert not np.signbit(t.grad).any()
+        np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
+
+    def test_zero_d_gradient_stays_an_ndarray(self):
+        t = Tensor(2.0, requires_grad=True)
+        t.accumulate_grad(np.float64(3.0))
+        assert isinstance(t.grad, np.ndarray) and t.grad.shape == ()
+        t.accumulate_grad(1.5)
+        assert isinstance(t.grad, np.ndarray) and t.grad == 4.5
+
+    def test_does_not_alias_the_callers_array(self):
+        t = Tensor(np.zeros((2, 2)), requires_grad=True)
+        g = np.ones((2, 2))
+        t.accumulate_grad(g)
+        g[0, 0] = 7.0
+        np.testing.assert_array_equal(t.grad, np.ones((2, 2)))
+        t.accumulate_grad(g)
+        g[:] = 0.0
+        np.testing.assert_array_equal(t.grad, [[8.0, 2.0], [2.0, 2.0]])
+
+    def test_broadcast_gradient_sums_down(self):
+        t = Tensor(np.zeros((1, 3)), requires_grad=True)
+        t.accumulate_grad(np.arange(12.0).reshape(4, 1, 3))
+        np.testing.assert_array_equal(t.grad, [[18.0, 22.0, 26.0]])
+        assert t.grad.shape == (1, 3)
+
+
 def test_getitem_scatter():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     idx = np.array([0, 0, 2])
