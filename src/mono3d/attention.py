@@ -4,6 +4,13 @@ The query branch stays at full resolution (N = H*W positions); the key and
 value branches are pooled down to L pyramid descriptors by a weighted average
 whose weights come from a learned sigmoid attention map. Similarity is then
 an N x L (instead of N x N) matrix, giving O(N*L*C) cost.
+
+Pooling is linear, so the block pools its input once, with a ones channel
+appended that carries each bin's bias factor S/(S+eps), and applies the four
+1x1 projections as matmuls: key and value on the L pooled rows, query and
+output folded into the N x L similarity and attention products. No
+projection runs at full resolution; only the 1-channel attention map is a
+convolution.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ class PyramidSpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("pyramid needs at least one level")
+        for level in self.levels:
+            bins = _level_bins(level)
+            if len(bins) != 2 or min(bins) < 1:
+                raise ValueError(f"pyramid level {level!r} must be n >= 1 or a pair "
+                                 f"(nh, nw) with both >= 1")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"pyramid epsilon must be finite and >= 0, got {self.epsilon}")
         counts = [nh * nw for nh, nw in map(_level_bins, self.levels)]
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ValueError(f"pyramid levels must be strictly increasing, got {self.levels}")
@@ -93,6 +107,8 @@ def pa2_pool(features, attn, spec):
     Each bin's descriptor is sum(a*f)/(sum(a) + eps) over the bin; levels are
     concatenated in ascending order, bins row-major within a level.
     """
+    if features.ndim != 3:
+        raise ValueError(f"pa2_pool expects 3-D (C, H, W) features, got shape {features.shape}")
     C, H, W = features.shape
     if attn.shape[-2:] != (H, W):
         raise ValueError(f"attention map {attn.shape} does not match features {features.shape}")
@@ -126,31 +142,45 @@ def pa2_pool(features, attn, spec):
     return Tensor.from_op(out, (features, attn), bw)
 
 
+def _affine(spec):
+    """A 1x1 conv's weight and bias as one (Co, Ci + 1) matrix [W | b]."""
+    w = spec.weight.reshape(spec.out_channels, spec.in_channels)
+    return Tensor.concat([w, spec.bias.reshape(spec.out_channels, 1)], axis=1)
+
+
 def anab_forward(x, params):
     """Full attention block on a (B, C, H, W) tensor.
 
-    Query at full resolution; key and value pooled with a single shared
-    attention map; two matmuls; output 1x1 projection plus residual.
+    Only the attention map is a convolution. Per item, the input with a ones
+    channel appended, X = [x_b; 1] (C+1, N), is pooled once to P (L, C+1).
+    Pooling is linear and a bin's weights sum to S/(S+eps), which is P's ones
+    column, so the pooled key and value projections are k = P [Wk|bk]^T and
+    v = P [Wv|bv]^T. The query projection folds into the similarity,
+    s = X^T ([Wq|bq]^T k^T) (N x L), and the output projection into the
+    values: y = (Wo v^T) softmax(s)^T + bo (C x N), plus the residual.
     """
+    if x.ndim != 4:
+        raise ValueError(f"anab_forward expects a 4-D (B, C, H, W) input, got shape {x.shape}")
     B, C, H, W = x.shape
     if C != params.query.in_channels:
         raise ValueError(f"input has {C} channels, params expect {params.query.in_channels}")
     N = H * W
     attn = attention_map(x, params.attention)
-    q = conv2d(x, params.query)
-    k = conv2d(x, params.key)
-    v = conv2d(x, params.value)
+    xs = Tensor.concat([x, Tensor(np.ones((B, 1, H, W)))], axis=1)
+    w_q, w_k, w_v = _affine(params.query), _affine(params.key), _affine(params.value)
+    w_o = params.out.weight.reshape(C, C)
 
     outs = []
     for b in range(B):
-        m_q = q[b].reshape(C, N).T                       # N x C
-        m_k = pa2_pool(k[b], attn[b], params.pyramid)    # L x C
-        m_v = pa2_pool(v[b], attn[b], params.pyramid)    # L x C
-        m_s = m_q @ m_k.T                                # N x L
-        m_out = softmax_lastdim(m_s) @ m_v               # N x C
-        outs.append(m_out.T.reshape(1, C, H, W))
+        x_b = xs[b]
+        p = pa2_pool(x_b, attn[b], params.pyramid)       # L x (C+1)
+        k = p @ w_k.T                                    # L x C
+        v = p @ w_v.T                                    # L x C
+        s = x_b.reshape(C + 1, N).T @ (w_q.T @ k.T)      # N x L
+        m_out = (w_o @ v.T) @ softmax_lastdim(s).T       # C x N
+        outs.append(m_out.reshape(1, C, H, W))
     y = outs[0] if B == 1 else Tensor.concat(outs, axis=0)
-    y = conv2d(y, params.out)
+    y = y + params.out.bias.reshape(1, C, 1, 1)
     return y + x if params.residual else y
 
 
@@ -176,7 +206,8 @@ def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
 
     The attention block runs with `init_random` weights; inputs and weights
     carry no gradient, so no tape is recorded. Returns a dict with
-    anab_time / nonlocal_time (best of `repeats`), the descriptor count L and
+    anab_time / nonlocal_time (the best of at least `repeats` samples; a cheap
+    call gets as many as fit in about 1 s), the descriptor count L and
     pixel count N. `nonlocal_hw` lets the quadratic reference run at a smaller
     size when N would not fit comfortably.
     """
@@ -193,10 +224,11 @@ def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
         t0 = time.perf_counter()
         fn(arg)  # warm up, and gauge a single call
         single = max(time.perf_counter() - t0, 1e-6)
-        # batch sub-millisecond ops so each sample spans ~25 ms of work
+        # batch sub-millisecond ops so each sample spans ~25 ms of work, and
+        # take more samples of cheap calls: ~1 s of them, at least `repeats`
         loops = max(1, int(0.025 / single))
         times = []
-        for _ in range(repeats):
+        for _ in range(max(repeats, int(1.0 / (loops * single)))):
             t0 = time.perf_counter()
             for _ in range(loops):
                 fn(arg)

@@ -234,10 +234,10 @@ def bilinear_sample(x, y, x_coord, b=0, c=0):
 
 
 def softmax_lastdim(x):
-    """Row-stabilized softmax over the last dimension."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    """Row-stabilized softmax over the last dimension, in one output buffer."""
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
         g = np.asarray(g)

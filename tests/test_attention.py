@@ -5,7 +5,7 @@ import mono3d.attention as attention
 from mono3d.attention import (AnabParams, PyramidSpec, anab_forward, attention_map,
                               complexity_bench, pa2_pool, reference_nonlocal, write_pgm)
 from mono3d.gradcheck import grad_check
-from mono3d.ops import ConvSpec, adaptive_avg_pool
+from mono3d.ops import ConvSpec, adaptive_avg_pool, conv2d, softmax_lastdim
 from mono3d.tensor import Tensor
 
 
@@ -124,6 +124,18 @@ class TestPyramidSpec:
     def test_rectangular_level(self):
         assert PyramidSpec([(2, 3)]).descriptor_count == 6
 
+    @pytest.mark.parametrize("levels,bad", [
+        ([0, 1], "level 0 "), ([(2, 0), (2, 2)], r"level \(2, 0\)"), ([(1, 2, 3)], r"level \(1, 2, 3\)"),
+    ])
+    def test_rejects_empty_or_malformed_level(self, levels, bad):
+        with pytest.raises(ValueError, match=bad):
+            PyramidSpec(levels)
+
+    @pytest.mark.parametrize("eps", [-16.0, float("nan"), float("inf")])
+    def test_rejects_bad_epsilon(self, eps):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {eps}"):
+            PyramidSpec([1, 2], epsilon=eps)
+
 
 class TestAttentionMap:
     def test_zero_weights_give_half(self):
@@ -194,6 +206,10 @@ class TestPa2Pool:
         ap = a.reshape(12)[perm].reshape(1, 2, 6)
         outp = pa2_pool(Tensor(fp), Tensor(ap), spec).data
         np.testing.assert_allclose(outp, out, atol=1e-12)
+
+    def test_rejects_batched_features(self):
+        with pytest.raises(ValueError, match=r"3-D \(C, H, W\) features, got shape \(1, 2, 4, 4\)"):
+            pa2_pool(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 4, 4))), PyramidSpec([1]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -267,6 +283,11 @@ class TestAnabForward:
             single = anab_forward(Tensor(x2[b:b + 1]), params).data
             np.testing.assert_allclose(both[b:b + 1], single, atol=1e-12)
 
+    def test_rejects_unbatched_input(self):
+        params = identity_params(4, PyramidSpec([1]))
+        with pytest.raises(ValueError, match=r"4-D \(B, C, H, W\) input, got shape \(4, 4, 4\)"):
+            anab_forward(Tensor(np.zeros((4, 4, 4))), params)
+
     def test_channel_mismatch(self):
         params = identity_params(4, PyramidSpec([1]))
         with pytest.raises(ValueError, match="channels"):
@@ -279,6 +300,56 @@ class TestAnabForward:
         r = grad_check(lambda *a: anab_forward(a[0], params), [x] + params.params(),
                        name="anab")
         assert r.passed, str(r)
+
+
+def project_then_pool(x, params):
+    """The block before the projections were folded: full-resolution 1x1
+    query/key/value convs, keys and values pooled separately, the output
+    conv on the attended map."""
+    B, C, H, W = x.shape
+    attn = attention_map(x, params.attention)
+    q, k, v = (conv2d(x, spec) for spec in (params.query, params.key, params.value))
+    outs = []
+    for b in range(B):
+        m_q = q[b].reshape(C, H * W).T
+        m_k = pa2_pool(k[b], attn[b], params.pyramid)
+        m_v = pa2_pool(v[b], attn[b], params.pyramid)
+        m_out = softmax_lastdim(m_q @ m_k.T) @ m_v
+        outs.append(m_out.T.reshape(1, C, H, W))
+    y = conv2d(Tensor.concat(outs, axis=0), params.out)
+    return y + x if params.residual else y
+
+
+class TestFoldedProjections:
+    """anab_forward pools [x; 1] once and folds the four 1x1 projections into
+    L-row matmuls; the project-then-pool block above is the reference."""
+
+    @pytest.mark.parametrize("B,hw,levels,eps,residual", [
+        (2, (4, 6), [1, 2], 1e-6, True),                # batch of two, non-square map
+        (1, (3, 7), [1, (2, 3), (5, 9)], 1e-6, False),  # empty bins, no residual
+        (2, (5, 5), [1, 2, 4], 0.5, True),              # bias factor S/(S+eps) far from 1
+        (1, (6, 4), [1, 2, (4, 8)], 0.5, False),        # large eps with empty bins
+    ])
+    def test_matches_project_then_pool(self, B, hw, levels, eps, residual):
+        rng = np.random.default_rng(B * 1000 + 10 * hw[0] + hw[1])
+        C = 5
+        params = AnabParams.init_random(C, pyramid=PyramidSpec(levels, epsilon=eps), rng=rng)
+        params.residual = residual
+        for spec in (params.query, params.key, params.value, params.out, params.attention):
+            spec.bias.data[:] = rng.normal(size=spec.bias.shape)
+        x = Tensor(rng.normal(size=(B, C) + hw), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        leaves = [x] + params.params()
+        results = []
+        for block in (anab_forward, project_then_pool):
+            for t in leaves:
+                t.zero_grad()
+            out = block(x, params)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in leaves])
+        assert len(results[0]) == 12  # output, x, and the 10 parameters
+        for got, want in zip(*results):
+            assert_close(got, want)
 
 
 class TestComplexityBench:

@@ -128,6 +128,17 @@ class TestGradcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestBenchAnab:
+    def test_two_sizes(self, capsys):
+        assert main(["bench-anab", "--sizes", "8x16,16x32", "--channels", "4", "--runs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["HxW", "N", "L", "anab_ms", "nonlocal_ms"]
+        assert [ln.split()[:3] for ln in lines[1:3]] == [["8x16", "128", "337"],
+                                                          ["16x32", "512", "337"]]
+        assert lines[3].startswith("N ratio 4.0: anab time ratio ")
+        assert "nonlocal time ratio " in lines[3]
+
+
 class TestVizAttention:
     def test_writes_pgm(self, tmp_path, capsys):
         out = tmp_path / "attn.pgm"
