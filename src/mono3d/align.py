@@ -35,8 +35,10 @@ class NonFiniteOffsetsError(ValueError):
 class OffsetField:
     """Per-position per-tap (dy, dx) offsets in feature-grid units.
 
-    offsets: Tensor of shape (H, W, kh*kw, 2); may live on the autodiff tape
-    when the offsets come from a predicted-center head.
+    offsets: Tensor of shape (H, W, kh*kw, 2), shared by every batch item, or
+    (B, H, W, kh*kw, 2), one field per item (a leading 1 is shared too); may
+    live on the autodiff tape when the offsets come from a predicted-center
+    head.
     """
 
     offsets: Tensor
@@ -44,11 +46,9 @@ class OffsetField:
 
     def __post_init__(self):
         kh, kw = self.kernel
-        H, W, K, two = self.offsets.shape
-        if K != kh * kw or two != 2:
-            raise ValueError(
-                f"offset field {self.offsets.shape} does not match kernel {self.kernel}"
-            )
+        shape = self.offsets.shape
+        if self.offsets.ndim not in (4, 5) or shape[-2:] != (kh * kw, 2):
+            raise ValueError(f"offset field {shape} does not match kernel {self.kernel}")
         if not np.all(np.isfinite(self.offsets.data)):
             raise NonFiniteOffsetsError("offset field contains non-finite values")
 
@@ -61,8 +61,9 @@ class OffsetField:
 def shape_align_offsets(best_anchor_hw, stride, kernel=(3, 3)):
     """Offsets spreading the kernel taps over the best anchor's footprint.
 
-    best_anchor_hw: (H, W, 2) array of (h_a, w_a) per position. Tap (i, j)
-    gets dy = (h_a/(S*kh) - 1) * (i - kh/2 + 0.5) and the analogous dx.
+    best_anchor_hw: (H, W, 2) or (B, H, W, 2) array of (h_a, w_a) per
+    position. Tap (i, j) gets dy = (h_a/(S*kh) - 1) * (i - kh/2 + 0.5) and the
+    analogous dx.
     """
     hw = np.asarray(best_anchor_hw, dtype=np.float64)
     if np.any(hw <= 0.0):
@@ -70,13 +71,12 @@ def shape_align_offsets(best_anchor_hw, stride, kernel=(3, 3)):
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     kh, kw = kernel
-    H, W = hw.shape[:2]
     h_a, w_a = hw[..., 0], hw[..., 1]
     i_idx = np.arange(kh) - kh / 2.0 + 0.5
     j_idx = np.arange(kw) - kw / 2.0 + 0.5
-    dy = (h_a / (stride * kh) - 1.0)[..., None] * i_idx[None, None, :]  # (H, W, kh)
-    dx = (w_a / (stride * kw) - 1.0)[..., None] * j_idx[None, None, :]  # (H, W, kw)
-    off = np.empty((H, W, kh * kw, 2))
+    dy = (h_a / (stride * kh) - 1.0)[..., None] * i_idx  # (..., H, W, kh)
+    dx = (w_a / (stride * kw) - 1.0)[..., None] * j_idx  # (..., H, W, kw)
+    off = np.empty(hw.shape[:-1] + (kh * kw, 2))
     off[..., 0] = np.repeat(dy, kw, axis=-1)
     off[..., 1] = np.tile(dx, kh)
     return OffsetField(Tensor(off), kernel)
@@ -85,8 +85,8 @@ def shape_align_offsets(best_anchor_hw, stride, kernel=(3, 3)):
 def select_best_anchor(cls_scores, anchor_sizes_2d):
     """Per-position (h_a, w_a) of the highest-scoring anchor.
 
-    cls_scores: (H, W, A) confidence per anchor template; ties resolve to the
-    lowest template index (numpy argmax convention).
+    cls_scores: (H, W, A) or (B, H, W, A) confidence per anchor template;
+    ties resolve to the lowest template index (numpy argmax convention).
     anchor_sizes_2d: (A, 2) array of (w, h) templates.
     """
     scores = np.asarray(cls_scores, dtype=np.float64)
@@ -98,7 +98,7 @@ def select_best_anchor(cls_scores, anchor_sizes_2d):
             f"{scores.shape[-1]} score channels vs {sizes.shape[0]} anchor templates"
         )
     best = np.argmax(scores, axis=-1)
-    out = np.empty(scores.shape[:2] + (2,))
+    out = np.empty(scores.shape[:-1] + (2,))
     out[..., 0] = sizes[best, 1]  # h_a
     out[..., 1] = sizes[best, 0]  # w_a
     return out
@@ -107,17 +107,16 @@ def select_best_anchor(cls_scores, anchor_sizes_2d):
 def center_align_offsets(residuals, stride, kernel=(1, 1)):
     """Offsets moving every tap by the predicted center residual / stride.
 
-    residuals: Tensor (H, W, 2) of (x_r, y_r) in image pixels; the resulting
-    field is (y_r/S, x_r/S) replicated over all kernel taps and stays on the
-    tape so offset gradients flow back into the center-regression head.
+    residuals: Tensor (H, W, 2) or (B, H, W, 2) of (x_r, y_r) in image
+    pixels; the resulting field is (y_r/S, x_r/S) replicated over all kernel
+    taps and stays on the tape so offset gradients flow back into the
+    center-regression head.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     r = residuals if isinstance(residuals, Tensor) else Tensor(residuals)
     kh, kw = kernel
-    K = kh * kw
-    H, W = r.shape[:2]
-    off = np.empty((H, W, K, 2))
+    off = np.empty(r.shape[:-1] + (kh * kw, 2))
     off[..., 0] = (r.data[..., 1] / stride)[..., None]
     off[..., 1] = (r.data[..., 0] / stride)[..., None]
 
@@ -152,33 +151,38 @@ def align_conv(x, spec, field):
     B, Ci, H, W = x.shape
     if Ci != spec.in_channels:
         raise ValueError(f"input has {Ci} channels, spec expects {spec.in_channels}")
-    if field.offsets.shape[:2] != (H, W):
-        raise ValueError(
-            f"offset grid {field.offsets.shape[:2]} does not match feature grid {(H, W)}"
-        )
     off = field.offsets
+    if off.shape[-4:-2] != (H, W):
+        raise ValueError(
+            f"offset grid {off.shape[-4:-2]} does not match feature grid {(H, W)}"
+        )
+    off5 = off.data.reshape((-1,) + off.shape[-4:])  # (B', H, W, K, 2), B' = 1 or B
+    if off5.shape[0] not in (1, B):
+        raise ValueError(f"offset field has {off5.shape[0]} items, input has {B}")
     ph = kh // 2
     K, P = kh * kw, H * W
-    xf = x.data.reshape(B, Ci, P)
 
     # the bilinear corners of every tap at once: tap t = i * kw + j reads at
-    # (h + i - ph + dy, w + j - ph + dx); the corner index map and weights are
-    # shared by every (b, ci) and serve the scatter in the backward
+    # (h + i - ph + dy, w + j - ph + dx); one corner map per field item,
+    # shared by every channel. The index map addresses x as (Ci, B*P), item b
+    # at b*P, and serves the scatter in the backward.
     tap_y = np.repeat(np.arange(kh) - ph, kw)[:, None, None]
     tap_x = np.tile(np.arange(kw) - ph, kh)[:, None, None]
-    ys = np.arange(H)[None, :, None] + tap_y + off.data[..., 0].transpose(2, 0, 1)
-    xs = np.arange(W)[None, None, :] + tap_x + off.data[..., 1].transpose(2, 0, 1)
-    corners = _bilinear_corners(ys, xs, H, W)  # each (K, H, W)
-    idx = np.stack([flat for flat, _, _ in corners])
-    wgt = np.stack([wy * wx for _, wy, wx in corners])
+    ys = np.arange(H)[:, None] + tap_y + off5[..., 0].transpose(0, 3, 1, 2)
+    xs = np.arange(W) + tap_x + off5[..., 1].transpose(0, 3, 1, 2)
+    corners = _bilinear_corners(ys, xs, H, W)  # each (B', K, H, W)
+    item = (np.arange(B) * P)[:, None, None, None]
+    idx = np.stack([flat + item for flat, _, _ in corners], axis=1)  # (B, 4, K, H, W)
+    wgt = np.stack([wy * wx for _, wy, wx in corners], axis=1)  # (B', 4, K, H, W)
+    xc = x.data.transpose(1, 0, 2, 3).reshape(Ci, B * P)
 
     # one column per tap, gathered and weighted in the per-tap loop's order
     cols = np.empty((B, Ci, K, H, W))
     # d(column)/dy and d(column)/dx, kept only when the offsets need a grad
     dcols = np.empty((2, B, Ci, K, H, W)) if off.requires_grad else None
     for t in range(K):
-        tap = [(flat[t], wy[t], wx[t]) for flat, wy, wx in corners]
-        vals = [xf[:, :, flat] for flat, _, _ in tap]
+        tap = [(None, wy[:, t, None], wx[:, t, None]) for _, wy, wx in corners]
+        vals = [xc[:, idx[:, c, t]].transpose(1, 0, 2, 3) for c in range(4)]
         cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, tap))
         if dcols is not None:
             dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, tap)
@@ -190,15 +194,17 @@ def align_conv(x, spec, field):
         gcols, gw = _columns_backward(g, cols, w3, x.requires_grad or off.requires_grad,
                                       spec.weight.requires_grad)
         if x.requires_grad:
-            gx = np.empty((B, Ci, P))
+            # one bincount per channel over all items: each item's pixels are
+            # their own bins, summed in the per-item order
+            gx = np.empty((Ci, B * P))
             flat = idx.ravel()
-            for b in range(B):
-                for ci in range(Ci):
-                    gx[b, ci] = np.bincount(flat, weights=(wgt * gcols[b, ci]).ravel(), minlength=P)
-            x.accumulate_grad(gx.reshape(x.shape))
-        if off.requires_grad:
-            goff = np.einsum("bckhw,dbckhw->hwkd", gcols, dcols)
-            off.accumulate_grad(goff)
+            for ci in range(Ci):
+                gx[ci] = np.bincount(flat, weights=(wgt * gcols[:, ci, None]).ravel(),
+                                     minlength=B * P)
+            x.accumulate_grad(gx.reshape(Ci, B, H, W).transpose(1, 0, 2, 3))
+        if off.requires_grad:  # a shared field sums over the items
+            sub = "bckhw,dbckhw->hwkd" if len(off5) == 1 else "bckhw,dbckhw->bhwkd"
+            off.accumulate_grad(np.einsum(sub, gcols, dcols).reshape(off.shape))
         if gw is not None:
             spec.weight.accumulate_grad(gw.reshape(spec.weight.shape))
         if spec.bias.requires_grad:
@@ -210,6 +216,8 @@ def align_conv(x, spec, field):
 def export_offsets_csv(field, path):
     """One line per position: h, w, then dy,dx per tap."""
     off = field.offsets.data
+    if off.ndim != 4:
+        raise ValueError(f"export writes one (H, W, K, 2) field, got shape {off.shape}")
     H, W, K, _ = off.shape
     with open(path, "w") as f:
         header = ["h", "w"] + [f"dy{t},dx{t}" for t in range(K)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ops import ConvSpec, _bin_grid, _bin_spread, _bin_sum, conv2d, softmax_lastdim
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "PyramidSpec",
@@ -204,18 +204,16 @@ def reference_nonlocal(x, residual=True):
 def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
     """Wall-clock one forward of `anab_forward` and `reference_nonlocal`.
 
-    The attention block runs with `init_random` weights; inputs and weights
-    carry no gradient, so no tape is recorded. Returns a dict with
-    anab_time / nonlocal_time (the best of at least `repeats` samples; a cheap
-    call gets as many as fit in about 1 s), the descriptor count L and
-    pixel count N. `nonlocal_hw` lets the quadratic reference run at a smaller
-    size when N would not fit comfortably.
+    The attention block runs with `init_random` weights under `no_grad`, so
+    no tape is recorded. Returns a dict with anab_time / nonlocal_time (the
+    best of at least `repeats` samples; a cheap call gets as many as fit in
+    about 1 s), the descriptor count L and pixel count N. `nonlocal_hw` lets
+    the quadratic reference run at a smaller size when N would not fit
+    comfortably.
     """
     spec = spec or PyramidSpec()
     rng = np.random.default_rng(seed)
     params = AnabParams.init_random(C, pyramid=spec, rng=rng)
-    for p in params.params():
-        p.requires_grad = False
     x = Tensor(rng.normal(size=(1, C, H, W)))
     nh, nw = nonlocal_hw or (H, W)
     xn = Tensor(rng.normal(size=(1, C, nh, nw)))
@@ -244,12 +242,13 @@ def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
             "nonlocal_N": nh * nw,
         }
 
-    try:  # single-threaded BLAS for stable, size-proportional timings
-        from threadpoolctl import threadpool_limits
-        with threadpool_limits(limits=1):
+    with no_grad():
+        try:  # single-threaded BLAS for stable, size-proportional timings
+            from threadpoolctl import threadpool_limits
+            with threadpool_limits(limits=1):
+                return run()
+        except ImportError:
             return run()
-    except ImportError:
-        return run()
 
 
 def write_pgm(gray, path):

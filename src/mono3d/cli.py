@@ -180,7 +180,7 @@ def cmd_bench_anab(args):
 def cmd_viz_attention(args):
     from .attention import attention_map, write_pgm
     from .ops import ConvSpec
-    from .tensor import load_tensor
+    from .tensor import load_tensor, no_grad
     from .train import ToyDetector, make_synthetic_scenes
 
     if args.tensor:
@@ -195,9 +195,11 @@ def cmd_viz_attention(args):
     else:  # the map the model's attention block pools with
         scenes = make_synthetic_scenes(count=1, seed=args.seed)
         model = ToyDetector(scenes[0].image.shape[2:], seed=args.seed)
-        feats = model.forward(scenes[0].image)["features"]
+        with no_grad():
+            feats = model.forward(scenes[0].image)["features"]
         attn_conv = model.anab.attention
-    amap = attention_map(feats, attn_conv).data[0, 0]
+    with no_grad():
+        amap = attention_map(feats, attn_conv).data[0, 0]
     write_pgm(amap, args.out)
     print(f"wrote {amap.shape[1]}x{amap.shape[0]} attention map to {args.out}")
     return 0

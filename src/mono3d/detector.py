@@ -16,7 +16,8 @@ from .align import NonFiniteOffsetsError
 from .anchors import BoxDeltas, decode
 from .geometry import Box3D, alpha_to_yaw, backproject
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
-from .train import TrainConfig, train_toy
+from .tensor import no_grad
+from .train import TrainConfig, check_image_shapes, train_toy
 
 __all__ = ["detect", "ToyPipeline"]
 
@@ -31,7 +32,8 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     pixel) gives no detections, also reported in one RuntimeWarning.
     """
     try:
-        heads = model.forward(scene.image)
+        with no_grad():
+            heads = model.forward(scene.image)
     except NonFiniteOffsetsError:
         warnings.warn("detect: non-finite center offsets; the scene gives no detections",
                       RuntimeWarning, stacklevel=2)
@@ -51,7 +53,7 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     d3rest_map = heads["box3d"].data[0].reshape(A, 4, H, W)
     tz_map = heads["depth"].data[0].reshape(A, 1, H, W)
     center_map = heads["center"].data[0]  # (2, H, W), pixel units after scaling
-    best_hw = heads["best_hw"]
+    best_hw = heads["best_hw"][0]
 
     finite = (np.isfinite(score_map) & np.isfinite(d2_map).all(axis=1)
               & np.isfinite(d3rest_map).all(axis=1) & np.isfinite(tz_map[:, 0])
@@ -136,10 +138,7 @@ class ToyPipeline:
         scenes = list(scenes)
         if not scenes:
             raise ValueError("need at least one scene")
-        shape = scenes[0].image.shape
-        for sc in scenes:
-            if sc.image.shape != shape:
-                raise ValueError("all scenes must share one image shape")
+        check_image_shapes(scenes)
         return scenes
 
     def fit(self, scenes):

@@ -10,12 +10,37 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Tensor", "save_tensor", "load_tensor", "dump_text"]
+__all__ = ["Tensor", "no_grad", "save_tensor", "load_tensor", "dump_text"]
 
 _MAGIC = b"M3TN"
+_recording = True  # False inside `no_grad`
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: every op's result is a plain leaf.
+
+    An op's backward closure is dropped at once, so nothing it holds (conv
+    columns, bilinear slopes) outlives the call. For inference paths.
+    """
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def _basic_index(idx):
+    """Whether `idx` selects by basic indexing only (a view, no repeats)."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
 
 
 def _unbroadcast(grad, shape):
@@ -53,7 +78,7 @@ class Tensor:
     @staticmethod
     def from_op(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -299,11 +324,16 @@ class Tensor:
 
     def __getitem__(self, idx):
         out_data = self.data[idx]
+        basic = _basic_index(idx)
 
         def bw(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            self.accumulate_grad(full)
+            # straight into the gradient at idx, so a slice costs its own size
+            if self.grad is None:
+                self.grad = np.zeros(self.data.shape)
+            if basic:
+                self.grad[idx] += g
+            else:  # advanced indices may repeat
+                np.add.at(self.grad, idx, g)
 
         return Tensor.from_op(out_data, (self,), bw)
 

@@ -28,6 +28,7 @@ __all__ = [
     "Scene",
     "make_synthetic_scenes",
     "ToyDetector",
+    "check_image_shapes",
     "train_toy",
     "write_loss_trace",
 ]
@@ -190,27 +191,29 @@ class ToyDetector:
         out.extend(self.anab.params())
         return out
 
-    def forward(self, image):
-        """Returns per-head tensors plus the (h_a, w_a) map used for alignment."""
+    def forward(self, images):
+        """Heads of a (B, 3, H, W) batch plus the (B, H, W, 2) (h_a, w_a) map
+        used for alignment; every item is aligned by its own offset fields."""
         c = self.config
-        x = image
+        x = images
         for spec in self.backbone:
             x = conv2d(x, spec).relu()
+        B = x.shape[0]
         H, W = self.feature_hw
         A = self.grid.per_position
 
         s = c.head_scale
-        cls_out = conv2d(x, self.cls_head) * s  # (1, A*ncls, H, W)
+        cls_out = conv2d(x, self.cls_head) * s  # (B, A*ncls, H, W)
         # shape alignment from the sigmoid foreground confidence, one shot
-        fg = cls_out.data[0].reshape(A, self.num_classes, H, W)[:, 1:, :, :].max(axis=1)
-        scores = 1.0 / (1.0 + np.exp(-fg)).transpose(1, 2, 0)  # (H, W, A)
+        fg = cls_out.data.reshape(B, A, self.num_classes, H, W)[:, :, 1:].max(axis=2)
+        scores = 1.0 / (1.0 + np.exp(-fg)).transpose(0, 2, 3, 1)  # (B, H, W, A)
         best_hw = select_best_anchor(scores, self.grid.templates)
         trunk = align_conv(x, self.shape_conv, shape_align_offsets(best_hw, STRIDE, (3, 3))).relu()
 
         # predicted-center residual in pixels, normalized by the best template
-        center_out = conv2d(trunk, self.center_head)  # (1, 2, H, W)
-        best_wh_t = Tensor(best_hw[..., ::-1].copy())  # (H, W, 2) as (w_a, h_a)
-        residuals = center_out[0].transpose(1, 2, 0) * best_wh_t
+        center_out = conv2d(trunk, self.center_head)  # (B, 2, H, W)
+        best_wh_t = Tensor(best_hw[..., ::-1].copy())  # (B, H, W, 2) as (w_a, h_a)
+        residuals = center_out.transpose(0, 2, 3, 1) * best_wh_t
         aligned = align_conv(trunk, self.center_conv, center_align_offsets(residuals, STRIDE, (1, 1))).relu()
 
         depth_feat = anab_forward(aligned, self.anab)
@@ -247,27 +250,33 @@ class ToyDetector:
         labels[pos] = best_gt[pos]
         return labels
 
-    def _gather(self, head_out, k, flat_pos):
-        """Rows of a (1, A*k, H, W) head at flat anchor indices, -> (n, k)."""
-        H, W = self.feature_hw
+    def _gather(self, head_out, b, k, flat_pos):
+        """Rows of item b of a (B, A*k, H, W) head at flat anchor indices, -> (n, k)."""
+        W = self.feature_hw[1]
         A = self.grid.per_position
         pos, tmpl = np.divmod(flat_pos, A)
         hh, ww = np.divmod(pos, W)
         chan = tmpl[:, None] * k + np.arange(k)[None, :]
-        return head_out[0][(chan, hh[:, None], ww[:, None])]
+        return head_out[(b, chan, hh[:, None], ww[:, None])]
 
-    def scene_loss(self, scene, loss_cfg):
-        """Mined classification + 2D IoU + 3D smooth-L1 losses for one scene."""
-        heads = self.forward(scene.image)
+    def scene_loss(self, scenes, loss_cfg):
+        """One forward over the stacked images of `scenes`; returns a list of
+        each scene's mined classification, 2D IoU and 3D smooth-L1 losses
+        (l_cls, l_2d, l_3d), and the batched heads."""
+        heads = self.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
+        losses = [self._losses(heads, b, sc, loss_cfg) for b, sc in enumerate(scenes)]
+        return losses, heads
+
+    def _losses(self, heads, b, scene, loss_cfg):
+        """(l_cls, l_2d, l_3d) of item b of the batched heads."""
         labels = self.match_anchors(scene.boxes2d, loss_cfg)
         pos_idx = np.flatnonzero(labels >= 0)
         neg_idx = np.flatnonzero(labels == -1)
         used = np.concatenate([pos_idx, neg_idx])
 
-        H, W = self.feature_hw
+        W = self.feature_hw[1]
         A = self.grid.per_position
-        ncls = self.num_classes
-        logits_all = self._gather(heads["cls"], ncls, used)
+        logits_all = self._gather(heads["cls"], b, self.num_classes, used)
         targets_all = np.where(labels[used] >= 0, 1, 0)
 
         # hard-negative mining on detached per-sample CE; positives protected
@@ -277,11 +286,11 @@ class ToyDetector:
 
         if len(pos_idx) == 0:
             zero = Tensor(0.0)
-            return l_cls, zero, zero, heads
+            return l_cls, zero, zero
 
-        d2 = self._gather(heads["box2d"], 4, pos_idx)           # tx, ty, tw, th
-        d3_rest = self._gather(heads["box3d"], 4, pos_idx)      # tw, th, tl, ta
-        tz = self._gather(heads["depth"], 1, pos_idx)           # tz
+        d2 = self._gather(heads["box2d"], b, 4, pos_idx)        # tx, ty, tw, th
+        d3_rest = self._gather(heads["box3d"], b, 4, pos_idx)   # tw, th, tl, ta
+        tz = self._gather(heads["depth"], b, 1, pos_idx)        # tz
 
         _, tmpl = np.divmod(pos_idx, A)
         grid_pos = pos_idx // A
@@ -302,9 +311,8 @@ class ToyDetector:
 
         # 3D deltas: predicted-center head supplies (tx, ty)3d per position
         hh, ww = np.divmod(grid_pos, W)
-        center_px = heads["center"][0][(np.arange(2)[None, :].repeat(len(pos_idx), 0),
-                                        hh[:, None], ww[:, None])]
-        best_wh = heads["best_hw"][hh, ww][:, ::-1]  # (w_a, h_a) of best template
+        center_px = heads["center"][(b, np.arange(2)[None, :], hh[:, None], ww[:, None])]
+        best_wh = heads["best_hw"][b, hh, ww][:, ::-1]  # (w_a, h_a) of best template
         tx3 = center_px[:, 0] * Tensor(best_wh[:, 0] / wh[:, 0])
         ty3 = center_px[:, 1] * Tensor(best_wh[:, 1] / wh[:, 1])
         pred_d3 = Tensor.concat(
@@ -316,7 +324,17 @@ class ToyDetector:
             deltas = encode(anc, scene.boxes2d[g], scene.params3d[g])
             targets_d3.append(deltas.d3)
         l_3d = loss_3d(pred_d3, np.array(targets_d3))
-        return l_cls, l_2d, l_3d, heads
+        return l_cls, l_2d, l_3d
+
+
+def check_image_shapes(scenes):
+    """Batches stack their images: name the first scene whose image shape
+    differs from scene 0's."""
+    shape = scenes[0].image.shape
+    for i, sc in enumerate(scenes):
+        if sc.image.shape != shape:
+            raise ValueError(f"scene {i} has image shape {sc.image.shape}, scene 0 has "
+                             f"{shape}: all scenes must share one image shape")
 
 
 def train_toy(scenes, steps=200, train_cfg=None, loss_cfg=None, seed=0, detector=None):
@@ -327,8 +345,8 @@ def train_toy(scenes, steps=200, train_cfg=None, loss_cfg=None, seed=0, detector
     """
     train_cfg = train_cfg or TrainConfig(total_steps=steps)
     loss_cfg = loss_cfg or LossConfig()
-    H, W = scenes[0].image.shape[2:]
-    model = detector or ToyDetector((H, W), seed=seed)
+    check_image_shapes(scenes)
+    model = detector or ToyDetector(scenes[0].image.shape[2:], seed=seed)
     model.fit_anchors(scenes)
     opt = SGD(model.params(), train_cfg)
 
@@ -338,18 +356,23 @@ def train_toy(scenes, steps=200, train_cfg=None, loss_cfg=None, seed=0, detector
         batch = [scenes[(step * train_cfg.batch_size + i) % len(scenes)]
                  for i in range(train_cfg.batch_size)]
         opt.zero_grad()
-        parts = np.zeros(3)
-        batch_total = None
-        for sc in batch:
-            l_cls, l_2d, l_3d, _ = model.scene_loss(sc, loss_cfg)
-            tot = total_loss(l_cls, l_2d, l_3d, loss_cfg) * (1.0 / len(batch))
-            batch_total = tot if batch_total is None else batch_total + tot
-            parts += [l_cls.item(), l_2d.item(), l_3d.item()]
-        parts /= len(batch)
-        batch_total.backward()
-        trace.append((step, lr, parts[0], parts[1], parts[2], float(batch_total.item())))
+        parts, total = _batch_backward(model, batch, loss_cfg)
+        trace.append((step, lr, parts[0], parts[1], parts[2], total))
         opt.step(lr)
     return trace, model
+
+
+def _batch_backward(model, batch, loss_cfg):
+    """One forward and one backward over `batch`: the mean (L_cls, L_2d, L_3d)
+    and the total. The step's tape is freed on return, before the next forward."""
+    parts = np.zeros(3)
+    batch_total = None
+    for l_cls, l_2d, l_3d in model.scene_loss(batch, loss_cfg)[0]:
+        tot = total_loss(l_cls, l_2d, l_3d, loss_cfg) * (1.0 / len(batch))
+        batch_total = tot if batch_total is None else batch_total + tot
+        parts += [l_cls.item(), l_2d.item(), l_3d.item()]
+    batch_total.backward()
+    return parts / len(batch), float(batch_total.item())
 
 
 def write_loss_trace(trace, path):

@@ -93,12 +93,16 @@ def test_anab_nonlocal_equivalence():
 def test_complexity_scaling():
     spec = PyramidSpec()  # levels {1, 4, 8, 16}
     sizes = [(48, 160), (96, 320)]
+    runs = {size: [] for size in sizes}
+    for _ in range(6):  # the sizes alternate, so a slow spell of the host hits both
+        for h, w in sizes:
+            runs[(h, w)].append(
+                complexity_bench(h, w, 64, spec, nonlocal_hw=(h // 6, w // 6), seed=0))
     anab_t, nl_t = {}, {}
-    for h, w in sizes:
-        runs = [complexity_bench(h, w, 64, spec, nonlocal_hw=(h // 6, w // 6), seed=0)
-                for _ in range(6)][1:]  # discard the cold warmup run
-        anab_t[(h, w)] = statistics.median(r["anab_time"] for r in runs)
-        nl_t[(h, w)] = statistics.median(r["nonlocal_time"] for r in runs)
+    for size in sizes:
+        kept = runs[size][1:]  # discard the cold warmup round
+        anab_t[size] = statistics.median(r["anab_time"] for r in kept)
+        nl_t[size] = statistics.median(r["nonlocal_time"] for r in kept)
     anab_ratio = anab_t[sizes[1]] / anab_t[sizes[0]]
     nl_ratio = nl_t[sizes[1]] / nl_t[sizes[0]]
     ok = 3.0 <= anab_ratio <= 6.0 and 10.0 <= nl_ratio <= 24.0

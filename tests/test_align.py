@@ -154,6 +154,74 @@ class TestAlignConv:
             OffsetField(Tensor(bad), (3, 3))
 
 
+class TestBatchedFields:
+    """A (B, H, W, K, 2) field aligns each item by its own offsets."""
+
+    def test_offset_builders_take_a_batch_axis(self):
+        rng = np.random.default_rng(6)
+        hw = rng.uniform(4.0, 60.0, size=(3, 4, 5, 2))
+        scores = rng.uniform(size=(3, 4, 5, 9))
+        templates = rng.uniform(4.0, 60.0, size=(9, 2))
+        res = rng.normal(size=(3, 4, 5, 2))
+        batched = [shape_align_offsets(hw, 8, (3, 3)).offsets.data,
+                   select_best_anchor(scores, templates),
+                   center_align_offsets(Tensor(res), 8, (3, 3)).offsets.data]
+        for b in range(3):
+            single = [shape_align_offsets(hw[b], 8, (3, 3)).offsets.data,
+                      select_best_anchor(scores[b], templates),
+                      center_align_offsets(Tensor(res[b]), 8, (3, 3)).offsets.data]
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[b], want)
+
+    def test_per_item_fields_equal_per_item_calls(self):
+        rng = np.random.default_rng(7)
+        B, Ci, Co, H, W = 3, 4, 5, 6, 7
+        x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
+        off = Tensor(rng.uniform(-2.5, 2.5, size=(B, H, W, 9, 2)), requires_grad=True)
+        spec = ConvSpec.init_random(Ci, Co, (3, 3), 1, 1, rng=rng)
+        out = align_conv(x, spec, OffsetField(off, (3, 3)))
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        got = [x.grad, off.grad, spec.weight.grad, spec.bias.grad]
+        for p in (x, off, spec.weight, spec.bias):
+            p.zero_grad()
+        for b in range(B):
+            xb = Tensor(x.data[b:b + 1], requires_grad=True)
+            ob = Tensor(off.data[b], requires_grad=True)
+            ref = align_conv(xb, spec, OffsetField(ob, (3, 3)))
+            assert np.array_equal(ref.data, out.data[b:b + 1])
+            ref.backward(g[b:b + 1])
+            assert np.array_equal(xb.grad, got[0][b:b + 1])
+            np.testing.assert_allclose(ob.grad, got[1][b], rtol=0, atol=1e-12)
+        for p, want in zip((spec.weight, spec.bias), got[2:]):
+            np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
+    def test_shared_field_forms_agree(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
+        spec = ConvSpec.init_random(3, 2, (3, 3), 1, 1, rng=rng)
+        off = rng.uniform(-1.5, 1.5, size=(5, 6, 9, 2))
+        outs = []
+        for field in (off, off[None], np.stack([off, off])):
+            t = Tensor(field, requires_grad=True)
+            y = align_conv(x, spec, OffsetField(t, (3, 3)))
+            y.backward(np.ones(y.shape))
+            outs.append((y.data, t.grad.reshape(-1, 5, 6, 9, 2).sum(axis=0)))
+        for y, goff in outs[1:]:
+            assert np.array_equal(y, outs[0][0])
+            np.testing.assert_allclose(goff, outs[0][1], rtol=0, atol=1e-12)
+
+    def test_rejects_item_count_mismatch(self):
+        field = OffsetField(Tensor(np.zeros((3, 4, 4, 9, 2))), (3, 3))
+        spec = ConvSpec(1, 1, (3, 3), padding=1)
+        with pytest.raises(ValueError, match="3 items, input has 2"):
+            align_conv(Tensor(np.ones((2, 1, 4, 4))), spec, field)
+
+    def test_rejects_extra_axes(self):
+        with pytest.raises(ValueError, match="does not match kernel"):
+            OffsetField(Tensor(np.zeros((1, 2, 2, 2, 9, 2))), (3, 3))
+
+
 def test_export_offsets_csv(tmp_path):
     field = shape_align_offsets(np.full((2, 2, 2), 48.0), 8, (3, 3))
     path = tmp_path / "off.csv"
@@ -166,3 +234,6 @@ def test_export_offsets_csv(tmp_path):
     dy, dx = tap_offset(48.0, 48.0, 8, 3, 3, 0, 0)
     assert vals[2] == pytest.approx(dy, abs=1e-9)
     assert vals[3] == pytest.approx(dx, abs=1e-9)
+    batched = shape_align_offsets(np.full((2, 2, 2, 2), 48.0), 8, (3, 3))
+    with pytest.raises(ValueError, match=r"one \(H, W, K, 2\) field, got shape \(2, 2, 2, 9, 2\)"):
+        export_offsets_csv(batched, tmp_path / "batched.csv")

@@ -64,6 +64,22 @@ class TestDetect:
         model.fit_anchors(scenes)
         assert detect(model, scenes[0], conf_thresh=0.75) == []
 
+    def test_forward_records_no_tape(self, monkeypatch):
+        scenes = make_synthetic_scenes(count=1, seed=0)
+        model = ToyDetector((48, 80), seed=0)
+        model.fit_anchors(scenes)
+        seen = []
+
+        def spy(images, forward=model.forward):
+            seen.append(forward(images))
+            return seen[-1]
+
+        monkeypatch.setattr(model, "forward", spy)
+        detect(model, scenes[0], conf_thresh=0.75)
+        tensors = [h for h in seen[0].values() if isinstance(h, Tensor)]
+        assert len(tensors) == 6 and not any(t.requires_grad for t in tensors)
+        assert seen[0]["best_hw"].shape == (1, 6, 10, 2)
+
     def test_low_threshold_yields_decoded_boxes(self):
         scenes = make_synthetic_scenes(count=2, seed=1)
         cfg = TrainConfig(total_steps=10, warmup_steps=2)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mono3d.gradcheck import grad_check
-from mono3d.tensor import Tensor, dump_text, load_tensor, save_tensor
+from mono3d.ops import ConvSpec, conv2d
+from mono3d.tensor import Tensor, dump_text, load_tensor, no_grad, save_tensor
 
 
 def test_elementwise_grads():
@@ -78,6 +79,100 @@ def test_getitem_scatter():
     expect[0] = 2.0
     expect[2] = 1.0
     np.testing.assert_array_equal(x.grad, expect)
+
+
+class TestGetitemBackward:
+    """The slice backward adds into the input's gradient at the index only."""
+
+    @staticmethod
+    def whole_input_scatter(shape, idx, g, grad=None):
+        """The backward as it was: np.add.at into zeros of the whole input, then accumulate."""
+        full = np.zeros(shape)
+        np.add.at(full, idx, g)
+        t = Tensor(np.zeros(shape))
+        t.grad = None if grad is None else grad.copy()
+        t.accumulate_grad(full)
+        return t.grad
+
+    @staticmethod
+    def backward(x, idx, g, grad=None):
+        t = Tensor(x, requires_grad=True)
+        t.grad = None if grad is None else grad.copy()
+        t[idx].backward(g)
+        return t.grad
+
+    REPEATS = (np.array([0, 2, 0, 0, 1]), np.array([3, 1, 3, 3, 0]))
+    INDICES = {
+        "int": 1,
+        "slice": (slice(None), slice(1, 3)),
+        "strided": (slice(2, None, -2), 0),
+        "advanced with repeats": REPEATS,
+        "advanced with a slice": (np.array([2, 0]), slice(None), np.array([1, 1])),
+    }
+
+    @pytest.mark.parametrize("name", list(INDICES))
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_bitwise_against_whole_input_scatter(self, name, existing):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 4, 2))
+        idx = self.INDICES[name]
+        g = rng.normal(size=x[idx].shape)
+        grad = rng.normal(size=x.shape) if existing else None
+        if existing and name == "advanced with repeats":
+            # repeats now add one after another into the existing gradient,
+            # (grad + g1) + g2 rather than grad + (g1 + g2): equal bitwise
+            # where those sums are exact, as for these multiples of 1/8
+            g = rng.integers(-16, 17, size=g.shape) / 8.0
+            grad = rng.integers(-16, 17, size=grad.shape) / 8.0
+        got = self.backward(x, idx, g, grad)
+        want = self.whole_input_scatter(x.shape, idx, g, grad)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_repeats_add_in_order_into_an_existing_gradient(self):
+        rng = np.random.default_rng(4)
+        grad = rng.normal(size=(3, 4, 2))
+        g = rng.normal(size=(5, 2))
+        got = self.backward(np.zeros((3, 4, 2)), self.REPEATS, g, grad)
+        want = grad.copy()
+        for k, (i, j) in enumerate(zip(*self.REPEATS)):
+            want[i, j] += g[k]
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, self.whole_input_scatter((3, 4, 2), self.REPEATS, g, grad),
+                                   rtol=1e-15, atol=1e-15)
+
+    def test_untouched_negative_zero_stays(self):
+        grad = np.array([-0.0, 1.0, -0.0])
+        got = self.backward(np.zeros(3), slice(1, 2), np.array([2.0]), grad)
+        np.testing.assert_array_equal(got, [0.0, 3.0, 0.0])
+        assert np.signbit(got[[0, 2]]).all()
+
+    def test_fresh_gradient_reads_positive_zero(self):
+        got = self.backward(np.zeros(3), 1, np.array(-0.0))
+        assert not np.signbit(got).any()
+
+
+class TestNoGrad:
+    def test_records_no_tape(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
+        spec = ConvSpec.init_random(2, 3, (3, 3), 1, 1, rng=rng)
+        with no_grad():
+            y = (conv2d(x, spec) * 2.0).sum()
+        assert not y.requires_grad and y._backward is None and y._parents == ()
+        z = conv2d(x, spec).sum()  # recording resumes after the block
+        assert z.requires_grad
+        with no_grad():
+            assert np.array_equal(y.data, (conv2d(x, spec) * 2.0).sum().data)
+
+    def test_nests_and_restores_after_an_error(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (x * 2.0).requires_grad
+                raise RuntimeError
+        assert (x * 2.0).requires_grad
 
 
 def test_matmul_shape_error():

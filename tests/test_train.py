@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mono3d.losses import LossConfig, total_loss
 from mono3d.tensor import Tensor
 from mono3d.train import (SGD, Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes,
                           train_toy, write_loss_trace)
@@ -88,27 +89,89 @@ class TestToyDetector:
         assert heads["box2d"].shape == (1, A * 4, 6, 10)
         assert heads["box3d"].shape == (1, A * 4, 6, 10)
         assert heads["depth"].shape == (1, A, 6, 10)
-        assert heads["best_hw"].shape == (6, 10, 2)
+        assert heads["best_hw"].shape == (1, 6, 10, 2)
 
     def test_anchor_matching_labels(self):
         scenes = make_synthetic_scenes(count=1, seed=1)
         model = ToyDetector((48, 80), seed=0)
-        from mono3d.losses import LossConfig
         labels = model.match_anchors(scenes[0].boxes2d, LossConfig())
         assert labels.shape == (len(model.grid),)
         assert set(np.unique(labels)).issubset(set(range(-2, len(scenes[0].boxes2d))))
 
     def test_scene_loss_finite(self):
-        from mono3d.losses import LossConfig
         scenes = make_synthetic_scenes(count=1, seed=2)
         model = ToyDetector((48, 80), seed=0)
         model.fit_anchors(scenes)
-        l_cls, l_2d, l_3d, _ = model.scene_loss(scenes[0], LossConfig())
+        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[0]], LossConfig())
         for v in (l_cls, l_2d, l_3d):
             assert np.isfinite(v.item())
 
 
+class TestBatchedForward:
+    """One forward over a stacked batch against one forward per scene."""
+
+    HEADS = ("cls", "center", "box2d", "box3d", "depth", "features")
+
+    @staticmethod
+    def model_and_scenes():
+        scenes = make_synthetic_scenes(count=3, seed=4)
+        model = ToyDetector((48, 80), seed=0)
+        model.fit_anchors(scenes)
+        rng = np.random.default_rng(9)
+        # the heads start at zero: random ones give each item its own best
+        # anchors and nonzero center residuals
+        for spec in (model.cls_head, model.center_head, model.box2d_head,
+                     model.box3d_head, model.depth_head):
+            spec.weight.data[:] = rng.normal(0.0, 0.3, size=spec.weight.shape)
+            spec.bias.data[:] = rng.normal(0.0, 0.1, size=spec.bias.shape)
+        return model, scenes
+
+    def test_heads_bitwise_equal_per_scene_forwards(self):
+        model, scenes = self.model_and_scenes()
+        batched = model.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
+        singles = [model.forward(sc.image) for sc in scenes]
+        best = batched["best_hw"]
+        assert best.shape == (3, 6, 10, 2)
+        assert len(np.unique(best.reshape(-1, 2), axis=0)) > 1
+        assert all(not np.array_equal(best[0], best[b]) for b in (1, 2))
+        assert np.abs(batched["center"].data).min() > 0.0
+        for key in self.HEADS:
+            want = np.concatenate([h[key].data for h in singles])
+            assert np.array_equal(batched[key].data, want), key
+        assert np.array_equal(best, np.concatenate([h["best_hw"] for h in singles]))
+
+    def test_gradients_match_summed_per_scene_passes(self):
+        model, scenes = self.model_and_scenes()
+        cfg = LossConfig()
+
+        def loss_of(parts):
+            out = None
+            for l_cls, l_2d, l_3d in parts:
+                tot = total_loss(l_cls, l_2d, l_3d, cfg)
+                out = tot if out is None else out + tot
+            return out
+
+        losses, _ = model.scene_loss(scenes, cfg)
+        loss_of(losses).backward()
+        got = [p.grad.copy() for p in model.params()]
+        for p in model.params():
+            p.zero_grad()
+        for sc in scenes:  # the reference accumulates over three tapes
+            loss_of(model.scene_loss([sc], cfg)[0]).backward()
+        assert len(losses) == 3 and all(l_2d.item() > 0.0 for _, l_2d, _ in losses)
+        for g, p in zip(got, model.params()):
+            ref = p.grad
+            assert np.abs(g - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 class TestTrainToy:
+    def test_rejects_mixed_image_shapes(self):
+        scenes = make_synthetic_scenes(count=2, seed=3)
+        scenes += make_synthetic_scenes(count=1, image_hw=(40, 80), seed=3)
+        scenes += make_synthetic_scenes(count=1, image_hw=(48, 64), seed=3)
+        with pytest.raises(ValueError, match=r"scene 2 has image shape \(1, 3, 40, 80\)"):
+            train_toy(scenes, steps=1)
+
     def test_short_run_bit_reproducible(self):
         scenes = make_synthetic_scenes(count=4, seed=3)
         cfg = TrainConfig(total_steps=5, warmup_steps=2)
