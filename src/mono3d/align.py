@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ConvSpec, _bilinear_corners, _bilinear_slopes, _columns_backward, _columns_forward
+from .ops import _bilinear_corners, _bilinear_slopes, _columns_backward, _columns_forward
 from .tensor import Tensor
 
 __all__ = [

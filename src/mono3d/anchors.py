@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box2D, iou_2d, wrap_angle
+from .geometry import Box2D, iou_2d_pairs, wrap_angle
 
 __all__ = [
     "Anchor",
@@ -50,6 +50,10 @@ class Anchor:
 
     def box2d(self):
         return Box2D.from_center(self.x, self.y, self.w2d, self.h2d)
+
+    def as_array(self):
+        """The (9,) row [x, y, w2d, h2d, z, w, h, l, alpha] that `encode` takes."""
+        return np.array([self.x, self.y, self.w2d, self.h2d, *self.stats3d])
 
 
 @dataclass
@@ -102,6 +106,11 @@ class AnchorGrid:
         w, h = self.templates[t]
         return Anchor(cx, cy, w, h, self.stats3d[t], template=t)
 
+    def rows(self, flat_indices):
+        """(n, 9) `Anchor.as_array` rows of the anchors at flat indices."""
+        pos, t = np.divmod(flat_indices, self.per_position)
+        return np.concatenate([self.centers[pos], self.templates[t], self.stats3d[t]], axis=1)
+
     def boxes2d(self):
         """(len, 4) corner boxes for every anchor."""
         A = self.per_position
@@ -142,24 +151,12 @@ def fit_anchor_3d_stats(grid, objects, iou_thresh=0.5):
     if params.shape[1] != 5:
         raise ValueError("3D parameters must be (z, w, h, l, alpha)")
 
-    anchor_boxes = grid.boxes2d()
     A = grid.per_position
-    global_mean = params.mean(axis=0)
-    stats = np.tile(global_mean, (A, 1))
-    for t in range(A):
-        tb = anchor_boxes[t::A]  # all anchors of this template
-        ix = np.maximum(0.0, np.minimum(tb[:, None, 2], boxes[None, :, 2])
-                        - np.maximum(tb[:, None, 0], boxes[None, :, 0]))
-        iy = np.maximum(0.0, np.minimum(tb[:, None, 3], boxes[None, :, 3])
-                        - np.maximum(tb[:, None, 1], boxes[None, :, 1]))
-        inter = ix * iy
-        area_a = (tb[:, 2] - tb[:, 0]) * (tb[:, 3] - tb[:, 1])
-        area_b = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-        union = area_a[:, None] + area_b[None, :] - inter
-        iou = np.where(union > 0.0, inter / union, 0.0)
-        matched = (iou >= iou_thresh).any(axis=0)
-        if matched.any():
-            stats[t] = params[matched].mean(axis=0)
+    iou = iou_2d_pairs(grid.boxes2d().reshape(-1, A, 1, 4), boxes)  # (positions, A, objects)
+    matched = (iou >= iou_thresh).any(axis=0)
+    stats = np.tile(params.mean(axis=0), (A, 1))
+    for t in np.flatnonzero(matched.any(axis=1)):
+        stats[t] = params[matched[t]].mean(axis=0)
     grid.stats3d = stats
     return grid
 
@@ -189,32 +186,27 @@ def decode(anchor, deltas):
     return box2d, params3d
 
 
-def encode(anchor, box2d, params3d):
-    """Exact inverse of `decode`. Ground-truth sizes must be positive."""
-    if box2d.w <= 0.0 or box2d.h <= 0.0:
+def encode(anchors, boxes2d, params3d):
+    """Exact inverse of `decode`, row by row: the (n, 4) 2D and (n, 7) 3D
+    deltas of (n, 9) anchor rows (`Anchor.as_array`) against (n, 4)
+    [x1, y1, x2, y2] ground-truth boxes and (n, 7) projected 3D parameters
+    (xp, yp, zp, w, h, l, angle). Ground-truth sizes must be positive."""
+    a = np.asarray(anchors, dtype=np.float64)
+    box = np.asarray(boxes2d, dtype=np.float64)
+    p3 = np.asarray(params3d, dtype=np.float64)
+    size2d = box[:, 2:] - box[:, :2]
+    if np.any(size2d <= 0.0):
         raise ValueError("ground-truth 2D box must have positive size")
-    cx, cy = box2d.center
-    w, h = anchor.w2d, anchor.h2d
-    d2 = np.array([
-        (cx - anchor.x) / w,
-        (cy - anchor.y) / h,
-        math.log(box2d.w / w),
-        math.log(box2d.h / h),
-    ])
-    z0, w0, h0, l0, a0 = anchor.stats3d
-    xp, yp, zp, w3, h3, l3, ang = params3d
-    if w3 <= 0.0 or h3 <= 0.0 or l3 <= 0.0:
+    if np.any(p3[:, 3:6] <= 0.0):
         raise ValueError("ground-truth 3D dimensions must be positive")
-    d3 = np.array([
-        (xp - anchor.x) / w,
-        (yp - anchor.y) / h,
-        zp - z0,
-        math.log(w3 / w0),
-        math.log(h3 / h0),
-        math.log(l3 / l0),
-        wrap_angle(ang - a0),
-    ])
-    return BoxDeltas(d2, d3)
+    xy, wh = a[:, :2], a[:, 2:4]
+    d2 = np.concatenate([((box[:, :2] + box[:, 2:]) / 2.0 - xy) / wh,
+                         np.log(size2d / wh)], axis=1)
+    d3 = np.concatenate([(p3[:, :2] - xy) / wh,
+                         p3[:, 2:3] - a[:, 4:5],
+                         np.log(p3[:, 3:6] / a[:, 5:8]),
+                         wrap_angle(p3[:, 6:] - a[:, 8:])], axis=1)
+    return d2, d3
 
 
 def save_anchor_stats(grid, path):

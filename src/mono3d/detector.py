@@ -49,31 +49,17 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     score_map = fg.max(axis=1)          # (A, H, W)
     class_map = fg.argmax(axis=1) + 1
 
-    d2_map = heads["box2d"].data[0].reshape(A, 4, H, W)
-    d3rest_map = heads["box3d"].data[0].reshape(A, 4, H, W)
-    tz_map = heads["depth"].data[0].reshape(A, 1, H, W)
-    center_map = heads["center"].data[0]  # (2, H, W), pixel units after scaling
-    best_hw = heads["best_hw"][0]
-
-    finite = (np.isfinite(score_map) & np.isfinite(d2_map).all(axis=1)
-              & np.isfinite(d3rest_map).all(axis=1) & np.isfinite(tz_map[:, 0])
-              & np.isfinite(center_map).all(axis=0))
-    candidates = (score_map >= score_floor) | ~np.isfinite(score_map)
-    non_finite = int((candidates & ~finite).sum())
+    t, hh, ww = np.nonzero((score_map >= score_floor) | ~np.isfinite(score_map))
+    flat = (hh * W + ww) * A + t
+    d2, d3 = (d.data for d in model.gather_deltas(heads, 0, flat))
+    scores = score_map[t, hh, ww]
+    finite = np.isfinite(scores) & np.isfinite(d2).all(axis=1) & np.isfinite(d3).all(axis=1)
+    non_finite = int((~finite).sum())
     dets = []
-    for t, hh, ww in zip(*np.nonzero(candidates & finite)):
-        flat = (hh * W + ww) * A + t
-        anchor = model.grid.anchor(flat)
-        w_b, h_b = best_hw[hh, ww, 1], best_hw[hh, ww, 0]
-        d3 = np.array([
-            center_map[0, hh, ww] * w_b / anchor.w2d,
-            center_map[1, hh, ww] * h_b / anchor.h2d,
-            tz_map[t, 0, hh, ww],
-            *d3rest_map[t, :, hh, ww],
-        ])
+    for i in np.flatnonzero(finite):
         try:
             box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(
-                anchor, BoxDeltas(d2_map[t, :, hh, ww], d3))
+                model.grid.anchor(flat[i]), BoxDeltas(d2[i], d3[i]))
         except OverflowError:  # a size delta too large for exp: an infinite box
             non_finite += 1
             continue
@@ -82,7 +68,7 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
         x, y, z = backproject(scene.cam, (xp, yp, zp))
         yaw = alpha_to_yaw(alpha, x, z)
         box3d = Box3D(x, y, z, w3, h3, l3, yaw, alpha=alpha)
-        dets.append(Detection(int(class_map[t, hh, ww]), float(score_map[t, hh, ww]),
+        dets.append(Detection(int(class_map[t[i], hh[i], ww[i]]), float(scores[i]),
                               box2d, box3d, alpha))
     if non_finite:
         warnings.warn(f"detect: dropped {non_finite} candidate(s) with a non-finite score "

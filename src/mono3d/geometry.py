@@ -114,11 +114,11 @@ class Box3D:
 
 
 def wrap_angle(a):
-    """Wrap into (-pi, pi]."""
-    a = math.fmod(a + math.pi, 2.0 * math.pi)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    return a - math.pi
+    """Wrap into (-pi, pi], elementwise on an array; a scalar gives a float."""
+    if not isinstance(a, np.ndarray):
+        a = float(a)
+    a = (a + math.pi) % (2.0 * math.pi)
+    return a + 2.0 * math.pi * (a <= 0.0) - math.pi
 
 
 def project(cam, point):
@@ -319,13 +319,18 @@ def _bev_intersection(a, b):
 
 
 def iou_2d_pairs(a, b):
-    """`iou_2d` of (P, 4) [x1, y1, x2, y2] row pairs, (P,)."""
-    a, b = _rows(a, b, 4)
-    ix = np.maximum(0.0, np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]))
-    iy = np.maximum(0.0, np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]))
+    """`iou_2d` of [x1, y1, x2, y2] rows on the last axis, broadcast against
+    each other: (P, 4) pairs give (P,), (N, 1, 4) against (1, G, 4) the
+    (N, G) matrix."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
+        raise ValueError(f"2D box rows must have 4 columns, got {a.shape} and {b.shape}")
+    ix = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    iy = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
     inter = ix * iy
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     return _ratio(inter, area_a + area_b - inter)
 
 

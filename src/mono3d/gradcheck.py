@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = ["GradReport", "grad_check"]
 
 

@@ -10,7 +10,7 @@ zero is bit-identical to conv2d). The backward is two matrix contractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,7 @@ import numpy as np
 from .align import align_conv, center_align_offsets, select_best_anchor, shape_align_offsets
 from .anchors import encode, fit_anchor_3d_stats, generate_anchor_grid
 from .attention import AnabParams, PyramidSpec, anab_forward
-from .geometry import Box2D, CameraIntrinsics
+from .geometry import Box2D, CameraIntrinsics, iou_2d_pairs
 from .losses import LossConfig, loss_2d, loss_3d, loss_cls, mine_hard, per_sample_ce, total_loss
 from .ops import ConvSpec, conv2d
 from .tensor import Tensor
@@ -141,7 +141,6 @@ class ToyDetectorConfig:
     anchor_sizes: tuple = (16.0, 24.0, 36.0)
     anchor_ratios: tuple = (0.5, 1.0, 1.5)
     pyramid_levels: tuple = (1, 2)
-    center_source: str = "3d"  # which center prediction drives alignment
     head_scale: float = 8.0    # fixed output gain; raises effective head lr
 
 
@@ -231,20 +230,15 @@ class ToyDetector:
     # -- loss assembly --------------------------------------------------------
 
     def match_anchors(self, boxes2d, loss_cfg):
-        """Per-anchor labels: gt index for positives, -1 background, -2 ignore."""
-        anchor_boxes = self.grid.boxes2d()
+        """Per-anchor labels: gt index for positives, -1 background, -2 ignore.
+        A scene without objects is all background."""
+        if len(boxes2d) == 0:
+            return np.full(len(self.grid), -1, dtype=np.intp)
         gt = np.array([b.as_array() for b in boxes2d])
-        ix = np.maximum(0.0, np.minimum(anchor_boxes[:, None, 2], gt[None, :, 2])
-                        - np.maximum(anchor_boxes[:, None, 0], gt[None, :, 0]))
-        iy = np.maximum(0.0, np.minimum(anchor_boxes[:, None, 3], gt[None, :, 3])
-                        - np.maximum(anchor_boxes[:, None, 1], gt[None, :, 1]))
-        inter = ix * iy
-        aa = (anchor_boxes[:, 2] - anchor_boxes[:, 0]) * (anchor_boxes[:, 3] - anchor_boxes[:, 1])
-        ga = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-        iou = inter / (aa[:, None] + ga[None, :] - inter)
+        iou = iou_2d_pairs(self.grid.boxes2d()[:, None], gt[None])  # (anchors, gt)
         best_gt = iou.argmax(axis=1)
-        best_iou = iou[np.arange(len(anchor_boxes)), best_gt]
-        labels = np.full(len(anchor_boxes), -2, dtype=np.intp)
+        best_iou = iou[np.arange(len(iou)), best_gt]
+        labels = np.full(len(iou), -2, dtype=np.intp)
         labels[best_iou < loss_cfg.negative_iou] = -1
         pos = best_iou >= loss_cfg.positive_iou
         labels[pos] = best_gt[pos]
@@ -258,6 +252,20 @@ class ToyDetector:
         hh, ww = np.divmod(pos, W)
         chan = tmpl[:, None] * k + np.arange(k)[None, :]
         return head_out[(b, chan, hh[:, None], ww[:, None])]
+
+    def gather_deltas(self, heads, b, flat_pos):
+        """The (n, 4) 2D and (n, 7) 3D deltas of item b of the batched heads at
+        flat anchor indices. (tx, ty)3d is the center head's residual, which is
+        in units of the best template's size, re-expressed in the anchor's."""
+        W = self.feature_hw[1]
+        pos, tmpl = np.divmod(flat_pos, self.grid.per_position)
+        hh, ww = np.divmod(pos, W)
+        center = heads["center"][(b, np.arange(2)[None, :], hh[:, None], ww[:, None])]
+        best_wh = heads["best_hw"][b, hh, ww][:, ::-1]  # (w_a, h_a) of the best template
+        txy3 = center * Tensor(best_wh) / Tensor(self.grid.templates[tmpl])
+        d3 = Tensor.concat([txy3, self._gather(heads["depth"], b, 1, flat_pos),
+                            self._gather(heads["box3d"], b, 4, flat_pos)], axis=1)
+        return self._gather(heads["box2d"], b, 4, flat_pos), d3
 
     def scene_loss(self, scenes, loss_cfg):
         """One forward over the stacked images of `scenes`; returns a list of
@@ -273,9 +281,6 @@ class ToyDetector:
         pos_idx = np.flatnonzero(labels >= 0)
         neg_idx = np.flatnonzero(labels == -1)
         used = np.concatenate([pos_idx, neg_idx])
-
-        W = self.feature_hw[1]
-        A = self.grid.per_position
         logits_all = self._gather(heads["cls"], b, self.num_classes, used)
         targets_all = np.where(labels[used] >= 0, 1, 0)
 
@@ -288,43 +293,22 @@ class ToyDetector:
             zero = Tensor(0.0)
             return l_cls, zero, zero
 
-        d2 = self._gather(heads["box2d"], b, 4, pos_idx)        # tx, ty, tw, th
-        d3_rest = self._gather(heads["box3d"], b, 4, pos_idx)   # tw, th, tl, ta
-        tz = self._gather(heads["depth"], b, 1, pos_idx)        # tz
-
-        _, tmpl = np.divmod(pos_idx, A)
-        grid_pos = pos_idx // A
-        centers = self.grid.centers[grid_pos]
-        wh = self.grid.templates[tmpl]
-        stats = self.grid.stats3d[tmpl]
+        d2, d3 = self.gather_deltas(heads, b, pos_idx)
+        anchors = self.grid.rows(pos_idx)
+        gt = labels[pos_idx]
+        gt_boxes = np.array([box.as_array() for box in scene.boxes2d])[gt]
+        _, target_d3 = encode(anchors, gt_boxes, scene.params3d[gt])
 
         # decoded 2D corners, on tape
-        cx = d2[:, 0] * wh[:, 0] + centers[:, 0]
-        cy = d2[:, 1] * wh[:, 1] + centers[:, 1]
-        bw = d2[:, 2].exp() * wh[:, 0]
-        bh = d2[:, 3].exp() * wh[:, 1]
+        x, y, w, h = anchors[:, :4].T
+        cx = d2[:, 0] * w + x
+        cy = d2[:, 1] * h + y
+        bw = d2[:, 2].exp() * w
+        bh = d2[:, 3].exp() * h
         pred_boxes = Tensor.concat(
             [(cx - bw * 0.5).reshape(-1, 1), (cy - bh * 0.5).reshape(-1, 1),
              (cx + bw * 0.5).reshape(-1, 1), (cy + bh * 0.5).reshape(-1, 1)], axis=1)
-        gt_boxes = np.array([scene.boxes2d[g].as_array() for g in labels[pos_idx]])
-        l_2d = loss_2d(pred_boxes, gt_boxes)
-
-        # 3D deltas: predicted-center head supplies (tx, ty)3d per position
-        hh, ww = np.divmod(grid_pos, W)
-        center_px = heads["center"][(b, np.arange(2)[None, :], hh[:, None], ww[:, None])]
-        best_wh = heads["best_hw"][b, hh, ww][:, ::-1]  # (w_a, h_a) of best template
-        tx3 = center_px[:, 0] * Tensor(best_wh[:, 0] / wh[:, 0])
-        ty3 = center_px[:, 1] * Tensor(best_wh[:, 1] / wh[:, 1])
-        pred_d3 = Tensor.concat(
-            [tx3.reshape(-1, 1), ty3.reshape(-1, 1), tz, d3_rest], axis=1)
-
-        targets_d3 = []
-        for a_idx, g in zip(pos_idx, labels[pos_idx]):
-            anc = self.grid.anchor(a_idx)
-            deltas = encode(anc, scene.boxes2d[g], scene.params3d[g])
-            targets_d3.append(deltas.d3)
-        l_3d = loss_3d(pred_d3, np.array(targets_d3))
-        return l_cls, l_2d, l_3d
+        return l_cls, loss_2d(pred_boxes, gt_boxes), loss_3d(d3, target_d3)
 
 
 def check_image_shapes(scenes):

@@ -127,8 +127,8 @@ def test_codec_roundtrip():
         d2 = rng.uniform(-1.0, 1.0, size=4)
         d3 = rng.uniform(-1.0, 1.0, size=7)
         box, p3 = decode(anc, BoxDeltas(d2, d3))
-        back = encode(anc, box, p3)
-        worst = max(worst, np.abs(back.d2 - d2).max(), np.abs(back.d3 - d3).max())
+        back2, back3 = encode(anc.as_array()[None], box.as_array()[None], np.array([p3]))
+        worst = max(worst, np.abs(back2[0] - d2).max(), np.abs(back3[0] - d3).max())
     grid = generate_anchor_grid((4, 4))
     sizes = default_sizes()
     ok = (worst <= 1e-9 and grid.per_position == 36

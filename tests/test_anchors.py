@@ -19,6 +19,20 @@ def random_anchor(rng):
     )
 
 
+def scalar_encode(anchor, box2d, params3d):
+    """One anchor's (d2, d3) by scalar arithmetic: the reference for the
+    row-wise `encode`."""
+    cx, cy = box2d.center
+    w, h = anchor.w2d, anchor.h2d
+    d2 = [(cx - anchor.x) / w, (cy - anchor.y) / h,
+          math.log(box2d.w / w), math.log(box2d.h / h)]
+    z0, w0, h0, l0, a0 = anchor.stats3d
+    xp, yp, zp, w3, h3, l3, ang = params3d
+    d3 = [(xp - anchor.x) / w, (yp - anchor.y) / h, zp - z0,
+          math.log(w3 / w0), math.log(h3 / h0), math.log(l3 / l0), wrap_angle(ang - a0)]
+    return d2, d3
+
+
 class TestSizeLadder:
     def test_endpoints(self):
         sizes = default_sizes()
@@ -87,9 +101,9 @@ class TestCodec:
             d2 = rng.uniform(-1.0, 1.0, size=4)
             d3 = rng.uniform(-1.0, 1.0, size=7)
             box, p3 = decode(anc, BoxDeltas(d2, d3))
-            back = encode(anc, box, p3)
-            np.testing.assert_allclose(back.d2, d2, atol=1e-9)
-            np.testing.assert_allclose(back.d3, d3, atol=1e-9)
+            back2, back3 = encode(anc.as_array()[None], box.as_array()[None], np.array([p3]))
+            np.testing.assert_allclose(back2[0], d2, atol=1e-9)
+            np.testing.assert_allclose(back3[0], d3, atol=1e-9)
 
     def test_roundtrip_other_direction(self):
         rng = np.random.default_rng(2)
@@ -100,7 +114,8 @@ class TestCodec:
             p3 = (rng.uniform(0, 1000), rng.uniform(0, 300), rng.uniform(5, 70),
                   rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(1, 6),
                   rng.uniform(-math.pi, math.pi))
-            box, back3 = decode(anc, encode(anc, gt, p3))
+            d2, d3 = encode(anc.as_array()[None], gt.as_array()[None], np.array([p3]))
+            box, back3 = decode(anc, BoxDeltas(d2[0], d3[0]))
             np.testing.assert_allclose(box.as_array(), gt.as_array(), atol=1e-9)
             np.testing.assert_allclose(back3[:6], p3[:6], atol=1e-9)
             assert abs(wrap_angle(back3[6] - p3[6])) < 1e-9
@@ -114,9 +129,33 @@ class TestCodec:
     def test_encode_rejects_degenerate(self):
         anc = Anchor(0.0, 0.0, 10.0, 10.0, np.array([30.0, 1.0, 1.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="positive"):
-            encode(anc, Box2D(0, 0, 0, 0), (0, 0, 30, 1, 1, 1, 0))
+            encode(anc.as_array()[None], [[0, 0, 0, 0]], [(0, 0, 30, 1, 1, 1, 0)])
         with pytest.raises(ValueError, match="positive"):
-            encode(anc, Box2D(0, 0, 10, 10), (0, 0, 30, -1.0, 1, 1, 0))
+            encode(anc.as_array()[None], [[0, 0, 10, 10]], [(0, 0, 30, -1.0, 1, 1, 0)])
+
+    def test_rows_match_scalar_oracle(self):
+        rng = np.random.default_rng(6)
+        n = 500
+        anchors = [random_anchor(rng) for _ in range(n)]
+        boxes = [Box2D.from_center(rng.uniform(0, 1200), rng.uniform(0, 370),
+                                   rng.uniform(1, 300), rng.uniform(1, 300)) for _ in range(n)]
+        p3 = np.column_stack([rng.uniform(0, 1200, n), rng.uniform(0, 370, n),
+                              rng.uniform(1, 80, n), rng.uniform(0.3, 4, (n, 3)),
+                              rng.uniform(-3 * math.pi, 3 * math.pi, n)])
+        p3[:5, 6] = [a.stats3d[4] + k * math.pi for a, k in zip(anchors, (-3, -1, 0, 1, 3))]
+        rows = np.array([a.as_array() for a in anchors])
+        d2, d3 = encode(rows, np.array([b.as_array() for b in boxes]), p3)
+        want = [scalar_encode(a, b, p) for a, b, p in zip(anchors, boxes, p3)]
+        np.testing.assert_allclose(d2, [w[0] for w in want], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d3, [w[1] for w in want], rtol=1e-12, atol=0)
+        bad_box = np.array([b.as_array() for b in boxes])
+        bad_box[7, 3] = bad_box[7, 1]
+        with pytest.raises(ValueError, match="2D box must have positive size"):
+            encode(rows, bad_box, p3)
+        bad_p3 = p3.copy()
+        bad_p3[9, 5] = 0.0
+        with pytest.raises(ValueError, match="3D dimensions must be positive"):
+            encode(rows, np.array([b.as_array() for b in boxes]), bad_p3)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError, match="deltas"):

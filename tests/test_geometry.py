@@ -358,3 +358,6 @@ class TestPairKernels:
         got = iou_2d_pairs(boxes[:, 0], boxes[:, 1])
         want = [iou_2d(Box2D(*p), Box2D(*q)) for p, q in boxes]
         assert got.tolist() == want
+        rows, cols = boxes[::10, 0], boxes[:60:6, 1]   # (N, 1, 4) x (1, G, 4) matrix
+        got = iou_2d_pairs(rows[:, None], cols[None])
+        assert got.tolist() == [[iou_2d(Box2D(*p), Box2D(*q)) for q in cols] for p in rows]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mono3d.geometry import iou_2d
 from mono3d.losses import LossConfig, total_loss
 from mono3d.tensor import Tensor
 from mono3d.train import (SGD, Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes,
@@ -98,6 +99,23 @@ class TestToyDetector:
         assert labels.shape == (len(model.grid),)
         assert set(np.unique(labels)).issubset(set(range(-2, len(scenes[0].boxes2d))))
 
+    def test_anchor_matching_brute_force_oracle(self):
+        cfg = LossConfig()
+        model = ToyDetector((48, 80), seed=0)
+        anchors = [model.grid.anchor(i).box2d() for i in range(len(model.grid))]
+        for seed, count in ((1, 1), (2, 2), (3, 3), (4, 4)):
+            for sc in make_synthetic_scenes(count=2, objects_per_scene=count, seed=seed):
+                want = []
+                for a in anchors:
+                    ious = [iou_2d(a, g) for g in sc.boxes2d]
+                    best = max(range(len(ious)), key=lambda j: (ious[j], -j))
+                    if ious[best] >= cfg.positive_iou:
+                        want.append(best)
+                    else:
+                        want.append(-1 if ious[best] < cfg.negative_iou else -2)
+                assert model.match_anchors(sc.boxes2d, cfg).tolist() == want
+                assert max(want) >= 0
+
     def test_scene_loss_finite(self):
         scenes = make_synthetic_scenes(count=1, seed=2)
         model = ToyDetector((48, 80), seed=0)
@@ -164,7 +182,47 @@ class TestBatchedForward:
             assert np.abs(g - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+    def test_gather_deltas_match_per_candidate_assembly(self):
+        model, scenes = self.model_and_scenes()
+        heads = model.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
+        H, W = model.feature_hw
+        A = model.grid.per_position
+        flat = np.random.default_rng(5).permutation(len(model.grid))[:200]
+        for b in range(len(scenes)):
+            d2, d3 = model.gather_deltas(heads, b, flat)
+            # the per-candidate assembly `detect` made from its reshaped maps
+            d2_map = heads["box2d"].data[b].reshape(A, 4, H, W)
+            d3rest_map = heads["box3d"].data[b].reshape(A, 4, H, W)
+            tz_map = heads["depth"].data[b].reshape(A, 1, H, W)
+            center_map = heads["center"].data[b]
+            best_hw = heads["best_hw"][b]
+            want2, want3 = [], []
+            for f in flat:
+                hh, ww = divmod(int(f) // A, W)
+                t = int(f) % A
+                anchor = model.grid.anchor(f)
+                w_b, h_b = best_hw[hh, ww, 1], best_hw[hh, ww, 0]
+                want2.append(d2_map[t, :, hh, ww])
+                want3.append([center_map[0, hh, ww] * w_b / anchor.w2d,
+                              center_map[1, hh, ww] * h_b / anchor.h2d,
+                              tz_map[t, 0, hh, ww], *d3rest_map[t, :, hh, ww]])
+            assert np.array_equal(d2.data, np.array(want2))
+            assert np.array_equal(d3.data, np.array(want3))
+
+
 class TestTrainToy:
+    def test_scene_without_objects_is_background(self):
+        scenes = (make_synthetic_scenes(count=3, seed=1)
+                  + make_synthetic_scenes(count=1, objects_per_scene=0, seed=2))
+        model = ToyDetector((48, 80), seed=0)
+        model.fit_anchors(scenes)
+        cfg = LossConfig()
+        assert np.all(model.match_anchors(scenes[3].boxes2d, cfg) == -1)
+        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[3]], cfg)
+        assert l_2d.item() == 0.0 and l_3d.item() == 0.0 and np.isfinite(l_cls.item())
+        trace, _ = train_toy(scenes, steps=2, train_cfg=TrainConfig(total_steps=2, warmup_steps=1))
+        assert len(trace) == 2 and np.isfinite(np.array(trace)).all()
+
     def test_rejects_mixed_image_shapes(self):
         scenes = make_synthetic_scenes(count=2, seed=3)
         scenes += make_synthetic_scenes(count=1, image_hw=(40, 80), seed=3)
