@@ -11,7 +11,7 @@ from .ops import ConvSpec, adaptive_avg_pool, bilinear_sample, conv2d, softmax_l
 from .gradcheck import GradReport, grad_check
 from .align import OffsetField, align_conv, center_align_offsets, select_best_anchor, shape_align_offsets
 from .attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool, reference_nonlocal
-from .anchors import Anchor, AnchorGrid, BoxDeltas, decode, encode, fit_anchor_3d_stats, generate_anchor_grid
+from .anchors import AnchorGrid, decode, encode, fit_anchor_3d_stats, generate_anchor_grid
 from .geometry import Box2D, Box3D, CameraIntrinsics, backproject, iou_2d, iou_3d, iou_bev, project
 from .losses import LossConfig, loss_2d, loss_3d, loss_cls, mine_hard, total_loss
 from .postproc import Detection, confidence_filter, nms, optimize_rotation

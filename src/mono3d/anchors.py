@@ -9,15 +9,12 @@ plus projected 3D parameters, and is an exact algebraic inverse pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Box2D, iou_2d_pairs, wrap_angle
 
 __all__ = [
-    "Anchor",
-    "BoxDeltas",
     "AnchorGrid",
     "default_sizes",
     "generate_anchor_grid",
@@ -35,42 +32,6 @@ def default_sizes(count=12, base=24.0, top_factor=12.0):
     """Exponential size ladder base * factor^(i/(count-1)), 24 .. 288 by default."""
     i = np.arange(count)
     return base * top_factor ** (i / (count - 1))
-
-
-@dataclass
-class Anchor:
-    """One anchor instance: pixel center, 2D template, fitted 3D statistics."""
-
-    x: float
-    y: float
-    w2d: float
-    h2d: float
-    stats3d: np.ndarray = field(default_factory=lambda: np.zeros(5))  # z, w, h, l, alpha
-    template: int = 0
-
-    def box2d(self):
-        return Box2D.from_center(self.x, self.y, self.w2d, self.h2d)
-
-    def as_array(self):
-        """The (9,) row [x, y, w2d, h2d, z, w, h, l, alpha] that `encode` takes."""
-        return np.array([self.x, self.y, self.w2d, self.h2d, *self.stats3d])
-
-
-@dataclass
-class BoxDeltas:
-    """Regression targets/outputs: (tx, ty, tw, th) 2D and
-    (tx, ty, tz, tw, th, tl, ta) 3D."""
-
-    d2: np.ndarray
-    d3: np.ndarray
-
-    def __post_init__(self):
-        self.d2 = np.asarray(self.d2, dtype=np.float64)
-        self.d3 = np.asarray(self.d3, dtype=np.float64)
-        if self.d2.shape != (4,) or self.d3.shape != (7,):
-            raise ValueError(f"deltas must be (4,), (7,), got {self.d2.shape}, {self.d3.shape}")
-        if not (np.all(np.isfinite(self.d2)) and np.all(np.isfinite(self.d3))):
-            raise ValueError("non-finite deltas")
 
 
 class AnchorGrid:
@@ -99,15 +60,9 @@ class AnchorGrid:
     def __len__(self):
         return self.centers.shape[0] * self.per_position
 
-    def anchor(self, flat_index):
-        A = self.per_position
-        pos, t = divmod(flat_index, A)
-        cx, cy = self.centers[pos]
-        w, h = self.templates[t]
-        return Anchor(cx, cy, w, h, self.stats3d[t], template=t)
-
     def rows(self, flat_indices):
-        """(n, 9) `Anchor.as_array` rows of the anchors at flat indices."""
+        """(n, 9) rows [x, y, w2d, h2d, z, w, h, l, alpha] of the anchors at
+        flat indices: pixel center, 2D template, the template's 3D stats."""
         pos, t = np.divmod(flat_indices, self.per_position)
         return np.concatenate([self.centers[pos], self.templates[t], self.stats3d[t]], axis=1)
 
@@ -135,24 +90,25 @@ def generate_anchor_grid(feature_hw, stride=8, sizes=None, ratios=DEFAULT_RATIOS
     return AnchorGrid(feature_hw, stride, templates)
 
 
-def fit_anchor_3d_stats(grid, objects, iou_thresh=0.5):
+def fit_anchor_3d_stats(grid, boxes2d, params, iou_thresh=0.5):
     """Fill each template's 3D stats with the mean over overlapping objects.
 
     An object contributes to a template when any anchor of that template has
     2D IoU >= iou_thresh with it. Templates that match nothing inherit the
     global mean so every anchor stays decodable.
-    objects: iterable of (Box2D, (z, w, h, l, alpha)).
+    boxes2d: (n, 4) [x1, y1, x2, y2]; params: (n, 5) (z, w, h, l, alpha).
     """
-    objects = list(objects)
-    if not objects:
+    params = np.asarray(params, dtype=np.float64)
+    if len(params) == 0:
         raise ValueError("cannot fit anchor statistics from an empty label set")
-    boxes = np.array([b.as_array() for b, _ in objects])
-    params = np.array([p for _, p in objects], dtype=np.float64)
-    if params.shape[1] != 5:
+    if params.ndim != 2 or params.shape[1] != 5:
         raise ValueError("3D parameters must be (z, w, h, l, alpha)")
+    if np.shape(boxes2d) != (len(params), 4):
+        raise ValueError(f"need one [x1, y1, x2, y2] box per parameter row, got boxes of "
+                         f"shape {np.shape(boxes2d)} for {len(params)} rows")
 
     A = grid.per_position
-    iou = iou_2d_pairs(grid.boxes2d().reshape(-1, A, 1, 4), boxes)  # (positions, A, objects)
+    iou = iou_2d_pairs(grid.boxes2d().reshape(-1, A, 1, 4), boxes2d)  # (positions, A, objects)
     matched = (iou >= iou_thresh).any(axis=0)
     stats = np.tile(params.mean(axis=0), (A, 1))
     for t in np.flatnonzero(matched.any(axis=1)):
@@ -161,22 +117,21 @@ def fit_anchor_3d_stats(grid, objects, iou_thresh=0.5):
     return grid
 
 
-def decode(anchor, deltas):
-    """Deltas -> (Box2D, projected 3D params (xp, yp, zp, w, h, l, angle)).
+def decode(anchor, d2, d3):
+    """One (9,) anchor row (`AnchorGrid.rows`) and its (4,) 2D and (7,) 3D
+    deltas -> (Box2D, projected 3D params (xp, yp, zp, w, h, l, angle)).
 
     2D/3D centers shift by delta * template size; 2D/3D dimensions scale by
     exp(delta); projected depth and angle are additive, angle wrapped to
     (-pi, pi].
     """
-    tx, ty, tw, th = deltas.d2
-    w, h = anchor.w2d, anchor.h2d
-    box2d = Box2D.from_center(tx * w + anchor.x, ty * h + anchor.y,
-                              math.exp(tw) * w, math.exp(th) * h)
-    z0, w0, h0, l0, a0 = anchor.stats3d
-    tx3, ty3, tz3, tw3, th3, tl3, ta3 = deltas.d3
+    x, y, w, h, z0, w0, h0, l0, a0 = anchor
+    tx, ty, tw, th = d2
+    box2d = Box2D.from_center(tx * w + x, ty * h + y, math.exp(tw) * w, math.exp(th) * h)
+    tx3, ty3, tz3, tw3, th3, tl3, ta3 = d3
     params3d = (
-        tx3 * w + anchor.x,
-        ty3 * h + anchor.y,
+        tx3 * w + x,
+        ty3 * h + y,
         tz3 + z0,
         math.exp(tw3) * w0,
         math.exp(th3) * h0,
@@ -188,7 +143,7 @@ def decode(anchor, deltas):
 
 def encode(anchors, boxes2d, params3d):
     """Exact inverse of `decode`, row by row: the (n, 4) 2D and (n, 7) 3D
-    deltas of (n, 9) anchor rows (`Anchor.as_array`) against (n, 4)
+    deltas of (n, 9) anchor rows (`AnchorGrid.rows`) against (n, 4)
     [x1, y1, x2, y2] ground-truth boxes and (n, 7) projected 3D parameters
     (xp, yp, zp, w, h, l, angle). Ground-truth sizes must be positive."""
     a = np.asarray(anchors, dtype=np.float64)

@@ -59,6 +59,7 @@ def _apply_config(args, parser, argv):
 def cmd_demo(args):
     from .detector import ToyPipeline
     from .evaluate import EvalConfig, evaluate_class
+    from .geometry import alpha_to_yaw, backproject
     from .kitti import LabelRecord, detection_to_record, write_result_file
     from .train import make_synthetic_scenes
 
@@ -74,10 +75,9 @@ def cmd_demo(args):
     for sc, dets in zip(scenes, all_dets):
         gts = []
         for box, p in zip(sc.boxes2d, sc.params3d):
-            from .geometry import backproject
             x, y, z = backproject(sc.cam, (p[0], p[1], p[2]))
-            gts.append(LabelRecord("Car", 0.0, 0, p[6], (box.x1, box.y1, box.x2, box.y2),
-                                   (p[4], p[3], p[5]), (x, y, z), p[6]))
+            gts.append(LabelRecord("Car", 0.0, 0, p[6], tuple(box), (p[4], p[3], p[5]),
+                                   (x, y, z), alpha_to_yaw(p[6], x, z)))
         frames.append((dets, gts))
     n_det = sum(len(d) for d, _ in frames)
     print(f"{n_det} detections above confidence {args.conf}")

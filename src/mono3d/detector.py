@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .align import NonFiniteOffsetsError
-from .anchors import BoxDeltas, decode
+from .anchors import decode
 from .geometry import Box3D, alpha_to_yaw, backproject
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
 from .tensor import no_grad
@@ -55,11 +55,11 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     scores = score_map[t, hh, ww]
     finite = np.isfinite(scores) & np.isfinite(d2).all(axis=1) & np.isfinite(d3).all(axis=1)
     non_finite = int((~finite).sum())
+    rows = model.grid.rows(flat)
     dets = []
     for i in np.flatnonzero(finite):
         try:
-            box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(
-                model.grid.anchor(flat[i]), BoxDeltas(d2[i], d3[i]))
+            box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(rows[i], d2[i], d3[i])
         except OverflowError:  # a size delta too large for exp: an infinite box
             non_finite += 1
             continue

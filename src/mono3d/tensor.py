@@ -72,10 +72,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad=False):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def from_op(data, parents, backward):
         out = Tensor(data)
         if _recording and any(p.requires_grad for p in parents):
@@ -98,9 +94,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None

@@ -16,7 +16,7 @@ import numpy as np
 from .align import align_conv, center_align_offsets, select_best_anchor, shape_align_offsets
 from .anchors import encode, fit_anchor_3d_stats, generate_anchor_grid
 from .attention import AnabParams, PyramidSpec, anab_forward
-from .geometry import Box2D, CameraIntrinsics, iou_2d_pairs
+from .geometry import CameraIntrinsics, iou_2d_pairs
 from .losses import LossConfig, loss_2d, loss_3d, loss_cls, mine_hard, per_sample_ce, total_loss
 from .ops import ConvSpec, conv2d
 from .tensor import Tensor
@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 STRIDE = 8
+IMAGE_CHANNELS = 3
+FEAT_CHANNELS = 16
+NUM_CLASSES = 2            # class 0 is background, class 1 the one foreground class
+ANCHOR_SIZES = (16.0, 24.0, 36.0)
+ANCHOR_RATIOS = (0.5, 1.0, 1.5)
+PYRAMID_LEVELS = (1, 2)
+HEAD_SCALE = 8.0           # fixed output gain of the heads; raises their effective lr
 
 
 @dataclass
@@ -93,7 +100,7 @@ class SGD:
 @dataclass
 class Scene:
     image: Tensor                  # (1, 3, H, W)
-    boxes2d: list                  # list of Box2D
+    boxes2d: np.ndarray            # (n, 4): x1, y1, x2, y2
     params3d: np.ndarray           # (n, 7): xp, yp, zp, w, h, l, alpha
     cam: CameraIntrinsics
 
@@ -116,9 +123,10 @@ def make_synthetic_scenes(count=8, image_hw=(48, 80), objects_per_scene=2, seed=
             bh = bw * rng.uniform(0.8, 1.2)
             cx = rng.uniform(bw / 2 + 2, W - bw / 2 - 2)
             cy = rng.uniform(bh / 2 + 2, H - bh / 2 - 2)
-            box = Box2D.from_center(cx, cy, bw, bh)
+            box = (cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
+            x1, y1, x2, y2 = map(int, box)
             shade = rng.uniform(0.6, 1.0, size=3)
-            img[0, :, int(box.y1):int(box.y2), int(box.x1):int(box.x2)] += shade[:, None, None]
+            img[0, :, y1:y2, x1:x2] += shade[:, None, None]
             z = 60.0 * 1.6 / bh  # apparent height ~ f * H3d / z
             w3 = rng.uniform(1.5, 1.8)
             h3 = rng.uniform(1.3, 1.6)
@@ -126,61 +134,46 @@ def make_synthetic_scenes(count=8, image_hw=(48, 80), objects_per_scene=2, seed=
             alpha = rng.uniform(-0.4, 0.4)
             boxes.append(box)
             params.append((cx, cy, z, w3, h3, l3, alpha))
-        scenes.append(Scene(Tensor(img), boxes, np.array(params), cam))
+        scenes.append(Scene(Tensor(img), np.array(boxes).reshape(-1, 4),
+                            np.array(params).reshape(-1, 7), cam))
     return scenes
 
 
 # -- toy detector -------------------------------------------------------------
 
 
-@dataclass
-class ToyDetectorConfig:
-    image_channels: int = 3
-    feat_channels: int = 16
-    num_fg_classes: int = 1
-    anchor_sizes: tuple = (16.0, 24.0, 36.0)
-    anchor_ratios: tuple = (0.5, 1.0, 1.5)
-    pyramid_levels: tuple = (1, 2)
-    head_scale: float = 8.0    # fixed output gain; raises effective head lr
-
-
 class ToyDetector:
     """Stride-8 backbone + aligned multi-task heads, all on the autodiff tape."""
 
-    def __init__(self, image_hw, config=None, seed=0):
-        self.config = config or ToyDetectorConfig()
-        c = self.config
+    def __init__(self, image_hw, seed=0):
         rng = np.random.default_rng(seed)
         self.image_hw = tuple(image_hw)
         self.feature_hw = (image_hw[0] // STRIDE, image_hw[1] // STRIDE)
         self.grid = generate_anchor_grid(
-            self.feature_hw, STRIDE, sizes=np.array(c.anchor_sizes), ratios=c.anchor_ratios
+            self.feature_hw, STRIDE, sizes=np.array(ANCHOR_SIZES), ratios=ANCHOR_RATIOS
         )
         A = self.grid.per_position
-        self.num_classes = c.num_fg_classes + 1  # class 0 is background
-        ch = c.feat_channels
+        self.num_classes = NUM_CLASSES
+        ch = FEAT_CHANNELS
         gain = np.sqrt(2.0)  # relu backbone
         self.backbone = [
-            ConvSpec.init_random(c.image_channels, 8, (3, 3), 2, 1, rng=rng, gain=gain),
+            ConvSpec.init_random(IMAGE_CHANNELS, 8, (3, 3), 2, 1, rng=rng, gain=gain),
             ConvSpec.init_random(8, 12, (3, 3), 2, 1, rng=rng, gain=gain),
             ConvSpec.init_random(12, ch, (3, 3), 2, 1, rng=rng, gain=gain),
         ]
-        # heads start at zero; their fixed output gain c.head_scale speeds learning
+        # heads start at zero; their fixed output gain HEAD_SCALE speeds learning
         self.cls_head = ConvSpec(ch, A * self.num_classes, (1, 1))
         self.shape_conv = ConvSpec.init_random(ch, ch, (3, 3), 1, 1, rng=rng)
         self.center_head = ConvSpec(ch, 2, (1, 1))
         self.center_conv = ConvSpec.init_random(ch, ch, (1, 1), rng=rng)
         self.box2d_head = ConvSpec(ch, A * 4, (1, 1))
         self.box3d_head = ConvSpec(ch, A * 4, (1, 1))  # tw, th, tl, ta
-        self.anab = AnabParams.init_random(ch, pyramid=PyramidSpec(list(c.pyramid_levels)), rng=rng)
+        self.anab = AnabParams.init_random(ch, pyramid=PyramidSpec(list(PYRAMID_LEVELS)), rng=rng)
         self.depth_head = ConvSpec(ch, A * 1, (1, 1))
 
     def fit_anchors(self, scenes):
-        objects = []
-        for sc in scenes:
-            for box, p in zip(sc.boxes2d, sc.params3d):
-                objects.append((box, (p[2], p[3], p[4], p[5], p[6])))
-        fit_anchor_3d_stats(self.grid, objects)
+        fit_anchor_3d_stats(self.grid, np.concatenate([sc.boxes2d for sc in scenes]),
+                            np.concatenate([sc.params3d for sc in scenes])[:, 2:])
 
     def params(self):
         out = []
@@ -193,7 +186,6 @@ class ToyDetector:
     def forward(self, images):
         """Heads of a (B, 3, H, W) batch plus the (B, H, W, 2) (h_a, w_a) map
         used for alignment; every item is aligned by its own offset fields."""
-        c = self.config
         x = images
         for spec in self.backbone:
             x = conv2d(x, spec).relu()
@@ -201,7 +193,7 @@ class ToyDetector:
         H, W = self.feature_hw
         A = self.grid.per_position
 
-        s = c.head_scale
+        s = HEAD_SCALE
         cls_out = conv2d(x, self.cls_head) * s  # (B, A*ncls, H, W)
         # shape alignment from the sigmoid foreground confidence, one shot
         fg = cls_out.data.reshape(B, A, self.num_classes, H, W)[:, :, 1:].max(axis=2)
@@ -222,7 +214,6 @@ class ToyDetector:
             "box2d": conv2d(aligned, self.box2d_head) * s,
             "box3d": conv2d(aligned, self.box3d_head) * s,
             "depth": conv2d(depth_feat, self.depth_head) * s,
-            "attention_conv": self.anab.attention,
             "best_hw": best_hw,
             "features": aligned,
         }
@@ -230,12 +221,12 @@ class ToyDetector:
     # -- loss assembly --------------------------------------------------------
 
     def match_anchors(self, boxes2d, loss_cfg):
-        """Per-anchor labels: gt index for positives, -1 background, -2 ignore.
-        A scene without objects is all background."""
+        """Per-anchor labels against (n, 4) ground-truth boxes: gt index for
+        positives, -1 background, -2 ignore. A scene without objects is all
+        background."""
         if len(boxes2d) == 0:
             return np.full(len(self.grid), -1, dtype=np.intp)
-        gt = np.array([b.as_array() for b in boxes2d])
-        iou = iou_2d_pairs(self.grid.boxes2d()[:, None], gt[None])  # (anchors, gt)
+        iou = iou_2d_pairs(self.grid.boxes2d()[:, None], boxes2d[None])  # (anchors, gt)
         best_gt = iou.argmax(axis=1)
         best_iou = iou[np.arange(len(iou)), best_gt]
         labels = np.full(len(iou), -2, dtype=np.intp)
@@ -296,7 +287,7 @@ class ToyDetector:
         d2, d3 = self.gather_deltas(heads, b, pos_idx)
         anchors = self.grid.rows(pos_idx)
         gt = labels[pos_idx]
-        gt_boxes = np.array([box.as_array() for box in scene.boxes2d])[gt]
+        gt_boxes = scene.boxes2d[gt]
         _, target_d3 = encode(anchors, gt_boxes, scene.params3d[gt])
 
         # decoded 2D corners, on tape

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mono3d.align import OffsetField, align_conv, center_align_offsets, shape_align_offsets
-from mono3d.anchors import BoxDeltas, decode, default_sizes, encode, generate_anchor_grid
+from mono3d.anchors import decode, default_sizes, encode, generate_anchor_grid
 from mono3d.attention import PyramidSpec, anab_forward, complexity_bench, reference_nonlocal
 from mono3d.geometry import (Box3D, CameraIntrinsics, backproject, iou_bev, project,
                              project_box)
@@ -126,8 +126,8 @@ def test_codec_roundtrip():
         anc = random_anchor(rng)
         d2 = rng.uniform(-1.0, 1.0, size=4)
         d3 = rng.uniform(-1.0, 1.0, size=7)
-        box, p3 = decode(anc, BoxDeltas(d2, d3))
-        back2, back3 = encode(anc.as_array()[None], box.as_array()[None], np.array([p3]))
+        box, p3 = decode(anc, d2, d3)
+        back2, back3 = encode(anc[None], box.as_array()[None], np.array([p3]))
         worst = max(worst, np.abs(back2[0] - d2).max(), np.abs(back3[0] - d3).max())
     grid = generate_anchor_grid((4, 4))
     sizes = default_sizes()

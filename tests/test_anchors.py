@@ -3,32 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from mono3d.anchors import (Anchor, BoxDeltas, decode, default_sizes, encode,
-                            fit_anchor_3d_stats, generate_anchor_grid, load_anchor_stats,
-                            save_anchor_stats)
+from mono3d.anchors import (decode, default_sizes, encode, fit_anchor_3d_stats,
+                            generate_anchor_grid, load_anchor_stats, save_anchor_stats)
 from mono3d.geometry import Box2D, iou_2d, wrap_angle
 
 
 def random_anchor(rng):
-    return Anchor(
-        x=rng.uniform(0.0, 1200.0), y=rng.uniform(0.0, 370.0),
-        w2d=rng.uniform(8.0, 300.0), h2d=rng.uniform(8.0, 300.0),
-        stats3d=np.array([rng.uniform(5.0, 70.0), rng.uniform(0.5, 3.0),
-                          rng.uniform(0.5, 3.0), rng.uniform(1.0, 6.0),
-                          rng.uniform(-math.pi, math.pi)]),
-    )
+    """A (9,) anchor row [x, y, w2d, h2d, z, w, h, l, alpha]."""
+    return np.array([rng.uniform(0.0, 1200.0), rng.uniform(0.0, 370.0),
+                     rng.uniform(8.0, 300.0), rng.uniform(8.0, 300.0),
+                     rng.uniform(5.0, 70.0), rng.uniform(0.5, 3.0),
+                     rng.uniform(0.5, 3.0), rng.uniform(1.0, 6.0),
+                     rng.uniform(-math.pi, math.pi)])
+
+
+def anchor_row(x, y, w2d, h2d, alpha=0.0):
+    return np.array([x, y, w2d, h2d, 30.0, 1.0, 1.0, 1.0, alpha])
 
 
 def scalar_encode(anchor, box2d, params3d):
     """One anchor's (d2, d3) by scalar arithmetic: the reference for the
     row-wise `encode`."""
     cx, cy = box2d.center
-    w, h = anchor.w2d, anchor.h2d
-    d2 = [(cx - anchor.x) / w, (cy - anchor.y) / h,
-          math.log(box2d.w / w), math.log(box2d.h / h)]
-    z0, w0, h0, l0, a0 = anchor.stats3d
+    x, y, w, h, z0, w0, h0, l0, a0 = anchor
+    d2 = [(cx - x) / w, (cy - y) / h, math.log(box2d.w / w), math.log(box2d.h / h)]
     xp, yp, zp, w3, h3, l3, ang = params3d
-    d3 = [(xp - anchor.x) / w, (yp - anchor.y) / h, zp - z0,
+    d3 = [(xp - x) / w, (yp - y) / h, zp - z0,
           math.log(w3 / w0), math.log(h3 / h0), math.log(l3 / l0), wrap_angle(ang - a0)]
     return d2, d3
 
@@ -65,17 +65,16 @@ class TestAnchorGrid:
 
     def test_centers_at_cell_centers(self):
         grid = generate_anchor_grid((2, 3), stride=8, sizes=[24.0], ratios=(1.0,))
-        a = grid.anchor(0)
-        assert (a.x, a.y) == (4.0, 4.0)
         # flat index = (row * W + col) * A + template
-        a = grid.anchor((1 * 3 + 2) * 1)
-        assert (a.x, a.y) == (2 * 8 + 4.0, 1 * 8 + 4.0)
+        rows = grid.rows(np.array([0, (1 * 3 + 2) * 1]))
+        assert rows[:, :2].tolist() == [[4.0, 4.0], [2 * 8 + 4.0, 1 * 8 + 4.0]]
 
     def test_boxes2d_agrees_with_anchor(self):
         grid = generate_anchor_grid((2, 2), sizes=[16.0, 32.0])
         boxes = grid.boxes2d()
-        for idx in (0, 5, len(grid) - 1):
-            np.testing.assert_allclose(boxes[idx], grid.anchor(idx).box2d().as_array(),
+        idx = np.array([0, 5, len(grid) - 1])
+        for i, row in zip(idx, grid.rows(idx)):
+            np.testing.assert_allclose(boxes[i], Box2D.from_center(*row[:4]).as_array(),
                                        atol=1e-12)
 
 
@@ -83,15 +82,15 @@ class TestCodec:
     def test_zero_deltas_reproduce_anchor(self):
         rng = np.random.default_rng(0)
         anc = random_anchor(rng)
-        box, p3 = decode(anc, BoxDeltas(np.zeros(4), np.zeros(7)))
-        assert box.center == pytest.approx((anc.x, anc.y))
-        assert (box.w, box.h) == pytest.approx((anc.w2d, anc.h2d))
-        np.testing.assert_allclose(p3[:2], [anc.x, anc.y], atol=1e-12)
-        np.testing.assert_allclose(p3[2:], anc.stats3d, atol=1e-12)
+        box, p3 = decode(anc, np.zeros(4), np.zeros(7))
+        assert box.center == pytest.approx(tuple(anc[:2]))
+        assert (box.w, box.h) == pytest.approx(tuple(anc[2:4]))
+        np.testing.assert_allclose(p3[:2], anc[:2], atol=1e-12)
+        np.testing.assert_allclose(p3[2:], anc[4:], atol=1e-12)
 
     def test_log_width_delta(self):
-        anc = Anchor(100.0, 50.0, 24.0, 24.0, np.array([30.0, 1.0, 1.0, 1.0, 0.0]))
-        box, _ = decode(anc, BoxDeltas([0.0, 0.0, math.log(2.0), 0.0], np.zeros(7)))
+        box, _ = decode(anchor_row(100.0, 50.0, 24.0, 24.0),
+                        np.array([0.0, 0.0, math.log(2.0), 0.0]), np.zeros(7))
         assert box.w == pytest.approx(48.0, abs=1e-12)
 
     def test_roundtrip_many(self):
@@ -100,8 +99,8 @@ class TestCodec:
             anc = random_anchor(rng)
             d2 = rng.uniform(-1.0, 1.0, size=4)
             d3 = rng.uniform(-1.0, 1.0, size=7)
-            box, p3 = decode(anc, BoxDeltas(d2, d3))
-            back2, back3 = encode(anc.as_array()[None], box.as_array()[None], np.array([p3]))
+            box, p3 = decode(anc, d2, d3)
+            back2, back3 = encode(anc[None], box.as_array()[None], np.array([p3]))
             np.testing.assert_allclose(back2[0], d2, atol=1e-9)
             np.testing.assert_allclose(back3[0], d3, atol=1e-9)
 
@@ -114,24 +113,24 @@ class TestCodec:
             p3 = (rng.uniform(0, 1000), rng.uniform(0, 300), rng.uniform(5, 70),
                   rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(1, 6),
                   rng.uniform(-math.pi, math.pi))
-            d2, d3 = encode(anc.as_array()[None], gt.as_array()[None], np.array([p3]))
-            box, back3 = decode(anc, BoxDeltas(d2[0], d3[0]))
+            d2, d3 = encode(anc[None], gt.as_array()[None], np.array([p3]))
+            box, back3 = decode(anc, d2[0], d3[0])
             np.testing.assert_allclose(box.as_array(), gt.as_array(), atol=1e-9)
             np.testing.assert_allclose(back3[:6], p3[:6], atol=1e-9)
             assert abs(wrap_angle(back3[6] - p3[6])) < 1e-9
 
     def test_angle_wrapped_into_range(self):
-        anc = Anchor(0.0, 0.0, 10.0, 10.0, np.array([30.0, 1.0, 1.0, 1.0, 3.0]))
-        _, p3 = decode(anc, BoxDeltas(np.zeros(4), np.array([0, 0, 0, 0, 0, 0, 1.0])))
+        _, p3 = decode(anchor_row(0.0, 0.0, 10.0, 10.0, alpha=3.0), np.zeros(4),
+                       np.array([0, 0, 0, 0, 0, 0, 1.0]))
         assert -math.pi < p3[6] <= math.pi
         assert p3[6] == pytest.approx(4.0 - 2.0 * math.pi, abs=1e-12)
 
     def test_encode_rejects_degenerate(self):
-        anc = Anchor(0.0, 0.0, 10.0, 10.0, np.array([30.0, 1.0, 1.0, 1.0, 0.0]))
+        anc = anchor_row(0.0, 0.0, 10.0, 10.0)
         with pytest.raises(ValueError, match="positive"):
-            encode(anc.as_array()[None], [[0, 0, 0, 0]], [(0, 0, 30, 1, 1, 1, 0)])
+            encode(anc[None], [[0, 0, 0, 0]], [(0, 0, 30, 1, 1, 1, 0)])
         with pytest.raises(ValueError, match="positive"):
-            encode(anc.as_array()[None], [[0, 0, 10, 10]], [(0, 0, 30, -1.0, 1, 1, 0)])
+            encode(anc[None], [[0, 0, 10, 10]], [(0, 0, 30, -1.0, 1, 1, 0)])
 
     def test_rows_match_scalar_oracle(self):
         rng = np.random.default_rng(6)
@@ -142,8 +141,8 @@ class TestCodec:
         p3 = np.column_stack([rng.uniform(0, 1200, n), rng.uniform(0, 370, n),
                               rng.uniform(1, 80, n), rng.uniform(0.3, 4, (n, 3)),
                               rng.uniform(-3 * math.pi, 3 * math.pi, n)])
-        p3[:5, 6] = [a.stats3d[4] + k * math.pi for a, k in zip(anchors, (-3, -1, 0, 1, 3))]
-        rows = np.array([a.as_array() for a in anchors])
+        p3[:5, 6] = [a[8] + k * math.pi for a, k in zip(anchors, (-3, -1, 0, 1, 3))]
+        rows = np.array(anchors)
         d2, d3 = encode(rows, np.array([b.as_array() for b in boxes]), p3)
         want = [scalar_encode(a, b, p) for a, b, p in zip(anchors, boxes, p3)]
         np.testing.assert_allclose(d2, [w[0] for w in want], rtol=1e-12, atol=0)
@@ -157,79 +156,81 @@ class TestCodec:
         with pytest.raises(ValueError, match="3D dimensions must be positive"):
             encode(rows, np.array([b.as_array() for b in boxes]), bad_p3)
 
-    def test_delta_validation(self):
-        with pytest.raises(ValueError, match="deltas"):
-            BoxDeltas(np.zeros(3), np.zeros(7))
-        with pytest.raises(ValueError, match="non-finite"):
-            BoxDeltas(np.zeros(4), np.full(7, np.inf))
+
+def box_rows(*boxes):
+    """(n, 4) corner rows of (cx, cy, w, h) boxes."""
+    return np.array([Box2D.from_center(*b).as_array() for b in boxes])
 
 
 class TestFit3dStats:
     def test_single_object_single_template(self):
         grid = generate_anchor_grid((4, 4), stride=8, sizes=[20.0], ratios=(1.0,))
-        obj = (Box2D.from_center(12.0, 12.0, 20.0, 20.0), (42.0, 1.5, 1.4, 3.8, 0.3))
-        fit_anchor_3d_stats(grid, [obj])
+        fit_anchor_3d_stats(grid, box_rows((12.0, 12.0, 20.0, 20.0)),
+                            [(42.0, 1.5, 1.4, 3.8, 0.3)])
         np.testing.assert_allclose(grid.stats3d[0], [42.0, 1.5, 1.4, 3.8, 0.3])
 
     def test_mean_over_matches(self):
         grid = generate_anchor_grid((4, 4), stride=8, sizes=[20.0], ratios=(1.0,))
-        objs = [
-            (Box2D.from_center(12.0, 12.0, 20.0, 20.0), (40.0, 1.0, 1.0, 3.0, 0.0)),
-            (Box2D.from_center(20.0, 20.0, 20.0, 20.0), (60.0, 2.0, 2.0, 5.0, 0.4)),
-        ]
-        fit_anchor_3d_stats(grid, objs)
+        fit_anchor_3d_stats(grid, box_rows((12.0, 12.0, 20.0, 20.0), (20.0, 20.0, 20.0, 20.0)),
+                            [(40.0, 1.0, 1.0, 3.0, 0.0), (60.0, 2.0, 2.0, 5.0, 0.4)])
         np.testing.assert_allclose(grid.stats3d[0], [50.0, 1.5, 1.5, 4.0, 0.2])
 
     def test_unmatched_template_gets_global_mean(self):
         # a tiny template never reaches IoU 0.5 with a large object
         grid = generate_anchor_grid((4, 4), stride=8, sizes=[4.0, 20.0], ratios=(1.0,))
-        obj = (Box2D.from_center(12.0, 12.0, 20.0, 20.0), (42.0, 1.5, 1.4, 3.8, 0.3))
-        fit_anchor_3d_stats(grid, [obj])
+        fit_anchor_3d_stats(grid, box_rows((12.0, 12.0, 20.0, 20.0)),
+                            [(42.0, 1.5, 1.4, 3.8, 0.3)])
         np.testing.assert_allclose(grid.stats3d[0], [42.0, 1.5, 1.4, 3.8, 0.3])
         np.testing.assert_allclose(grid.stats3d[1], [42.0, 1.5, 1.4, 3.8, 0.3])
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
         grid = generate_anchor_grid((6, 8), stride=8, sizes=[12.0, 24.0, 48.0])
-        objs = []
+        boxes, params = [], []
         for _ in range(12):
             w = rng.uniform(8.0, 60.0)
             h = w * rng.uniform(0.6, 1.6)
             cx, cy = rng.uniform(0, 64), rng.uniform(0, 48)
-            objs.append((Box2D.from_center(cx, cy, w, h),
-                         tuple(rng.uniform(1.0, 50.0, size=5))))
-        fit_anchor_3d_stats(grid, objs)
+            boxes.append(Box2D.from_center(cx, cy, w, h))
+            params.append(rng.uniform(1.0, 50.0, size=5))
+        params = np.array(params)
+        fit_anchor_3d_stats(grid, np.array([b.as_array() for b in boxes]), params)
 
-        params = np.array([p for _, p in objs])
         A = grid.per_position
+        anchors = [Box2D.from_center(*row[:4]) for row in grid.rows(np.arange(len(grid)))]
         global_mean = params.mean(axis=0)
         for t in range(A):
-            matched = []
-            for k, (box, p) in enumerate(objs):
-                hit = any(
-                    iou_2d(grid.anchor(flat).box2d(), box) >= 0.5
-                    for flat in range(t, len(grid), A)
-                )
-                if hit:
-                    matched.append(k)
+            matched = [k for k, box in enumerate(boxes)
+                       if any(iou_2d(a, box) >= 0.5 for a in anchors[t::A])]
             want = params[matched].mean(axis=0) if matched else global_mean
             np.testing.assert_allclose(grid.stats3d[t], want, atol=1e-12)
 
     def test_object_order_invariance(self):
         rng = np.random.default_rng(4)
-        objs = [(Box2D.from_center(rng.uniform(5, 40), rng.uniform(5, 40),
-                                   rng.uniform(10, 30), rng.uniform(10, 30)),
-                 tuple(rng.uniform(1.0, 9.0, size=5))) for _ in range(8)]
+        boxes, params = [], []
+        for _ in range(8):
+            boxes.append((rng.uniform(5, 40), rng.uniform(5, 40),
+                          rng.uniform(10, 30), rng.uniform(10, 30)))
+            params.append(rng.uniform(1.0, 9.0, size=5))
+        boxes, params = box_rows(*boxes), np.array(params)
         g1 = generate_anchor_grid((6, 6), sizes=[16.0, 24.0])
         g2 = generate_anchor_grid((6, 6), sizes=[16.0, 24.0])
-        fit_anchor_3d_stats(g1, objs)
-        fit_anchor_3d_stats(g2, objs[::-1])
+        fit_anchor_3d_stats(g1, boxes, params)
+        fit_anchor_3d_stats(g2, boxes[::-1], params[::-1])
         np.testing.assert_allclose(g1.stats3d, g2.stats3d, atol=1e-12)
 
     def test_empty_labels_error(self):
         grid = generate_anchor_grid((2, 2), sizes=[16.0])
         with pytest.raises(ValueError, match="empty"):
-            fit_anchor_3d_stats(grid, [])
+            fit_anchor_3d_stats(grid, np.zeros((0, 4)), np.zeros((0, 5)))
+
+    def test_shape_errors(self):
+        grid = generate_anchor_grid((2, 2), sizes=[16.0])
+        boxes = box_rows((8.0, 8.0, 16.0, 16.0), (4.0, 4.0, 2.0, 2.0))
+        with pytest.raises(ValueError, match=r"\(z, w, h, l, alpha\)"):
+            fit_anchor_3d_stats(grid, boxes, np.ones((2, 7)))
+        with pytest.raises(ValueError, match="one .* box per parameter row"):
+            fit_anchor_3d_stats(grid, boxes, np.ones((1, 5)))
 
 
 class TestStatsIO:

@@ -185,3 +185,26 @@ class TestTrainToy:
         lines = trace.read_text().splitlines()
         assert len(lines) == 4
         assert "total" in capsys.readouterr().out
+
+
+class TestDemo:
+    def test_writes_results_and_yaw_ground_truth(self, tmp_path, monkeypatch):
+        import mono3d.evaluate as evaluate
+        from mono3d.geometry import yaw_to_alpha
+
+        evaluate_class = evaluate.evaluate_class
+        seen = []
+
+        def capture(frames, *args, **kwargs):
+            seen.append(frames)
+            return evaluate_class(frames, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "evaluate_class", capture)
+        out = tmp_path / "results"
+        assert main(["demo", "--steps", "3", "--scenes", "2", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "000001.txt"]
+        gts = [gt for frames in seen for _, frame_gts in frames for gt in frame_gts]
+        assert seen and gts
+        for gt in gts:  # rotation_y is the yaw, as for detections, not alpha
+            x, _, z = gt.location
+            assert abs(yaw_to_alpha(gt.rotation_y, x, z) - gt.alpha) <= 1e-12

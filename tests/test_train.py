@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mono3d.geometry import iou_2d
+from mono3d.geometry import Box2D, iou_2d
 from mono3d.losses import LossConfig, total_loss
 from mono3d.tensor import Tensor
 from mono3d.train import (SGD, Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes,
@@ -69,14 +69,15 @@ class TestSyntheticScenes:
             np.testing.assert_array_equal(sa.params3d, sb.params3d)
 
     def test_layout(self):
-        scenes = make_synthetic_scenes(count=2, image_hw=(48, 80))
-        for sc in scenes:
-            assert sc.image.shape == (1, 3, 48, 80)
-            assert sc.params3d.shape == (len(sc.boxes2d), 7)
-            # projected center coincides with the 2D box center
-            for box, p in zip(sc.boxes2d, sc.params3d):
-                assert box.center == pytest.approx((p[0], p[1]))
-            assert np.all(sc.params3d[:, 2] > 0.0)
+        for n in (2, 0):
+            for sc in make_synthetic_scenes(count=2, image_hw=(48, 80), objects_per_scene=n):
+                assert sc.image.shape == (1, 3, 48, 80)
+                assert sc.boxes2d.shape == (n, 4)
+                assert sc.params3d.shape == (n, 7)
+                # projected center coincides with the 2D box center
+                np.testing.assert_allclose((sc.boxes2d[:, :2] + sc.boxes2d[:, 2:]) / 2.0,
+                                           sc.params3d[:, :2], rtol=1e-12)
+                assert np.all(sc.params3d[:, 2] > 0.0)
 
 
 class TestToyDetector:
@@ -102,12 +103,14 @@ class TestToyDetector:
     def test_anchor_matching_brute_force_oracle(self):
         cfg = LossConfig()
         model = ToyDetector((48, 80), seed=0)
-        anchors = [model.grid.anchor(i).box2d() for i in range(len(model.grid))]
+        anchors = [Box2D.from_center(*row[:4])
+                   for row in model.grid.rows(np.arange(len(model.grid)))]
         for seed, count in ((1, 1), (2, 2), (3, 3), (4, 4)):
             for sc in make_synthetic_scenes(count=2, objects_per_scene=count, seed=seed):
+                gts = [Box2D(*g) for g in sc.boxes2d]
                 want = []
                 for a in anchors:
-                    ious = [iou_2d(a, g) for g in sc.boxes2d]
+                    ious = [iou_2d(a, g) for g in gts]
                     best = max(range(len(ious)), key=lambda j: (ious[j], -j))
                     if ious[best] >= cfg.positive_iou:
                         want.append(best)
@@ -200,11 +203,11 @@ class TestBatchedForward:
             for f in flat:
                 hh, ww = divmod(int(f) // A, W)
                 t = int(f) % A
-                anchor = model.grid.anchor(f)
+                w_a, h_a = model.grid.templates[t]
                 w_b, h_b = best_hw[hh, ww, 1], best_hw[hh, ww, 0]
                 want2.append(d2_map[t, :, hh, ww])
-                want3.append([center_map[0, hh, ww] * w_b / anchor.w2d,
-                              center_map[1, hh, ww] * h_b / anchor.h2d,
+                want3.append([center_map[0, hh, ww] * w_b / w_a,
+                              center_map[1, hh, ww] * h_b / h_a,
                               tz_map[t, 0, hh, ww], *d3rest_map[t, :, hh, ww]])
             assert np.array_equal(d2.data, np.array(want2))
             assert np.array_equal(d3.data, np.array(want3))
