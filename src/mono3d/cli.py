@@ -74,8 +74,8 @@ def cmd_demo(args):
     frames = []
     for sc, dets in zip(scenes, all_dets):
         gts = []
-        for box, p in zip(sc.boxes2d, sc.params3d):
-            x, y, z = backproject(sc.cam, (p[0], p[1], p[2]))
+        centers = backproject(sc.cam, sc.params3d[:, :3]).tolist()
+        for box, p, (x, y, z) in zip(sc.boxes2d, sc.params3d, centers):
             gts.append(LabelRecord("Car", 0.0, 0, p[6], tuple(box), (p[4], p[3], p[5]),
                                    (x, y, z), alpha_to_yaw(p[6], x, z)))
         frames.append((dets, gts))

@@ -43,8 +43,8 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     ncls = model.num_classes
 
     logits = heads["cls"].data[0].reshape(A, ncls, H, W)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
     fg = probs[:, 1:, :, :]
     score_map = fg.max(axis=1)          # (A, H, W)
     class_map = fg.argmax(axis=1) + 1
@@ -56,18 +56,21 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
     finite = np.isfinite(scores) & np.isfinite(d2).all(axis=1) & np.isfinite(d3).all(axis=1)
     non_finite = int((~finite).sum())
     rows = model.grid.rows(flat)
-    dets = []
+    # one `decode` call per finite candidate (the benchmark's detection funnel
+    # counts candidates by these calls), then one back-projection for all
+    decoded = []  # (candidate, box2d, projected 3D params) in front of the camera
     for i in np.flatnonzero(finite):
         try:
-            box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(rows[i], d2[i], d3[i])
+            box2d, params = decode(rows[i], d2[i], d3[i])
         except OverflowError:  # a size delta too large for exp: an infinite box
             non_finite += 1
             continue
-        if zp <= 0.0:
-            continue
-        x, y, z = backproject(scene.cam, (xp, yp, zp))
-        yaw = alpha_to_yaw(alpha, x, z)
-        box3d = Box3D(x, y, z, w3, h3, l3, yaw, alpha=alpha)
+        if params[2] > 0.0:
+            decoded.append((i, box2d, params))
+    centers = backproject(scene.cam, np.array([p[:3] for _, _, p in decoded]).reshape(-1, 3))
+    dets = []
+    for (i, box2d, (_, _, _, w3, h3, l3, alpha)), (x, y, z) in zip(decoded, centers.tolist()):
+        box3d = Box3D(x, y, z, w3, h3, l3, alpha_to_yaw(alpha, x, z), alpha=alpha)
         dets.append(Detection(int(class_map[t[i], hh[i], ww[i]]), float(scores[i]),
                               box2d, box3d, alpha))
     if non_finite:

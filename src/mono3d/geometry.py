@@ -131,13 +131,21 @@ def project(cam, point):
 
 
 def backproject(cam, pixel):
-    """Exact inverse of `project`, including the 3x4 translation column."""
-    xp, yp, zp = pixel
-    if zp <= 0.0:
-        raise ValueError(f"non-positive projected depth {zp}")
-    rhs = zp * np.array([xp, yp, 1.0]) - cam.K[:, 3]
-    p = np.linalg.solve(cam.K[:, :3], rhs)
-    return float(p[0]), float(p[1]), float(p[2])
+    """Exact inverse of `project`, including the 3x4 translation column.
+
+    A (3,) pixel (x_p, y_p, z_p) gives an (x, y, z) tuple of floats; (n, 3)
+    pixel rows give the (n, 3) points, from one solve over n right-hand sides.
+    """
+    p = np.asarray(pixel, dtype=np.float64)
+    if p.shape[-1:] != (3,) or p.ndim > 2:
+        raise ValueError(f"pixel must be (3,) or (n, 3), got shape {p.shape}")
+    rows = p.reshape(-1, 3)
+    bad = rows[:, 2] <= 0.0
+    if bad.any():
+        raise ValueError(f"non-positive projected depth {rows[bad, 2][0]}")
+    rhs = np.column_stack([rows[:, :2] * rows[:, 2:], rows[:, 2]]) - cam.K[:, 3]
+    pts = np.linalg.solve(cam.K[:, :3], rhs.T).T
+    return tuple(pts[0].tolist()) if p.ndim == 1 else pts
 
 
 def alpha_to_yaw(alpha, x, z):
@@ -153,24 +161,34 @@ def yaw_to_alpha(yaw, x, z):
     return wrap_angle(yaw - math.atan2(x, z))
 
 
+# Local corner signs of (l / 2, h, w / 2): the bottom face (y = 0) first,
+# then the top face (y = -h) in the same order.
+_CORNER_SIGNS = np.array([
+    [1, 0, 1], [1, 0, -1], [-1, 0, -1], [-1, 0, 1],
+    [1, -1, 1], [1, -1, -1], [-1, -1, -1], [-1, -1, 1],
+], dtype=np.float64)
+
+
 def box3d_corners(box):
     """8 corners, (8, 3). Bottom face at y, top face at y - h; yaw about y."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    lx = np.array([1, 1, -1, -1, 1, 1, -1, -1]) * (box.l / 2.0)
-    ly = np.array([0, 0, 0, 0, -1, -1, -1, -1]) * box.h
-    lz = np.array([1, -1, -1, 1, 1, -1, -1, 1]) * (box.w / 2.0)
-    local = np.stack([lx, ly, lz], axis=1)
+    local = _CORNER_SIGNS * np.array([box.l / 2.0, box.h, box.w / 2.0])
     return local @ rot.T + np.array([box.x, box.y, box.z])
 
 
 def project_box(box, cam):
-    """Axis-aligned image envelope of the 8 projected corners."""
+    """Axis-aligned image envelope of the 8 projected corners, which are
+    projected with one product."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
-    proj = np.array([project(cam, p) for p in pts])
-    return Box2D(proj[:, 0].min(), proj[:, 1].min(), proj[:, 0].max(), proj[:, 1].max())
+    h = pts @ cam.K[:, :3].T + cam.K[:, 3]
+    behind = h[:, 2] <= 0.0
+    if behind.any():
+        raise ValueError(f"point behind camera: projected depth {h[behind, 2][0]}")
+    u, v = h[:, 0] / h[:, 2], h[:, 1] / h[:, 2]
+    return Box2D(u.min(), v.min(), u.max(), v.max())
 
 
 # -- IoU ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ like "P2" to 3x4 matrices given as 12 floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +53,7 @@ def _num(field_str, line_no, field_no):
         v = float(field_str)
     except ValueError:
         raise ValueError(f"line {line_no}, field {field_no}: not numeric: {field_str!r}")
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"line {line_no}, field {field_no}: non-finite value {field_str!r}")
     return v
 

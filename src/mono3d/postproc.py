@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box2D, Box3D, iou_2d, project_box, wrap_angle
+from .geometry import Box2D, Box3D, iou_2d_pairs, project_box, wrap_angle
 
 __all__ = ["Detection", "nms", "confidence_filter", "optimize_rotation"]
 
@@ -30,15 +30,21 @@ def nms(dets, iou_thresh=0.4):
     """Greedy descending-score suppression on 2D IoU, per class.
 
     Ties in score keep the lower original index first; classes never suppress
-    each other.
+    each other. One (n, n) IoU matrix, masked to same-class pairs, serves the
+    greedy pass.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    boxes = np.array([(d.box2d.x1, d.box2d.y1, d.box2d.x2, d.box2d.y2) for d in dets],
+                     dtype=np.float64).reshape(-1, 4)
+    cls = np.array([d.class_id for d in dets])
+    overlaps = ((iou_2d_pairs(boxes[:, None], boxes[None]) > iou_thresh)
+                & (cls[:, None] == cls[None]))
+    suppressed = np.zeros(len(dets), dtype=bool)
     kept = []
     for i in order:
-        d = dets[i]
-        if all(k.class_id != d.class_id or iou_2d(k.box2d, d.box2d) <= iou_thresh
-               for k in kept):
-            kept.append(d)
+        if not suppressed[i]:
+            kept.append(dets[i])
+            suppressed |= overlaps[i]
     return kept
 
 

@@ -109,7 +109,11 @@ class Tensor:
     # -- autodiff -------------------------------------------------------------
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this node. `grad` defaults to ones."""
+        """Reverse-mode sweep from this node. `grad` defaults to ones.
+
+        An interior node's gradient is freed once its backward closure has
+        run; leaves and this node keep theirs.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         topo, seen = [], set()
@@ -135,6 +139,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 

@@ -3,9 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mono3d.detector as detector
+import mono3d.postproc as postproc
+from mono3d.anchors import decode
 from mono3d.detector import ToyPipeline, detect
-from mono3d.postproc import Detection
-from mono3d.tensor import Tensor
+from mono3d.geometry import Box2D, Box3D, alpha_to_yaw, box3d_corners, iou_2d, project
+from mono3d.postproc import Detection, optimize_rotation
+from mono3d.tensor import Tensor, no_grad
 from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy, TrainConfig
 
 
@@ -141,3 +145,97 @@ class TestNonFiniteOutputs:
         assert len(rec) == 1
         assert got[1] == []
         assert got[0] == want[0] and got[2] == want[2]
+
+
+def per_corner_project_box(box, cam):
+    """`project_box` as it was: one `project` call per corner."""
+    pts = box3d_corners(box)
+    if np.any(pts[:, 2] <= 0.0):
+        raise ValueError("box extends behind the camera")
+    proj = np.array([project(cam, p) for p in pts])
+    return Box2D(proj[:, 0].min(), proj[:, 1].min(), proj[:, 0].max(), proj[:, 1].max())
+
+
+def per_candidate_detect(model, scene, score_floor, nms_iou, conf_thresh):
+    """`detect` as it was: one back-projection solve per candidate, NMS by
+    scalar `iou_2d` against every kept box, and a yaw search that projects
+    one corner at a time. Gives the detections and the `decode` call count."""
+    with no_grad():
+        heads = model.forward(scene.image)
+    H, W = model.feature_hw
+    A = model.grid.per_position
+    logits = heads["cls"].data[0].reshape(A, model.num_classes, H, W)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    fg = probs[:, 1:, :, :]
+    score_map, class_map = fg.max(axis=1), fg.argmax(axis=1) + 1
+    t, hh, ww = np.nonzero((score_map >= score_floor) | ~np.isfinite(score_map))
+    flat = (hh * W + ww) * A + t
+    d2, d3 = (d.data for d in model.gather_deltas(heads, 0, flat))
+    scores = score_map[t, hh, ww]
+    finite = np.isfinite(scores) & np.isfinite(d2).all(axis=1) & np.isfinite(d3).all(axis=1)
+    rows = model.grid.rows(flat)
+    dets, decodes = [], 0
+    for i in np.flatnonzero(finite):
+        decodes += 1
+        box2d, (xp, yp, zp, w3, h3, l3, alpha) = decode(rows[i], d2[i], d3[i])
+        if zp <= 0.0:
+            continue
+        rhs = zp * np.array([xp, yp, 1.0]) - scene.cam.K[:, 3]
+        x, y, z = (float(v) for v in np.linalg.solve(scene.cam.K[:, :3], rhs))
+        box3d = Box3D(x, y, z, w3, h3, l3, alpha_to_yaw(alpha, x, z), alpha=alpha)
+        dets.append(Detection(int(class_map[t[i], hh[i], ww[i]]), float(scores[i]),
+                              box2d, box3d, alpha))
+    kept = []
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+        d = dets[i]
+        if all(k.class_id != d.class_id or iou_2d(k.box2d, d.box2d) <= nms_iou for k in kept):
+            kept.append(d)
+    kept = [d for d in kept if d.score >= conf_thresh]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(postproc, "project_box", per_corner_project_box)
+        return [optimize_rotation(d, scene.cam)[0] for d in kept], decodes
+
+
+class TestArrayPostProcessing:
+    """`detect` with array-wise back-projection, NMS and box projection
+    against the per-candidate path it replaced."""
+
+    SETTINGS = dict(score_floor=0.1, nms_iou=0.4, conf_thresh=0.3)
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        _, model = train_toy(make_synthetic_scenes(count=8, seed=7), steps=40, seed=0)
+        held_out = make_synthetic_scenes(count=6, seed=11, objects_per_scene=3)
+        return model, held_out
+
+    def test_decode_once_per_finite_candidate(self, trained, monkeypatch):
+        model, scenes = trained
+        calls = []
+
+        def counting_decode(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(detector, "decode", counting_decode)
+        for scene in scenes:
+            calls.clear()
+            detect(model, scene, **self.SETTINGS)
+            _, want = per_candidate_detect(model, scene, **self.SETTINGS)
+            assert want > 0 and len(calls) == want
+
+    def test_matches_per_candidate_path(self, trained):
+        model, scenes = trained
+        total = 0
+        for scene in scenes:
+            got = detect(model, scene, **self.SETTINGS)
+            want, _ = per_candidate_detect(model, scene, **self.SETTINGS)
+            assert [(d.class_id, d.score) for d in got] == [(d.class_id, d.score) for d in want]
+            for g, w in zip(got, want):
+                assert g.alpha == w.alpha
+                np.testing.assert_allclose(g.box2d.as_array(), w.box2d.as_array(),
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(g.box3d.as_array(), w.box3d.as_array(),
+                                           rtol=0, atol=1e-12)
+            total += len(got)
+        assert total >= 5

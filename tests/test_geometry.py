@@ -100,6 +100,30 @@ class TestProjection:
         with pytest.raises(ValueError, match="depth"):
             backproject(CAM, (600.0, 180.0, 0.0))
 
+    def test_row_form_matches_per_row_calls(self):
+        rng = np.random.default_rng(5)
+        K = CAM.K.copy()
+        K[:, 3] = [44.8, 0.2, 0.003]
+        cam = CameraIntrinsics(K)
+        pts = np.column_stack([rng.uniform(-20, 20, 200), rng.uniform(-5, 5, 200),
+                               rng.uniform(1.0, 80.0, 200)])
+        pixels = np.array([project(cam, p) for p in pts])
+        got = backproject(cam, pixels)
+        assert got.shape == (200, 3)
+        np.testing.assert_allclose(got, [backproject(cam, p) for p in pixels], rtol=0, atol=1e-12)
+        assert backproject(cam, pixels[:0]).shape == (0, 3)
+
+    def test_scalar_form_gives_a_float_tuple(self):
+        back = backproject(CAM, np.array([640.0, 200.0, 12.0]))
+        assert isinstance(back, tuple) and [type(v) for v in back] == [float] * 3
+
+    def test_row_form_rejects_non_positive_depth(self):
+        pixels = np.array([[600.0, 180.0, 10.0], [600.0, 180.0, -2.0], [600.0, 180.0, 0.0]])
+        with pytest.raises(ValueError, match=r"non-positive projected depth -2\.0"):
+            backproject(CAM, pixels)
+        with pytest.raises(ValueError, match="pixel must be"):
+            backproject(CAM, np.ones((2, 4)))
+
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError, match="3x4"):
             CameraIntrinsics(np.eye(3))
@@ -163,9 +187,28 @@ class TestBox3dCorners:
                                        [proj[:, 0].min(), proj[:, 1].min(),
                                         proj[:, 0].max(), proj[:, 1].max()], atol=1e-12)
 
+    def test_envelope_oracle_with_translation_column(self):
+        K = CAM.K.copy()
+        K[:, 3] = [44.8, 0.2, 0.003]
+        cam = CameraIntrinsics(K)
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            box = random_box3d(rng)
+            proj = np.array([project(cam, p)[:2] for p in box3d_corners(box)])
+            np.testing.assert_allclose(project_box(box, cam).as_array(),
+                                       [*proj.min(axis=0), *proj.max(axis=0)], rtol=0, atol=1e-12)
+
     def test_envelope_behind_camera(self):
-        with pytest.raises(ValueError, match="behind"):
+        with pytest.raises(ValueError, match="box extends behind the camera"):
             project_box(Box3D(0, 0, 1.0, 2, 2, 10, 0.0), CAM)
+
+    def test_envelope_projected_depth_behind_camera(self):
+        # every corner has z > 0, but the translation column moves the
+        # projected depth of each below zero
+        K = CAM.K.copy()
+        K[2, 3] = -30.0
+        with pytest.raises(ValueError, match="point behind camera: projected depth -"):
+            project_box(Box3D(0.0, 1.0, 20.0, 2.0, 2.0, 4.0, 0.0), CameraIntrinsics(K))
 
 
 class TestIou2d:

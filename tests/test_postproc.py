@@ -96,6 +96,15 @@ class TestNms:
         once = nms(dets, 0.4)
         assert nms(once, 0.4) == once
 
+    def test_overlap_at_threshold_kept(self):
+        # IoU of the two boxes is 40 / 100, exactly the threshold
+        dets = [make_det(0.9, 0, 0, 10, 10), make_det(0.8, 0, 0, 10, 4)]
+        assert iou_2d(dets[0].box2d, dets[1].box2d) == 0.4
+        assert nms(dets, 0.4) == dets
+
+    def test_empty(self):
+        assert nms([], 0.4) == []
+
     def test_score_ties_keep_lower_index(self):
         dets = [make_det(0.5, 0, 0, 10, 10), make_det(0.5, 1, 1, 11, 11)]
         assert nms(dets, 0.3) == [dets[0]]

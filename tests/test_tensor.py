@@ -39,6 +39,57 @@ def test_reused_node_accumulates():
     assert x.grad == pytest.approx(2 * 2.0 + 3.0)
 
 
+class TestInteriorGradientsFreed:
+    """`backward` frees an interior node's gradient once its closure has run;
+    leaves and the root keep theirs, and the leaf gradients do not change."""
+
+    @staticmethod
+    def graph():
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(1, 2, 6, 7)), requires_grad=True)
+        spec = ConvSpec.init_random(2, 3, (3, 3), 1, 1, rng=rng)
+        h = conv2d(x, spec).relu()
+        loss = (h * h.sigmoid() + h * 0.5).sum()   # h feeds three ops
+        return [x] + spec.params(), h, loss
+
+    @staticmethod
+    def backward_keeping_gradients(root):
+        """The sweep without freeing: the same topological order, every node
+        keeps its gradient."""
+        topo, seen = [], {id(root)}
+        stack = [(root, iter(root._parents))]
+        while stack:
+            cur, it = stack[-1]
+            for p in it:
+                if id(p) not in seen and p.requires_grad:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                topo.append(cur)
+                stack.pop()
+        root.accumulate_grad(np.ones_like(root.data))
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+
+    def test_leaf_gradients_bitwise_unchanged(self):
+        leaves, h, loss = self.graph()
+        loss.backward()
+        ref_leaves, ref_h, ref_loss = self.graph()
+        self.backward_keeping_gradients(ref_loss)
+        assert ref_h.grad is not None
+        for got, want in zip(leaves, ref_leaves):
+            assert np.array_equal(got.grad, want.grad)
+
+    def test_interior_gradient_freed_root_kept(self):
+        leaves, h, loss = self.graph()
+        loss.backward()
+        assert h.grad is None
+        assert loss.grad == 1.0
+        assert all(t.grad is not None for t in leaves)
+
+
 class TestAccumulateGrad:
     def test_first_negative_zero_reads_positive_zero(self):
         t = Tensor(np.ones(3), requires_grad=True)
