@@ -7,7 +7,7 @@ an independent oracle in the test suite.
 """
 
 from .tensor import Tensor, load_tensor, no_grad, save_tensor
-from .ops import ConvSpec, adaptive_avg_pool, bilinear_sample, conv2d, softmax_lastdim
+from .ops import ConvSpec, conv2d, softmax_lastdim
 from .gradcheck import GradReport, grad_check
 from .align import OffsetField, align_conv, center_align_offsets, select_best_anchor, shape_align_offsets
 from .attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool, reference_nonlocal
@@ -15,7 +15,7 @@ from .anchors import AnchorGrid, decode, encode, fit_anchor_3d_stats, generate_a
 from .geometry import Box2D, Box3D, CameraIntrinsics, backproject, iou_2d, iou_3d, iou_bev, project
 from .losses import LossConfig, loss_2d, loss_3d, loss_cls, mine_hard, total_loss
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
-from .evaluate import EvalConfig, average_precision, bucket, depth_error_report, evaluate_class
+from .evaluate import EvalConfig, average_precision, depth_error_report, evaluate_class
 from .detector import ToyPipeline, detect
 from .train import TrainConfig, lr_at, make_synthetic_scenes, train_toy
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _bilinear_corners, _bilinear_slopes, _columns_backward, _columns_forward
+from .ops import _columns_backward, _columns_forward
 from .tensor import Tensor
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "select_best_anchor",
     "center_align_offsets",
     "align_conv",
-    "export_offsets_csv",
 ]
 
 
@@ -130,6 +129,40 @@ def center_align_offsets(residuals, stride, kernel=(1, 1)):
     return OffsetField(Tensor.from_op(off, (r,), bw), kernel)
 
 
+def _bilinear_corners(y, x_coord, H, W):
+    """The four grid corners around fractional (y, x) on an H x W map.
+
+    Returns four (flat, wy, wx) triples, corners (dy, dx) = (0, 0), (0, 1),
+    (1, 0), (1, 1) in that order: the corner's flat index y * W + x, clipped
+    into the map, and its two bilinear factors, both zero where the corner
+    lies outside the map (zero padding). A corner's value is
+    v[flat] * wy * wx, multiplied in that order (the per-tap loop's order, so
+    reads are bitwise unchanged).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    xq = np.asarray(x_coord, dtype=np.float64)
+    y0 = np.floor(y).astype(np.intp)
+    x0 = np.floor(xq).astype(np.intp)
+    fy, fx = y - y0, xq - x0
+    corners = []
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        yi, xi = y0 + dy, x0 + dx
+        valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
+        flat = np.clip(yi, 0, H - 1) * W + np.clip(xi, 0, W - 1)
+        wy = np.where(valid, fy if dy else 1.0 - fy, 0.0)
+        wx = np.where(valid, fx if dx else 1.0 - fx, 0.0)
+        corners.append((flat, wy, wx))
+    return corners
+
+
+def _bilinear_slopes(vals, corners):
+    """d/dy and d/dx of a bilinear read, from its four corner values."""
+    v00, v01, v10, v11 = vals
+    (_, wy00, wx00), (_, wy01, wx01), (_, wy10, wx10), (_, wy11, wx11) = corners
+    return (v10 * wx10 - v00 * wx00 + v11 * wx11 - v01 * wx01,
+            v01 * wy01 - v00 * wy00 + v11 * wy11 - v10 * wy10)
+
+
 def align_conv(x, spec, field):
     """Convolution whose taps are displaced by `field` and read bilinearly.
 
@@ -211,18 +244,3 @@ def align_conv(x, spec, field):
             spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return Tensor.from_op(out, (x, off, spec.weight, spec.bias), bw)
-
-
-def export_offsets_csv(field, path):
-    """One line per position: h, w, then dy,dx per tap."""
-    off = field.offsets.data
-    if off.ndim != 4:
-        raise ValueError(f"export writes one (H, W, K, 2) field, got shape {off.shape}")
-    H, W, K, _ = off.shape
-    with open(path, "w") as f:
-        header = ["h", "w"] + [f"dy{t},dx{t}" for t in range(K)]
-        f.write(",".join(header) + "\n")
-        for h in range(H):
-            for w in range(W):
-                vals = ",".join(format(v, ".9g") for v in off[h, w].reshape(-1))
-                f.write(f"{h},{w},{vals}\n")

@@ -21,8 +21,6 @@ __all__ = [
     "fit_anchor_3d_stats",
     "encode",
     "decode",
-    "save_anchor_stats",
-    "load_anchor_stats",
 ]
 
 DEFAULT_RATIOS = (0.5, 1.0, 1.5)
@@ -162,32 +160,3 @@ def encode(anchors, boxes2d, params3d):
                          np.log(p3[:, 3:6] / a[:, 5:8]),
                          wrap_angle(p3[:, 6:] - a[:, 8:])], axis=1)
     return d2, d3
-
-
-def save_anchor_stats(grid, path):
-    """One template per line: index, w2d, h2d, z, w, h, l, alpha."""
-    with open(path, "w") as f:
-        f.write("# template w2d h2d z3d w3d h3d l3d alpha\n")
-        for t, ((w, h), s) in enumerate(zip(grid.templates, grid.stats3d)):
-            vals = " ".join(format(v, ".9g") for v in (w, h, *s))
-            f.write(f"{t} {vals}\n")
-
-
-def load_anchor_stats(grid, path):
-    templates, stats = [], []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ValueError(f"expected 8 fields per template line, got {len(parts)}")
-            templates.append([float(parts[1]), float(parts[2])])
-            stats.append([float(v) for v in parts[3:]])
-    templates, stats = np.array(templates), np.array(stats)
-    if templates.shape != grid.templates.shape:
-        raise ValueError("stats table does not match the grid's template bank")
-    grid.templates = templates
-    grid.stats3d = stats
-    return grid

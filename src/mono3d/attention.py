@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ConvSpec, _bin_grid, _bin_spread, _bin_sum, conv2d, softmax_lastdim
+from .ops import ConvSpec, conv2d, softmax_lastdim
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -99,6 +99,39 @@ def attention_map(x, conv1x1):
     if conv1x1.out_channels != 1:
         raise ValueError("attention conv must have a single output channel")
     return conv2d(x, conv1x1).sigmoid()
+
+
+def _bin_grid(hw, bins):
+    """Row and column bins of an (nh, nw) grid over (H, W), as (starts, lengths) pairs.
+
+    Bin p of n over H cells covers [floor(p*H/n), floor((p+1)*H/n)).
+    """
+    grid = []
+    for n_in, n_bins in zip(hw, bins):
+        edges = np.arange(n_bins + 1) * n_in // n_bins
+        grid.append((edges[:-1], edges[1:] - edges[:-1]))
+    return grid
+
+
+def _bin_sum(x, grid):
+    """Sum the last two (H, W) axes of `x` over a `_bin_grid`.
+
+    Separable: one `np.add.reduceat` over the row starts, one over the column
+    starts; empty bins (more bins than cells) sum to 0. Every bin is summed
+    directly, not as a difference of prefix sums, so a one-pixel bin returns
+    its pixel exactly.
+    """
+    (r0, nr), (c0, nc) = grid
+    s = np.add.reduceat(np.add.reduceat(x, r0, axis=-2), c0, axis=-1)
+    s[..., nr == 0, :] = 0.0
+    s[..., nc == 0] = 0.0
+    return s
+
+
+def _bin_spread(g, grid):
+    """Transpose of `_bin_sum`: each bin's value copied onto its (H, W) cells."""
+    (_, nr), (_, nc) = grid
+    return np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1)
 
 
 def pa2_pool(features, attn, spec):

@@ -32,6 +32,26 @@ def load_config(path):
     return values
 
 
+def positive_int(text):
+    """argparse type: an integer >= 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def hw_sizes(text):
+    """argparse type: comma-separated HxW sizes, each side >= 1, as (h, w) pairs."""
+    sizes = []
+    for tok in text.split(","):
+        try:
+            h, w = (positive_int(v) for v in tok.lower().split("x"))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                f"expected HxW sizes with positive sides, like 48x160,96x320; got {text!r}")
+        sizes.append((h, w))
+    return sizes
+
+
 def _apply_config(args, parser, argv):
     """Parse argv again with the --config file's values as the defaults.
 
@@ -108,16 +128,24 @@ def cmd_eval(args):
     class_names = args.classes.split(",")
     frames = []
     for gt_file in sorted(gt_dir.glob("*.txt")):
-        gts = parse_label_file(gt_file)
         det_file = det_dir / gt_file.name
-        dets = []
-        if det_file.exists():
-            for rec in parse_label_file(det_file):
-                if rec.type not in class_names:
-                    continue
-                score = 1.0 if rec.score is None else rec.score
-                dets.append(Detection(class_names.index(rec.type), score,
-                                      rec.as_box2d(), rec.as_box3d(), rec.alpha))
+        path = gt_file
+        try:
+            gts = parse_label_file(gt_file)
+            for gt in gts:  # a degenerate 2D box is this file's error, as in a result file
+                gt.as_box2d()
+            dets = []
+            if det_file.exists():
+                path = det_file
+                for rec in parse_label_file(det_file):
+                    if rec.type not in class_names:
+                        continue
+                    score = 1.0 if rec.score is None else rec.score
+                    dets.append(Detection(class_names.index(rec.type), score,
+                                          rec.as_box2d(), rec.as_box3d(), rec.alpha))
+        except (OSError, ValueError) as e:
+            print(f"error: {path}: {e}", file=sys.stderr)
+            return USAGE_EXIT
         frames.append((dets, gts))
     if not frames:
         print(f"error: no ground-truth files in {gt_dir}", file=sys.stderr)
@@ -153,16 +181,17 @@ def cmd_gradcheck(args):
 def cmd_bench_anab(args):
     from .attention import PyramidSpec, complexity_bench
 
-    sizes = []
-    for tok in args.sizes.split(","):
-        h, w = tok.lower().split("x")
-        sizes.append((int(h), int(w)))
+    shrink = args.nonlocal_shrink
+    for h, w in args.sizes:
+        if h < shrink or w < shrink:
+            print(f"error: size {h}x{w} is smaller than --nonlocal-shrink {shrink}",
+                  file=sys.stderr)
+            return USAGE_EXIT
     spec = PyramidSpec()
     print(f"{'HxW':>10}{'N':>8}{'L':>6}{'anab_ms':>10}{'nonlocal_ms':>13}")
     results = []
-    for h, w in sizes:
-        runs = [complexity_bench(h, w, args.channels, spec,
-                                 nonlocal_hw=(h // args.nonlocal_shrink, w // args.nonlocal_shrink))
+    for h, w in args.sizes:
+        runs = [complexity_bench(h, w, args.channels, spec, nonlocal_hw=(h // shrink, w // shrink))
                 for _ in range(args.runs)]
         anab = statistics.median(r["anab_time"] for r in runs)
         nl = statistics.median(r["nonlocal_time"] for r in runs)
@@ -227,8 +256,8 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("demo", help="train the toy pipeline and report metrics")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--scenes", type=int, default=8)
+    p.add_argument("--steps", type=positive_int, default=200)
+    p.add_argument("--scenes", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--conf", type=float, default=0.75)
     p.add_argument("--mode", choices=("r11", "r40"), default="r40")
@@ -253,10 +282,10 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("bench-anab", help="attention-block scaling benchmark")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--sizes", default="48x160,96x320")
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--nonlocal-shrink", type=int, default=6,
+    p.add_argument("--sizes", type=hw_sizes, default="48x160,96x320")
+    p.add_argument("--channels", type=positive_int, default=64)
+    p.add_argument("--runs", type=positive_int, default=5)
+    p.add_argument("--nonlocal-shrink", type=positive_int, default=6,
                    help="run the quadratic reference at size/shrink")
     p.set_defaults(fn=cmd_bench_anab)
 
@@ -269,8 +298,8 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("train-toy", help="run the toy trainer, write the loss trace")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--scenes", type=int, default=8)
+    p.add_argument("--steps", type=positive_int, default=200)
+    p.add_argument("--scenes", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", help="CSV output path")
     p.set_defaults(fn=cmd_train_toy)

@@ -2,12 +2,11 @@
 
 `detect` turns raw head outputs into scored Detections (decode, back-project,
 angle conversion); `ToyPipeline` wraps the toy trainer and detector behind a
-scikit-learn-style fit/predict/get_params surface.
+scikit-learn-style fit/predict surface.
 """
 
 from __future__ import annotations
 
-import inspect
 import warnings
 
 import numpy as np
@@ -87,9 +86,7 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
 class ToyPipeline:
     """fit/predict wrapper over the synthetic-scene trainer.
 
-    Parameters mirror the training and post-processing knobs; get_params /
-    set_params follow the scikit-learn convention so the pipeline composes
-    with grid-search style tooling.
+    Parameters mirror the training and post-processing knobs.
     """
 
     def __init__(self, steps=200, seed=0, lr_target=0.004, momentum=0.9,
@@ -106,22 +103,6 @@ class ToyPipeline:
         self.refine_rotation = refine_rotation
         self.model_ = None
         self.trace_ = None
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter {name!r} for ToyPipeline")
-            setattr(self, name, value)
-        return self
 
     def _check_scenes(self, scenes):
         scenes = list(scenes)

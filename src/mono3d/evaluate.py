@@ -12,7 +12,6 @@ from .geometry import iou_2d_pairs, iou_3d_pairs, iou_bev_pairs
 __all__ = [
     "EvalConfig",
     "DIFFICULTY_TABLE",
-    "bucket",
     "passes_difficulty",
     "match_detections",
     "average_precision",
@@ -54,14 +53,6 @@ DIFFICULTIES = ("easy", "moderate", "hard")
 def passes_difficulty(height_px, occlusion, truncation, difficulty, table=None):
     min_h, max_occ, max_trunc = (table or DIFFICULTY_TABLE)[difficulty]
     return height_px >= min_h and occlusion <= max_occ and truncation <= max_trunc
-
-
-def bucket(height_px, occlusion, truncation, table=None):
-    """Strictest difficulty the ground truth qualifies for, or "ignored"."""
-    for d in DIFFICULTIES:
-        if passes_difficulty(height_px, occlusion, truncation, d, table):
-            return d
-    return "ignored"
 
 
 def _matrix(m, n_rows):

@@ -1,4 +1,4 @@
-"""Neural-net primitives on the autodiff tensor: conv, bilinear sampling, softmax, pooling.
+"""Neural-net primitives on the autodiff tensor: convolution and softmax.
 
 conv2d and the offset-sampled convolution (`align.align_conv`) share one
 column kernel: each builds a (B, Ci, K = kh*kw, OH, OW) column tensor, by
@@ -16,13 +16,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "ConvSpec",
-    "conv2d",
-    "bilinear_sample",
-    "softmax_lastdim",
-    "adaptive_avg_pool",
-]
+__all__ = ["ConvSpec", "conv2d", "softmax_lastdim"]
 
 
 @dataclass
@@ -169,70 +163,6 @@ def conv2d(x, spec):
     return Tensor.from_op(out, (x, spec.weight, spec.bias), bw)
 
 
-def _bilinear_corners(y, x_coord, H, W):
-    """The four grid corners around fractional (y, x) on an H x W map.
-
-    Returns four (flat, wy, wx) triples, corners (dy, dx) = (0, 0), (0, 1),
-    (1, 0), (1, 1) in that order: the corner's flat index y * W + x, clipped
-    into the map, and its two bilinear factors, both zero where the corner
-    lies outside the map (zero padding). A corner's value is
-    v[flat] * wy * wx, multiplied in that order (the per-tap loop's order, so
-    reads are bitwise unchanged).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    xq = np.asarray(x_coord, dtype=np.float64)
-    y0 = np.floor(y).astype(np.intp)
-    x0 = np.floor(xq).astype(np.intp)
-    fy, fx = y - y0, xq - x0
-    corners = []
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        yi, xi = y0 + dy, x0 + dx
-        valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
-        flat = np.clip(yi, 0, H - 1) * W + np.clip(xi, 0, W - 1)
-        wy = np.where(valid, fy if dy else 1.0 - fy, 0.0)
-        wx = np.where(valid, fx if dx else 1.0 - fx, 0.0)
-        corners.append((flat, wy, wx))
-    return corners
-
-
-def _bilinear_slopes(vals, corners):
-    """d/dy and d/dx of a bilinear read, from its four corner values."""
-    v00, v01, v10, v11 = vals
-    (_, wy00, wx00), (_, wy01, wx01), (_, wy10, wx10), (_, wy11, wx11) = corners
-    return (v10 * wx10 - v00 * wx00 + v11 * wx11 - v01 * wx01,
-            v01 * wy01 - v00 * wy00 + v11 * wy11 - v10 * wy10)
-
-
-def bilinear_sample(x, y, x_coord, b=0, c=0):
-    """Sample one value from a (B, C, H, W) tensor at fractional (y, x).
-
-    Zero padding outside the spatial bounds; differentiable in the input
-    values and, when y / x_coord are Tensors, in the coordinates too.
-    """
-    yt = y if isinstance(y, Tensor) else Tensor(y)
-    xt = x_coord if isinstance(x_coord, Tensor) else Tensor(x_coord)
-    B, C, H, W = x.shape
-    b, c = np.asarray(b), np.asarray(c)
-    corners = _bilinear_corners(yt.data, xt.data, H, W)
-    vals = [x.data.reshape(B, C, H * W)[b, c, flat] for flat, _, _ in corners]
-    val = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, corners))
-
-    def bw(g):
-        g = np.asarray(g)
-        if x.requires_grad:
-            gx = np.zeros((B, C, H * W))
-            for flat, wy, wx in corners:
-                np.add.at(gx, (b, c, flat), g * wy * wx)
-            x.accumulate_grad(gx.reshape(x.shape))
-        dy, dx = _bilinear_slopes(vals, corners)
-        if yt.requires_grad:
-            yt.accumulate_grad(g * dy)
-        if xt.requires_grad:
-            xt.accumulate_grad(g * dx)
-
-    return Tensor.from_op(val, (x, yt, xt), bw)
-
-
 def softmax_lastdim(x):
     """Row-stabilized softmax over the last dimension, in one output buffer."""
     out = x.data - x.data.max(axis=-1, keepdims=True)
@@ -243,53 +173,5 @@ def softmax_lastdim(x):
         g = np.asarray(g)
         dot = (g * out).sum(axis=-1, keepdims=True)
         x.accumulate_grad(out * (g - dot))
-
-    return Tensor.from_op(out, (x,), bw)
-
-
-def _bin_grid(hw, bins):
-    """Row and column bins of an (nh, nw) grid over (H, W), as (starts, lengths) pairs.
-
-    Bin p of n over H cells covers [floor(p*H/n), floor((p+1)*H/n)).
-    """
-    grid = []
-    for n_in, n_bins in zip(hw, bins):
-        edges = np.arange(n_bins + 1) * n_in // n_bins
-        grid.append((edges[:-1], edges[1:] - edges[:-1]))
-    return grid
-
-
-def _bin_sum(x, grid):
-    """Sum the last two (H, W) axes of `x` over a `_bin_grid`.
-
-    Separable: one `np.add.reduceat` over the row starts, one over the column
-    starts; empty bins (more bins than cells) sum to 0. Every bin is summed
-    directly, not as a difference of prefix sums, so a one-pixel bin returns
-    its pixel exactly.
-    """
-    (r0, nr), (c0, nc) = grid
-    s = np.add.reduceat(np.add.reduceat(x, r0, axis=-2), c0, axis=-1)
-    s[..., nr == 0, :] = 0.0
-    s[..., nc == 0] = 0.0
-    return s
-
-
-def _bin_spread(g, grid):
-    """Transpose of `_bin_sum`: each bin's value copied onto its (H, W) cells."""
-    (_, nr), (_, nc) = grid
-    return np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1)
-
-
-def adaptive_avg_pool(x, bins):
-    """Average pool a (B, C, H, W) tensor onto an (nh, nw) grid.
-
-    Bin p covers rows [floor(p*H/n), floor((p+1)*H/n)); empty bins yield 0.
-    """
-    grid = _bin_grid(x.shape[2:], bins)
-    count = np.maximum(np.outer(grid[0][1], grid[1][1]), 1)  # an empty bin sums to 0 and stays 0
-    out = _bin_sum(x.data, grid) / count
-
-    def bw(g):
-        x.accumulate_grad(_bin_spread(np.asarray(g) / count, grid))
 
     return Tensor.from_op(out, (x,), bw)

@@ -10,7 +10,7 @@ from .align import OffsetField, align_conv
 from .attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool
 from .gradcheck import grad_check
 from .losses import loss_2d, loss_3d, loss_cls
-from .ops import ConvSpec, adaptive_avg_pool, bilinear_sample, conv2d, softmax_lastdim
+from .ops import ConvSpec, conv2d, softmax_lastdim
 from .tensor import Tensor
 
 __all__ = ["run_gradient_suite"]
@@ -26,19 +26,9 @@ def run_gradient_suite(tol=1e-4, step=1e-5, seed=0):
     reports.append(grad_check(lambda a, w, b: conv2d(a, spec),
                               [x, spec.weight, spec.bias], step, tol, name="conv2d"))
 
-    xb = Tensor(rng.normal(size=(1, 1, 5, 6)), requires_grad=True)
-    yc = Tensor(2.3, requires_grad=True)
-    xc = Tensor(3.7, requires_grad=True)
-    reports.append(grad_check(lambda a, y, xx: bilinear_sample(a, y, xx),
-                              [xb, yc, xc], step, tol, name="bilinear_sample"))
-
     m = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
     reports.append(grad_check(lambda a: softmax_lastdim(a), [m], step, tol,
                               name="softmax_lastdim"))
-
-    ap = Tensor(rng.normal(size=(1, 2, 6, 7)), requires_grad=True)
-    reports.append(grad_check(lambda a: adaptive_avg_pool(a, (3, 2)), [ap], step, tol,
-                              name="adaptive_avg_pool"))
 
     xa = Tensor(rng.normal(size=(1, 3, 5, 6)), requires_grad=True)
     off = Tensor(rng.normal(size=(5, 6, 9, 2)) * 0.4, requires_grad=True)

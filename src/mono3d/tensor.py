@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "save_tensor", "load_tensor", "dump_text"]
+__all__ = ["Tensor", "no_grad", "save_tensor", "load_tensor"]
 
 _MAGIC = b"M3TN"
 _recording = True  # False inside `no_grad`
@@ -59,15 +59,14 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """Numpy-backed value with a gradient plane and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
-        self.name = name
 
     # -- construction helpers -------------------------------------------------
 
@@ -375,8 +374,7 @@ class Tensor:
     __matmul__ = matmul
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
 
 # -- serialization ------------------------------------------------------------
@@ -409,13 +407,3 @@ def load_tensor(path):
             f"{path}: payload of {len(payload)} bytes does not match shape {shape}"
         )
     return Tensor(np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64))
-
-
-def dump_text(t, path):
-    """Plain-text debug dump: shape header then one row of values per (b, c, h)."""
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    with open(path, "w") as f:
-        f.write("shape " + " ".join(str(s) for s in data.shape) + "\n")
-        flat = data.reshape(-1, data.shape[-1]) if data.ndim > 1 else data.reshape(1, -1)
-        for row in flat:
-            f.write(" ".join(format(v, ".17g") for v in row) + "\n")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mono3d.align import (OffsetField, align_conv, center_align_offsets, export_offsets_csv,
-                          select_best_anchor, shape_align_offsets)
+from mono3d.align import (OffsetField, align_conv, center_align_offsets, select_best_anchor,
+                          shape_align_offsets)
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor
 
@@ -220,20 +220,3 @@ class TestBatchedFields:
     def test_rejects_extra_axes(self):
         with pytest.raises(ValueError, match="does not match kernel"):
             OffsetField(Tensor(np.zeros((1, 2, 2, 2, 9, 2))), (3, 3))
-
-
-def test_export_offsets_csv(tmp_path):
-    field = shape_align_offsets(np.full((2, 2, 2), 48.0), 8, (3, 3))
-    path = tmp_path / "off.csv"
-    export_offsets_csv(field, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("h,w,dy0,dx0")
-    assert len(lines) == 1 + 4
-    vals = [float(v) for v in lines[1].split(",")]
-    assert vals[:2] == [0.0, 0.0]
-    dy, dx = tap_offset(48.0, 48.0, 8, 3, 3, 0, 0)
-    assert vals[2] == pytest.approx(dy, abs=1e-9)
-    assert vals[3] == pytest.approx(dx, abs=1e-9)
-    batched = shape_align_offsets(np.full((2, 2, 2, 2), 48.0), 8, (3, 3))
-    with pytest.raises(ValueError, match=r"one \(H, W, K, 2\) field, got shape \(2, 2, 2, 9, 2\)"):
-        export_offsets_csv(batched, tmp_path / "batched.csv")

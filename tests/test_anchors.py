@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mono3d.anchors import (decode, default_sizes, encode, fit_anchor_3d_stats,
-                            generate_anchor_grid, load_anchor_stats, save_anchor_stats)
+from mono3d.anchors import decode, default_sizes, encode, fit_anchor_3d_stats, generate_anchor_grid
 from mono3d.geometry import Box2D, iou_2d, wrap_angle
 
 
@@ -231,30 +230,3 @@ class TestFit3dStats:
             fit_anchor_3d_stats(grid, boxes, np.ones((2, 7)))
         with pytest.raises(ValueError, match="one .* box per parameter row"):
             fit_anchor_3d_stats(grid, boxes, np.ones((1, 5)))
-
-
-class TestStatsIO:
-    def test_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        grid = generate_anchor_grid((3, 3), sizes=[16.0, 24.0])
-        grid.stats3d = rng.uniform(0.5, 60.0, size=grid.stats3d.shape)
-        path = tmp_path / "stats.txt"
-        save_anchor_stats(grid, path)
-        fresh = generate_anchor_grid((3, 3), sizes=[16.0, 24.0])
-        load_anchor_stats(fresh, path)
-        np.testing.assert_allclose(fresh.stats3d, grid.stats3d, atol=1e-7)
-        np.testing.assert_allclose(fresh.templates, grid.templates, atol=1e-7)
-
-    def test_load_rejects_wrong_bank(self, tmp_path):
-        grid = generate_anchor_grid((2, 2), sizes=[16.0])
-        path = tmp_path / "stats.txt"
-        save_anchor_stats(grid, path)
-        other = generate_anchor_grid((2, 2), sizes=[16.0, 24.0])
-        with pytest.raises(ValueError, match="template bank"):
-            load_anchor_stats(other, path)
-
-    def test_load_rejects_short_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1 2 3\n")
-        with pytest.raises(ValueError, match="8 fields"):
-            load_anchor_stats(generate_anchor_grid((1, 1), sizes=[16.0]), path)

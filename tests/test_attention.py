@@ -5,7 +5,7 @@ import mono3d.attention as attention
 from mono3d.attention import (AnabParams, PyramidSpec, anab_forward, attention_map,
                               complexity_bench, pa2_pool, reference_nonlocal, write_pgm)
 from mono3d.gradcheck import grad_check
-from mono3d.ops import ConvSpec, adaptive_avg_pool, conv2d, softmax_lastdim
+from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
 from mono3d.tensor import Tensor
 
 
@@ -46,15 +46,16 @@ def ref_pa2_pool(f, a, levels, eps, g):
 
 
 def ref_adaptive_avg_pool(x, bins, g):
-    """Per-bin adaptive average pooling: returns (out, gx) for upstream grad `g`."""
+    """Per-bin adaptive average pooling of a (C, H, W) map: returns (out, gx)
+    for upstream grad `g` (C, nh, nw). An empty bin reads 0."""
     nh, nw = bins
-    out, gx = np.zeros(x.shape[:2] + (nh, nw)), np.zeros_like(x)
-    for p, (r0, r1) in enumerate(ref_bins(x.shape[2], nh)):
-        for q, (c0, c1) in enumerate(ref_bins(x.shape[3], nw)):
+    out, gx = np.zeros(x.shape[:1] + (nh, nw)), np.zeros_like(x)
+    for p, (r0, r1) in enumerate(ref_bins(x.shape[1], nh)):
+        for q, (c0, c1) in enumerate(ref_bins(x.shape[2], nw)):
             cnt = (r1 - r0) * (c1 - c0)
             if cnt:
-                out[:, :, p, q] = x[:, :, r0:r1, c0:c1].sum(axis=(2, 3)) / cnt
-                gx[:, :, r0:r1, c0:c1] += g[:, :, p, q, None, None] / cnt
+                out[:, p, q] = x[:, r0:r1, c0:c1].sum(axis=(1, 2)) / cnt
+                gx[:, r0:r1, c0:c1] += g[:, p, q, None, None] / cnt
     return out, gx
 
 
@@ -63,8 +64,8 @@ def assert_close(got, want):
 
 
 class TestBinPrimitiveAgainstPerBinLoop:
-    """pa2_pool and adaptive_avg_pool sum each bin with one separable
-    reduceat/repeat pair; the per-bin loops above are the reference."""
+    """pa2_pool sums each bin with one separable reduceat/repeat pair; the
+    per-bin loops above are the reference."""
 
     @pytest.mark.parametrize("hw,levels,eps", [
         ((3, 5), [1, (4, 7)], 1e-6),              # empty bins: more bins than pixels
@@ -93,14 +94,16 @@ class TestBinPrimitiveAgainstPerBinLoop:
         ((7, 1), (3, 1)), ((6, 10), (6, 10)),
     ])
     def test_adaptive_avg_pool(self, hw, bins):
+        # unit attention, and an eps far below one pixel's weight: a non-empty
+        # bin divides by its exact cell count, an empty bin reads 0
         rng = np.random.default_rng(sum(hw) * 31 + sum(bins))
-        x = rng.normal(size=(2, 3) + hw)
-        g = rng.normal(size=(2, 3) + bins)
+        x = rng.normal(size=(6,) + hw)
+        g = rng.normal(size=(6,) + bins)
         xt = Tensor(x, requires_grad=True)
-        out = adaptive_avg_pool(xt, bins)
-        out.backward(g)
+        out = pa2_pool(xt, Tensor(np.ones((1,) + hw)), PyramidSpec([bins], epsilon=1e-20))
+        out.backward(g.reshape(6, -1).T)
         want, gx = ref_adaptive_avg_pool(x, bins, g)
-        assert_close(out.data, want)
+        assert_close(out.data.T.reshape(want.shape), want)
         assert_close(xt.grad, gx)
 
 
@@ -170,7 +173,7 @@ class TestPa2Pool:
         out = pa2_pool(f, attn, spec).data
         row = 0
         for level in (1, 2, 4):
-            pooled = adaptive_avg_pool(f.reshape(1, 3, 8, 8), (level, level)).data[0]
+            pooled, _ = ref_adaptive_avg_pool(f.data, (level, level), np.zeros((3, level, level)))
             for p in range(level):
                 for q in range(level):
                     np.testing.assert_allclose(out[row], pooled[:, p, q], atol=1e-12)

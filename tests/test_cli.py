@@ -115,12 +115,35 @@ class TestEval:
         code = main(["eval", "--gt", str(gt), "--det", str(det)])
         assert code == USAGE_EXIT
 
+    @pytest.mark.parametrize("line,message", [
+        (CAR.replace("100.00", "abc", 1) + " 0.9", "line 2, field 5: not numeric: 'abc'"),
+        (CAR + " 1.5", "score must be in [0, 1], got 1.5"),
+        (CAR.replace("100.00", "170.00", 1) + " 0.9", "degenerate 2D box (170.0, 100.0, 160.0"),
+    ], ids=["non_numeric", "score_above_one", "x2_below_x1"])
+    def test_bad_result_line_is_a_usage_error(self, tmp_path, capsys, line, message):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        bad = det / "000001.txt"
+        bad.write_text(CAR + " 0.9\n" + line + "\n")
+        code = main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"])
+        assert code == USAGE_EXIT
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_bad_ground_truth_box_is_a_usage_error(self, tmp_path, capsys):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        bad = gt / "000002.txt"
+        bad.write_text(CAR.replace("100.00", "170.00", 1) + "\n")
+        code = main(["eval", "--gt", str(gt), "--det", str(det), "--task", "2d", "--classes", "Car"])
+        assert code == USAGE_EXIT
+        assert f"error: {bad}: degenerate 2D box" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") >= 11
+        assert out.count("PASS") == 9  # one line per op of the gradient suite
         assert "FAIL" not in out
 
     def test_tight_tolerance_fails(self, capsys):
@@ -137,6 +160,36 @@ class TestBenchAnab:
                                                           ["16x32", "512", "337"]]
         assert lines[3].startswith("N ratio 4.0: anab time ratio ")
         assert "nonlocal time ratio " in lines[3]
+
+
+class TestArgumentValues:
+    @pytest.mark.parametrize("argv", [
+        ["bench-anab", "--sizes", "48"],
+        ["bench-anab", "--sizes", "0x0"],
+        ["bench-anab", "--sizes", "8x16,8x"],
+        ["bench-anab", "--nonlocal-shrink", "0"],
+        ["bench-anab", "--runs", "two"],
+        ["demo", "--scenes", "0"],
+        ["train-toy", "--steps", "0"],
+        ["train-toy", "--scenes", "-1"],
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == USAGE_EXIT
+        assert f"argument {argv[1]}: expected " in capsys.readouterr().err
+
+    def test_bad_value_in_config_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("steps=0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--config", str(cfg)])
+        assert exc.value.code == USAGE_EXIT
+        assert "argument --steps: expected a positive integer, got '0'" in capsys.readouterr().err
+
+    def test_size_below_nonlocal_shrink(self, capsys):
+        assert main(["bench-anab", "--sizes", "4x12", "--nonlocal-shrink", "6"]) == USAGE_EXIT
+        assert "size 4x12 is smaller than --nonlocal-shrink 6" in capsys.readouterr().err
 
 
 class TestVizAttention:

@@ -13,8 +13,8 @@ all-tap corner math against the per-tap corner loop it replaced.
 import numpy as np
 import pytest
 
-from mono3d.align import OffsetField, align_conv
-from mono3d.ops import _CHUNK, ConvSpec, _bilinear_corners, _bilinear_slopes, _columns_forward, conv2d
+from mono3d.align import OffsetField, _bilinear_corners, _bilinear_slopes, align_conv
+from mono3d.ops import _CHUNK, ConvSpec, _columns_forward, conv2d
 from mono3d.tensor import Tensor
 
 RTOL = 1e-12

@@ -14,23 +14,6 @@ from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy, TrainCon
 
 
 class TestToyPipeline:
-    def test_get_params_roundtrip(self):
-        pipe = ToyPipeline(steps=10, seed=3, conf_thresh=0.5)
-        params = pipe.get_params()
-        assert params["steps"] == 10
-        assert params["conf_thresh"] == 0.5
-        clone = ToyPipeline(**params)
-        assert clone.get_params() == params
-
-    def test_set_params_chains(self):
-        pipe = ToyPipeline().set_params(steps=7, nms_iou=0.3)
-        assert pipe.steps == 7
-        assert pipe.nms_iou == 0.3
-
-    def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            ToyPipeline().set_params(learning_rate=0.1)
-
     def test_predict_before_fit(self):
         scenes = make_synthetic_scenes(count=1)
         with pytest.raises(RuntimeError, match="fit"):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mono3d.evaluate import (DIFFICULTY_TABLE, EvalConfig, average_precision, bucket,
+from mono3d.evaluate import (DIFFICULTIES, DIFFICULTY_TABLE, EvalConfig, average_precision,
                              depth_error_report, evaluate_class, match_detections,
                              passes_difficulty)
 from mono3d.geometry import Box2D, Box3D, iou_2d, iou_3d, iou_bev
@@ -61,11 +61,16 @@ def brute_force_ap(scores, tp, num_gt, mode):
 
 class TestDifficulty:
     def test_bucket_table_cases(self):
-        assert bucket(50.0, 0, 0.0) == "easy"
-        assert bucket(30.0, 1, 0.2) == "moderate"
-        assert bucket(30.0, 2, 0.4) == "hard"
-        assert bucket(20.0, 0, 0.0) == "ignored"
-        assert bucket(50.0, 3, 0.0) == "ignored"
+        # (height, occlusion, truncation) -> passes (easy, moderate, hard)
+        cases = {
+            (50.0, 0, 0.0): (True, True, True),
+            (30.0, 1, 0.2): (False, True, True),
+            (30.0, 2, 0.4): (False, False, True),
+            (20.0, 0, 0.0): (False, False, False),
+            (50.0, 3, 0.0): (False, False, False),
+        }
+        for gt, want in cases.items():
+            assert tuple(passes_difficulty(*gt, d) for d in DIFFICULTIES) == want, gt
 
     def test_boundaries_inclusive(self):
         assert passes_difficulty(40.0, 0, 0.15, "easy")

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mono3d.align import OffsetField, align_conv
+from mono3d.attention import PyramidSpec, pa2_pool
 from mono3d.gradcheck import grad_check
-from mono3d.ops import ConvSpec, adaptive_avg_pool, bilinear_sample, conv2d, softmax_lastdim
+from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
 from mono3d.tensor import Tensor
 
 
@@ -76,41 +78,59 @@ class TestConv2d:
         assert r.passed, str(r)
 
 
+def read_at(x, dy, dx):
+    """align_conv with a 1x1 identity kernel, zero bias and one uniform offset
+    (dy, dx): output (h, w) reads the (1, 1, H, W) map x bilinearly at
+    (h + dy, w + dx). Returns the output's (H, W) plane."""
+    H, W = x.shape[2:]
+    spec = ConvSpec(1, 1, (1, 1), weight=Tensor(np.ones((1, 1, 1, 1))))
+    field = OffsetField(Tensor(np.broadcast_to([dy, dx], (H, W, 1, 2))), (1, 1))
+    return align_conv(x, spec, field).data[0, 0]
+
+
 class TestBilinear:
+    """The bilinear tap read, through align_conv, its one user."""
+
     def test_integer_coordinates_exact(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 1, 4, 5)))
-        assert bilinear_sample(x, 2.0, 3.0).item() == x.data[0, 0, 2, 3]
+        out = read_at(x, 2.0, 3.0)
+        np.testing.assert_array_equal(out[:2, :2], x.data[0, 0, 2:, 3:])
+        assert not out[2:].any() and not out[:, 2:].any()
 
     def test_midpoint_average(self):
         x = Tensor(np.array([[[[0.0, 2.0], [4.0, 6.0]]]]))
-        assert bilinear_sample(x, 0.5, 0.5).item() == pytest.approx(3.0)
+        assert read_at(x, 0.5, 0.5)[0, 0] == pytest.approx(3.0)
 
     def test_outside_is_zero(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
-        assert bilinear_sample(x, -2.0, 1.0).item() == 0.0
-        assert bilinear_sample(x, 1.0, 10.0).item() == 0.0
+        np.testing.assert_array_equal(read_at(x, -3.0, 1.0), 0.0)
+        np.testing.assert_array_equal(read_at(x, 1.0, 10.0), 0.0)
 
     def test_boundary_fade(self):
         # half a cell past the edge keeps half the corner value
         x = Tensor(np.ones((1, 1, 3, 3)) * 4.0)
-        assert bilinear_sample(x, -0.5, 1.0).item() == pytest.approx(2.0)
+        out = read_at(x, -0.5, 0.0)
+        np.testing.assert_allclose(out[0], 2.0)
+        np.testing.assert_allclose(out[1:], 4.0)
 
     def test_continuity(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(1, 1, 6, 6)))
-        for y, xc in [(2.0, 3.0), (0.0, 0.0), (4.999, 2.5)]:
-            base = bilinear_sample(x, y, xc).item()
+        # reads that cross grid lines and the map border as the offset moves
+        for dy, dx in [(0.0, 0.0), (-1.0, 2.0), (0.999, -0.5)]:
+            base = read_at(x, dy, dx)
             for eps in (1e-7, -1e-7):
-                assert bilinear_sample(x, y + eps, xc).item() == pytest.approx(base, abs=1e-5)
-                assert bilinear_sample(x, y, xc + eps).item() == pytest.approx(base, abs=1e-5)
+                np.testing.assert_allclose(read_at(x, dy + eps, dx), base, atol=1e-5)
+                np.testing.assert_allclose(read_at(x, dy, dx + eps), base, atol=1e-5)
 
     def test_coordinate_gradients(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(1, 1, 5, 6)), requires_grad=True)
-        y = Tensor(1.3, requires_grad=True)
-        xc = Tensor(2.7, requires_grad=True)
-        r = grad_check(lambda a, yy, xx: bilinear_sample(a, yy, xx), [x, y, xc],
+        off = Tensor(np.broadcast_to([1.3, -0.7], (5, 6, 1, 2)) + rng.uniform(-0.2, 0.2, (5, 6, 1, 2)),
+                     requires_grad=True)
+        spec = ConvSpec(1, 1, (1, 1), weight=Tensor(np.ones((1, 1, 1, 1))))
+        r = grad_check(lambda a, o: align_conv(a, spec, OffsetField(o, (1, 1))), [x, off],
                        name="bilinear")
         assert r.passed, str(r)
 
@@ -137,36 +157,47 @@ class TestSoftmax:
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def avg_pool(x, bins, eps=0.0):
+    """pa2_pool of a (C, H, W) map under unit attention at one (nh, nw) level:
+    each bin's sum over its cell count plus eps. Returns (C, nh, nw)."""
+    out = pa2_pool(x, Tensor(np.ones((1,) + x.shape[1:])), PyramidSpec([bins], epsilon=eps))
+    return out.T.reshape((x.shape[0],) + bins)
+
+
 class TestAdaptivePool:
+    """Adaptive average pooling as pa2_pool under constant attention, the bin
+    primitive's one user."""
+
     def test_known_2x2(self):
-        x = Tensor(np.arange(24.0).reshape(1, 1, 4, 6))
-        out = adaptive_avg_pool(x, (2, 2)).data[0, 0]
+        x = Tensor(np.arange(24.0).reshape(1, 4, 6))
+        out = avg_pool(x, (2, 2)).data[0]
         np.testing.assert_allclose(out, [[4.0, 7.0], [16.0, 19.0]])
 
     def test_4x4_to_2x2(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = adaptive_avg_pool(x, (2, 2)).data[0, 0]
+        x = Tensor(np.arange(16.0).reshape(1, 4, 4))
+        out = avg_pool(x, (2, 2)).data[0]
         np.testing.assert_allclose(out, [[2.5, 4.5], [10.5, 12.5]])
 
     def test_identity_bins(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(1, 2, 3, 5)))
-        np.testing.assert_array_equal(adaptive_avg_pool(x, (3, 5)).data, x.data)
+        x = Tensor(rng.normal(size=(2, 3, 5)))
+        np.testing.assert_array_equal(avg_pool(x, (3, 5)).data, x.data)
 
     def test_global_pool_is_mean(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(2, 3, 4, 5)))
-        out = adaptive_avg_pool(x, (1, 1)).data
-        np.testing.assert_allclose(out[..., 0, 0], x.data.mean(axis=(2, 3)), atol=1e-12)
+        x = Tensor(rng.normal(size=(6, 4, 5)))
+        out = avg_pool(x, (1, 1)).data
+        np.testing.assert_allclose(out[:, 0, 0], x.data.mean(axis=(1, 2)), atol=1e-12)
 
     def test_more_bins_than_pixels(self):
-        # bins past the input size are empty and read 0
-        x = Tensor(np.ones((1, 1, 2, 2)))
-        out = adaptive_avg_pool(x, (3, 3)).data[0, 0]
-        assert out.sum() == pytest.approx(4.0)
+        # bins past the input size are empty; with eps > 0 they read 0
+        x = Tensor(np.ones((1, 2, 2)))
+        out = avg_pool(x, (3, 3), eps=1e-6).data[0]
+        assert np.count_nonzero(out) == 4
+        assert out.sum() == pytest.approx(4.0, rel=1e-5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(1, 2, 5, 7)), requires_grad=True)
-        r = grad_check(lambda a: adaptive_avg_pool(a, (2, 3)), [x], name="pool")
+        x = Tensor(rng.normal(size=(2, 5, 7)), requires_grad=True)
+        r = grad_check(lambda a: avg_pool(a, (2, 3)), [x], name="pool")
         assert r.passed, str(r)

@@ -3,7 +3,7 @@ import pytest
 
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
-from mono3d.tensor import Tensor, dump_text, load_tensor, no_grad, save_tensor
+from mono3d.tensor import Tensor, load_tensor, no_grad, save_tensor
 
 
 def test_elementwise_grads():
@@ -267,11 +267,3 @@ def test_pow_rejects_non_scalar_exponent():
 def test_serialization_requires_4d(tmp_path):
     with pytest.raises(ValueError, match="4-D"):
         save_tensor(Tensor(np.ones((2, 2))), tmp_path / "x.m3tn")
-
-
-def test_text_dump(tmp_path):
-    path = tmp_path / "t.txt"
-    dump_text(Tensor(np.arange(6.0).reshape(1, 1, 2, 3)), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "shape 1 1 2 3"
-    assert [float(v) for v in lines[1].split()] == [0.0, 1.0, 2.0]
