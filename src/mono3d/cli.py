@@ -39,6 +39,17 @@ def positive_int(text):
     return int(text)
 
 
+def probability(text):
+    """argparse type: a number in [0, 1]; NaN is not one."""
+    try:
+        p = float(text)
+    except ValueError:
+        p = float("nan")
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+    return p
+
+
 def hw_sizes(text):
     """argparse type: comma-separated HxW sizes, each side >= 1, as (h, w) pairs."""
     sizes = []
@@ -259,7 +270,7 @@ def build_parser(defaults=None):
     p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--scenes", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--conf", type=float, default=0.75)
+    p.add_argument("--conf", type=probability, default=0.75)
     p.add_argument("--mode", choices=("r11", "r40"), default="r40")
     p.add_argument("--out", help="directory for result files")
     p.set_defaults(fn=cmd_demo)

@@ -4,6 +4,7 @@ difficulty buckets, and depth-error analysis."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .geometry import iou_2d_pairs, iou_3d_pairs, iou_bev_pairs
 __all__ = [
     "EvalConfig",
     "DIFFICULTY_TABLE",
+    "DIFFICULTIES",
     "passes_difficulty",
     "match_detections",
     "average_precision",
@@ -51,57 +53,76 @@ DIFFICULTIES = ("easy", "moderate", "hard")
 
 
 def passes_difficulty(height_px, occlusion, truncation, difficulty, table=None):
+    """Whether ground truths count at `difficulty`; elementwise on arrays."""
     min_h, max_occ, max_trunc = (table or DIFFICULTY_TABLE)[difficulty]
-    return height_px >= min_h and occlusion <= max_occ and truncation <= max_trunc
+    return (height_px >= min_h) & (occlusion <= max_occ) & (truncation <= max_trunc)
 
 
-def _matrix(m, n_rows):
+def _matrix(m, scores):
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or len(m) != n_rows:
-        raise ValueError(f"IoU matrix needs one row per detection ({n_rows}), got shape {m.shape}")
+    if m.ndim != scores.ndim + 1 or m.shape[:-1] != scores.shape:
+        raise ValueError(f"IoU matrix needs one row per detection ({scores.shape[-1]}), "
+                         f"got shape {m.shape}")
     return m
 
 
 def match_detections(scores, iou, thresh, iou_ignored=None, iou_dontcare=None):
-    """Greedy score-ordered matching of one image's detections.
+    """Greedy score-ordered matching of one frame's detections, or of a
+    padded stack of frames in lockstep.
 
-    `iou` is the (D, G) IoU matrix of detections against valid ground truths,
-    `iou_ignored` (D, I) against ignored ground truths and `iou_dontcare`
-    (D, C) against DontCare regions. Detections are taken by descending
-    score, equal scores by index; each takes the highest-IoU still-unmatched
-    ground truth with IoU >= thresh, equal IoUs going to the last index. An
-    unmatched detection with IoU >= thresh on an ignored ground truth or a
-    DontCare region is dropped from scoring (neither TP nor FP).
+    One frame: `scores` (D,), `iou` the (D, G) IoU matrix of detections
+    against valid ground truths, `iou_ignored` (D, I) against ignored ground
+    truths and `iou_dontcare` (D, C) against DontCare regions. A stack of F
+    frames adds a leading axis: (F, D) scores and (F, D, .) matrices, padded
+    with NaN: a NaN score marks a padded detection slot, and a NaN IoU never
+    matches.
+
+    Detections are taken by descending score, equal scores by index; each
+    takes the highest-IoU still-unmatched ground truth with IoU >= thresh,
+    equal IoUs going to the last index. An unmatched detection with IoU >=
+    thresh on an ignored ground truth or a DontCare region is dropped from
+    scoring (neither TP nor FP), as is every padded slot.
 
     Returns (scores, tp_flags, drop_flags, matched) in score-descending
-    detection order; `matched` holds each detection's ground-truth column, or
-    -1.
+    detection order per frame, padded slots last; `matched` holds each
+    detection's ground-truth column, or -1.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    iou = _matrix(iou, len(scores))[order]
+    if scores.ndim == 1:   # one frame is a stack of one
+        iou, iou_ignored, iou_dontcare = (None if m is None else np.asarray(m)[None]
+                                          for m in (iou, iou_ignored, iou_dontcare))
+        out = match_detections(scores[None], iou, thresh, iou_ignored, iou_dontcare)
+        return tuple(a[0] for a in out)
+    F, D = scores.shape
+    ranked = np.arange(F)[:, None], np.argsort(-scores, axis=1, kind="stable")  # NaN last
+    iou = _matrix(iou, scores)[ranked]
     hits = iou >= thresh
-    taken = np.zeros(iou.shape[1], dtype=bool)
-    matched = np.full(len(scores), -1)
-    for rank in np.flatnonzero(hits.any(axis=1)):
-        free = hits[rank] & ~taken
-        if free.any():
-            row = np.where(free, iou[rank], -np.inf)[::-1]
-            matched[rank] = len(row) - 1 - int(np.argmax(row))
-            taken[matched[rank]] = True
+    taken = np.zeros((F, iou.shape[2]), dtype=bool)
+    matched = np.full((F, D), -1)
+    for rank in np.flatnonzero(hits.any(axis=(0, 2))):   # rank r of every frame at once
+        free = hits[:, rank] & ~taken
+        f = np.flatnonzero(free.any(axis=1))
+        if len(f):
+            row = np.where(free[f], iou[f, rank], -np.inf)[:, ::-1]
+            j = iou.shape[2] - 1 - np.argmax(row, axis=1)
+            matched[f, rank] = j
+            taken[f, j] = True
     tp = matched >= 0
-    absorbed = np.zeros(len(scores), dtype=bool)
+    absorbed = np.zeros((F, D), dtype=bool)
     for m in (iou_ignored, iou_dontcare):
         if m is not None:
-            absorbed |= (_matrix(m, len(scores))[order] >= thresh).any(axis=1)
-    return scores[order], tp, absorbed & ~tp, matched
+            absorbed |= (_matrix(m, scores)[ranked] >= thresh).any(axis=2)
+    scores = scores[ranked]
+    return scores, tp, (absorbed & ~tp) | np.isnan(scores), matched
 
 
 def average_precision(scores, tp, num_gt, mode="r40"):
     """Interpolated AP over fixed recall points.
 
     R11 uses {0, 0.1, ..., 1.0}; R40 uses {1/40, ..., 40/40}. Precision at
-    recall r is the maximum precision among operating points with recall >= r.
+    recall r is the maximum precision among operating points with recall >= r:
+    recall never falls along the score order, so that is a suffix maximum of
+    precision from the first point reaching r.
     """
     if num_gt <= 0:
         raise ValueError("average precision needs at least one ground truth")
@@ -113,30 +134,34 @@ def average_precision(scores, tp, num_gt, mode="r40"):
     cum_tp = np.cumsum(tp_sorted)
     cum_fp = np.cumsum(1.0 - tp_sorted)
     recall = cum_tp / num_gt
-    precision = cum_tp / (cum_tp + cum_fp)
-    total = 0.0
-    for r in points:
-        mask = recall >= r - 1e-12
-        total += precision[mask].max() if mask.any() else 0.0
-    return total / len(points)
+    best = np.maximum.accumulate((cum_tp / (cum_tp + cum_fp))[::-1])[::-1]
+    first = np.searchsorted(recall, points - 1e-12)
+    at = np.where(first < len(best), best[np.minimum(first, len(best) - 1)], 0.0)
+    return float(np.cumsum(at)[-1] / len(points))   # summed point by point, in order
 
 
-def _pair_ious(rows, cols, n_rows, n_cols, kernel):
-    """Per-frame (n_rows[f], n_cols[f]) IoU matrices of the stacked row and
-    column arrays of all frames, from one kernel call over every pair."""
-    n_cols = np.asarray(n_cols, dtype=np.int64)
-    reps = np.repeat(n_cols, n_rows)    # each row pairs with its frame's columns
-    first_col = np.repeat(np.cumsum(n_cols) - n_cols, n_rows)
-    i = np.repeat(np.arange(len(reps)), reps)
-    j = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps - first_col, reps)
-    flat = kernel(rows[i], cols[j])
-    sizes = np.asarray(n_rows, dtype=np.int64) * n_cols
-    return [m.reshape(r, c) for m, r, c in zip(np.split(flat, np.cumsum(sizes)[:-1]),
-                                               n_rows, n_cols)]
+def _rows(values, width):
+    """(n, width) array of n row tuples."""
+    return np.fromiter(chain.from_iterable(values), np.float64).reshape(-1, width)
 
 
-def _stack(arrays, width):
-    return np.array(arrays, dtype=np.float64).reshape(-1, width)
+def _check_2d(rows):
+    bad = (rows[:, 2] < rows[:, 0]) | (rows[:, 3] < rows[:, 1])
+    if bad.any():
+        raise ValueError(f"degenerate 2D box {tuple(rows[bad][0].tolist())}")
+
+
+def _stack(kernel, rows, cols, n_rows, n_cols):
+    """(F, max n_rows, max n_cols) stack of `kernel` on every pair of a
+    frame's rows and columns (both sorted by frame), from one kernel call over
+    the pairs in frame, row, column order; NaN where no pair lands."""
+    R, C = n_rows.max(initial=0), n_cols.max(initial=0)
+    f, r, c = np.nonzero((np.arange(R) < n_rows[:, None])[:, :, None]
+                         & (np.arange(C) < n_cols[:, None])[:, None, :])
+    out = np.full((len(n_rows), R, C), np.nan)
+    out[f, r, c] = kernel(rows[(np.cumsum(n_rows) - n_rows)[f] + r],
+                          cols[(np.cumsum(n_cols) - n_cols)[f] + c])
+    return out
 
 
 def evaluate_class(frames, class_name, config, difficulty="moderate"):
@@ -146,53 +171,54 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
     difficulty test are ignored (absorb detections, never count as FN), as
     are DontCare regions. Every detection given is scored as this class, so
     pass only the class's own detections.
+
+    All frames are scored together: one IoU kernel call over every
+    detection-ground-truth pair of every frame and one over every
+    detection-DontCare pair, as padded (frame, detection, ground truth)
+    stacks for one `match_detections` call.
     """
-    thresh = config.threshold_for(class_name)
-    num_gt = 0
-    scores, n_det, n_valid, n_gt, n_dc = [], [], [], [], []
-    det_2d, det_3d, gt_rows, dc_rows = [], [], [], []
-    for dets, gts in frames:
-        valid, ignored, dontcare = [], [], []
-        for g in gts:
-            if g.type == "DontCare":
-                dontcare.append(g.as_box2d())
-            elif g.type == class_name:
-                h = g.box2d[3] - g.box2d[1]
-                if passes_difficulty(h, g.occlusion, g.truncation, difficulty):
-                    valid.append(g)
-                else:
-                    ignored.append(g)
-        num_gt += len(valid)
-        if not dets:
-            continue
-        scores.append([d.score for d in dets])
-        n_det.append(len(dets))
-        n_valid.append(len(valid))
-        n_gt.append(len(valid) + len(ignored))
-        n_dc.append(len(dontcare))
-        det_2d += [d.box2d.as_array() for d in dets]
-        dc_rows += [b.as_array() for b in dontcare]
-        if config.task == "2d":
-            gt_rows += [g.as_box2d().as_array() for g in valid + ignored]
-        else:
-            det_3d += [d.box3d.as_array() for d in dets]
-            gt_rows += [g.as_box3d().as_array() for g in valid + ignored]
+    F = len(frames)
+    labels = [(f, g) for f, (_, gts) in enumerate(frames) for g in gts
+              if g.type == class_name or g.type == "DontCare"]
+    frame = np.array([f for f, _ in labels], dtype=np.int64)
+    rows = _rows([(*g.box2d, g.occlusion, g.truncation) for _, g in labels], 6)
+    dontcare = np.array([g.type == "DontCare" for _, g in labels], dtype=bool)
+    valid = ~dontcare & passes_difficulty(rows[:, 3] - rows[:, 1], rows[:, 4], rows[:, 5],
+                                          difficulty)
+    num_gt = int(valid.sum())
     if num_gt == 0:
         return float("nan")
-    det_2d = _stack(det_2d, 4)
+    # a frame's ground-truth columns: its valid ones, then its ignored ones
+    order = np.argsort(2 * frame + ~valid, kind="stable")
+    gt, dc = order[~dontcare[order]], order[dontcare[order]]
+    n_valid, n_gt, n_dc = (np.bincount(frame[m], minlength=F)
+                           for m in (valid, ~dontcare, dontcare))
+    dc_2d = rows[dc, :4]
+    _check_2d(dc_2d)
+
+    dets = [d for ds, _ in frames for d in ds]
+    n_det = np.array([len(ds) for ds, _ in frames], dtype=np.int64)
+    det_2d = _rows([(b.x1, b.y1, b.x2, b.y2) for b in [d.box2d for d in dets]], 4)
     if config.task == "2d":
-        ious = _pair_ious(det_2d, _stack(gt_rows, 4), n_det, n_gt, iou_2d_pairs)
+        det_rows, gt_rows, kernel = det_2d, rows[gt, :4], iou_2d_pairs
+        _check_2d(gt_rows)
     else:
+        det_rows = _rows([(b.x, b.y, b.z, b.w, b.h, b.l, b.yaw)
+                          for b in [d.box3d for d in dets]], 7)
+        gt_rows = _rows([(*g.location, g.dims[1], g.dims[0], g.dims[2], g.rotation_y)
+                         for g in [labels[k][1] for k in gt]], 7)
+        bad = (gt_rows[:, 3:6] <= 0).any(axis=1)
+        if bad.any():
+            raise ValueError(f"non-positive 3D dimensions {tuple(gt_rows[bad][0, 3:6].tolist())}")
         kernel = iou_bev_pairs if config.task == "bev" else iou_3d_pairs
-        ious = _pair_ious(_stack(det_3d, 7), _stack(gt_rows, 7), n_det, n_gt, kernel)
-    dc_ious = _pair_ious(det_2d, _stack(dc_rows, 4), n_det, n_dc, iou_2d_pairs)
-    all_scores, all_tp = [np.zeros(0)], [np.zeros(0, dtype=bool)]
-    for s, iou, dc, nv in zip(scores, ious, dc_ious, n_valid):
-        s, tp, drop, _ = match_detections(s, iou[:, :nv], thresh, iou[:, nv:], dc)
-        all_scores.append(s[~drop])
-        all_tp.append(tp[~drop])
-    return average_precision(np.concatenate(all_scores), np.concatenate(all_tp), num_gt,
-                             config.mode)
+    iou = _stack(kernel, det_rows, gt_rows, n_det, n_gt)
+    is_valid = np.arange(iou.shape[2]) < n_valid[:, None, None]
+    scores = np.full(iou.shape[:2], np.nan)
+    scores[np.arange(iou.shape[1]) < n_det[:, None]] = [d.score for d in dets]
+    s, tp, drop, _ = match_detections(
+        scores, np.where(is_valid, iou, np.nan), config.threshold_for(class_name),
+        np.where(is_valid, np.nan, iou), _stack(iou_2d_pairs, det_2d, dc_2d, n_det, n_dc))
+    return average_precision(s[~drop], tp[~drop], num_gt, config.mode)
 
 
 def depth_error_report(dets, gts, bin_edges, by="depth", iou_thresh=0.5):
@@ -204,9 +230,8 @@ def depth_error_report(dets, gts, bin_edges, by="depth", iou_thresh=0.5):
     if by not in ("depth", "size"):
         raise ValueError(f"binning must be by depth or size, got {by}")
     scores = [d.score for d in dets]
-    (iou,) = _pair_ious(_stack([d.box2d.as_array() for d in dets], 4),
-                        _stack([g.as_box2d().as_array() for g in gts], 4),
-                        [len(dets)], [len(gts)], iou_2d_pairs)
+    iou = iou_2d_pairs(_rows([d.box2d.as_array() for d in dets], 4)[:, None],
+                       _rows([g.as_box2d().as_array() for g in gts], 4)[None])
     _, _, _, matched = match_detections(scores, iou, iou_thresh)
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     pairs = [(dets[i], gts[j]) for i, j in zip(order, matched) if j >= 0]

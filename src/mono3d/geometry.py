@@ -170,16 +170,20 @@ _CORNER_SIGNS = np.array([
 
 
 def box3d_corners(box):
-    """8 corners, (8, 3). Bottom face at y, top face at y - h; yaw about y."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    """8 corners, (8, 3), of a Box3D or a (7,) [x, y, z, w, h, l, yaw] row.
+    Bottom face at y, top face at y - h; yaw about y."""
+    if isinstance(box, Box3D):
+        box = (box.x, box.y, box.z, box.w, box.h, box.l, box.yaw)
+    x, y, z, w, h, l, yaw = box
+    c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    local = _CORNER_SIGNS * np.array([box.l / 2.0, box.h, box.w / 2.0])
-    return local @ rot.T + np.array([box.x, box.y, box.z])
+    local = _CORNER_SIGNS * np.array([l / 2.0, h, w / 2.0])
+    return local @ rot.T + np.array([x, y, z])
 
 
 def project_box(box, cam):
-    """Axis-aligned image envelope of the 8 projected corners, which are
-    projected with one product."""
+    """Axis-aligned image envelope of the 8 projected corners of a Box3D or a
+    (7,) row, which are projected with one product."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")

@@ -64,10 +64,11 @@ def optimize_rotation(det, cam, sigma0=0.3, sigma_min=1e-3, max_iter=64):
     """
     box = det.box3d
     target = det.box2d.as_array()
+    fixed = (box.x, box.y, box.z, box.w, box.h, box.l)
 
     def objective(yaw):
         try:
-            env = project_box(dataclasses.replace(box, yaw=yaw), cam)
+            env = project_box((*fixed, yaw), cam)
         except ValueError:  # a corner behind the camera
             return math.inf
         return float(np.abs(env.as_array() - target).sum())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mono3d.cli import FAIL_EXIT, USAGE_EXIT, load_config, main
+from mono3d.cli import FAIL_EXIT, USAGE_EXIT, load_config, main, probability
 from mono3d.kitti import write_result_file, LabelRecord
 
 CAR = "Car 0.00 0 -1.58 100.00 100.00 160.00 150.00 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
@@ -186,6 +186,20 @@ class TestArgumentValues:
             main(["train-toy", "--config", str(cfg)])
         assert exc.value.code == USAGE_EXIT
         assert "argument --steps: expected a positive integer, got '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1"])
+    def test_conf_outside_unit_interval_is_a_usage_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"conf={value}\n")
+        for argv in (["demo", "--conf", value], ["demo", "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == USAGE_EXIT
+            err = capsys.readouterr().err
+            assert f"argument --conf: expected a probability in [0, 1], got {value!r}" in err
+
+    def test_probability_keeps_both_ends(self):
+        assert [probability(v) for v in ("0", "1", "0.75")] == [0.0, 1.0, 0.75]
 
     def test_size_below_nonlocal_shrink(self, capsys):
         assert main(["bench-anab", "--sizes", "4x12", "--nonlocal-shrink", "6"]) == USAGE_EXIT

@@ -6,7 +6,8 @@ import pytest
 from mono3d.evaluate import (DIFFICULTIES, DIFFICULTY_TABLE, EvalConfig, average_precision,
                              depth_error_report, evaluate_class, match_detections,
                              passes_difficulty)
-from mono3d.geometry import Box2D, Box3D, iou_2d, iou_3d, iou_bev
+from mono3d.geometry import (Box2D, Box3D, iou_2d, iou_2d_pairs, iou_3d, iou_3d_pairs, iou_bev,
+                             iou_bev_pairs)
 from mono3d.kitti import LabelRecord
 from mono3d.postproc import Detection
 
@@ -88,6 +89,22 @@ class TestDifficulty:
                 assert passes_difficulty(h, occ, tr, "moderate")
             if passes_difficulty(h, occ, tr, "moderate"):
                 assert passes_difficulty(h, occ, tr, "hard")
+
+    def test_array_form_agrees_with_scalar_on_boundaries(self):
+        heights, occlusions, truncations = set(), set(), set()
+        for min_h, max_occ, max_trunc in DIFFICULTY_TABLE.values():
+            heights |= {np.nextafter(min_h, 0.0), min_h, np.nextafter(min_h, np.inf)}
+            occlusions |= {max_occ - 1, max_occ, max_occ + 1}
+            truncations |= {np.nextafter(max_trunc, 0.0), max_trunc,
+                            np.nextafter(max_trunc, np.inf)}
+        grid = list(itertools.product(sorted(heights), sorted(occlusions), sorted(truncations)))
+        h, occ, trunc = (np.array(v) for v in zip(*grid))
+        for d in DIFFICULTIES:
+            want = [passes_difficulty(float(a), int(b), float(c), d) for a, b, c in grid]
+            assert all(type(w) is bool for w in want)
+            got = passes_difficulty(h, occ, trunc, d)
+            assert got.dtype == bool and got.tolist() == want
+            assert 0 < sum(want) < len(grid)
 
     def test_table_pinned(self):
         assert DIFFICULTY_TABLE["easy"] == (40.0, 0, 0.15)
@@ -175,6 +192,41 @@ class TestMatchingOracle:
             for g, w in zip(got, want):
                 assert g.tolist() == w.tolist()
 
+    def test_stack_matches_per_frame_loop(self):
+        # padded multi-frame stacks, one call each, against the per-frame loop;
+        # frames may hold no detections, no ground truths, or DontCare only
+        rng = np.random.default_rng(21)
+        levels = np.array([0.0, 0.3, 0.5, 0.6, 0.7, 0.7, 0.9, 1.0])
+        score_levels = np.array([0.2, 0.5, 0.5, 0.8, 0.9])
+        for _ in range(2000):
+            frames = []
+            for kind in rng.integers(0, 4, size=int(rng.integers(1, 5))):
+                # 0: any, 1: no detections, 2: no ground truths, 3: DontCare only
+                D, G, I, C = rng.integers([0 if kind == 1 else 1, 0 if kind >= 2 else 1,
+                                           0, 1 if kind == 3 else 0],
+                                          [1 if kind == 1 else 10, 1 if kind >= 2 else 6,
+                                           1 if kind == 3 else 3, 3])
+                iou = levels[rng.integers(0, 8, size=(D, G + I + C))]
+                frames.append((score_levels[rng.integers(0, 5, size=D)],
+                               iou[:, :G], iou[:, G:G + I], iou[:, G + I:]))
+            thresh = float(rng.choice([0.5, 0.7]))
+            n_det = [len(f[0]) for f in frames]
+            D = max(n_det)
+            scores = np.full((len(frames), D), np.nan)
+            stacks = [np.full((len(frames), D, max(f[k].shape[1] for f in frames)), np.nan)
+                      for k in (1, 2, 3)]
+            for f, frame in enumerate(frames):
+                scores[f, :n_det[f]] = frame[0]
+                for stack, m in zip(stacks, frame[1:]):
+                    stack[f, :m.shape[0], :m.shape[1]] = m
+            got = match_detections(scores, stacks[0], thresh, *stacks[1:])
+            for f, (frame, n) in enumerate(zip(frames, n_det)):
+                want = brute_force_match(*frame[:2], thresh, *frame[2:])
+                for g, w in zip(got, want):
+                    assert g[f, :n].tolist() == w.tolist()
+                s, tp, drop, matched = (g[f, n:] for g in got)
+                assert drop.all() and not tp.any() and (matched == -1).all()
+
     def test_equal_iou_goes_to_last_index(self):
         scores, tp, drop, matched = match_detections([0.9, 0.8], [[0.8, 0.8], [0.8, 0.8]], 0.7)
         assert matched.tolist() == [1, 0] and tp.tolist() == [True, True]
@@ -243,6 +295,108 @@ class TestAveragePrecision:
         a = average_precision(scores, tp, 2, "r40")
         b = average_precision([scores[i] for i in perm], [tp[i] for i in perm], 2, "r40")
         assert a == b
+
+
+CLASSES = ("Car", "Pedestrian", "Cyclist")
+DIMS = {"Car": (1.52, 1.63, 3.88), "Pedestrian": (1.76, 0.66, 0.84),
+        "Cyclist": (1.74, 0.60, 1.76)}  # h, w, l
+
+
+def kitti_shaped_frames(rng, n_frames=100):
+    """Frames shaped like KITTI labels: 8 ground truths of the three classes
+    (mostly Car) spread over the difficulties, 1 or 2 DontCare regions, and 24
+    detections: a close and a loose one per ground truth (a few of the wrong
+    class) and 8 false positives, the last ones inside the DontCare regions.
+    Some frames have no detections or only DontCare labels. Scores take few
+    values and 2D boxes whole pixels, so that ties occur."""
+    frames = []
+
+    def label(cls, x, z, dims, yaw, occlusion=0, truncation=0.0):
+        h, w, l = dims
+        u, bottom, px = 610.0 + 720.0 * x / z, 173.0 + 720.0 * 1.65 / z, 720.0 / z
+        box2d = tuple(np.round([u - px * (w + l) / 2, bottom - px * h,
+                                u + px * (w + l) / 2, bottom]).tolist())
+        return LabelRecord(cls, truncation, occlusion, 0.0, box2d, dims, (x, 1.65, z), yaw)
+
+    def detection(rec, cls, score):
+        return Detection(CLASSES.index(cls), score, rec.as_box2d(), rec.as_box3d(), 0.0)
+
+    for f in range(n_frames):
+        gts, dets = [], []
+        for _ in range(8):
+            cls = CLASSES[rng.choice(3, p=[0.82, 0.13, 0.05])]
+            z, dims, yaw = rng.uniform(5.0, 55.0), DIMS[cls], rng.uniform(-np.pi, np.pi)
+            x = z * rng.uniform(-0.6, 0.6)
+            gts.append(label(cls, x, z, dims, yaw, int(rng.integers(0, 4)),
+                             float(rng.choice([0.0, 0.0, 0.1, 0.25, 0.45, 0.6]))))
+            for spread in (0.1, 0.8):
+                wrong = spread > 0.5 and rng.uniform() < 0.1
+                rec = label(CLASSES[(CLASSES.index(cls) + wrong) % 3],
+                            x + rng.normal(0.0, spread), z + rng.normal(0.0, spread),
+                            tuple(d * rng.uniform(0.9, 1.1) for d in dims),
+                            yaw + rng.normal(0.0, spread))
+                dets.append(detection(rec, rec.type, round(rng.uniform(0.3, 1.0), 1)))
+        for _ in range(8):
+            cls = CLASSES[rng.integers(0, 3)]
+            z = rng.uniform(5.0, 55.0)
+            rec = label(cls, z * rng.uniform(-0.6, 0.6), z, DIMS[cls], rng.uniform(-np.pi, np.pi))
+            dets.append(detection(rec, cls, round(rng.uniform(0.0, 0.6), 1)))
+        for det in dets[-(1 + f % 2):]:
+            b = det.box2d
+            gts.append(LabelRecord("DontCare", -1.0, -1, -10.0,
+                                   (b.x1 - 4, b.y1 - 4, b.x2 + 4, b.y2 + 4),
+                                   (-1.0, -1.0, -1.0), (-1000.0, -1000.0, -1000.0), -10.0))
+        if f % 25 == 3:
+            dets = []
+        if f % 25 == 7:
+            gts = [g for g in gts if g.type == "DontCare"]
+        frames.append((dets, gts))
+    return frames
+
+
+def per_frame_evaluate(frames, class_name, config, difficulties):
+    """`evaluate_class` as it was before frames were batched: scalar
+    difficulty tests, per-frame IoU matrices cut from one pair-kernel call,
+    and `brute_force_match` frame by frame. One AP per difficulty."""
+    kernel, width, det_row, gt_row = {
+        "2d": (iou_2d_pairs, 4, lambda d: d.box2d.as_array(), lambda g: g.as_box2d().as_array()),
+        "bev": (iou_bev_pairs, 7, lambda d: d.box3d.as_array(), lambda g: g.as_box3d().as_array()),
+        "3d": (iou_3d_pairs, 7, lambda d: d.box3d.as_array(), lambda g: g.as_box3d().as_array()),
+    }[config.task]
+
+    def matrices(kernel, pairs, width):
+        """Per-frame (D, G) matrices of (detection rows, column rows) pairs."""
+        rows, cols = zip(*[(np.repeat(np.reshape(a, (-1, width)), len(b), axis=0),
+                            np.tile(np.reshape(b, (-1, width)), (len(a), 1))) for a, b in pairs])
+        flat = kernel(np.concatenate(rows), np.concatenate(cols))
+        sizes = [len(a) * len(b) for a, b in pairs]
+        return [m.reshape(len(a), len(b)) for m, (a, b)
+                in zip(np.split(flat, np.cumsum(sizes)[:-1]), pairs)]
+
+    own = [[g for g in gts if g.type == class_name] for _, gts in frames]
+    ious = matrices(kernel, [([det_row(d) for d in dets], [gt_row(g) for g in gs])
+                             for (dets, _), gs in zip(frames, own)], width)
+    dc_ious = matrices(iou_2d_pairs, [([d.box2d.as_array() for d in dets],
+                                       [g.as_box2d().as_array() for g in gts
+                                        if g.type == "DontCare"])
+                                      for dets, gts in frames], 4)
+    per_frame = [([d.score for d in dets], gs, iou, iou_dc)
+                 for (dets, _), gs, iou, iou_dc in zip(frames, own, ious, dc_ious)]
+    aps = []
+    for difficulty in difficulties:
+        all_scores, all_tp, num_gt = [np.zeros(0)], [np.zeros(0, dtype=bool)], 0
+        for scores, gs, iou, iou_dc in per_frame:
+            valid = np.array([passes_difficulty(g.box2d[3] - g.box2d[1], g.occlusion,
+                                                g.truncation, difficulty) for g in gs], dtype=bool)
+            num_gt += int(valid.sum())
+            s, tp, drop, _ = brute_force_match(scores, iou[:, valid],
+                                               config.threshold_for(class_name),
+                                               iou[:, ~valid], iou_dc)
+            all_scores.append(s[~drop])
+            all_tp.append(tp[~drop])
+        aps.append(float("nan") if num_gt == 0 else average_precision(
+            np.concatenate(all_scores), np.concatenate(all_tp), num_gt, config.mode))
+    return aps
 
 
 class TestEvaluateClass:
@@ -323,6 +477,32 @@ class TestEvaluateClass:
                 all_tp += list(tp[~drop])
             want = average_precision(np.array(all_scores), np.array(all_tp), num_gt, "r40")
             assert evaluate_class(frames, "Car", cfg, difficulty) == want
+
+    def test_kitti_shaped_table_matches_per_frame_path(self):
+        # all 27 cells (3 tasks x 3 classes x 3 difficulties), bitwise
+        frames = kitti_shaped_frames(np.random.default_rng(31))
+        positive = 0
+        for task in ("2d", "bev", "3d"):
+            cfg = EvalConfig(mode="r40", task=task)
+            for k, cls in enumerate(CLASSES):
+                own = [([d for d in dets if d.class_id == k], gts) for dets, gts in frames]
+                want = per_frame_evaluate(own, cls, cfg, DIFFICULTIES)
+                for d, w in zip(DIFFICULTIES, want):
+                    got = evaluate_class(own, cls, cfg, difficulty=d)
+                    assert np.float64(got).tobytes() == np.float64(w).tobytes(), (task, cls, d)
+                    positive += got > 0.0
+        assert positive >= 20
+
+    def test_bad_label_boxes_rejected(self):
+        frames = self.frames_perfect()
+        dc = LabelRecord("DontCare", -1, -1, -10, (140, 0, 100, 40),
+                         (-1, -1, -1), (-1000, -1000, -1000), -10)
+        with pytest.raises(ValueError, match="degenerate 2D box"):
+            evaluate_class(frames + [([], [dc])], "Car", EvalConfig(task="3d"), "easy")
+        flat = LabelRecord("Car", 0.0, 0, 0.0, (0, 0, 10, 45), (1.5, 0.0, 4.0),
+                           (0.0, 1.5, 20.0), 0.0)
+        with pytest.raises(ValueError, match="non-positive 3D dimensions"):
+            evaluate_class(frames + [([], [flat])], "Car", EvalConfig(task="bev"), "easy")
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):

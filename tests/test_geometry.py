@@ -198,6 +198,15 @@ class TestBox3dCorners:
             np.testing.assert_allclose(project_box(box, cam).as_array(),
                                        [*proj.min(axis=0), *proj.max(axis=0)], rtol=0, atol=1e-12)
 
+    def test_row_form_bit_identical(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            box = random_box3d(rng)
+            row = (box.x, box.y, box.z, box.w, box.h, box.l, box.yaw)
+            assert box3d_corners(row).tobytes() == box3d_corners(box).tobytes()
+            assert box3d_corners(box.as_array()).tobytes() == box3d_corners(box).tobytes()
+            assert project_box(row, CAM) == project_box(box, CAM)
+
     def test_envelope_behind_camera(self):
         with pytest.raises(ValueError, match="box extends behind the camera"):
             project_box(Box3D(0, 0, 1.0, 2, 2, 10, 0.0), CAM)
