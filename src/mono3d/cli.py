@@ -143,8 +143,10 @@ def cmd_eval(args):
         path = gt_file
         try:
             gts = parse_label_file(gt_file)
-            for gt in gts:  # a degenerate 2D box is this file's error, as in a result file
+            for gt in gts:  # a degenerate box is this file's error, as in a result file
                 gt.as_box2d()
+                if args.task != "2d" and gt.type in class_names:
+                    gt.as_box3d()
             dets = []
             if det_file.exists():
                 path = det_file

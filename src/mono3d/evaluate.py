@@ -164,6 +164,28 @@ def _stack(kernel, rows, cols, n_rows, n_cols):
     return out
 
 
+_last_stacks = None   # (key, (class, DontCare) IoU stacks) of the last call
+
+
+def _stacks(task, det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc):
+    """The class and DontCare IoU stacks, read-only. They do not depend on the
+    difficulty, so the last ones are kept under the exact bytes of every array
+    they are computed from: the next call on equal inputs (the next difficulty
+    of the same task and class) reuses them. The key and the stacks are read
+    and replaced as one tuple, so concurrent callers never pair them wrongly."""
+    global _last_stacks
+    key = (task, *(a.tobytes() for a in (det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc)))
+    last = _last_stacks
+    if last is None or last[0] != key:
+        kernel = {"2d": iou_2d_pairs, "bev": iou_bev_pairs, "3d": iou_3d_pairs}[task]
+        stacks = (_stack(kernel, det_rows, gt_rows, n_det, n_gt),
+                  _stack(iou_2d_pairs, det_2d, dc_2d, n_det, n_dc))
+        for s in stacks:
+            s.flags.writeable = False
+        last = _last_stacks = key, stacks
+    return last[1]
+
+
 def evaluate_class(frames, class_name, config, difficulty="moderate"):
     """AP for one class over (dets, gt_records) frame pairs.
 
@@ -175,7 +197,10 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
     All frames are scored together: one IoU kernel call over every
     detection-ground-truth pair of every frame and one over every
     detection-DontCare pair, as padded (frame, detection, ground truth)
-    stacks for one `match_detections` call.
+    stacks for one `match_detections` call. A frame's ground-truth columns
+    keep label order and the difficulty only masks them, so the stacks are
+    the same at every difficulty and a call on the same rows as the last
+    call reuses its stacks.
     """
     F = len(frames)
     labels = [(f, g) for f, (_, gts) in enumerate(frames) for g in gts
@@ -188,11 +213,8 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
     num_gt = int(valid.sum())
     if num_gt == 0:
         return float("nan")
-    # a frame's ground-truth columns: its valid ones, then its ignored ones
-    order = np.argsort(2 * frame + ~valid, kind="stable")
-    gt, dc = order[~dontcare[order]], order[dontcare[order]]
-    n_valid, n_gt, n_dc = (np.bincount(frame[m], minlength=F)
-                           for m in (valid, ~dontcare, dontcare))
+    gt, dc = np.flatnonzero(~dontcare), np.flatnonzero(dontcare)
+    n_gt, n_dc = (np.bincount(frame[k], minlength=F) for k in (gt, dc))
     dc_2d = rows[dc, :4]
     _check_2d(dc_2d)
 
@@ -200,7 +222,7 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
     n_det = np.array([len(ds) for ds, _ in frames], dtype=np.int64)
     det_2d = _rows([(b.x1, b.y1, b.x2, b.y2) for b in [d.box2d for d in dets]], 4)
     if config.task == "2d":
-        det_rows, gt_rows, kernel = det_2d, rows[gt, :4], iou_2d_pairs
+        det_rows, gt_rows = det_2d, rows[gt, :4]
         _check_2d(gt_rows)
     else:
         det_rows = _rows([(b.x, b.y, b.z, b.w, b.h, b.l, b.yaw)
@@ -210,14 +232,17 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
         bad = (gt_rows[:, 3:6] <= 0).any(axis=1)
         if bad.any():
             raise ValueError(f"non-positive 3D dimensions {tuple(gt_rows[bad][0, 3:6].tolist())}")
-        kernel = iou_bev_pairs if config.task == "bev" else iou_3d_pairs
-    iou = _stack(kernel, det_rows, gt_rows, n_det, n_gt)
-    is_valid = np.arange(iou.shape[2]) < n_valid[:, None, None]
+    iou, iou_dc = _stacks(config.task, det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc)
+    # the difficulty masks columns in place: valid ones keep their relative
+    # order, so equal IoUs still go to the same ground truth
+    column = np.arange(len(gt)) - (np.cumsum(n_gt) - n_gt)[frame[gt]]
+    is_valid = np.zeros((F, 1, iou.shape[2]), dtype=bool)
+    is_valid[frame[gt], 0, column] = valid[gt]
     scores = np.full(iou.shape[:2], np.nan)
     scores[np.arange(iou.shape[1]) < n_det[:, None]] = [d.score for d in dets]
     s, tp, drop, _ = match_detections(
         scores, np.where(is_valid, iou, np.nan), config.threshold_for(class_name),
-        np.where(is_valid, np.nan, iou), _stack(iou_2d_pairs, det_2d, dc_2d, n_det, n_dc))
+        np.where(is_valid, np.nan, iou), iou_dc)
     return average_precision(s[~drop], tp[~drop], num_gt, config.mode)
 
 

@@ -62,17 +62,27 @@ def parse_label_line(line, line_no=1):
     parts = line.split()
     if len(parts) not in (15, 16):
         raise ValueError(f"line {line_no}: expected 15 or 16 fields, got {len(parts)}")
-    f = [parts[0]] + [_num(p, line_no, i + 2) for i, p in enumerate(parts[1:])]
+    try:
+        f = list(map(float, parts[1:]))
+    except ValueError:
+        f = None
+    # a non-finite sum flags a non-finite field (or an overflow, which the
+    # field-by-field pass accepts); that pass also names the failing field
+    if f is None or not math.isfinite(sum(f)):
+        f = [_num(p, line_no, i + 2) for i, p in enumerate(parts[1:])]
+    occlusion = int(f[1])
+    if occlusion != f[1]:
+        raise ValueError(f"line {line_no}, field 3: occlusion not an integer: {parts[2]!r}")
     return LabelRecord(
-        type=f[0],
-        truncation=f[1],
-        occlusion=int(f[2]),
-        alpha=f[3],
-        box2d=(f[4], f[5], f[6], f[7]),
-        dims=(f[8], f[9], f[10]),
-        location=(f[11], f[12], f[13]),
-        rotation_y=f[14],
-        score=f[15] if len(parts) == 16 else None,
+        type=parts[0],
+        truncation=f[0],
+        occlusion=occlusion,
+        alpha=f[2],
+        box2d=(f[3], f[4], f[5], f[6]),
+        dims=(f[7], f[8], f[9]),
+        location=(f[10], f[11], f[12]),
+        rotation_y=f[13],
+        score=f[14] if len(parts) == 16 else None,
     )
 
 
@@ -106,21 +116,14 @@ def parse_calib(path):
             for name, m in matrices.items()}
 
 
+_LINE = "%s %.2f %d %.6f" + " %.2f" * 10 + " %.6f"
+
+
 def format_label(rec):
     """Result-format line: boxes at 2 decimals, angles/scores at 6."""
-    parts = [
-        rec.type,
-        f"{rec.truncation:.2f}",
-        str(int(rec.occlusion)),
-        f"{rec.alpha:.6f}",
-        *(f"{v:.2f}" for v in rec.box2d),
-        *(f"{v:.2f}" for v in rec.dims),
-        *(f"{v:.2f}" for v in rec.location),
-        f"{rec.rotation_y:.6f}",
-    ]
-    if rec.score is not None:
-        parts.append(f"{rec.score:.6f}")
-    return " ".join(parts)
+    line = _LINE % (rec.type, rec.truncation, int(rec.occlusion), rec.alpha,
+                    *rec.box2d, *rec.dims, *rec.location, rec.rotation_y)
+    return line if rec.score is None else line + " %.6f" % rec.score
 
 
 def detection_to_record(det, class_names):
@@ -142,5 +145,4 @@ def write_result_file(records, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        for rec in records:
-            f.write(format_label(rec) + "\n")
+        f.write("".join([format_label(rec) + "\n" for rec in records]))

@@ -138,6 +138,41 @@ class TestEval:
         assert code == USAGE_EXIT
         assert f"error: {bad}: degenerate 2D box" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["bev", "3d"])
+    def test_identical_dirs_perfect_ap_in_3d(self, tmp_path, capsys, task):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        code = main(["eval", "--gt", str(gt), "--det", str(det),
+                     "--task", task, "--mode", "r40", "--classes", "Car"])
+        assert code == 0
+        assert f"Car,{task},r40,1.0000,1.0000,1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dims", ["0.00 1.67 3.64", "1.65 -1.00 3.64", "1.65 1.67 0.00"])
+    def test_flat_ground_truth_is_a_usage_error_in_3d(self, tmp_path, capsys, dims):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        bad = gt / "000002.txt"
+        bad.write_text(CAR.replace("1.65 1.67 3.64", dims) + "\n")
+        for task in ("bev", "3d"):
+            code = main(["eval", "--gt", str(gt), "--det", str(det), "--task", task,
+                         "--classes", "Car"])
+            assert code == USAGE_EXIT
+            assert f"error: {bad}: non-positive 3D dimensions" in capsys.readouterr().err
+        # the 2d task reads no dimensions, and other classes are not scored
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--task", "2d",
+                     "--classes", "Car"]) == 0
+        bad.write_text(CAR.replace("Car", "Van").replace("1.65 1.67 3.64", dims) + "\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"]) == 0
+
+    def test_dontcare_sentinel_dimensions_accepted_in_3d(self, tmp_path, capsys):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        dontcare = "DontCare -1 -1 -10 400.00 100.00 450.00 150.00 -1 -1 -1 -1000 -1000 -1000 -10"
+        with open(gt / "000001.txt", "a") as f:
+            f.write(dontcare + "\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"]) == 0
+        assert "Car,3d,r40,1.0000,1.0000,1.0000" in capsys.readouterr().out
+
 
 class TestGradcheck:
     def test_passes(self, capsys):

@@ -1,8 +1,10 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+from mono3d import evaluate
 from mono3d.evaluate import (DIFFICULTIES, DIFFICULTY_TABLE, EvalConfig, average_precision,
                              depth_error_report, evaluate_class, match_detections,
                              passes_difficulty)
@@ -493,6 +495,15 @@ class TestEvaluateClass:
                     positive += got > 0.0
         assert positive >= 20
 
+    def test_equal_ious_go_to_the_last_valid_label(self):
+        # det 0.9 overlaps A and B equally and takes B, the later valid label
+        # (an ignored label lies between them); det 0.8 reaches only A
+        cfg = EvalConfig(task="2d", mode="r40", iou_thresholds={"Car": 0.5})
+        a, small, b = gt_at(0, 0, 100, 50), gt_at(200, 0, 230, 20), gt_at(20, 0, 120, 50)
+        dets = [det_at(0.9, 10, 0, 110, 50), det_at(0.8, -30, 0, 70, 50)]
+        assert evaluate_class([(dets, [a, small, b])], "Car", cfg, "easy") == 1.0
+        assert evaluate_class([(dets, [b, small, a])], "Car", cfg, "easy") < 1.0
+
     def test_bad_label_boxes_rejected(self):
         frames = self.frames_perfect()
         dc = LabelRecord("DontCare", -1, -1, -10, (140, 0, 100, 40),
@@ -511,6 +522,60 @@ class TestEvaluateClass:
             EvalConfig(task="4d")
         with pytest.raises(ValueError, match="IoU threshold"):
             EvalConfig(iou_thresholds={"Car": 1.5})
+
+
+class TestStackMemo:
+    """The IoU stacks are computed once per (task, class) and reused across
+    the difficulties, keyed on the content of the rows, never on identity."""
+
+    @staticmethod
+    def car_frames(seed):
+        frames = kitti_shaped_frames(np.random.default_rng(seed), n_frames=30)
+        return [([d for d in dets if d.class_id == 0], gts) for dets, gts in frames]
+
+    @pytest.mark.parametrize("task,kernel", [("bev", "iou_bev_pairs"), ("3d", "iou_3d_pairs")])
+    def test_three_difficulties_one_kernel_call(self, monkeypatch, task, kernel):
+        frames = self.car_frames(41)
+        evaluate_class(frames, "Car", EvalConfig(task="2d"), "easy")   # a different key
+        calls = {kernel: 0, "iou_2d_pairs": 0}
+        for name in calls:
+            def counted(a, b, _kernel=getattr(evaluate, name), _name=name):
+                calls[_name] += 1
+                return _kernel(a, b)
+            monkeypatch.setattr(evaluate, name, counted)
+        cfg = EvalConfig(task=task)
+        got = [evaluate_class(frames, "Car", cfg, d) for d in DIFFICULTIES]
+        assert calls == {kernel: 1, "iou_2d_pairs": 1}   # the class stack and the DontCare one
+        assert got == per_frame_evaluate(frames, "Car", cfg, DIFFICULTIES)
+
+    @pytest.mark.parametrize("task", ["2d", "bev", "3d"])
+    def test_in_place_mutation_never_reads_a_stale_stack(self, task):
+        cfg = EvalConfig(task=task)
+        frames = self.car_frames(43)
+        dets = [d for ds, _ in frames for d in ds]
+        cars = [g for _, gts in frames for g in gts if g.type == "Car"]
+
+        def move_boxes():   # only the box the task reads, so no other key field changes
+            for d in dets[:60]:
+                if task == "2d":
+                    d.box2d.x1, d.box2d.x2 = d.box2d.x1 + 30, d.box2d.x2 + 30
+                else:
+                    d.box3d.x += 3.0
+
+        mutations = [
+            move_boxes,
+            lambda: [setattr(d, "score", 1.0 - d.score) for d in dets[:60]],
+            lambda: [setattr(g, "occlusion", 3) for g in cars[:40]],
+        ]
+        for mutate in mutations:
+            before = [evaluate_class(frames, "Car", cfg, d) for d in DIFFICULTIES]
+            mutate()
+            got = [evaluate_class(frames, "Car", cfg, d) for d in DIFFICULTIES]
+            fresh = copy.deepcopy(frames)
+            evaluate_class(fresh, "Car", EvalConfig(task="3d" if task == "2d" else "2d"), "hard")
+            want = [evaluate_class(fresh, "Car", cfg, d) for d in DIFFICULTIES]
+            assert got == want
+            assert got != before   # the mutation matters
 
 
 class TestDepthErrorReport:

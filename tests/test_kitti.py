@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mono3d import kitti
 from mono3d.geometry import Box2D, Box3D
 from mono3d.kitti import (LabelRecord, detection_to_record, format_label, parse_calib,
                           parse_label_file, parse_label_line, write_result_file)
@@ -43,6 +44,40 @@ class TestParseLabel:
         with pytest.raises(ValueError, match="field 14"):
             parse_label_line(bad)
 
+    @pytest.mark.parametrize("field", ["0.0", "-1", "2.000", "3"])
+    def test_integral_occlusion_written_as_float(self, field):
+        parts = CAR_LINE.split()
+        parts[2] = field
+        rec = parse_label_line(" ".join(parts))
+        assert rec.occlusion == int(float(field)) and type(rec.occlusion) is int
+
+    @pytest.mark.parametrize("field", ["1.5", "-0.5", "2.0001"])
+    def test_non_integral_occlusion_rejected(self, field):
+        parts = CAR_LINE.split()
+        parts[2] = field
+        with pytest.raises(ValueError, match=f"^line 4, field 3: occlusion not an integer: '{field}'$"):
+            parse_label_line(" ".join(parts), line_no=4)
+
+    # first numeric field, a middle one, the score
+    @pytest.mark.parametrize("field_no", [2, 9, 16])
+    @pytest.mark.parametrize("value", ["abc", "1.2.3", "0x10", "nan", "inf", "-inf", "1e999"])
+    def test_error_text_is_the_per_field_text(self, field_no, value):
+        parts = (CAR_LINE + " 0.5").split()
+        parts[field_no - 1] = value
+        if field_no < len(parts):
+            parts[field_no] = "oops"   # a later bad field is not the one reported
+        with pytest.raises(ValueError) as want:
+            kitti._num(value, 7, field_no)
+        with pytest.raises(ValueError) as got:
+            parse_label_line(" ".join(parts), line_no=7)
+        assert str(got.value) == str(want.value)
+
+    def test_overflowing_sum_still_parses(self):
+        parts = CAR_LINE.split()
+        parts[11:14] = ["1e308", "1e308", "1e308"]   # finite fields whose sum is not
+        rec = parse_label_line(" ".join(parts))
+        assert rec.location == (1e308, 1e308, 1e308)
+
     def test_box_accessors(self):
         rec = parse_label_line(CAR_LINE)
         assert isinstance(rec.as_box2d(), Box2D)
@@ -80,6 +115,70 @@ class TestCalib:
         path.write_text("R0_rect: 1 0 0 0 1 0 0 0 1\n")
         with pytest.raises(ValueError, match="P2"):
             parse_calib(path)
+
+
+def reference_format_label(rec):
+    """`format_label` as it was written field by field with f-strings."""
+    parts = [
+        rec.type,
+        f"{rec.truncation:.2f}",
+        str(int(rec.occlusion)),
+        f"{rec.alpha:.6f}",
+        *(f"{v:.2f}" for v in rec.box2d),
+        *(f"{v:.2f}" for v in rec.dims),
+        *(f"{v:.2f}" for v in rec.location),
+        f"{rec.rotation_y:.6f}",
+    ]
+    if rec.score is not None:
+        parts.append(f"{rec.score:.6f}")
+    return " ".join(parts)
+
+
+def seeded_records(rng, n):
+    """Records with fields at every scale the writer rounds, signed zeros,
+    half-way cases and numpy float64 fields, with and without a score."""
+    specials = [0.0, -0.0, 0.005, -0.005, 0.125, 1e-7, -1e-7, 123456.785, 1e6, -1e6, 999999.995]
+
+    def value():
+        kind = rng.integers(4)
+        if kind == 0:
+            return float(rng.choice(specials))
+        if kind == 1:
+            return float(rng.normal(0.0, 10.0 ** rng.integers(-3, 7)))
+        if kind == 2:
+            return np.float64(rng.uniform(-1e6, 1e6))
+        return float(np.round(rng.uniform(-100, 100), int(rng.integers(0, 4))))
+
+    return [LabelRecord(str(rng.choice(["Car", "Pedestrian", "DontCare"])), value(),
+                        int(rng.integers(-1, 4)) if rng.uniform() < 0.5 else np.int64(rng.integers(4)),
+                        value(), tuple(value() for _ in range(4)), tuple(value() for _ in range(3)),
+                        tuple(value() for _ in range(3)), value(),
+                        None if rng.uniform() < 0.3 else value())
+            for _ in range(n)]
+
+
+class TestFormatParity:
+    def test_byte_equal_to_field_by_field_format(self):
+        records = seeded_records(np.random.default_rng(5), 3000)
+        for rec in records:
+            assert format_label(rec).encode() == reference_format_label(rec).encode(), rec
+        assert any(rec.score is None for rec in records)
+        assert any(isinstance(rec.alpha, np.float64) for rec in records)
+
+    def test_negative_zero_and_float_occlusion(self):
+        rec = LabelRecord("Car", -0.0, 1.0, -0.0, (-0.0, 0.0, 1e6, -1e6), (1.5, 1.6, 3.9),
+                          (-0.001, 1.7, 40.0), -0.0, -0.0)
+        assert format_label(rec) == reference_format_label(rec)
+        assert format_label(rec).split()[1:4] == ["-0.00", "1", "-0.000000"]
+
+    def test_result_file_is_the_lines(self, tmp_path):
+        records = seeded_records(np.random.default_rng(6), 50)
+        path = tmp_path / "000000.txt"
+        write_result_file(records, path)
+        assert path.read_bytes() == "".join(reference_format_label(r) + "\n"
+                                            for r in records).encode()
+        write_result_file([], path)
+        assert path.read_bytes() == b""
 
 
 class TestRoundtrip:
