@@ -13,10 +13,10 @@ from .align import OffsetField, align_conv, center_align_offsets, select_best_an
 from .attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool, reference_nonlocal
 from .anchors import AnchorGrid, decode, encode, fit_anchor_3d_stats, generate_anchor_grid
 from .geometry import Box2D, Box3D, CameraIntrinsics, backproject, iou_2d, iou_3d, iou_bev, project
-from .losses import LossConfig, loss_2d, loss_3d, loss_cls, mine_hard, total_loss
+from .losses import loss_2d, loss_3d, loss_cls, mine_hard, total_loss
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
 from .evaluate import EvalConfig, average_precision, depth_error_report, evaluate_class
-from .detector import ToyPipeline, detect
+from .detector import detect
 from .train import TrainConfig, lr_at, make_synthetic_scenes, train_toy
 
 __version__ = "0.1.0"

@@ -24,12 +24,17 @@ __all__ = [
 ]
 
 DEFAULT_RATIOS = (0.5, 1.0, 1.5)
+# the default size ladder: SIZE_COUNT sizes from SIZE_BASE to SIZE_BASE * SIZE_TOP_FACTOR
+SIZE_COUNT = 12
+SIZE_BASE = 24.0
+SIZE_TOP_FACTOR = 12.0
+STATS_IOU = 0.5  # 2D IoU at which an object counts toward a template's 3D stats
 
 
-def default_sizes(count=12, base=24.0, top_factor=12.0):
-    """Exponential size ladder base * factor^(i/(count-1)), 24 .. 288 by default."""
-    i = np.arange(count)
-    return base * top_factor ** (i / (count - 1))
+def default_sizes():
+    """Exponential size ladder SIZE_BASE * SIZE_TOP_FACTOR^(i/(SIZE_COUNT-1)), 24 .. 288."""
+    i = np.arange(SIZE_COUNT)
+    return SIZE_BASE * SIZE_TOP_FACTOR ** (i / (SIZE_COUNT - 1))
 
 
 class AnchorGrid:
@@ -88,11 +93,11 @@ def generate_anchor_grid(feature_hw, stride=8, sizes=None, ratios=DEFAULT_RATIOS
     return AnchorGrid(feature_hw, stride, templates)
 
 
-def fit_anchor_3d_stats(grid, boxes2d, params, iou_thresh=0.5):
+def fit_anchor_3d_stats(grid, boxes2d, params):
     """Fill each template's 3D stats with the mean over overlapping objects.
 
     An object contributes to a template when any anchor of that template has
-    2D IoU >= iou_thresh with it. Templates that match nothing inherit the
+    2D IoU >= STATS_IOU with it. Templates that match nothing inherit the
     global mean so every anchor stays decodable.
     boxes2d: (n, 4) [x1, y1, x2, y2]; params: (n, 5) (z, w, h, l, alpha).
     """
@@ -107,7 +112,7 @@ def fit_anchor_3d_stats(grid, boxes2d, params, iou_thresh=0.5):
 
     A = grid.per_position
     iou = iou_2d_pairs(grid.boxes2d().reshape(-1, A, 1, 4), boxes2d)  # (positions, A, objects)
-    matched = (iou >= iou_thresh).any(axis=0)
+    matched = (iou >= STATS_IOU).any(axis=0)
     stats = np.tile(params.mean(axis=0), (A, 1))
     for t in np.flatnonzero(matched.any(axis=1)):
         stats[t] = params[matched[t]].mean(axis=0)

@@ -87,23 +87,36 @@ def _apply_config(args, parser, argv):
     return build_parser(overrides).parse_args(argv)
 
 
+def _output_error(path, e):
+    """Report an OSError from writing to `path` as a usage error."""
+    print(f"error: {path}: {e.strerror or e}", file=sys.stderr)
+    return USAGE_EXIT
+
+
+def _train(args):
+    """Train the toy detector on `args.scenes` synthetic scenes seeded by
+    `args.seed`, for `args.steps` steps: (scenes, trace, model)."""
+    from .train import TrainConfig, make_synthetic_scenes, train_toy
+
+    scenes = make_synthetic_scenes(count=args.scenes, seed=args.seed)
+    cfg = TrainConfig(total_steps=args.steps, warmup_steps=max(1, args.scenes // 4))
+    trace, model = train_toy(scenes, steps=args.steps, train_cfg=cfg, seed=args.seed)
+    return scenes, trace, model
+
+
 def cmd_demo(args):
-    from .detector import ToyPipeline
+    from .detector import detect
     from .evaluate import EvalConfig, evaluate_class
     from .geometry import alpha_to_yaw, backproject
     from .kitti import LabelRecord, detection_to_record, write_result_file
-    from .train import make_synthetic_scenes
 
-    scenes = make_synthetic_scenes(count=args.scenes, seed=args.seed)
-    pipe = ToyPipeline(steps=args.steps, seed=args.seed, conf_thresh=args.conf)
-    print(f"training toy pipeline for {args.steps} steps on {len(scenes)} scenes ...")
-    pipe.fit(scenes)
-    first, last = pipe.trace_[0][5], pipe.trace_[-1][5]
-    print(f"total loss {first:.4f} -> {last:.4f}")
+    print(f"training toy pipeline for {args.steps} steps on {args.scenes} scenes ...")
+    scenes, trace, model = _train(args)
+    print(f"total loss {trace[0][5]:.4f} -> {trace[-1][5]:.4f}")
 
-    all_dets = pipe.predict(scenes)
     frames = []
-    for sc, dets in zip(scenes, all_dets):
+    for sc in scenes:
+        dets = detect(model, sc, conf_thresh=args.conf)
         gts = []
         centers = backproject(sc.cam, sc.params3d[:, :3]).tolist()
         for box, p, (x, y, z) in zip(sc.boxes2d, sc.params3d, centers):
@@ -114,9 +127,12 @@ def cmd_demo(args):
     print(f"{n_det} detections above confidence {args.conf}")
     if args.out:
         out = Path(args.out)
-        for i, (dets, _) in enumerate(frames):
-            write_result_file([detection_to_record(d, ["Background", "Car"]) for d in dets],
-                              out / f"{i:06d}.txt")
+        try:
+            for i, (dets, _) in enumerate(frames):
+                write_result_file([detection_to_record(d, ["Background", "Car"]) for d in dets],
+                                  out / f"{i:06d}.txt")
+        except OSError as e:
+            return _output_error(out, e)
         print(f"wrote result files to {out}")
     for task in ("2d", "bev", "3d"):
         cfg = EvalConfig(mode=args.mode, task=task)
@@ -242,21 +258,24 @@ def cmd_viz_attention(args):
         attn_conv = model.anab.attention
     with no_grad():
         amap = attention_map(feats, attn_conv).data[0, 0]
-    write_pgm(amap, args.out)
+    try:
+        write_pgm(amap, args.out)
+    except OSError as e:
+        return _output_error(args.out, e)
     print(f"wrote {amap.shape[1]}x{amap.shape[0]} attention map to {args.out}")
     return 0
 
 
 def cmd_train_toy(args):
-    from .train import TrainConfig, make_synthetic_scenes, train_toy, write_loss_trace
+    from .train import write_loss_trace
 
-    scenes = make_synthetic_scenes(count=args.scenes, seed=args.seed)
-    cfg = TrainConfig(total_steps=args.steps,
-                      warmup_steps=max(1, args.scenes // 4))
-    trace, _ = train_toy(scenes, steps=args.steps, train_cfg=cfg, seed=args.seed)
+    _, trace, _ = _train(args)
     print(f"step 0: total {trace[0][5]:.4f}   step {args.steps - 1}: total {trace[-1][5]:.4f}")
     if args.trace:
-        write_loss_trace(trace, args.trace)
+        try:
+            write_loss_trace(trace, args.trace)
+        except OSError as e:
+            return _output_error(args.trace, e)
         print(f"wrote loss trace to {args.trace}")
     return 0
 

@@ -1,9 +1,6 @@
-"""End-to-end inference and a small fit/predict estimator wrapper.
-
-`detect` turns raw head outputs into scored Detections (decode, back-project,
-angle conversion); `ToyPipeline` wraps the toy trainer and detector behind a
-scikit-learn-style fit/predict surface.
-"""
+"""End-to-end inference: `detect` turns one scene's raw head outputs into
+scored Detections (decode, back-project, angle conversion, NMS, confidence
+filter, yaw refinement)."""
 
 from __future__ import annotations
 
@@ -16,14 +13,13 @@ from .anchors import decode
 from .geometry import Box3D, alpha_to_yaw, backproject
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
 from .tensor import no_grad
-from .train import TrainConfig, check_image_shapes, train_toy
 
-__all__ = ["detect", "ToyPipeline"]
+__all__ = ["detect"]
 
 
-def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
-           refine_rotation=True):
-    """Full inference for one scene: decode, NMS, filter, yaw refinement.
+def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
+    """Full inference for one scene: decode, NMS, filter, then yaw refinement
+    of every kept detection.
 
     A candidate whose score or decoded box is non-finite is dropped, and the
     scene's drop count is reported in one RuntimeWarning. A scene whose
@@ -78,56 +74,4 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75,
 
     dets = nms(dets, iou_thresh=nms_iou)
     dets = confidence_filter(dets, thresh=conf_thresh)
-    if refine_rotation:
-        dets = [optimize_rotation(d, scene.cam)[0] for d in dets]
-    return dets
-
-
-class ToyPipeline:
-    """fit/predict wrapper over the synthetic-scene trainer.
-
-    Parameters mirror the training and post-processing knobs.
-    """
-
-    def __init__(self, steps=200, seed=0, lr_target=0.004, momentum=0.9,
-                 weight_decay=5e-4, batch_size=4, conf_thresh=0.75,
-                 nms_iou=0.4, refine_rotation=True):
-        self.steps = steps
-        self.seed = seed
-        self.lr_target = lr_target
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.batch_size = batch_size
-        self.conf_thresh = conf_thresh
-        self.nms_iou = nms_iou
-        self.refine_rotation = refine_rotation
-        self.model_ = None
-        self.trace_ = None
-
-    def _check_scenes(self, scenes):
-        scenes = list(scenes)
-        if not scenes:
-            raise ValueError("need at least one scene")
-        check_image_shapes(scenes)
-        return scenes
-
-    def fit(self, scenes):
-        scenes = self._check_scenes(scenes)
-        cfg = TrainConfig(
-            lr_target=self.lr_target, momentum=self.momentum,
-            weight_decay=self.weight_decay, batch_size=self.batch_size,
-            total_steps=self.steps,
-            warmup_steps=max(1, len(scenes) // self.batch_size),
-        )
-        self.trace_, self.model_ = train_toy(
-            scenes, steps=self.steps, train_cfg=cfg, seed=self.seed)
-        return self
-
-    def predict(self, scenes):
-        if self.model_ is None:
-            raise RuntimeError("call fit before predict")
-        scenes = self._check_scenes(scenes)
-        return [detect(self.model_, sc, nms_iou=self.nms_iou,
-                       conf_thresh=self.conf_thresh,
-                       refine_rotation=self.refine_rotation)
-                for sc in scenes]
+    return [optimize_rotation(d, scene.cam)[0] for d in dets]

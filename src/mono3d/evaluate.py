@@ -52,9 +52,9 @@ DIFFICULTY_TABLE = {
 DIFFICULTIES = ("easy", "moderate", "hard")
 
 
-def passes_difficulty(height_px, occlusion, truncation, difficulty, table=None):
+def passes_difficulty(height_px, occlusion, truncation, difficulty):
     """Whether ground truths count at `difficulty`; elementwise on arrays."""
-    min_h, max_occ, max_trunc = (table or DIFFICULTY_TABLE)[difficulty]
+    min_h, max_occ, max_trunc = DIFFICULTY_TABLE[difficulty]
     return (height_px >= min_h) & (occlusion <= max_occ) & (truncation <= max_trunc)
 
 

@@ -1,9 +1,8 @@
-"""KITTI calibration / label / result file parsing and writing.
+"""KITTI label / result file parsing and writing.
 
 Label lines carry 15 whitespace-separated fields (16 with a trailing score):
 type, truncation, occlusion, alpha, 2D box (x1 y1 x2 y2), dimensions
-(h w l), location (x y z), rotation_y [, score]. Calibration files map names
-like "P2" to 3x4 matrices given as 12 floats.
+(h w l), location (x y z), rotation_y [, score].
 """
 
 from __future__ import annotations
@@ -12,15 +11,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .geometry import Box2D, Box3D, CameraIntrinsics
+from .geometry import Box2D, Box3D
 
 __all__ = [
     "LabelRecord",
     "parse_label_line",
     "parse_label_file",
-    "parse_calib",
     "format_label",
     "write_result_file",
     "detection_to_record",
@@ -94,26 +90,6 @@ def parse_label_file(path):
             if line:
                 records.append(parse_label_line(line, line_no=i))
     return records
-
-
-def parse_calib(path):
-    """All named 3x4 matrices in a calib file, e.g. {"P2": CameraIntrinsics}."""
-    matrices = {}
-    with open(path, newline="") as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or ":" not in line:
-                continue
-            name, rest = line.split(":", 1)
-            vals = rest.split()
-            if len(vals) != 12:
-                continue  # R0_rect and friends are 3x3; only 3x4 entries matter here
-            mat = np.array([_num(v, i, j + 2) for j, v in enumerate(vals)]).reshape(3, 4)
-            matrices[name.strip()] = mat
-    if "P2" not in matrices:
-        raise ValueError(f"{path}: no P2 projection matrix found")
-    return {name: CameraIntrinsics(m) if name.startswith("P") else m
-            for name, m in matrices.items()}
 
 
 _LINE = "%s %.2f %d %.6f" + " %.2f" * 10 + " %.6f"

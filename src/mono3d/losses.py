@@ -6,14 +6,11 @@ tape; plain numpy arrays are coerced to constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Tensor
 
 __all__ = [
-    "LossConfig",
     "loss_cls",
     "loss_2d",
     "loss_3d",
@@ -24,21 +21,11 @@ __all__ = [
 ]
 
 IOU_FLOOR = 1e-7
-
-
-@dataclass
-class LossConfig:
-    lambda_2d: float = 1.0
-    lambda_3d: float = 1.0
-    hard_fraction: float = 0.20
-    positive_iou: float = 0.5
-    negative_iou: float = 0.4
-
-    def __post_init__(self):
-        if self.lambda_2d < 0 or self.lambda_3d < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not 0.0 < self.hard_fraction <= 1.0:
-            raise ValueError(f"hard fraction must be in (0, 1], got {self.hard_fraction}")
+LAMBDA_2D = 1.0        # weight of L_2d in the total loss
+LAMBDA_3D = 1.0        # weight of L_3d in the total loss
+HARD_FRACTION = 0.20   # share of negatives kept by hard-negative mining
+POSITIVE_IOU = 0.5     # anchor-to-ground-truth 2D IoU at or above which an anchor is positive
+NEGATIVE_IOU = 0.4     # ... below which it is background; in between it is ignored
 
 
 def _as_tensor(x):
@@ -123,8 +110,6 @@ def mine_hard(losses, fraction, protected=None):
     return chosen.astype(np.intp)
 
 
-def total_loss(l_cls, l_2d, l_3d, config=None):
-    """L = L_cls + lambda1 * L_2d + lambda2 * L_3d."""
-    config = config or LossConfig()
-    return _as_tensor(l_cls) + config.lambda_2d * _as_tensor(l_2d) \
-        + config.lambda_3d * _as_tensor(l_3d)
+def total_loss(l_cls, l_2d, l_3d):
+    """L = L_cls + LAMBDA_2D * L_2d + LAMBDA_3D * L_3d."""
+    return _as_tensor(l_cls) + LAMBDA_2D * _as_tensor(l_2d) + LAMBDA_3D * _as_tensor(l_3d)

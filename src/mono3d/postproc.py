@@ -12,6 +12,10 @@ from .geometry import Box2D, Box3D, iou_2d_pairs, project_box, wrap_angle
 
 __all__ = ["Detection", "nms", "confidence_filter", "optimize_rotation"]
 
+YAW_STEP = 0.3         # first yaw step of the rotation search (rad)
+YAW_STEP_MIN = 1e-3    # the search stops once the halved step falls below this
+YAW_MAX_ITER = 64      # ... or after this many iterations
+
 
 @dataclass
 class Detection:
@@ -53,11 +57,11 @@ def confidence_filter(dets, thresh=0.75):
     return [d for d in dets if d.score >= thresh]
 
 
-def optimize_rotation(det, cam, sigma0=0.3, sigma_min=1e-3, max_iter=64):
+def optimize_rotation(det, cam):
     """Refine yaw so the projected 3D-box envelope matches the 2D box.
 
-    Coordinate search: try yaw +- sigma, accept any improvement of the L1
-    corner distance, halve sigma when neither direction improves. The
+    Coordinate search: try yaw +- step, accept any improvement of the L1
+    corner distance, halve the step when neither direction improves. The
     objective never increases. Boxes behind the camera come back unchanged
     (flagged via the second return value); a candidate yaw that turns a
     corner behind the camera counts as not improving.
@@ -78,18 +82,18 @@ def optimize_rotation(det, cam, sigma0=0.3, sigma_min=1e-3, max_iter=64):
         return det, False
 
     yaw = box.yaw
-    sigma = sigma0
-    for _ in range(max_iter):
-        if sigma < sigma_min:
+    step = YAW_STEP
+    for _ in range(YAW_MAX_ITER):
+        if step < YAW_STEP_MIN:
             break
         improved = False
-        for cand in (yaw + sigma, yaw - sigma):
+        for cand in (yaw + step, yaw - step):
             val = objective(cand)
             if val < best:
                 yaw, best = cand, val
                 improved = True
                 break
         if not improved:
-            sigma /= 2.0
+            step /= 2.0
     refined = dataclasses.replace(box, yaw=wrap_angle(yaw))
     return dataclasses.replace(det, box3d=refined), True

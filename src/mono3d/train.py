@@ -17,7 +17,8 @@ from .align import align_conv, center_align_offsets, select_best_anchor, shape_a
 from .anchors import encode, fit_anchor_3d_stats, generate_anchor_grid
 from .attention import AnabParams, PyramidSpec, anab_forward
 from .geometry import CameraIntrinsics, iou_2d_pairs
-from .losses import LossConfig, loss_2d, loss_3d, loss_cls, mine_hard, per_sample_ce, total_loss
+from .losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d, loss_cls,
+                     mine_hard, per_sample_ce, total_loss)
 from .ops import ConvSpec, conv2d
 from .tensor import Tensor
 
@@ -28,7 +29,6 @@ __all__ = [
     "Scene",
     "make_synthetic_scenes",
     "ToyDetector",
-    "check_image_shapes",
     "train_toy",
     "write_loss_trace",
 ]
@@ -220,7 +220,7 @@ class ToyDetector:
 
     # -- loss assembly --------------------------------------------------------
 
-    def match_anchors(self, boxes2d, loss_cfg):
+    def match_anchors(self, boxes2d):
         """Per-anchor labels against (n, 4) ground-truth boxes: gt index for
         positives, -1 background, -2 ignore. A scene without objects is all
         background."""
@@ -230,8 +230,8 @@ class ToyDetector:
         best_gt = iou.argmax(axis=1)
         best_iou = iou[np.arange(len(iou)), best_gt]
         labels = np.full(len(iou), -2, dtype=np.intp)
-        labels[best_iou < loss_cfg.negative_iou] = -1
-        pos = best_iou >= loss_cfg.positive_iou
+        labels[best_iou < NEGATIVE_IOU] = -1
+        pos = best_iou >= POSITIVE_IOU
         labels[pos] = best_gt[pos]
         return labels
 
@@ -258,17 +258,17 @@ class ToyDetector:
                             self._gather(heads["box3d"], b, 4, flat_pos)], axis=1)
         return self._gather(heads["box2d"], b, 4, flat_pos), d3
 
-    def scene_loss(self, scenes, loss_cfg):
+    def scene_loss(self, scenes):
         """One forward over the stacked images of `scenes`; returns a list of
         each scene's mined classification, 2D IoU and 3D smooth-L1 losses
         (l_cls, l_2d, l_3d), and the batched heads."""
         heads = self.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
-        losses = [self._losses(heads, b, sc, loss_cfg) for b, sc in enumerate(scenes)]
+        losses = [self._losses(heads, b, sc) for b, sc in enumerate(scenes)]
         return losses, heads
 
-    def _losses(self, heads, b, scene, loss_cfg):
+    def _losses(self, heads, b, scene):
         """(l_cls, l_2d, l_3d) of item b of the batched heads."""
-        labels = self.match_anchors(scene.boxes2d, loss_cfg)
+        labels = self.match_anchors(scene.boxes2d)
         pos_idx = np.flatnonzero(labels >= 0)
         neg_idx = np.flatnonzero(labels == -1)
         used = np.concatenate([pos_idx, neg_idx])
@@ -277,7 +277,7 @@ class ToyDetector:
 
         # hard-negative mining on detached per-sample CE; positives protected
         ce = per_sample_ce(logits_all.data, targets_all)
-        keep = mine_hard(ce, loss_cfg.hard_fraction, protected=np.arange(len(pos_idx)))
+        keep = mine_hard(ce, HARD_FRACTION, protected=np.arange(len(pos_idx)))
         l_cls = loss_cls(logits_all[keep], targets_all[keep])
 
         if len(pos_idx) == 0:
@@ -302,9 +302,11 @@ class ToyDetector:
         return l_cls, loss_2d(pred_boxes, gt_boxes), loss_3d(d3, target_d3)
 
 
-def check_image_shapes(scenes):
-    """Batches stack their images: name the first scene whose image shape
-    differs from scene 0's."""
+def _check_scenes(scenes):
+    """Batches stack their images: at least one scene, and name the first
+    scene whose image shape differs from scene 0's."""
+    if not scenes:
+        raise ValueError("need at least one scene")
     shape = scenes[0].image.shape
     for i, sc in enumerate(scenes):
         if sc.image.shape != shape:
@@ -312,15 +314,14 @@ def check_image_shapes(scenes):
                              f"{shape}: all scenes must share one image shape")
 
 
-def train_toy(scenes, steps=200, train_cfg=None, loss_cfg=None, seed=0, detector=None):
+def train_toy(scenes, steps=200, train_cfg=None, seed=0, detector=None):
     """SGD over the full head stack on synthetic scenes; returns the trace.
 
     Trace rows: (step, lr, L_cls, L_2d, L_3d, L_total), evaluated on the
     mini-batch before the update. Deterministic for a fixed seed.
     """
     train_cfg = train_cfg or TrainConfig(total_steps=steps)
-    loss_cfg = loss_cfg or LossConfig()
-    check_image_shapes(scenes)
+    _check_scenes(scenes)
     model = detector or ToyDetector(scenes[0].image.shape[2:], seed=seed)
     model.fit_anchors(scenes)
     opt = SGD(model.params(), train_cfg)
@@ -331,19 +332,19 @@ def train_toy(scenes, steps=200, train_cfg=None, loss_cfg=None, seed=0, detector
         batch = [scenes[(step * train_cfg.batch_size + i) % len(scenes)]
                  for i in range(train_cfg.batch_size)]
         opt.zero_grad()
-        parts, total = _batch_backward(model, batch, loss_cfg)
+        parts, total = _batch_backward(model, batch)
         trace.append((step, lr, parts[0], parts[1], parts[2], total))
         opt.step(lr)
     return trace, model
 
 
-def _batch_backward(model, batch, loss_cfg):
+def _batch_backward(model, batch):
     """One forward and one backward over `batch`: the mean (L_cls, L_2d, L_3d)
     and the total. The step's tape is freed on return, before the next forward."""
     parts = np.zeros(3)
     batch_total = None
-    for l_cls, l_2d, l_3d in model.scene_loss(batch, loss_cfg)[0]:
-        tot = total_loss(l_cls, l_2d, l_3d, loss_cfg) * (1.0 / len(batch))
+    for l_cls, l_2d, l_3d in model.scene_loss(batch)[0]:
+        tot = total_loss(l_cls, l_2d, l_3d) * (1.0 / len(batch))
         batch_total = tot if batch_total is None else batch_total + tot
         parts += [l_cls.item(), l_2d.item(), l_3d.item()]
     batch_total.backward()

@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -277,6 +280,11 @@ class TestVizAttention:
         assert "feats.m3tn" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_in_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "nope" / "attn.pgm"
+        assert main(["viz-attention", "--out", str(out)]) == USAGE_EXIT
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+
 
 class TestTrainToy:
     def test_quick_run_with_trace(self, tmp_path, capsys):
@@ -287,6 +295,12 @@ class TestTrainToy:
         lines = trace.read_text().splitlines()
         assert len(lines) == 4
         assert "total" in capsys.readouterr().out
+
+    def test_trace_in_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "nope" / "trace.csv"
+        code = main(["train-toy", "--steps", "1", "--scenes", "1", "--trace", str(trace)])
+        assert code == USAGE_EXIT
+        assert capsys.readouterr().err == f"error: {trace}: {os.strerror(errno.ENOENT)}\n"
 
 
 class TestDemo:
@@ -310,3 +324,11 @@ class TestDemo:
         for gt in gts:  # rotation_y is the yaw, as for detections, not alpha
             x, _, z = gt.location
             assert abs(yaw_to_alpha(gt.rotation_y, x, z) - gt.alpha) <= 1e-12
+
+    def test_out_onto_existing_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        out.write_text("keep\n")
+        code = main(["demo", "--steps", "1", "--scenes", "1", "--conf", "0", "--out", str(out)])
+        assert code == USAGE_EXIT
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
+        assert out.read_text() == "keep\n"

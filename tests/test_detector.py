@@ -6,36 +6,31 @@ import pytest
 import mono3d.detector as detector
 import mono3d.postproc as postproc
 from mono3d.anchors import decode
-from mono3d.detector import ToyPipeline, detect
+from mono3d.detector import detect
 from mono3d.geometry import Box2D, Box3D, alpha_to_yaw, box3d_corners, iou_2d, project
 from mono3d.postproc import Detection, optimize_rotation
 from mono3d.tensor import Tensor, no_grad
 from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy, TrainConfig
 
 
+def predict(model, scenes, conf_thresh):
+    return [detect(model, sc, conf_thresh=conf_thresh) for sc in scenes]
+
+
+def fit_predict(scenes, steps, conf_thresh):
+    """The toy pipeline: `train_toy` on `scenes` (batch 2, seed 0), then
+    `detect` on each scene. Gives (trace, model, detections per scene)."""
+    cfg = TrainConfig(batch_size=2, total_steps=steps, warmup_steps=max(1, len(scenes) // 2))
+    trace, model = train_toy(scenes, steps=steps, train_cfg=cfg, seed=0)
+    return trace, model, predict(model, scenes, conf_thresh)
+
+
 class TestToyPipeline:
-    def test_predict_before_fit(self):
-        scenes = make_synthetic_scenes(count=1)
-        with pytest.raises(RuntimeError, match="fit"):
-            ToyPipeline().predict(scenes)
-
-    def test_empty_scenes_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ToyPipeline().fit([])
-
-    def test_mixed_shapes_rejected(self):
-        scenes = make_synthetic_scenes(count=1, image_hw=(48, 80)) \
-            + make_synthetic_scenes(count=1, image_hw=(48, 96))
-        with pytest.raises(ValueError, match="share one image shape"):
-            ToyPipeline().fit(scenes)
-
     def test_fit_predict_small(self):
         scenes = make_synthetic_scenes(count=4, seed=3)
-        pipe = ToyPipeline(steps=8, seed=0, batch_size=2, conf_thresh=0.1,
-                           refine_rotation=False)
-        out = pipe.fit(scenes).predict(scenes)
+        trace, _, out = fit_predict(scenes, steps=8, conf_thresh=0.1)
         assert len(out) == len(scenes)
-        assert pipe.trace_ is not None and len(pipe.trace_) == 8
+        assert len(trace) == 8
         for dets in out:
             for d in dets:
                 assert isinstance(d, Detection)
@@ -71,8 +66,7 @@ class TestDetect:
         scenes = make_synthetic_scenes(count=2, seed=1)
         cfg = TrainConfig(total_steps=10, warmup_steps=2)
         _, model = train_toy(scenes, steps=10, train_cfg=cfg, seed=0)
-        dets = detect(model, scenes[0], score_floor=0.05, conf_thresh=0.05,
-                      refine_rotation=False)
+        dets = detect(model, scenes[0], score_floor=0.05, conf_thresh=0.05)
         for d in dets:
             assert 0.05 <= d.score <= 1.0
             assert d.box2d.w > 0.0 and d.box2d.h > 0.0
@@ -81,17 +75,18 @@ class TestDetect:
 
 class TestNonFiniteOutputs:
     """A non-finite head output drops its candidates with one warning per
-    scene; predict still returns for every scene."""
+    scene; `detect` still returns for every scene."""
+
+    CONF = 0.05
 
     @pytest.fixture(scope="class")
     def fitted(self):
         scenes = make_synthetic_scenes(count=3, seed=1)
-        pipe = ToyPipeline(steps=10, seed=0, batch_size=2, conf_thresh=0.05,
-                           refine_rotation=False).fit(scenes)
-        return pipe, scenes, pipe.predict(scenes)
+        _, model, want = fit_predict(scenes, steps=10, conf_thresh=self.CONF)
+        return model, scenes, want
 
-    def poison(self, pipe, image, head, index, value, monkeypatch):
-        forward = pipe.model_.forward
+    def poison(self, model, image, head, index, value, monkeypatch):
+        forward = model.forward
 
         def poisoned(img):
             heads = forward(img)
@@ -99,7 +94,7 @@ class TestNonFiniteOutputs:
                 heads[head].data[index] = value
             return heads
 
-        monkeypatch.setattr(pipe.model_, "forward", poisoned)
+        monkeypatch.setattr(model, "forward", poisoned)
 
     @pytest.mark.parametrize("head,index,value,count", [
         ("cls", (0, 1, 0, 0), np.nan, "1"),   # one logit: anchor 0, class 1, cell (0, 0)
@@ -107,10 +102,10 @@ class TestNonFiniteOutputs:
         ("box3d", (0, 0), 1e4, r"\d+"),       # tw of anchor 0: exp overflows
     ])
     def test_other_scenes_unchanged(self, fitted, head, index, value, count, monkeypatch):
-        pipe, scenes, want = fitted
-        self.poison(pipe, scenes[1].image, head, index, value, monkeypatch)
+        model, scenes, want = fitted
+        self.poison(model, scenes[1].image, head, index, value, monkeypatch)
         with pytest.warns(RuntimeWarning, match=rf"dropped {count} candidate") as rec:
-            got = pipe.predict(scenes)
+            got = predict(model, scenes, self.CONF)
         assert sum("dropped" in str(w.message) for w in rec) == 1
         assert len(got) == len(scenes)
         assert got[0] == want[0] and got[2] == want[2]
@@ -119,12 +114,12 @@ class TestNonFiniteOutputs:
 
     def test_non_finite_pixel_gives_no_detections(self, fitted):
         # a NaN pixel reaches the center offsets, whose OffsetField check rejects it
-        pipe, scenes, want = fitted
+        model, scenes, want = fitted
         image = scenes[1].image.data.copy()
         image[0, 0, 20, 30] = np.nan
         poisoned = dataclasses.replace(scenes[1], image=Tensor(image))
         with pytest.warns(RuntimeWarning, match="non-finite center offsets") as rec:
-            got = pipe.predict([scenes[0], poisoned, scenes[2]])
+            got = predict(model, [scenes[0], poisoned, scenes[2]], self.CONF)
         assert len(rec) == 1
         assert got[1] == []
         assert got[0] == want[0] and got[2] == want[2]

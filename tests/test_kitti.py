@@ -3,8 +3,8 @@ import pytest
 
 from mono3d import kitti
 from mono3d.geometry import Box2D, Box3D
-from mono3d.kitti import (LabelRecord, detection_to_record, format_label, parse_calib,
-                          parse_label_file, parse_label_line, write_result_file)
+from mono3d.kitti import (LabelRecord, detection_to_record, format_label, parse_label_file,
+                          parse_label_line, write_result_file)
 from mono3d.postproc import Detection
 
 CAR_LINE = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
@@ -91,30 +91,6 @@ class TestParseLabel:
         path = tmp_path / "000001.txt"
         path.write_text(CAR_LINE + "\n\n" + CAR_LINE + "\n")
         assert len(parse_label_file(path)) == 2
-
-
-class TestCalib:
-    CALIB = (
-        "P0: 707.0 0.0 601.9 0.0 0.0 707.0 183.1 0.0 0.0 0.0 1.0 0.0\n"
-        "P2: 721.5 0.0 609.6 44.9 0.0 721.5 172.9 0.2 0.0 0.0 1.0 0.003\n"
-        "R0_rect: 1 0 0 0 1 0 0 0 1\n"
-        "Tr_velo_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0\n"
-    )
-
-    def test_p2_matrix(self, tmp_path):
-        path = tmp_path / "calib.txt"
-        path.write_text(self.CALIB)
-        cams = parse_calib(path)
-        assert cams["P2"].K[0, 0] == pytest.approx(721.5)
-        assert cams["P2"].K[0, 3] == pytest.approx(44.9)
-        assert "P0" in cams
-
-    def test_missing_p2(self, tmp_path):
-        path = tmp_path / "calib.txt"
-        path.write_text("P0: " + " ".join(["1"] * 12) + "\n")
-        path.write_text("R0_rect: 1 0 0 0 1 0 0 0 1\n")
-        with pytest.raises(ValueError, match="P2"):
-            parse_calib(path)
 
 
 def reference_format_label(rec):

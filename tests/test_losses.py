@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3d.gradcheck import grad_check
-from mono3d.losses import (IOU_FLOOR, LossConfig, loss_2d, loss_3d, loss_cls, mine_hard,
+from mono3d.losses import (IOU_FLOOR, loss_2d, loss_3d, loss_cls, mine_hard,
                            per_sample_ce, smooth_l1, total_loss)
 from mono3d.tensor import Tensor
 
@@ -168,19 +168,9 @@ class TestTotalLoss:
     def test_unit_weights(self):
         assert total_loss(1.0, 2.0, 3.0).item() == pytest.approx(6.0, abs=1e-12)
 
-    def test_lambda_linearity(self):
-        cfg = LossConfig(lambda_2d=0.5, lambda_3d=2.0)
-        assert total_loss(1.0, 2.0, 3.0, cfg).item() == pytest.approx(1 + 1 + 6, abs=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            LossConfig(lambda_2d=-1.0)
-        with pytest.raises(ValueError, match="fraction"):
-            LossConfig(hard_fraction=0.0)
-
     def test_gradient_flows_through_all_terms(self):
         a = Tensor(1.0, requires_grad=True)
         b = Tensor(2.0, requires_grad=True)
         c = Tensor(3.0, requires_grad=True)
-        total_loss(a, b, c, LossConfig(lambda_2d=0.5, lambda_3d=2.0)).backward()
-        assert (a.grad, b.grad, c.grad) == (1.0, 0.5, 2.0)
+        total_loss(a, b, c).backward()
+        assert (a.grad, b.grad, c.grad) == (1.0, 1.0, 1.0)

@@ -180,7 +180,7 @@ class TestOptimizeRotation:
 
     def test_candidate_yaw_behind_camera_not_improving(self):
         # a car 2.4 m away whose half-diagonal (2.49 m) exceeds its depth: the
-        # start yaw keeps every corner in front, the first candidate (+sigma0)
+        # start yaw keeps every corner in front, the first candidate (+YAW_STEP)
         # turns one behind the camera
         box3d = Box3D(0.0, 1.5, 2.4, 1.9, 1.5, 4.6, 0.7)
         assert math.hypot(box3d.l / 2.0, box3d.w / 2.0) > box3d.z

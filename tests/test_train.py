@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mono3d.geometry import Box2D, iou_2d
-from mono3d.losses import LossConfig, total_loss
+from mono3d.losses import NEGATIVE_IOU, POSITIVE_IOU, total_loss
 from mono3d.tensor import Tensor
 from mono3d.train import (SGD, Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes,
                           train_toy, write_loss_trace)
@@ -96,12 +96,11 @@ class TestToyDetector:
     def test_anchor_matching_labels(self):
         scenes = make_synthetic_scenes(count=1, seed=1)
         model = ToyDetector((48, 80), seed=0)
-        labels = model.match_anchors(scenes[0].boxes2d, LossConfig())
+        labels = model.match_anchors(scenes[0].boxes2d)
         assert labels.shape == (len(model.grid),)
         assert set(np.unique(labels)).issubset(set(range(-2, len(scenes[0].boxes2d))))
 
     def test_anchor_matching_brute_force_oracle(self):
-        cfg = LossConfig()
         model = ToyDetector((48, 80), seed=0)
         anchors = [Box2D.from_center(*row[:4])
                    for row in model.grid.rows(np.arange(len(model.grid)))]
@@ -112,18 +111,18 @@ class TestToyDetector:
                 for a in anchors:
                     ious = [iou_2d(a, g) for g in gts]
                     best = max(range(len(ious)), key=lambda j: (ious[j], -j))
-                    if ious[best] >= cfg.positive_iou:
+                    if ious[best] >= POSITIVE_IOU:
                         want.append(best)
                     else:
-                        want.append(-1 if ious[best] < cfg.negative_iou else -2)
-                assert model.match_anchors(sc.boxes2d, cfg).tolist() == want
+                        want.append(-1 if ious[best] < NEGATIVE_IOU else -2)
+                assert model.match_anchors(sc.boxes2d).tolist() == want
                 assert max(want) >= 0
 
     def test_scene_loss_finite(self):
         scenes = make_synthetic_scenes(count=1, seed=2)
         model = ToyDetector((48, 80), seed=0)
         model.fit_anchors(scenes)
-        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[0]], LossConfig())
+        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[0]])
         for v in (l_cls, l_2d, l_3d):
             assert np.isfinite(v.item())
 
@@ -163,22 +162,21 @@ class TestBatchedForward:
 
     def test_gradients_match_summed_per_scene_passes(self):
         model, scenes = self.model_and_scenes()
-        cfg = LossConfig()
 
         def loss_of(parts):
             out = None
             for l_cls, l_2d, l_3d in parts:
-                tot = total_loss(l_cls, l_2d, l_3d, cfg)
+                tot = total_loss(l_cls, l_2d, l_3d)
                 out = tot if out is None else out + tot
             return out
 
-        losses, _ = model.scene_loss(scenes, cfg)
+        losses, _ = model.scene_loss(scenes)
         loss_of(losses).backward()
         got = [p.grad.copy() for p in model.params()]
         for p in model.params():
             p.zero_grad()
         for sc in scenes:  # the reference accumulates over three tapes
-            loss_of(model.scene_loss([sc], cfg)[0]).backward()
+            loss_of(model.scene_loss([sc])[0]).backward()
         assert len(losses) == 3 and all(l_2d.item() > 0.0 for _, l_2d, _ in losses)
         for g, p in zip(got, model.params()):
             ref = p.grad
@@ -219,12 +217,15 @@ class TestTrainToy:
                   + make_synthetic_scenes(count=1, objects_per_scene=0, seed=2))
         model = ToyDetector((48, 80), seed=0)
         model.fit_anchors(scenes)
-        cfg = LossConfig()
-        assert np.all(model.match_anchors(scenes[3].boxes2d, cfg) == -1)
-        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[3]], cfg)
+        assert np.all(model.match_anchors(scenes[3].boxes2d) == -1)
+        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[3]])
         assert l_2d.item() == 0.0 and l_3d.item() == 0.0 and np.isfinite(l_cls.item())
         trace, _ = train_toy(scenes, steps=2, train_cfg=TrainConfig(total_steps=2, warmup_steps=1))
         assert len(trace) == 2 and np.isfinite(np.array(trace)).all()
+
+    def test_empty_scenes_rejected(self):
+        with pytest.raises(ValueError, match="need at least one scene"):
+            train_toy([], steps=1)
 
     def test_rejects_mixed_image_shapes(self):
         scenes = make_synthetic_scenes(count=2, seed=3)
