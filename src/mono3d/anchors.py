@@ -63,11 +63,16 @@ class AnchorGrid:
     def __len__(self):
         return self.centers.shape[0] * self.per_position
 
+    def unravel(self, flat_indices):
+        """(row, col, template) index arrays of flat anchor indices."""
+        return np.unravel_index(flat_indices, self.feature_hw + (self.per_position,))
+
     def rows(self, flat_indices):
         """(n, 9) rows [x, y, w2d, h2d, z, w, h, l, alpha] of the anchors at
         flat indices: pixel center, 2D template, the template's 3D stats."""
-        pos, t = np.divmod(flat_indices, self.per_position)
-        return np.concatenate([self.centers[pos], self.templates[t], self.stats3d[t]], axis=1)
+        r, c, t = self.unravel(flat_indices)
+        centers = self.centers.reshape(self.feature_hw + (2,))[r, c]
+        return np.concatenate([centers, self.templates[t], self.stats3d[t]], axis=1)
 
     def boxes2d(self):
         """(len, 4) corner boxes for every anchor."""

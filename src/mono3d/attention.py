@@ -15,13 +15,12 @@ convolution.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ops import ConvSpec, conv2d, softmax_lastdim
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 __all__ = [
     "PyramidSpec",
@@ -30,7 +29,6 @@ __all__ = [
     "pa2_pool",
     "anab_forward",
     "reference_nonlocal",
-    "complexity_bench",
     "write_pgm",
 ]
 
@@ -77,7 +75,6 @@ class AnabParams:
     out: ConvSpec
     attention: ConvSpec
     pyramid: PyramidSpec = field(default_factory=PyramidSpec)
-    residual: bool = True
 
     @staticmethod
     def init_random(channels, pyramid=None, rng=None):
@@ -213,14 +210,13 @@ def anab_forward(x, params):
         m_out = (w_o @ v.T) @ softmax_lastdim(s).T       # C x N
         outs.append(m_out.reshape(1, C, H, W))
     y = outs[0] if B == 1 else Tensor.concat(outs, axis=0)
-    y = y + params.out.bias.reshape(1, C, 1, 1)
-    return y + x if params.residual else y
+    return y + params.out.bias.reshape(1, C, 1, 1) + x
 
 
-def reference_nonlocal(x, residual=True):
+def reference_nonlocal(x):
     """Standard non-local block with identity embeddings: the O(N^2 C) oracle.
 
-    y = softmax(M M^T) M (+ x), with M the (N, C) reshaped feature map.
+    y = softmax(M M^T) M + x, with M the (N, C) reshaped feature map.
     """
     B, C, H, W = x.shape
     N = H * W
@@ -230,58 +226,7 @@ def reference_nonlocal(x, residual=True):
         s = m @ m.T
         o = softmax_lastdim(s) @ m
         outs.append(o.T.reshape(1, C, H, W))
-    y = outs[0] if B == 1 else Tensor.concat(outs, axis=0)
-    return y + x if residual else y
-
-
-def complexity_bench(H, W, C, spec=None, repeats=3, nonlocal_hw=None, seed=0):
-    """Wall-clock one forward of `anab_forward` and `reference_nonlocal`.
-
-    The attention block runs with `init_random` weights under `no_grad`, so
-    no tape is recorded. Returns a dict with anab_time / nonlocal_time (the
-    best of at least `repeats` samples; a cheap call gets as many as fit in
-    about 1 s), the descriptor count L and pixel count N. `nonlocal_hw` lets
-    the quadratic reference run at a smaller size when N would not fit
-    comfortably.
-    """
-    spec = spec or PyramidSpec()
-    rng = np.random.default_rng(seed)
-    params = AnabParams.init_random(C, pyramid=spec, rng=rng)
-    x = Tensor(rng.normal(size=(1, C, H, W)))
-    nh, nw = nonlocal_hw or (H, W)
-    xn = Tensor(rng.normal(size=(1, C, nh, nw)))
-
-    def best_of(fn, arg):
-        t0 = time.perf_counter()
-        fn(arg)  # warm up, and gauge a single call
-        single = max(time.perf_counter() - t0, 1e-6)
-        # batch sub-millisecond ops so each sample spans ~25 ms of work, and
-        # take more samples of cheap calls: ~1 s of them, at least `repeats`
-        loops = max(1, int(0.025 / single))
-        times = []
-        for _ in range(max(repeats, int(1.0 / (loops * single)))):
-            t0 = time.perf_counter()
-            for _ in range(loops):
-                fn(arg)
-            times.append((time.perf_counter() - t0) / loops)
-        return min(times)
-
-    def run():
-        return {
-            "anab_time": best_of(lambda t: anab_forward(t, params), x),
-            "nonlocal_time": best_of(reference_nonlocal, xn),
-            "L": spec.descriptor_count,
-            "N": H * W,
-            "nonlocal_N": nh * nw,
-        }
-
-    with no_grad():
-        try:  # single-threaded BLAS for stable, size-proportional timings
-            from threadpoolctl import threadpool_limits
-            with threadpool_limits(limits=1):
-                return run()
-        except ImportError:
-            return run()
+    return (outs[0] if B == 1 else Tensor.concat(outs, axis=0)) + x
 
 
 def write_pgm(gray, path):

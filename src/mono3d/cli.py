@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: demo, eval, gradcheck, bench-anab, viz-attention, train-toy.
+Subcommands: demo, eval, gradcheck, viz-attention, train-toy.
 A plain-text key=value config file can pre-set any long flag; explicit flags
 win over the file.
 """
@@ -8,7 +8,6 @@ win over the file.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from pathlib import Path
 
@@ -50,19 +49,6 @@ def probability(text):
     return p
 
 
-def hw_sizes(text):
-    """argparse type: comma-separated HxW sizes, each side >= 1, as (h, w) pairs."""
-    sizes = []
-    for tok in text.split(","):
-        try:
-            h, w = (positive_int(v) for v in tok.lower().split("x"))
-        except (ValueError, argparse.ArgumentTypeError):
-            raise argparse.ArgumentTypeError(
-                f"expected HxW sizes with positive sides, like 48x160,96x320; got {text!r}")
-        sizes.append((h, w))
-    return sizes
-
-
 def _apply_config(args, parser, argv):
     """Parse argv again with the --config file's values as the defaults.
 
@@ -93,6 +79,23 @@ def _output_error(path, e):
     return USAGE_EXIT
 
 
+def _unwritable(path, directory):
+    """Report before training the error that writing `path` would give, and
+    return the usage exit code (None if writable): make the directory, or
+    open the file for appending and remove it again if that created it."""
+    path = Path(path)
+    try:
+        if directory:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            existed = path.exists()
+            open(path, "a").close()
+            if not existed:
+                path.unlink()
+    except OSError as e:
+        return _output_error(path, e)
+
+
 def _train(args):
     """Train the toy detector on `args.scenes` synthetic scenes seeded by
     `args.seed`, for `args.steps` steps: (scenes, trace, model)."""
@@ -110,6 +113,8 @@ def cmd_demo(args):
     from .geometry import alpha_to_yaw, backproject
     from .kitti import LabelRecord, detection_to_record, write_result_file
 
+    if args.out and _unwritable(args.out, directory=True):
+        return USAGE_EXIT
     print(f"training toy pipeline for {args.steps} steps on {args.scenes} scenes ...")
     scenes, trace, model = _train(args)
     print(f"total loss {trace[0][5]:.4f} -> {trace[-1][5]:.4f}")
@@ -207,34 +212,6 @@ def cmd_gradcheck(args):
     return 0 if ok else FAIL_EXIT
 
 
-def cmd_bench_anab(args):
-    from .attention import PyramidSpec, complexity_bench
-
-    shrink = args.nonlocal_shrink
-    for h, w in args.sizes:
-        if h < shrink or w < shrink:
-            print(f"error: size {h}x{w} is smaller than --nonlocal-shrink {shrink}",
-                  file=sys.stderr)
-            return USAGE_EXIT
-    spec = PyramidSpec()
-    print(f"{'HxW':>10}{'N':>8}{'L':>6}{'anab_ms':>10}{'nonlocal_ms':>13}")
-    results = []
-    for h, w in args.sizes:
-        runs = [complexity_bench(h, w, args.channels, spec, nonlocal_hw=(h // shrink, w // shrink))
-                for _ in range(args.runs)]
-        anab = statistics.median(r["anab_time"] for r in runs)
-        nl = statistics.median(r["nonlocal_time"] for r in runs)
-        results.append((h * w, anab, nl))
-        print(f"{f'{h}x{w}':>10}{h * w:>8}{spec.descriptor_count:>6}"
-              f"{anab * 1e3:>10.2f}{nl * 1e3:>13.2f}")
-    if len(results) >= 2:
-        n0, a0, l0 = results[0]
-        n1, a1, l1 = results[-1]
-        print(f"N ratio {n1 / n0:.1f}: anab time ratio {a1 / a0:.2f}, "
-              f"nonlocal time ratio {l1 / l0:.2f}")
-    return 0
-
-
 def cmd_viz_attention(args):
     from .attention import attention_map, write_pgm
     from .ops import ConvSpec
@@ -269,6 +246,8 @@ def cmd_viz_attention(args):
 def cmd_train_toy(args):
     from .train import write_loss_trace
 
+    if args.trace and _unwritable(args.trace, directory=False):
+        return USAGE_EXIT
     _, trace, _ = _train(args)
     print(f"step 0: total {trace[0][5]:.4f}   step {args.steps - 1}: total {trace[-1][5]:.4f}")
     if args.trace:
@@ -287,7 +266,6 @@ def build_parser(defaults=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("demo", help="train the toy pipeline and report metrics")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--scenes", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
@@ -297,7 +275,6 @@ def build_parser(defaults=None):
     p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("eval", help="AP evaluation of result files against labels")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--gt", required=True, help="ground-truth label directory")
     p.add_argument("--det", required=True, help="detection result directory")
     p.add_argument("--task", choices=("2d", "bev", "3d"), default="3d")
@@ -306,36 +283,25 @@ def build_parser(defaults=None):
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle suite")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("bench-anab", help="attention-block scaling benchmark")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--sizes", type=hw_sizes, default="48x160,96x320")
-    p.add_argument("--channels", type=positive_int, default=64)
-    p.add_argument("--runs", type=positive_int, default=5)
-    p.add_argument("--nonlocal-shrink", type=positive_int, default=6,
-                   help="run the quadratic reference at size/shrink")
-    p.set_defaults(fn=cmd_bench_anab)
-
     p = sub.add_parser("viz-attention", help="export an attention map as PGM")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True)
     p.add_argument("--tensor", help="M3TN tensor file to use as features")
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_viz_attention)
 
     p = sub.add_parser("train-toy", help="run the toy trainer, write the loss trace")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--scenes", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", help="CSV output path")
     p.set_defaults(fn=cmd_train_toy)
     for p in sub.choices.values():
+        p.add_argument("--config", help="key=value config file")
         p.set_defaults(**(defaults or {}))
     return parser
 

@@ -237,10 +237,7 @@ class ToyDetector:
 
     def _gather(self, head_out, b, k, flat_pos):
         """Rows of item b of a (B, A*k, H, W) head at flat anchor indices, -> (n, k)."""
-        W = self.feature_hw[1]
-        A = self.grid.per_position
-        pos, tmpl = np.divmod(flat_pos, A)
-        hh, ww = np.divmod(pos, W)
+        hh, ww, tmpl = self.grid.unravel(flat_pos)
         chan = tmpl[:, None] * k + np.arange(k)[None, :]
         return head_out[(b, chan, hh[:, None], ww[:, None])]
 
@@ -248,9 +245,7 @@ class ToyDetector:
         """The (n, 4) 2D and (n, 7) 3D deltas of item b of the batched heads at
         flat anchor indices. (tx, ty)3d is the center head's residual, which is
         in units of the best template's size, re-expressed in the anchor's."""
-        W = self.feature_hw[1]
-        pos, tmpl = np.divmod(flat_pos, self.grid.per_position)
-        hh, ww = np.divmod(pos, W)
+        hh, ww, tmpl = self.grid.unravel(flat_pos)
         center = heads["center"][(b, np.arange(2)[None, :], hh[:, None], ww[:, None])]
         best_wh = heads["best_hw"][b, hh, ww][:, ::-1]  # (w_a, h_a) of the best template
         txy3 = center * Tensor(best_wh) / Tensor(self.grid.templates[tmpl])

@@ -18,6 +18,12 @@ def write_frames(gt_dir, det_dir):
         (det_dir / f"{k:06d}.txt").write_text(CAR + " 0.900000\n")
 
 
+def no_training(*args, **kwargs):
+    """Stand-in for `train_toy` where an unwritable output must stop the
+    command before any training."""
+    raise AssertionError("trained before checking the output path")
+
+
 class TestConfigFile:
     def test_load(self, tmp_path):
         path = tmp_path / "cfg"
@@ -189,24 +195,13 @@ class TestGradcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestBenchAnab:
-    def test_two_sizes(self, capsys):
-        assert main(["bench-anab", "--sizes", "8x16,16x32", "--channels", "4", "--runs", "1"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split() == ["HxW", "N", "L", "anab_ms", "nonlocal_ms"]
-        assert [ln.split()[:3] for ln in lines[1:3]] == [["8x16", "128", "337"],
-                                                          ["16x32", "512", "337"]]
-        assert lines[3].startswith("N ratio 4.0: anab time ratio ")
-        assert "nonlocal time ratio " in lines[3]
-
-
 class TestArgumentValues:
     @pytest.mark.parametrize("argv", [
-        ["bench-anab", "--sizes", "48"],
-        ["bench-anab", "--sizes", "0x0"],
-        ["bench-anab", "--sizes", "8x16,8x"],
-        ["bench-anab", "--nonlocal-shrink", "0"],
-        ["bench-anab", "--runs", "two"],
+        ["demo", "--steps", "1.5"],
+        ["demo", "--steps", "two"],
+        ["demo", "--scenes", ""],
+        ["demo", "--conf", "2"],
+        ["train-toy", "--scenes", "0"],
         ["demo", "--scenes", "0"],
         ["train-toy", "--steps", "0"],
         ["train-toy", "--scenes", "-1"],
@@ -239,9 +234,11 @@ class TestArgumentValues:
     def test_probability_keeps_both_ends(self):
         assert [probability(v) for v in ("0", "1", "0.75")] == [0.0, 1.0, 0.75]
 
-    def test_size_below_nonlocal_shrink(self, capsys):
-        assert main(["bench-anab", "--sizes", "4x12", "--nonlocal-shrink", "6"]) == USAGE_EXIT
-        assert "size 4x12 is smaller than --nonlocal-shrink 6" in capsys.readouterr().err
+    def test_removed_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-anab"])
+        assert exc.value.code == USAGE_EXIT
+        assert "invalid choice: 'bench-anab'" in capsys.readouterr().err
 
 
 class TestVizAttention:
@@ -296,11 +293,23 @@ class TestTrainToy:
         assert len(lines) == 4
         assert "total" in capsys.readouterr().out
 
-    def test_trace_in_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+    def test_trace_in_missing_directory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mono3d.train.train_toy", no_training)
         trace = tmp_path / "nope" / "trace.csv"
         code = main(["train-toy", "--steps", "1", "--scenes", "1", "--trace", str(trace)])
         assert code == USAGE_EXIT
         assert capsys.readouterr().err == f"error: {trace}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_trace_probe_leaves_files_as_they_were(self, tmp_path, monkeypatch):
+        # the writability probe runs before training: a new path is removed
+        # again, an existing file is not truncated
+        monkeypatch.setattr("mono3d.train.train_toy", no_training)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("keep\n")
+        for trace in (new, old):
+            with pytest.raises(AssertionError, match="trained"):
+                main(["train-toy", "--steps", "1", "--scenes", "1", "--trace", str(trace)])
+        assert not new.exists() and old.read_text() == "keep\n"
 
 
 class TestDemo:
@@ -325,7 +334,8 @@ class TestDemo:
             x, _, z = gt.location
             assert abs(yaw_to_alpha(gt.rotation_y, x, z) - gt.alpha) <= 1e-12
 
-    def test_out_onto_existing_file_is_a_usage_error(self, tmp_path, capsys):
+    def test_out_onto_existing_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mono3d.train.train_toy", no_training)
         out = tmp_path / "results"
         out.write_text("keep\n")
         code = main(["demo", "--steps", "1", "--scenes", "1", "--conf", "0", "--out", str(out)])
