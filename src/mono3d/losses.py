@@ -32,27 +32,53 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def loss_cls(logits, targets):
-    """Mean cross entropy of (n, ncls) logits against integer targets."""
+def _segments(segments, n):
+    """Counts and per-row segment ids of `segments`, the row counts of
+    consecutive segments that must cover n rows."""
+    counts = np.asarray(segments, dtype=np.intp)
+    if counts.ndim != 1 or np.any(counts < 0) or counts.sum() != n:
+        raise ValueError(f"segments {counts.tolist()} do not partition {n} rows")
+    return counts, np.repeat(np.arange(counts.size), counts)
+
+
+def _mean(per_row, segments):
+    """Mean of a (n,) per-row loss or, with `segments` (the row counts of
+    consecutive segments), the (S,) per-segment means taken by segment sums.
+    An empty segment's mean is 0."""
+    if segments is None:
+        return per_row.mean()
+    counts, seg = _segments(segments, per_row.shape[0])
+    scale = 1.0 / np.maximum(counts, 1)
+
+    def bw(g):
+        per_row.accumulate_grad((g * scale)[seg])
+
+    out = np.bincount(seg, weights=per_row.data, minlength=counts.size) * scale
+    return Tensor.from_op(out, (per_row,), bw)
+
+
+def _ce_rows(logits, targets):
+    """Per-row cross entropy of (n, ncls) logits; the row max is treated as a
+    constant shift of the stabilized logsumexp."""
+    m = logits.data.max(axis=1, keepdims=True)
+    lse = ((logits - m).exp().sum(axis=1)).log() + Tensor(m[:, 0])
+    return lse - logits[np.arange(len(targets)), targets]
+
+
+def loss_cls(logits, targets, segments=None):
+    """Mean cross entropy of (n, ncls) logits against integer targets; per
+    segment with `segments` (see `_mean`)."""
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
     n = logits.shape[0]
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} does not match {n} rows")
-    # stabilized logsumexp; the row max is treated as a constant shift
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = ((logits - m).exp().sum(axis=1)).log() + Tensor(m[:, 0])
-    picked = logits[np.arange(n), targets]
-    return (lse - picked).mean()
+    return _mean(_ce_rows(logits, targets), segments)
 
 
 def per_sample_ce(logits_data, targets):
     """Tape-free per-sample cross entropy, used for hard-negative ranking."""
-    logits_data = np.asarray(logits_data, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.intp)
-    m = logits_data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits_data - m).sum(axis=1)) + m[:, 0]
-    return lse - logits_data[np.arange(len(targets)), targets]
+    return _ce_rows(Tensor(logits_data), np.asarray(targets, dtype=np.intp)).data
 
 
 def iou_2d_tensor(pred, gt):
@@ -66,13 +92,14 @@ def iou_2d_tensor(pred, gt):
     return inter / (area_p + area_g - inter)
 
 
-def loss_2d(pred, gt):
-    """-log IoU of predicted vs ground-truth 2D boxes, mean over rows.
+def loss_2d(pred, gt, segments=None):
+    """-log IoU of predicted vs ground-truth 2D boxes, mean over rows; per
+    segment with `segments` (see `_mean`).
 
     Zero-overlap pairs are clamped to -log(IOU_FLOOR) to stay finite.
     """
     iou = iou_2d_tensor(pred, gt)
-    return -(iou.maximum(Tensor(IOU_FLOOR)).log()).mean()
+    return _mean(-(iou.maximum(Tensor(IOU_FLOOR)).log()), segments)
 
 
 def smooth_l1(residual):
@@ -83,31 +110,38 @@ def smooth_l1(residual):
     return a * a * 0.5 * quad_mask + (a - 0.5) * (1.0 - quad_mask)
 
 
-def loss_3d(pred_deltas, target_deltas):
-    """Smooth L1 over the 7 regression components, summed per row, mean over rows."""
+def loss_3d(pred_deltas, target_deltas, segments=None):
+    """Smooth L1 over the 7 regression components, summed per row, mean over
+    rows; per segment with `segments` (see `_mean`)."""
     pred, tgt = _as_tensor(pred_deltas), _as_tensor(target_deltas)
     if pred.shape != tgt.shape:
         raise ValueError(f"delta shapes differ: {pred.shape} vs {tgt.shape}")
-    per_row = smooth_l1(pred - tgt).sum(axis=-1)
-    return per_row.mean()
+    return _mean(smooth_l1(pred - tgt).sum(axis=-1), segments)
 
 
-def mine_hard(losses, fraction, protected=None):
+def mine_hard(losses, fraction, protected=None, segments=None):
     """Indices of the ceil(fraction * n) highest-loss entries.
 
     Ties resolve to the lower index. Indices in `protected` (positives) are
-    always included and do not count against the budget.
+    always included and do not count against the budget. With `segments`
+    (the row counts of consecutive segments) each segment has its own budget
+    over its own unprotected rows: the result is exactly the concatenation
+    of the per-segment calls, shifted to the segments' first rows.
     """
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.size
-    if n == 0:
-        return np.array([], dtype=np.intp)
-    protected = np.asarray(protected, dtype=np.intp) if protected is not None else np.array([], dtype=np.intp)
-    pool = np.setdiff1d(np.arange(n), protected)
-    k = int(np.ceil(fraction * pool.size))
-    order = pool[np.argsort(-losses[pool], kind="stable")]
-    chosen = np.sort(np.concatenate([protected, order[:k]]))
-    return chosen.astype(np.intp)
+    counts, seg = _segments([n] if segments is None else segments, n)
+    free = np.ones(n, dtype=bool)
+    if protected is not None:
+        free[np.asarray(protected, dtype=np.intp)] = False
+    budget = np.ceil(fraction * np.bincount(seg[free], minlength=counts.size))
+    # one stable sort by segment, unprotected rows first, then falling loss:
+    # equal keys keep index order, so ties resolve to the lower index
+    order = np.lexsort((-losses, ~free, seg))
+    rank = np.arange(n) - (np.cumsum(counts) - counts)[seg]  # position in its segment
+    chosen = ~free
+    chosen[order[rank < budget[seg]]] = True
+    return np.flatnonzero(chosen)
 
 
 def total_loss(l_cls, l_2d, l_3d):

@@ -235,55 +235,64 @@ class ToyDetector:
         labels[pos] = best_gt[pos]
         return labels
 
-    def _gather(self, head_out, b, k, flat_pos):
-        """Rows of item b of a (B, A*k, H, W) head at flat anchor indices, -> (n, k)."""
+    def _gather(self, head_out, item, k, flat_pos):
+        """Rows of a (B, A*k, H, W) head, or of its data, at flat anchor
+        indices of one item or of per-row items, -> (n, k)."""
         hh, ww, tmpl = self.grid.unravel(flat_pos)
         chan = tmpl[:, None] * k + np.arange(k)[None, :]
-        return head_out[(b, chan, hh[:, None], ww[:, None])]
+        return head_out[(np.reshape(item, (-1, 1)), chan, hh[:, None], ww[:, None])]
 
-    def gather_deltas(self, heads, b, flat_pos):
-        """The (n, 4) 2D and (n, 7) 3D deltas of item b of the batched heads at
-        flat anchor indices. (tx, ty)3d is the center head's residual, which is
-        in units of the best template's size, re-expressed in the anchor's."""
+    def gather_deltas(self, heads, item, flat_pos):
+        """The (n, 4) 2D and (n, 7) 3D deltas of the batched heads at flat
+        anchor indices of one item or of per-row items. (tx, ty)3d is the
+        center head's residual, which is in units of the best template's
+        size, re-expressed in the anchor's."""
         hh, ww, tmpl = self.grid.unravel(flat_pos)
-        center = heads["center"][(b, np.arange(2)[None, :], hh[:, None], ww[:, None])]
-        best_wh = heads["best_hw"][b, hh, ww][:, ::-1]  # (w_a, h_a) of the best template
+        center = heads["center"][(np.reshape(item, (-1, 1)), np.arange(2)[None, :],
+                                  hh[:, None], ww[:, None])]
+        best_wh = heads["best_hw"][item, hh, ww][:, ::-1]  # (w_a, h_a) of the best template
         txy3 = center * Tensor(best_wh) / Tensor(self.grid.templates[tmpl])
-        d3 = Tensor.concat([txy3, self._gather(heads["depth"], b, 1, flat_pos),
-                            self._gather(heads["box3d"], b, 4, flat_pos)], axis=1)
-        return self._gather(heads["box2d"], b, 4, flat_pos), d3
+        d3 = Tensor.concat([txy3, self._gather(heads["depth"], item, 1, flat_pos),
+                            self._gather(heads["box3d"], item, 4, flat_pos)], axis=1)
+        return self._gather(heads["box2d"], item, 4, flat_pos), d3
 
-    def scene_loss(self, scenes):
+    def scene_loss(self, scenes, labels=None):
         """One forward over the stacked images of `scenes`; returns a list of
         each scene's mined classification, 2D IoU and 3D smooth-L1 losses
-        (l_cls, l_2d, l_3d), and the batched heads."""
+        (l_cls, l_2d, l_3d), and the batched heads. `labels` holds each
+        scene's `match_anchors` labels; they are matched here when not given."""
+        if labels is None:
+            labels = [self.match_anchors(sc.boxes2d) for sc in scenes]
         heads = self.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
-        losses = [self._losses(heads, b, sc) for b, sc in enumerate(scenes)]
-        return losses, heads
+        l_cls, l_2d, l_3d = self._batch_losses(heads, scenes, labels)
+        return [(l_cls[b], l_2d[b], l_3d[b]) for b in range(len(scenes))], heads
 
-    def _losses(self, heads, b, scene):
-        """(l_cls, l_2d, l_3d) of item b of the batched heads."""
-        labels = self.match_anchors(scene.boxes2d)
-        pos_idx = np.flatnonzero(labels >= 0)
-        neg_idx = np.flatnonzero(labels == -1)
-        used = np.concatenate([pos_idx, neg_idx])
-        logits_all = self._gather(heads["cls"], b, self.num_classes, used)
-        targets_all = np.where(labels[used] >= 0, 1, 0)
+    def _batch_losses(self, heads, scenes, labels):
+        """(B,) per-scene l_cls, l_2d and l_3d of the batched heads: each loss
+        runs once over the rows of all items, averaged per scene by segment
+        sums. A scene without positives gets zero l_2d and l_3d."""
+        B, N = len(scenes), len(self.grid)
+        lab = np.concatenate(labels)  # item b's anchor i at b * N + i
+        used = np.flatnonzero(lab != -2)
+        item, anchor = np.divmod(used, N)
+        targets = (lab[used] >= 0).astype(np.intp)
 
         # hard-negative mining on detached per-sample CE; positives protected
-        ce = per_sample_ce(logits_all.data, targets_all)
-        keep = mine_hard(ce, HARD_FRACTION, protected=np.arange(len(pos_idx)))
-        l_cls = loss_cls(logits_all[keep], targets_all[keep])
+        ce = per_sample_ce(self._gather(heads["cls"].data, item, self.num_classes, anchor), targets)
+        keep = mine_hard(ce, HARD_FRACTION, protected=np.flatnonzero(targets),
+                         segments=np.bincount(item, minlength=B))
+        l_cls = loss_cls(self._gather(heads["cls"], item[keep], self.num_classes, anchor[keep]),
+                         targets[keep], segments=np.bincount(item[keep], minlength=B))
 
-        if len(pos_idx) == 0:
-            zero = Tensor(0.0)
-            return l_cls, zero, zero
-
-        d2, d3 = self.gather_deltas(heads, b, pos_idx)
-        anchors = self.grid.rows(pos_idx)
-        gt = labels[pos_idx]
-        gt_boxes = scene.boxes2d[gt]
-        _, target_d3 = encode(anchors, gt_boxes, scene.params3d[gt])
+        # the positives of all items; their gt indices into the stacked boxes
+        pos = np.flatnonzero(lab >= 0)
+        item, anchor = np.divmod(pos, N)
+        first_gt = np.cumsum([0] + [len(sc.boxes2d) for sc in scenes])
+        gt = lab[pos] + first_gt[item]
+        gt_boxes = np.concatenate([sc.boxes2d for sc in scenes])[gt]
+        d2, d3 = self.gather_deltas(heads, item, anchor)
+        anchors = self.grid.rows(anchor)
+        _, target_d3 = encode(anchors, gt_boxes, np.concatenate([sc.params3d for sc in scenes])[gt])
 
         # decoded 2D corners, on tape
         x, y, w, h = anchors[:, :4].T
@@ -294,7 +303,8 @@ class ToyDetector:
         pred_boxes = Tensor.concat(
             [(cx - bw * 0.5).reshape(-1, 1), (cy - bh * 0.5).reshape(-1, 1),
              (cx + bw * 0.5).reshape(-1, 1), (cy + bh * 0.5).reshape(-1, 1)], axis=1)
-        return l_cls, loss_2d(pred_boxes, gt_boxes), loss_3d(d3, target_d3)
+        n_pos = np.bincount(item, minlength=B)
+        return l_cls, loss_2d(pred_boxes, gt_boxes, n_pos), loss_3d(d3, target_d3, n_pos)
 
 
 def _check_scenes(scenes):
@@ -320,25 +330,27 @@ def train_toy(scenes, steps=200, train_cfg=None, seed=0, detector=None):
     model = detector or ToyDetector(scenes[0].image.shape[2:], seed=seed)
     model.fit_anchors(scenes)
     opt = SGD(model.params(), train_cfg)
+    # labels depend only on the boxes and the 2D templates: match once
+    labels = [model.match_anchors(sc.boxes2d) for sc in scenes]
 
     trace = []
     for step in range(steps):
         lr = lr_at(step + 1, train_cfg)
-        batch = [scenes[(step * train_cfg.batch_size + i) % len(scenes)]
-                 for i in range(train_cfg.batch_size)]
+        idx = [(step * train_cfg.batch_size + i) % len(scenes) for i in range(train_cfg.batch_size)]
         opt.zero_grad()
-        parts, total = _batch_backward(model, batch)
+        parts, total = _batch_backward(model, [scenes[i] for i in idx], [labels[i] for i in idx])
         trace.append((step, lr, parts[0], parts[1], parts[2], total))
         opt.step(lr)
     return trace, model
 
 
-def _batch_backward(model, batch):
-    """One forward and one backward over `batch`: the mean (L_cls, L_2d, L_3d)
-    and the total. The step's tape is freed on return, before the next forward."""
+def _batch_backward(model, batch, labels):
+    """One forward and one backward over `batch` with its scenes' anchor
+    labels: the mean (L_cls, L_2d, L_3d) and the total. The step's tape is
+    freed on return, before the next forward."""
     parts = np.zeros(3)
     batch_total = None
-    for l_cls, l_2d, l_3d in model.scene_loss(batch)[0]:
+    for l_cls, l_2d, l_3d in model.scene_loss(batch, labels)[0]:
         tot = total_loss(l_cls, l_2d, l_3d) * (1.0 / len(batch))
         batch_total = tot if batch_total is None else batch_total + tot
         parts += [l_cls.item(), l_2d.item(), l_3d.item()]

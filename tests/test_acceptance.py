@@ -13,8 +13,8 @@ import pytest
 from mono3d.align import OffsetField, align_conv, center_align_offsets, shape_align_offsets
 from mono3d.anchors import decode, default_sizes, encode, generate_anchor_grid
 from mono3d.attention import AnabParams, PyramidSpec, anab_forward, reference_nonlocal
-from mono3d.geometry import (Box3D, CameraIntrinsics, backproject, iou_bev, project,
-                             project_box)
+from mono3d.geometry import (Box3D, CameraIntrinsics, backproject, iou_bev, iou_bev_pairs,
+                             project, project_box)
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.postproc import Detection, optimize_rotation
 from mono3d.evaluate import average_precision
@@ -25,7 +25,7 @@ from mono3d.train import TrainConfig, lr_at, make_synthetic_scenes, train_toy
 from test_anchors import random_anchor
 from test_attention import identity_params
 from test_evaluate import brute_force_ap
-from test_geometry import mc_bev_iou, random_box3d
+from test_geometry import exact_bev_iou, mc_bev_iou, random_box3d, random_overlapping_rows
 from test_postproc import unimodal_objective
 
 
@@ -169,17 +169,23 @@ def test_geometry_oracles():
     want45 = inter45 / (2.0 - inter45)
     err45 = abs(iou_bev(a, b) - want45)
 
+    rows_a, rows_b = random_overlapping_rows(np.random.default_rng(13), 10_000)
+    exact_worst = np.abs(iou_bev_pairs(rows_a, rows_b) - exact_bev_iou(rows_a, rows_b)).max()
+
+    # the exact oracle carries the precision claim; a few Monte-Carlo pairs
+    # keep a check that shares no polygon arithmetic with either
     mc_worst = 0.0
-    for _ in range(100):
+    for _ in range(5):
         x = random_box3d(rng)
         y = dataclasses.replace(random_box3d(rng),
                                 x=x.x + rng.uniform(-3, 3), z=x.z + rng.uniform(-3, 3))
         mc_worst = max(mc_worst, abs(iou_bev(x, y) - mc_bev_iou(x, y, rng, 1_000_000)))
 
-    ok = proj_worst <= 1e-9 and err45 <= 1e-3 and mc_worst < 2e-3
+    ok = proj_worst <= 1e-9 and err45 <= 1e-3 and exact_worst <= 1e-12 and mc_worst < 2e-3
     report("geometry oracles", ok,
            f"projection round-trip {proj_worst:.1e} <= 1e-9, 45-degree case err "
-           f"{err45:.1e} <= 1e-3, BEV IoU vs 10^6-sample Monte Carlo {mc_worst:.1e} < 2e-3")
+           f"{err45:.1e} <= 1e-3, BEV IoU vs exact polygon oracle on 10^4 pairs "
+           f"{exact_worst:.1e} <= 1e-12, vs 10^6-sample Monte Carlo on 5 pairs {mc_worst:.1e} < 2e-3")
 
 
 def test_evaluation_oracle():

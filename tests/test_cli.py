@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from mono3d import suite
 from mono3d.cli import FAIL_EXIT, USAGE_EXIT, load_config, main, probability
+from mono3d.gradcheck import GradReport
 from mono3d.kitti import write_result_file, LabelRecord
 
 CAR = "Car 0.00 0 -1.58 100.00 100.00 160.00 150.00 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
@@ -184,15 +186,31 @@ class TestEval:
 
 
 class TestGradcheck:
-    def test_passes(self, capsys):
+    """The command prints one line per report and exits by their verdicts;
+    the suite itself runs once, in the acceptance tests."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def stub_suite(tol, step, seed):
+            calls.append((tol, step, seed))
+            return [GradReport(name, err, tol, err < tol) for name, err in (("op_a", 1e-9), ("op_b", 3e-8))]
+
+        monkeypatch.setattr(suite, "run_gradient_suite", stub_suite)
+        return calls
+
+    def test_passes(self, capsys, calls):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9  # one line per op of the gradient suite
-        assert "FAIL" not in out
+        assert calls == [(1e-4, 1e-5, 0)]
+        assert [line.split(":")[0] for line in out.splitlines()] == ["PASS op_a", "PASS op_b"]
 
-    def test_tight_tolerance_fails(self, capsys):
-        assert main(["gradcheck", "--tol", "1e-16"]) == FAIL_EXIT
-        assert "FAIL" in capsys.readouterr().out
+    def test_tight_tolerance_fails(self, capsys, calls):
+        assert main(["gradcheck", "--tol", "1e-8", "--step", "1e-6", "--seed", "3"]) == FAIL_EXIT
+        out = capsys.readouterr().out
+        assert calls == [(1e-8, 1e-6, 3)]
+        assert [line.split(":")[0] for line in out.splitlines()] == ["PASS op_a", "FAIL op_b"]
 
 
 class TestArgumentValues:

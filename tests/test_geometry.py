@@ -55,6 +55,90 @@ def mc_bev_iou(a, b, rng, samples=1_000_000):
     return inter / union if union > 0.0 else 0.0
 
 
+def _cross(ax, ay, bx, by):
+    return ax * by - ay * bx
+
+
+def exact_bev_iou(a, b):
+    """BEV IoU of (P, 7) [x, y, z, w, h, l, yaw] row pairs by exact polygon
+    intersection, independent of Sutherland-Hodgman clipping: the corners of
+    each footprint that lie inside the other, plus the edge-edge crossings,
+    sorted by angle about their centroid, then the shoelace formula."""
+    def corners(r):  # bev_footprint's rectangle, as (P, 4) x and z arrays
+        c, s = np.cos(r[:, 6:]), np.sin(r[:, 6:])
+        lx = np.array([1, 1, -1, -1]) * r[:, 5:6] / 2.0
+        lz = np.array([1, -1, -1, 1]) * r[:, 3:4] / 2.0
+        return r[:, 0:1] + lx * c + lz * s, r[:, 2:3] - lx * s + lz * c
+
+    def inside(px, py, qx, qy):
+        """(P, 4) mask of the points p within the convex quadrilaterals q."""
+        ex, ey = np.roll(qx, -1, axis=1) - qx, np.roll(qy, -1, axis=1) - qy
+        side = _cross(ex[:, None], ey[:, None], px[:, :, None] - qx[:, None], py[:, :, None] - qy[:, None])
+        return np.all(side >= 0.0, axis=2) | np.all(side <= 0.0, axis=2)
+
+    (ax, ay), (bx, by) = corners(np.asarray(a, dtype=np.float64)), corners(np.asarray(b, dtype=np.float64))
+    # edge i of a is p + t r, edge j of b is q + u s, t and u in [0, 1]
+    rx, ry = (np.roll(ax, -1, axis=1) - ax)[:, :, None], (np.roll(ay, -1, axis=1) - ay)[:, :, None]
+    sx, sy = (np.roll(bx, -1, axis=1) - bx)[:, None], (np.roll(by, -1, axis=1) - by)[:, None]
+    dx, dy = bx[:, None] - ax[:, :, None], by[:, None] - ay[:, :, None]
+    den = _cross(rx, ry, sx, sy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, u = _cross(dx, dy, sx, sy) / den, _cross(dx, dy, rx, ry) / den
+    hit = (den != 0.0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    t = np.where(hit, t, 0.0)
+    P = len(ax)
+    px = np.concatenate([ax, bx, (ax[:, :, None] + t * rx).reshape(P, 16)], axis=1)
+    py = np.concatenate([ay, by, (ay[:, :, None] + t * ry).reshape(P, 16)], axis=1)
+    valid = np.concatenate([inside(ax, ay, bx, by), inside(bx, by, ax, ay), hit.reshape(P, 16)], axis=1)
+
+    n = valid.sum(axis=1)
+    cx = np.where(valid, px, 0.0).sum(axis=1) / np.maximum(n, 1)
+    cy = np.where(valid, py, 0.0).sum(axis=1) / np.maximum(n, 1)
+    px, py = px - cx[:, None], py - cy[:, None]
+    order = np.argsort(np.where(valid, np.arctan2(py, px), np.inf), axis=1)
+    px, py = np.take_along_axis(px, order, axis=1), np.take_along_axis(py, order, axis=1)
+    k = np.arange(px.shape[1])
+    nxt = np.where(k + 1 < n[:, None], k + 1, 0)
+    terms = _cross(px, py, np.take_along_axis(px, nxt, axis=1), np.take_along_axis(py, nxt, axis=1))
+    inter = np.where(n >= 3, 0.5 * np.abs(np.where(k < n[:, None], terms, 0.0).sum(axis=1)), 0.0)
+    return inter / (a[:, 3] * a[:, 5] + b[:, 3] * b[:, 5] - inter)
+
+
+def random_overlapping_rows(rng, count):
+    """(count, 7) row pairs: `random_box3d`'s ranges, the second box's center
+    within 3 m of the first's in x and z."""
+    def rows():
+        return np.stack([rng.uniform(-15.0, 15.0, count), rng.uniform(0.5, 2.5, count),
+                         rng.uniform(8.0, 60.0, count), rng.uniform(1.2, 2.2, count),
+                         rng.uniform(1.2, 2.0, count), rng.uniform(3.0, 5.0, count),
+                         rng.uniform(-math.pi, math.pi, count)], axis=1)
+    a, b = rows(), rows()
+    b[:, [0, 2]] = a[:, [0, 2]] + rng.uniform(-3.0, 3.0, size=(count, 2))
+    return a, b
+
+
+class TestExactBevOracle:
+    """The exact oracle itself, on cases with a known intersection."""
+
+    def test_known_cases(self):
+        def row(x, z, w, l, yaw):
+            return [x, 1.0, z, w, 1.0, l, yaw]
+        inter45 = 8.0 * (math.sqrt(2.0) - 1.0) * 0.25
+        a = np.array([row(0, 10, 1, 1, 0), row(0, 10, 2, 4, 0.3), row(0, 10, 2, 4, 0.3),
+                      row(0, 10, 2, 2, 0)])
+        b = np.array([row(0, 10, 1, 1, math.pi / 4), row(0.2, 10.1, 0.4, 0.5, 1.1),
+                      row(9, 10, 2, 4, 0.3), row(1, 11, 2, 2, 0)])
+        want = [inter45 / (2.0 - inter45),   # octagon
+                0.2 / 8.0,                   # b inside a
+                0.0,                         # disjoint
+                1.0 / 7.0]                   # quarter overlap of equal squares
+        np.testing.assert_allclose(exact_bev_iou(a, b), want, rtol=0.0, atol=1e-14)
+
+    def test_symmetric(self):
+        a, b = random_overlapping_rows(np.random.default_rng(12), 500)
+        assert np.abs(exact_bev_iou(a, b) - exact_bev_iou(b, a)).max() <= 1e-13
+
+
 class TestWrapAngle:
     def test_cases(self):
         assert wrap_angle(0.0) == 0.0

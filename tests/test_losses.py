@@ -164,6 +164,86 @@ class TestMineHard:
         assert mine_hard(np.array([]), 0.2).size == 0
 
 
+class TestSegmentMeans:
+    """Each loss with `segments` against one no-segment call per segment."""
+
+    @staticmethod
+    def inputs(rng, n):
+        gt = np.concatenate([rng.uniform(0.0, 20.0, size=(n, 2)),
+                             rng.uniform(25.0, 40.0, size=(n, 2))], axis=1)
+        tgt = rng.normal(size=(n, 7))
+        return [
+            (loss_cls, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n)),
+            (loss_2d, gt + rng.uniform(-2.0, 2.0, size=gt.shape), gt),
+            (loss_3d, tgt + rng.uniform(-2.0, 2.0, size=tgt.shape), tgt),
+        ]
+
+    def test_equal_per_segment_calls_and_empty_segment_reads_zero(self):
+        rng = np.random.default_rng(6)
+        counts = [4, 0, 1, 7]
+        starts = np.cumsum(counts) - counts
+        for loss, x, y in self.inputs(rng, sum(counts)):
+            got = loss(x, y, segments=counts)
+            assert got.shape == (4,) and got.data[1] == 0.0
+            for i in (0, 2, 3):
+                sl = slice(starts[i], starts[i] + counts[i])
+                assert got.data[i] == pytest.approx(loss(x[sl], y[sl]).item(), rel=1e-14)
+
+    def test_segments_must_partition_the_rows(self):
+        for loss, x, y in self.inputs(np.random.default_rng(7), 3):
+            with pytest.raises(ValueError, match="do not partition"):
+                loss(x, y, segments=[1, 1])
+
+
+def reference_mine_hard(losses, fraction, protected):
+    """Hard-negative mining of one segment by a stable argsort of its pool."""
+    pool = np.setdiff1d(np.arange(len(losses)), protected)
+    k = int(np.ceil(fraction * pool.size))
+    order = pool[np.argsort(-losses[pool], kind="stable")]
+    return np.sort(np.concatenate([protected, order[:k]])).astype(np.intp)
+
+
+class TestMineHardSegments:
+    """The segment form against the concatenation of per-segment calls."""
+
+    @staticmethod
+    def per_segment(mine, losses, fraction, protected, counts):
+        out, start = [], 0
+        for c in counts:
+            prot = np.array([p - start for p in protected if start <= p < start + c], dtype=np.intp)
+            out.append(start + mine(losses[start:start + c], fraction, prot))
+            start += c
+        return np.concatenate(out).astype(np.intp)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_concatenated_per_segment_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        # an empty segment and a fully protected one among random sizes
+        counts = np.concatenate([rng.integers(1, 30, size=4), [0, 5]])
+        rng.shuffle(counts)
+        n = int(counts.sum())
+        losses = np.round(rng.uniform(0.0, 2.0, size=n), 1)  # many ties
+        starts = np.cumsum(counts) - counts
+        full = starts[list(counts).index(5)] + np.arange(5)
+        protected = np.union1d(full, rng.choice(n, size=n // 5, replace=False))
+        fraction = float(rng.choice([0.2, 0.25, 0.5, 1.0]))
+        got = mine_hard(losses, fraction, protected=protected, segments=counts)
+        want = self.per_segment(reference_mine_hard, losses, fraction, protected, counts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        per_call = self.per_segment(lambda l, f, p: mine_hard(l, f, protected=p),
+                                    losses, fraction, protected, counts)
+        assert np.array_equal(got, per_call)
+
+    def test_budget_is_per_segment(self):
+        # ceil(0.25 * 3) = 1 per segment, though the global top two sit in segment 0
+        keep = mine_hard(np.array([9.0, 8.0, 0.1, 0.3, 0.2, 0.4]), 0.25, segments=[3, 3])
+        np.testing.assert_array_equal(keep, [0, 5])
+
+    def test_segments_must_partition_the_rows(self):
+        with pytest.raises(ValueError, match="do not partition"):
+            mine_hard(np.zeros(4), 0.2, segments=[2, 1])
+
+
 class TestTotalLoss:
     def test_unit_weights(self):
         assert total_loss(1.0, 2.0, 3.0).item() == pytest.approx(6.0, abs=1e-12)

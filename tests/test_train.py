@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mono3d.anchors import encode
 from mono3d.geometry import Box2D, iou_2d
-from mono3d.losses import NEGATIVE_IOU, POSITIVE_IOU, total_loss
+from mono3d.losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d,
+                           loss_cls, mine_hard, per_sample_ce, total_loss)
 from mono3d.tensor import Tensor
 from mono3d.train import (SGD, Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes,
                           train_toy, write_loss_trace)
@@ -127,6 +129,46 @@ class TestToyDetector:
             assert np.isfinite(v.item())
 
 
+def per_scene_losses(model, heads, b, scene):
+    """(l_cls, l_2d, l_3d) of item b of the batched heads, assembled for that
+    scene alone: matched, gathered, mined and scored one scene at a time.
+    The reference for the batch-wide assembly in `scene_loss`."""
+    labels = model.match_anchors(scene.boxes2d)
+    pos_idx = np.flatnonzero(labels >= 0)
+    neg_idx = np.flatnonzero(labels == -1)
+    used = np.concatenate([pos_idx, neg_idx])
+    logits_all = model._gather(heads["cls"], b, model.num_classes, used)
+    targets_all = np.where(labels[used] >= 0, 1, 0)
+    ce = per_sample_ce(logits_all.data, targets_all)
+    keep = mine_hard(ce, HARD_FRACTION, protected=np.arange(len(pos_idx)))
+    l_cls = loss_cls(logits_all[keep], targets_all[keep])
+    if len(pos_idx) == 0:
+        return l_cls, Tensor(0.0), Tensor(0.0)
+
+    d2, d3 = model.gather_deltas(heads, b, pos_idx)
+    anchors = model.grid.rows(pos_idx)
+    gt = labels[pos_idx]
+    gt_boxes = scene.boxes2d[gt]
+    _, target_d3 = encode(anchors, gt_boxes, scene.params3d[gt])
+    x, y, w, h = anchors[:, :4].T
+    cx = d2[:, 0] * w + x
+    cy = d2[:, 1] * h + y
+    bw = d2[:, 2].exp() * w
+    bh = d2[:, 3].exp() * h
+    pred_boxes = Tensor.concat(
+        [(cx - bw * 0.5).reshape(-1, 1), (cy - bh * 0.5).reshape(-1, 1),
+         (cx + bw * 0.5).reshape(-1, 1), (cy + bh * 0.5).reshape(-1, 1)], axis=1)
+    return l_cls, loss_2d(pred_boxes, gt_boxes), loss_3d(d3, target_d3)
+
+
+def summed_total(parts):
+    out = None
+    for l_cls, l_2d, l_3d in parts:
+        tot = total_loss(l_cls, l_2d, l_3d)
+        out = tot if out is None else out + tot
+    return out
+
+
 class TestBatchedForward:
     """One forward over a stacked batch against one forward per scene."""
 
@@ -162,25 +204,41 @@ class TestBatchedForward:
 
     def test_gradients_match_summed_per_scene_passes(self):
         model, scenes = self.model_and_scenes()
-
-        def loss_of(parts):
-            out = None
-            for l_cls, l_2d, l_3d in parts:
-                tot = total_loss(l_cls, l_2d, l_3d)
-                out = tot if out is None else out + tot
-            return out
-
         losses, _ = model.scene_loss(scenes)
-        loss_of(losses).backward()
+        summed_total(losses).backward()
         got = [p.grad.copy() for p in model.params()]
         for p in model.params():
             p.zero_grad()
         for sc in scenes:  # the reference accumulates over three tapes
-            loss_of(model.scene_loss([sc])[0]).backward()
+            summed_total(model.scene_loss([sc])[0]).backward()
         assert len(losses) == 3 and all(l_2d.item() > 0.0 for _, l_2d, _ in losses)
         for g, p in zip(got, model.params()):
             ref = p.grad
             assert np.abs(g - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_batch_losses_match_per_scene_assembly(self):
+        # a scene without objects, and one scene twice
+        model, scenes = self.model_and_scenes()
+        empty = make_synthetic_scenes(count=1, objects_per_scene=0, seed=2)[0]
+        batch = [scenes[0], empty, scenes[1], scenes[0]]
+        labels = [model.match_anchors(sc.boxes2d) for sc in batch]
+        losses, _ = model.scene_loss(batch, labels)
+        summed_total(losses).backward()
+        got = [p.grad.copy() for p in model.params()]
+        for p in model.params():
+            p.zero_grad()
+        heads = model.forward(Tensor(np.concatenate([sc.image.data for sc in batch])))
+        want = [per_scene_losses(model, heads, b, sc) for b, sc in enumerate(batch)]
+        summed_total(want).backward()
+
+        assert len(losses) == 4 and all(v.shape == () for row in losses for v in row)
+        assert losses[1][1].item() == 0.0 and losses[1][2].item() == 0.0
+        assert [v.item() for v in losses[0]] == [v.item() for v in losses[3]]
+        for row, ref_row in zip(losses, want):
+            for v, ref in zip(row, ref_row):
+                assert abs(v.item() - ref.item()) <= 1e-12 * max(1.0, abs(ref.item()))
+        for g, p in zip(got, model.params()):
+            assert np.abs(g - p.grad).max() <= 1e-12 * max(1.0, np.abs(p.grad).max())
 
 
     def test_gather_deltas_match_per_candidate_assembly(self):
