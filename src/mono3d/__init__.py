@@ -6,7 +6,7 @@ post-processing, KITTI file I/O, and AP|R11 / AP|R40 evaluation — each with
 an independent oracle in the test suite.
 """
 
-from .tensor import Tensor, load_tensor, no_grad, save_tensor
+from .tensor import Tensor, no_grad
 from .ops import ConvSpec, conv2d, softmax_lastdim
 from .gradcheck import GradReport, grad_check
 from .align import OffsetField, align_conv, center_align_offsets, select_best_anchor, shape_align_offsets

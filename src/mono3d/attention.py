@@ -230,10 +230,13 @@ def reference_nonlocal(x):
 
 
 def write_pgm(gray, path):
-    """Min-max normalized 8-bit binary PGM (P5)."""
+    """Min-max normalized 8-bit binary PGM (P5); a non-finite entry raises ValueError."""
     g = np.asarray(gray, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError(f"PGM export needs a 2-D map, got shape {g.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(g)))
+    if bad:
+        raise ValueError(f"PGM export needs a finite map, got {bad} non-finite of {g.size} entries")
     lo, hi = g.min(), g.max()
     scaled = np.zeros_like(g) if hi == lo else (g - lo) / (hi - lo)
     pix = np.round(scaled * 255.0).astype(np.uint8)

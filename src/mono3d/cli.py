@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: demo, eval, gradcheck, viz-attention, train-toy.
+Subcommands: demo, eval, gradcheck, train-toy.
 A plain-text key=value config file can pre-set any long flag; explicit flags
 win over the file.
 """
@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -97,21 +95,41 @@ def _unwritable(path, directory):
 
 
 def _train(args):
-    """Train the toy detector on `args.scenes` synthetic scenes seeded by
-    `args.seed`, for `args.steps` steps: (scenes, trace, model)."""
+    """Train the toy detector on the first `args.scenes` of `2 * args.scenes`
+    synthetic scenes seeded by `args.seed`, for `args.steps` steps:
+    (held-out scenes, trace, model). The scenes are drawn in sequence from
+    one generator, so the training scenes are those of an `args.scenes` draw."""
     from .train import TrainConfig, make_synthetic_scenes, train_toy
 
-    scenes = make_synthetic_scenes(count=args.scenes, seed=args.seed)
+    scenes = make_synthetic_scenes(count=2 * args.scenes, seed=args.seed)
     cfg = TrainConfig(total_steps=args.steps, warmup_steps=max(1, args.scenes // 4))
-    trace, model = train_toy(scenes, steps=args.steps, train_cfg=cfg, seed=args.seed)
-    return scenes, trace, model
+    trace, model = train_toy(scenes[:args.scenes], steps=args.steps, train_cfg=cfg, seed=args.seed)
+    return scenes[args.scenes:], trace, model
+
+
+def _print_ap_table(frames_by_class, task, mode):
+    """Print the easy/moderate/hard AP table of `frames_by_class` (class name
+    -> (detections, ground truths) per frame); return it as CSV lines."""
+    from .evaluate import DIFFICULTIES, EvalConfig, evaluate_class
+
+    cfg = EvalConfig(mode=mode, task=task)
+    fmt = lambda v: "n/a" if v != v else format(v, ".4f")
+    print(f"task={task} mode={mode}")
+    print(f"{'class':<12}{'easy':>10}{'moderate':>10}{'hard':>10}")
+    csv_lines = ["class,task,mode,easy,moderate,hard"]
+    for cls, frames in frames_by_class.items():
+        aps = [evaluate_class(frames, cls, cfg, difficulty=d) for d in DIFFICULTIES]
+        print(f"{cls:<12}" + "".join(f"{fmt(v):>10}" for v in aps))
+        csv_lines.append(f"{cls},{task},{mode}," + ",".join(fmt(v) for v in aps))
+    return csv_lines
 
 
 def cmd_demo(args):
+    from .attention import attention_map, write_pgm
     from .detector import detect
-    from .evaluate import EvalConfig, evaluate_class
     from .geometry import alpha_to_yaw, backproject
     from .kitti import LabelRecord, detection_to_record, write_result_file
+    from .tensor import no_grad
 
     if args.out and _unwritable(args.out, directory=True):
         return USAGE_EXIT
@@ -129,7 +147,7 @@ def cmd_demo(args):
                                    (x, y, z), alpha_to_yaw(p[6], x, z)))
         frames.append((dets, gts))
     n_det = sum(len(d) for d, _ in frames)
-    print(f"{n_det} detections above confidence {args.conf}")
+    print(f"{n_det} detections above confidence {args.conf} on {len(scenes)} held-out scenes")
     if args.out:
         out = Path(args.out)
         try:
@@ -140,15 +158,25 @@ def cmd_demo(args):
             return _output_error(out, e)
         print(f"wrote result files to {out}")
     for task in ("2d", "bev", "3d"):
-        cfg = EvalConfig(mode=args.mode, task=task)
-        ap = evaluate_class(frames, "Car", cfg, difficulty="hard")
-        print(f"AP_{task}|{args.mode} (Car, hard, IoU>={cfg.threshold_for('Car')}): "
-              f"{'n/a' if ap != ap else format(ap, '.4f')}")
+        _print_ap_table({"Car": frames}, task, args.mode)
+    if args.out:
+        # the map the trained attention block pools with on held-out scene 0
+        path = out / "attention.pgm"
+        try:
+            with no_grad():
+                feats = model.forward(scenes[0].image)["features"]
+                amap = attention_map(feats, model.anab.attention).data[0, 0]
+            write_pgm(amap, path)
+        except OSError as e:
+            return _output_error(path, e)
+        except ValueError as e:  # a non-finite map, or non-finite center offsets
+            print(f"error: {path}: {e}", file=sys.stderr)
+            return FAIL_EXIT
+        print(f"wrote {amap.shape[1]}x{amap.shape[0]} attention map to {path}")
     return 0
 
 
 def cmd_eval(args):
-    from .evaluate import DIFFICULTIES, EvalConfig, evaluate_class
     from .kitti import parse_label_file
     from .postproc import Detection
 
@@ -185,17 +213,9 @@ def cmd_eval(args):
         print(f"error: no ground-truth files in {gt_dir}", file=sys.stderr)
         return USAGE_EXIT
 
-    cfg = EvalConfig(mode=args.mode, task=args.task)
-    print(f"task={args.task} mode={args.mode}")
-    print(f"{'class':<12}{'easy':>10}{'moderate':>10}{'hard':>10}")
-    csv_lines = ["class,task,mode,easy,moderate,hard"]
-    for cls in class_names:
-        k = class_names.index(cls)
-        own = [([det for det in dets if det.class_id == k], gts) for dets, gts in frames]
-        aps = [evaluate_class(own, cls, cfg, difficulty=d) for d in DIFFICULTIES]
-        fmt = lambda v: "n/a" if v != v else format(v, ".4f")
-        print(f"{cls:<12}" + "".join(f"{fmt(v):>10}" for v in aps))
-        csv_lines.append(f"{cls},{args.task},{args.mode}," + ",".join(fmt(v) for v in aps))
+    by_class = {cls: [([det for det in dets if det.class_id == class_names.index(cls)], gts)
+                      for dets, gts in frames] for cls in class_names}
+    csv_lines = _print_ap_table(by_class, args.task, args.mode)
     print()
     print("\n".join(csv_lines))
     return 0
@@ -210,37 +230,6 @@ def cmd_gradcheck(args):
         print(r)
         ok = ok and r.passed
     return 0 if ok else FAIL_EXIT
-
-
-def cmd_viz_attention(args):
-    from .attention import attention_map, write_pgm
-    from .ops import ConvSpec
-    from .tensor import load_tensor, no_grad
-    from .train import ToyDetector, make_synthetic_scenes
-
-    if args.tensor:
-        try:
-            feats = load_tensor(args.tensor)
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_EXIT
-        # arbitrary channel count: a random attention conv of matching width
-        attn_conv = ConvSpec.init_random(feats.shape[1], 1, (1, 1),
-                                         rng=np.random.default_rng(args.seed))
-    else:  # the map the model's attention block pools with
-        scenes = make_synthetic_scenes(count=1, seed=args.seed)
-        model = ToyDetector(scenes[0].image.shape[2:], seed=args.seed)
-        with no_grad():
-            feats = model.forward(scenes[0].image)["features"]
-        attn_conv = model.anab.attention
-    with no_grad():
-        amap = attention_map(feats, attn_conv).data[0, 0]
-    try:
-        write_pgm(amap, args.out)
-    except OSError as e:
-        return _output_error(args.out, e)
-    print(f"wrote {amap.shape[1]}x{amap.shape[0]} attention map to {args.out}")
-    return 0
 
 
 def cmd_train_toy(args):
@@ -265,13 +254,13 @@ def build_parser(defaults=None):
                                      description="Monocular 3D detection blocks: demo, eval, oracles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("demo", help="train the toy pipeline and report metrics")
+    p = sub.add_parser("demo", help="train the toy pipeline, score held-out scenes")
     p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--scenes", type=positive_int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--conf", type=probability, default=0.75)
     p.add_argument("--mode", choices=("r11", "r40"), default="r40")
-    p.add_argument("--out", help="directory for result files")
+    p.add_argument("--out", help="directory for result files and attention.pgm")
     p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("eval", help="AP evaluation of result files against labels")
@@ -287,12 +276,6 @@ def build_parser(defaults=None):
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("viz-attention", help="export an attention map as PGM")
-    p.add_argument("--out", required=True)
-    p.add_argument("--tensor", help="M3TN tensor file to use as features")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(fn=cmd_viz_attention)
 
     p = sub.add_parser("train-toy", help="run the toy trainer, write the loss trace")
     p.add_argument("--steps", type=positive_int, default=200)

@@ -8,15 +8,12 @@ a topological sort and replays it. No graph rewriting, no fusion.
 
 from __future__ import annotations
 
-import math
-import struct
 from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "save_tensor", "load_tensor"]
+__all__ = ["Tensor", "no_grad"]
 
-_MAGIC = b"M3TN"
 _recording = True  # False inside `no_grad`
 
 
@@ -376,34 +373,3 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def save_tensor(t, path):
-    """Binary dump: magic "M3TN", 4 little-endian u32 for the 4-D shape, f64 payload."""
-    data = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-    if data.ndim != 4:
-        raise ValueError(f"serialization is defined for 4-D tensors, got ndim={data.ndim}")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<4I", *data.shape))
-        f.write(data.astype("<f8").tobytes(order="C"))
-
-
-def load_tensor(path):
-    """Read a tensor written by `save_tensor`; a malformed file raises ValueError."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path}: truncated header, {len(header)} of 16 shape bytes")
-        shape = struct.unpack("<4I", header)
-        payload = f.read()
-    if len(payload) != 8 * math.prod(shape):
-        raise ValueError(
-            f"{path}: payload of {len(payload)} bytes does not match shape {shape}"
-        )
-    return Tensor(np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64))

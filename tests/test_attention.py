@@ -362,3 +362,11 @@ class TestWritePgm:
     def test_rejects_3d(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):
             write_pgm(np.zeros((2, 2, 2)), tmp_path / "x.pgm")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        # one non-finite entry would otherwise black out the whole image
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match="got 2 non-finite of 4 entries"):
+            write_pgm(np.array([[bad, 1.0], [0.0, bad]]), path)
+        assert not path.exists()

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import os
 
@@ -253,52 +254,11 @@ class TestArgumentValues:
         assert [probability(v) for v in ("0", "1", "0.75")] == [0.0, 1.0, 0.75]
 
     def test_removed_subcommand_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench-anab"])
-        assert exc.value.code == USAGE_EXIT
-        assert "invalid choice: 'bench-anab'" in capsys.readouterr().err
-
-
-class TestVizAttention:
-    def test_writes_pgm(self, tmp_path, capsys):
-        out = tmp_path / "attn.pgm"
-        assert main(["viz-attention", "--out", str(out)]) == 0
-        raw = out.read_bytes()
-        assert raw.startswith(b"P5\n")
-
-    def test_draws_the_models_own_attention_map(self, tmp_path):
-        from mono3d.attention import attention_map, write_pgm
-        from mono3d.train import ToyDetector, make_synthetic_scenes
-        out = tmp_path / "attn.pgm"
-        assert main(["viz-attention", "--out", str(out), "--seed", "3"]) == 0
-        scene = make_synthetic_scenes(count=1, seed=3)[0]
-        model = ToyDetector(scene.image.shape[2:], seed=3)
-        feats = model.forward(scene.image)["features"]
-        write_pgm(attention_map(feats, model.anab.attention).data[0, 0], tmp_path / "want.pgm")
-        assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes()
-
-    def test_from_tensor_file(self, tmp_path):
-        from mono3d.tensor import Tensor, save_tensor
-        rng = np.random.default_rng(0)
-        tpath = tmp_path / "feats.m3tn"
-        save_tensor(Tensor(rng.normal(size=(1, 4, 6, 10))), tpath)
-        out = tmp_path / "attn.pgm"
-        assert main(["viz-attention", "--out", str(out), "--tensor", str(tpath)]) == 0
-        header = out.read_bytes().split(b"\n", 2)
-        assert header[1] == b"10 6"
-
-    def test_truncated_tensor_file_is_a_usage_error(self, tmp_path, capsys):
-        tpath = tmp_path / "feats.m3tn"
-        tpath.write_bytes(b"M3TN\x01\x00")
-        out = tmp_path / "attn.pgm"
-        assert main(["viz-attention", "--out", str(out), "--tensor", str(tpath)]) == USAGE_EXIT
-        assert "feats.m3tn" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_out_in_missing_directory_is_a_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "nope" / "attn.pgm"
-        assert main(["viz-attention", "--out", str(out)]) == USAGE_EXIT
-        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+        for command in ("bench-anab", "viz-attention"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == USAGE_EXIT
+            assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestTrainToy:
@@ -330,7 +290,108 @@ class TestTrainToy:
         assert not new.exists() and old.read_text() == "keep\n"
 
 
+@pytest.fixture(scope="class")
+def demo_run(tmp_path_factory):
+    """One `demo --steps 3 --scenes 2 --seed 5 --out DIR` run, recording what
+    it trained on and scored: a namespace of out, train_scenes, trace, model
+    and held_out (the scenes `detect` saw, in order)."""
+    import mono3d.detector as detector
+    import mono3d.train as train
+
+    run = argparse.Namespace(out=tmp_path_factory.mktemp("demo") / "results", held_out=[])
+    train_toy, detect = train.train_toy, detector.detect
+
+    def recording_train(scenes, **kwargs):
+        run.train_scenes = scenes
+        run.trace, run.model = train_toy(scenes, **kwargs)
+        return run.trace, run.model
+
+    def recording_detect(model, scene, **kwargs):
+        run.held_out.append(scene)
+        return detect(model, scene, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train, "train_toy", recording_train)
+        mp.setattr(detector, "detect", recording_detect)
+        assert main(["demo", "--steps", "3", "--scenes", "2", "--seed", "5",
+                     "--out", str(run.out)]) == 0
+    return run
+
+
+def model_map_pgm(model, scene, path):
+    """The PGM bytes of `model`'s attention map on `scene`, as `write_pgm` draws it."""
+    from mono3d.attention import attention_map, write_pgm
+    from mono3d.tensor import no_grad
+
+    with no_grad():
+        feats = model.forward(scene.image)["features"]
+        write_pgm(attention_map(feats, model.anab.attention).data[0, 0], path)
+    return path.read_bytes()
+
+
 class TestDemo:
+    def test_scores_held_out_scenes(self, demo_run):
+        from mono3d.train import make_synthetic_scenes
+
+        assert len(demo_run.train_scenes) == len(demo_run.held_out) == 2
+        # the training scenes are bitwise those of a `--scenes 2` draw
+        for got, want in zip(demo_run.train_scenes, make_synthetic_scenes(count=2, seed=5)):
+            np.testing.assert_array_equal(got.image.data, want.image.data)
+        for held in demo_run.held_out:
+            for seen in demo_run.train_scenes:
+                assert not np.array_equal(held.image.data, seen.image.data)
+
+    def test_trains_as_train_toy_does(self, demo_run, monkeypatch):
+        import mono3d.train as train
+
+        traces, train_toy = [], train.train_toy
+
+        def recording(scenes, **kwargs):
+            result = train_toy(scenes, **kwargs)
+            traces.append(result[0])
+            return result
+
+        monkeypatch.setattr(train, "train_toy", recording)
+        assert main(["train-toy", "--steps", "3", "--scenes", "2", "--seed", "5"]) == 0
+        assert traces == [demo_run.trace]
+
+    def test_attention_pgm_header_and_size(self, demo_run):
+        raw = (demo_run.out / "attention.pgm").read_bytes()
+        header = b"P5\n10 6\n255\n"  # the stride-8 feature grid of a 48x80 scene
+        assert raw.startswith(header) and len(raw) == len(header) + 60
+
+    def test_draws_the_trained_models_own_attention_map(self, demo_run, tmp_path):
+        want = model_map_pgm(demo_run.model, demo_run.held_out[0], tmp_path / "want.pgm")
+        assert (demo_run.out / "attention.pgm").read_bytes() == want
+
+    def test_map_differs_from_the_untrained_models(self, demo_run, tmp_path):
+        from mono3d.train import ToyDetector
+
+        scene = demo_run.held_out[0]
+        untrained = ToyDetector(scene.image.shape[2:], seed=5)
+        assert (demo_run.out / "attention.pgm").read_bytes() != \
+            model_map_pgm(untrained, scene, tmp_path / "untrained.pgm")
+
+    @pytest.mark.filterwarnings("ignore:detect. dropped:RuntimeWarning")
+    def test_non_finite_map_fails_after_the_results(self, tmp_path, capsys, monkeypatch):
+        import mono3d.train as train
+
+        train_toy = train.train_toy
+
+        def diverged(scenes, **kwargs):  # a NaN attention bias: every map entry is NaN
+            trace, model = train_toy(scenes, **kwargs)
+            model.anab.attention.bias.data[:] = np.nan
+            return trace, model
+
+        monkeypatch.setattr(train, "train_toy", diverged)
+        out = tmp_path / "results"
+        assert main(["demo", "--steps", "1", "--scenes", "1", "--out", str(out)]) == FAIL_EXIT
+        captured = capsys.readouterr()
+        assert "task=3d mode=r40" in captured.out
+        assert captured.err == (f"error: {out / 'attention.pgm'}: PGM export needs a finite map, "
+                                "got 60 non-finite of 60 entries\n")
+        assert sorted(p.name for p in out.iterdir()) == ["000000.txt"]
+
     def test_writes_results_and_yaw_ground_truth(self, tmp_path, monkeypatch):
         import mono3d.evaluate as evaluate
         from mono3d.geometry import yaw_to_alpha
@@ -345,7 +406,8 @@ class TestDemo:
         monkeypatch.setattr(evaluate, "evaluate_class", capture)
         out = tmp_path / "results"
         assert main(["demo", "--steps", "3", "--scenes", "2", "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "000001.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "000001.txt",
+                                                         "attention.pgm"]
         gts = [gt for frames in seen for _, frame_gts in frames for gt in frame_gts]
         assert seen and gts
         for gt in gts:  # rotation_y is the yaw, as for detections, not alpha

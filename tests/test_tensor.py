@@ -3,7 +3,7 @@ import pytest
 
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
-from mono3d.tensor import Tensor, load_tensor, no_grad, save_tensor
+from mono3d.tensor import Tensor, no_grad
 
 
 def test_elementwise_grads():
@@ -231,39 +231,6 @@ def test_matmul_shape_error():
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
 
 
-def test_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    t = Tensor(rng.normal(size=(2, 3, 4, 5)))
-    path = tmp_path / "t.m3tn"
-    save_tensor(t, path)
-    back = load_tensor(path)
-    np.testing.assert_array_equal(back.data, t.data)
-    with open(path, "rb") as f:
-        assert f.read(4) == b"M3TN"
-
-
-def test_serialization_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_tensor(path)
-
-
-@pytest.mark.parametrize("cut", [4 + 7, 4 + 16 + 8 * 5])
-def test_serialization_rejects_truncated_file(tmp_path, cut):
-    # cut inside the shape header, then inside the payload
-    path = tmp_path / "t.m3tn"
-    save_tensor(Tensor(np.ones((1, 2, 3, 4))), path)
-    path.write_bytes(path.read_bytes()[:cut])
-    with pytest.raises(ValueError, match="t.m3tn"):
-        load_tensor(path)
-
-
 def test_pow_rejects_non_scalar_exponent():
     with pytest.raises(TypeError, match="exponent"):
         Tensor(np.ones(3)) ** np.array([1.0, 2.0, 3.0])
-
-
-def test_serialization_requires_4d(tmp_path):
-    with pytest.raises(ValueError, match="4-D"):
-        save_tensor(Tensor(np.ones((2, 2))), tmp_path / "x.m3tn")
