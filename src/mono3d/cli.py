@@ -1,8 +1,6 @@
 """Command-line entry point.
 
-Subcommands: demo, eval, gradcheck, train-toy.
-A plain-text key=value config file can pre-set any long flag; explicit flags
-win over the file.
+Subcommands: demo, eval, gradcheck.
 """
 
 from __future__ import annotations
@@ -15,25 +13,29 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def load_config(path):
-    values = {}
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{i}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 def positive_int(text):
     """argparse type: an integer >= 1."""
     if not (text.strip().isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def non_negative_int(text):
+    """argparse type: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def positive_float(text):
+    """argparse type: a finite number > 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = float("nan")
+    if not 0.0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return x
 
 
 def probability(text):
@@ -47,51 +49,10 @@ def probability(text):
     return p
 
 
-def _apply_config(args, parser, argv):
-    """Parse argv again with the --config file's values as the defaults.
-
-    A key must name a long option of the chosen subcommand other than
-    --config; any other key (`fn`, `command`, `config`) is a usage error.
-    argparse itself then resolves every flag in argv, unique abbreviations
-    included, so each flag given in argv wins over the file.
-    """
-    if not getattr(args, "config", None):
-        return args
-    try:
-        overrides = load_config(args.config)
-    except (OSError, ValueError) as e:
-        parser.error(str(e))
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = sub.choices[args.command]
-    keys = {a.dest for a in command._actions
-            if a.dest not in ("help", "config") and any(o.startswith("--") for o in a.option_strings)}
-    for key in overrides:
-        if key not in keys:
-            command.error(f"{args.config}: unknown config key {key!r}")
-    return build_parser(overrides).parse_args(argv)
-
-
 def _output_error(path, e):
     """Report an OSError from writing to `path` as a usage error."""
     print(f"error: {path}: {e.strerror or e}", file=sys.stderr)
     return USAGE_EXIT
-
-
-def _unwritable(path, directory):
-    """Report before training the error that writing `path` would give, and
-    return the usage exit code (None if writable): make the directory, or
-    open the file for appending and remove it again if that created it."""
-    path = Path(path)
-    try:
-        if directory:
-            path.mkdir(parents=True, exist_ok=True)
-        else:
-            existed = path.exists()
-            open(path, "a").close()
-            if not existed:
-                path.unlink()
-    except OSError as e:
-        return _output_error(path, e)
 
 
 def _train(args):
@@ -130,12 +91,24 @@ def cmd_demo(args):
     from .geometry import alpha_to_yaw, backproject
     from .kitti import LabelRecord, detection_to_record, write_result_file
     from .tensor import no_grad
+    from .train import write_loss_trace
 
-    if args.out and _unwritable(args.out, directory=True):
-        return USAGE_EXIT
+    out = Path(args.out) if args.out else None
+    if out:  # an unwritable --out stops the command before training
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            return _output_error(out, e)
     print(f"training toy pipeline for {args.steps} steps on {args.scenes} scenes ...")
     scenes, trace, model = _train(args)
     print(f"total loss {trace[0][5]:.4f} -> {trace[-1][5]:.4f}")
+    if out:  # written before detect, so that a later failure still leaves it
+        path = out / "trace.csv"
+        try:
+            write_loss_trace(trace, path)
+        except OSError as e:
+            return _output_error(path, e)
+        print(f"wrote loss trace to {path}")
 
     frames = []
     for sc in scenes:
@@ -148,8 +121,7 @@ def cmd_demo(args):
         frames.append((dets, gts))
     n_det = sum(len(d) for d, _ in frames)
     print(f"{n_det} detections above confidence {args.conf} on {len(scenes)} held-out scenes")
-    if args.out:
-        out = Path(args.out)
+    if out:
         try:
             for i, (dets, _) in enumerate(frames):
                 write_result_file([detection_to_record(d, ["Background", "Car"]) for d in dets],
@@ -159,7 +131,7 @@ def cmd_demo(args):
         print(f"wrote result files to {out}")
     for task in ("2d", "bev", "3d"):
         _print_ap_table({"Car": frames}, task, args.mode)
-    if args.out:
+    if out:
         # the map the trained attention block pools with on held-out scene 0
         path = out / "attention.pgm"
         try:
@@ -232,24 +204,7 @@ def cmd_gradcheck(args):
     return 0 if ok else FAIL_EXIT
 
 
-def cmd_train_toy(args):
-    from .train import write_loss_trace
-
-    if args.trace and _unwritable(args.trace, directory=False):
-        return USAGE_EXIT
-    _, trace, _ = _train(args)
-    print(f"step 0: total {trace[0][5]:.4f}   step {args.steps - 1}: total {trace[-1][5]:.4f}")
-    if args.trace:
-        try:
-            write_loss_trace(trace, args.trace)
-        except OSError as e:
-            return _output_error(args.trace, e)
-        print(f"wrote loss trace to {args.trace}")
-    return 0
-
-
-def build_parser(defaults=None):
-    """The mono3d parser; `defaults` (key -> string) override every subcommand's defaults."""
+def build_parser():
     parser = argparse.ArgumentParser(prog="mono3d",
                                      description="Monocular 3D detection blocks: demo, eval, oracles")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,10 +212,10 @@ def build_parser(defaults=None):
     p = sub.add_parser("demo", help="train the toy pipeline, score held-out scenes")
     p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--scenes", type=positive_int, default=8)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=non_negative_int, default=7)
     p.add_argument("--conf", type=probability, default=0.75)
     p.add_argument("--mode", choices=("r11", "r40"), default="r40")
-    p.add_argument("--out", help="directory for result files and attention.pgm")
+    p.add_argument("--out", help="directory for trace.csv, result files and attention.pgm")
     p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("eval", help="AP evaluation of result files against labels")
@@ -272,28 +227,15 @@ def build_parser(defaults=None):
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle suite")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=positive_float, default=1e-4)
+    p.add_argument("--step", type=positive_float, default=1e-5)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("train-toy", help="run the toy trainer, write the loss trace")
-    p.add_argument("--steps", type=positive_int, default=200)
-    p.add_argument("--scenes", type=positive_int, default=8)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trace", help="CSV output path")
-    p.set_defaults(fn=cmd_train_toy)
-    for p in sub.choices.values():
-        p.add_argument("--config", help="key=value config file")
-        p.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    args = _apply_config(args, parser, argv)
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -21,8 +21,9 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     """Full inference for one scene: decode, NMS, filter, then yaw refinement
     of every kept detection.
 
-    A candidate whose score or decoded box is non-finite is dropped, and the
-    scene's drop count is reported in one RuntimeWarning. A scene whose
+    A candidate whose score or decoded box is non-finite, or whose decoded 3D
+    size is not positive, is dropped, and the scene's drop count is reported
+    in one RuntimeWarning. A scene whose
     center offsets are non-finite (a non-finite center-head output or input
     pixel) gives no detections, also reported in one RuntimeWarning.
     """
@@ -52,25 +53,32 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     non_finite = int((~finite).sum())
     rows = model.grid.rows(flat)
     # one `decode` call per finite candidate (the benchmark's detection funnel
-    # counts candidates by these calls), then one back-projection for all
-    decoded = []  # (candidate, box2d, projected 3D params) in front of the camera
-    for i in np.flatnonzero(finite):
-        try:
-            box2d, params = decode(rows[i], d2[i], d3[i])
-        except OverflowError:  # a size delta too large for exp: an infinite box
-            non_finite += 1
-            continue
-        if params[2] > 0.0:
-            decoded.append((i, box2d, params))
-    centers = backproject(scene.cam, np.array([p[:3] for _, _, p in decoded]).reshape(-1, 3))
+    # counts candidates by these calls), then one array test and one
+    # back-projection for all
+    decoded = []  # (candidate, box2d, projected 3D params)
+    with np.errstate(over="ignore", invalid="ignore"):  # counted below instead
+        for i in np.flatnonzero(finite):
+            try:
+                decoded.append((i, *decode(rows[i], d2[i], d3[i])))
+            except OverflowError:  # a size delta too large for exp: an infinite box
+                non_finite += 1
+    vals = np.array([(b.x1, b.y1, b.x2, b.y2, *p) for _, b, p in decoded],
+                    dtype=np.float64).reshape(-1, 11)
+    # an extreme finite delta can still decode to an infinite box or, by exp
+    # underflow, to a zero 3D size
+    ok = np.isfinite(vals).all(axis=1) & (vals[:, 7:10] > 0.0).all(axis=1)
+    non_finite += int((~ok).sum())
+    front = np.flatnonzero(ok & (vals[:, 6] > 0.0))
+    centers = backproject(scene.cam, vals[front, 4:7])
     dets = []
-    for (i, box2d, (_, _, _, w3, h3, l3, alpha)), (x, y, z) in zip(decoded, centers.tolist()):
+    for k, (x, y, z) in zip(front.tolist(), centers.tolist()):
+        i, box2d, (_, _, _, w3, h3, l3, alpha) = decoded[k]
         box3d = Box3D(x, y, z, w3, h3, l3, alpha_to_yaw(alpha, x, z), alpha=alpha)
         dets.append(Detection(int(class_map[t[i], hh[i], ww[i]]), float(scores[i]),
                               box2d, box3d, alpha))
     if non_finite:
         warnings.warn(f"detect: dropped {non_finite} candidate(s) with a non-finite score "
-                      "or box", RuntimeWarning, stacklevel=2)
+                      "or box, or a non-positive 3D size", RuntimeWarning, stacklevel=2)
 
     dets = nms(dets, iou_thresh=nms_iou)
     dets = confidence_filter(dets, thresh=conf_thresh)

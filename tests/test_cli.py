@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mono3d import suite
-from mono3d.cli import FAIL_EXIT, USAGE_EXIT, load_config, main, probability
+from mono3d.cli import FAIL_EXIT, USAGE_EXIT, main, probability
 from mono3d.gradcheck import GradReport
 from mono3d.kitti import write_result_file, LabelRecord
 
@@ -25,74 +25,6 @@ def no_training(*args, **kwargs):
     """Stand-in for `train_toy` where an unwritable output must stop the
     command before any training."""
     raise AssertionError("trained before checking the output path")
-
-
-class TestConfigFile:
-    def test_load(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("steps = 5\n# comment\nmode=r11\n")
-        assert load_config(path) == {"steps": "5", "mode": "r11"}
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("just words\n")
-        with pytest.raises(ValueError, match="key=value"):
-            load_config(path)
-
-    def test_applies_to_eval(self, tmp_path, capsys):
-        gt, det = tmp_path / "gt", tmp_path / "det"
-        write_frames(gt, det)
-        cfg = tmp_path / "cfg"
-        cfg.write_text("mode=r11\ntask=2d\n")
-        code = main(["eval", "--gt", str(gt), "--det", str(det),
-                     "--classes", "Car", "--config", str(cfg)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "task=2d mode=r11" in out
-
-    def test_explicit_flag_wins(self, tmp_path, capsys, monkeypatch):
-        gt, det = tmp_path / "gt", tmp_path / "det"
-        write_frames(gt, det)
-        cfg = tmp_path / "cfg"
-        cfg.write_text("task=2d\n")
-        argv = ["mono3d", "eval", "--gt", str(gt), "--det", str(det),
-                "--classes", "Car", "--task", "bev", "--config", str(cfg)]
-        monkeypatch.setattr("sys.argv", argv)
-        assert main(argv[1:]) == 0
-        assert "task=bev" in capsys.readouterr().out
-
-
-    @pytest.mark.parametrize("flag", [["--steps", "1"], ["--steps=1"], ["--step", "1"],
-                                      ["--ste=1"]])
-    def test_explicit_flag_in_given_argv_wins(self, tmp_path, capsys, flag, monkeypatch):
-        # the flag is looked for in main's argv, not in sys.argv
-        monkeypatch.setattr("sys.argv", ["mono3d"])
-        cfg = tmp_path / "cfg"
-        cfg.write_text("steps=5\nscenes=2\n")
-        trace = tmp_path / "trace.csv"
-        assert main(["train-toy", "--config", str(cfg), "--trace", str(trace)] + flag) == 0
-        assert "step 0: total" in capsys.readouterr().out
-        assert len(trace.read_text().splitlines()) == 1 + 1  # header + one step
-
-    @pytest.mark.parametrize("key", ["fn", "command", "config"])
-    def test_key_that_is_not_a_long_option_is_a_usage_error(self, tmp_path, capsys, key):
-        # `fn` and `command` are parsed attributes but no flags; `config` names the file itself
-        cfg = tmp_path / "cfg"
-        cfg.write_text(f"{key}=1\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--config", str(cfg)])
-        assert exc.value.code == USAGE_EXIT
-        err = capsys.readouterr().err
-        assert f"unknown config key {key!r}" in err
-        assert str(cfg) in err
-
-    def test_long_option_of_another_subcommand_is_a_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("steps=1\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--config", str(cfg)])
-        assert exc.value.code == USAGE_EXIT
-        assert "unknown config key 'steps'" in capsys.readouterr().err
 
 
 class TestEval:
@@ -220,10 +152,14 @@ class TestArgumentValues:
         ["demo", "--steps", "two"],
         ["demo", "--scenes", ""],
         ["demo", "--conf", "2"],
-        ["train-toy", "--scenes", "0"],
         ["demo", "--scenes", "0"],
-        ["train-toy", "--steps", "0"],
-        ["train-toy", "--scenes", "-1"],
+        ["demo", "--steps", "0"],
+        ["demo", "--scenes", "-1"],
+        ["demo", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
+        ["gradcheck", "--step", "0"],
+        ["gradcheck", "--tol", "nan"],
+        ["gradcheck", "--tol", "-1"],
     ])
     def test_bad_value_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -231,63 +167,27 @@ class TestArgumentValues:
         assert exc.value.code == USAGE_EXIT
         assert f"argument {argv[1]}: expected " in capsys.readouterr().err
 
-    def test_bad_value_in_config_file_is_a_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("steps=0\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["train-toy", "--config", str(cfg)])
-        assert exc.value.code == USAGE_EXIT
-        assert "argument --steps: expected a positive integer, got '0'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1"])
-    def test_conf_outside_unit_interval_is_a_usage_error(self, tmp_path, capsys, value):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(f"conf={value}\n")
-        for argv in (["demo", "--conf", value], ["demo", "--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == USAGE_EXIT
-            err = capsys.readouterr().err
-            assert f"argument --conf: expected a probability in [0, 1], got {value!r}" in err
+    def test_conf_outside_unit_interval_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--conf", value])
+        assert exc.value.code == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert f"argument --conf: expected a probability in [0, 1], got {value!r}" in err
 
     def test_probability_keeps_both_ends(self):
         assert [probability(v) for v in ("0", "1", "0.75")] == [0.0, 1.0, 0.75]
 
     def test_removed_subcommand_is_a_usage_error(self, capsys):
-        for command in ("bench-anab", "viz-attention"):
+        for command in ("bench-anab", "viz-attention", "train-toy"):
             with pytest.raises(SystemExit) as exc:
                 main([command])
             assert exc.value.code == USAGE_EXIT
             assert f"invalid choice: '{command}'" in capsys.readouterr().err
-
-
-class TestTrainToy:
-    def test_quick_run_with_trace(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        code = main(["train-toy", "--steps", "3", "--scenes", "2",
-                     "--trace", str(trace)])
-        assert code == 0
-        lines = trace.read_text().splitlines()
-        assert len(lines) == 4
-        assert "total" in capsys.readouterr().out
-
-    def test_trace_in_missing_directory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("mono3d.train.train_toy", no_training)
-        trace = tmp_path / "nope" / "trace.csv"
-        code = main(["train-toy", "--steps", "1", "--scenes", "1", "--trace", str(trace)])
-        assert code == USAGE_EXIT
-        assert capsys.readouterr().err == f"error: {trace}: {os.strerror(errno.ENOENT)}\n"
-
-    def test_trace_probe_leaves_files_as_they_were(self, tmp_path, monkeypatch):
-        # the writability probe runs before training: a new path is removed
-        # again, an existing file is not truncated
-        monkeypatch.setattr("mono3d.train.train_toy", no_training)
-        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        old.write_text("keep\n")
-        for trace in (new, old):
-            with pytest.raises(AssertionError, match="trained"):
-                main(["train-toy", "--steps", "1", "--scenes", "1", "--trace", str(trace)])
-        assert not new.exists() and old.read_text() == "keep\n"
+        with pytest.raises(SystemExit) as exc:  # the removed config-file layer
+            main(["demo", "--config", "f"])
+        assert exc.value.code == USAGE_EXIT
+        assert "unrecognized arguments: --config f" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="class")
@@ -341,19 +241,11 @@ class TestDemo:
             for seen in demo_run.train_scenes:
                 assert not np.array_equal(held.image.data, seen.image.data)
 
-    def test_trains_as_train_toy_does(self, demo_run, monkeypatch):
-        import mono3d.train as train
+    def test_writes_the_loss_trace_of_its_training(self, demo_run, tmp_path):
+        from mono3d.train import write_loss_trace
 
-        traces, train_toy = [], train.train_toy
-
-        def recording(scenes, **kwargs):
-            result = train_toy(scenes, **kwargs)
-            traces.append(result[0])
-            return result
-
-        monkeypatch.setattr(train, "train_toy", recording)
-        assert main(["train-toy", "--steps", "3", "--scenes", "2", "--seed", "5"]) == 0
-        assert traces == [demo_run.trace]
+        write_loss_trace(demo_run.trace, tmp_path / "want.csv")
+        assert (demo_run.out / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_attention_pgm_header_and_size(self, demo_run):
         raw = (demo_run.out / "attention.pgm").read_bytes()
@@ -390,7 +282,7 @@ class TestDemo:
         assert "task=3d mode=r40" in captured.out
         assert captured.err == (f"error: {out / 'attention.pgm'}: PGM export needs a finite map, "
                                 "got 60 non-finite of 60 entries\n")
-        assert sorted(p.name for p in out.iterdir()) == ["000000.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "trace.csv"]
 
     def test_writes_results_and_yaw_ground_truth(self, tmp_path, monkeypatch):
         import mono3d.evaluate as evaluate
@@ -407,7 +299,7 @@ class TestDemo:
         out = tmp_path / "results"
         assert main(["demo", "--steps", "3", "--scenes", "2", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "000001.txt",
-                                                         "attention.pgm"]
+                                                         "attention.pgm", "trace.csv"]
         gts = [gt for frames in seen for _, frame_gts in frames for gt in frame_gts]
         assert seen and gts
         for gt in gts:  # rotation_y is the yaw, as for detections, not alpha

@@ -100,6 +100,8 @@ class TestNonFiniteOutputs:
         ("cls", (0, 1, 0, 0), np.nan, "1"),   # one logit: anchor 0, class 1, cell (0, 0)
         ("box2d", (0, 0), np.nan, r"\d+"),    # tx of anchor 0 in every cell
         ("box3d", (0, 0), 1e4, r"\d+"),       # tw of anchor 0: exp overflows
+        ("box3d", (0, 0), -1e4, r"\d+"),      # tw of anchor 0: exp underflows to a zero width
+        ("box2d", (0, 0), 1e308, r"\d+"),     # tx of anchor 0: a finite delta, an infinite box
     ])
     def test_other_scenes_unchanged(self, fitted, head, index, value, count, monkeypatch):
         model, scenes, want = fitted
@@ -111,6 +113,7 @@ class TestNonFiniteOutputs:
         assert got[0] == want[0] and got[2] == want[2]
         for d in got[1]:
             assert np.isfinite(d.score) and np.isfinite(d.box3d.as_array()).all()
+            assert np.isfinite(d.box2d.as_array()).all()
 
     def test_non_finite_pixel_gives_no_detections(self, fitted):
         # a NaN pixel reaches the center offsets, whose OffsetField check rejects it
