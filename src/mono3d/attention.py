@@ -34,7 +34,7 @@ __all__ = [
 
 
 def _level_bins(level):
-    return tuple(level) if isinstance(level, (tuple, list)) else (int(level), int(level))
+    return tuple(level) if isinstance(level, (tuple, list)) else (level, level)
 
 
 @dataclass
@@ -51,9 +51,9 @@ class PyramidSpec:
             raise ValueError("pyramid needs at least one level")
         for level in self.levels:
             bins = _level_bins(level)
-            if len(bins) != 2 or min(bins) < 1:
-                raise ValueError(f"pyramid level {level!r} must be n >= 1 or a pair "
-                                 f"(nh, nw) with both >= 1")
+            if len(bins) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in bins):
+                raise ValueError(f"pyramid level {level!r} must be an integer n >= 1 or a pair "
+                                 f"(nh, nw) of integers both >= 1")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"pyramid epsilon must be finite and >= 0, got {self.epsilon}")
         counts = [nh * nw for nh, nw in map(_level_bins, self.levels)]
@@ -132,42 +132,41 @@ def _bin_spread(g, grid):
 
 
 def pa2_pool(features, attn, spec):
-    """Attention-weighted pyramid pooling of a (C, H, W) map to (L, C) rows.
+    """Attention-weighted pyramid pooling of (B, C, H, W) features to (B, L, C) rows.
 
-    Each bin's descriptor is sum(a*f)/(sum(a) + eps) over the bin; levels are
-    concatenated in ascending order, bins row-major within a level.
+    `attn` is the (B, 1, H, W) map. Each bin's descriptor is
+    sum(a*f)/(sum(a) + eps) over the bin; levels are concatenated in ascending
+    order, bins row-major within a level.
     """
-    if features.ndim != 3:
-        raise ValueError(f"pa2_pool expects 3-D (C, H, W) features, got shape {features.shape}")
-    C, H, W = features.shape
-    if attn.shape[-2:] != (H, W):
-        raise ValueError(f"attention map {attn.shape} does not match features {features.shape}")
-    a = attn.data.reshape(H, W)
-    f = features.data
+    if features.ndim != 4 or attn.shape != (features.shape[0], 1) + features.shape[2:]:
+        raise ValueError(f"pa2_pool expects (B, C, H, W) features and a (B, 1, H, W) attention "
+                         f"map, got features {features.shape} and attention map {attn.shape}")
+    B, C, H, W = features.shape
+    a, f = attn.data, features.data
     af = f * a
     grids, dens, descs = [], [], []
     for level in spec.levels:
         grids.append(_bin_grid((H, W), _level_bins(level)))
         dens.append(_bin_sum(a, grids[-1]) + spec.epsilon)
-        descs.append(_bin_sum(af, grids[-1]) / dens[-1])  # (C, nh, nw)
-    out = np.concatenate([d.reshape(C, -1).T for d in descs], axis=0)
+        descs.append(_bin_sum(af, grids[-1]) / dens[-1])  # (B, C, nh, nw)
+    out = np.concatenate([d.reshape(B, C, -1).transpose(0, 2, 1) for d in descs], axis=1)
 
     def bw(g):
         g = np.asarray(g)
         # d desc_c / d f_c(p) = a(p) / den and d desc_c / d a(p) = (f_c(p) - desc_c) / den
-        spread = np.zeros_like(f)     # sum over levels of spread(g / den), (C, H, W)
-        spread_dot = np.zeros((H, W))  # sum over levels of spread(sum_c (g / den) * desc)
+        spread = np.zeros_like(f)           # sum over levels of spread(g / den), (B, C, H, W)
+        spread_dot = np.zeros((B, 1, H, W))  # sum over levels of spread(sum_c (g / den) * desc)
         row = 0
         for grid, den, desc in zip(grids, dens, descs):
-            n = den.size
-            gd = g[row:row + n].T.reshape(desc.shape) / den
+            n = desc.shape[2] * desc.shape[3]
+            gd = g[:, row:row + n].transpose(0, 2, 1).reshape(desc.shape) / den
             row += n
             spread += _bin_spread(gd, grid)
-            spread_dot += _bin_spread((gd * desc).sum(axis=0), grid)
+            spread_dot += _bin_spread((gd * desc).sum(axis=1, keepdims=True), grid)
         if features.requires_grad:
             features.accumulate_grad(a * spread)
         if attn.requires_grad:
-            attn.accumulate_grad(((f * spread).sum(axis=0) - spread_dot).reshape(attn.shape))
+            attn.accumulate_grad((f * spread).sum(axis=1, keepdims=True) - spread_dot)
 
     return Tensor.from_op(out, (features, attn), bw)
 
@@ -181,13 +180,14 @@ def _affine(spec):
 def anab_forward(x, params):
     """Full attention block on a (B, C, H, W) tensor.
 
-    Only the attention map is a convolution. Per item, the input with a ones
-    channel appended, X = [x_b; 1] (C+1, N), is pooled once to P (L, C+1).
+    Only the attention map is a convolution. The input with a ones channel
+    appended, X = [x; 1] (B, C+1, N), is pooled once to P (B, L, C+1).
     Pooling is linear and a bin's weights sum to S/(S+eps), which is P's ones
     column, so the pooled key and value projections are k = P [Wk|bk]^T and
     v = P [Wv|bv]^T. The query projection folds into the similarity,
     s = X^T ([Wq|bq]^T k^T) (N x L), and the output projection into the
-    values: y = (Wo v^T) softmax(s)^T + bo (C x N), plus the residual.
+    values: y = (Wo v^T) softmax(s)^T + bo (C x N), plus the residual. Every
+    product runs over the whole batch at once.
     """
     if x.ndim != 4:
         raise ValueError(f"anab_forward expects a 4-D (B, C, H, W) input, got shape {x.shape}")
@@ -200,17 +200,12 @@ def anab_forward(x, params):
     w_q, w_k, w_v = _affine(params.query), _affine(params.key), _affine(params.value)
     w_o = params.out.weight.reshape(C, C)
 
-    outs = []
-    for b in range(B):
-        x_b = xs[b]
-        p = pa2_pool(x_b, attn[b], params.pyramid)       # L x (C+1)
-        k = p @ w_k.T                                    # L x C
-        v = p @ w_v.T                                    # L x C
-        s = x_b.reshape(C + 1, N).T @ (w_q.T @ k.T)      # N x L
-        m_out = (w_o @ v.T) @ softmax_lastdim(s).T       # C x N
-        outs.append(m_out.reshape(1, C, H, W))
-    y = outs[0] if B == 1 else Tensor.concat(outs, axis=0)
-    return y + params.out.bias.reshape(1, C, 1, 1) + x
+    p = pa2_pool(xs, attn, params.pyramid)                 # B x L x (C+1)
+    k = p @ w_k.T                                          # B x L x C
+    v = p @ w_v.T                                          # B x L x C
+    s = xs.reshape(B, C + 1, N).transpose(0, 2, 1) @ (w_q.T @ k.transpose(0, 2, 1))  # B x N x L
+    m_out = (w_o @ v.transpose(0, 2, 1)) @ softmax_lastdim(s).transpose(0, 2, 1)     # B x C x N
+    return m_out.reshape(B, C, H, W) + params.out.bias.reshape(1, C, 1, 1) + x
 
 
 def reference_nonlocal(x):
@@ -219,14 +214,9 @@ def reference_nonlocal(x):
     y = softmax(M M^T) M + x, with M the (N, C) reshaped feature map.
     """
     B, C, H, W = x.shape
-    N = H * W
-    outs = []
-    for b in range(B):
-        m = x[b].reshape(C, N).T
-        s = m @ m.T
-        o = softmax_lastdim(s) @ m
-        outs.append(o.T.reshape(1, C, H, W))
-    return (outs[0] if B == 1 else Tensor.concat(outs, axis=0)) + x
+    m = x.reshape(B, C, H * W).transpose(0, 2, 1)
+    o = softmax_lastdim(m @ m.transpose(0, 2, 1)) @ m
+    return o.transpose(0, 2, 1).reshape(B, C, H, W) + x
 
 
 def write_pgm(gray, path):

@@ -35,6 +35,9 @@ class ConvSpec:
         kh, kw = self.kernel
         if kh < 1 or kw < 1:
             raise ValueError(f"kernel must be >= 1, got {self.kernel}")
+        if self.stride < 1 or self.padding < 0:
+            raise ValueError(f"stride must be >= 1 and padding >= 0, got stride "
+                             f"{self.stride} and padding {self.padding}")
         wshape = (self.out_channels, self.in_channels, kh, kw)
         if self.weight is None:
             self.weight = Tensor(np.zeros(wshape), requires_grad=True)

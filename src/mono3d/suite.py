@@ -43,8 +43,8 @@ def run_gradient_suite(tol=1e-4, step=1e-5, seed=0):
                               [xm, attn_spec.weight, attn_spec.bias], step, tol,
                               name="attention_map"))
 
-    feats = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
-    attn = Tensor(rng.uniform(0.1, 0.9, size=(1, 4, 6)), requires_grad=True)
+    feats = Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True)
+    attn = Tensor(rng.uniform(0.1, 0.9, size=(2, 1, 4, 6)), requires_grad=True)
     pyr = PyramidSpec([1, 2])
     reports.append(grad_check(lambda f, a: pa2_pool(f, a, pyr), [feats, attn],
                               step, tol, name="pa2_pool"))

@@ -361,10 +361,11 @@ class Tensor:
 
         def bw(g):
             g = np.asarray(g)
+            # stacked operands broadcast; accumulate_grad sums the batch axes away
             if self.requires_grad:
-                self.accumulate_grad(g @ b.T)
+                self.accumulate_grad(g @ b.swapaxes(-1, -2))
             if other.requires_grad:
-                other.accumulate_grad(a.T @ g)
+                other.accumulate_grad(a.swapaxes(-1, -2) @ g)
 
         return Tensor.from_op(out_data, (self, other), bw)
 

@@ -326,6 +326,10 @@ def train_toy(scenes, steps=200, train_cfg=None, seed=0, detector=None):
     mini-batch before the update. Deterministic for a fixed seed.
     """
     train_cfg = train_cfg or TrainConfig(total_steps=steps)
+    if train_cfg.total_steps != steps:
+        # lr_at past total_steps climbs back up the cosine
+        raise ValueError(f"train_cfg.total_steps is {train_cfg.total_steps} but train_toy "
+                         f"runs {steps} steps; the LR schedule must span the run")
     _check_scenes(scenes)
     model = detector or ToyDetector(scenes[0].image.shape[2:], seed=seed)
     model.fit_anchors(scenes)

@@ -97,8 +97,7 @@ def test_complexity_scaling(monkeypatch):
 
     def counted(a, b):
         out = matmul(a, b)
-        assert a.ndim == 2 and out.ndim == 2
-        macs[0] += a.shape[0] * a.shape[1] * out.shape[1]
+        macs[0] += out.size * a.shape[-1]  # exact for stacked operands too
         return out
 
     monkeypatch.setattr(Tensor, "matmul", counted)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,18 +77,27 @@ class TestBinPrimitiveAgainstPerBinLoop:
         ((8, 8), [1, 4], 1e-6),
     ])
     def test_pa2_pool(self, hw, levels, eps):
+        # a batch of two against the per-bin reference on each item, and
+        # bitwise against pa2_pool on that item alone
         rng = np.random.default_rng(100 * hw[0] + 10 * hw[1] + len(levels))
-        f = rng.normal(size=(3,) + hw)
-        a = rng.uniform(0.05, 1.0, size=(1,) + hw)
+        f = rng.normal(size=(2, 3) + hw)
+        a = rng.uniform(0.05, 1.0, size=(2, 1) + hw)
         spec = PyramidSpec(levels, epsilon=eps)
-        g = rng.normal(size=(spec.descriptor_count, 3))
+        g = rng.normal(size=(2, spec.descriptor_count, 3))
         ft, at = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
         out = pa2_pool(ft, at, spec)
         out.backward(g)
-        want, gf, ga = ref_pa2_pool(f, a, levels, eps, g)
-        assert_close(out.data, want)
-        assert_close(ft.grad, gf)
-        assert_close(at.grad, ga)
+        for b in range(2):
+            want, gf, ga = ref_pa2_pool(f[b], a[b], levels, eps, g[b])
+            assert_close(out.data[b], want)
+            assert_close(ft.grad[b], gf)
+            assert_close(at.grad[b], ga)
+            fb, ab = Tensor(f[b:b + 1], requires_grad=True), Tensor(a[b:b + 1], requires_grad=True)
+            one = pa2_pool(fb, ab, spec)
+            one.backward(g[b:b + 1])
+            np.testing.assert_array_equal(out.data[b:b + 1], one.data)
+            np.testing.assert_array_equal(ft.grad[b:b + 1], fb.grad)
+            np.testing.assert_array_equal(at.grad[b:b + 1], ab.grad)
 
     @pytest.mark.parametrize("hw,bins", [
         ((5, 7), (2, 3)), ((3, 5), (4, 7)), ((1, 9), (1, 4)), ((1, 9), (2, 5)),
@@ -96,14 +107,14 @@ class TestBinPrimitiveAgainstPerBinLoop:
         # unit attention, and an eps far below one pixel's weight: a non-empty
         # bin divides by its exact cell count, an empty bin reads 0
         rng = np.random.default_rng(sum(hw) * 31 + sum(bins))
-        x = rng.normal(size=(6,) + hw)
+        x = rng.normal(size=(1, 6) + hw)
         g = rng.normal(size=(6,) + bins)
         xt = Tensor(x, requires_grad=True)
-        out = pa2_pool(xt, Tensor(np.ones((1,) + hw)), PyramidSpec([bins], epsilon=1e-20))
-        out.backward(g.reshape(6, -1).T)
-        want, gx = ref_adaptive_avg_pool(x, bins, g)
-        assert_close(out.data.T.reshape(want.shape), want)
-        assert_close(xt.grad, gx)
+        out = pa2_pool(xt, Tensor(np.ones((1, 1) + hw)), PyramidSpec([bins], epsilon=1e-20))
+        out.backward(g.reshape(1, 6, -1).transpose(0, 2, 1))
+        want, gx = ref_adaptive_avg_pool(x[0], bins, g)
+        assert_close(out.data[0].T.reshape(want.shape), want)
+        assert_close(xt.grad[0], gx)
 
 
 class TestPyramidSpec:
@@ -128,6 +139,7 @@ class TestPyramidSpec:
 
     @pytest.mark.parametrize("levels,bad", [
         ([0, 1], "level 0 "), ([(2, 0), (2, 2)], r"level \(2, 0\)"), ([(1, 2, 3)], r"level \(1, 2, 3\)"),
+        ([2.5], "level 2.5 "), ([(2, 1.5)], r"level \(2, 1.5\)"),
     ])
     def test_rejects_empty_or_malformed_level(self, levels, bad):
         with pytest.raises(ValueError, match=bad):
@@ -166,61 +178,65 @@ class TestAttentionMap:
 class TestPa2Pool:
     def test_constant_attention_matches_average_pooling(self):
         rng = np.random.default_rng(2)
-        f = Tensor(rng.normal(size=(3, 8, 8)))
-        attn = Tensor(np.full((1, 8, 8), 0.7))
+        f = Tensor(rng.normal(size=(1, 3, 8, 8)))
+        attn = Tensor(np.full((1, 1, 8, 8), 0.7))
         spec = PyramidSpec([1, 2, 4], epsilon=0.0)
-        out = pa2_pool(f, attn, spec).data
+        out = pa2_pool(f, attn, spec).data[0]
         row = 0
-        for level in (1, 2, 4):
-            pooled, _ = ref_adaptive_avg_pool(f.data, (level, level), np.zeros((3, level, level)))
-            for p in range(level):
-                for q in range(level):
+        for n in (1, 2, 4):
+            pooled, _ = ref_adaptive_avg_pool(f.data[0], (n, n), np.zeros((3, n, n)))
+            for p in range(n):
+                for q in range(n):
                     np.testing.assert_allclose(out[row], pooled[:, p, q], atol=1e-12)
                     row += 1
 
     def test_indicator_attention_selects_one_pixel(self):
         rng = np.random.default_rng(3)
-        f = Tensor(rng.normal(size=(2, 4, 4)))
-        a = np.zeros((1, 4, 4))
-        a[0, 1, 2] = 1.0  # inside the single global bin
+        f = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        a = np.zeros((1, 1, 4, 4))
+        a[0, 0, 1, 2] = 1.0  # inside the single global bin
         out = pa2_pool(f, Tensor(a), PyramidSpec([1], epsilon=0.0)).data
-        np.testing.assert_allclose(out[0], f.data[:, 1, 2], atol=1e-12)
+        np.testing.assert_allclose(out[0, 0], f.data[0, :, 1, 2], atol=1e-12)
 
     def test_row_count_and_order(self):
-        f = Tensor(np.zeros((2, 8, 8)))
-        attn = Tensor(np.ones((1, 8, 8)))
-        assert pa2_pool(f, attn, PyramidSpec([1, 2, 4])).shape == (21, 2)
+        f = Tensor(np.zeros((1, 2, 8, 8)))
+        attn = Tensor(np.ones((1, 1, 8, 8)))
+        assert pa2_pool(f, attn, PyramidSpec([1, 2, 4])).shape == (1, 21, 2)
 
     def test_zero_attention_with_epsilon_is_finite(self):
-        f = Tensor(np.ones((2, 4, 4)))
-        out = pa2_pool(f, Tensor(np.zeros((1, 4, 4))), PyramidSpec([1, 2])).data
+        f = Tensor(np.ones((1, 2, 4, 4)))
+        out = pa2_pool(f, Tensor(np.zeros((1, 1, 4, 4))), PyramidSpec([1, 2])).data
         np.testing.assert_allclose(out, 0.0, atol=1e-5)
 
     def test_within_bin_permutation_invariance(self):
         # shuffling (feature, attention) pairs inside the global bin changes nothing
         rng = np.random.default_rng(4)
-        f = rng.normal(size=(3, 2, 6))
-        a = rng.uniform(0.1, 0.9, size=(1, 2, 6))
+        f = rng.normal(size=(1, 3, 2, 6))
+        a = rng.uniform(0.1, 0.9, size=(1, 1, 2, 6))
         spec = PyramidSpec([1])
         out = pa2_pool(Tensor(f), Tensor(a), spec).data
         perm = rng.permutation(12)
-        fp = f.reshape(3, 12)[:, perm].reshape(3, 2, 6)
-        ap = a.reshape(12)[perm].reshape(1, 2, 6)
+        fp = f.reshape(3, 12)[:, perm].reshape(1, 3, 2, 6)
+        ap = a.reshape(12)[perm].reshape(1, 1, 2, 6)
         outp = pa2_pool(Tensor(fp), Tensor(ap), spec).data
         np.testing.assert_allclose(outp, out, atol=1e-12)
 
-    def test_rejects_batched_features(self):
-        with pytest.raises(ValueError, match=r"3-D \(C, H, W\) features, got shape \(1, 2, 4, 4\)"):
-            pa2_pool(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 4, 4))), PyramidSpec([1]))
+    def test_rejects_unbatched_features(self):
+        with pytest.raises(ValueError, match=r"got features \(2, 4, 4\) and attention map \(1, 4, 4\)"):
+            pa2_pool(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 4, 4))), PyramidSpec([1]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            pa2_pool(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3))), PyramidSpec([1]))
+        # spatial size, a multi-channel map, batch size, no batch axis
+        for attn_shape in [(1, 1, 3, 3), (1, 2, 4, 4), (2, 1, 4, 4), (1, 4, 4)]:
+            with pytest.raises(ValueError, match=rf"got features \(1, 2, 4, 4\) and attention "
+                                                 rf"map {re.escape(str(attn_shape))}"):
+                pa2_pool(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros(attn_shape)),
+                         PyramidSpec([1]))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
-        f = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
-        a = Tensor(rng.uniform(0.2, 0.8, size=(1, 4, 6)), requires_grad=True)
+        f = Tensor(rng.normal(size=(1, 2, 4, 6)), requires_grad=True)
+        a = Tensor(rng.uniform(0.2, 0.8, size=(1, 1, 4, 6)), requires_grad=True)
         r = grad_check(lambda ff, aa: pa2_pool(ff, aa, PyramidSpec([1, 2])), [f, a],
                        name="pa2_pool")
         assert r.passed, str(r)
@@ -249,7 +265,7 @@ class TestAnabForward:
         params.query.weight.data[:] = 0.0
         x = Tensor(rng.normal(size=(1, 4, 4, 4)))
         out = (anab_forward(x, params).data - x.data)[0].reshape(4, -1).T
-        m_v = pa2_pool(x[0], attention_map(x, params.attention)[0], pyramid).data
+        m_v = pa2_pool(x, attention_map(x, params.attention), pyramid).data[0]
         np.testing.assert_allclose(out, np.tile(m_v.mean(axis=0), (16, 1)), atol=1e-9)
 
     def test_query_shift_invariance(self):
@@ -260,7 +276,7 @@ class TestAnabForward:
         x = Tensor(rng.normal(size=(1, 8, 3, 4)))
         base = anab_forward(x, params).data
         # bias direction c with M_K c = 1: underdetermined, exact for L=5 < C=8
-        k = pa2_pool(x[0], attention_map(x, params.attention)[0], pyramid).data
+        k = pa2_pool(x, attention_map(x, params.attention), pyramid).data[0]
         ones_dir = np.linalg.lstsq(k, np.ones(len(k)), rcond=None)[0]
         np.testing.assert_allclose(k @ ones_dir, 1.0, atol=1e-5)
         shifted = identity_params(8, pyramid)
@@ -268,13 +284,30 @@ class TestAnabForward:
         np.testing.assert_allclose(anab_forward(x, shifted).data, base, atol=1e-5)
 
     def test_batched(self):
+        # output and input gradient bitwise the per-item calls; a parameter's
+        # gradient is the per-item sum up to the order of the batch sum
         rng = np.random.default_rng(10)
-        params = identity_params(3, PyramidSpec([1, 2]))
-        x2 = rng.normal(size=(2, 3, 4, 5))
-        both = anab_forward(Tensor(x2), params).data
-        for b in range(2):
-            single = anab_forward(Tensor(x2[b:b + 1]), params).data
-            np.testing.assert_allclose(both[b:b + 1], single, atol=1e-12)
+        params = AnabParams.init_random(3, pyramid=PyramidSpec([1, 2]), rng=rng)
+        for spec in (params.query, params.key, params.value, params.out, params.attention):
+            spec.bias.data[:] = rng.normal(size=spec.bias.shape)
+        x = Tensor(rng.normal(size=(4, 3, 4, 5)), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        both = anab_forward(x, params)
+        both.backward(g)
+        batch_grads = [p.grad for p in params.params()]
+        item_sums = [np.zeros(p.shape) for p in params.params()]
+        for b in range(4):
+            for p in params.params():
+                p.zero_grad()
+            xb = Tensor(x.data[b:b + 1], requires_grad=True)
+            single = anab_forward(xb, params)
+            single.backward(g[b:b + 1])
+            np.testing.assert_array_equal(both.data[b:b + 1], single.data)
+            np.testing.assert_array_equal(x.grad[b:b + 1], xb.grad)
+            for acc, p in zip(item_sums, params.params()):
+                acc += p.grad
+        for got, want in zip(batch_grads, item_sums):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_rejects_unbatched_input(self):
         params = identity_params(4, PyramidSpec([1]))
@@ -305,8 +338,8 @@ def project_then_pool(x, params):
     outs = []
     for b in range(B):
         m_q = q[b].reshape(C, H * W).T
-        m_k = pa2_pool(k[b], attn[b], params.pyramid)
-        m_v = pa2_pool(v[b], attn[b], params.pyramid)
+        m_k = pa2_pool(k[b:b + 1], attn[b:b + 1], params.pyramid)[0]
+        m_v = pa2_pool(v[b:b + 1], attn[b:b + 1], params.pyramid)[0]
         m_out = softmax_lastdim(m_q @ m_k.T) @ m_v
         outs.append(m_out.T.reshape(1, C, H, W))
     return conv2d(Tensor.concat(outs, axis=0), params.out) + x

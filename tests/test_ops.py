@@ -69,6 +69,11 @@ class TestConv2d:
         with pytest.raises(ValueError, match="empty output"):
             conv2d(Tensor(np.ones((1, 1, 2, 2))), spec)
 
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1)])
+    def test_rejects_bad_geometry(self, stride, padding):
+        with pytest.raises(ValueError, match=f"got stride {stride} and padding {padding}"):
+            ConvSpec(3, 2, (3, 3), stride=stride, padding=padding)
+
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
@@ -158,10 +163,11 @@ class TestSoftmax:
 
 
 def avg_pool(x, bins, eps=0.0):
-    """pa2_pool of a (C, H, W) map under unit attention at one (nh, nw) level:
-    each bin's sum over its cell count plus eps. Returns (C, nh, nw)."""
-    out = pa2_pool(x, Tensor(np.ones((1,) + x.shape[1:])), PyramidSpec([bins], epsilon=eps))
-    return out.T.reshape((x.shape[0],) + bins)
+    """pa2_pool of a (B, C, H, W) map under unit attention at one (nh, nw) level:
+    each bin's sum over its cell count plus eps. Returns (B, C, nh, nw)."""
+    B, C, H, W = x.shape
+    out = pa2_pool(x, Tensor(np.ones((B, 1, H, W))), PyramidSpec([bins], epsilon=eps))
+    return out.transpose(0, 2, 1).reshape((B, C) + bins)
 
 
 class TestAdaptivePool:
@@ -169,35 +175,35 @@ class TestAdaptivePool:
     primitive's one user."""
 
     def test_known_2x2(self):
-        x = Tensor(np.arange(24.0).reshape(1, 4, 6))
-        out = avg_pool(x, (2, 2)).data[0]
+        x = Tensor(np.arange(24.0).reshape(1, 1, 4, 6))
+        out = avg_pool(x, (2, 2)).data[0, 0]
         np.testing.assert_allclose(out, [[4.0, 7.0], [16.0, 19.0]])
 
     def test_4x4_to_2x2(self):
-        x = Tensor(np.arange(16.0).reshape(1, 4, 4))
-        out = avg_pool(x, (2, 2)).data[0]
+        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
+        out = avg_pool(x, (2, 2)).data[0, 0]
         np.testing.assert_allclose(out, [[2.5, 4.5], [10.5, 12.5]])
 
     def test_identity_bins(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2, 3, 5)))
+        x = Tensor(rng.normal(size=(1, 2, 3, 5)))
         np.testing.assert_array_equal(avg_pool(x, (3, 5)).data, x.data)
 
     def test_global_pool_is_mean(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(6, 4, 5)))
+        x = Tensor(rng.normal(size=(1, 6, 4, 5)))
         out = avg_pool(x, (1, 1)).data
-        np.testing.assert_allclose(out[:, 0, 0], x.data.mean(axis=(1, 2)), atol=1e-12)
+        np.testing.assert_allclose(out[0, :, 0, 0], x.data[0].mean(axis=(1, 2)), atol=1e-12)
 
     def test_more_bins_than_pixels(self):
         # bins past the input size are empty; with eps > 0 they read 0
-        x = Tensor(np.ones((1, 2, 2)))
-        out = avg_pool(x, (3, 3), eps=1e-6).data[0]
+        x = Tensor(np.ones((1, 1, 2, 2)))
+        out = avg_pool(x, (3, 3), eps=1e-6).data[0, 0]
         assert np.count_nonzero(out) == 4
         assert out.sum() == pytest.approx(4.0, rel=1e-5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(2, 5, 7)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 2, 5, 7)), requires_grad=True)
         r = grad_check(lambda a: avg_pool(a, (2, 3)), [x], name="pool")
         assert r.passed, str(r)

@@ -22,6 +22,12 @@ def test_elementwise_grads():
     ]:
         r = grad_check(f, [x, y], name=name)
         assert r.passed, str(r)
+    # stacked operands: the broadcast operand's gradient sums over the batch
+    for name, shapes in [("matmul 3-D @ 2-D", ((2, 3, 4), (4, 5))),
+                         ("matmul 2-D @ 3-D", ((3, 4), (2, 4, 5)))]:
+        a, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+        r = grad_check(lambda p, q: p @ q, [a, b], name=name)
+        assert r.passed, str(r)
 
 
 def test_broadcast_backward():

@@ -292,6 +292,15 @@ class TestTrainToy:
         with pytest.raises(ValueError, match=r"scene 2 has image shape \(1, 3, 40, 80\)"):
             train_toy(scenes, steps=1)
 
+    def test_schedule_must_span_the_run(self):
+        # lr_at past total_steps climbs back up the cosine: the 4e-8 floor at
+        # step 10 of 10, 0.0028 by step 15, so a longer run must be refused
+        scenes = make_synthetic_scenes(count=2, seed=3)
+        cfg = TrainConfig(total_steps=10, warmup_steps=2)
+        assert lr_at(10, cfg) == cfg.lr_floor and lr_at(15, cfg) > 0.0027
+        with pytest.raises(ValueError, match="total_steps is 10 but train_toy runs 15 steps"):
+            train_toy(scenes, steps=15, train_cfg=cfg)
+
     def test_short_run_bit_reproducible(self):
         scenes = make_synthetic_scenes(count=4, seed=3)
         cfg = TrainConfig(total_steps=5, warmup_steps=2)
