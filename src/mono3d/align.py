@@ -51,11 +51,6 @@ class OffsetField:
         if not np.all(np.isfinite(self.offsets.data)):
             raise NonFiniteOffsetsError("offset field contains non-finite values")
 
-    @staticmethod
-    def zeros(hw, kernel):
-        kh, kw = kernel
-        return OffsetField(Tensor(np.zeros((hw[0], hw[1], kh * kw, 2))), kernel)
-
 
 def shape_align_offsets(best_anchor_hw, stride, kernel=(3, 3)):
     """Offsets spreading the kernel taps over the best anchor's footprint.
@@ -223,9 +218,7 @@ def align_conv(x, spec, field):
     out = _columns_forward(cols, w3, spec.bias.data)
 
     def bw(g):
-        g = np.asarray(g)
-        gcols, gw = _columns_backward(g, cols, w3, x.requires_grad or off.requires_grad,
-                                      spec.weight.requires_grad)
+        gcols = _columns_backward(np.asarray(g), cols, spec, x.requires_grad or off.requires_grad)
         if x.requires_grad:
             # one bincount per channel over all items: each item's pixels are
             # their own bins, summed in the per-item order
@@ -238,9 +231,5 @@ def align_conv(x, spec, field):
         if off.requires_grad:  # a shared field sums over the items
             sub = "bckhw,dbckhw->hwkd" if len(off5) == 1 else "bckhw,dbckhw->bhwkd"
             off.accumulate_grad(np.einsum(sub, gcols, dcols).reshape(off.shape))
-        if gw is not None:
-            spec.weight.accumulate_grad(gw.reshape(spec.weight.shape))
-        if spec.bias.requires_grad:
-            spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return Tensor.from_op(out, (x, off, spec.weight, spec.bias), bw)

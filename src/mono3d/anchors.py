@@ -23,7 +23,7 @@ __all__ = [
     "decode",
 ]
 
-DEFAULT_RATIOS = (0.5, 1.0, 1.5)
+RATIOS = (0.5, 1.0, 1.5)  # template aspect ratios h / w
 # the default size ladder: SIZE_COUNT sizes from SIZE_BASE to SIZE_BASE * SIZE_TOP_FACTOR
 SIZE_COUNT = 12
 SIZE_BASE = 24.0
@@ -82,8 +82,8 @@ class AnchorGrid:
         return np.concatenate([c - wh / 2.0, c + wh / 2.0], axis=1)
 
 
-def generate_anchor_grid(feature_hw, stride=8, sizes=None, ratios=DEFAULT_RATIOS):
-    """Size x ratio template bank tiled over the grid, centers at cell centers.
+def generate_anchor_grid(feature_hw, stride=8, sizes=None):
+    """Size x RATIOS template bank tiled over the grid, centers at cell centers.
 
     Ratio r maps a scale s to (w, h) = (s / sqrt(r), s * sqrt(r)), which keeps
     the area s^2 independent of r.
@@ -93,7 +93,7 @@ def generate_anchor_grid(feature_hw, stride=8, sizes=None, ratios=DEFAULT_RATIOS
     sizes = default_sizes() if sizes is None else np.asarray(sizes, dtype=np.float64)
     templates = []
     for s in sizes:
-        for r in ratios:
+        for r in RATIOS:
             templates.append((s / math.sqrt(r), s * math.sqrt(r)))
     return AnchorGrid(feature_hw, stride, templates)
 

@@ -77,8 +77,7 @@ class AnabParams:
     pyramid: PyramidSpec = field(default_factory=PyramidSpec)
 
     @staticmethod
-    def init_random(channels, pyramid=None, rng=None):
-        rng = np.random.default_rng() if rng is None else rng
+    def init_random(channels, pyramid=None, *, rng):
         mk = lambda co: ConvSpec.init_random(channels, co, kernel=(1, 1), rng=rng)
         return AnabParams(
             query=mk(channels), key=mk(channels), value=mk(channels),

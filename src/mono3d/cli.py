@@ -49,6 +49,15 @@ def probability(text):
     return p
 
 
+def class_list(text):
+    """argparse type: comma-separated class names, none of them empty."""
+    names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"expected comma-separated non-empty class names, "
+                                         f"got {text!r}")
+    return names
+
+
 def _output_error(path, e):
     """Report an OSError from writing to `path` as a usage error."""
     print(f"error: {path}: {e.strerror or e}", file=sys.stderr)
@@ -157,7 +166,7 @@ def cmd_eval(args):
         if not d.is_dir():
             print(f"error: not a directory: {d}", file=sys.stderr)
             return USAGE_EXIT
-    class_names = args.classes.split(",")
+    class_names = args.classes
     frames = []
     for gt_file in sorted(gt_dir.glob("*.txt")):
         det_file = det_dir / gt_file.name
@@ -223,7 +232,7 @@ def build_parser():
     p.add_argument("--det", required=True, help="detection result directory")
     p.add_argument("--task", choices=("2d", "bev", "3d"), default="3d")
     p.add_argument("--mode", choices=("r11", "r40"), default="r40")
-    p.add_argument("--classes", default="Car,Pedestrian,Cyclist")
+    p.add_argument("--classes", type=class_list, default="Car,Pedestrian,Cyclist")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle suite")

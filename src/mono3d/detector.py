@@ -11,8 +11,9 @@ import numpy as np
 from .align import NonFiniteOffsetsError
 from .anchors import decode
 from .geometry import Box3D, alpha_to_yaw, backproject
+from .ops import softmax_lastdim
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 
 __all__ = ["detect"]
 
@@ -38,12 +39,10 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     A = model.grid.per_position
     ncls = model.num_classes
 
-    logits = heads["cls"].data[0].reshape(A, ncls, H, W)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    fg = probs[:, 1:, :, :]
-    score_map = fg.max(axis=1)          # (A, H, W)
-    class_map = fg.argmax(axis=1) + 1
+    logits = heads["cls"].data[0].reshape(A, ncls, H, W).transpose(0, 2, 3, 1)
+    fg = softmax_lastdim(Tensor(logits)).data[..., 1:]
+    score_map = fg.max(axis=-1)          # (A, H, W)
+    class_map = fg.argmax(axis=-1) + 1
 
     t, hh, ww = np.nonzero((score_map >= score_floor) | ~np.isfinite(score_map))
     flat = (hh * W + ww) * A + t

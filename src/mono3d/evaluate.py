@@ -3,7 +3,7 @@ difficulty buckets, and depth-error analysis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -22,11 +22,12 @@ __all__ = [
 ]
 
 
+# the KITTI benchmark's IoU thresholds; any other class is scored at 0.5
+IOU_THRESHOLDS = {"Car": 0.7, "Pedestrian": 0.5, "Cyclist": 0.5}
+
+
 @dataclass
 class EvalConfig:
-    iou_thresholds: dict = field(default_factory=lambda: {
-        "Car": 0.7, "Pedestrian": 0.5, "Cyclist": 0.5,
-    })
     mode: str = "r40"          # "r11" or "r40"
     task: str = "3d"           # "2d", "bev", or "3d"
 
@@ -35,12 +36,9 @@ class EvalConfig:
             raise ValueError(f"mode must be r11 or r40, got {self.mode}")
         if self.task not in ("2d", "bev", "3d"):
             raise ValueError(f"task must be 2d, bev or 3d, got {self.task}")
-        for cls, t in self.iou_thresholds.items():
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"IoU threshold for {cls} out of (0, 1]: {t}")
 
     def threshold_for(self, class_name):
-        return self.iou_thresholds.get(class_name, 0.5)
+        return IOU_THRESHOLDS.get(class_name, 0.5)
 
 
 # min 2D box height (px), max occlusion, max truncation per difficulty

@@ -49,8 +49,7 @@ class ConvSpec:
             raise ValueError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
 
     @staticmethod
-    def init_random(in_channels, out_channels, kernel=(3, 3), stride=1, padding=0, rng=None, gain=1.0):
-        rng = np.random.default_rng() if rng is None else rng
+    def init_random(in_channels, out_channels, kernel=(3, 3), stride=1, padding=0, *, rng, gain=1.0):
         kh, kw = kernel
         fan_in = in_channels * kh * kw
         w = rng.normal(0.0, gain / np.sqrt(fan_in), size=(out_channels, in_channels, kh, kw))
@@ -105,22 +104,26 @@ def _columns_forward(cols, w, b):
     return out
 
 
-def _columns_backward(g, cols, w, need_cols, need_w):
-    """Gradients of `_columns_forward` for upstream `g` (B, Co, OH, OW).
+def _columns_backward(g, cols, spec, need_cols):
+    """Backward of `_columns_forward` with `spec`'s weight and bias, for
+    upstream `g` (B, Co, OH, OW).
 
-    Two contractions: gcols = W^T @ G per batch item, shaped like `cols`, and
-    gw = sum over b of G_b @ cols_b^T, shaped like `w`. Either is None when
-    not needed. The caller scatters gcols back onto its input.
+    Accumulates the weight gradient, sum over b of G_b @ cols_b^T, and the
+    bias gradient, g summed over items and positions, where `spec` needs
+    them. Returns gcols = W^T @ G per batch item, shaped like `cols`, when
+    `need_cols`, else None; the caller scatters it back onto its input.
     """
     B, Co = g.shape[:2]
-    Ci, K = w.shape[1:]
     G = g.reshape(B, Co, -1)
-    gcols = gw = None
+    w = spec.weight
+    if w.requires_grad:
+        gw = np.tensordot(G, cols.reshape(B, -1, G.shape[2]), axes=([0, 2], [0, 2]))
+        w.accumulate_grad(gw.reshape(w.shape))
+    if spec.bias.requires_grad:
+        spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
     if need_cols:
-        gcols = (w.reshape(Co, Ci * K).T @ G).reshape(cols.shape)
-    if need_w:
-        gw = np.tensordot(G, cols.reshape(B, Ci * K, -1), axes=([0, 2], [0, 2])).reshape(w.shape)
-    return gcols, gw
+        return (w.data.reshape(Co, -1).T @ G).reshape(cols.shape)
+    return None
 
 
 def conv2d(x, spec):
@@ -151,17 +154,12 @@ def conv2d(x, spec):
     out = _columns_forward(cols, w3, spec.bias.data)
 
     def bw(g):
-        g = np.asarray(g)
-        gcols, gw = _columns_backward(g, cols, w3, x.requires_grad, spec.weight.requires_grad)
+        gcols = _columns_backward(np.asarray(g), cols, spec, x.requires_grad)
         if gcols is not None:
             gpad = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
             for t, (i, j) in enumerate(taps):
                 gpad[:, :, i:i + OH * s:s, j:j + OW * s:s] += gcols[:, :, t]
             x.accumulate_grad(gpad[:, :, p:p + H, p:p + W])
-        if gw is not None:
-            spec.weight.accumulate_grad(gw.reshape(spec.weight.shape))
-        if spec.bias.requires_grad:
-            spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return Tensor.from_op(out, (x, spec.weight, spec.bias), bw)
 

@@ -241,21 +241,16 @@ class Tensor:
 
     def maximum(self, other):
         """Elementwise max; at ties the gradient goes to `self` (subgradient)."""
-        other = self._coerce(other)
-        take_self = self.data >= other.data
-        out_data = np.where(take_self, self.data, other.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self.accumulate_grad(g * take_self)
-            if other.requires_grad:
-                other.accumulate_grad(g * ~take_self)
-
-        return Tensor.from_op(out_data, (self, other), bw)
+        return self._select(other, np.greater_equal)
 
     def minimum(self, other):
+        """Elementwise min; at ties the gradient goes to `self` (subgradient)."""
+        return self._select(other, np.less_equal)
+
+    def _select(self, other, keep_self):
+        """`self` where `keep_self(self, other)` holds, else `other`."""
         other = self._coerce(other)
-        take_self = self.data <= other.data
+        take_self = keep_self(self.data, other.data)
         out_data = np.where(take_self, self.data, other.data)
 
         def bw(g):

@@ -38,39 +38,38 @@ IMAGE_CHANNELS = 3
 FEAT_CHANNELS = 16
 NUM_CLASSES = 2            # class 0 is background, class 1 the one foreground class
 ANCHOR_SIZES = (16.0, 24.0, 36.0)
-ANCHOR_RATIOS = (0.5, 1.0, 1.5)
 PYRAMID_LEVELS = (1, 2)
 HEAD_SCALE = 8.0           # fixed output gain of the heads; raises their effective lr
+# the SGD schedule: linear warmup to LR_TARGET, cosine decay to LR_FLOOR
+LR_TARGET = 0.004
+LR_FLOOR = 4e-8
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
 
 
 @dataclass
 class TrainConfig:
-    lr_target: float = 0.004
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     batch_size: int = 4
-    lr_floor: float = 4e-8
     warmup_steps: int = 20
     total_steps: int = 200
 
     def __post_init__(self):
-        for name in ("lr_target", "momentum", "weight_decay", "batch_size",
-                     "lr_floor", "warmup_steps", "total_steps"):
+        for name in ("batch_size", "warmup_steps", "total_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
 def lr_at(step, config):
-    """Linear warmup from 0 to lr_target, then cosine decay to lr_floor.
+    """Linear warmup from 0 to LR_TARGET, then cosine decay to LR_FLOOR.
 
-    step 0 gives 0; step == warmup_steps gives exactly lr_target; the final
-    step gives exactly lr_floor.
+    step 0 gives 0; step == warmup_steps gives exactly LR_TARGET; the final
+    step gives exactly LR_FLOOR.
     """
     w, total = config.warmup_steps, config.total_steps
     if step <= w:
-        return config.lr_target * step / w
+        return LR_TARGET * step / w
     t = (step - w) / (total - w)
-    return config.lr_floor + 0.5 * (config.lr_target - config.lr_floor) * (1.0 + math.cos(math.pi * t))
+    return LR_FLOOR + 0.5 * (LR_TARGET - LR_FLOOR) * (1.0 + math.cos(math.pi * t))
 
 
 class SGD:
@@ -86,11 +85,10 @@ class SGD:
             p.zero_grad()
 
     def step(self, lr):
-        c = self.config
         for p, v in zip(self.params, self.velocity):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            v *= c.momentum
-            v += g + c.weight_decay * p.data
+            v *= MOMENTUM
+            v += g + WEIGHT_DECAY * p.data
             p.data -= lr * v
 
 
@@ -148,10 +146,9 @@ class ToyDetector:
     def __init__(self, image_hw, seed=0):
         rng = np.random.default_rng(seed)
         self.image_hw = tuple(image_hw)
-        self.feature_hw = (image_hw[0] // STRIDE, image_hw[1] // STRIDE)
-        self.grid = generate_anchor_grid(
-            self.feature_hw, STRIDE, sizes=np.array(ANCHOR_SIZES), ratios=ANCHOR_RATIOS
-        )
+        # three 3x3 stride-2 pad-1 convolutions: each maps n to ceil(n / 2)
+        self.feature_hw = tuple(-(-n // STRIDE) for n in self.image_hw)
+        self.grid = generate_anchor_grid(self.feature_hw, STRIDE, sizes=np.array(ANCHOR_SIZES))
         A = self.grid.per_position
         self.num_classes = NUM_CLASSES
         ch = FEAT_CHANNELS
@@ -185,7 +182,11 @@ class ToyDetector:
 
     def forward(self, images):
         """Heads of a (B, 3, H, W) batch plus the (B, H, W, 2) (h_a, w_a) map
-        used for alignment; every item is aligned by its own offset fields."""
+        used for alignment; every item is aligned by its own offset fields.
+        (H, W) must be the model's `image_hw`."""
+        if images.shape[2:] != self.image_hw:
+            raise ValueError(f"images of shape {images.shape} do not match the model's "
+                             f"image size {self.image_hw}")
         x = images
         for spec in self.backbone:
             x = conv2d(x, spec).relu()
@@ -256,16 +257,14 @@ class ToyDetector:
                             self._gather(heads["box3d"], item, 4, flat_pos)], axis=1)
         return self._gather(heads["box2d"], item, 4, flat_pos), d3
 
-    def scene_loss(self, scenes, labels=None):
+    def scene_loss(self, scenes, labels):
         """One forward over the stacked images of `scenes`; returns a list of
         each scene's mined classification, 2D IoU and 3D smooth-L1 losses
-        (l_cls, l_2d, l_3d), and the batched heads. `labels` holds each
-        scene's `match_anchors` labels; they are matched here when not given."""
-        if labels is None:
-            labels = [self.match_anchors(sc.boxes2d) for sc in scenes]
+        (l_cls, l_2d, l_3d). `labels` holds each scene's `match_anchors`
+        labels."""
         heads = self.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
         l_cls, l_2d, l_3d = self._batch_losses(heads, scenes, labels)
-        return [(l_cls[b], l_2d[b], l_3d[b]) for b in range(len(scenes))], heads
+        return [(l_cls[b], l_2d[b], l_3d[b]) for b in range(len(scenes))]
 
     def _batch_losses(self, heads, scenes, labels):
         """(B,) per-scene l_cls, l_2d and l_3d of the batched heads: each loss
@@ -354,7 +353,7 @@ def _batch_backward(model, batch, labels):
     freed on return, before the next forward."""
     parts = np.zeros(3)
     batch_total = None
-    for l_cls, l_2d, l_3d in model.scene_loss(batch, labels)[0]:
+    for l_cls, l_2d, l_3d in model.scene_loss(batch, labels):
         tot = total_loss(l_cls, l_2d, l_3d) * (1.0 / len(batch))
         batch_total = tot if batch_total is None else batch_total + tot
         parts += [l_cls.item(), l_2d.item(), l_3d.item()]

@@ -69,7 +69,7 @@ def test_alignment_formula_exactness():
     x = Tensor(rng.normal(size=(2, 3, 6, 8)))
     spec = ConvSpec.init_random(3, 4, (3, 3), 1, 1, rng=rng)
     spec.bias.data[:] = rng.normal(size=4)
-    zero = OffsetField.zeros((6, 8), (3, 3))
+    zero = OffsetField(Tensor(np.zeros((6, 8, 9, 2))), (3, 3))
     bit_identical = np.array_equal(align_conv(x, spec, zero).data, conv2d(x, spec).data)
     report("alignment formulas", worst <= 1e-12 and bit_identical,
            f"200-case table max err {worst:.1e} <= 1e-12, "

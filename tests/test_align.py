@@ -116,7 +116,7 @@ class TestAlignConv:
         x = Tensor(rng.normal(size=(2, 3, 6, 8)))
         spec = ConvSpec.init_random(3, 4, (3, 3), 1, 1, rng=rng)
         spec.bias.data[:] = rng.normal(size=4)
-        field = OffsetField.zeros((6, 8), (3, 3))
+        field = OffsetField(Tensor(np.zeros((6, 8, 9, 2))), (3, 3))
         assert np.array_equal(align_conv(x, spec, field).data, conv2d(x, spec).data)
 
     def test_integer_offsets_shift_the_receptive_field(self):
@@ -135,13 +135,13 @@ class TestAlignConv:
 
     def test_requires_same_padding(self):
         spec = ConvSpec(1, 1, (3, 3), padding=0)
-        field = OffsetField.zeros((4, 4), (3, 3))
+        field = OffsetField(Tensor(np.zeros((4, 4, 9, 2))), (3, 3))
         with pytest.raises(ValueError, match="same-padding"):
             align_conv(Tensor(np.ones((1, 1, 4, 4))), spec, field)
 
     def test_rejects_even_kernel(self):
         spec = ConvSpec(1, 1, (2, 2), padding=1)
-        field = OffsetField.zeros((4, 4), (2, 2))
+        field = OffsetField(Tensor(np.zeros((4, 4, 4, 2))), (2, 2))
         with pytest.raises(ValueError, match="odd"):
             align_conv(Tensor(np.ones((1, 1, 4, 4))), spec, field)
 

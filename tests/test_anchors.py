@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mono3d.anchors import decode, default_sizes, encode, fit_anchor_3d_stats, generate_anchor_grid
+from mono3d.anchors import (AnchorGrid, decode, default_sizes, encode, fit_anchor_3d_stats,
+                            generate_anchor_grid)
 from mono3d.geometry import Box2D, iou_2d, wrap_angle
 
 
@@ -23,7 +24,7 @@ def anchor_row(x, y, w2d, h2d, alpha=0.0):
 def scalar_encode(anchor, box2d, params3d):
     """One anchor's (d2, d3) by scalar arithmetic: the reference for the
     row-wise `encode`."""
-    cx, cy = box2d.center
+    cx, cy = (box2d.x1 + box2d.x2) / 2.0, (box2d.y1 + box2d.y2) / 2.0
     x, y, w, h, z0, w0, h0, l0, a0 = anchor
     d2 = [(cx - x) / w, (cy - y) / h, math.log(box2d.w / w), math.log(box2d.h / h)]
     xp, yp, zp, w3, h3, l3, ang = params3d
@@ -55,7 +56,7 @@ class TestAnchorGrid:
         assert len(grid) == 48 * 160 * 36 == 276480
 
     def test_ratios_preserve_area(self):
-        grid = generate_anchor_grid((1, 1), sizes=[50.0], ratios=(0.5, 1.0, 1.5))
+        grid = generate_anchor_grid((1, 1), sizes=[50.0])
         for w, h in grid.templates:
             assert w * h == pytest.approx(2500.0, abs=1e-9)
             # and the ratio shows up as h/w
@@ -63,7 +64,7 @@ class TestAnchorGrid:
         np.testing.assert_allclose(ratios, [0.5, 1.0, 1.5], atol=1e-9)
 
     def test_centers_at_cell_centers(self):
-        grid = generate_anchor_grid((2, 3), stride=8, sizes=[24.0], ratios=(1.0,))
+        grid = AnchorGrid((2, 3), 8, [(24.0, 24.0)])
         # flat index = (row * W + col) * A + template
         rows = grid.rows(np.array([0, (1 * 3 + 2) * 1]))
         assert rows[:, :2].tolist() == [[4.0, 4.0], [2 * 8 + 4.0, 1 * 8 + 4.0]]
@@ -82,7 +83,7 @@ class TestCodec:
         rng = np.random.default_rng(0)
         anc = random_anchor(rng)
         box, p3 = decode(anc, np.zeros(4), np.zeros(7))
-        assert box.center == pytest.approx(tuple(anc[:2]))
+        assert ((box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0) == pytest.approx(tuple(anc[:2]))
         assert (box.w, box.h) == pytest.approx(tuple(anc[2:4]))
         np.testing.assert_allclose(p3[:2], anc[:2], atol=1e-12)
         np.testing.assert_allclose(p3[2:], anc[4:], atol=1e-12)
@@ -163,20 +164,20 @@ def box_rows(*boxes):
 
 class TestFit3dStats:
     def test_single_object_single_template(self):
-        grid = generate_anchor_grid((4, 4), stride=8, sizes=[20.0], ratios=(1.0,))
+        grid = AnchorGrid((4, 4), 8, [(20.0, 20.0)])
         fit_anchor_3d_stats(grid, box_rows((12.0, 12.0, 20.0, 20.0)),
                             [(42.0, 1.5, 1.4, 3.8, 0.3)])
         np.testing.assert_allclose(grid.stats3d[0], [42.0, 1.5, 1.4, 3.8, 0.3])
 
     def test_mean_over_matches(self):
-        grid = generate_anchor_grid((4, 4), stride=8, sizes=[20.0], ratios=(1.0,))
+        grid = AnchorGrid((4, 4), 8, [(20.0, 20.0)])
         fit_anchor_3d_stats(grid, box_rows((12.0, 12.0, 20.0, 20.0), (20.0, 20.0, 20.0, 20.0)),
                             [(40.0, 1.0, 1.0, 3.0, 0.0), (60.0, 2.0, 2.0, 5.0, 0.4)])
         np.testing.assert_allclose(grid.stats3d[0], [50.0, 1.5, 1.5, 4.0, 0.2])
 
     def test_unmatched_template_gets_global_mean(self):
         # a tiny template never reaches IoU 0.5 with a large object
-        grid = generate_anchor_grid((4, 4), stride=8, sizes=[4.0, 20.0], ratios=(1.0,))
+        grid = AnchorGrid((4, 4), 8, [(4.0, 4.0), (20.0, 20.0)])
         fit_anchor_3d_stats(grid, box_rows((12.0, 12.0, 20.0, 20.0)),
                             [(42.0, 1.5, 1.4, 3.8, 0.3)])
         np.testing.assert_allclose(grid.stats3d[0], [42.0, 1.5, 1.4, 3.8, 0.3])

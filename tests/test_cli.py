@@ -48,6 +48,16 @@ class TestEval:
         assert code == 0
         assert "Car,2d,r40,1.0000,1.0000,1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("classes", ["", "Car,", "Car,,Car"])
+    def test_empty_class_name_is_a_usage_error(self, tmp_path, capsys, classes):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gt", str(gt), "--det", str(det), "--classes", classes])
+        assert exc.value.code == USAGE_EXIT
+        assert (f"argument --classes: expected comma-separated non-empty class names, "
+                f"got {classes!r}") in capsys.readouterr().err
+
     def test_missing_dir_usage_exit(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope"), "--det", str(tmp_path)])
         assert code == USAGE_EXIT

@@ -38,6 +38,24 @@ class TestToyPipeline:
                 assert d.box3d.z > 0.0
 
 
+class TestImageSize:
+    @pytest.mark.parametrize("hw", [(50, 84), (49, 81)])
+    def test_sizes_off_the_stride_train_and_detect(self, hw):
+        # three stride-2 pad-1 convolutions give ceil(H / 8) x ceil(W / 8)
+        scenes = make_synthetic_scenes(count=2, image_hw=hw, seed=3)
+        trace, model, out = fit_predict(scenes, steps=2, conf_thresh=0.0)
+        assert model.feature_hw == (-(-hw[0] // 8), -(-hw[1] // 8))
+        assert len(trace) == 2 and np.isfinite(np.array(trace)).all()
+        assert len(out) == 2 and all(len(dets) > 0 for dets in out)
+
+    def test_forward_rejects_another_image_size(self):
+        model = ToyDetector((48, 80), seed=0)
+        scene = make_synthetic_scenes(count=1, image_hw=(64, 96), seed=0)[0]
+        model.fit_anchors([scene])
+        with pytest.raises(ValueError, match=r"\(1, 3, 64, 96\).*\(48, 80\)"):
+            detect(model, scene)
+
+
 class TestDetect:
     def test_untrained_model_no_confident_output(self):
         # zero-init heads give uniform class scores of 0.5 < default threshold

@@ -452,12 +452,12 @@ class TestEvaluateClass:
             for _ in range(int(rng.integers(0, 6))):
                 x, z = rng.uniform(0, 100), rng.uniform(15, 25)
                 gts.append(gt_at(x, 0, x + 20, rng.choice([20, 30, 45]), z=z,
-                                 cls=rng.choice(["Car", "Van", "DontCare"])))
+                                 cls=rng.choice(["Pedestrian", "Van", "DontCare"])))
             dets = [det_at(float(rng.choice([0.5, 0.7, 0.9])), g.box2d[0] + rng.uniform(-4, 4), 0,
                            g.box2d[2] + rng.uniform(-4, 4), g.box2d[3], z=g.location[2] + rng.uniform(-2, 2))
                     for g in gts for _ in range(int(rng.integers(0, 3)))]
             frames.append((dets, gts))
-        cfg = EvalConfig(task=task, mode="r40", iou_thresholds={"Car": 0.5})
+        cfg = EvalConfig(task=task, mode="r40")   # Pedestrian: IoU 0.5
 
         def matrix(dets, group, f):
             return np.array([[f(d, g) for g in group] for d in dets]).reshape(len(dets), len(group))
@@ -467,7 +467,7 @@ class TestEvaluateClass:
             for dets, gts in frames:
                 valid, ignored = [], []
                 for g in gts:
-                    if g.type == "Car":
+                    if g.type == "Pedestrian":
                         h = g.box2d[3] - g.box2d[1]
                         (valid if passes_difficulty(h, 0, 0.0, difficulty) else ignored).append(g)
                 dc = [g for g in gts if g.type == "DontCare"]
@@ -478,7 +478,7 @@ class TestEvaluateClass:
                 all_scores += list(scores[~drop])
                 all_tp += list(tp[~drop])
             want = average_precision(np.array(all_scores), np.array(all_tp), num_gt, "r40")
-            assert evaluate_class(frames, "Car", cfg, difficulty) == want
+            assert evaluate_class(frames, "Pedestrian", cfg, difficulty) == want
 
     def test_kitti_shaped_table_matches_per_frame_path(self):
         # all 27 cells (3 tasks x 3 classes x 3 difficulties), bitwise
@@ -497,12 +497,14 @@ class TestEvaluateClass:
 
     def test_equal_ious_go_to_the_last_valid_label(self):
         # det 0.9 overlaps A and B equally and takes B, the later valid label
-        # (an ignored label lies between them); det 0.8 reaches only A
-        cfg = EvalConfig(task="2d", mode="r40", iou_thresholds={"Car": 0.5})
-        a, small, b = gt_at(0, 0, 100, 50), gt_at(200, 0, 230, 20), gt_at(20, 0, 120, 50)
+        # (an ignored label lies between them); det 0.8 reaches only A at
+        # Pedestrian's IoU 0.5
+        cfg = EvalConfig(task="2d", mode="r40")
+        a, small, b = (gt_at(*box, cls="Pedestrian")
+                       for box in ((0, 0, 100, 50), (200, 0, 230, 20), (20, 0, 120, 50)))
         dets = [det_at(0.9, 10, 0, 110, 50), det_at(0.8, -30, 0, 70, 50)]
-        assert evaluate_class([(dets, [a, small, b])], "Car", cfg, "easy") == 1.0
-        assert evaluate_class([(dets, [b, small, a])], "Car", cfg, "easy") < 1.0
+        assert evaluate_class([(dets, [a, small, b])], "Pedestrian", cfg, "easy") == 1.0
+        assert evaluate_class([(dets, [b, small, a])], "Pedestrian", cfg, "easy") < 1.0
 
     def test_bad_label_boxes_rejected(self):
         frames = self.frames_perfect()
@@ -520,8 +522,6 @@ class TestEvaluateClass:
             EvalConfig(mode="r25")
         with pytest.raises(ValueError, match="task"):
             EvalConfig(task="4d")
-        with pytest.raises(ValueError, match="IoU threshold"):
-            EvalConfig(iou_thresholds={"Car": 1.5})
 
 
 class TestStackMemo:

@@ -6,8 +6,8 @@ from mono3d.geometry import Box2D, iou_2d
 from mono3d.losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d,
                            loss_cls, mine_hard, per_sample_ce, total_loss)
 from mono3d.tensor import Tensor
-from mono3d.train import (SGD, Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes,
-                          train_toy, write_loss_trace)
+from mono3d.train import (LR_FLOOR, LR_TARGET, MOMENTUM, WEIGHT_DECAY, SGD, Scene, ToyDetector,
+                          TrainConfig, lr_at, make_synthetic_scenes, train_toy, write_loss_trace)
 
 
 class TestSchedule:
@@ -17,7 +17,7 @@ class TestSchedule:
         assert lr_at(0, self.CFG) == 0.0
 
     def test_warmup_end_exact(self):
-        assert lr_at(20, self.CFG) == 0.004
+        assert lr_at(20, self.CFG) == LR_TARGET == 0.004
 
     def test_warmup_linear(self):
         assert lr_at(10, self.CFG) == pytest.approx(0.002, abs=1e-15)
@@ -30,36 +30,34 @@ class TestSchedule:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            TrainConfig(lr_target=0.0)
+        for name in ("batch_size", "warmup_steps", "total_steps"):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                TrainConfig(**{name: 0})
 
 
 class TestSGD:
     def test_plain_descent(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        cfg = TrainConfig(momentum=1e-12, weight_decay=1e-12)
-        opt = SGD([p], cfg)
+        opt = SGD([p], TrainConfig())
         p.grad = np.array([0.5])
         opt.step(0.1)
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5, abs=1e-9)
+        assert p.data[0] == pytest.approx(1.0 - 0.1 * (0.5 + WEIGHT_DECAY * 1.0), abs=1e-15)
 
     def test_momentum_accumulates(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        cfg = TrainConfig(momentum=0.9, weight_decay=1e-12)
-        opt = SGD([p], cfg)
+        opt = SGD([p], TrainConfig())
         for _ in range(2):
             p.grad = np.array([1.0])
             opt.step(1.0)
-        # v1 = 1, v2 = 0.9 + 1 = 1.9; total movement 2.9
-        assert p.data[0] == pytest.approx(-2.9, abs=1e-9)
+        # v1 = 1 moves p to -1; v2 = MOMENTUM * v1 + 1 + WEIGHT_DECAY * (-1)
+        assert p.data[0] == pytest.approx(-1.0 - (MOMENTUM + 1.0 - WEIGHT_DECAY), abs=1e-15)
 
     def test_weight_decay_pulls_to_zero(self):
         p = Tensor(np.array([10.0]), requires_grad=True)
-        cfg = TrainConfig(momentum=1e-12, weight_decay=0.1)
-        opt = SGD([p], cfg)
+        opt = SGD([p], TrainConfig())
         opt.zero_grad()
         opt.step(0.5)
-        assert p.data[0] == pytest.approx(10.0 - 0.5 * 1.0, abs=1e-6)
+        assert p.data[0] == pytest.approx(10.0 - 0.5 * WEIGHT_DECAY * 10.0, abs=1e-15)
 
 
 class TestSyntheticScenes:
@@ -124,7 +122,8 @@ class TestToyDetector:
         scenes = make_synthetic_scenes(count=1, seed=2)
         model = ToyDetector((48, 80), seed=0)
         model.fit_anchors(scenes)
-        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[0]])
+        labels = [model.match_anchors(scenes[0].boxes2d)]
+        [(l_cls, l_2d, l_3d)] = model.scene_loss([scenes[0]], labels)
         for v in (l_cls, l_2d, l_3d):
             assert np.isfinite(v.item())
 
@@ -204,13 +203,13 @@ class TestBatchedForward:
 
     def test_gradients_match_summed_per_scene_passes(self):
         model, scenes = self.model_and_scenes()
-        losses, _ = model.scene_loss(scenes)
+        losses = model.scene_loss(scenes, [model.match_anchors(sc.boxes2d) for sc in scenes])
         summed_total(losses).backward()
         got = [p.grad.copy() for p in model.params()]
         for p in model.params():
             p.zero_grad()
         for sc in scenes:  # the reference accumulates over three tapes
-            summed_total(model.scene_loss([sc])[0]).backward()
+            summed_total(model.scene_loss([sc], [model.match_anchors(sc.boxes2d)])).backward()
         assert len(losses) == 3 and all(l_2d.item() > 0.0 for _, l_2d, _ in losses)
         for g, p in zip(got, model.params()):
             ref = p.grad
@@ -222,7 +221,7 @@ class TestBatchedForward:
         empty = make_synthetic_scenes(count=1, objects_per_scene=0, seed=2)[0]
         batch = [scenes[0], empty, scenes[1], scenes[0]]
         labels = [model.match_anchors(sc.boxes2d) for sc in batch]
-        losses, _ = model.scene_loss(batch, labels)
+        losses = model.scene_loss(batch, labels)
         summed_total(losses).backward()
         got = [p.grad.copy() for p in model.params()]
         for p in model.params():
@@ -276,7 +275,8 @@ class TestTrainToy:
         model = ToyDetector((48, 80), seed=0)
         model.fit_anchors(scenes)
         assert np.all(model.match_anchors(scenes[3].boxes2d) == -1)
-        [(l_cls, l_2d, l_3d)], _ = model.scene_loss([scenes[3]])
+        labels = [model.match_anchors(scenes[3].boxes2d)]
+        [(l_cls, l_2d, l_3d)] = model.scene_loss([scenes[3]], labels)
         assert l_2d.item() == 0.0 and l_3d.item() == 0.0 and np.isfinite(l_cls.item())
         trace, _ = train_toy(scenes, steps=2, train_cfg=TrainConfig(total_steps=2, warmup_steps=1))
         assert len(trace) == 2 and np.isfinite(np.array(trace)).all()
@@ -297,7 +297,7 @@ class TestTrainToy:
         # step 10 of 10, 0.0028 by step 15, so a longer run must be refused
         scenes = make_synthetic_scenes(count=2, seed=3)
         cfg = TrainConfig(total_steps=10, warmup_steps=2)
-        assert lr_at(10, cfg) == cfg.lr_floor and lr_at(15, cfg) > 0.0027
+        assert lr_at(10, cfg) == LR_FLOOR and lr_at(15, cfg) > 0.0027
         with pytest.raises(ValueError, match="total_steps is 10 but train_toy runs 15 steps"):
             train_toy(scenes, steps=15, train_cfg=cfg)
 
