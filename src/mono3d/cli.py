@@ -72,7 +72,7 @@ def _train(args):
     from .train import TrainConfig, make_synthetic_scenes, train_toy
 
     scenes = make_synthetic_scenes(count=2 * args.scenes, seed=args.seed)
-    cfg = TrainConfig(total_steps=args.steps, warmup_steps=max(1, args.scenes // 4))
+    cfg = TrainConfig(total_steps=args.steps, warmup_steps=min(args.steps, max(1, args.scenes // 4)))
     trace, model = train_toy(scenes[:args.scenes], steps=args.steps, train_cfg=cfg, seed=args.seed)
     return scenes[args.scenes:], trace, model
 
@@ -136,7 +136,7 @@ def cmd_demo(args):
                 write_result_file([detection_to_record(d, ["Background", "Car"]) for d in dets],
                                   out / f"{i:06d}.txt")
         except OSError as e:
-            return _output_error(out, e)
+            return _output_error(e.filename or out, e)
         print(f"wrote result files to {out}")
     for task in ("2d", "bev", "3d"):
         _print_ap_table({"Car": frames}, task, args.mode)

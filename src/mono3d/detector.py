@@ -1,6 +1,6 @@
 """End-to-end inference: `detect` turns one scene's raw head outputs into
-scored Detections (decode, back-project, angle conversion, NMS, confidence
-filter, yaw refinement)."""
+scored Detections (decode, back-project, NMS, confidence filter, angle
+conversion, yaw refinement)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .align import NonFiniteOffsetsError
 from .anchors import decode
-from .geometry import Box3D, alpha_to_yaw, backproject
+from .geometry import Box2D, Box3D, alpha_to_yaw, backproject
 from .ops import softmax_lastdim
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
 from .tensor import Tensor, no_grad
@@ -19,8 +19,8 @@ __all__ = ["detect"]
 
 
 def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
-    """Full inference for one scene: decode, NMS, filter, then yaw refinement
-    of every kept detection.
+    """Full inference for one scene on one table of candidate rows: decode,
+    NMS, filter, then yaw refinement, building a `Detection` per row returned.
 
     A candidate whose score or decoded box is non-finite, or whose decoded 3D
     size is not positive, is dropped, and the scene's drop count is reported
@@ -54,31 +54,34 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     # one `decode` call per finite candidate (the benchmark's detection funnel
     # counts candidates by these calls), then one array test and one
     # back-projection for all
-    decoded = []  # (candidate, box2d, projected 3D params)
+    cand = np.flatnonzero(finite)
+    vals = np.full((len(cand), 11), np.inf)   # per candidate: 2D box, then 3D params
     with np.errstate(over="ignore", invalid="ignore"):  # counted below instead
-        for i in np.flatnonzero(finite):
+        for k, i in enumerate(cand):
             try:
-                decoded.append((i, *decode(rows[i], d2[i], d3[i])))
-            except OverflowError:  # a size delta too large for exp: an infinite box
-                non_finite += 1
-    vals = np.array([(b.x1, b.y1, b.x2, b.y2, *p) for _, b, p in decoded],
-                    dtype=np.float64).reshape(-1, 11)
+                b, p = decode(rows[i], d2[i], d3[i])
+            except OverflowError:  # a size delta too large for exp: left an infinite row
+                continue
+            vals[k] = (b.x1, b.y1, b.x2, b.y2, *p)
     # an extreme finite delta can still decode to an infinite box or, by exp
     # underflow, to a zero 3D size
     ok = np.isfinite(vals).all(axis=1) & (vals[:, 7:10] > 0.0).all(axis=1)
     non_finite += int((~ok).sum())
-    front = np.flatnonzero(ok & (vals[:, 6] > 0.0))
-    centers = backproject(scene.cam, vals[front, 4:7])
-    dets = []
-    for k, (x, y, z) in zip(front.tolist(), centers.tolist()):
-        i, box2d, (_, _, _, w3, h3, l3, alpha) = decoded[k]
-        box3d = Box3D(x, y, z, w3, h3, l3, alpha_to_yaw(alpha, x, z), alpha=alpha)
-        dets.append(Detection(int(class_map[t[i], hh[i], ww[i]]), float(scores[i]),
-                              box2d, box3d, alpha))
+    front = ok & (vals[:, 6] > 0.0)
+    vals, cand = vals[front], cand[front]   # the table: the candidates in front of the camera
+    centers = backproject(scene.cam, vals[:, 4:7])
+    scores, classes = scores[cand], class_map[t[cand], hh[cand], ww[cand]]
     if non_finite:
         warnings.warn(f"detect: dropped {non_finite} candidate(s) with a non-finite score "
                       "or box, or a non-positive 3D size", RuntimeWarning, stacklevel=2)
 
-    dets = nms(dets, iou_thresh=nms_iou)
-    dets = confidence_filter(dets, thresh=conf_thresh)
-    return [optimize_rotation(d, scene.cam)[0] for d in dets]
+    keep = nms(vals[:, :4], scores, classes, iou_thresh=nms_iou)
+    keep = keep[confidence_filter(scores[keep], thresh=conf_thresh)]
+    dets = []
+    for k in keep.tolist():
+        (x, y, z), alpha = centers[k].tolist(), float(vals[k, 10])
+        row = (x, y, z, *vals[k, 7:10].tolist(), alpha_to_yaw(alpha, x, z))
+        yaw, _ = optimize_rotation(row, vals[k, :4], scene.cam)
+        dets.append(Detection(int(classes[k]), float(scores[k]), Box2D(*vals[k, :4].tolist()),
+                              Box3D(*row[:6], yaw, alpha=alpha), alpha))
+    return dets

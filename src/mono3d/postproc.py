@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,45 +29,40 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-def nms(dets, iou_thresh=0.4):
-    """Greedy descending-score suppression on 2D IoU, per class.
-
-    Ties in score keep the lower original index first; classes never suppress
-    each other. One (n, n) IoU matrix, masked to same-class pairs, serves the
-    greedy pass.
+def nms(boxes, scores, classes, iou_thresh=0.4):
+    """Greedy descending-score suppression on 2D IoU, per class: the kept
+    indices of (n, 4) [x1, y1, x2, y2] boxes with (n,) scores and class ids,
+    best first. Score ties keep the lower index; an overlap equal to the
+    threshold is kept. One (n, n) IoU matrix, masked to same-class pairs,
+    serves the greedy pass.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    boxes = np.array([(d.box2d.x1, d.box2d.y1, d.box2d.x2, d.box2d.y2) for d in dets],
-                     dtype=np.float64).reshape(-1, 4)
-    cls = np.array([d.class_id for d in dets])
     overlaps = ((iou_2d_pairs(boxes[:, None], boxes[None]) > iou_thresh)
-                & (cls[:, None] == cls[None]))
-    suppressed = np.zeros(len(dets), dtype=bool)
+                & (classes[:, None] == classes[None]))
+    suppressed = np.zeros(len(boxes), dtype=bool)
     kept = []
-    for i in order:
+    for i in np.argsort(-scores, kind="stable"):
         if not suppressed[i]:
-            kept.append(dets[i])
+            kept.append(i)
             suppressed |= overlaps[i]
-    return kept
+    return np.array(kept, dtype=np.intp)
 
 
-def confidence_filter(dets, thresh=0.75):
-    """Keep detections scoring at or above the threshold (boundary kept)."""
-    return [d for d in dets if d.score >= thresh]
+def confidence_filter(scores, thresh=0.75):
+    """Indices of the scores at or above the threshold (boundary kept)."""
+    return np.flatnonzero(scores >= thresh)
 
 
-def optimize_rotation(det, cam):
-    """Refine yaw so the projected 3D-box envelope matches the 2D box.
+def optimize_rotation(box, target, cam):
+    """Refine the yaw of a (7,) [x, y, z, w, h, l, yaw] row so that its projected
+    envelope matches the (4,) [x1, y1, x2, y2] 2D box `target`: (yaw, refined).
 
     Coordinate search: try yaw +- step, accept any improvement of the L1
     corner distance, halve the step when neither direction improves. The
-    objective never increases. Boxes behind the camera come back unchanged
-    (flagged via the second return value); a candidate yaw that turns a
-    corner behind the camera counts as not improving.
+    objective never increases. A box behind the camera keeps its yaw and
+    comes back with refined False; a candidate yaw that turns a corner
+    behind the camera counts as not improving.
     """
-    box = det.box3d
-    target = det.box2d.as_array()
-    fixed = (box.x, box.y, box.z, box.w, box.h, box.l)
+    *fixed, yaw = map(float, box)
 
     def objective(yaw):
         try:
@@ -77,23 +71,19 @@ def optimize_rotation(det, cam):
             return math.inf
         return float(np.abs(env.as_array() - target).sum())
 
-    best = objective(box.yaw)
+    best = objective(yaw)
     if best == math.inf:
-        return det, False
+        return yaw, False
 
-    yaw = box.yaw
     step = YAW_STEP
     for _ in range(YAW_MAX_ITER):
         if step < YAW_STEP_MIN:
             break
-        improved = False
         for cand in (yaw + step, yaw - step):
             val = objective(cand)
             if val < best:
                 yaw, best = cand, val
-                improved = True
                 break
-        if not improved:
+        else:  # neither direction improves
             step /= 2.0
-    refined = dataclasses.replace(box, yaw=wrap_angle(yaw))
-    return dataclasses.replace(det, box3d=refined), True
+    return wrap_angle(yaw), True

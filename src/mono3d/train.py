@@ -57,13 +57,16 @@ class TrainConfig:
         for name in ("batch_size", "warmup_steps", "total_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.warmup_steps > self.total_steps:  # lr_at would never leave its ramp
+            raise ValueError(f"warmup_steps ({self.warmup_steps}) > total_steps ({self.total_steps})")
 
 
 def lr_at(step, config):
     """Linear warmup from 0 to LR_TARGET, then cosine decay to LR_FLOOR.
 
     step 0 gives 0; step == warmup_steps gives exactly LR_TARGET; the final
-    step gives exactly LR_FLOOR.
+    step gives exactly LR_FLOOR, except in a run with warmup_steps ==
+    total_steps, which ends at LR_TARGET.
     """
     w, total = config.warmup_steps, config.total_steps
     if step <= w:
@@ -324,7 +327,8 @@ def train_toy(scenes, steps=200, train_cfg=None, seed=0, detector=None):
     Trace rows: (step, lr, L_cls, L_2d, L_3d, L_total), evaluated on the
     mini-batch before the update. Deterministic for a fixed seed.
     """
-    train_cfg = train_cfg or TrainConfig(total_steps=steps)
+    warmup = max(1, min(TrainConfig.warmup_steps, steps))  # the default, capped at the run
+    train_cfg = train_cfg or TrainConfig(total_steps=steps, warmup_steps=warmup)
     if train_cfg.total_steps != steps:
         # lr_at past total_steps climbs back up the cosine
         raise ValueError(f"train_cfg.total_steps is {train_cfg.total_steps} but train_toy "

@@ -16,7 +16,7 @@ from mono3d.attention import AnabParams, PyramidSpec, anab_forward, reference_no
 from mono3d.geometry import (Box3D, CameraIntrinsics, backproject, iou_bev, iou_bev_pairs,
                              project, project_box)
 from mono3d.ops import ConvSpec, conv2d
-from mono3d.postproc import Detection, optimize_rotation
+from mono3d.postproc import optimize_rotation
 from mono3d.evaluate import average_precision
 from mono3d.suite import run_gradient_suite
 from mono3d.tensor import Tensor, no_grad
@@ -220,15 +220,14 @@ def test_rotation_refinement():
             continue  # envelope does not determine yaw locally for this geometry
         count += 1
         start = dataclasses.replace(box, yaw=true_yaw + 0.2)
-        det = Detection(1, 0.9, env, start, 0.0)
-        refined, converged = optimize_rotation(det, cam)
-        worst = max(worst, abs(refined.box3d.yaw - true_yaw))
+        yaw, converged = optimize_rotation(start.as_array(), env.as_array(), cam)
+        worst = max(worst, abs(yaw - true_yaw))
 
         def objective(yaw):
             e = project_box(dataclasses.replace(box, yaw=yaw), cam)
             return np.abs(e.as_array() - env.as_array()).sum()
 
-        monotone &= converged and objective(refined.box3d.yaw) <= objective(start.yaw) + 1e-12
+        monotone &= converged and objective(yaw) <= objective(start.yaw) + 1e-12
     ok = worst < math.radians(1.0) and monotone
     report("rotation refinement", ok,
            f"50 scenes, worst yaw error {math.degrees(worst):.3f} deg < 1 deg "

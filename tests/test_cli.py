@@ -9,6 +9,7 @@ from mono3d import suite
 from mono3d.cli import FAIL_EXIT, USAGE_EXIT, main, probability
 from mono3d.gradcheck import GradReport
 from mono3d.kitti import write_result_file, LabelRecord
+from mono3d.train import LR_TARGET
 
 CAR = "Car 0.00 0 -1.58 100.00 100.00 160.00 150.00 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
 
@@ -324,3 +325,20 @@ class TestDemo:
         assert code == USAGE_EXIT
         assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
         assert out.read_text() == "keep\n"
+
+    def test_result_file_that_cannot_be_written_is_named(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        (out / "000000.txt").mkdir(parents=True)
+        code = main(["demo", "--steps", "2", "--scenes", "2", "--conf", "0", "--out", str(out)])
+        assert code == USAGE_EXIT
+        assert capsys.readouterr().err == (f"error: {out / '000000.txt'}: "
+                                           f"{os.strerror(errno.EISDIR)}\n")
+
+    def test_warmup_capped_at_the_steps(self, tmp_path, monkeypatch):
+        # 32 scenes ask for 8 warm-up steps, more than the run's 3
+        monkeypatch.setattr("mono3d.detector.detect", lambda *args, **kwargs: [])
+        out = tmp_path / "results"
+        assert main(["demo", "--steps", "3", "--scenes", "32", "--out", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        want = [LR_TARGET / 3, LR_TARGET * 2 / 3, LR_TARGET]
+        assert [float(row.split(",")[1]) for row in rows] == [float(format(v, ".9g")) for v in want]

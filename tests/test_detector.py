@@ -193,7 +193,10 @@ def per_candidate_detect(model, scene, score_floor, nms_iou, conf_thresh):
     kept = [d for d in kept if d.score >= conf_thresh]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(postproc, "project_box", per_corner_project_box)
-        return [optimize_rotation(d, scene.cam)[0] for d in kept], decodes
+        yaws = [optimize_rotation(d.box3d.as_array(), d.box2d.as_array(), scene.cam)[0]
+                for d in kept]
+    return [dataclasses.replace(d, box3d=dataclasses.replace(d.box3d, yaw=yaw))
+            for d, yaw in zip(kept, yaws)], decodes
 
 
 class TestArrayPostProcessing:
@@ -238,3 +241,19 @@ class TestArrayPostProcessing:
                                            rtol=0, atol=1e-12)
             total += len(got)
         assert total >= 5
+
+    def test_objects_built_only_for_returned_rows(self, monkeypatch):
+        # a 60-step model (the golden detection model) returns a few held-out
+        # detections at 0.75; the 40-step one of `trained` returns none
+        _, model = train_toy(make_synthetic_scenes(count=8, seed=7), steps=60, seed=0)
+        built = []
+
+        class CountingDetection(Detection):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(detector, "Detection", CountingDetection)
+        returned = sum(len(detect(model, scene, conf_thresh=0.75))
+                       for scene in make_synthetic_scenes(count=6, seed=11, objects_per_scene=3))
+        assert returned > 0 and len(built) == returned

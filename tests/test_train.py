@@ -34,6 +34,10 @@ class TestSchedule:
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 TrainConfig(**{name: 0})
 
+    def test_warmup_longer_than_the_run_rejected(self):
+        with pytest.raises(ValueError, match=r"warmup_steps \(8\) > total_steps \(3\)"):
+            TrainConfig(total_steps=3, warmup_steps=8)
+
 
 class TestSGD:
     def test_plain_descent(self):
@@ -280,6 +284,10 @@ class TestTrainToy:
         assert l_2d.item() == 0.0 and l_3d.item() == 0.0 and np.isfinite(l_cls.item())
         trace, _ = train_toy(scenes, steps=2, train_cfg=TrainConfig(total_steps=2, warmup_steps=1))
         assert len(trace) == 2 and np.isfinite(np.array(trace)).all()
+
+    def test_default_warmup_capped_at_the_run(self):
+        trace, _ = train_toy(make_synthetic_scenes(count=2, seed=3), steps=2)
+        assert [row[1] for row in trace] == [LR_TARGET / 2, LR_TARGET]
 
     def test_empty_scenes_rejected(self):
         with pytest.raises(ValueError, match="need at least one scene"):
