@@ -2,8 +2,8 @@
 
 Each anchor pairs a 2D template (w, h) with 3D statistics (z, w, h, l, alpha)
 fitted as the mean over training objects that the template overlaps. The
-codec maps between network regression outputs (deltas) and decoded 2D boxes
-plus projected 3D parameters, and is an exact algebraic inverse pair.
+codec maps between network regression outputs (deltas) and decoded 2D corner
+rows plus projected 3D parameters, and is an exact algebraic inverse pair.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import Box2D, iou_2d_pairs, wrap_angle
+from .geometry import iou_2d_pairs, wrap_angle
 
 __all__ = [
     "AnchorGrid",
@@ -44,12 +44,11 @@ class AnchorGrid:
     (slowest) then aspect ratios.
     """
 
-    def __init__(self, feature_hw, stride, templates, stats3d=None):
+    def __init__(self, feature_hw, stride, templates):
         self.feature_hw = tuple(feature_hw)
         self.stride = int(stride)
         self.templates = np.asarray(templates, dtype=np.float64)  # (A, 2) as (w, h)
-        A = len(self.templates)
-        self.stats3d = np.zeros((A, 5)) if stats3d is None else np.asarray(stats3d, float)
+        self.stats3d = np.zeros((len(self.templates), 5))  # filled by fit_anchor_3d_stats
         H, W = self.feature_hw
         ys, xs = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
         self.centers = np.stack(
@@ -127,7 +126,8 @@ def fit_anchor_3d_stats(grid, boxes2d, params):
 
 def decode(anchor, d2, d3):
     """One (9,) anchor row (`AnchorGrid.rows`) and its (4,) 2D and (7,) 3D
-    deltas -> (Box2D, projected 3D params (xp, yp, zp, w, h, l, angle)).
+    deltas -> ((x1, y1, x2, y2) 2D corners, projected 3D params
+    (xp, yp, zp, w, h, l, angle)), the rows `encode` takes.
 
     2D/3D centers shift by delta * template size; 2D/3D dimensions scale by
     exp(delta); projected depth and angle are additive, angle wrapped to
@@ -135,7 +135,8 @@ def decode(anchor, d2, d3):
     """
     x, y, w, h, z0, w0, h0, l0, a0 = anchor
     tx, ty, tw, th = d2
-    box2d = Box2D.from_center(tx * w + x, ty * h + y, math.exp(tw) * w, math.exp(th) * h)
+    cx, cy, bw, bh = tx * w + x, ty * h + y, math.exp(tw) * w, math.exp(th) * h
+    box2d = (cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
     tx3, ty3, tz3, tw3, th3, tl3, ta3 = d3
     params3d = (
         tx3 * w + x,

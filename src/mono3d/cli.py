@@ -184,8 +184,9 @@ def cmd_eval(args):
                     if rec.type not in class_names:
                         continue
                     score = 1.0 if rec.score is None else rec.score
+                    box3d = None if args.task == "2d" else rec.as_box3d()  # 2d reads no 3D field
                     dets.append(Detection(class_names.index(rec.type), score,
-                                          rec.as_box2d(), rec.as_box3d(), rec.alpha))
+                                          rec.as_box2d(), box3d, rec.alpha))
         except (OSError, ValueError) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return USAGE_EXIT
@@ -203,7 +204,7 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    from .suite import run_gradient_suite
+    from .gradcheck import run_gradient_suite
 
     reports = run_gradient_suite(tol=args.tol, step=args.step, seed=args.seed)
     ok = True

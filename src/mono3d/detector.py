@@ -24,9 +24,11 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
 
     A candidate whose score or decoded box is non-finite, or whose decoded 3D
     size is not positive, is dropped, and the scene's drop count is reported
-    in one RuntimeWarning. A scene whose
-    center offsets are non-finite (a non-finite center-head output or input
-    pixel) gives no detections, also reported in one RuntimeWarning.
+    in one RuntimeWarning. A candidate behind the camera is dropped silently:
+    one whose projected depth z_p is not positive, or whose back-projected
+    camera-frame depth z (z_p - K[2, 3] for a KITTI P2 camera) is not. A scene
+    whose center offsets are non-finite (a non-finite center-head output or
+    input pixel) gives no detections, also reported in one RuntimeWarning.
     """
     try:
         with no_grad():
@@ -62,14 +64,17 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
                 b, p = decode(rows[i], d2[i], d3[i])
             except OverflowError:  # a size delta too large for exp: left an infinite row
                 continue
-            vals[k] = (b.x1, b.y1, b.x2, b.y2, *p)
+            vals[k] = (*b, *p)
     # an extreme finite delta can still decode to an infinite box or, by exp
     # underflow, to a zero 3D size
     ok = np.isfinite(vals).all(axis=1) & (vals[:, 7:10] > 0.0).all(axis=1)
     non_finite += int((~ok).sum())
     front = ok & (vals[:, 6] > 0.0)
-    vals, cand = vals[front], cand[front]   # the table: the candidates in front of the camera
+    vals, cand = vals[front], cand[front]
     centers = backproject(scene.cam, vals[:, 4:7])
+    front = centers[:, 2] > 0.0   # a translation column can move z_p > 0 to z <= 0
+    # the table: the candidates in front of the camera
+    vals, cand, centers = vals[front], cand[front], centers[front]
     scores, classes = scores[cand], class_map[t[cand], hh[cand], ww[cand]]
     if non_finite:
         warnings.warn(f"detect: dropped {non_finite} candidate(s) with a non-finite score "

@@ -65,15 +65,13 @@ def _matrix(m, scores):
 
 
 def match_detections(scores, iou, thresh, iou_ignored=None, iou_dontcare=None):
-    """Greedy score-ordered matching of one frame's detections, or of a
-    padded stack of frames in lockstep.
+    """Greedy score-ordered matching of a padded stack of F frames in lockstep.
 
-    One frame: `scores` (D,), `iou` the (D, G) IoU matrix of detections
-    against valid ground truths, `iou_ignored` (D, I) against ignored ground
-    truths and `iou_dontcare` (D, C) against DontCare regions. A stack of F
-    frames adds a leading axis: (F, D) scores and (F, D, .) matrices, padded
-    with NaN: a NaN score marks a padded detection slot, and a NaN IoU never
-    matches.
+    `scores` (F, D), `iou` the (F, D, G) IoU stack of detections against
+    valid ground truths, `iou_ignored` (F, D, I) against ignored ground
+    truths and `iou_dontcare` (F, D, C) against DontCare regions, padded with
+    NaN: a NaN score marks a padded detection slot, and a NaN IoU never
+    matches. One frame is a stack of one.
 
     Detections are taken by descending score, equal scores by index; each
     takes the highest-IoU still-unmatched ground truth with IoU >= thresh,
@@ -86,11 +84,6 @@ def match_detections(scores, iou, thresh, iou_ignored=None, iou_dontcare=None):
     detection's ground-truth column, or -1.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 1:   # one frame is a stack of one
-        iou, iou_ignored, iou_dontcare = (None if m is None else np.asarray(m)[None]
-                                          for m in (iou, iou_ignored, iou_dontcare))
-        out = match_detections(scores[None], iou, thresh, iou_ignored, iou_dontcare)
-        return tuple(a[0] for a in out)
     F, D = scores.shape
     ranked = np.arange(F)[:, None], np.argsort(-scores, axis=1, kind="stable")  # NaN last
     iou = _matrix(iou, scores)[ranked]
@@ -244,30 +237,26 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
     return average_precision(s[~drop], tp[~drop], num_gt, config.mode)
 
 
-def depth_error_report(dets, gts, bin_edges, by="depth", iou_thresh=0.5):
-    """Mean |z_pred - z_gt| per bin of gt depth (or of mean 2D box size).
+def depth_error_report(dets, gts, bin_edges, iou_thresh=0.5):
+    """Mean |z_pred - z_gt| per bin of gt depth.
 
     Pairs are matched by `match_detections` on 2D IoU >= iou_thresh. Returns
     {(lo, hi): mean_abs_error} with empty bins absent.
     """
-    if by not in ("depth", "size"):
-        raise ValueError(f"binning must be by depth or size, got {by}")
-    scores = [d.score for d in dets]
+    scores = np.array([[d.score for d in dets]], dtype=np.float64)   # a stack of one frame
     iou = iou_2d_pairs(_rows([d.box2d.as_array() for d in dets], 4)[:, None],
                        _rows([g.as_box2d().as_array() for g in gts], 4)[None])
-    _, _, _, matched = match_detections(scores, iou, iou_thresh)
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    pairs = [(dets[i], gts[j]) for i, j in zip(order, matched) if j >= 0]
+    _, _, _, matched = match_detections(scores, iou[None], iou_thresh)
+    order = np.argsort(-scores[0], kind="stable")
+    pairs = [(dets[i], gts[j]) for i, j in zip(order, matched[0]) if j >= 0]
 
     edges = list(bin_edges)
     sums = {k: [0.0, 0] for k in range(len(edges) - 1)}
     for det, gt in pairs:
-        err = abs(det.box3d.z - gt.location[2])
-        key = gt.location[2] if by == "depth" else (
-            (gt.box2d[2] - gt.box2d[0]) + (gt.box2d[3] - gt.box2d[1])) / 2.0
+        z = gt.location[2]
         for k in range(len(edges) - 1):
-            if edges[k] <= key < edges[k + 1]:
-                sums[k][0] += err
+            if edges[k] <= z < edges[k + 1]:
+                sums[k][0] += abs(det.box3d.z - z)
                 sums[k][1] += 1
                 break
     return {(edges[k], edges[k + 1]): s / n for k, (s, n) in sums.items() if n > 0}

@@ -78,10 +78,6 @@ class Box2D:
     def h(self):
         return self.y2 - self.y1
 
-    @staticmethod
-    def from_center(cx, cy, w, h):
-        return Box2D(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
     def as_array(self):
         return np.array([self.x1, self.y1, self.x2, self.y2])
 

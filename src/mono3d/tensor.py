@@ -163,9 +163,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -191,19 +188,6 @@ class Tensor:
                 other.accumulate_grad(-g * self.data / other.data ** 2)
 
         return Tensor.from_op(out_data, (self, other), bw)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError(f"exponent must be an int or float scalar, got {type(p).__name__}")
-        out_data = self.data ** p
-
-        def bw(g):
-            self.accumulate_grad(g * p * self.data ** (p - 1))
-
-        return Tensor.from_op(out_data, (self,), bw)
 
     # -- elementwise functions -----------------------------------------------
 
@@ -288,8 +272,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
 
         def bw(g):

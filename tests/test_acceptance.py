@@ -18,7 +18,7 @@ from mono3d.geometry import (Box3D, CameraIntrinsics, backproject, iou_bev, iou_
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.postproc import optimize_rotation
 from mono3d.evaluate import average_precision
-from mono3d.suite import run_gradient_suite
+from mono3d.gradcheck import run_gradient_suite
 from mono3d.tensor import Tensor, no_grad
 from mono3d.train import TrainConfig, lr_at, make_synthetic_scenes, train_toy
 
@@ -142,7 +142,7 @@ def test_codec_roundtrip():
         d2 = rng.uniform(-1.0, 1.0, size=4)
         d3 = rng.uniform(-1.0, 1.0, size=7)
         box, p3 = decode(anc, d2, d3)
-        back2, back3 = encode(anc[None], box.as_array()[None], np.array([p3]))
+        back2, back3 = encode(anc[None], np.array([box]), np.array([p3]))
         worst = max(worst, np.abs(back2[0] - d2).max(), np.abs(back3[0] - d3).max())
     grid = generate_anchor_grid((4, 4))
     sizes = default_sizes()

@@ -17,6 +17,11 @@ def random_anchor(rng):
                      rng.uniform(-math.pi, math.pi)])
 
 
+def center_box(cx, cy, w, h):
+    """The Box2D of center (cx, cy) and size (w, h)."""
+    return Box2D(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+
 def anchor_row(x, y, w2d, h2d, alpha=0.0):
     return np.array([x, y, w2d, h2d, 30.0, 1.0, 1.0, 1.0, alpha])
 
@@ -74,7 +79,7 @@ class TestAnchorGrid:
         boxes = grid.boxes2d()
         idx = np.array([0, 5, len(grid) - 1])
         for i, row in zip(idx, grid.rows(idx)):
-            np.testing.assert_allclose(boxes[i], Box2D.from_center(*row[:4]).as_array(),
+            np.testing.assert_allclose(boxes[i], center_box(*row[:4]).as_array(),
                                        atol=1e-12)
 
 
@@ -82,16 +87,16 @@ class TestCodec:
     def test_zero_deltas_reproduce_anchor(self):
         rng = np.random.default_rng(0)
         anc = random_anchor(rng)
-        box, p3 = decode(anc, np.zeros(4), np.zeros(7))
-        assert ((box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0) == pytest.approx(tuple(anc[:2]))
-        assert (box.w, box.h) == pytest.approx(tuple(anc[2:4]))
+        (x1, y1, x2, y2), p3 = decode(anc, np.zeros(4), np.zeros(7))
+        assert ((x1 + x2) / 2.0, (y1 + y2) / 2.0) == pytest.approx(tuple(anc[:2]))
+        assert (x2 - x1, y2 - y1) == pytest.approx(tuple(anc[2:4]))
         np.testing.assert_allclose(p3[:2], anc[:2], atol=1e-12)
         np.testing.assert_allclose(p3[2:], anc[4:], atol=1e-12)
 
     def test_log_width_delta(self):
-        box, _ = decode(anchor_row(100.0, 50.0, 24.0, 24.0),
-                        np.array([0.0, 0.0, math.log(2.0), 0.0]), np.zeros(7))
-        assert box.w == pytest.approx(48.0, abs=1e-12)
+        (x1, _, x2, _), _ = decode(anchor_row(100.0, 50.0, 24.0, 24.0),
+                                   np.array([0.0, 0.0, math.log(2.0), 0.0]), np.zeros(7))
+        assert x2 - x1 == pytest.approx(48.0, abs=1e-12)
 
     def test_roundtrip_many(self):
         rng = np.random.default_rng(1)
@@ -100,7 +105,7 @@ class TestCodec:
             d2 = rng.uniform(-1.0, 1.0, size=4)
             d3 = rng.uniform(-1.0, 1.0, size=7)
             box, p3 = decode(anc, d2, d3)
-            back2, back3 = encode(anc[None], box.as_array()[None], np.array([p3]))
+            back2, back3 = encode(anc[None], np.array([box]), np.array([p3]))
             np.testing.assert_allclose(back2[0], d2, atol=1e-9)
             np.testing.assert_allclose(back3[0], d3, atol=1e-9)
 
@@ -108,14 +113,14 @@ class TestCodec:
         rng = np.random.default_rng(2)
         for _ in range(200):
             anc = random_anchor(rng)
-            gt = Box2D.from_center(rng.uniform(0, 1000), rng.uniform(0, 300),
-                                   rng.uniform(5, 200), rng.uniform(5, 200))
+            gt = center_box(rng.uniform(0, 1000), rng.uniform(0, 300),
+                            rng.uniform(5, 200), rng.uniform(5, 200))
             p3 = (rng.uniform(0, 1000), rng.uniform(0, 300), rng.uniform(5, 70),
                   rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(1, 6),
                   rng.uniform(-math.pi, math.pi))
             d2, d3 = encode(anc[None], gt.as_array()[None], np.array([p3]))
             box, back3 = decode(anc, d2[0], d3[0])
-            np.testing.assert_allclose(box.as_array(), gt.as_array(), atol=1e-9)
+            np.testing.assert_allclose(box, gt.as_array(), atol=1e-9)
             np.testing.assert_allclose(back3[:6], p3[:6], atol=1e-9)
             assert abs(wrap_angle(back3[6] - p3[6])) < 1e-9
 
@@ -136,8 +141,8 @@ class TestCodec:
         rng = np.random.default_rng(6)
         n = 500
         anchors = [random_anchor(rng) for _ in range(n)]
-        boxes = [Box2D.from_center(rng.uniform(0, 1200), rng.uniform(0, 370),
-                                   rng.uniform(1, 300), rng.uniform(1, 300)) for _ in range(n)]
+        boxes = [center_box(rng.uniform(0, 1200), rng.uniform(0, 370),
+                            rng.uniform(1, 300), rng.uniform(1, 300)) for _ in range(n)]
         p3 = np.column_stack([rng.uniform(0, 1200, n), rng.uniform(0, 370, n),
                               rng.uniform(1, 80, n), rng.uniform(0.3, 4, (n, 3)),
                               rng.uniform(-3 * math.pi, 3 * math.pi, n)])
@@ -159,7 +164,7 @@ class TestCodec:
 
 def box_rows(*boxes):
     """(n, 4) corner rows of (cx, cy, w, h) boxes."""
-    return np.array([Box2D.from_center(*b).as_array() for b in boxes])
+    return np.array([center_box(*b).as_array() for b in boxes])
 
 
 class TestFit3dStats:
@@ -191,13 +196,13 @@ class TestFit3dStats:
             w = rng.uniform(8.0, 60.0)
             h = w * rng.uniform(0.6, 1.6)
             cx, cy = rng.uniform(0, 64), rng.uniform(0, 48)
-            boxes.append(Box2D.from_center(cx, cy, w, h))
+            boxes.append(center_box(cx, cy, w, h))
             params.append(rng.uniform(1.0, 50.0, size=5))
         params = np.array(params)
         fit_anchor_3d_stats(grid, np.array([b.as_array() for b in boxes]), params)
 
         A = grid.per_position
-        anchors = [Box2D.from_center(*row[:4]) for row in grid.rows(np.arange(len(grid)))]
+        anchors = [center_box(*row[:4]) for row in grid.rows(np.arange(len(grid)))]
         global_mean = params.mean(axis=0)
         for t in range(A):
             matched = [k for k, box in enumerate(boxes)

@@ -5,13 +5,15 @@ import os
 import numpy as np
 import pytest
 
-from mono3d import suite
+from mono3d import gradcheck
 from mono3d.cli import FAIL_EXIT, USAGE_EXIT, main, probability
 from mono3d.gradcheck import GradReport
 from mono3d.kitti import write_result_file, LabelRecord
 from mono3d.train import LR_TARGET
 
 CAR = "Car 0.00 0 -1.58 100.00 100.00 160.00 150.00 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
+# KITTI's 2D-only result line: CAR's box and score, the 3D fields at their sentinels
+CAR_2D_ONLY = "Car -1 -1 -10 100.00 100.00 160.00 150.00 -1 -1 -1 -1000 -1000 -1000 -10 0.9"
 
 
 def write_frames(gt_dir, det_dir):
@@ -129,6 +131,26 @@ class TestEval:
         assert "Car,3d,r40,1.0000,1.0000,1.0000" in capsys.readouterr().out
 
 
+    def test_2d_only_result_line_scored_in_2d(self, tmp_path, capsys):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        (det / "000001.txt").write_text(CAR_2D_ONLY + "\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--task", "2d",
+                     "--classes", "Car"]) == 0
+        assert "Car,2d,r40,1.0000,1.0000,1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("task", ["bev", "3d"])
+    def test_2d_only_result_line_is_a_usage_error_in_3d(self, tmp_path, capsys, task):
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        bad = det / "000001.txt"
+        bad.write_text(CAR_2D_ONLY + "\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--task", task,
+                     "--classes", "Car"]) == USAGE_EXIT
+        assert (f"error: {bad}: non-positive 3D dimensions (-1.0, -1.0, -1.0)"
+                in capsys.readouterr().err)
+
+
 class TestGradcheck:
     """The command prints one line per report and exits by their verdicts;
     the suite itself runs once, in the acceptance tests."""
@@ -141,7 +163,7 @@ class TestGradcheck:
             calls.append((tol, step, seed))
             return [GradReport(name, err, tol, err < tol) for name, err in (("op_a", 1e-9), ("op_b", 3e-8))]
 
-        monkeypatch.setattr(suite, "run_gradient_suite", stub_suite)
+        monkeypatch.setattr(gradcheck, "run_gradient_suite", stub_suite)
         return calls
 
     def test_passes(self, capsys, calls):

@@ -91,6 +91,32 @@ class TestDetect:
             assert d.box3d.z > 0.0
 
 
+class TestBehindCamera:
+    def test_translation_column_moves_depth_behind(self, monkeypatch):
+        # with KITTI P2's translation column the camera-frame depth is
+        # z = z_p - K[2, 3]: every candidate below has z_p = 0.001 > 0 but z < 0
+        scenes = make_synthetic_scenes(count=8, seed=7)
+        _, model = train_toy(scenes, steps=20, seed=0)
+        K = scenes[0].cam.K.copy()
+        K[2, 3] = 0.002745884
+        scene = dataclasses.replace(scenes[0], cam=dataclasses.replace(scenes[0].cam, K=K))
+        forward, calls = model.forward, []
+
+        def depth_at_one_millimetre(img):
+            heads = forward(img)
+            heads["depth"].data[0] = (0.001 - model.grid.stats3d[:, 0])[:, None, None]
+            return heads
+
+        def counting_decode(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(model, "forward", depth_at_one_millimetre)
+        monkeypatch.setattr(detector, "decode", counting_decode)
+        assert detect(model, scene, conf_thresh=0.0) == []
+        assert calls and all(0.0 < decode(*c)[1][2] < K[2, 3] for c in calls)
+
+
 class TestNonFiniteOutputs:
     """A non-finite head output drops its candidates with one warning per
     scene; `detect` still returns for every scene."""
@@ -182,9 +208,11 @@ def per_candidate_detect(model, scene, score_floor, nms_iou, conf_thresh):
             continue
         rhs = zp * np.array([xp, yp, 1.0]) - scene.cam.K[:, 3]
         x, y, z = (float(v) for v in np.linalg.solve(scene.cam.K[:, :3], rhs))
+        if z <= 0.0:
+            continue
         box3d = Box3D(x, y, z, w3, h3, l3, alpha_to_yaw(alpha, x, z), alpha=alpha)
         dets.append(Detection(int(class_map[t[i], hh[i], ww[i]]), float(scores[i]),
-                              box2d, box3d, alpha))
+                              Box2D(*box2d), box3d, alpha))
     kept = []
     for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
         d = dets[i]

@@ -33,11 +33,13 @@ def iou2d_matrix(dets, boxes):
 
 
 def match(dets, gts, thresh, ignored=(), dontcare=()):
-    """match_detections on the 2D IoU matrices of detection and label lists."""
+    """match_detections on the 2D IoU matrices of detection and label lists,
+    as a stack of one frame."""
     scores, tp, drop, _ = match_detections(
-        [d.score for d in dets], iou2d_matrix(dets, [g.as_box2d() for g in gts]), thresh,
-        iou2d_matrix(dets, [g.as_box2d() for g in ignored]), iou2d_matrix(dets, dontcare))
-    return scores, tp, drop
+        [[d.score for d in dets]], iou2d_matrix(dets, [g.as_box2d() for g in gts])[None], thresh,
+        iou2d_matrix(dets, [g.as_box2d() for g in ignored])[None],
+        iou2d_matrix(dets, dontcare)[None])
+    return scores[0], tp[0], drop[0]
 
 
 def brute_force_ap(scores, tp, num_gt, mode):
@@ -189,10 +191,10 @@ class TestMatchingOracle:
             scores = rng.choice([0.2, 0.5, 0.5, 0.8, 0.9], size=D)
             iou, ign, dc = (rng.choice(levels, size=(D, n)) for n in (G, I, C))
             thresh = float(rng.choice([0.5, 0.7]))
-            got = match_detections(scores, iou, thresh, ign, dc)
+            got = match_detections(scores[None], iou[None], thresh, ign[None], dc[None])
             want = brute_force_match(scores, iou, thresh, ign, dc)
             for g, w in zip(got, want):
-                assert g.tolist() == w.tolist()
+                assert g[0].tolist() == w.tolist()
 
     def test_stack_matches_per_frame_loop(self):
         # padded multi-frame stacks, one call each, against the per-frame loop;
@@ -230,16 +232,16 @@ class TestMatchingOracle:
                 assert drop.all() and not tp.any() and (matched == -1).all()
 
     def test_equal_iou_goes_to_last_index(self):
-        scores, tp, drop, matched = match_detections([0.9, 0.8], [[0.8, 0.8], [0.8, 0.8]], 0.7)
-        assert matched.tolist() == [1, 0] and tp.tolist() == [True, True]
+        scores, tp, drop, matched = match_detections([[0.9, 0.8]], [[[0.8, 0.8], [0.8, 0.8]]], 0.7)
+        assert matched.tolist() == [[1, 0]] and tp.tolist() == [[True, True]]
 
     def test_empty(self):
-        scores, tp, drop, matched = match_detections([], np.zeros((0, 3)), 0.5)
-        assert len(scores) == len(tp) == len(drop) == len(matched) == 0
+        scores, tp, drop, matched = match_detections(np.zeros((1, 0)), np.zeros((1, 0, 3)), 0.5)
+        assert scores.shape == tp.shape == drop.shape == matched.shape == (1, 0)
 
     def test_matrix_shape_checked(self):
         with pytest.raises(ValueError, match="one row per detection"):
-            match_detections([0.9, 0.8], np.zeros((3, 2)), 0.5)
+            match_detections([[0.9, 0.8]], np.zeros((1, 3, 2)), 0.5)
 
 
 class TestAveragePrecision:
@@ -608,17 +610,7 @@ class TestDepthErrorReport:
             assert report[key] == pytest.approx(np.mean(errs))
         assert set(report) == set(groups)
 
-    def test_by_size(self):
-        dets = [det_at(0.9, 0, 0, 10, 30, z=25.0)]
-        gts = [gt_at(0, 0, 10, 30, z=20.0)]   # mean box size (10 + 30) / 2 = 20
-        report = depth_error_report(dets, gts, [0, 15, 25], by="size")
-        assert report == {(15, 25): pytest.approx(5.0)}
-
     def test_unmatched_excluded(self):
         dets = [det_at(0.9, 500, 0, 520, 40, z=25.0)]
         gts = [gt_at(0, 0, 10, 30, z=20.0)]
         assert depth_error_report(dets, gts, [0, 60]) == {}
-
-    def test_bad_binning_key(self):
-        with pytest.raises(ValueError, match="depth or size"):
-            depth_error_report([], [], [0, 1], by="volume")

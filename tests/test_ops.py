@@ -167,7 +167,7 @@ def avg_pool(x, bins, eps=0.0):
     each bin's sum over its cell count plus eps. Returns (B, C, nh, nw)."""
     B, C, H, W = x.shape
     out = pa2_pool(x, Tensor(np.ones((B, 1, H, W))), PyramidSpec([bins], epsilon=eps))
-    return out.transpose(0, 2, 1).reshape((B, C) + bins)
+    return out.transpose(0, 2, 1).reshape(B, C, *bins)
 
 
 class TestAdaptivePool:

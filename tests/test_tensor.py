@@ -235,8 +235,3 @@ class TestNoGrad:
 def test_matmul_shape_error():
     with pytest.raises(ValueError, match="inner dimensions"):
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
-
-
-def test_pow_rejects_non_scalar_exponent():
-    with pytest.raises(TypeError, match="exponent"):
-        Tensor(np.ones(3)) ** np.array([1.0, 2.0, 3.0])

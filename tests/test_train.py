@@ -106,8 +106,8 @@ class TestToyDetector:
 
     def test_anchor_matching_brute_force_oracle(self):
         model = ToyDetector((48, 80), seed=0)
-        anchors = [Box2D.from_center(*row[:4])
-                   for row in model.grid.rows(np.arange(len(model.grid)))]
+        anchors = [Box2D(x - w / 2.0, y - h / 2.0, x + w / 2.0, y + h / 2.0)
+                   for x, y, w, h in model.grid.rows(np.arange(len(model.grid)))[:, :4]]
         for seed, count in ((1, 1), (2, 2), (3, 3), (4, 4)):
             for sc in make_synthetic_scenes(count=2, objects_per_scene=count, seed=seed):
                 gts = [Box2D(*g) for g in sc.boxes2d]
