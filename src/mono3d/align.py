@@ -52,32 +52,32 @@ class OffsetField:
             raise NonFiniteOffsetsError("offset field contains non-finite values")
 
 
-def shape_align_offsets(best_anchor_hw, stride, kernel=(3, 3)):
+def shape_align_offsets(best_anchor_wh, stride, kernel=(3, 3)):
     """Offsets spreading the kernel taps over the best anchor's footprint.
 
-    best_anchor_hw: (H, W, 2) or (B, H, W, 2) array of (h_a, w_a) per
+    best_anchor_wh: (H, W, 2) or (B, H, W, 2) array of (w_a, h_a) per
     position. Tap (i, j) gets dy = (h_a/(S*kh) - 1) * (i - kh/2 + 0.5) and the
     analogous dx.
     """
-    hw = np.asarray(best_anchor_hw, dtype=np.float64)
-    if np.any(hw <= 0.0):
+    wh = np.asarray(best_anchor_wh, dtype=np.float64)
+    if np.any(wh <= 0.0):
         raise ValueError("anchor sizes must be positive")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     kh, kw = kernel
-    h_a, w_a = hw[..., 0], hw[..., 1]
+    w_a, h_a = wh[..., 0], wh[..., 1]
     i_idx = np.arange(kh) - kh / 2.0 + 0.5
     j_idx = np.arange(kw) - kw / 2.0 + 0.5
     dy = (h_a / (stride * kh) - 1.0)[..., None] * i_idx  # (..., H, W, kh)
     dx = (w_a / (stride * kw) - 1.0)[..., None] * j_idx  # (..., H, W, kw)
-    off = np.empty(hw.shape[:-1] + (kh * kw, 2))
+    off = np.empty(wh.shape[:-1] + (kh * kw, 2))
     off[..., 0] = np.repeat(dy, kw, axis=-1)
     off[..., 1] = np.tile(dx, kh)
     return OffsetField(Tensor(off), kernel)
 
 
 def select_best_anchor(cls_scores, anchor_sizes_2d):
-    """Per-position (h_a, w_a) of the highest-scoring anchor.
+    """Per-position (w_a, h_a) of the highest-scoring anchor.
 
     cls_scores: (H, W, A) or (B, H, W, A) confidence per anchor template;
     ties resolve to the lowest template index (numpy argmax convention).
@@ -91,11 +91,7 @@ def select_best_anchor(cls_scores, anchor_sizes_2d):
         raise ValueError(
             f"{scores.shape[-1]} score channels vs {sizes.shape[0]} anchor templates"
         )
-    best = np.argmax(scores, axis=-1)
-    out = np.empty(scores.shape[:-1] + (2,))
-    out[..., 0] = sizes[best, 1]  # h_a
-    out[..., 1] = sizes[best, 0]  # w_a
-    return out
+    return sizes[np.argmax(scores, axis=-1)]
 
 
 def center_align_offsets(residuals, stride, kernel=(1, 1)):

@@ -6,6 +6,7 @@ Subcommands: demo, eval, gradcheck.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -69,11 +70,11 @@ def _train(args):
     synthetic scenes seeded by `args.seed`, for `args.steps` steps:
     (held-out scenes, trace, model). The scenes are drawn in sequence from
     one generator, so the training scenes are those of an `args.scenes` draw."""
-    from .train import TrainConfig, make_synthetic_scenes, train_toy
+    from .train import make_synthetic_scenes, train_toy
 
     scenes = make_synthetic_scenes(count=2 * args.scenes, seed=args.seed)
-    cfg = TrainConfig(total_steps=args.steps, warmup_steps=min(args.steps, max(1, args.scenes // 4)))
-    trace, model = train_toy(scenes[:args.scenes], steps=args.steps, train_cfg=cfg, seed=args.seed)
+    trace, model = train_toy(scenes[:args.scenes], steps=args.steps, seed=args.seed,
+                             warmup_steps=min(args.steps, max(1, args.scenes // 4)))
     return scenes[args.scenes:], trace, model
 
 
@@ -246,7 +247,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: stdout goes to devnull so that the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL_EXIT
+    return code
 
 
 if __name__ == "__main__":

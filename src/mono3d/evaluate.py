@@ -24,6 +24,13 @@ __all__ = [
 
 # the KITTI benchmark's IoU thresholds; any other class is scored at 0.5
 IOU_THRESHOLDS = {"Car": 0.7, "Pedestrian": 0.5, "Cyclist": 0.5}
+# the recall points of each interpolated-AP mode
+RECALL_POINTS = {"r11": np.arange(11) / 10.0, "r40": np.arange(1, 41) / 40.0}
+
+
+def _check_mode(mode):
+    if mode not in RECALL_POINTS:
+        raise ValueError(f"mode must be r11 or r40, got {mode!r}")
 
 
 @dataclass
@@ -32,8 +39,7 @@ class EvalConfig:
     task: str = "3d"           # "2d", "bev", or "3d"
 
     def __post_init__(self):
-        if self.mode not in ("r11", "r40"):
-            raise ValueError(f"mode must be r11 or r40, got {self.mode}")
+        _check_mode(self.mode)
         if self.task not in ("2d", "bev", "3d"):
             raise ValueError(f"task must be 2d, bev or 3d, got {self.task}")
 
@@ -52,6 +58,8 @@ DIFFICULTIES = ("easy", "moderate", "hard")
 
 def passes_difficulty(height_px, occlusion, truncation, difficulty):
     """Whether ground truths count at `difficulty`; elementwise on arrays."""
+    if difficulty not in DIFFICULTY_TABLE:
+        raise ValueError(f"difficulty must be easy, moderate or hard, got {difficulty!r}")
     min_h, max_occ, max_trunc = DIFFICULTY_TABLE[difficulty]
     return (height_px >= min_h) & (occlusion <= max_occ) & (truncation <= max_trunc)
 
@@ -115,9 +123,10 @@ def average_precision(scores, tp, num_gt, mode="r40"):
     recall never falls along the score order, so that is a suffix maximum of
     precision from the first point reaching r.
     """
+    _check_mode(mode)
     if num_gt <= 0:
         raise ValueError("average precision needs at least one ground truth")
-    points = np.arange(11) / 10.0 if mode == "r11" else np.arange(1, 41) / 40.0
+    points = RECALL_POINTS[mode]
     if len(scores) == 0:
         return 0.0
     order = np.argsort(-np.asarray(scores), kind="stable")

@@ -123,37 +123,22 @@ def run_gradient_suite(tol=1e-4, step=1e-5, seed=0):
     reports.append(grad_check(lambda *a: anab_forward(a[0], params),
                               [xe] + params.params(), step, tol, name="anab_forward"))
 
-    logits = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    targets = rng.integers(0, 4, size=6)
-    reports.append(grad_check(lambda a: loss_cls(a, targets), [logits], step, tol,
-                              name="loss_cls"))
-
-    gt = np.array([[0.0, 0.0, 10.0, 8.0], [5.0, 5.0, 20.0, 18.0]])
-    pred = Tensor(gt + rng.uniform(-1.5, 1.5, size=gt.shape), requires_grad=True)
-    reports.append(grad_check(lambda a: loss_2d(a, gt), [pred], step, tol,
-                              name="loss_2d"))
-
-    tgt = rng.normal(size=(4, 7))
-    pd = Tensor(tgt + rng.uniform(-2.0, 2.0, size=tgt.shape), requires_grad=True)
-    reports.append(grad_check(lambda a: loss_3d(a, tgt), [pd], step, tol,
-                              name="loss_3d"))
-
     # per-segment means over three segments, one of them a single row
     segments = [3, 1, 2]
-    logits_s = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    targets_s = rng.integers(0, 4, size=6)
-    reports.append(grad_check(lambda a: loss_cls(a, targets_s, segments), [logits_s], step, tol,
+    logits = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    targets = rng.integers(0, 4, size=6)
+    reports.append(grad_check(lambda a: loss_cls(a, targets, segments), [logits], step, tol,
                               name="loss_cls/segments"))
 
-    gt_s = np.concatenate([rng.uniform(0.0, 10.0, size=(6, 2)),
-                           rng.uniform(15.0, 25.0, size=(6, 2))], axis=1)
-    pred_s = Tensor(gt_s + rng.uniform(-1.5, 1.5, size=gt_s.shape), requires_grad=True)
-    reports.append(grad_check(lambda a: loss_2d(a, gt_s, segments), [pred_s], step, tol,
+    gt = np.concatenate([rng.uniform(0.0, 10.0, size=(6, 2)),
+                         rng.uniform(15.0, 25.0, size=(6, 2))], axis=1)
+    pred = Tensor(gt + rng.uniform(-1.5, 1.5, size=gt.shape), requires_grad=True)
+    reports.append(grad_check(lambda a: loss_2d(a, gt, segments), [pred], step, tol,
                               name="loss_2d/segments"))
 
-    tgt_s = rng.normal(size=(6, 7))
-    pd_s = Tensor(tgt_s + rng.uniform(-2.0, 2.0, size=tgt_s.shape), requires_grad=True)
-    reports.append(grad_check(lambda a: loss_3d(a, tgt_s, segments), [pd_s], step, tol,
+    tgt = rng.normal(size=(6, 7))
+    pd = Tensor(tgt + rng.uniform(-2.0, 2.0, size=tgt.shape), requires_grad=True)
+    reports.append(grad_check(lambda a: loss_3d(a, tgt, segments), [pd], step, tol,
                               name="loss_3d/segments"))
 
     return reports

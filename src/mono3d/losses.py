@@ -42,11 +42,9 @@ def _segments(segments, n):
 
 
 def _mean(per_row, segments):
-    """Mean of a (n,) per-row loss or, with `segments` (the row counts of
-    consecutive segments), the (S,) per-segment means taken by segment sums.
-    An empty segment's mean is 0."""
-    if segments is None:
-        return per_row.mean()
+    """The (S,) per-segment means of a (n,) per-row loss, taken by segment
+    sums; `segments` holds the row counts of consecutive segments. An empty
+    segment's mean is 0."""
     counts, seg = _segments(segments, per_row.shape[0])
     scale = 1.0 / np.maximum(counts, 1)
 
@@ -65,9 +63,9 @@ def _ce_rows(logits, targets):
     return lse - logits[np.arange(len(targets)), targets]
 
 
-def loss_cls(logits, targets, segments=None):
-    """Mean cross entropy of (n, ncls) logits against integer targets; per
-    segment with `segments` (see `_mean`)."""
+def loss_cls(logits, targets, segments):
+    """Per-segment mean cross entropy of (n, ncls) logits against integer
+    targets (see `_mean`)."""
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
     n = logits.shape[0]
@@ -92,9 +90,9 @@ def iou_2d_tensor(pred, gt):
     return inter / (area_p + area_g - inter)
 
 
-def loss_2d(pred, gt, segments=None):
-    """-log IoU of predicted vs ground-truth 2D boxes, mean over rows; per
-    segment with `segments` (see `_mean`).
+def loss_2d(pred, gt, segments):
+    """-log IoU of predicted vs ground-truth 2D boxes, per-segment mean over
+    rows (see `_mean`).
 
     Zero-overlap pairs are clamped to -log(IOU_FLOOR) to stay finite.
     """
@@ -110,27 +108,28 @@ def smooth_l1(residual):
     return a * a * 0.5 * quad_mask + (a - 0.5) * (1.0 - quad_mask)
 
 
-def loss_3d(pred_deltas, target_deltas, segments=None):
-    """Smooth L1 over the 7 regression components, summed per row, mean over
-    rows; per segment with `segments` (see `_mean`)."""
+def loss_3d(pred_deltas, target_deltas, segments):
+    """Smooth L1 over the 7 regression components, summed per row,
+    per-segment mean over rows (see `_mean`)."""
     pred, tgt = _as_tensor(pred_deltas), _as_tensor(target_deltas)
     if pred.shape != tgt.shape:
         raise ValueError(f"delta shapes differ: {pred.shape} vs {tgt.shape}")
     return _mean(smooth_l1(pred - tgt).sum(axis=-1), segments)
 
 
-def mine_hard(losses, fraction, protected=None, segments=None):
-    """Indices of the ceil(fraction * n) highest-loss entries.
+def mine_hard(losses, fraction, segments, protected=None):
+    """Indices of the ceil(fraction * m) highest-loss entries of each segment
+    of m unprotected rows; `segments` holds the row counts of consecutive
+    segments.
 
     Ties resolve to the lower index. Indices in `protected` (positives) are
-    always included and do not count against the budget. With `segments`
-    (the row counts of consecutive segments) each segment has its own budget
-    over its own unprotected rows: the result is exactly the concatenation
-    of the per-segment calls, shifted to the segments' first rows.
+    always included and do not count against the budget. The result is
+    exactly the concatenation of the per-segment calls, shifted to the
+    segments' first rows.
     """
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.size
-    counts, seg = _segments([n] if segments is None else segments, n)
+    counts, seg = _segments(segments, n)
     free = np.ones(n, dtype=bool)
     if protected is not None:
         free[np.asarray(protected, dtype=np.intp)] = False

@@ -29,7 +29,7 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-def nms(boxes, scores, classes, iou_thresh=0.4):
+def nms(boxes, scores, classes, iou_thresh):
     """Greedy descending-score suppression on 2D IoU, per class: the kept
     indices of (n, 4) [x1, y1, x2, y2] boxes with (n,) scores and class ids,
     best first. Score ties keep the lower index; an overlap equal to the
@@ -47,7 +47,7 @@ def nms(boxes, scores, classes, iou_thresh=0.4):
     return np.array(kept, dtype=np.intp)
 
 
-def confidence_filter(scores, thresh=0.75):
+def confidence_filter(scores, thresh):
     """Indices of the scores at or above the threshold (boundary kept)."""
     return np.flatnonzero(scores >= thresh)
 

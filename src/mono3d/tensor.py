@@ -267,10 +267,6 @@ class Tensor:
 
         return Tensor.from_op(out_data, (self,), bw)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def reshape(self, *shape):
         out_data = self.data.reshape(shape)
 

@@ -184,7 +184,7 @@ class ToyDetector:
         return out
 
     def forward(self, images):
-        """Heads of a (B, 3, H, W) batch plus the (B, H, W, 2) (h_a, w_a) map
+        """Heads of a (B, 3, H, W) batch plus the (B, H, W, 2) (w_a, h_a) map
         used for alignment; every item is aligned by its own offset fields.
         (H, W) must be the model's `image_hw`."""
         if images.shape[2:] != self.image_hw:
@@ -202,13 +202,12 @@ class ToyDetector:
         # shape alignment from the sigmoid foreground confidence, one shot
         fg = cls_out.data.reshape(B, A, self.num_classes, H, W)[:, :, 1:].max(axis=2)
         scores = 1.0 / (1.0 + np.exp(-fg)).transpose(0, 2, 3, 1)  # (B, H, W, A)
-        best_hw = select_best_anchor(scores, self.grid.templates)
-        trunk = align_conv(x, self.shape_conv, shape_align_offsets(best_hw, STRIDE, (3, 3))).relu()
+        best_wh = select_best_anchor(scores, self.grid.templates)
+        trunk = align_conv(x, self.shape_conv, shape_align_offsets(best_wh, STRIDE, (3, 3))).relu()
 
         # predicted-center residual in pixels, normalized by the best template
         center_out = conv2d(trunk, self.center_head)  # (B, 2, H, W)
-        best_wh_t = Tensor(best_hw[..., ::-1].copy())  # (B, H, W, 2) as (w_a, h_a)
-        residuals = center_out.transpose(0, 2, 3, 1) * best_wh_t
+        residuals = center_out.transpose(0, 2, 3, 1) * Tensor(best_wh)
         aligned = align_conv(trunk, self.center_conv, center_align_offsets(residuals, STRIDE, (1, 1))).relu()
 
         depth_feat = anab_forward(aligned, self.anab)
@@ -218,7 +217,7 @@ class ToyDetector:
             "box2d": conv2d(aligned, self.box2d_head) * s,
             "box3d": conv2d(aligned, self.box3d_head) * s,
             "depth": conv2d(depth_feat, self.depth_head) * s,
-            "best_hw": best_hw,
+            "best_wh": best_wh,
             "features": aligned,
         }
 
@@ -254,7 +253,7 @@ class ToyDetector:
         hh, ww, tmpl = self.grid.unravel(flat_pos)
         center = heads["center"][(np.reshape(item, (-1, 1)), np.arange(2)[None, :],
                                   hh[:, None], ww[:, None])]
-        best_wh = heads["best_hw"][item, hh, ww][:, ::-1]  # (w_a, h_a) of the best template
+        best_wh = heads["best_wh"][item, hh, ww]  # (w_a, h_a) of the best template
         txy3 = center * Tensor(best_wh) / Tensor(self.grid.templates[tmpl])
         d3 = Tensor.concat([txy3, self._gather(heads["depth"], item, 1, flat_pos),
                             self._gather(heads["box3d"], item, 4, flat_pos)], axis=1)
@@ -321,29 +320,28 @@ def _check_scenes(scenes):
                              f"{shape}: all scenes must share one image shape")
 
 
-def train_toy(scenes, steps=200, train_cfg=None, seed=0, detector=None):
+def train_toy(scenes, steps=200, seed=0, detector=None, warmup_steps=None):
     """SGD over the full head stack on synthetic scenes; returns the trace.
 
-    Trace rows: (step, lr, L_cls, L_2d, L_3d, L_total), evaluated on the
-    mini-batch before the update. Deterministic for a fixed seed.
+    The LR schedule spans the run; its warm-up lasts `warmup_steps`, by
+    default `TrainConfig.warmup_steps` capped at the run. Trace rows: (step,
+    lr, L_cls, L_2d, L_3d, L_total), evaluated on the mini-batch before the
+    update. Deterministic for a fixed seed.
     """
-    warmup = max(1, min(TrainConfig.warmup_steps, steps))  # the default, capped at the run
-    train_cfg = train_cfg or TrainConfig(total_steps=steps, warmup_steps=warmup)
-    if train_cfg.total_steps != steps:
-        # lr_at past total_steps climbs back up the cosine
-        raise ValueError(f"train_cfg.total_steps is {train_cfg.total_steps} but train_toy "
-                         f"runs {steps} steps; the LR schedule must span the run")
+    if warmup_steps is None:
+        warmup_steps = max(1, min(TrainConfig.warmup_steps, steps))
+    cfg = TrainConfig(total_steps=steps, warmup_steps=warmup_steps)
     _check_scenes(scenes)
     model = detector or ToyDetector(scenes[0].image.shape[2:], seed=seed)
     model.fit_anchors(scenes)
-    opt = SGD(model.params(), train_cfg)
+    opt = SGD(model.params(), cfg)
     # labels depend only on the boxes and the 2D templates: match once
     labels = [model.match_anchors(sc.boxes2d) for sc in scenes]
 
     trace = []
     for step in range(steps):
-        lr = lr_at(step + 1, train_cfg)
-        idx = [(step * train_cfg.batch_size + i) % len(scenes) for i in range(train_cfg.batch_size)]
+        lr = lr_at(step + 1, cfg)
+        idx = [(step * cfg.batch_size + i) % len(scenes) for i in range(cfg.batch_size)]
         opt.zero_grad()
         parts, total = _batch_backward(model, [scenes[i] for i in idx], [labels[i] for i in idx])
         trace.append((step, lr, parts[0], parts[1], parts[2], total))

@@ -7,7 +7,7 @@ from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor
 
 
-def tap_offset(h_a, w_a, stride, kh, kw, i, j):
+def tap_offset(w_a, h_a, stride, kh, kw, i, j):
     """Independent one-line evaluator of the per-tap offset formula."""
     dy = (h_a / (stride * kh) - 1.0) * (i - kh / 2.0 + 0.5)
     dx = (w_a / (stride * kw) - 1.0) * (j - kw / 2.0 + 0.5)
@@ -21,18 +21,18 @@ class TestShapeAlign:
             kh, kw = rng.choice([1, 3, 5]), rng.choice([1, 3, 5])
             stride = int(rng.choice([1, 2, 4, 8, 16]))
             H, W = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            hw = rng.uniform(1.0, 400.0, size=(H, W, 2))
-            field = shape_align_offsets(hw, stride, (kh, kw))
+            wh = rng.uniform(1.0, 400.0, size=(H, W, 2))
+            field = shape_align_offsets(wh, stride, (kh, kw))
             h0, w0 = rng.integers(0, H), rng.integers(0, W)
             i, j = rng.integers(0, kh), rng.integers(0, kw)
-            dy, dx = tap_offset(hw[h0, w0, 0], hw[h0, w0, 1], stride, kh, kw, i, j)
+            dy, dx = tap_offset(wh[h0, w0, 0], wh[h0, w0, 1], stride, kh, kw, i, j)
             got = field.offsets.data[h0, w0, i * kw + j]
             assert abs(got[0] - dy) <= 1e-12
             assert abs(got[1] - dx) <= 1e-12
 
     def test_antisymmetric_in_taps(self):
-        hw = np.full((2, 3, 2), 57.0)
-        off = shape_align_offsets(hw, 8, (3, 3)).offsets.data
+        wh = np.full((2, 3, 2), 57.0)
+        off = shape_align_offsets(wh, 8, (3, 3)).offsets.data
         for i in range(3):
             for j in range(3):
                 fwd = off[:, :, i * 3 + j]
@@ -41,15 +41,15 @@ class TestShapeAlign:
 
     def test_scale_free_in_anchor_and_stride(self):
         # scaling both the anchor and the stride leaves the offsets unchanged
-        hw = np.full((1, 1, 2), 48.0)
-        a = shape_align_offsets(hw, 8, (3, 3)).offsets.data
-        b = shape_align_offsets(hw * 4.0, 32, (3, 3)).offsets.data
+        wh = np.full((1, 1, 2), 48.0)
+        a = shape_align_offsets(wh, 8, (3, 3)).offsets.data
+        b = shape_align_offsets(wh * 4.0, 32, (3, 3)).offsets.data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_anchor_equal_to_kernel_extent_is_identity(self):
         # h_a = S * kh makes the taps land on the plain conv grid
-        hw = np.full((2, 2, 2), 24.0)
-        off = shape_align_offsets(hw, 8, (3, 3)).offsets.data
+        wh = np.full((2, 2, 2), 24.0)
+        off = shape_align_offsets(wh, 8, (3, 3)).offsets.data
         np.testing.assert_array_equal(off, 0.0)
 
     def test_rejects_bad_inputs(self):
@@ -66,13 +66,13 @@ class TestSelectBestAnchor:
         scores[0, 1, 0] = 0.8
         sizes = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
         out = select_best_anchor(scores, sizes)
-        np.testing.assert_array_equal(out[0, 0], [60.0, 50.0])  # (h, w) of template 2
-        np.testing.assert_array_equal(out[0, 1], [20.0, 10.0])
+        np.testing.assert_array_equal(out[0, 0], [50.0, 60.0])  # (w, h) of template 2
+        np.testing.assert_array_equal(out[0, 1], [10.0, 20.0])
 
     def test_ties_take_lowest_index(self):
         scores = np.full((1, 1, 4), 0.5)
         sizes = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(select_best_anchor(scores, sizes)[0, 0], [2.0, 1.0])
+        np.testing.assert_array_equal(select_best_anchor(scores, sizes)[0, 0], [1.0, 2.0])
 
     def test_mismatched_templates(self):
         with pytest.raises(ValueError, match="templates"):
@@ -159,15 +159,15 @@ class TestBatchedFields:
 
     def test_offset_builders_take_a_batch_axis(self):
         rng = np.random.default_rng(6)
-        hw = rng.uniform(4.0, 60.0, size=(3, 4, 5, 2))
+        wh = rng.uniform(4.0, 60.0, size=(3, 4, 5, 2))
         scores = rng.uniform(size=(3, 4, 5, 9))
         templates = rng.uniform(4.0, 60.0, size=(9, 2))
         res = rng.normal(size=(3, 4, 5, 2))
-        batched = [shape_align_offsets(hw, 8, (3, 3)).offsets.data,
+        batched = [shape_align_offsets(wh, 8, (3, 3)).offsets.data,
                    select_best_anchor(scores, templates),
                    center_align_offsets(Tensor(res), 8, (3, 3)).offsets.data]
         for b in range(3):
-            single = [shape_align_offsets(hw[b], 8, (3, 3)).offsets.data,
+            single = [shape_align_offsets(wh[b], 8, (3, 3)).offsets.data,
                       select_best_anchor(scores[b], templates),
                       center_align_offsets(Tensor(res[b]), 8, (3, 3)).offsets.data]
             for got, want in zip(batched, single):

@@ -1,6 +1,9 @@
 import argparse
 import errno
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,21 @@ class TestEval:
                      "--classes", "Car"]) == USAGE_EXIT
         assert (f"error: {bad}: non-positive 3D dimensions (-1.0, -1.0, -1.0)"
                 in capsys.readouterr().err)
+
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        # as in `mono3d eval ... | head -3`, but the pipe is closed before the
+        # command starts, so its first write already fails with EPIPE
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-m", "mono3d.cli", "eval", "--gt", str(gt),
+                                 "--det", str(det)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == FAIL_EXIT
+        assert err.decode() == ""
 
 
 class TestGradcheck:

@@ -10,7 +10,7 @@ from mono3d.detector import detect
 from mono3d.geometry import Box2D, Box3D, alpha_to_yaw, box3d_corners, iou_2d, project
 from mono3d.postproc import Detection, optimize_rotation
 from mono3d.tensor import Tensor, no_grad
-from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy, TrainConfig
+from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy
 
 
 def predict(model, scenes, conf_thresh):
@@ -18,10 +18,9 @@ def predict(model, scenes, conf_thresh):
 
 
 def fit_predict(scenes, steps, conf_thresh):
-    """The toy pipeline: `train_toy` on `scenes` (batch 2, seed 0), then
-    `detect` on each scene. Gives (trace, model, detections per scene)."""
-    cfg = TrainConfig(batch_size=2, total_steps=steps, warmup_steps=max(1, len(scenes) // 2))
-    trace, model = train_toy(scenes, steps=steps, train_cfg=cfg, seed=0)
+    """The toy pipeline: `train_toy` on `scenes` (seed 0), then `detect` on
+    each scene. Gives (trace, model, detections per scene)."""
+    trace, model = train_toy(scenes, steps=steps, seed=0, warmup_steps=max(1, len(scenes) // 2))
     return trace, model, predict(model, scenes, conf_thresh)
 
 
@@ -78,12 +77,11 @@ class TestDetect:
         detect(model, scenes[0], conf_thresh=0.75)
         tensors = [h for h in seen[0].values() if isinstance(h, Tensor)]
         assert len(tensors) == 6 and not any(t.requires_grad for t in tensors)
-        assert seen[0]["best_hw"].shape == (1, 6, 10, 2)
+        assert seen[0]["best_wh"].shape == (1, 6, 10, 2)
 
     def test_low_threshold_yields_decoded_boxes(self):
         scenes = make_synthetic_scenes(count=2, seed=1)
-        cfg = TrainConfig(total_steps=10, warmup_steps=2)
-        _, model = train_toy(scenes, steps=10, train_cfg=cfg, seed=0)
+        _, model = train_toy(scenes, steps=10, seed=0, warmup_steps=2)
         dets = detect(model, scenes[0], score_floor=0.05, conf_thresh=0.05)
         for d in dets:
             assert 0.05 <= d.score <= 1.0

@@ -110,6 +110,11 @@ class TestDifficulty:
             assert got.dtype == bool and got.tolist() == want
             assert 0 < sum(want) < len(grid)
 
+    @pytest.mark.parametrize("difficulty", ["Moderate", "medium", ""])
+    def test_unknown_difficulty_named(self, difficulty):
+        with pytest.raises(ValueError, match=rf"easy, moderate or hard, got '{difficulty}'"):
+            passes_difficulty(50.0, 0, 0.0, difficulty)
+
     def test_table_pinned(self):
         assert DIFFICULTY_TABLE["easy"] == (40.0, 0, 0.15)
         assert DIFFICULTY_TABLE["moderate"] == (25.0, 1, 0.30)
@@ -264,6 +269,12 @@ class TestAveragePrecision:
     def test_needs_ground_truth(self):
         with pytest.raises(ValueError, match="ground truth"):
             average_precision([0.9], [True], 0)
+
+    @pytest.mark.parametrize("mode", ["R11", "r25", "11"])
+    def test_unknown_mode_named(self, mode):
+        # one TP then one FP of two ground truths: r11 reads 6/11, r40 0.5
+        with pytest.raises(ValueError, match=rf"r11 or r40, got '{mode}'"):
+            average_precision([0.9, 0.8], [True, False], 2, mode)
 
     @pytest.mark.parametrize("mode", ["r11", "r40"])
     def test_matches_brute_force_on_small_fixtures(self, mode):
@@ -420,6 +431,12 @@ class TestEvaluateClass:
         cfg = EvalConfig(task="2d")
         ap = evaluate_class([([], [])], "Car", cfg, "easy")
         assert ap != ap
+
+    @pytest.mark.parametrize("frames", ["perfect", "empty"])
+    def test_unknown_difficulty_named(self, frames):
+        frames = self.frames_perfect() if frames == "perfect" else [([], [])]
+        with pytest.raises(ValueError, match="easy, moderate or hard, got 'Moderate'"):
+            evaluate_class(frames, "Car", EvalConfig(task="2d"), "Moderate")
 
     def test_ignored_gt_not_counted_as_fn(self):
         cfg = EvalConfig(task="2d", mode="r40")

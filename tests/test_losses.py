@@ -23,18 +23,18 @@ def naive_ce(logits, targets):
 class TestLossCls:
     def test_uniform_logits(self):
         logits = np.zeros((3, 4))
-        assert loss_cls(logits, [0, 1, 2]).item() == pytest.approx(math.log(4.0), abs=1e-12)
+        assert loss_cls(logits, [0, 1, 2], [3]).data[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(scale=3.0, size=(8, 5))
         targets = rng.integers(0, 5, size=8)
-        got = loss_cls(logits, targets).item()
+        got = loss_cls(logits, targets, [8]).data[0]
         assert got == pytest.approx(naive_ce(logits, targets), abs=1e-12)
 
     def test_stable_for_huge_logits(self):
         logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-        val = loss_cls(logits, [0, 1]).item()
+        val = loss_cls(logits, [0, 1], [2]).data[0]
         assert np.isfinite(val) and val == pytest.approx(0.0, abs=1e-12)
 
     def test_per_sample_agrees(self):
@@ -42,46 +42,46 @@ class TestLossCls:
         logits = rng.normal(size=(6, 3))
         targets = rng.integers(0, 3, size=6)
         per = per_sample_ce(logits, targets)
-        assert per.mean() == pytest.approx(loss_cls(logits, targets).item(), abs=1e-12)
+        assert per.mean() == pytest.approx(loss_cls(logits, targets, [6]).data[0], abs=1e-12)
 
     def test_target_shape_mismatch(self):
         with pytest.raises(ValueError, match="targets"):
-            loss_cls(np.zeros((3, 2)), [0, 1])
+            loss_cls(np.zeros((3, 2)), [0, 1], [3])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
         logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         targets = rng.integers(0, 4, size=5)
-        r = grad_check(lambda a: loss_cls(a, targets), [logits], name="ce")
+        r = grad_check(lambda a: loss_cls(a, targets, [5]), [logits], name="ce")
         assert r.passed, str(r)
 
 
 class TestLoss2d:
     def test_perfect_boxes(self):
         gt = np.array([[0.0, 0.0, 10.0, 10.0]])
-        assert loss_2d(gt.copy(), gt).item() == pytest.approx(0.0, abs=1e-12)
+        assert loss_2d(gt.copy(), gt, [1]).data[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_width_overlap(self):
         gt = np.array([[0.0, 0.0, 10.0, 10.0]])
         pred = np.array([[5.0, 0.0, 15.0, 10.0]])
-        assert loss_2d(pred, gt).item() == pytest.approx(-math.log(1.0 / 3.0), abs=1e-12)
+        assert loss_2d(pred, gt, [1]).data[0] == pytest.approx(-math.log(1.0 / 3.0), abs=1e-12)
 
     def test_disjoint_is_floor_clamped(self):
         gt = np.array([[0.0, 0.0, 1.0, 1.0]])
         pred = np.array([[50.0, 50.0, 51.0, 51.0]])
-        assert loss_2d(pred, gt).item() == pytest.approx(-math.log(IOU_FLOOR), abs=1e-9)
+        assert loss_2d(pred, gt, [1]).data[0] == pytest.approx(-math.log(IOU_FLOOR), abs=1e-9)
 
     def test_mean_over_rows(self):
         gt = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 4.0, 4.0]])
         pred = np.array([[0.0, 0.0, 10.0, 10.0], [2.0, 0.0, 6.0, 4.0]])
         half = -math.log(8.0 / 24.0)
-        assert loss_2d(pred, gt).item() == pytest.approx(half / 2.0, abs=1e-12)
+        assert loss_2d(pred, gt, [2]).data[0] == pytest.approx(half / 2.0, abs=1e-12)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
         gt = np.array([[0.0, 0.0, 12.0, 9.0], [4.0, 4.0, 20.0, 16.0]])
         pred = Tensor(gt + rng.uniform(-1.0, 1.0, size=gt.shape), requires_grad=True)
-        r = grad_check(lambda a: loss_2d(a, gt), [pred], name="neglog_iou")
+        r = grad_check(lambda a: loss_2d(a, gt, [2]), [pred], name="neglog_iou")
         assert r.passed, str(r)
 
 
@@ -113,41 +113,41 @@ class TestLoss3d:
         pred = np.zeros((2, 7))
         pred[0, 0] = 0.5   # 0.125
         pred[1, 3] = 2.0   # 1.5
-        assert loss_3d(pred, tgt).item() == pytest.approx((0.125 + 1.5) / 2.0, abs=1e-12)
+        assert loss_3d(pred, tgt, [2]).data[0] == pytest.approx((0.125 + 1.5) / 2.0, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            loss_3d(np.zeros((2, 7)), np.zeros((3, 7)))
+            loss_3d(np.zeros((2, 7)), np.zeros((3, 7)), [2])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
         tgt = rng.normal(size=(3, 7))
         pred = Tensor(tgt + rng.uniform(-2, 2, size=tgt.shape), requires_grad=True)
-        r = grad_check(lambda a: loss_3d(a, tgt), [pred], name="smooth_l1_3d")
+        r = grad_check(lambda a: loss_3d(a, tgt, [3]), [pred], name="smooth_l1_3d")
         assert r.passed, str(r)
 
 
 class TestMineHard:
     def test_top_fraction(self):
-        keep = mine_hard(np.array([3.0, 1.0, 2.0, 5.0, 4.0]), 0.2)
+        keep = mine_hard(np.array([3.0, 1.0, 2.0, 5.0, 4.0]), 0.2, [5])
         np.testing.assert_array_equal(keep, [3])
 
     def test_ceil_budget(self):
         # ceil(0.2 * 6) = 2
-        keep = mine_hard(np.arange(6.0), 0.2)
+        keep = mine_hard(np.arange(6.0), 0.2, [6])
         np.testing.assert_array_equal(keep, [4, 5])
 
     def test_full_fraction_keeps_all(self):
-        keep = mine_hard(np.array([0.5, 0.1, 0.9]), 1.0)
+        keep = mine_hard(np.array([0.5, 0.1, 0.9]), 1.0, [3])
         np.testing.assert_array_equal(keep, [0, 1, 2])
 
     def test_ties_take_lower_index(self):
-        keep = mine_hard(np.array([1.0, 1.0, 1.0, 1.0]), 0.25)
+        keep = mine_hard(np.array([1.0, 1.0, 1.0, 1.0]), 0.25, [4])
         np.testing.assert_array_equal(keep, [0])
 
     def test_protected_always_kept(self):
         losses = np.array([0.1, 9.0, 0.2, 8.0, 0.3])
-        keep = mine_hard(losses, 0.25, protected=[0, 4])
+        keep = mine_hard(losses, 0.25, [5], protected=[0, 4])
         # budget ceil(0.25 * 3) = 1 over the unprotected pool {1, 2, 3}
         np.testing.assert_array_equal(keep, [0, 1, 4])
 
@@ -156,16 +156,16 @@ class TestMineHard:
         rng = np.random.default_rng(5)
         losses = rng.normal(size=20)
         perm = rng.permutation(20)
-        keep = {int(i) for i in mine_hard(losses, 0.3)}
-        keep_p = {int(perm[i]) for i in mine_hard(losses[perm], 0.3)}
+        keep = {int(i) for i in mine_hard(losses, 0.3, [20])}
+        keep_p = {int(perm[i]) for i in mine_hard(losses[perm], 0.3, [20])}
         assert keep_p == keep
 
     def test_empty(self):
-        assert mine_hard(np.array([]), 0.2).size == 0
+        assert mine_hard(np.array([]), 0.2, [0]).size == 0
 
 
 class TestSegmentMeans:
-    """Each loss with `segments` against one no-segment call per segment."""
+    """Each loss over several segments against one call per segment."""
 
     @staticmethod
     def inputs(rng, n):
@@ -187,7 +187,7 @@ class TestSegmentMeans:
             assert got.shape == (4,) and got.data[1] == 0.0
             for i in (0, 2, 3):
                 sl = slice(starts[i], starts[i] + counts[i])
-                assert got.data[i] == pytest.approx(loss(x[sl], y[sl]).item(), rel=1e-14)
+                assert got.data[i] == pytest.approx(loss(x[sl], y[sl], [counts[i]]).data[0], rel=1e-14)
 
     def test_segments_must_partition_the_rows(self):
         for loss, x, y in self.inputs(np.random.default_rng(7), 3):
@@ -230,7 +230,7 @@ class TestMineHardSegments:
         got = mine_hard(losses, fraction, protected=protected, segments=counts)
         want = self.per_segment(reference_mine_hard, losses, fraction, protected, counts)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        per_call = self.per_segment(lambda l, f, p: mine_hard(l, f, protected=p),
+        per_call = self.per_segment(lambda l, f, p: mine_hard(l, f, [len(l)], protected=p),
                                     losses, fraction, protected, counts)
         assert np.array_equal(got, per_call)
 

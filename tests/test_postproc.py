@@ -44,7 +44,7 @@ def naive_nms(boxes, scores, classes, thresh):
 
 class TestNms:
     def test_single_survives(self):
-        assert nms(*table((0.9, 0, 0, 10, 10))).tolist() == [0]
+        assert nms(*table((0.9, 0, 0, 10, 10)), 0.4).tolist() == [0]
 
     def test_duplicate_suppressed(self):
         dets = table((0.9, 0, 0, 10, 10), (0.8, 1, 0, 11, 10))
