@@ -51,10 +51,14 @@ def probability(text):
 
 
 def class_list(text):
-    """argparse type: comma-separated class names, none of them empty."""
+    """argparse type: comma-separated class names, none of them empty, and
+    none with whitespace, which a KITTI type field cannot hold."""
     names = text.split(",")
     if "" in names:
         raise argparse.ArgumentTypeError(f"expected comma-separated non-empty class names, "
+                                         f"got {text!r}")
+    if any(ch.isspace() for ch in text):
+        raise argparse.ArgumentTypeError(f"expected class names without whitespace, "
                                          f"got {text!r}")
     return names
 

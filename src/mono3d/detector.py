@@ -11,9 +11,8 @@ import numpy as np
 from .align import NonFiniteOffsetsError
 from .anchors import decode
 from .geometry import Box2D, Box3D, alpha_to_yaw, backproject
-from .ops import softmax_lastdim
 from .postproc import Detection, confidence_filter, nms, optimize_rotation
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 __all__ = ["detect"]
 
@@ -37,31 +36,21 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
         warnings.warn("detect: non-finite center offsets; the scene gives no detections",
                       RuntimeWarning, stacklevel=2)
         return []
-    H, W = model.feature_hw
-    A = model.grid.per_position
-    ncls = model.num_classes
-
-    logits = heads["cls"].data[0].reshape(A, ncls, H, W).transpose(0, 2, 3, 1)
-    fg = softmax_lastdim(Tensor(logits)).data[..., 1:]
-    score_map = fg.max(axis=-1)          # (A, H, W)
-    class_map = fg.argmax(axis=-1) + 1
-
-    t, hh, ww = np.nonzero((score_map >= score_floor) | ~np.isfinite(score_map))
-    flat = (hh * W + ww) * A + t
+    score_row, class_row = heads["scores"][0], heads["classes"][0]
+    flat = np.flatnonzero((score_row >= score_floor) | ~np.isfinite(score_row))
     d2, d3 = (d.data for d in model.gather_deltas(heads, 0, flat))
-    scores = score_map[t, hh, ww]
-    finite = np.isfinite(scores) & np.isfinite(d2).all(axis=1) & np.isfinite(d3).all(axis=1)
+    finite = np.isfinite(np.column_stack([score_row[flat], d2, d3])).all(axis=1)
     non_finite = int((~finite).sum())
+    flat, d2, d3 = flat[finite], d2[finite], d3[finite]
     rows = model.grid.rows(flat)
     # one `decode` call per finite candidate (the benchmark's detection funnel
     # counts candidates by these calls), then one array test and one
     # back-projection for all
-    cand = np.flatnonzero(finite)
-    vals = np.full((len(cand), 11), np.inf)   # per candidate: 2D box, then 3D params
+    vals = np.full((len(flat), 11), np.inf)   # per candidate: 2D box, then 3D params
     with np.errstate(over="ignore", invalid="ignore"):  # counted below instead
-        for k, i in enumerate(cand):
+        for k in range(len(flat)):
             try:
-                b, p = decode(rows[i], d2[i], d3[i])
+                b, p = decode(rows[k], d2[k], d3[k])
             except OverflowError:  # a size delta too large for exp: left an infinite row
                 continue
             vals[k] = (*b, *p)
@@ -70,12 +59,12 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     ok = np.isfinite(vals).all(axis=1) & (vals[:, 7:10] > 0.0).all(axis=1)
     non_finite += int((~ok).sum())
     front = ok & (vals[:, 6] > 0.0)
-    vals, cand = vals[front], cand[front]
+    vals, flat = vals[front], flat[front]
     centers = backproject(scene.cam, vals[:, 4:7])
     front = centers[:, 2] > 0.0   # a translation column can move z_p > 0 to z <= 0
     # the table: the candidates in front of the camera
-    vals, cand, centers = vals[front], cand[front], centers[front]
-    scores, classes = scores[cand], class_map[t[cand], hh[cand], ww[cand]]
+    vals, flat, centers = vals[front], flat[front], centers[front]
+    scores, classes = score_row[flat], class_row[flat]
     if non_finite:
         warnings.warn(f"detect: dropped {non_finite} candidate(s) with a non-finite score "
                       "or box, or a non-positive 3D size", RuntimeWarning, stacklevel=2)

@@ -68,19 +68,18 @@ def grad_check(f, inputs, step=1e-5, tol=1e-6, name=None):
         analytic = np.zeros_like(t.data) if t.grad is None else t.grad
         if not np.all(np.isfinite(analytic)):
             return GradReport(op_name, np.inf, tol, False, "non-finite analytic gradient")
-        flat = t.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        # in place: a reshaped copy of a non-contiguous leaf would perturb nothing
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + step
             plus = scalar_at()
-            flat[i] = orig - step
+            t.data[i] = orig - step
             minus = scalar_at()
-            flat[i] = orig
+            t.data[i] = orig
             numeric = (plus - minus) / (2.0 * step)
             if not np.isfinite(numeric):
                 return GradReport(op_name, np.inf, tol, False, "non-finite finite difference")
-            max_err = max(max_err, _rel_err(aflat[i], numeric))
+            max_err = max(max_err, _rel_err(analytic[i], numeric))
 
     return GradReport(op_name, max_err, tol, max_err < tol)
 

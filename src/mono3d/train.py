@@ -19,7 +19,7 @@ from .attention import AnabParams, PyramidSpec, anab_forward
 from .geometry import CameraIntrinsics, iou_2d_pairs
 from .losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d, loss_cls,
                      mine_hard, per_sample_ce, total_loss)
-from .ops import ConvSpec, conv2d
+from .ops import ConvSpec, conv2d, softmax_lastdim
 from .tensor import Tensor
 
 __all__ = [
@@ -184,9 +184,10 @@ class ToyDetector:
         return out
 
     def forward(self, images):
-        """Heads of a (B, 3, H, W) batch plus the (B, H, W, 2) (w_a, h_a) map
-        used for alignment; every item is aligned by its own offset fields.
-        (H, W) must be the model's `image_hw`."""
+        """Heads of a (B, 3, H, W) batch, the (B, H, W, 2) (w_a, h_a) map
+        used for alignment, and each anchor's score and class id as (B, N)
+        arrays by flat anchor index; every item is aligned by its own offset
+        fields. (H, W) must be the model's `image_hw`."""
         if images.shape[2:] != self.image_hw:
             raise ValueError(f"images of shape {images.shape} do not match the model's "
                              f"image size {self.image_hw}")
@@ -199,9 +200,11 @@ class ToyDetector:
 
         s = HEAD_SCALE
         cls_out = conv2d(x, self.cls_head) * s  # (B, A*ncls, H, W)
-        # shape alignment from the sigmoid foreground confidence, one shot
-        fg = cls_out.data.reshape(B, A, self.num_classes, H, W)[:, :, 1:].max(axis=2)
-        scores = 1.0 / (1.0 + np.exp(-fg)).transpose(0, 2, 3, 1)  # (B, H, W, A)
+        # the anchor score, off the tape: the softmax foreground maximum, in
+        # flat anchor order (B, H, W, A); shape alignment ranks by it
+        logits = cls_out.data.reshape(B, A, self.num_classes, H, W).transpose(0, 3, 4, 1, 2)
+        fg = softmax_lastdim(Tensor(logits)).data[..., 1:]
+        scores = fg.max(axis=-1)
         best_wh = select_best_anchor(scores, self.grid.templates)
         trunk = align_conv(x, self.shape_conv, shape_align_offsets(best_wh, STRIDE, (3, 3))).relu()
 
@@ -218,6 +221,8 @@ class ToyDetector:
             "box3d": conv2d(aligned, self.box3d_head) * s,
             "depth": conv2d(depth_feat, self.depth_head) * s,
             "best_wh": best_wh,
+            "scores": scores.reshape(B, -1),  # (B, N), by flat anchor index
+            "classes": fg.argmax(axis=-1).reshape(B, -1) + 1,
             "features": aligned,
         }
 

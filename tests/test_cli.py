@@ -64,6 +64,17 @@ class TestEval:
         assert (f"argument --classes: expected comma-separated non-empty class names, "
                 f"got {classes!r}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", ["Car, Pedestrian", " Car", "Car\t", "Race car", " "])
+    def test_class_name_with_whitespace_is_a_usage_error(self, tmp_path, capsys, classes):
+        # a KITTI type field is one whitespace-free token: such a name never matches
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gt", str(gt), "--det", str(det), "--classes", classes])
+        assert exc.value.code == USAGE_EXIT
+        assert (f"argument --classes: expected class names without whitespace, "
+                f"got {classes!r}") in capsys.readouterr().err
+
     def test_missing_dir_usage_exit(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope"), "--det", str(tmp_path)])
         assert code == USAGE_EXIT

@@ -133,13 +133,13 @@ class TestNonFiniteOutputs:
         def poisoned(img):
             heads = forward(img)
             if img is image:
-                heads[head].data[index] = value
+                getattr(heads[head], "data", heads[head])[index] = value
             return heads
 
         monkeypatch.setattr(model, "forward", poisoned)
 
     @pytest.mark.parametrize("head,index,value,count", [
-        ("cls", (0, 1, 0, 0), np.nan, "1"),   # one logit: anchor 0, class 1, cell (0, 0)
+        ("scores", (0, 0), np.nan, "1"),      # one score: anchor 0 of cell (0, 0)
         ("box2d", (0, 0), np.nan, r"\d+"),    # tx of anchor 0 in every cell
         ("box3d", (0, 0), 1e4, r"\d+"),       # tw of anchor 0: exp overflows
         ("box3d", (0, 0), -1e4, r"\d+"),      # tw of anchor 0: exp underflows to a zero width

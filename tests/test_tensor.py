@@ -30,6 +30,15 @@ def test_elementwise_grads():
         assert r.passed, str(r)
 
 
+def test_grad_check_perturbs_a_non_contiguous_leaf():
+    # a transposed leaf: reshaping its data gives a copy, so a check that
+    # perturbed that copy saw a zero finite difference on a correct op
+    x = Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)
+    r = grad_check(lambda a: a * 2.0, [x], name="scale")
+    assert r.passed and r.max_rel_err < 1e-9, str(r)
+    assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3).T)
+
+
 def test_broadcast_backward():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)

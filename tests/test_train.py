@@ -96,6 +96,24 @@ class TestToyDetector:
         assert heads["box3d"].shape == (1, A * 4, 6, 10)
         assert heads["depth"].shape == (1, A, 6, 10)
         assert heads["best_wh"].shape == (1, 6, 10, 2)
+        assert heads["scores"].shape == heads["classes"].shape == (1, len(model.grid))
+
+    def test_shape_alignment_ranks_anchors_by_the_class_softmax(self):
+        # noise breaks the trained head's l_bg == -l_fg symmetry, so a score
+        # that ignores the background logit would rank anchors otherwise
+        scenes = make_synthetic_scenes(count=8, seed=7)
+        model = ToyDetector((48, 80), seed=0)
+        model.fit_anchors(scenes)
+        w = model.cls_head.weight
+        w.data += np.random.default_rng(0).normal(0.0, 0.05, size=w.shape)
+        heads = model.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
+        (H, W), A = model.feature_hw, model.grid.per_position
+        logits = heads["cls"].data.reshape(8, A, 2, H, W)
+        e = np.exp(logits - logits.max(axis=2, keepdims=True))
+        fg = (e[:, :, 1] / e.sum(axis=2)).transpose(0, 2, 3, 1)   # (B, H, W, A)
+        assert np.array_equal(heads["best_wh"], model.grid.templates[fg.argmax(axis=-1)])
+        np.testing.assert_allclose(heads["scores"], fg.reshape(8, -1), rtol=0, atol=1e-15)
+        assert np.array_equal(heads["classes"], np.ones((8, len(model.grid))))
 
     def test_anchor_matching_labels(self):
         scenes = make_synthetic_scenes(count=1, seed=1)
