@@ -62,23 +62,16 @@ class AnchorGrid:
     def __len__(self):
         return self.centers.shape[0] * self.per_position
 
-    def unravel(self, flat_indices):
-        """(row, col, template) index arrays of flat anchor indices."""
-        return np.unravel_index(flat_indices, self.feature_hw + (self.per_position,))
-
     def rows(self, flat_indices):
         """(n, 9) rows [x, y, w2d, h2d, z, w, h, l, alpha] of the anchors at
         flat indices: pixel center, 2D template, the template's 3D stats."""
-        r, c, t = self.unravel(flat_indices)
-        centers = self.centers.reshape(self.feature_hw + (2,))[r, c]
-        return np.concatenate([centers, self.templates[t], self.stats3d[t]], axis=1)
+        pos, t = np.divmod(flat_indices, self.per_position)
+        return np.concatenate([self.centers[pos], self.templates[t], self.stats3d[t]], axis=1)
 
     def boxes2d(self):
         """(len, 4) corner boxes for every anchor."""
-        A = self.per_position
-        c = np.repeat(self.centers, A, axis=0)
-        wh = np.tile(self.templates, (self.centers.shape[0], 1))
-        return np.concatenate([c - wh / 2.0, c + wh / 2.0], axis=1)
+        a = self.rows(np.arange(len(self)))
+        return np.concatenate([a[:, :2] - a[:, 2:4] / 2.0, a[:, :2] + a[:, 2:4] / 2.0], axis=1)
 
 
 def generate_anchor_grid(feature_hw, stride=8, sizes=None):

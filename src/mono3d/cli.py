@@ -178,8 +178,7 @@ def cmd_eval(args):
         path = gt_file
         try:
             gts = parse_label_file(gt_file)
-            for gt in gts:  # a degenerate box is this file's error, as in a result file
-                gt.as_box2d()
+            for gt in gts:  # a flat 3D box is this file's error, as in a result file
                 if args.task != "2d" and gt.type in class_names:
                     gt.as_box3d()
             dets = []

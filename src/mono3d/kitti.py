@@ -69,12 +69,17 @@ def parse_label_line(line, line_no=1):
     occlusion = int(f[1])
     if occlusion != f[1]:
         raise ValueError(f"line {line_no}, field 3: occlusion not an integer: {parts[2]!r}")
+    box2d = tuple(f[3:7])
+    try:
+        Box2D(*box2d)
+    except ValueError as e:
+        raise ValueError(f"line {line_no}: {e}") from None
     return LabelRecord(
         type=parts[0],
         truncation=f[0],
         occlusion=occlusion,
         alpha=f[2],
-        box2d=(f[3], f[4], f[5], f[6]),
+        box2d=box2d,
         dims=(f[7], f[8], f[9]),
         location=(f[10], f[11], f[12]),
         rotation_y=f[13],

@@ -183,11 +183,20 @@ class ToyDetector:
         out.extend(self.anab.params())
         return out
 
+    @staticmethod
+    def _rows(head, k):
+        """A (B, A*k, H, W) conv head as (B, H*W*A, k) rows: row (r*W + c)*A + t
+        is channels t*k .. t*k + k-1 at cell (r, c), the grid's flat anchor
+        order (A = 1 for the per-position center head)."""
+        return head.transpose(0, 2, 3, 1).reshape(head.shape[0], -1, k)
+
     def forward(self, images):
-        """Heads of a (B, 3, H, W) batch, the (B, H, W, 2) (w_a, h_a) map
-        used for alignment, and each anchor's score and class id as (B, N)
-        arrays by flat anchor index; every item is aligned by its own offset
-        fields. (H, W) must be the model's `image_hw`."""
+        """Heads of a (B, 3, H, W) batch: the per-anchor heads as (B, N, k)
+        rows and each anchor's score and class id as (B, N) arrays, all by
+        flat anchor index; the center head as (B, H*W, 2) rows by position;
+        the (w_a, h_a) map used for alignment as (B, H, W, 2). Every item is
+        aligned by its own offset fields. (H, W) must be the model's
+        `image_hw`."""
         if images.shape[2:] != self.image_hw:
             raise ValueError(f"images of shape {images.shape} do not match the model's "
                              f"image size {self.image_hw}")
@@ -199,30 +208,29 @@ class ToyDetector:
         A = self.grid.per_position
 
         s = HEAD_SCALE
-        cls_out = conv2d(x, self.cls_head) * s  # (B, A*ncls, H, W)
-        # the anchor score, off the tape: the softmax foreground maximum, in
-        # flat anchor order (B, H, W, A); shape alignment ranks by it
-        logits = cls_out.data.reshape(B, A, self.num_classes, H, W).transpose(0, 3, 4, 1, 2)
-        fg = softmax_lastdim(Tensor(logits)).data[..., 1:]
+        cls = self._rows(conv2d(x, self.cls_head) * s, self.num_classes)  # (B, N, ncls)
+        # the anchor score, off the tape: the softmax foreground maximum;
+        # shape alignment ranks each position's anchors by it
+        fg = softmax_lastdim(Tensor(cls.data)).data[..., 1:]
         scores = fg.max(axis=-1)
-        best_wh = select_best_anchor(scores, self.grid.templates)
+        best_wh = select_best_anchor(scores.reshape(B, H, W, A), self.grid.templates)
         trunk = align_conv(x, self.shape_conv, shape_align_offsets(best_wh, STRIDE, (3, 3))).relu()
 
         # predicted-center residual in pixels, normalized by the best template
-        center_out = conv2d(trunk, self.center_head)  # (B, 2, H, W)
-        residuals = center_out.transpose(0, 2, 3, 1) * Tensor(best_wh)
+        center = self._rows(conv2d(trunk, self.center_head), 2)  # (B, H*W, 2)
+        residuals = (center * Tensor(best_wh.reshape(B, -1, 2))).reshape(B, H, W, 2)
         aligned = align_conv(trunk, self.center_conv, center_align_offsets(residuals, STRIDE, (1, 1))).relu()
 
         depth_feat = anab_forward(aligned, self.anab)
         return {
-            "cls": cls_out,
-            "center": center_out,
-            "box2d": conv2d(aligned, self.box2d_head) * s,
-            "box3d": conv2d(aligned, self.box3d_head) * s,
-            "depth": conv2d(depth_feat, self.depth_head) * s,
+            "cls": cls,
+            "center": center,
+            "box2d": self._rows(conv2d(aligned, self.box2d_head) * s, 4),
+            "box3d": self._rows(conv2d(aligned, self.box3d_head) * s, 4),
+            "depth": self._rows(conv2d(depth_feat, self.depth_head) * s, 1),
             "best_wh": best_wh,
-            "scores": scores.reshape(B, -1),  # (B, N), by flat anchor index
-            "classes": fg.argmax(axis=-1).reshape(B, -1) + 1,
+            "scores": scores,
+            "classes": fg.argmax(axis=-1) + 1,
             "features": aligned,
         }
 
@@ -243,26 +251,17 @@ class ToyDetector:
         labels[pos] = best_gt[pos]
         return labels
 
-    def _gather(self, head_out, item, k, flat_pos):
-        """Rows of a (B, A*k, H, W) head, or of its data, at flat anchor
-        indices of one item or of per-row items, -> (n, k)."""
-        hh, ww, tmpl = self.grid.unravel(flat_pos)
-        chan = tmpl[:, None] * k + np.arange(k)[None, :]
-        return head_out[(np.reshape(item, (-1, 1)), chan, hh[:, None], ww[:, None])]
-
-    def gather_deltas(self, heads, item, flat_pos):
+    def gather_deltas(self, heads, item, flat):
         """The (n, 4) 2D and (n, 7) 3D deltas of the batched heads at flat
         anchor indices of one item or of per-row items. (tx, ty)3d is the
         center head's residual, which is in units of the best template's
         size, re-expressed in the anchor's."""
-        hh, ww, tmpl = self.grid.unravel(flat_pos)
-        center = heads["center"][(np.reshape(item, (-1, 1)), np.arange(2)[None, :],
-                                  hh[:, None], ww[:, None])]
-        best_wh = heads["best_wh"][item, hh, ww]  # (w_a, h_a) of the best template
-        txy3 = center * Tensor(best_wh) / Tensor(self.grid.templates[tmpl])
-        d3 = Tensor.concat([txy3, self._gather(heads["depth"], item, 1, flat_pos),
-                            self._gather(heads["box3d"], item, 4, flat_pos)], axis=1)
-        return self._gather(heads["box2d"], item, 4, flat_pos), d3
+        pos, t = np.divmod(flat, self.grid.per_position)
+        best_wh = heads["best_wh"]  # (w_a, h_a) of the best template, per position
+        best_wh = best_wh.reshape(len(best_wh), -1, 2)[item, pos]
+        txy3 = heads["center"][item, pos] * Tensor(best_wh) / Tensor(self.grid.templates[t])
+        d3 = Tensor.concat([txy3, heads["depth"][item, flat], heads["box3d"][item, flat]], axis=1)
+        return heads["box2d"][item, flat], d3
 
     def scene_loss(self, scenes, labels):
         """One forward over the stacked images of `scenes`; returns a list of
@@ -284,11 +283,11 @@ class ToyDetector:
         targets = (lab[used] >= 0).astype(np.intp)
 
         # hard-negative mining on detached per-sample CE; positives protected
-        ce = per_sample_ce(self._gather(heads["cls"].data, item, self.num_classes, anchor), targets)
+        ce = per_sample_ce(heads["cls"].data[item, anchor], targets)
         keep = mine_hard(ce, HARD_FRACTION, protected=np.flatnonzero(targets),
                          segments=np.bincount(item, minlength=B))
-        l_cls = loss_cls(self._gather(heads["cls"], item[keep], self.num_classes, anchor[keep]),
-                         targets[keep], segments=np.bincount(item[keep], minlength=B))
+        l_cls = loss_cls(heads["cls"][item[keep], anchor[keep]], targets[keep],
+                         segments=np.bincount(item[keep], minlength=B))
 
         # the positives of all items; their gt indices into the stacked boxes
         pos = np.flatnonzero(lab >= 0)
@@ -300,15 +299,11 @@ class ToyDetector:
         anchors = self.grid.rows(anchor)
         _, target_d3 = encode(anchors, gt_boxes, np.concatenate([sc.params3d for sc in scenes])[gt])
 
-        # decoded 2D corners, on tape
-        x, y, w, h = anchors[:, :4].T
-        cx = d2[:, 0] * w + x
-        cy = d2[:, 1] * h + y
-        bw = d2[:, 2].exp() * w
-        bh = d2[:, 3].exp() * h
-        pred_boxes = Tensor.concat(
-            [(cx - bw * 0.5).reshape(-1, 1), (cy - bh * 0.5).reshape(-1, 1),
-             (cx + bw * 0.5).reshape(-1, 1), (cy + bh * 0.5).reshape(-1, 1)], axis=1)
+        # decoded 2D corners, on tape: the arithmetic of `decode` on column pairs
+        xy, wh = anchors[:, :2], anchors[:, 2:4]
+        center = d2[:, :2] * wh + xy
+        half = d2[:, 2:].exp() * wh * 0.5
+        pred_boxes = Tensor.concat([center - half, center + half], axis=1)
         n_pos = np.bincount(item, minlength=B)
         return l_cls, loss_2d(pred_boxes, gt_boxes, n_pos), loss_3d(d3, target_d3, n_pos)
 

@@ -68,19 +68,37 @@ class TestAnchorGrid:
         ratios = grid.templates[:, 1] / grid.templates[:, 0]
         np.testing.assert_allclose(ratios, [0.5, 1.0, 1.5], atol=1e-9)
 
+    @staticmethod
+    def every_anchor(stride=8, sizes=(16.0, 32.0), hw=(2, 3)):
+        """A (2, 3) grid with 2 sizes (A = 6) and distinct 3D stats per
+        template, and the documented layout of its anchors: flat index
+        (row * W + col) * A + template, templates by size then ratio, centers
+        at cell centers. Gives the grid, then (flat, x, y, w, h, template)
+        per anchor."""
+        grid = generate_anchor_grid(hw, stride, sizes=list(sizes))
+        grid.stats3d = np.arange(grid.per_position * 5.0).reshape(-1, 5) + 0.5
+        templates = [(s / math.sqrt(q), s * math.sqrt(q)) for s in sizes for q in (0.5, 1.0, 1.5)]
+        (H, W), A = hw, len(templates)
+        want = [((r * W + c) * A + t, c * stride + stride / 2.0, r * stride + stride / 2.0, w, h, t)
+                for r in range(H) for c in range(W) for t, (w, h) in enumerate(templates)]
+        return grid, want
+
     def test_centers_at_cell_centers(self):
-        grid = AnchorGrid((2, 3), 8, [(24.0, 24.0)])
-        # flat index = (row * W + col) * A + template
-        rows = grid.rows(np.array([0, (1 * 3 + 2) * 1]))
-        assert rows[:, :2].tolist() == [[4.0, 4.0], [2 * 8 + 4.0, 1 * 8 + 4.0]]
+        grid, want = self.every_anchor()
+        assert grid.per_position == 6 and len(grid) == len(want) == 36
+        flat = np.array([f for f, *_ in want])
+        assert flat.tolist() == list(range(len(grid)))
+        rows = grid.rows(flat[::-1])[::-1]   # any order of indices
+        for row, (_, x, y, w, h, t) in zip(rows, want):
+            assert row.tolist() == [x, y, w, h, *grid.stats3d[t]]
 
     def test_boxes2d_agrees_with_anchor(self):
-        grid = generate_anchor_grid((2, 2), sizes=[16.0, 32.0])
+        grid, want = self.every_anchor()
         boxes = grid.boxes2d()
-        idx = np.array([0, 5, len(grid) - 1])
-        for i, row in zip(idx, grid.rows(idx)):
-            np.testing.assert_allclose(boxes[i], center_box(*row[:4]).as_array(),
-                                       atol=1e-12)
+        assert boxes.shape == (len(want), 4)
+        for f, x, y, w, h, _ in want:
+            assert boxes[f].tolist() == [x - w / 2.0, y - h / 2.0, x + w / 2.0, y + h / 2.0]
+            assert boxes[f].tolist() == center_box(x, y, w, h).as_array().tolist()
 
 
 class TestCodec:

@@ -89,7 +89,7 @@ class TestEval:
     @pytest.mark.parametrize("line,message", [
         (CAR.replace("100.00", "abc", 1) + " 0.9", "line 2, field 5: not numeric: 'abc'"),
         (CAR + " 1.5", "score must be in [0, 1], got 1.5"),
-        (CAR.replace("100.00", "170.00", 1) + " 0.9", "degenerate 2D box (170.0, 100.0, 160.0"),
+        (CAR.replace("100.00", "170.00", 1) + " 0.9", "line 2: degenerate 2D box (170.0, 100.0, 160.0"),
     ], ids=["non_numeric", "score_above_one", "x2_below_x1"])
     def test_bad_result_line_is_a_usage_error(self, tmp_path, capsys, line, message):
         gt, det = tmp_path / "gt", tmp_path / "det"
@@ -104,10 +104,26 @@ class TestEval:
         gt, det = tmp_path / "gt", tmp_path / "det"
         write_frames(gt, det)
         bad = gt / "000002.txt"
-        bad.write_text(CAR.replace("100.00", "170.00", 1) + "\n")
+        bad.write_text(CAR + "\n" + CAR.replace("100.00", "170.00", 1) + "\n")
         code = main(["eval", "--gt", str(gt), "--det", str(det), "--task", "2d", "--classes", "Car"])
         assert code == USAGE_EXIT
-        assert f"error: {bad}: degenerate 2D box" in capsys.readouterr().err
+        assert f"error: {bad}: line 2: degenerate 2D box (170.0, 100.0, 160.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["gt", "det"])
+    def test_reversed_box_of_an_unscored_class_is_a_usage_error(self, tmp_path, capsys, side):
+        # a reversed box fails parsing, like a non-numeric field, whatever the
+        # class; the score range is checked only for scored classes
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        car, van = (CAR, CAR.replace("Car", "Van")) if side == "gt" else (
+            CAR + " 0.9", CAR.replace("Car", "Van") + " 1.5")
+        bad = tmp_path / side / "000001.txt"
+        bad.write_text(car + "\n" + van + "\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"]) == 0
+        capsys.readouterr()
+        bad.write_text(car + "\n" + van.replace("100.00", "170.00", 1) + "\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"]) == USAGE_EXIT
+        assert f"error: {bad}: line 2: degenerate 2D box (170.0, 100.0, 160.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["bev", "3d"])
     def test_identical_dirs_perfect_ap_in_3d(self, tmp_path, capsys, task):

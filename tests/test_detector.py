@@ -5,12 +5,13 @@ import pytest
 
 import mono3d.detector as detector
 import mono3d.postproc as postproc
-from mono3d.anchors import decode
+from mono3d.anchors import RATIOS, decode
 from mono3d.detector import detect
 from mono3d.geometry import Box2D, Box3D, alpha_to_yaw, box3d_corners, iou_2d, project
 from mono3d.postproc import Detection, optimize_rotation
 from mono3d.tensor import Tensor, no_grad
-from mono3d.train import ToyDetector, make_synthetic_scenes, train_toy
+from mono3d.train import ANCHOR_SIZES, ToyDetector, make_synthetic_scenes, train_toy
+from test_train import head_maps, per_candidate_deltas
 
 
 def predict(model, scenes, conf_thresh):
@@ -100,9 +101,11 @@ class TestBehindCamera:
         scene = dataclasses.replace(scenes[0], cam=dataclasses.replace(scenes[0].cam, K=K))
         forward, calls = model.forward, []
 
+        template = np.arange(len(model.grid)) % model.grid.per_position   # flat = pos * A + t
+
         def depth_at_one_millimetre(img):
             heads = forward(img)
-            heads["depth"].data[0] = (0.001 - model.grid.stats3d[:, 0])[:, None, None]
+            heads["depth"].data[0, :, 0] = 0.001 - model.grid.stats3d[template, 0]
             return heads
 
         def counting_decode(*args):
@@ -120,11 +123,14 @@ class TestNonFiniteOutputs:
     scene; `detect` still returns for every scene."""
 
     CONF = 0.05
+    A = len(ANCHOR_SIZES) * len(RATIOS)  # templates per cell
+    EVERY_CELL = np.s_[0, ::A, 0]  # column 0 of template 0 in every cell of item 0
 
     @pytest.fixture(scope="class")
     def fitted(self):
         scenes = make_synthetic_scenes(count=3, seed=1)
         _, model, want = fit_predict(scenes, steps=10, conf_thresh=self.CONF)
+        assert model.grid.per_position == self.A
         return model, scenes, want
 
     def poison(self, model, image, head, index, value, monkeypatch):
@@ -139,11 +145,11 @@ class TestNonFiniteOutputs:
         monkeypatch.setattr(model, "forward", poisoned)
 
     @pytest.mark.parametrize("head,index,value,count", [
-        ("scores", (0, 0), np.nan, "1"),      # one score: anchor 0 of cell (0, 0)
-        ("box2d", (0, 0), np.nan, r"\d+"),    # tx of anchor 0 in every cell
-        ("box3d", (0, 0), 1e4, r"\d+"),       # tw of anchor 0: exp overflows
-        ("box3d", (0, 0), -1e4, r"\d+"),      # tw of anchor 0: exp underflows to a zero width
-        ("box2d", (0, 0), 1e308, r"\d+"),     # tx of anchor 0: a finite delta, an infinite box
+        ("scores", (0, 0), np.nan, "1"),      # one score: anchor 0 (cell (0, 0), template 0)
+        ("box2d", EVERY_CELL, np.nan, r"\d+"),   # tx of template 0 in every cell
+        ("box3d", EVERY_CELL, 1e4, r"\d+"),      # tw of template 0: exp overflows
+        ("box3d", EVERY_CELL, -1e4, r"\d+"),     # tw of template 0: exp underflows to a zero width
+        ("box2d", EVERY_CELL, 1e308, r"\d+"),    # tx of template 0: a finite delta, an infinite box
     ])
     def test_other_scenes_unchanged(self, fitted, head, index, value, count, monkeypatch):
         model, scenes, want = fitted
@@ -185,16 +191,17 @@ def per_candidate_detect(model, scene, score_floor, nms_iou, conf_thresh):
     one corner at a time. Gives the detections and the `decode` call count."""
     with no_grad():
         heads = model.forward(scene.image)
+        maps = head_maps(model, scene.image, heads["features"])
     H, W = model.feature_hw
     A = model.grid.per_position
-    logits = heads["cls"].data[0].reshape(A, model.num_classes, H, W)
+    logits = maps["cls"].data[0].reshape(A, model.num_classes, H, W)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     fg = probs[:, 1:, :, :]
     score_map, class_map = fg.max(axis=1), fg.argmax(axis=1) + 1
     t, hh, ww = np.nonzero((score_map >= score_floor) | ~np.isfinite(score_map))
     flat = (hh * W + ww) * A + t
-    d2, d3 = (d.data for d in model.gather_deltas(heads, 0, flat))
+    d2, d3 = per_candidate_deltas(model, heads, maps, 0, flat)
     scores = score_map[t, hh, ww]
     finite = np.isfinite(scores) & np.isfinite(d2).all(axis=1) & np.isfinite(d3).all(axis=1)
     rows = model.grid.rows(flat)

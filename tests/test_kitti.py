@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,15 @@ class TestParseLabel:
         bad = CAR_LINE.replace("46.70", "oops")
         with pytest.raises(ValueError, match="field 14"):
             parse_label_line(bad)
+
+    @pytest.mark.parametrize("box,coords", [
+        ("614.12 173.33 587.01 200.12", "(614.12, 173.33, 587.01, 200.12)"),   # x2 < x1
+        ("587.01 200.12 614.12 173.33", "(587.01, 200.12, 614.12, 173.33)"),   # y2 < y1
+    ])
+    def test_reversed_box_names_its_line(self, box, coords):
+        bad = CAR_LINE.replace("587.01 173.33 614.12 200.12", box)
+        with pytest.raises(ValueError, match=rf"^line 5: degenerate 2D box {re.escape(coords)}$"):
+            parse_label_line(bad, line_no=5)
 
     @pytest.mark.parametrize("field", ["0.0", "-1", "2.000", "3"])
     def test_integral_occlusion_written_as_float(self, field):

@@ -2,12 +2,65 @@ import numpy as np
 import pytest
 
 from mono3d.anchors import encode
+from mono3d.attention import anab_forward
 from mono3d.geometry import Box2D, iou_2d
 from mono3d.losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d,
                            loss_cls, mine_hard, per_sample_ce, total_loss)
+from mono3d.ops import conv2d
 from mono3d.tensor import Tensor
-from mono3d.train import (LR_FLOOR, LR_TARGET, MOMENTUM, WEIGHT_DECAY, SGD, Scene, ToyDetector,
-                          TrainConfig, lr_at, make_synthetic_scenes, train_toy, write_loss_trace)
+from mono3d.train import (HEAD_SCALE, LR_FLOOR, LR_TARGET, MOMENTUM, WEIGHT_DECAY, SGD, Scene,
+                          ToyDetector, TrainConfig, lr_at, make_synthetic_scenes, train_toy,
+                          write_loss_trace)
+
+
+def head_maps(model, images, features):
+    """The per-anchor heads as their (B, A*k, H, W) convolution maps: `conv2d`
+    of each head's ConvSpec times HEAD_SCALE, on the backbone of `images` (cls)
+    or on the forward's aligned `features` (box2d, box3d, and depth through
+    the attention block). Channel t * k + j of a map is column j of template t."""
+    x = images
+    for spec in model.backbone:
+        x = conv2d(x, spec).relu()
+    return {"cls": conv2d(x, model.cls_head) * HEAD_SCALE,
+            "box2d": conv2d(features, model.box2d_head) * HEAD_SCALE,
+            "box3d": conv2d(features, model.box3d_head) * HEAD_SCALE,
+            "depth": conv2d(anab_forward(features, model.anab), model.depth_head) * HEAD_SCALE}
+
+
+def anchor_cells(model, flat):
+    """(row, col, template) of flat anchor indices (row * W + col) * A + template."""
+    A, W = model.grid.per_position, model.feature_hw[1]
+    return flat // A // W, flat // A % W, flat % A
+
+
+def at_anchors(head_map, b, k, r, c, t):
+    """(n, k) values of a (B, A*k, H, W) map, or of its data, at item b's
+    anchors (r, c, t)."""
+    return head_map[b, t[:, None] * k + np.arange(k), r[:, None], c[:, None]]
+
+
+def per_candidate_deltas(model, heads, maps, b, flat):
+    """(n, 4) 2D and (n, 7) 3D deltas of item b at flat anchor indices,
+    assembled one candidate at a time from the head maps and the center and
+    best-template maps: the reference for `gather_deltas`."""
+    H, W = model.feature_hw
+    A = model.grid.per_position
+    d2_map = maps["box2d"].data[b].reshape(A, 4, H, W)
+    d3rest_map = maps["box3d"].data[b].reshape(A, 4, H, W)
+    tz_map = maps["depth"].data[b].reshape(A, 1, H, W)
+    center = heads["center"].data[b]   # (H*W, 2), row r * W + c for cell (r, c)
+    best_wh = heads["best_wh"][b]
+    want2, want3 = [], []
+    for f in flat:
+        hh, ww = divmod(int(f) // A, W)
+        t = int(f) % A
+        w_a, h_a = model.grid.templates[t]
+        w_b, h_b = best_wh[hh, ww]
+        want2.append(d2_map[t, :, hh, ww])
+        cx, cy = center[hh * W + ww]
+        want3.append([cx * w_b / w_a, cy * h_b / h_a,
+                      tz_map[t, 0, hh, ww], *d3rest_map[t, :, hh, ww]])
+    return np.array(want2).reshape(-1, 4), np.array(want3).reshape(-1, 7)
 
 
 class TestSchedule:
@@ -89,14 +142,15 @@ class TestToyDetector:
         scenes = make_synthetic_scenes(count=1, seed=0)
         model = ToyDetector((48, 80), seed=0)
         heads = model.forward(scenes[0].image)
-        A = model.grid.per_position
-        assert heads["cls"].shape == (1, A * 2, 6, 10)
-        assert heads["center"].shape == (1, 2, 6, 10)
-        assert heads["box2d"].shape == (1, A * 4, 6, 10)
-        assert heads["box3d"].shape == (1, A * 4, 6, 10)
-        assert heads["depth"].shape == (1, A, 6, 10)
+        N = len(model.grid)
+        assert N == 6 * 10 * model.grid.per_position
+        assert heads["cls"].shape == (1, N, 2)
+        assert heads["center"].shape == (1, 6 * 10, 2)
+        assert heads["box2d"].shape == (1, N, 4)
+        assert heads["box3d"].shape == (1, N, 4)
+        assert heads["depth"].shape == (1, N, 1)
         assert heads["best_wh"].shape == (1, 6, 10, 2)
-        assert heads["scores"].shape == heads["classes"].shape == (1, len(model.grid))
+        assert heads["scores"].shape == heads["classes"].shape == (1, N)
 
     def test_shape_alignment_ranks_anchors_by_the_class_softmax(self):
         # noise breaks the trained head's l_bg == -l_fg symmetry, so a score
@@ -106,9 +160,10 @@ class TestToyDetector:
         model.fit_anchors(scenes)
         w = model.cls_head.weight
         w.data += np.random.default_rng(0).normal(0.0, 0.05, size=w.shape)
-        heads = model.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
+        images = Tensor(np.concatenate([sc.image.data for sc in scenes]))
+        heads = model.forward(images)
         (H, W), A = model.feature_hw, model.grid.per_position
-        logits = heads["cls"].data.reshape(8, A, 2, H, W)
+        logits = head_maps(model, images, heads["features"])["cls"].data.reshape(8, A, 2, H, W)
         e = np.exp(logits - logits.max(axis=2, keepdims=True))
         fg = (e[:, :, 1] / e.sum(axis=2)).transpose(0, 2, 3, 1)   # (B, H, W, A)
         assert np.array_equal(heads["best_wh"], model.grid.templates[fg.argmax(axis=-1)])
@@ -150,15 +205,16 @@ class TestToyDetector:
             assert np.isfinite(v.item())
 
 
-def per_scene_losses(model, heads, b, scene):
+def per_scene_losses(model, heads, maps, b, scene):
     """(l_cls, l_2d, l_3d) of item b of the batched heads, assembled for that
-    scene alone: matched, gathered, mined and scored one scene at a time.
-    The reference for the batch-wide assembly in `scene_loss`."""
+    scene alone from the head maps: matched, gathered, mined and scored one
+    scene at a time. The reference for the batch-wide assembly in
+    `scene_loss`."""
     labels = model.match_anchors(scene.boxes2d)
     pos_idx = np.flatnonzero(labels >= 0)
     neg_idx = np.flatnonzero(labels == -1)
     used = np.concatenate([pos_idx, neg_idx])
-    logits_all = model._gather(heads["cls"], b, model.num_classes, used)
+    logits_all = at_anchors(maps["cls"], b, model.num_classes, *anchor_cells(model, used))
     targets_all = np.where(labels[used] >= 0, 1, 0)
     ce = per_sample_ce(logits_all.data, targets_all)
     keep = mine_hard(ce, HARD_FRACTION, [len(ce)], protected=np.arange(len(pos_idx)))
@@ -166,7 +222,12 @@ def per_scene_losses(model, heads, b, scene):
     if len(pos_idx) == 0:
         return l_cls, Tensor(0.0), Tensor(0.0)
 
-    d2, d3 = model.gather_deltas(heads, b, pos_idx)
+    r, c, t = anchor_cells(model, pos_idx)
+    best_wh = Tensor(heads["best_wh"][b, r, c])
+    txy3 = heads["center"][b, r * model.feature_hw[1] + c] * best_wh / Tensor(model.grid.templates[t])
+    d3 = Tensor.concat([txy3, at_anchors(maps["depth"], b, 1, r, c, t),
+                        at_anchors(maps["box3d"], b, 4, r, c, t)], axis=1)
+    d2 = at_anchors(maps["box2d"], b, 4, r, c, t)
     anchors = model.grid.rows(pos_idx)
     gt = labels[pos_idx]
     gt_boxes = scene.boxes2d[gt]
@@ -249,8 +310,10 @@ class TestBatchedForward:
         got = [p.grad.copy() for p in model.params()]
         for p in model.params():
             p.zero_grad()
-        heads = model.forward(Tensor(np.concatenate([sc.image.data for sc in batch])))
-        want = [per_scene_losses(model, heads, b, sc) for b, sc in enumerate(batch)]
+        images = Tensor(np.concatenate([sc.image.data for sc in batch]))
+        heads = model.forward(images)
+        maps = head_maps(model, images, heads["features"])
+        want = [per_scene_losses(model, heads, maps, b, sc) for b, sc in enumerate(batch)]
         summed_total(want).backward()
 
         assert len(losses) == 4 and all(v.shape == () for row in losses for v in row)
@@ -265,30 +328,15 @@ class TestBatchedForward:
 
     def test_gather_deltas_match_per_candidate_assembly(self):
         model, scenes = self.model_and_scenes()
-        heads = model.forward(Tensor(np.concatenate([sc.image.data for sc in scenes])))
-        H, W = model.feature_hw
-        A = model.grid.per_position
+        images = Tensor(np.concatenate([sc.image.data for sc in scenes]))
+        heads = model.forward(images)
+        maps = head_maps(model, images, heads["features"])
         flat = np.random.default_rng(5).permutation(len(model.grid))[:200]
         for b in range(len(scenes)):
             d2, d3 = model.gather_deltas(heads, b, flat)
-            # the per-candidate assembly `detect` made from its reshaped maps
-            d2_map = heads["box2d"].data[b].reshape(A, 4, H, W)
-            d3rest_map = heads["box3d"].data[b].reshape(A, 4, H, W)
-            tz_map = heads["depth"].data[b].reshape(A, 1, H, W)
-            center_map = heads["center"].data[b]
-            best_wh = heads["best_wh"][b]
-            want2, want3 = [], []
-            for f in flat:
-                hh, ww = divmod(int(f) // A, W)
-                t = int(f) % A
-                w_a, h_a = model.grid.templates[t]
-                w_b, h_b = best_wh[hh, ww]
-                want2.append(d2_map[t, :, hh, ww])
-                want3.append([center_map[0, hh, ww] * w_b / w_a,
-                              center_map[1, hh, ww] * h_b / h_a,
-                              tz_map[t, 0, hh, ww], *d3rest_map[t, :, hh, ww]])
-            assert np.array_equal(d2.data, np.array(want2))
-            assert np.array_equal(d3.data, np.array(want3))
+            want2, want3 = per_candidate_deltas(model, heads, maps, b, flat)
+            assert np.array_equal(d2.data, want2)
+            assert np.array_equal(d3.data, want3)
 
 
 class TestTrainToy:
