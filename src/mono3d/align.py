@@ -9,8 +9,6 @@ align_conv is bit-identical to conv2d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ops import _columns_backward, _columns_forward
@@ -18,7 +16,6 @@ from .tensor import Tensor
 
 __all__ = [
     "NonFiniteOffsetsError",
-    "OffsetField",
     "shape_align_offsets",
     "select_best_anchor",
     "center_align_offsets",
@@ -30,34 +27,12 @@ class NonFiniteOffsetsError(ValueError):
     """An offset field with a NaN or infinite entry."""
 
 
-@dataclass
-class OffsetField:
-    """Per-position per-tap (dy, dx) offsets in feature-grid units.
-
-    offsets: Tensor of shape (H, W, kh*kw, 2), shared by every batch item, or
-    (B, H, W, kh*kw, 2), one field per item (a leading 1 is shared too); may
-    live on the autodiff tape when the offsets come from a predicted-center
-    head.
-    """
-
-    offsets: Tensor
-    kernel: tuple
-
-    def __post_init__(self):
-        kh, kw = self.kernel
-        shape = self.offsets.shape
-        if self.offsets.ndim not in (4, 5) or shape[-2:] != (kh * kw, 2):
-            raise ValueError(f"offset field {shape} does not match kernel {self.kernel}")
-        if not np.all(np.isfinite(self.offsets.data)):
-            raise NonFiniteOffsetsError("offset field contains non-finite values")
-
-
 def shape_align_offsets(best_anchor_wh, stride, kernel=(3, 3)):
     """Offsets spreading the kernel taps over the best anchor's footprint.
 
     best_anchor_wh: (H, W, 2) or (B, H, W, 2) array of (w_a, h_a) per
     position. Tap (i, j) gets dy = (h_a/(S*kh) - 1) * (i - kh/2 + 0.5) and the
-    analogous dx.
+    analogous dx. Returns the (..., H, W, kh*kw, 2) offset tensor.
     """
     wh = np.asarray(best_anchor_wh, dtype=np.float64)
     if np.any(wh <= 0.0):
@@ -73,7 +48,7 @@ def shape_align_offsets(best_anchor_wh, stride, kernel=(3, 3)):
     off = np.empty(wh.shape[:-1] + (kh * kw, 2))
     off[..., 0] = np.repeat(dy, kw, axis=-1)
     off[..., 1] = np.tile(dx, kh)
-    return OffsetField(Tensor(off), kernel)
+    return Tensor(off)
 
 
 def select_best_anchor(cls_scores, anchor_sizes_2d):
@@ -98,26 +73,15 @@ def center_align_offsets(residuals, stride, kernel=(1, 1)):
     """Offsets moving every tap by the predicted center residual / stride.
 
     residuals: Tensor (H, W, 2) or (B, H, W, 2) of (x_r, y_r) in image
-    pixels; the resulting field is (y_r/S, x_r/S) replicated over all kernel
-    taps and stays on the tape so offset gradients flow back into the
-    center-regression head.
+    pixels; the resulting (..., H, W, kh*kw, 2) field is (y_r/S, x_r/S)
+    replicated over all kernel taps and stays on the tape so offset gradients
+    flow back into the center-regression head.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     r = residuals if isinstance(residuals, Tensor) else Tensor(residuals)
     kh, kw = kernel
-    off = np.empty(r.shape[:-1] + (kh * kw, 2))
-    off[..., 0] = (r.data[..., 1] / stride)[..., None]
-    off[..., 1] = (r.data[..., 0] / stride)[..., None]
-
-    def bw(g):
-        g = np.asarray(g)
-        gr = np.empty_like(r.data)
-        gr[..., 0] = g[..., 1].sum(axis=-1) / stride
-        gr[..., 1] = g[..., 0].sum(axis=-1) / stride
-        r.accumulate_grad(gr)
-
-    return OffsetField(Tensor.from_op(off, (r,), bw), kernel)
+    return (r[..., ::-1] / stride).reshape(*r.shape[:-1], 1, 2) * Tensor(np.ones((kh * kw, 1)))
 
 
 def _bilinear_corners(y, x_coord, H, W):
@@ -154,8 +118,13 @@ def _bilinear_slopes(vals, corners):
             v01 * wy01 - v00 * wy00 + v11 * wy11 - v10 * wy10)
 
 
-def align_conv(x, spec, field):
-    """Convolution whose taps are displaced by `field` and read bilinearly.
+def align_conv(x, spec, off):
+    """Convolution whose taps are displaced by `off` and read bilinearly.
+
+    off: Tensor of per-position per-tap (dy, dx) offsets in feature-grid
+    units, (H, W, kh*kw, 2) shared by every batch item or (B, H, W, kh*kw, 2)
+    with one field per item (a leading 1 is shared too). A NaN or infinite
+    offset raises NonFiniteOffsetsError.
 
     Stride-1, odd kernels, 'same' padding only: the offset field is defined
     on the output grid, which must coincide with the input grid. Differentiable
@@ -170,12 +139,13 @@ def align_conv(x, spec, field):
         raise ValueError(f"align_conv requires odd kernels, got {spec.kernel}")
     if spec.stride != 1 or spec.padding != kh // 2 or kh // 2 != kw // 2:
         raise ValueError("align_conv requires stride 1 and same-padding (k // 2)")
-    if field.kernel != (kh, kw):
-        raise ValueError(f"offset field kernel {field.kernel} != conv kernel {spec.kernel}")
+    if off.ndim not in (4, 5) or off.shape[-2:] != (kh * kw, 2):
+        raise ValueError(f"offset field {off.shape} does not match kernel {spec.kernel}")
+    if not np.all(np.isfinite(off.data)):
+        raise NonFiniteOffsetsError("offset field contains non-finite values")
     B, Ci, H, W = x.shape
     if Ci != spec.in_channels:
         raise ValueError(f"input has {Ci} channels, spec expects {spec.in_channels}")
-    off = field.offsets
     if off.shape[-4:-2] != (H, W):
         raise ValueError(
             f"offset grid {off.shape[-4:-2]} does not match feature grid {(H, W)}"
@@ -224,8 +194,7 @@ def align_conv(x, spec, field):
                 gx[ci] = np.bincount(flat, weights=(wgt * gcols[:, ci, None]).ravel(),
                                      minlength=B * P)
             x.accumulate_grad(gx.reshape(Ci, B, H, W).transpose(1, 0, 2, 3))
-        if off.requires_grad:  # a shared field sums over the items
-            sub = "bckhw,dbckhw->hwkd" if len(off5) == 1 else "bckhw,dbckhw->bhwkd"
-            off.accumulate_grad(np.einsum(sub, gcols, dcols).reshape(off.shape))
+        if off.requires_grad:  # accumulate_grad sums a shared field over the items
+            off.accumulate_grad(np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols))
 
     return Tensor.from_op(out, (x, off, spec.weight, spec.bias), bw)

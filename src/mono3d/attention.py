@@ -28,7 +28,6 @@ __all__ = [
     "attention_map",
     "pa2_pool",
     "anab_forward",
-    "reference_nonlocal",
     "write_pgm",
 ]
 
@@ -205,17 +204,6 @@ def anab_forward(x, params):
     s = xs.reshape(B, C + 1, N).transpose(0, 2, 1) @ (w_q.T @ k.transpose(0, 2, 1))  # B x N x L
     m_out = (w_o @ v.transpose(0, 2, 1)) @ softmax_lastdim(s).transpose(0, 2, 1)     # B x C x N
     return m_out.reshape(B, C, H, W) + params.out.bias.reshape(1, C, 1, 1) + x
-
-
-def reference_nonlocal(x):
-    """Standard non-local block with identity embeddings: the O(N^2 C) oracle.
-
-    y = softmax(M M^T) M + x, with M the (N, C) reshaped feature map.
-    """
-    B, C, H, W = x.shape
-    m = x.reshape(B, C, H * W).transpose(0, 2, 1)
-    o = softmax_lastdim(m @ m.transpose(0, 2, 1)) @ m
-    return o.transpose(0, 2, 1).reshape(B, C, H, W) + x
 
 
 def write_pgm(gray, path):

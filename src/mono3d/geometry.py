@@ -113,31 +113,32 @@ def wrap_angle(a):
     return a + 2.0 * math.pi * (a <= 0.0) - math.pi
 
 
-def project(cam, point):
-    """Pinhole projection of a camera-frame point to (x_p, y_p, z_p)."""
-    x, y, z = point
-    h = cam.K @ np.array([x, y, z, 1.0])
-    if h[2] <= 0.0:
-        raise ValueError(f"point behind camera: projected depth {h[2]}")
-    return float(h[0] / h[2]), float(h[1] / h[2]), float(h[2])
+def project(cam, points):
+    """Pinhole projection of (n, 3) camera-frame rows to (n, 3) pixel rows
+    (x_p, y_p, z_p), with one product."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must be (n, 3) rows, got shape {points.shape}")
+    h = points @ cam.K[:, :3].T + cam.K[:, 3]
+    behind = h[:, 2] <= 0.0
+    if behind.any():
+        raise ValueError(f"point behind camera: projected depth {h[behind, 2][0]}")
+    h[:, :2] /= h[:, 2:]
+    return h
 
 
-def backproject(cam, pixel):
-    """Exact inverse of `project`, including the 3x4 translation column.
-
-    A (3,) pixel (x_p, y_p, z_p) gives an (x, y, z) tuple of floats; (n, 3)
-    pixel rows give the (n, 3) points, from one solve over n right-hand sides.
-    """
-    p = np.asarray(pixel, dtype=np.float64)
-    if p.shape[-1:] != (3,) or p.ndim > 2:
-        raise ValueError(f"pixel must be (3,) or (n, 3), got shape {p.shape}")
-    rows = p.reshape(-1, 3)
-    bad = rows[:, 2] <= 0.0
+def backproject(cam, pixels):
+    """Exact inverse of `project`, including the 3x4 translation column:
+    (n, 3) pixel rows (x_p, y_p, z_p) to the (n, 3) camera-frame points, from
+    one solve over n right-hand sides."""
+    p = np.asarray(pixels, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"pixel must be (n, 3) rows, got shape {p.shape}")
+    bad = p[:, 2] <= 0.0
     if bad.any():
-        raise ValueError(f"non-positive projected depth {rows[bad, 2][0]}")
-    rhs = np.column_stack([rows[:, :2] * rows[:, 2:], rows[:, 2]]) - cam.K[:, 3]
-    pts = np.linalg.solve(cam.K[:, :3], rhs.T).T
-    return tuple(pts[0].tolist()) if p.ndim == 1 else pts
+        raise ValueError(f"non-positive projected depth {p[bad, 2][0]}")
+    rhs = np.column_stack([p[:, :2] * p[:, 2:], p[:, 2]]) - cam.K[:, 3]
+    return np.linalg.solve(cam.K[:, :3], rhs.T).T
 
 
 def alpha_to_yaw(alpha, x, z):
@@ -175,15 +176,11 @@ def box3d_corners(box):
 
 def project_box(box, cam):
     """Axis-aligned image envelope of the 8 projected corners of a Box3D or a
-    (7,) row, which are projected with one product."""
+    (7,) row."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
-    h = pts @ cam.K[:, :3].T + cam.K[:, 3]
-    behind = h[:, 2] <= 0.0
-    if behind.any():
-        raise ValueError(f"point behind camera: projected depth {h[behind, 2][0]}")
-    u, v = h[:, 0] / h[:, 2], h[:, 1] / h[:, 2]
+    u, v, _ = project(cam, pts).T
     return Box2D(u.min(), v.min(), u.max(), v.max())
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import OffsetField, align_conv
+from .align import align_conv
 from .attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool
 from .losses import loss_2d, loss_3d, loss_cls
 from .ops import ConvSpec, conv2d, softmax_lastdim
@@ -102,7 +102,7 @@ def run_gradient_suite(tol=1e-4, step=1e-5, seed=0):
     off = Tensor(rng.normal(size=(5, 6, 9, 2)) * 0.4, requires_grad=True)
     asp = ConvSpec.init_random(3, 2, (3, 3), 1, 1, rng=rng)
     reports.append(grad_check(
-        lambda a, o, w, b: align_conv(a, asp, OffsetField(o, (3, 3))),
+        lambda a, o, w, b: align_conv(a, asp, o),
         [xa, off, asp.weight, asp.bias], step, tol, name="align_conv"))
 
     xm = Tensor(rng.normal(size=(1, 3, 4, 6)), requires_grad=True)

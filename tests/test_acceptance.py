@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from mono3d.align import OffsetField, align_conv, center_align_offsets, shape_align_offsets
+from mono3d.align import align_conv, center_align_offsets, shape_align_offsets
 from mono3d.anchors import decode, default_sizes, encode, generate_anchor_grid
-from mono3d.attention import AnabParams, PyramidSpec, anab_forward, reference_nonlocal
+from mono3d.attention import AnabParams, PyramidSpec, anab_forward
 from mono3d.geometry import (Box3D, CameraIntrinsics, backproject, iou_bev, iou_bev_pairs,
                              project, project_box)
 from mono3d.ops import ConvSpec, conv2d
@@ -22,6 +22,7 @@ from mono3d.gradcheck import run_gradient_suite
 from mono3d.tensor import Tensor, no_grad
 from mono3d.train import TrainConfig, lr_at, make_synthetic_scenes, train_toy
 
+from oracles import reference_nonlocal
 from test_anchors import random_anchor
 from test_attention import identity_params
 from test_evaluate import brute_force_ap
@@ -52,24 +53,24 @@ def test_alignment_formula_exactness():
         kh, kw = rng.choice([1, 3, 5]), rng.choice([1, 3, 5])
         stride = int(rng.choice([1, 2, 4, 8, 16]))
         wh = rng.uniform(1.0, 400.0, size=(2, 3, 2))
-        field = shape_align_offsets(wh, stride, (kh, kw))
+        off = shape_align_offsets(wh, stride, (kh, kw))
         res = rng.uniform(-40.0, 40.0, size=(2, 3, 2))
-        cfield = center_align_offsets(res, stride, (kh, kw))
+        coff = center_align_offsets(res, stride, (kh, kw))
         for h in range(2):
             for w in range(3):
                 for i in range(kh):
                     for j in range(kw):
                         dy = (wh[h, w, 1] / (stride * kh) - 1.0) * (i - kh / 2.0 + 0.5)
                         dx = (wh[h, w, 0] / (stride * kw) - 1.0) * (j - kw / 2.0 + 0.5)
-                        got = field.offsets.data[h, w, i * kw + j]
+                        got = off.data[h, w, i * kw + j]
                         worst = max(worst, abs(got[0] - dy), abs(got[1] - dx))
-                        gotc = cfield.offsets.data[h, w, i * kw + j]
+                        gotc = coff.data[h, w, i * kw + j]
                         worst = max(worst, abs(gotc[0] - res[h, w, 1] / stride),
                                     abs(gotc[1] - res[h, w, 0] / stride))
     x = Tensor(rng.normal(size=(2, 3, 6, 8)))
     spec = ConvSpec.init_random(3, 4, (3, 3), 1, 1, rng=rng)
     spec.bias.data[:] = rng.normal(size=4)
-    zero = OffsetField(Tensor(np.zeros((6, 8, 9, 2))), (3, 3))
+    zero = Tensor(np.zeros((6, 8, 9, 2)))
     bit_identical = np.array_equal(align_conv(x, spec, zero).data, conv2d(x, spec).data)
     report("alignment formulas", worst <= 1e-12 and bit_identical,
            f"200-case table max err {worst:.1e} <= 1e-12, "
@@ -158,9 +159,9 @@ def test_geometry_oracles():
     cam = CameraIntrinsics.simple(700.0, 600.0, 180.0)
     proj_worst = 0.0
     for _ in range(1000):
-        p = (rng.uniform(-20, 20), rng.uniform(-5, 5), rng.uniform(1.0, 80.0))
+        p = np.array([[rng.uniform(-20, 20), rng.uniform(-5, 5), rng.uniform(1.0, 80.0)]])
         back = backproject(cam, project(cam, p))
-        proj_worst = max(proj_worst, np.abs(np.array(back) - p).max())
+        proj_worst = max(proj_worst, np.abs(back - p).max())
 
     a = Box3D(0, 1, 10, 1.0, 1.0, 1.0, 0.0)
     b = Box3D(0, 1, 10, 1.0, 1.0, 1.0, math.pi / 4.0)

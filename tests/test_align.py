@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mono3d.align import (OffsetField, align_conv, center_align_offsets, select_best_anchor,
+from mono3d.align import (NonFiniteOffsetsError, align_conv, center_align_offsets, select_best_anchor,
                           shape_align_offsets)
+from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor
 
@@ -22,17 +23,17 @@ class TestShapeAlign:
             stride = int(rng.choice([1, 2, 4, 8, 16]))
             H, W = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             wh = rng.uniform(1.0, 400.0, size=(H, W, 2))
-            field = shape_align_offsets(wh, stride, (kh, kw))
+            off = shape_align_offsets(wh, stride, (kh, kw))
             h0, w0 = rng.integers(0, H), rng.integers(0, W)
             i, j = rng.integers(0, kh), rng.integers(0, kw)
             dy, dx = tap_offset(wh[h0, w0, 0], wh[h0, w0, 1], stride, kh, kw, i, j)
-            got = field.offsets.data[h0, w0, i * kw + j]
+            got = off.data[h0, w0, i * kw + j]
             assert abs(got[0] - dy) <= 1e-12
             assert abs(got[1] - dx) <= 1e-12
 
     def test_antisymmetric_in_taps(self):
         wh = np.full((2, 3, 2), 57.0)
-        off = shape_align_offsets(wh, 8, (3, 3)).offsets.data
+        off = shape_align_offsets(wh, 8, (3, 3)).data
         for i in range(3):
             for j in range(3):
                 fwd = off[:, :, i * 3 + j]
@@ -42,14 +43,14 @@ class TestShapeAlign:
     def test_scale_free_in_anchor_and_stride(self):
         # scaling both the anchor and the stride leaves the offsets unchanged
         wh = np.full((1, 1, 2), 48.0)
-        a = shape_align_offsets(wh, 8, (3, 3)).offsets.data
-        b = shape_align_offsets(wh * 4.0, 32, (3, 3)).offsets.data
+        a = shape_align_offsets(wh, 8, (3, 3)).data
+        b = shape_align_offsets(wh * 4.0, 32, (3, 3)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_anchor_equal_to_kernel_extent_is_identity(self):
         # h_a = S * kh makes the taps land on the plain conv grid
         wh = np.full((2, 2, 2), 24.0)
-        off = shape_align_offsets(wh, 8, (3, 3)).offsets.data
+        off = shape_align_offsets(wh, 8, (3, 3)).data
         np.testing.assert_array_equal(off, 0.0)
 
     def test_rejects_bad_inputs(self):
@@ -83,13 +84,13 @@ class TestCenterAlign:
     def test_known_residual(self):
         res = np.zeros((1, 1, 2))
         res[0, 0] = [4.0, -8.0]  # (x_r, y_r)
-        off = center_align_offsets(res, 8, (1, 1)).offsets.data
+        off = center_align_offsets(res, 8, (1, 1)).data
         np.testing.assert_array_equal(off[0, 0, 0], [-1.0, 0.5])  # (dy, dx)
 
     def test_replicated_over_taps(self):
         rng = np.random.default_rng(0)
         res = rng.normal(size=(3, 4, 2))
-        off = center_align_offsets(res, 4, (3, 3)).offsets.data
+        off = center_align_offsets(res, 4, (3, 3)).data
         assert off.shape == (3, 4, 9, 2)
         for t in range(9):
             np.testing.assert_array_equal(off[:, :, t], off[:, :, 0])
@@ -97,17 +98,27 @@ class TestCenterAlign:
     def test_linearity(self):
         rng = np.random.default_rng(1)
         r1, r2 = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2))
-        o1 = center_align_offsets(r1, 8).offsets.data
-        o2 = center_align_offsets(r2, 8).offsets.data
-        o12 = center_align_offsets(r1 + 2.0 * r2, 8).offsets.data
+        o1 = center_align_offsets(r1, 8).data
+        o2 = center_align_offsets(r2, 8).data
+        o12 = center_align_offsets(r1 + 2.0 * r2, 8).data
         np.testing.assert_allclose(o12, o1 + 2.0 * o2, atol=1e-12)
 
-    def test_gradient_reaches_residuals(self):
+    @pytest.mark.parametrize("kernel, want", [((1, 1), 1.0 / 8.0), ((3, 3), 9.0 / 8.0)],
+                             ids=["1x1", "3x3"])
+    def test_gradient_reaches_residuals(self, kernel, want):
         res = Tensor(np.zeros((2, 2, 2)), requires_grad=True)
-        field = center_align_offsets(res, 8, (1, 1))
-        field.offsets.sum().backward()
-        # each residual component feeds exactly one offset slot, scaled by 1/S
-        np.testing.assert_allclose(res.grad, 1.0 / 8.0)
+        center_align_offsets(res, 8, kernel).sum().backward()
+        # each residual component feeds one offset slot per tap, scaled by 1/S
+        np.testing.assert_allclose(res.grad, want)
+
+    def test_gradient_through_align_conv(self):
+        # finite differences of the composed center offsets at K = 9, B = 2
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
+        r = Tensor(rng.normal(size=(2, 5, 6, 2)) * 2.0, requires_grad=True)
+        spec = ConvSpec.init_random(3, 2, (3, 3), 1, 1, rng=rng)
+        rep = grad_check(lambda a, b: align_conv(a, spec, center_align_offsets(b, 4, (3, 3))), [x, r])
+        assert rep.passed, str(rep)
 
 
 class TestAlignConv:
@@ -116,8 +127,8 @@ class TestAlignConv:
         x = Tensor(rng.normal(size=(2, 3, 6, 8)))
         spec = ConvSpec.init_random(3, 4, (3, 3), 1, 1, rng=rng)
         spec.bias.data[:] = rng.normal(size=4)
-        field = OffsetField(Tensor(np.zeros((6, 8, 9, 2))), (3, 3))
-        assert np.array_equal(align_conv(x, spec, field).data, conv2d(x, spec).data)
+        off = Tensor(np.zeros((6, 8, 9, 2)))
+        assert np.array_equal(align_conv(x, spec, off).data, conv2d(x, spec).data)
 
     def test_integer_offsets_shift_the_receptive_field(self):
         # a uniform (0, +1) offset equals plain conv on the left-shifted input
@@ -126,7 +137,7 @@ class TestAlignConv:
         spec = ConvSpec.init_random(2, 3, (3, 3), 1, 1, rng=rng)
         off = np.zeros((5, 7, 9, 2))
         off[..., 1] = 1.0
-        got = align_conv(Tensor(x), spec, OffsetField(Tensor(off), (3, 3))).data
+        got = align_conv(Tensor(x), spec, Tensor(off)).data
         shifted = np.zeros_like(x)
         shifted[..., :-1] = x[..., 1:]
         want = conv2d(Tensor(shifted), spec).data
@@ -135,23 +146,25 @@ class TestAlignConv:
 
     def test_requires_same_padding(self):
         spec = ConvSpec(1, 1, (3, 3), padding=0)
-        field = OffsetField(Tensor(np.zeros((4, 4, 9, 2))), (3, 3))
+        off = Tensor(np.zeros((4, 4, 9, 2)))
         with pytest.raises(ValueError, match="same-padding"):
-            align_conv(Tensor(np.ones((1, 1, 4, 4))), spec, field)
+            align_conv(Tensor(np.ones((1, 1, 4, 4))), spec, off)
 
     def test_rejects_even_kernel(self):
         spec = ConvSpec(1, 1, (2, 2), padding=1)
-        field = OffsetField(Tensor(np.zeros((4, 4, 4, 2))), (2, 2))
+        off = Tensor(np.zeros((4, 4, 4, 2)))
         with pytest.raises(ValueError, match="odd"):
-            align_conv(Tensor(np.ones((1, 1, 4, 4))), spec, field)
+            align_conv(Tensor(np.ones((1, 1, 4, 4))), spec, off)
 
     def test_offset_field_validation(self):
+        spec = ConvSpec(1, 1, (3, 3), padding=1)
+        x = Tensor(np.ones((1, 1, 2, 2)))
         with pytest.raises(ValueError, match="does not match kernel"):
-            OffsetField(Tensor(np.zeros((2, 2, 4, 2))), (3, 3))
+            align_conv(x, spec, Tensor(np.zeros((2, 2, 4, 2))))
         bad = np.zeros((2, 2, 9, 2))
         bad[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            OffsetField(Tensor(bad), (3, 3))
+        with pytest.raises(NonFiniteOffsetsError, match="non-finite"):
+            align_conv(x, spec, Tensor(bad))
 
 
 class TestBatchedFields:
@@ -163,13 +176,13 @@ class TestBatchedFields:
         scores = rng.uniform(size=(3, 4, 5, 9))
         templates = rng.uniform(4.0, 60.0, size=(9, 2))
         res = rng.normal(size=(3, 4, 5, 2))
-        batched = [shape_align_offsets(wh, 8, (3, 3)).offsets.data,
+        batched = [shape_align_offsets(wh, 8, (3, 3)).data,
                    select_best_anchor(scores, templates),
-                   center_align_offsets(Tensor(res), 8, (3, 3)).offsets.data]
+                   center_align_offsets(Tensor(res), 8, (3, 3)).data]
         for b in range(3):
-            single = [shape_align_offsets(wh[b], 8, (3, 3)).offsets.data,
+            single = [shape_align_offsets(wh[b], 8, (3, 3)).data,
                       select_best_anchor(scores[b], templates),
-                      center_align_offsets(Tensor(res[b]), 8, (3, 3)).offsets.data]
+                      center_align_offsets(Tensor(res[b]), 8, (3, 3)).data]
             for got, want in zip(batched, single):
                 assert np.array_equal(got[b], want)
 
@@ -179,7 +192,7 @@ class TestBatchedFields:
         x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
         off = Tensor(rng.uniform(-2.5, 2.5, size=(B, H, W, 9, 2)), requires_grad=True)
         spec = ConvSpec.init_random(Ci, Co, (3, 3), 1, 1, rng=rng)
-        out = align_conv(x, spec, OffsetField(off, (3, 3)))
+        out = align_conv(x, spec, off)
         g = rng.normal(size=out.shape)
         out.backward(g)
         got = [x.grad, off.grad, spec.weight.grad, spec.bias.grad]
@@ -188,7 +201,7 @@ class TestBatchedFields:
         for b in range(B):
             xb = Tensor(x.data[b:b + 1], requires_grad=True)
             ob = Tensor(off.data[b], requires_grad=True)
-            ref = align_conv(xb, spec, OffsetField(ob, (3, 3)))
+            ref = align_conv(xb, spec, ob)
             assert np.array_equal(ref.data, out.data[b:b + 1])
             ref.backward(g[b:b + 1])
             assert np.array_equal(xb.grad, got[0][b:b + 1])
@@ -204,7 +217,7 @@ class TestBatchedFields:
         outs = []
         for field in (off, off[None], np.stack([off, off])):
             t = Tensor(field, requires_grad=True)
-            y = align_conv(x, spec, OffsetField(t, (3, 3)))
+            y = align_conv(x, spec, t)
             y.backward(np.ones(y.shape))
             outs.append((y.data, t.grad.reshape(-1, 5, 6, 9, 2).sum(axis=0)))
         for y, goff in outs[1:]:
@@ -212,11 +225,12 @@ class TestBatchedFields:
             np.testing.assert_allclose(goff, outs[0][1], rtol=0, atol=1e-12)
 
     def test_rejects_item_count_mismatch(self):
-        field = OffsetField(Tensor(np.zeros((3, 4, 4, 9, 2))), (3, 3))
+        off = Tensor(np.zeros((3, 4, 4, 9, 2)))
         spec = ConvSpec(1, 1, (3, 3), padding=1)
         with pytest.raises(ValueError, match="3 items, input has 2"):
-            align_conv(Tensor(np.ones((2, 1, 4, 4))), spec, field)
+            align_conv(Tensor(np.ones((2, 1, 4, 4))), spec, off)
 
     def test_rejects_extra_axes(self):
+        spec = ConvSpec(1, 1, (3, 3), padding=1)
         with pytest.raises(ValueError, match="does not match kernel"):
-            OffsetField(Tensor(np.zeros((1, 2, 2, 2, 9, 2))), (3, 3))
+            align_conv(Tensor(np.ones((1, 1, 2, 2))), spec, Tensor(np.zeros((1, 2, 2, 2, 9, 2))))

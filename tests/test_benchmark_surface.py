@@ -55,9 +55,9 @@ def test_block_shape_alignment_on_block_scores():
     H, W, stride = 24, 80, 16
     templates = generate_anchor_grid((H, W), stride).templates
     scores = np.random.default_rng(0).uniform(size=(H, W, len(templates)))
-    field = align.shape_align_offsets(align.select_best_anchor(scores, templates), stride, (3, 3))
-    assert field.offsets.shape == (H, W, 9, 2)
+    off = align.shape_align_offsets(align.select_best_anchor(scores, templates), stride, (3, 3))
+    assert off.shape == (H, W, 9, 2)
     w_a, h_a = templates[scores.argmax(axis=-1)].transpose(2, 0, 1)
     # the corner tap (0, 0) sits at (-1, -1) from the center tap
-    np.testing.assert_array_equal(field.offsets.data[..., 0, 0], -(h_a / (stride * 3) - 1.0))
-    np.testing.assert_array_equal(field.offsets.data[..., 0, 1], -(w_a / (stride * 3) - 1.0))
+    np.testing.assert_array_equal(off.data[..., 0, 0], -(h_a / (stride * 3) - 1.0))
+    np.testing.assert_array_equal(off.data[..., 0, 1], -(w_a / (stride * 3) - 1.0))

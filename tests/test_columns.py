@@ -13,7 +13,7 @@ all-tap corner math against the per-tap corner loop it replaced.
 import numpy as np
 import pytest
 
-from mono3d.align import OffsetField, _bilinear_corners, _bilinear_slopes, align_conv
+from mono3d.align import _bilinear_corners, _bilinear_slopes, align_conv
 from mono3d.ops import _CHUNK, ConvSpec, _columns_forward, conv2d
 from mono3d.tensor import Tensor
 
@@ -154,7 +154,7 @@ def run_align(rng, off, B=2, Ci=3, Co=4, H=5, W=6, kernel=(3, 3)):
     x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
     spec = random_spec(rng, Ci, Co, kernel, 1, kernel[0] // 2)
     offt = Tensor(off, requires_grad=True)
-    out = align_conv(x, spec, OffsetField(offt, kernel))
+    out = align_conv(x, spec, offt)
     g = rng.normal(size=out.shape)
     out.backward(g)
     ref = ref_align_conv(x.data, spec.weight.data, spec.bias.data, off, g)
@@ -196,7 +196,7 @@ class TestAlignConvColumns:
         x = Tensor(rng.normal(size=(1, 2, 4, 5)), requires_grad=True)
         spec = random_spec(rng, 2, 3, (3, 3), 1, 1)
         off = Tensor(rng.uniform(-1.5, 1.5, size=(4, 5, 9, 2)))
-        out = align_conv(x, spec, OffsetField(off, (3, 3)))
+        out = align_conv(x, spec, off)
         g = rng.normal(size=out.shape)
         out.backward(g)
         _, gx, gw, _, _ = ref_align_conv(x.data, spec.weight.data, spec.bias.data, off.data, g)
@@ -329,7 +329,7 @@ class TestAlignConvAllTapCorners:
         x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
         spec = random_spec(rng, Ci, Co, (3, 3), 1, 1)
         offt = Tensor(off, requires_grad=True)
-        out = align_conv(x, spec, OffsetField(offt, (3, 3)))
+        out = align_conv(x, spec, offt)
         g = rng.normal(size=out.shape)
         out.backward(g)
 
@@ -343,6 +343,7 @@ class TestAlignConvAllTapCorners:
             for ci in range(Ci):
                 gx[b, ci] = np.bincount(idx.ravel(), weights=(wgt * gcols[b, ci]).ravel(),
                                         minlength=H * W)
-        goff = np.einsum("bckhw,dbckhw->hwkd", gcols, dcols)
+        # the shared field's gradient: one contraction per item, then summed over the items
+        goff = np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols).sum(axis=0)
         assert np.array_equal(bits(x.grad), bits(gx.reshape(x.shape)))
         assert np.array_equal(bits(offt.grad), bits(goff))

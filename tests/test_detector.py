@@ -7,7 +7,7 @@ import mono3d.detector as detector
 import mono3d.postproc as postproc
 from mono3d.anchors import RATIOS, decode
 from mono3d.detector import detect
-from mono3d.geometry import Box2D, Box3D, alpha_to_yaw, box3d_corners, iou_2d, project
+from mono3d.geometry import Box2D, Box3D, alpha_to_yaw, box3d_corners, iou_2d
 from mono3d.postproc import Detection, optimize_rotation
 from mono3d.tensor import Tensor, no_grad
 from mono3d.train import ANCHOR_SIZES, ToyDetector, make_synthetic_scenes, train_toy
@@ -164,7 +164,7 @@ class TestNonFiniteOutputs:
             assert np.isfinite(d.box2d.as_array()).all()
 
     def test_non_finite_pixel_gives_no_detections(self, fitted):
-        # a NaN pixel reaches the center offsets, whose OffsetField check rejects it
+        # a NaN pixel reaches the center offsets, which align_conv rejects
         model, scenes, want = fitted
         image = scenes[1].image.data.copy()
         image[0, 0, 20, 30] = np.nan
@@ -177,11 +177,14 @@ class TestNonFiniteOutputs:
 
 
 def per_corner_project_box(box, cam):
-    """`project_box` as it was: one `project` call per corner."""
+    """`project_box` as it was: one `K @ [x, y, z, 1]` product per corner."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
-    proj = np.array([project(cam, p) for p in pts])
+    h = np.array([cam.K @ np.array([x, y, z, 1.0]) for x, y, z in pts])
+    if np.any(h[:, 2] <= 0.0):
+        raise ValueError("point behind camera")
+    proj = h[:, :2] / h[:, 2:]
     return Box2D(proj[:, 0].min(), proj[:, 1].min(), proj[:, 0].max(), proj[:, 1].max())
 
 

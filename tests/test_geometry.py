@@ -156,50 +156,52 @@ class TestWrapAngle:
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
 
+def pinhole(cam, p):
+    """Independent per-point projection oracle: (x_p, y_p) of K @ [x, y, z, 1]."""
+    h = cam.K @ np.array([*p, 1.0])
+    return h[:2] / h[2]
+
+
+def random_points(rng, n):
+    return np.column_stack([rng.uniform(-20, 20, n), rng.uniform(-5, 5, n), rng.uniform(1.0, 80.0, n)])
+
+
 class TestProjection:
     def test_principal_ray(self):
-        assert project(CAM, (0.0, 0.0, 10.0)) == pytest.approx((600.0, 180.0, 10.0))
+        np.testing.assert_allclose(project(CAM, np.array([[0.0, 0.0, 10.0]])), [[600.0, 180.0, 10.0]])
 
     def test_off_axis_point(self):
         # x = 2 at z = 10 with f = 700 lands 140 px right of the principal point
-        assert project(CAM, (2.0, 0.0, 10.0)) == pytest.approx((740.0, 180.0, 10.0))
+        np.testing.assert_allclose(project(CAM, np.array([[2.0, 0.0, 10.0]])), [[740.0, 180.0, 10.0]])
 
     def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            p = (rng.uniform(-20, 20), rng.uniform(-5, 5), rng.uniform(1.0, 80.0))
-            back = backproject(CAM, project(CAM, p))
-            np.testing.assert_allclose(back, p, atol=1e-9)
+        pts = random_points(np.random.default_rng(0), 300)
+        np.testing.assert_allclose(backproject(CAM, project(CAM, pts)), pts, atol=1e-9)
 
     def test_roundtrip_with_translation_column(self):
         K = CAM.K.copy()
         K[:, 3] = [44.8, 0.2, 0.003]  # stereo-style baseline offsets
         cam = CameraIntrinsics(K)
-        p = (3.0, 1.2, 25.0)
+        p = np.array([[3.0, 1.2, 25.0]])
         np.testing.assert_allclose(backproject(cam, project(cam, p)), p, atol=1e-9)
 
     def test_behind_camera_errors(self):
         with pytest.raises(ValueError, match="behind"):
-            project(CAM, (0.0, 0.0, -1.0))
+            project(CAM, np.array([[0.0, 0.0, 10.0], [0.0, 0.0, -1.0]]))
         with pytest.raises(ValueError, match="depth"):
-            backproject(CAM, (600.0, 180.0, 0.0))
+            backproject(CAM, np.array([[600.0, 180.0, 0.0]]))
 
     def test_row_form_matches_per_row_calls(self):
         rng = np.random.default_rng(5)
         K = CAM.K.copy()
         K[:, 3] = [44.8, 0.2, 0.003]
         cam = CameraIntrinsics(K)
-        pts = np.column_stack([rng.uniform(-20, 20, 200), rng.uniform(-5, 5, 200),
-                               rng.uniform(1.0, 80.0, 200)])
-        pixels = np.array([project(cam, p) for p in pts])
+        pixels = project(cam, random_points(rng, 200))
         got = backproject(cam, pixels)
         assert got.shape == (200, 3)
-        np.testing.assert_allclose(got, [backproject(cam, p) for p in pixels], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, [backproject(cam, p[None])[0] for p in pixels],
+                                   rtol=0, atol=1e-12)
         assert backproject(cam, pixels[:0]).shape == (0, 3)
-
-    def test_scalar_form_gives_a_float_tuple(self):
-        back = backproject(CAM, np.array([640.0, 200.0, 12.0]))
-        assert isinstance(back, tuple) and [type(v) for v in back] == [float] * 3
 
     def test_row_form_rejects_non_positive_depth(self):
         pixels = np.array([[600.0, 180.0, 10.0], [600.0, 180.0, -2.0], [600.0, 180.0, 0.0]])
@@ -207,6 +209,10 @@ class TestProjection:
             backproject(CAM, pixels)
         with pytest.raises(ValueError, match="pixel must be"):
             backproject(CAM, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="pixel must be"):
+            backproject(CAM, np.ones(3))
+        with pytest.raises(ValueError, match="points must be"):
+            project(CAM, np.ones(3))
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError, match="3x4"):
@@ -266,7 +272,7 @@ class TestBox3dCorners:
         for _ in range(50):
             box = random_box3d(rng)
             env = project_box(box, CAM)
-            proj = np.array([project(CAM, p)[:2] for p in box3d_corners(box)])
+            proj = np.array([pinhole(CAM, p) for p in box3d_corners(box)])
             np.testing.assert_allclose(env.as_array(),
                                        [proj[:, 0].min(), proj[:, 1].min(),
                                         proj[:, 0].max(), proj[:, 1].max()], atol=1e-12)
@@ -278,7 +284,7 @@ class TestBox3dCorners:
         rng = np.random.default_rng(6)
         for _ in range(50):
             box = random_box3d(rng)
-            proj = np.array([project(cam, p)[:2] for p in box3d_corners(box)])
+            proj = np.array([pinhole(cam, p) for p in box3d_corners(box)])
             np.testing.assert_allclose(project_box(box, cam).as_array(),
                                        [*proj.min(axis=0), *proj.max(axis=0)], rtol=0, atol=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono3d.align import OffsetField, align_conv
+from mono3d.align import align_conv
 from mono3d.attention import PyramidSpec, pa2_pool
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
@@ -89,8 +89,8 @@ def read_at(x, dy, dx):
     (h + dy, w + dx). Returns the output's (H, W) plane."""
     H, W = x.shape[2:]
     spec = ConvSpec(1, 1, (1, 1), weight=Tensor(np.ones((1, 1, 1, 1))))
-    field = OffsetField(Tensor(np.broadcast_to([dy, dx], (H, W, 1, 2))), (1, 1))
-    return align_conv(x, spec, field).data[0, 0]
+    off = Tensor(np.broadcast_to([dy, dx], (H, W, 1, 2)))
+    return align_conv(x, spec, off).data[0, 0]
 
 
 class TestBilinear:
@@ -135,8 +135,7 @@ class TestBilinear:
         off = Tensor(np.broadcast_to([1.3, -0.7], (5, 6, 1, 2)) + rng.uniform(-0.2, 0.2, (5, 6, 1, 2)),
                      requires_grad=True)
         spec = ConvSpec(1, 1, (1, 1), weight=Tensor(np.ones((1, 1, 1, 1))))
-        r = grad_check(lambda a, o: align_conv(a, spec, OffsetField(o, (1, 1))), [x, off],
-                       name="bilinear")
+        r = grad_check(lambda a, o: align_conv(a, spec, o), [x, off], name="bilinear")
         assert r.passed, str(r)
 
 
