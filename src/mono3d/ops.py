@@ -171,8 +171,12 @@ def softmax_lastdim(x):
     out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
+        # one (..., L) temporary; t *= out has the bits of out * (g - dot)
         g = np.asarray(g)
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        x.accumulate_grad(out * (g - dot))
+        t = g * out
+        dot = t.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=t)
+        t *= out
+        x.accumulate_grad(t)
 
     return Tensor.from_op(out, (x,), bw)

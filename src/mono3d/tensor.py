@@ -4,6 +4,13 @@ Everything is float64 and single-threaded by design: the point of this core
 is that gradients can be checked against finite differences, not throughput.
 The tape is a plain list of (parent, closure) edges per node; backward() does
 a topological sort and replays it. No graph rewriting, no fusion.
+
+backward() consumes the graph it sweeps, as PyTorch does by default
+(`retain_graph=False`): each node's closure and parent links are dropped as
+the sweep passes it, so the buffers the closures hold (conv columns,
+attention maps) are freed during the sweep even while the caller still holds
+the output. A second backward() that reaches a swept node raises
+RuntimeError; build the graph again instead.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ def no_grad():
         yield
     finally:
         _recording = saved
+
+
+def _consumed(g):
+    """The backward closure of a node whose graph backward() has swept."""
+    raise RuntimeError("backward through a graph that backward() has already consumed")
 
 
 def _basic_index(idx):
@@ -105,13 +117,22 @@ class Tensor:
     # -- autodiff -------------------------------------------------------------
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this node. `grad` defaults to ones.
+        """Reverse-mode sweep from this node. `grad` defaults to ones and must
+        have this node's shape.
 
-        An interior node's gradient is freed once its backward closure has
-        run; leaves and this node keep theirs.
+        The sweep consumes the graph: once a node's closure has run (or no
+        gradient reached it), the closure and the node's parent links are
+        dropped, so the arrays they hold are freed as the sweep passes. An
+        interior node's gradient is freed too; leaves and this node keep
+        theirs. A later backward() that reaches a consumed node, from this
+        node again or from a new graph built on one of its interior nodes,
+        raises RuntimeError before any gradient changes.
         """
         if grad is None:
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ValueError(f"backward seed has shape {np.shape(grad)}, "
+                             f"the output has shape {self.data.shape}")
         topo, seen = [], set()
 
         def visit(node):
@@ -127,16 +148,24 @@ class Tensor:
                         advanced = True
                         break
                 if not advanced:
+                    if cur._backward is _consumed:
+                        raise RuntimeError(
+                            "backward() reached a node whose graph an earlier "
+                            "backward() consumed; build the graph again")
                     topo.append(cur)
                     stack.pop()
 
         visit(self)
         self.accumulate_grad(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()   # the list holds no swept node
+            if node._backward is None:
+                continue        # a leaf
+            if node.grad is not None:
                 node._backward(node.grad)
                 if node is not self:
                     node.grad = None
+            node._backward, node._parents = _consumed, ()
 
     # -- elementwise arithmetic ----------------------------------------------
 

@@ -160,6 +160,24 @@ class TestSoftmax:
         assert np.all(np.isfinite(out))
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_backward_bitwise_against_the_three_temporary_form(self):
+        # the in-place backward against out * (g - dot) read through the same
+        # fresh-gradient add, on rows with -0.0, large and tiny entries
+        rng = np.random.default_rng(9)
+        x = np.concatenate([
+            [[0.0, -0.0, 1e-300, -1e-300, 5.0],
+             [700.0, -700.0, 1e3, 1e-3, -1e3],
+             [1e4, 1e4 - 1.0, 1e4 - 2.0, 0.0, -0.0]],
+            rng.normal(scale=10.0, size=(4, 5))])
+        g = rng.normal(size=x.shape)
+        g[0, :2], g[1, 2], g[2, 3], g[3] = -0.0, 1e300, 1e-300, -0.0
+        xt = Tensor(x, requires_grad=True)
+        y = softmax_lastdim(xt)
+        y.backward(g)
+        out = y.data
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        assert xt.grad.tobytes() == np.add(0.0, out * (g - dot)).tobytes()
+
 
 def avg_pool(x, bins, eps=0.0):
     """pa2_pool of a (B, C, H, W) map under unit attention at one (nh, nw) level:

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mono3d.align import align_conv, shape_align_offsets
+from mono3d.attention import AnabParams, PyramidSpec, anab_forward
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor, no_grad
@@ -103,6 +107,86 @@ class TestInteriorGradientsFreed:
         assert h.grad is None
         assert loss.grad == 1.0
         assert all(t.grad is not None for t in leaves)
+
+
+class TestBackwardConsumesTheGraph:
+    """`backward` drops each swept node's closure and parent links; a later
+    sweep that reaches such a node raises before any gradient changes."""
+
+    def test_second_backward_from_the_same_root_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        y = (a * 3.0).sum()
+        y.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            y.backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+        assert y.grad == 1.0
+
+    def test_new_graph_on_a_consumed_interior_node_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        h = a * 3.0
+        h.sum().backward()
+        z = (b * 2.0 + h).sum()
+        with pytest.raises(RuntimeError, match="consumed"):
+            z.backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+        assert b.grad is None and z.grad is None
+
+    def test_swept_nodes_hold_no_parents(self):
+        leaves, h, loss = TestInteriorGradientsFreed.graph()
+        loss.backward()
+        assert h._parents == () and loss._parents == ()
+
+    def test_leaves_feed_a_new_graph(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        (a * 3.0).sum().backward()
+        (a * 2.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
+
+    def test_releases_the_closures_while_the_output_is_held(self):
+        # shape-aligned conv, then the attention block; after out.backward(g)
+        # with `out` still held, only out's data and gradient and the leaf
+        # gradients remain: not the conv columns, nor the attention maps
+        rng = np.random.default_rng(0)
+        C, H, W = 16, 12, 20
+        x = Tensor(rng.normal(size=(1, C, H, W)), requires_grad=True)
+        spec = ConvSpec.init_random(C, C, (3, 3), 1, 1, rng=rng)
+        anab = AnabParams.init_random(C, PyramidSpec([1, 2, 4]), rng=rng)
+        off = shape_align_offsets(rng.uniform(8.0, 64.0, size=(H, W, 2)), 8, (3, 3))
+        g = rng.normal(size=(1, C, H, W))
+        leaves = [x] + spec.params() + anab.params()
+
+        def forward_backward():
+            out = anab_forward(align_conv(x, spec, off), anab)
+            out.backward(g)
+            return out
+
+        forward_backward()   # warm any first-call allocation
+        for p in leaves:
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = forward_backward()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = out.data.nbytes + out.grad.nbytes + sum(p.grad.nbytes for p in leaves)
+        assert retained <= kept + 16 * 1024, (retained, kept)
+
+
+class TestBackwardSeed:
+    def test_seed_of_another_shape_is_rejected(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = a * 2.0
+        with pytest.raises(ValueError, match=r"\(4, 2, 3\).*\(2, 3\)"):
+            y.backward(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2, 3\)"):
+            y.backward(np.ones(3))
+        assert a.grad is None and y.grad is None
+        y.backward(np.ones((2, 3)))   # a rejected seed consumes nothing
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
 
 
 class TestAccumulateGrad:
