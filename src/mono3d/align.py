@@ -35,6 +35,9 @@ def shape_align_offsets(best_anchor_wh, stride, kernel=(3, 3)):
     analogous dx. Returns the (..., H, W, kh*kw, 2) offset tensor.
     """
     wh = np.asarray(best_anchor_wh, dtype=np.float64)
+    if wh.ndim not in (3, 4) or wh.shape[-1] != 2:
+        raise ValueError(f"shape_align_offsets expects an (H, W, 2) or (B, H, W, 2) anchor size "
+                         f"map, got shape {wh.shape}")
     if np.any(wh <= 0.0):
         raise ValueError("anchor sizes must be positive")
     if stride < 1:
@@ -69,19 +72,21 @@ def select_best_anchor(cls_scores, anchor_sizes_2d):
     return sizes[np.argmax(scores, axis=-1)]
 
 
-def center_align_offsets(residuals, stride, kernel=(1, 1)):
-    """Offsets moving every tap by the predicted center residual / stride.
+def center_align_offsets(residuals, stride):
+    """One shift per position: the predicted center residual / stride.
 
     residuals: Tensor (H, W, 2) or (B, H, W, 2) of (x_r, y_r) in image
-    pixels; the resulting (..., H, W, kh*kw, 2) field is (y_r/S, x_r/S)
-    replicated over all kernel taps and stays on the tape so offset gradients
-    flow back into the center-regression head.
+    pixels. Returns the (..., H, W, 1, 2) field (y_r/S, x_r/S), which
+    `align_conv` applies to every tap, on the tape so offset gradients flow
+    back into the center-regression head.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     r = residuals if isinstance(residuals, Tensor) else Tensor(residuals)
-    kh, kw = kernel
-    return (r[..., ::-1] / stride).reshape(*r.shape[:-1], 1, 2) * Tensor(np.ones((kh * kw, 1)))
+    if r.ndim not in (3, 4) or r.shape[-1] != 2:
+        raise ValueError(f"center_align_offsets expects (H, W, 2) or (B, H, W, 2) residuals, "
+                         f"got shape {r.shape}")
+    return (r[..., ::-1] / stride).reshape(*r.shape[:-1], 1, 2)
 
 
 def _bilinear_corners(y, x_coord, H, W):
@@ -121,10 +126,10 @@ def _bilinear_slopes(vals, corners):
 def align_conv(x, spec, off):
     """Convolution whose taps are displaced by `off` and read bilinearly.
 
-    off: Tensor of per-position per-tap (dy, dx) offsets in feature-grid
-    units, (H, W, kh*kw, 2) shared by every batch item or (B, H, W, kh*kw, 2)
-    with one field per item (a leading 1 is shared too). A NaN or infinite
-    offset raises NonFiniteOffsetsError.
+    off: Tensor of per-position (dy, dx) offsets in feature-grid units,
+    (H, W, K, 2) shared by every batch item or (B, H, W, K, 2) with one field
+    per item (a leading 1 is shared too); K is kh*kw, or 1 for one shift of
+    all taps. A NaN or infinite offset raises NonFiniteOffsetsError.
 
     Stride-1, odd kernels, 'same' padding only: the offset field is defined
     on the output grid, which must coincide with the input grid. Differentiable
@@ -134,13 +139,16 @@ def align_conv(x, spec, off):
     that conv2d uses. The bilinear slopes that the offset gradient needs are
     kept only when the offsets require a gradient.
     """
+    if x.ndim != 4:
+        raise ValueError(f"align_conv expects a 4-D (B, C, H, W) input, got shape {x.shape}")
     kh, kw = spec.kernel
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"align_conv requires odd kernels, got {spec.kernel}")
     if spec.stride != 1 or spec.padding != kh // 2 or kh // 2 != kw // 2:
         raise ValueError("align_conv requires stride 1 and same-padding (k // 2)")
-    if off.ndim not in (4, 5) or off.shape[-2:] != (kh * kw, 2):
-        raise ValueError(f"offset field {off.shape} does not match kernel {spec.kernel}")
+    if off.ndim not in (4, 5) or off.shape[-2:] not in ((kh * kw, 2), (1, 2)):
+        raise ValueError(f"offset field {off.shape} does not match kernel {spec.kernel}: "
+                         f"expected (..., H, W, {kh * kw}, 2) or (..., H, W, 1, 2)")
     if not np.all(np.isfinite(off.data)):
         raise NonFiniteOffsetsError("offset field contains non-finite values")
     B, Ci, H, W = x.shape
@@ -157,9 +165,9 @@ def align_conv(x, spec, off):
     K, P = kh * kw, H * W
 
     # the bilinear corners of every tap at once: tap t = i * kw + j reads at
-    # (h + i - ph + dy, w + j - ph + dx); one corner map per field item,
-    # shared by every channel. The index map addresses x as (Ci, B*P), item b
-    # at b*P, and serves the scatter in the backward.
+    # (h + i - ph + dy, w + j - ph + dx), one (dy, dx) per tap or one for all;
+    # one corner map per field item, shared by every channel. The index map
+    # addresses x as (Ci, B*P), item b at b*P, and serves the scatter in the backward.
     tap_y = np.repeat(np.arange(kh) - ph, kw)[:, None, None]
     tap_x = np.tile(np.arange(kw) - ph, kh)[:, None, None]
     ys = np.arange(H)[:, None] + tap_y + off5[..., 0].transpose(0, 3, 1, 2)
@@ -194,7 +202,7 @@ def align_conv(x, spec, off):
                 gx[ci] = np.bincount(flat, weights=(wgt * gcols[:, ci, None]).ravel(),
                                      minlength=B * P)
             x.accumulate_grad(gx.reshape(Ci, B, H, W).transpose(1, 0, 2, 3))
-        if off.requires_grad:  # accumulate_grad sums a shared field over the items
+        if off.requires_grad:  # unbroadcast sums a shared field's items, a one-tap field's taps
             off.accumulate_grad(np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols))
 
     return Tensor.from_op(out, (x, off, spec.weight, spec.bias), bw)

@@ -7,10 +7,9 @@ an N x L (instead of N x N) matrix, giving O(N*L*C) cost.
 
 Pooling is linear, so the block pools its input once, with a ones channel
 appended that carries each bin's bias factor S/(S+eps), and applies the four
-1x1 projections as matmuls: key and value on the L pooled rows, query and
-output folded into the N x L similarity and attention products. No
-projection runs at full resolution; only the 1-channel attention map is a
-convolution.
+projections as matmuls: key and value on the L pooled rows, query and output
+folded into the N x L similarity and attention products. No projection runs
+at full resolution; only the 1-channel attention map is a convolution.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ __all__ = [
     "write_pgm",
 ]
 
+EPSILON = 1e-6   # added to each bin's attention sum: a bin with no attention pools to 0
+
 
 def _level_bins(level):
     return tuple(level) if isinstance(level, (tuple, list)) else (level, level)
@@ -43,7 +44,6 @@ class PyramidSpec:
     per pixel)."""
 
     levels: list = field(default_factory=lambda: [1, 4, 8, 16])
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if not self.levels:
@@ -53,8 +53,6 @@ class PyramidSpec:
             if len(bins) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in bins):
                 raise ValueError(f"pyramid level {level!r} must be an integer n >= 1 or a pair "
                                  f"(nh, nw) of integers both >= 1")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"pyramid epsilon must be finite and >= 0, got {self.epsilon}")
         counts = [nh * nw for nh, nw in map(_level_bins, self.levels)]
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ValueError(f"pyramid levels must be strictly increasing, got {self.levels}")
@@ -66,27 +64,33 @@ class PyramidSpec:
 
 @dataclass
 class AnabParams:
-    """1x1 projections (query/key/value/output), attention conv, and pyramid."""
+    """The block's four projections, attention-map conv and pyramid, for C channels."""
 
-    query: ConvSpec
-    key: ConvSpec
-    value: ConvSpec
-    out: ConvSpec
-    attention: ConvSpec
+    query: Tensor        # (C, C+1) [W | b], the affine map anab_forward multiplies
+    key: Tensor          # (C, C+1) [W | b]
+    value: Tensor        # (C, C+1) [W | b]
+    out_weight: Tensor   # (C, C)
+    out_bias: Tensor     # (C, 1, 1)
+    attention: ConvSpec  # 1x1, C -> 1
     pyramid: PyramidSpec = field(default_factory=PyramidSpec)
 
     @staticmethod
     def init_random(channels, pyramid=None, *, rng):
-        mk = lambda co: ConvSpec.init_random(channels, co, kernel=(1, 1), rng=rng)
+        """W ~ N(0, 1/C) for query, key, value and out, then the attention conv; zero biases."""
+        C = channels
+        draw = lambda: rng.normal(0.0, 1.0 / np.sqrt(C), size=(C, C))
+        affine = lambda: Tensor(np.hstack([draw(), np.zeros((C, 1))]), requires_grad=True)
         return AnabParams(
-            query=mk(channels), key=mk(channels), value=mk(channels),
-            out=mk(channels), attention=mk(1),
+            query=affine(), key=affine(), value=affine(),
+            out_weight=Tensor(draw(), requires_grad=True),
+            out_bias=Tensor(np.zeros((C, 1, 1)), requires_grad=True),
+            attention=ConvSpec.init_random(C, 1, (1, 1), rng=rng),
             pyramid=pyramid or PyramidSpec(),
         )
 
     def params(self):
-        specs = (self.query, self.key, self.value, self.out, self.attention)
-        return [p for s in specs for p in s.params()]
+        return [self.query, self.key, self.value, self.out_weight, self.out_bias,
+                *self.attention.params()]
 
 
 def attention_map(x, conv1x1):
@@ -133,7 +137,7 @@ def pa2_pool(features, attn, spec):
     """Attention-weighted pyramid pooling of (B, C, H, W) features to (B, L, C) rows.
 
     `attn` is the (B, 1, H, W) map. Each bin's descriptor is
-    sum(a*f)/(sum(a) + eps) over the bin; levels are concatenated in ascending
+    sum(a*f)/(sum(a) + EPSILON) over the bin; levels are concatenated in ascending
     order, bins row-major within a level.
     """
     if features.ndim != 4 or attn.shape != (features.shape[0], 1) + features.shape[2:]:
@@ -145,7 +149,7 @@ def pa2_pool(features, attn, spec):
     grids, dens, descs = [], [], []
     for level in spec.levels:
         grids.append(_bin_grid((H, W), _level_bins(level)))
-        dens.append(_bin_sum(a, grids[-1]) + spec.epsilon)
+        dens.append(_bin_sum(a, grids[-1]) + EPSILON)
         descs.append(_bin_sum(af, grids[-1]) / dens[-1])  # (B, C, nh, nw)
     out = np.concatenate([d.reshape(B, C, -1).transpose(0, 2, 1) for d in descs], axis=1)
 
@@ -169,12 +173,6 @@ def pa2_pool(features, attn, spec):
     return Tensor.from_op(out, (features, attn), bw)
 
 
-def _affine(spec):
-    """A 1x1 conv's weight and bias as one (Co, Ci + 1) matrix [W | b]."""
-    w = spec.weight.reshape(spec.out_channels, spec.in_channels)
-    return Tensor.concat([w, spec.bias.reshape(spec.out_channels, 1)], axis=1)
-
-
 def anab_forward(x, params):
     """Full attention block on a (B, C, H, W) tensor.
 
@@ -190,20 +188,21 @@ def anab_forward(x, params):
     if x.ndim != 4:
         raise ValueError(f"anab_forward expects a 4-D (B, C, H, W) input, got shape {x.shape}")
     B, C, H, W = x.shape
-    if C != params.query.in_channels:
-        raise ValueError(f"input has {C} channels, params expect {params.query.in_channels}")
+    want = [(C, C + 1)] * 3 + [(C, C), (C, 1, 1)]
+    got = [t.shape for t in (params.query, params.key, params.value, params.out_weight, params.out_bias)]
+    if got != want:
+        raise ValueError(f"input has {C} channels: projections need shapes {want}, got {got}")
     N = H * W
     attn = attention_map(x, params.attention)
     xs = Tensor.concat([x, Tensor(np.ones((B, 1, H, W)))], axis=1)
-    w_q, w_k, w_v = _affine(params.query), _affine(params.key), _affine(params.value)
-    w_o = params.out.weight.reshape(C, C)
+    w_q, w_k, w_v, w_o = params.query, params.key, params.value, params.out_weight
 
     p = pa2_pool(xs, attn, params.pyramid)                 # B x L x (C+1)
     k = p @ w_k.T                                          # B x L x C
     v = p @ w_v.T                                          # B x L x C
     s = xs.reshape(B, C + 1, N).transpose(0, 2, 1) @ (w_q.T @ k.transpose(0, 2, 1))  # B x N x L
     m_out = (w_o @ v.transpose(0, 2, 1)) @ softmax_lastdim(s).transpose(0, 2, 1)     # B x C x N
-    return m_out.reshape(B, C, H, W) + params.out.bias.reshape(1, C, 1, 1) + x
+    return m_out.reshape(B, C, H, W) + params.out_bias + x
 
 
 def write_pgm(gray, path):

@@ -101,7 +101,10 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        """The one element of a size-1 tensor, of any shape, as a Python float."""
+        if self.data.size != 1:
+            raise ValueError(f"item() needs a one-element tensor, got shape {self.data.shape}")
+        return self.data.item()
 
     def zero_grad(self):
         self.grad = None

@@ -219,7 +219,7 @@ class ToyDetector:
         # predicted-center residual in pixels, normalized by the best template
         center = self._rows(conv2d(trunk, self.center_head), 2)  # (B, H*W, 2)
         residuals = (center * Tensor(best_wh.reshape(B, -1, 2))).reshape(B, H, W, 2)
-        aligned = align_conv(trunk, self.center_conv, center_align_offsets(residuals, STRIDE, (1, 1))).relu()
+        aligned = align_conv(trunk, self.center_conv, center_align_offsets(residuals, STRIDE)).relu()
 
         depth_feat = anab_forward(aligned, self.anab)
         return {
@@ -360,7 +360,7 @@ def _batch_backward(model, batch, labels):
         batch_total = tot if batch_total is None else batch_total + tot
         parts += [l_cls.item(), l_2d.item(), l_3d.item()]
     batch_total.backward()
-    return parts / len(batch), float(batch_total.item())
+    return parts / len(batch), batch_total.item()
 
 
 def write_loss_trace(trace, path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ class TestShapeAlign:
         with pytest.raises(ValueError, match="stride"):
             shape_align_offsets(np.ones((1, 1, 2)), 0)
 
+    @pytest.mark.parametrize("shape", [(5, 6, 3), (6, 2), (1, 2, 5, 6, 2)])
+    def test_rejects_a_size_map_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"\(H, W, 2\) or \(B, H, W, 2\) anchor size map, "
+                                             rf"got shape {re.escape(str(shape))}"):
+            shape_align_offsets(np.ones(shape), 8)
+
 
 class TestSelectBestAnchor:
     def test_picks_argmax(self):
@@ -84,16 +92,38 @@ class TestCenterAlign:
     def test_known_residual(self):
         res = np.zeros((1, 1, 2))
         res[0, 0] = [4.0, -8.0]  # (x_r, y_r)
-        off = center_align_offsets(res, 8, (1, 1)).data
+        off = center_align_offsets(res, 8).data
         np.testing.assert_array_equal(off[0, 0, 0], [-1.0, 0.5])  # (dy, dx)
 
     def test_replicated_over_taps(self):
+        # one shift row per position, which align_conv applies to all 9 taps:
+        # the output and the x, residual, weight and bias gradients are
+        # bitwise those of the same field copied onto every tap
         rng = np.random.default_rng(0)
-        res = rng.normal(size=(3, 4, 2))
-        off = center_align_offsets(res, 4, (3, 3)).data
-        assert off.shape == (3, 4, 9, 2)
-        for t in range(9):
-            np.testing.assert_array_equal(off[:, :, t], off[:, :, 0])
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
+        res = Tensor(rng.normal(size=(2, 5, 6, 2)) * 4.0, requires_grad=True)
+        spec = ConvSpec.init_random(3, 4, (3, 3), 1, 1, rng=rng)
+        spec.bias.data[:] = rng.normal(size=4)
+        g = rng.normal(size=(2, 4, 5, 6))
+        leaves = (x, res, spec.weight, spec.bias)
+        runs = []
+        for copies in (None, 9):
+            for p in leaves:
+                p.zero_grad()
+            field = center_align_offsets(res, 4)
+            if copies:
+                field = field * Tensor(np.ones((copies, 1)))
+            assert field.shape == (2, 5, 6, copies or 1, 2)
+            out = align_conv(x, spec, field)
+            out.backward(g)
+            runs.append([out.data.tobytes()] + [p.grad.tobytes() for p in leaves])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("shape", [(5, 6, 3), (5, 6, 1), (6, 2), (1, 2, 5, 6, 2)])
+    def test_rejects_residuals_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"\(H, W, 2\) or \(B, H, W, 2\) residuals, "
+                                             rf"got shape {re.escape(str(shape))}"):
+            center_align_offsets(np.zeros(shape), 8)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -103,13 +133,20 @@ class TestCenterAlign:
         o12 = center_align_offsets(r1 + 2.0 * r2, 8).data
         np.testing.assert_allclose(o12, o1 + 2.0 * o2, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel, want", [((1, 1), 1.0 / 8.0), ((3, 3), 9.0 / 8.0)],
-                             ids=["1x1", "3x3"])
-    def test_gradient_reaches_residuals(self, kernel, want):
-        res = Tensor(np.zeros((2, 2, 2)), requires_grad=True)
-        center_align_offsets(res, 8, kernel).sum().backward()
-        # each residual component feeds one offset slot per tap, scaled by 1/S
-        np.testing.assert_allclose(res.grad, want)
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)], ids=["1x1", "3x3"])
+    def test_gradient_reaches_residuals(self, kernel):
+        # each residual component feeds its shift to every tap, scaled by 1/S:
+        # its gradient is the tap sum of a per-tap field's offset gradient / S
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(1, 2, 4, 5)))
+        spec = ConvSpec.init_random(2, 3, kernel, 1, kernel[0] // 2, rng=rng)
+        res = Tensor(rng.normal(size=(4, 5, 2)) * 4.0, requires_grad=True)
+        align_conv(x, spec, center_align_offsets(res, 8)).sum().backward()
+        per_tap = Tensor(np.repeat(res.data[..., None, ::-1] / 8, kernel[0] * kernel[1], axis=-2),
+                         requires_grad=True)
+        align_conv(x, spec, per_tap).sum().backward()
+        np.testing.assert_allclose(res.grad, per_tap.grad.sum(axis=-2)[..., ::-1] / 8,
+                                   rtol=0, atol=1e-15)
 
     def test_gradient_through_align_conv(self):
         # finite differences of the composed center offsets at K = 9, B = 2
@@ -117,7 +154,7 @@ class TestCenterAlign:
         x = Tensor(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
         r = Tensor(rng.normal(size=(2, 5, 6, 2)) * 2.0, requires_grad=True)
         spec = ConvSpec.init_random(3, 2, (3, 3), 1, 1, rng=rng)
-        rep = grad_check(lambda a, b: align_conv(a, spec, center_align_offsets(b, 4, (3, 3))), [x, r])
+        rep = grad_check(lambda a, b: align_conv(a, spec, center_align_offsets(b, 4)), [x, r])
         assert rep.passed, str(rep)
 
 
@@ -144,6 +181,13 @@ class TestAlignConv:
         # boundary columns read different zero-padding; compare the interior
         np.testing.assert_allclose(got[..., 1:-2], want[..., 1:-2], atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 1, 1, 4, 4)])
+    def test_rejects_input_of_another_rank(self, shape):
+        spec = ConvSpec(1, 1, (3, 3), padding=1)
+        with pytest.raises(ValueError,
+                           match=rf"4-D \(B, C, H, W\) input, got shape {re.escape(str(shape))}"):
+            align_conv(Tensor(np.ones(shape)), spec, Tensor(np.zeros((4, 4, 9, 2))))
+
     def test_requires_same_padding(self):
         spec = ConvSpec(1, 1, (3, 3), padding=0)
         off = Tensor(np.zeros((4, 4, 9, 2)))
@@ -159,8 +203,10 @@ class TestAlignConv:
     def test_offset_field_validation(self):
         spec = ConvSpec(1, 1, (3, 3), padding=1)
         x = Tensor(np.ones((1, 1, 2, 2)))
-        with pytest.raises(ValueError, match="does not match kernel"):
-            align_conv(x, spec, Tensor(np.zeros((2, 2, 4, 2))))
+        for taps in (4, 2, 0):   # neither the kernel's 9 taps nor one shift for all
+            with pytest.raises(ValueError, match=r"does not match kernel \(3, 3\): expected "
+                                                 r"\(\.\.\., H, W, 9, 2\) or \(\.\.\., H, W, 1, 2\)"):
+                align_conv(x, spec, Tensor(np.zeros((2, 2, taps, 2))))
         bad = np.zeros((2, 2, 9, 2))
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(NonFiniteOffsetsError, match="non-finite"):
@@ -178,11 +224,11 @@ class TestBatchedFields:
         res = rng.normal(size=(3, 4, 5, 2))
         batched = [shape_align_offsets(wh, 8, (3, 3)).data,
                    select_best_anchor(scores, templates),
-                   center_align_offsets(Tensor(res), 8, (3, 3)).data]
+                   center_align_offsets(Tensor(res), 8).data]
         for b in range(3):
             single = [shape_align_offsets(wh[b], 8, (3, 3)).data,
                       select_best_anchor(scores[b], templates),
-                      center_align_offsets(Tensor(res[b]), 8, (3, 3)).data]
+                      center_align_offsets(Tensor(res[b]), 8).data]
             for got, want in zip(batched, single):
                 assert np.array_equal(got[b], want)
 

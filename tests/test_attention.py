@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from mono3d import attention
 from mono3d.attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool, write_pgm
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
@@ -12,13 +13,21 @@ from oracles import reference_nonlocal
 
 
 def identity_params(channels, pyramid, attn_bias=5.0):
-    """1x1 identity projections, saturated attention: the oracle configuration."""
-    eye = np.eye(channels)[:, :, None, None]
-    mk = lambda: ConvSpec(channels, channels, (1, 1), weight=Tensor(eye.copy()))
-    attn = ConvSpec(channels, 1, (1, 1))
+    """Identity projections, saturated attention: the oracle configuration."""
+    C = channels
+    affine = lambda: Tensor(np.hstack([np.eye(C), np.zeros((C, 1))]))
+    attn = ConvSpec(C, 1, (1, 1))
     attn.bias.data[:] = attn_bias
-    return AnabParams(query=mk(), key=mk(), value=mk(), out=mk(),
-                      attention=attn, pyramid=pyramid)
+    return AnabParams(query=affine(), key=affine(), value=affine(), out_weight=Tensor(np.eye(C)),
+                      out_bias=Tensor(np.zeros((C, 1, 1))), attention=attn, pyramid=pyramid)
+
+
+def randomize_biases(params, rng):
+    """Normal draws into every bias: the [W | b] columns, the output's, the attention conv's."""
+    for affine in (params.query, params.key, params.value):
+        affine.data[:, -1] = rng.normal(size=affine.shape[0])
+    for bias in (params.out_bias, params.attention.bias):
+        bias.data[:] = rng.normal(size=bias.shape)
 
 
 RTOL = 1e-12
@@ -77,13 +86,14 @@ class TestBinPrimitiveAgainstPerBinLoop:
         ((6, 10), [1, (2, 3), (6, 10)], 0.0),     # eps = 0, one bin per pixel
         ((8, 8), [1, 4], 1e-6),
     ])
-    def test_pa2_pool(self, hw, levels, eps):
+    def test_pa2_pool(self, hw, levels, eps, monkeypatch):
         # a batch of two against the per-bin reference on each item, and
         # bitwise against pa2_pool on that item alone
         rng = np.random.default_rng(100 * hw[0] + 10 * hw[1] + len(levels))
         f = rng.normal(size=(2, 3) + hw)
         a = rng.uniform(0.05, 1.0, size=(2, 1) + hw)
-        spec = PyramidSpec(levels, epsilon=eps)
+        monkeypatch.setattr(attention, "EPSILON", eps)
+        spec = PyramidSpec(levels)
         g = rng.normal(size=(2, spec.descriptor_count, 3))
         ft, at = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
         out = pa2_pool(ft, at, spec)
@@ -104,14 +114,15 @@ class TestBinPrimitiveAgainstPerBinLoop:
         ((5, 7), (2, 3)), ((3, 5), (4, 7)), ((1, 9), (1, 4)), ((1, 9), (2, 5)),
         ((7, 1), (3, 1)), ((6, 10), (6, 10)),
     ])
-    def test_adaptive_avg_pool(self, hw, bins):
+    def test_adaptive_avg_pool(self, hw, bins, monkeypatch):
         # unit attention, and an eps far below one pixel's weight: a non-empty
         # bin divides by its exact cell count, an empty bin reads 0
         rng = np.random.default_rng(sum(hw) * 31 + sum(bins))
         x = rng.normal(size=(1, 6) + hw)
         g = rng.normal(size=(6,) + bins)
         xt = Tensor(x, requires_grad=True)
-        out = pa2_pool(xt, Tensor(np.ones((1, 1) + hw)), PyramidSpec([bins], epsilon=1e-20))
+        monkeypatch.setattr(attention, "EPSILON", 1e-20)
+        out = pa2_pool(xt, Tensor(np.ones((1, 1) + hw)), PyramidSpec([bins]))
         out.backward(g.reshape(1, 6, -1).transpose(0, 2, 1))
         want, gx = ref_adaptive_avg_pool(x[0], bins, g)
         assert_close(out.data[0].T.reshape(want.shape), want)
@@ -146,11 +157,6 @@ class TestPyramidSpec:
         with pytest.raises(ValueError, match=bad):
             PyramidSpec(levels)
 
-    @pytest.mark.parametrize("eps", [-16.0, float("nan"), float("inf")])
-    def test_rejects_bad_epsilon(self, eps):
-        with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {eps}"):
-            PyramidSpec([1, 2], epsilon=eps)
-
 
 class TestAttentionMap:
     def test_zero_weights_give_half(self):
@@ -177,11 +183,12 @@ class TestAttentionMap:
 
 
 class TestPa2Pool:
-    def test_constant_attention_matches_average_pooling(self):
+    def test_constant_attention_matches_average_pooling(self, monkeypatch):
         rng = np.random.default_rng(2)
         f = Tensor(rng.normal(size=(1, 3, 8, 8)))
         attn = Tensor(np.full((1, 1, 8, 8), 0.7))
-        spec = PyramidSpec([1, 2, 4], epsilon=0.0)
+        monkeypatch.setattr(attention, "EPSILON", 0.0)
+        spec = PyramidSpec([1, 2, 4])
         out = pa2_pool(f, attn, spec).data[0]
         row = 0
         for n in (1, 2, 4):
@@ -191,12 +198,13 @@ class TestPa2Pool:
                     np.testing.assert_allclose(out[row], pooled[:, p, q], atol=1e-12)
                     row += 1
 
-    def test_indicator_attention_selects_one_pixel(self):
+    def test_indicator_attention_selects_one_pixel(self, monkeypatch):
         rng = np.random.default_rng(3)
         f = Tensor(rng.normal(size=(1, 2, 4, 4)))
         a = np.zeros((1, 1, 4, 4))
         a[0, 0, 1, 2] = 1.0  # inside the single global bin
-        out = pa2_pool(f, Tensor(a), PyramidSpec([1], epsilon=0.0)).data
+        monkeypatch.setattr(attention, "EPSILON", 0.0)
+        out = pa2_pool(f, Tensor(a), PyramidSpec([1])).data
         np.testing.assert_allclose(out[0, 0], f.data[0, :, 1, 2], atol=1e-12)
 
     def test_row_count_and_order(self):
@@ -244,11 +252,12 @@ class TestPa2Pool:
 
 
 class TestAnabForward:
-    def test_matches_reference_nonlocal(self):
+    def test_matches_reference_nonlocal(self, monkeypatch):
         # one full-resolution pyramid level + saturated attention = plain non-local
         rng = np.random.default_rng(6)
         H, W = 6, 10
-        pyramid = PyramidSpec([(H, W)], epsilon=0.0)
+        monkeypatch.setattr(attention, "EPSILON", 0.0)
+        pyramid = PyramidSpec([(H, W)])
         params = identity_params(8, pyramid, attn_bias=40.0)
         worst = 0.0
         for _ in range(20):
@@ -258,12 +267,13 @@ class TestAnabForward:
             worst = max(worst, np.abs(got - want).max())
         assert worst < 1e-6
 
-    def test_uniform_query_averages_values(self):
+    def test_uniform_query_averages_values(self, monkeypatch):
         # zero query weights -> uniform softmax -> every position gets mean(M_V)
         rng = np.random.default_rng(8)
-        pyramid = PyramidSpec([1, 2], epsilon=0.0)
+        monkeypatch.setattr(attention, "EPSILON", 0.0)
+        pyramid = PyramidSpec([1, 2])
         params = identity_params(4, pyramid, attn_bias=40.0)
-        params.query.weight.data[:] = 0.0
+        params.query.data[:, :-1] = 0.0
         x = Tensor(rng.normal(size=(1, 4, 4, 4)))
         out = (anab_forward(x, params).data - x.data)[0].reshape(4, -1).T
         m_v = pa2_pool(x, attention_map(x, params.attention), pyramid).data[0]
@@ -281,7 +291,7 @@ class TestAnabForward:
         ones_dir = np.linalg.lstsq(k, np.ones(len(k)), rcond=None)[0]
         np.testing.assert_allclose(k @ ones_dir, 1.0, atol=1e-5)
         shifted = identity_params(8, pyramid)
-        shifted.query.bias.data[:] = 3.0 * ones_dir
+        shifted.query.data[:, -1] = 3.0 * ones_dir
         np.testing.assert_allclose(anab_forward(x, shifted).data, base, atol=1e-5)
 
     def test_batched(self):
@@ -289,8 +299,7 @@ class TestAnabForward:
         # gradient is the per-item sum up to the order of the batch sum
         rng = np.random.default_rng(10)
         params = AnabParams.init_random(3, pyramid=PyramidSpec([1, 2]), rng=rng)
-        for spec in (params.query, params.key, params.value, params.out, params.attention):
-            spec.bias.data[:] = rng.normal(size=spec.bias.shape)
+        randomize_biases(params, rng)
         x = Tensor(rng.normal(size=(4, 3, 4, 5)), requires_grad=True)
         g = rng.normal(size=x.shape)
         both = anab_forward(x, params)
@@ -320,6 +329,15 @@ class TestAnabForward:
         with pytest.raises(ValueError, match="channels"):
             anab_forward(Tensor(np.zeros((1, 3, 4, 4))), params)
 
+    def test_rejects_a_projection_of_another_shape(self):
+        # a conv-style (C,) output bias would broadcast over W when W == C
+        params = identity_params(4, PyramidSpec([1]))
+        params.out_bias = Tensor(np.zeros(4))
+        with pytest.raises(ValueError, match=re.escape("need shapes [(4, 5), (4, 5), (4, 5), (4, 4), "
+                                                       "(4, 1, 1)], got [(4, 5), (4, 5), (4, 5), "
+                                                       "(4, 4), (4,)]")):
+            anab_forward(Tensor(np.zeros((1, 4, 4, 4))), params)
+
     def test_gradcheck(self):
         rng = np.random.default_rng(11)
         params = AnabParams.init_random(6, pyramid=PyramidSpec([1, 2]), rng=rng)
@@ -329,13 +347,39 @@ class TestAnabForward:
         assert r.passed, str(r)
 
 
+class TestAnabParams:
+    def test_init_draws_in_projection_order(self):
+        # query, key, value and out W blocks, then the attention conv, each
+        # bitwise one N(0, 1/C) draw; every bias zero
+        C, seed = 5, 12
+        params = AnabParams.init_random(C, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        want = [rng.normal(0.0, 1.0 / np.sqrt(C), (C, C)) for _ in range(4)]
+        attn = rng.normal(0.0, 1.0 / np.sqrt(C), (1, C, 1, 1))
+        for affine, w in zip((params.query, params.key, params.value), want):
+            assert affine.shape == (C, C + 1)
+            assert affine.data[:, :C].tobytes() == w.tobytes()
+            assert not affine.data[:, C].any()
+        assert params.out_weight.data.tobytes() == want[3].tobytes()
+        assert params.out_bias.shape == (C, 1, 1) and not params.out_bias.data.any()
+        assert params.attention.weight.data.tobytes() == attn.tobytes()
+        assert not params.attention.bias.data.any()
+        assert all(p.requires_grad for p in params.params())
+
+
+def conv1x1(weight, bias):
+    """A (C, C) weight and a C-element bias as the 1x1 conv they stand for, on the tape."""
+    C = weight.shape[0]
+    return ConvSpec(C, C, (1, 1), weight=weight.reshape(C, C, 1, 1), bias=bias.reshape(C))
+
+
 def project_then_pool(x, params):
     """The block before the projections were folded: full-resolution 1x1
     query/key/value convs, keys and values pooled separately, the output
     conv on the attended map."""
     B, C, H, W = x.shape
     attn = attention_map(x, params.attention)
-    q, k, v = (conv2d(x, spec) for spec in (params.query, params.key, params.value))
+    q, k, v = (conv2d(x, conv1x1(a[:, :C], a[:, C])) for a in (params.query, params.key, params.value))
     outs = []
     for b in range(B):
         m_q = q[b].reshape(C, H * W).T
@@ -343,7 +387,7 @@ def project_then_pool(x, params):
         m_v = pa2_pool(v[b:b + 1], attn[b:b + 1], params.pyramid)[0]
         m_out = softmax_lastdim(m_q @ m_k.T) @ m_v
         outs.append(m_out.T.reshape(1, C, H, W))
-    return conv2d(Tensor.concat(outs, axis=0), params.out) + x
+    return conv2d(Tensor.concat(outs, axis=0), conv1x1(params.out_weight, params.out_bias)) + x
 
 
 class TestFoldedProjections:
@@ -358,12 +402,12 @@ class TestFoldedProjections:
         (2, (5, 5), [1, 2, 4], 0.5, True),              # bias factor S/(S+eps) far from 1
         (1, (6, 4), [1, 2, (4, 8)], 0.5, False),        # large eps with empty bins
     ])
-    def test_matches_project_then_pool(self, B, hw, levels, eps, residual):
+    def test_matches_project_then_pool(self, B, hw, levels, eps, residual, monkeypatch):
         rng = np.random.default_rng(B * 1000 + 10 * hw[0] + hw[1])
         C = 5
-        params = AnabParams.init_random(C, pyramid=PyramidSpec(levels, epsilon=eps), rng=rng)
-        for spec in (params.query, params.key, params.value, params.out, params.attention):
-            spec.bias.data[:] = rng.normal(size=spec.bias.shape)
+        monkeypatch.setattr(attention, "EPSILON", eps)
+        params = AnabParams.init_random(C, pyramid=PyramidSpec(levels), rng=rng)
+        randomize_biases(params, rng)
         x = Tensor(rng.normal(size=(B, C) + hw), requires_grad=True)
         g = rng.normal(size=x.shape)
         leaves = [x] + params.params()
@@ -374,7 +418,7 @@ class TestFoldedProjections:
             out = block(x, params) if residual else block(x, params) - x
             out.backward(g)
             results.append([out.data] + [t.grad for t in leaves])
-        assert len(results[0]) == 12  # output, x, and the 10 parameters
+        assert len(results[0]) == 9  # output, x, and the 7 parameters
         for got, want in zip(*results):
             assert_close(got, want)
 

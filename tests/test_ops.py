@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mono3d import attention
 from mono3d.align import align_conv
 from mono3d.attention import PyramidSpec, pa2_pool
 from mono3d.gradcheck import grad_check
@@ -183,7 +184,9 @@ def avg_pool(x, bins, eps=0.0):
     """pa2_pool of a (B, C, H, W) map under unit attention at one (nh, nw) level:
     each bin's sum over its cell count plus eps. Returns (B, C, nh, nw)."""
     B, C, H, W = x.shape
-    out = pa2_pool(x, Tensor(np.ones((B, 1, H, W))), PyramidSpec([bins], epsilon=eps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attention, "EPSILON", eps)
+        out = pa2_pool(x, Tensor(np.ones((B, 1, H, W))), PyramidSpec([bins]))
     return out.transpose(0, 2, 1).reshape(B, C, *bins)
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,18 @@ def test_broadcast_backward():
     (x + b).sum().backward()
     assert b.grad.shape == (3,)
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+
+
+class TestItem:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1, 1)])
+    def test_any_one_element_tensor(self, shape):
+        got = Tensor(np.full(shape, 3.0)).item()
+        assert type(got) is float and got == 3.0
+
+    @pytest.mark.parametrize("shape", [(2,), (0,), (1, 3)])
+    def test_rejects_other_sizes_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"one-element tensor, got shape {re.escape(str(shape))}"):
+            Tensor(np.zeros(shape)).item()
 
 
 def test_reused_node_accumulates():
