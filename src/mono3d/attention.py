@@ -10,6 +10,9 @@ appended that carries each bin's bias factor S/(S+eps), and applies the four
 projections as matmuls: key and value on the L pooled rows, query and output
 folded into the N x L similarity and attention products. No projection runs
 at full resolution; only the 1-channel attention map is a convolution.
+
+The one bin primitive, `_bin_sum`, is a tape op, so the tape differentiates
+`pa2_pool`; the tests check both directions against per-bin loops.
 """
 
 from __future__ import annotations
@@ -113,24 +116,22 @@ def _bin_grid(hw, bins):
 
 
 def _bin_sum(x, grid):
-    """Sum the last two (H, W) axes of `x` over a `_bin_grid`.
+    """Sum tensor `x`'s last two (H, W) axes over a `_bin_grid`: the one bin primitive.
 
     Separable: one `np.add.reduceat` over the row starts, one over the column
     starts; empty bins (more bins than cells) sum to 0. Every bin is summed
     directly, not as a difference of prefix sums, so a one-pixel bin returns
-    its pixel exactly.
+    its pixel exactly. The backward repeats each bin's gradient onto its cells.
     """
     (r0, nr), (c0, nc) = grid
-    s = np.add.reduceat(np.add.reduceat(x, r0, axis=-2), c0, axis=-1)
+    s = np.add.reduceat(np.add.reduceat(x.data, r0, axis=-2), c0, axis=-1)
     s[..., nr == 0, :] = 0.0
     s[..., nc == 0] = 0.0
-    return s
 
+    def bw(g):
+        x.accumulate_grad(np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1))
 
-def _bin_spread(g, grid):
-    """Transpose of `_bin_sum`: each bin's value copied onto its (H, W) cells."""
-    (_, nr), (_, nc) = grid
-    return np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1)
+    return Tensor.from_op(s, (x,), bw)
 
 
 def pa2_pool(features, attn, spec):
@@ -138,39 +139,19 @@ def pa2_pool(features, attn, spec):
 
     `attn` is the (B, 1, H, W) map. Each bin's descriptor is
     sum(a*f)/(sum(a) + EPSILON) over the bin; levels are concatenated in ascending
-    order, bins row-major within a level.
+    order, bins row-major within a level. The tape differentiates it.
     """
     if features.ndim != 4 or attn.shape != (features.shape[0], 1) + features.shape[2:]:
         raise ValueError(f"pa2_pool expects (B, C, H, W) features and a (B, 1, H, W) attention "
                          f"map, got features {features.shape} and attention map {attn.shape}")
     B, C, H, W = features.shape
-    a, f = attn.data, features.data
-    af = f * a
-    grids, dens, descs = [], [], []
+    af = features * attn
+    rows = []
     for level in spec.levels:
-        grids.append(_bin_grid((H, W), _level_bins(level)))
-        dens.append(_bin_sum(a, grids[-1]) + EPSILON)
-        descs.append(_bin_sum(af, grids[-1]) / dens[-1])  # (B, C, nh, nw)
-    out = np.concatenate([d.reshape(B, C, -1).transpose(0, 2, 1) for d in descs], axis=1)
-
-    def bw(g):
-        g = np.asarray(g)
-        # d desc_c / d f_c(p) = a(p) / den and d desc_c / d a(p) = (f_c(p) - desc_c) / den
-        spread = np.zeros_like(f)           # sum over levels of spread(g / den), (B, C, H, W)
-        spread_dot = np.zeros((B, 1, H, W))  # sum over levels of spread(sum_c (g / den) * desc)
-        row = 0
-        for grid, den, desc in zip(grids, dens, descs):
-            n = desc.shape[2] * desc.shape[3]
-            gd = g[:, row:row + n].transpose(0, 2, 1).reshape(desc.shape) / den
-            row += n
-            spread += _bin_spread(gd, grid)
-            spread_dot += _bin_spread((gd * desc).sum(axis=1, keepdims=True), grid)
-        if features.requires_grad:
-            features.accumulate_grad(a * spread)
-        if attn.requires_grad:
-            attn.accumulate_grad((f * spread).sum(axis=1, keepdims=True) - spread_dot)
-
-    return Tensor.from_op(out, (features, attn), bw)
+        grid = _bin_grid((H, W), _level_bins(level))
+        desc = _bin_sum(af, grid) / (_bin_sum(attn, grid) + EPSILON)   # (B, C, nh, nw)
+        rows.append(desc.reshape(B, C, -1))
+    return Tensor.concat(rows, axis=2).transpose(0, 2, 1)
 
 
 def anab_forward(x, params):

@@ -69,6 +69,17 @@ def _output_error(path, e):
     return USAGE_EXIT
 
 
+def _at_line(path, index, fn, *args):
+    """fn(*args) for the index-th record `parse_label_file` read from `path`;
+    a ValueError it raises is re-raised naming that record's line."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        with open(path, newline="") as f:   # the lines parse_label_file kept
+            line_no = [i for i, line in enumerate(f, start=1) if line.strip()][index]
+        raise ValueError(f"line {line_no}: {e}") from None
+
+
 def _train(args):
     """Train the toy detector on the first `args.scenes` of `2 * args.scenes`
     synthetic scenes seeded by `args.seed`, for `args.steps` steps:
@@ -172,25 +183,27 @@ def cmd_eval(args):
             print(f"error: not a directory: {d}", file=sys.stderr)
             return USAGE_EXIT
     class_names = args.classes
+
+    def detection(rec):
+        score = 1.0 if rec.score is None else rec.score
+        box3d = None if args.task == "2d" else rec.as_box3d()  # 2d reads no 3D field
+        return Detection(class_names.index(rec.type), score, rec.as_box2d(), box3d, rec.alpha)
+
     frames = []
     for gt_file in sorted(gt_dir.glob("*.txt")):
         det_file = det_dir / gt_file.name
         path = gt_file
         try:
             gts = parse_label_file(gt_file)
-            for gt in gts:  # a flat 3D box is this file's error, as in a result file
+            for k, gt in enumerate(gts):  # a flat 3D box is this file's error, as in a result file
                 if args.task != "2d" and gt.type in class_names:
-                    gt.as_box3d()
+                    _at_line(gt_file, k, gt.as_box3d)
             dets = []
             if det_file.exists():
                 path = det_file
-                for rec in parse_label_file(det_file):
-                    if rec.type not in class_names:
-                        continue
-                    score = 1.0 if rec.score is None else rec.score
-                    box3d = None if args.task == "2d" else rec.as_box3d()  # 2d reads no 3D field
-                    dets.append(Detection(class_names.index(rec.type), score,
-                                          rec.as_box2d(), box3d, rec.alpha))
+                for k, rec in enumerate(parse_label_file(det_file)):
+                    if rec.type in class_names:
+                        dets.append(_at_line(det_file, k, detection, rec))
         except (OSError, ValueError) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return USAGE_EXIT

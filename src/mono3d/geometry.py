@@ -29,8 +29,6 @@ __all__ = [
     "iou_2d_pairs",
     "iou_bev_pairs",
     "iou_3d_pairs",
-    "bev_footprint",
-    "polygon_area",
     "clip_polygon",
 ]
 
@@ -195,25 +193,6 @@ def iou_2d(a, b):
     return inter / union if union > 0.0 else 0.0
 
 
-def bev_footprint(box):
-    """Yaw-rotated (x, z) rectangle corners of a Box3D, (4, 2), CCW."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lx = np.array([1, 1, -1, -1]) * (box.l / 2.0)
-    lz = np.array([1, -1, -1, 1]) * (box.w / 2.0)
-    x = box.x + lx * c + lz * s
-    z = box.z - lx * s + lz * c
-    return np.stack([x, z], axis=1)
-
-
-def polygon_area(poly):
-    """Shoelace area (absolute)."""
-    if len(poly) < 3:
-        return 0.0
-    p = np.asarray(poly)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
 def clip_polygon(subject, clip):
     """Sutherland-Hodgman: clip `subject` by convex polygon `clip` (CCW).
 
@@ -248,9 +227,9 @@ _PAIR_BLOCK = 256
 
 
 def _footprints(boxes):
-    """(P, 4, 2) ground-plane corners of (P, 7) box rows: the arithmetic of
-    `bev_footprint` with the corners in reverse order, because its corners run
-    clockwise (a rotation keeps orientation) and the clip wants CCW."""
+    """(P, 4, 2) ground-plane (x, z) corners of (P, 7) box rows, counter-clockwise
+    as the clip wants: (-l/2, +w/2), (-l/2, -w/2), (+l/2, -w/2), (+l/2, +w/2)
+    about the center, turned by yaw (a rotation keeps the order)."""
     x, z, w, l, yaw = boxes[:, 0:1], boxes[:, 2:3], boxes[:, 3:4], boxes[:, 5:6], boxes[:, 6:7]
     c, s = np.cos(yaw), np.sin(yaw)
     lx = np.array([-1, -1, 1, 1]) * (l / 2.0)
@@ -264,7 +243,7 @@ def _clip_area(subject, clip):
     `clip_polygon` run on every pair at once: per clip edge each vertex emits
     (intersection with the edge, vertex) under the same masks, and a stable
     sort of the emit mask compacts the emitted ones to the front. Then the
-    shoelace area of `polygon_area`.
+    shoelace area.
     """
     P = len(subject)
     poly, n = subject, np.full(P, 4)

@@ -19,10 +19,16 @@ build is the recorded one.
 Regenerate (only when an output is meant to change):
 
     PYTHONPATH=src python3 tests/golden_fingerprints.py
+
+Print how far this build's outputs sit from the committed file, writing
+nothing (`--drift`, see `drift`):
+
+    PYTHONPATH=src python3 tests/golden_fingerprints.py --drift
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -166,6 +172,37 @@ def compute():
             "block": block_outputs(), "ap": ap_cells()}
 
 
+def compared(name, section):
+    """A section's values as test_golden.py compares them within BLAS_RTOL (the
+    trace's loss columns, each scene's detection scores and boxes, the block's
+    output and gradients), or exactly (every AP cell), as a list of arrays."""
+    if name == "trace":
+        return [np.array(section)[:, 2:]]
+    if name == "detect":
+        return [np.array(s).reshape(-1, 14)[:, 1:] for s in section]
+    if name == "block":
+        return [np.array(section["out"])] + [np.array(g) for g in section["grads"]]
+    return [np.array(list(section.values()))]
+
+
+def drift(got, want):
+    """{section: largest |got - want| over the section's largest |want|}, the
+    measure test_golden.py bounds by BLAS_RTOL off the recorded build; None
+    where the shapes differ. A NaN on both sides (an AP cell without ground
+    truth) counts as equal."""
+    out = {}
+    for name in ("trace", "detect", "block", "ap"):
+        g, w = compared(name, got[name]), compared(name, want[name])
+        if [a.shape for a in g] != [a.shape for a in w]:
+            out[name] = None
+            continue
+        g, w = (np.concatenate([a.ravel() for a in arrays]) for arrays in (g, w))
+        err = np.where(np.isnan(g) & np.isnan(w), 0.0, np.abs(g - w)).max(initial=0.0)
+        scale = np.nanmax(np.abs(w), initial=0.0)
+        out[name] = float(err / scale if scale else err)
+    return out
+
+
 def dumps(golden):
     """JSON with one line per dict entry and per innermost list; floats keep
     their shortest round-trip repr, so loading gives the exact values."""
@@ -178,5 +215,13 @@ def dumps(golden):
 
 
 if __name__ == "__main__":
-    PATH.write_text(dumps(compute()) + "\n")
-    print(f"wrote {PATH}")
+    parser = argparse.ArgumentParser(description="Write the golden fingerprints, or print their drift.")
+    parser.add_argument("--drift", action="store_true",
+                        help="print each section's largest relative difference from the "
+                             "committed file and write nothing")
+    if parser.parse_args().drift:
+        for name, d in drift(compute(), json.loads(PATH.read_text())).items():
+            print(f"{name}: {'shape differs' if d is None else f'{d:.2g}'}")
+    else:
+        PATH.write_text(dumps(compute()) + "\n")
+        print(f"wrote {PATH}")

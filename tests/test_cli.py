@@ -88,7 +88,7 @@ class TestEval:
 
     @pytest.mark.parametrize("line,message", [
         (CAR.replace("100.00", "abc", 1) + " 0.9", "line 2, field 5: not numeric: 'abc'"),
-        (CAR + " 1.5", "score must be in [0, 1], got 1.5"),
+        (CAR + " 1.5", "line 2: score must be in [0, 1], got 1.5"),
         (CAR.replace("100.00", "170.00", 1) + " 0.9", "line 2: degenerate 2D box (170.0, 100.0, 160.0"),
     ], ids=["non_numeric", "score_above_one", "x2_below_x1"])
     def test_bad_result_line_is_a_usage_error(self, tmp_path, capsys, line, message):
@@ -99,6 +99,15 @@ class TestEval:
         code = main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"])
         assert code == USAGE_EXIT
         assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_range_error_names_its_line_past_blank_lines(self, tmp_path, capsys):
+        # the line number counts the blank lines the parser skips
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        bad = det / "000001.txt"
+        bad.write_text("\n" + CAR + " 0.9\n\n" + CAR + " 1.5\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"]) == USAGE_EXIT
+        assert f"error: {bad}: line 4: score must be in [0, 1], got 1.5" in capsys.readouterr().err
 
     def test_bad_ground_truth_box_is_a_usage_error(self, tmp_path, capsys):
         gt, det = tmp_path / "gt", tmp_path / "det"
@@ -144,7 +153,7 @@ class TestEval:
             code = main(["eval", "--gt", str(gt), "--det", str(det), "--task", task,
                          "--classes", "Car"])
             assert code == USAGE_EXIT
-            assert f"error: {bad}: non-positive 3D dimensions" in capsys.readouterr().err
+            assert f"error: {bad}: line 1: non-positive 3D dimensions" in capsys.readouterr().err
         # the 2d task reads no dimensions, and other classes are not scored
         assert main(["eval", "--gt", str(gt), "--det", str(det), "--task", "2d",
                      "--classes", "Car"]) == 0
@@ -177,7 +186,7 @@ class TestEval:
         bad.write_text(CAR_2D_ONLY + "\n")
         assert main(["eval", "--gt", str(gt), "--det", str(det), "--task", task,
                      "--classes", "Car"]) == USAGE_EXIT
-        assert (f"error: {bad}: non-positive 3D dimensions (-1.0, -1.0, -1.0)"
+        assert (f"error: {bad}: line 1: non-positive 3D dimensions (-1.0, -1.0, -1.0)"
                 in capsys.readouterr().err)
 
     def test_reader_closing_early_exits_quietly(self, tmp_path):

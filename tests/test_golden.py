@@ -59,7 +59,7 @@ def test_train_trace(want, same_build, trace_and_detect):
     got, ref = np.array(trace_and_detect[0]), np.array(want["trace"])
     assert got.shape == ref.shape == (golden.TRAIN_STEPS, 6)
     assert_exact(got[:, :2], ref[:, :2])   # step, lr
-    assert_blas([got[:, 2:]], [ref[:, 2:]], same_build)
+    assert_blas(golden.compared("trace", got), golden.compared("trace", ref), same_build)
 
 
 def test_detect(want, same_build, trace_and_detect):
@@ -67,13 +67,12 @@ def test_detect(want, same_build, trace_and_detect):
     assert [len(s) for s in got] == [len(s) for s in ref]
     assert sum(map(len, ref)) > 0
     assert [r[0] for s in got for r in s] == [r[0] for s in ref for r in s]   # classes
-    assert_blas([np.array(s).reshape(-1, 14)[:, 1:] for s in got],
-                [np.array(s).reshape(-1, 14)[:, 1:] for s in ref], same_build)
+    assert_blas(golden.compared("detect", got), golden.compared("detect", ref), same_build)
 
 
 def test_block(want, same_build):
     got, ref = golden.block_outputs(), want["block"]
-    assert_blas([got["out"]] + got["grads"], [ref["out"]] + ref["grads"], same_build)
+    assert_blas(golden.compared("block", got), golden.compared("block", ref), same_build)
 
 
 def test_ap_cells(want):

@@ -33,6 +33,17 @@ def test_elementwise_grads():
         a, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
         r = grad_check(lambda p, q: p @ q, [a, b], name=name)
         assert r.passed, str(r)
+    # a kept size-1 axis, as a (B, 1, H, W) attention map against (B, C, H, W)
+    # features: the size-1 operand's gradient sums over that axis
+    for name, f, shapes in [
+        ("mul (B, C, H, W) * (B, 1, H, W)", lambda p, q: p * q, ((2, 3, 4, 5), (2, 1, 4, 5))),
+        ("mul (B, 1, H, W) * (B, C, H, W)", lambda p, q: p * q, ((2, 1, 4, 5), (2, 3, 4, 5))),
+        ("div (B, C, H, W) / (B, 1, H, W)", lambda p, q: p / (q * q + 1.0), ((2, 3, 4, 5), (2, 1, 4, 5))),
+        ("div (B, 1, H, W) / (B, C, H, W)", lambda p, q: p / (q * q + 1.0), ((2, 1, 4, 5), (2, 3, 4, 5))),
+    ]:
+        a, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+        r = grad_check(f, [a, b], name=name)
+        assert r.passed, str(r)
 
 
 def test_grad_check_perturbs_a_non_contiguous_leaf():
