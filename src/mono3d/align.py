@@ -201,8 +201,8 @@ def align_conv(x, spec, off):
             for ci in range(Ci):
                 gx[ci] = np.bincount(flat, weights=(wgt * gcols[:, ci, None]).ravel(),
                                      minlength=B * P)
-            x.accumulate_grad(gx.reshape(Ci, B, H, W).transpose(1, 0, 2, 3))
+            x.accumulate_grad(gx.reshape(Ci, B, H, W).transpose(1, 0, 2, 3), fresh=True)
         if off.requires_grad:  # unbroadcast sums a shared field's items, a one-tap field's taps
-            off.accumulate_grad(np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols))
+            off.accumulate_grad(np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols), fresh=True)
 
     return Tensor.from_op(out, (x, off, spec.weight, spec.bias), bw)

@@ -129,7 +129,7 @@ def _bin_sum(x, grid):
     s[..., nc == 0] = 0.0
 
     def bw(g):
-        x.accumulate_grad(np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1))
+        x.accumulate_grad(np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1), fresh=True)
 
     return Tensor.from_op(s, (x,), bw)
 

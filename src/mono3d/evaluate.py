@@ -231,7 +231,8 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
                          for g in [labels[k][1] for k in gt]], 7)
         bad = (gt_rows[:, 3:6] <= 0).any(axis=1)
         if bad.any():
-            raise ValueError(f"non-positive 3D dimensions {tuple(gt_rows[bad][0, 3:6].tolist())}")
+            h, w, l = gt_rows[bad][0, [4, 3, 5]].tolist()   # in the file's (h, w, l) order
+            raise ValueError(f"non-positive 3D dimensions {(h, w, l)}")
     iou, iou_dc = _stacks(config.task, det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc)
     # the difficulty masks columns in place: valid ones keep their relative
     # order, so equal IoUs still go to the same ground truth

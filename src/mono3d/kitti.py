@@ -39,7 +39,11 @@ class LabelRecord:
         return Box2D(*self.box2d)
 
     def as_box3d(self):
-        h, w, l = self.dims
+        """The 3D box; a non-positive dimension raises ValueError naming the
+        dimensions in the file's (h, w, l) order."""
+        h, w, l = dims = tuple(map(float, self.dims))
+        if min(dims) <= 0:
+            raise ValueError(f"non-positive 3D dimensions {dims}")
         x, y, z = self.location
         return Box3D(x, y, z, w, h, l, self.rotation_y, alpha=self.alpha)
 

@@ -49,7 +49,7 @@ def _mean(per_row, segments):
     scale = 1.0 / np.maximum(counts, 1)
 
     def bw(g):
-        per_row.accumulate_grad((g * scale)[seg])
+        per_row.accumulate_grad((g * scale)[seg], fresh=True)
 
     out = np.bincount(seg, weights=per_row.data, minlength=counts.size) * scale
     return Tensor.from_op(out, (per_row,), bw)

@@ -118,9 +118,9 @@ def _columns_backward(g, cols, spec, need_cols):
     w = spec.weight
     if w.requires_grad:
         gw = np.tensordot(G, cols.reshape(B, -1, G.shape[2]), axes=([0, 2], [0, 2]))
-        w.accumulate_grad(gw.reshape(w.shape))
+        w.accumulate_grad(gw.reshape(w.shape), fresh=True)
     if spec.bias.requires_grad:
-        spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
     if need_cols:
         return (w.data.reshape(Co, -1).T @ G).reshape(cols.shape)
     return None
@@ -177,6 +177,6 @@ def softmax_lastdim(x):
         dot = t.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=t)
         t *= out
-        x.accumulate_grad(t)
+        x.accumulate_grad(t, fresh=True)
 
     return Tensor.from_op(out, (x,), bw)

@@ -11,6 +11,13 @@ the sweep passes it, so the buffers the closures hold (conv columns,
 attention maps) are freed during the sweep even while the caller still holds
 the output. A second backward() that reaches a swept node raises
 RuntimeError; build the graph again instead.
+
+A closure that makes a new array for an input's gradient passes
+`accumulate_grad(..., fresh=True)`, and the input's first write adopts that
+array rather than copying it; a pass-through or view gradient, which another
+holder may still read, is copied. Only the layout a copy would have
+(C-contiguous float64 of the input's shape) is adopted, so the bits of every
+gradient stay those of the copy.
 """
 
 from __future__ import annotations
@@ -109,13 +116,30 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g):
-        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            # a fresh array equal to zeros + g bitwise (a -0.0 reads +0.0), never g itself
-            self.grad = np.add(0.0, g, out=np.empty(self.data.shape))
-        else:
+    def accumulate_grad(self, g, *, fresh=False):
+        """Add `g` to this tensor's gradient, summing broadcast axes away.
+
+        The first write stores zeros + g bitwise (a -0.0 reads +0.0). By
+        default it goes into a new array, so the gradient never aliases the
+        caller's `g`. A closure that made `g` itself and keeps no reference
+        to it passes `fresh=True` (a product, a matmul product, softmax's
+        `t`, conv's weight and bias sums): the gradient then adopts `g`,
+        zeroing its -0.0 in place, and no second copy of it exists. A
+        pass-through `g`, the backward seed and views, which another holder
+        may still read, keep the default and are copied. Only a writeable,
+        C-contiguous float64 array of exactly this tensor's shape is adopted;
+        any other `g` (a transposed or strided view, a broadcast) is copied,
+        so the gradient's layout, and the summation order of every later op
+        that reads it, is that of the copy.
+        """
+        g = np.asarray(g, dtype=np.float64)
+        adopt = (fresh and self.grad is None and g.shape == self.data.shape
+                 and g.flags.c_contiguous and g.flags.writeable)
+        g = _unbroadcast(g, self.data.shape)
+        if self.grad is not None:
             self.grad += g
+        else:
+            self.grad = np.add(0.0, g, out=g if adopt else np.empty(self.data.shape))
 
     # -- autodiff -------------------------------------------------------------
 
@@ -201,9 +225,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self.accumulate_grad(g * other.data)
+                self.accumulate_grad(g * other.data, fresh=True)
             if other.requires_grad:
-                other.accumulate_grad(g * self.data)
+                other.accumulate_grad(g * self.data, fresh=True)
 
         return Tensor.from_op(out_data, (self, other), bw)
 
@@ -215,9 +239,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self.accumulate_grad(g / other.data)
+                self.accumulate_grad(g / other.data, fresh=True)
             if other.requires_grad:
-                other.accumulate_grad(-g * self.data / other.data ** 2)
+                other.accumulate_grad(-g * self.data / other.data ** 2, fresh=True)
 
         return Tensor.from_op(out_data, (self, other), bw)
 
@@ -227,7 +251,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def bw(g):
-            self.accumulate_grad(g * out_data)
+            self.accumulate_grad(g * out_data, fresh=True)
 
         return Tensor.from_op(out_data, (self,), bw)
 
@@ -235,7 +259,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def bw(g):
-            self.accumulate_grad(g / self.data)
+            self.accumulate_grad(g / self.data, fresh=True)
 
         return Tensor.from_op(out_data, (self,), bw)
 
@@ -243,7 +267,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def bw(g):
-            self.accumulate_grad(g * out_data * (1.0 - out_data))
+            self.accumulate_grad(g * out_data * (1.0 - out_data), fresh=True)
 
         return Tensor.from_op(out_data, (self,), bw)
 
@@ -251,7 +275,7 @@ class Tensor:
         out_data = np.maximum(self.data, 0.0)
 
         def bw(g):
-            self.accumulate_grad(g * (self.data > 0.0))
+            self.accumulate_grad(g * (self.data > 0.0), fresh=True)
 
         return Tensor.from_op(out_data, (self,), bw)
 
@@ -271,9 +295,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self.accumulate_grad(g * take_self)
+                self.accumulate_grad(g * take_self, fresh=True)
             if other.requires_grad:
-                other.accumulate_grad(g * ~take_self)
+                other.accumulate_grad(g * ~take_self, fresh=True)
 
         return Tensor.from_op(out_data, (self, other), bw)
 
@@ -282,7 +306,7 @@ class Tensor:
         out_data = np.abs(self.data)
 
         def bw(g):
-            self.accumulate_grad(g * sign)
+            self.accumulate_grad(g * sign, fresh=True)
 
         return Tensor.from_op(out_data, (self,), bw)
 
@@ -368,9 +392,9 @@ class Tensor:
             g = np.asarray(g)
             # stacked operands broadcast; accumulate_grad sums the batch axes away
             if self.requires_grad:
-                self.accumulate_grad(g @ b.swapaxes(-1, -2))
+                self.accumulate_grad(g @ b.swapaxes(-1, -2), fresh=True)
             if other.requires_grad:
-                other.accumulate_grad(a.swapaxes(-1, -2) @ g)
+                other.accumulate_grad(a.swapaxes(-1, -2) @ g, fresh=True)
 
         return Tensor.from_op(out_data, (self, other), bw)
 

@@ -1,10 +1,14 @@
 """Reference implementations that only the tests use as oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
-from mono3d.ops import softmax_lastdim
+from mono3d.align import align_conv, shape_align_offsets
+from mono3d.attention import AnabParams, PyramidSpec, anab_forward
+from mono3d.ops import ConvSpec, softmax_lastdim
+from mono3d.tensor import Tensor
 
 
 def reference_nonlocal(x):
@@ -16,6 +20,41 @@ def reference_nonlocal(x):
     m = x.reshape(B, C, H * W).transpose(0, 2, 1)
     o = softmax_lastdim(m @ m.transpose(0, 2, 1)) @ m
     return o.transpose(0, 2, 1).reshape(B, C, H, W) + x
+
+
+PAPER_PYRAMID = PyramidSpec([1, 4, 8, 16])   # L = 337 bins
+
+
+def attention_block_graph():
+    """A shape-aligned 3x3 `align_conv`, then `anab_forward` with the paper's
+    pyramid, at 8 ch x 24x40. Returns (leaves, out, g): the leaf tensors, the
+    block's output and an upstream gradient for it."""
+    rng = np.random.default_rng(0)
+    C, H, W = 8, 24, 40
+    x = Tensor(rng.normal(size=(1, C, H, W)), requires_grad=True)
+    spec = ConvSpec.init_random(C, C, (3, 3), 1, 1, rng=rng)
+    anab = AnabParams.init_random(C, PAPER_PYRAMID, rng=rng)
+    off = shape_align_offsets(rng.uniform(8.0, 64.0, size=(1, H, W, 2)), 8, (3, 3))
+    out = anab_forward(align_conv(x, spec, off), anab)
+    return [x] + spec.params() + anab.params(), out, rng.normal(size=out.shape)
+
+
+def backward_transient_maps():
+    """The attention block's backward transient in N x L float64 maps:
+    tracemalloc's peak during `out.backward(g)` on `attention_block_graph()`,
+    less the memory held when the forward returned, over N*L*8 bytes."""
+    attention_block_graph()   # warm any first-call allocation
+    tracemalloc.start()
+    try:
+        _, out, g = attention_block_graph()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, _, H, W = out.shape
+    return (peak - held) / (H * W * PAPER_PYRAMID.descriptor_count * 8)
 
 
 def bev_footprint(box):

@@ -160,6 +160,18 @@ class TestEval:
         bad.write_text(CAR.replace("Car", "Van").replace("1.65 1.67 3.64", dims) + "\n")
         assert main(["eval", "--gt", str(gt), "--det", str(det), "--classes", "Car"]) == 0
 
+    @pytest.mark.parametrize("where", ["gt", "det"])
+    def test_flat_box_dimensions_print_in_file_order(self, tmp_path, capsys, where):
+        # the file's (h, w, l), not Box3D's (w, h, l): (1.6, 0.0, 3.9), not (0.0, 1.6, 3.9)
+        gt, det = tmp_path / "gt", tmp_path / "det"
+        write_frames(gt, det)
+        bad = tmp_path / where / "000002.txt"
+        bad.write_text(bad.read_text().replace("1.65 1.67 3.64", "1.60 0.00 3.90"))
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--task", "3d",
+                     "--classes", "Car"]) == USAGE_EXIT
+        assert (f"error: {bad}: line 1: non-positive 3D dimensions (1.6, 0.0, 3.9)"
+                in capsys.readouterr().err)
+
     def test_dontcare_sentinel_dimensions_accepted_in_3d(self, tmp_path, capsys):
         gt, det = tmp_path / "gt", tmp_path / "det"
         write_frames(gt, det)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -535,6 +536,12 @@ class TestEvaluateClass:
                            (0.0, 1.5, 20.0), 0.0)
         with pytest.raises(ValueError, match="non-positive 3D dimensions"):
             evaluate_class(frames + [([], [flat])], "Car", EvalConfig(task="bev"), "easy")
+        # named in the label's (h, w, l) order
+        flat = LabelRecord("Car", 0.0, 0, 0.0, (0, 0, 10, 45), (1.6, 0.0, 3.9),
+                           (0.0, 1.5, 20.0), 0.0)
+        with pytest.raises(ValueError,
+                           match=re.escape("non-positive 3D dimensions (1.6, 0.0, 3.9)")):
+            evaluate_class(frames + [([], [flat])], "Car", EvalConfig(task="3d"), "easy")
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):

@@ -9,6 +9,8 @@ from mono3d.attention import AnabParams, PyramidSpec, anab_forward
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor, no_grad
+from mono3d.train import make_synthetic_scenes, train_toy
+from oracles import attention_block_graph, backward_transient_maps
 
 
 def test_elementwise_grads():
@@ -242,6 +244,97 @@ class TestAccumulateGrad:
         t.accumulate_grad(np.arange(12.0).reshape(4, 1, 3))
         np.testing.assert_array_equal(t.grad, [[18.0, 22.0, 26.0]])
         assert t.grad.shape == (1, 3)
+
+    def test_fresh_first_write_adopts_the_callers_array(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([-0.0, 1.0, -0.0])
+        t.accumulate_grad(g, fresh=True)
+        assert t.grad is g
+        assert not np.signbit(g).any()
+        np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
+        t.accumulate_grad(np.ones(3), fresh=True)   # a later write adds into it
+        assert t.grad is g
+        np.testing.assert_array_equal(g, [1.0, 2.0, 1.0])
+
+    @staticmethod
+    def fresh_array(layout):
+        g = np.array([[-0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        if layout == "non_contiguous":
+            return g.T
+        if layout == "read_only":
+            g.flags.writeable = False
+            return g
+        return g.ravel()   # the wrong shape, which the unbroadcast reshapes to fit
+
+    @pytest.mark.parametrize("layout, shape", [
+        ("non_contiguous", (3, 2)), ("read_only", (2, 3)), ("wrong_shape", (2, 3))])
+    def test_fresh_array_of_another_layout_is_copied(self, layout, shape):
+        t = Tensor(np.zeros(shape), requires_grad=True)
+        g = self.fresh_array(layout)
+        t.accumulate_grad(g, fresh=True)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.flags.c_contiguous and t.grad.shape == shape
+        assert np.signbit(g.ravel()[0]) and not np.signbit(t.grad).any()
+        np.testing.assert_array_equal(t.grad, np.reshape(g, shape))
+
+    def test_sum_parents_get_independent_gradients(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).backward(np.array([1.0, 2.0, 3.0]))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad[0] = 9.0
+        np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
+
+    def test_backward_leaves_the_seed_unchanged(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        y = a * 2.0
+        seed = np.array([-0.0, 1.0, -0.0])
+        y.backward(seed)
+        assert np.signbit(seed).tolist() == [True, False, True]
+        assert not np.shares_memory(y.grad, seed)
+        np.testing.assert_array_equal(a.grad, [0.0, 2.0, 0.0])
+
+
+class TestFreshGradients:
+    """Closures hand the gradients they make to their inputs: the attention
+    block's backward holds fewer N x L maps, and every gradient keeps the bits
+    the always-copy path gives."""
+
+    def test_attention_backward_transient_at_most_two_and_a_quarter_maps(self):
+        # the always-copy path reads 3.0 maps: one more N x L map on the peak
+        maps = backward_transient_maps()
+        assert maps <= 2.25, maps
+
+    @staticmethod
+    def gradients_both_ways(monkeypatch, run):
+        """run()'s gradients, then those of run() with every gradient copied."""
+        got = run()
+        copy = Tensor.accumulate_grad
+        monkeypatch.setattr(Tensor, "accumulate_grad",
+                            lambda self, g, *, fresh=False: copy(self, g))
+        return got, run()
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    def test_toy_train_step_gradients_bitwise_equal_to_copying(self, monkeypatch):
+        def run():
+            _, model = train_toy(make_synthetic_scenes(count=4, seed=3), steps=1, seed=0)
+            return [p.grad for p in model.params()]
+
+        self.assert_same_bits(*self.gradients_both_ways(monkeypatch, run))
+
+    def test_attention_block_gradients_bitwise_equal_to_copying(self, monkeypatch):
+        def run():
+            leaves, out, g = attention_block_graph()
+            out.backward(g)
+            return [p.grad for p in leaves]
+
+        self.assert_same_bits(*self.gradients_both_ways(monkeypatch, run))
 
 
 def test_getitem_scatter():
