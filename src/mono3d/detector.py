@@ -42,18 +42,17 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     finite = np.isfinite(np.column_stack([score_row[flat], d2, d3])).all(axis=1)
     non_finite = int((~finite).sum())
     flat, d2, d3 = flat[finite], d2[finite], d3[finite]
-    rows = model.grid.rows(flat)
     # one `decode` call per finite candidate (the benchmark's detection funnel
-    # counts candidates by these calls), then one array test and one
-    # back-projection for all
+    # counts candidates by these calls), on Python floats, then one array test
+    # and one back-projection for all
+    rows = zip(model.grid.rows(flat).tolist(), d2.tolist(), d3.tolist())
     vals = np.full((len(flat), 11), np.inf)   # per candidate: 2D box, then 3D params
-    with np.errstate(over="ignore", invalid="ignore"):  # counted below instead
-        for k in range(len(flat)):
-            try:
-                b, p = decode(rows[k], d2[k], d3[k])
-            except OverflowError:  # a size delta too large for exp: left an infinite row
-                continue
-            vals[k] = (*b, *p)
+    for k, (anchor, t2, t3) in enumerate(rows):
+        try:
+            b, p = decode(anchor, t2, t3)
+        except OverflowError:  # a size delta too large for exp: left an infinite row
+            continue
+        vals[k] = (*b, *p)
     # an extreme finite delta can still decode to an infinite box or, by exp
     # underflow, to a zero 3D size
     ok = np.isfinite(vals).all(axis=1) & (vals[:, 7:10] > 0.0).all(axis=1)
@@ -73,9 +72,9 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     keep = keep[confidence_filter(scores[keep], thresh=conf_thresh)]
     dets = []
     for k in keep.tolist():
-        (x, y, z), alpha = centers[k].tolist(), float(vals[k, 10])
-        row = (x, y, z, *vals[k, 7:10].tolist(), alpha_to_yaw(alpha, x, z))
-        yaw, _ = optimize_rotation(row, vals[k, :4], scene.cam)
-        dets.append(Detection(int(classes[k]), float(scores[k]), Box2D(*vals[k, :4].tolist()),
-                              Box3D(*row[:6], yaw, alpha=alpha), alpha))
+        (x, y, z), (*box2d, _, _, _, w, h, l, alpha) = centers[k].tolist(), vals[k].tolist()
+        yaw, _ = optimize_rotation((x, y, z, w, h, l, alpha_to_yaw(alpha, x, z)), box2d,
+                                   scene.cam)
+        dets.append(Detection(int(classes[k]), float(scores[k]), Box2D(*box2d),
+                              Box3D(x, y, z, w, h, l, yaw, alpha=alpha), alpha))
     return dets

@@ -174,12 +174,14 @@ def box3d_corners(box):
 
 def project_box(box, cam):
     """Axis-aligned image envelope of the 8 projected corners of a Box3D or a
-    (7,) row."""
+    (7,) row, as a Box2D of Python floats: one `project` call, then one
+    column-wise min and one max over its (8, 3) rows."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
-    u, v, _ = project(cam, pts).T
-    return Box2D(u.min(), v.min(), u.max(), v.max())
+    h = project(cam, pts)
+    (x1, y1, _), (x2, y2, _) = h.min(axis=0).tolist(), h.max(axis=0).tolist()
+    return Box2D(x1, y1, x2, y2)
 
 
 # -- IoU ----------------------------------------------------------------------

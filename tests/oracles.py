@@ -7,7 +7,9 @@ import numpy as np
 
 from mono3d.align import align_conv, shape_align_offsets
 from mono3d.attention import AnabParams, PyramidSpec, anab_forward
+from mono3d.geometry import Box2D, box3d_corners, project, wrap_angle
 from mono3d.ops import ConvSpec, softmax_lastdim
+from mono3d.postproc import YAW_MAX_ITER, YAW_STEP, YAW_STEP_MIN
 from mono3d.tensor import Tensor
 
 
@@ -74,3 +76,52 @@ def polygon_area(poly):
     p = np.asarray(poly)
     x, y = p[:, 0], p[:, 1]
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def numpy_project_box(box, cam):
+    """`project_box` on numpy scalars: one `project` call, then four scalar
+    reductions over its u and v columns."""
+    pts = box3d_corners(box)
+    if np.any(pts[:, 2] <= 0.0):
+        raise ValueError("box extends behind the camera")
+    u, v, _ = project(cam, pts).T
+    return Box2D(u.min(), v.min(), u.max(), v.max())
+
+
+def numpy_envelope_l1(env, target):
+    """The yaw search's objective on numpy arrays: the summed absolute
+    differences of a Box2D's corners and a (4,) target."""
+    return float(np.abs(env.as_array() - target).sum())
+
+
+def numpy_optimize_rotation(box, target, cam):
+    """`optimize_rotation`'s yaw search scored by `numpy_envelope_l1` on
+    `numpy_project_box`'s envelope: (yaw, refined, objective evaluations)."""
+    *fixed, yaw = map(float, box)
+    target = np.asarray(target, dtype=np.float64)
+    evals = 0
+
+    def objective(yaw):
+        nonlocal evals
+        evals += 1
+        try:
+            env = numpy_project_box((*fixed, yaw), cam)
+        except ValueError:
+            return math.inf
+        return numpy_envelope_l1(env, target)
+
+    best = objective(yaw)
+    if best == math.inf:
+        return yaw, False, evals
+    step = YAW_STEP
+    for _ in range(YAW_MAX_ITER):
+        if step < YAW_STEP_MIN:
+            break
+        for cand in (yaw + step, yaw - step):
+            val = objective(cand)
+            if val < best:
+                yaw, best = cand, val
+                break
+        else:
+            step /= 2.0
+    return wrap_angle(yaw), True, evals

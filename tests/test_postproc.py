@@ -4,10 +4,21 @@ import math
 import numpy as np
 import pytest
 
+import mono3d.postproc as postproc
 from mono3d.geometry import Box2D, Box3D, CameraIntrinsics, iou_2d, project_box
-from mono3d.postproc import Detection, confidence_filter, nms, optimize_rotation
+from mono3d.postproc import (Detection, confidence_filter, envelope_l1, nms,
+                             optimize_rotation)
+from oracles import numpy_envelope_l1, numpy_optimize_rotation, numpy_project_box
 
 CAM = CameraIntrinsics.simple(700.0, 600.0, 180.0)
+KITTI_P2 = CameraIntrinsics(np.array([
+    [721.5377, 0.0, 609.5593, 44.85728],
+    [0.0, 721.5377, 172.854, 0.2163791],
+    [0.0, 0.0, 1.0, 0.002745884],
+]))
+# KITTI's P2 with its translation column's depth term moved 0.5 m: a box whose
+# corners all have z > 0 can still project to z_p <= 0
+SHIFTED_P2 = CameraIntrinsics(KITTI_P2.K - np.array([[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 0.5]]))
 
 
 def table(*dets):
@@ -194,3 +205,123 @@ class TestOptimizeRotation:
         yaw, ok = optimize_rotation(box3d.as_array(), env.as_array(), CAM)
         assert ok
         assert abs(yaw - 0.2) < 1e-2
+
+
+def seeded_rows(rng, n, cam):
+    """n ((7,) box row, (4,) target) pairs in front of the camera's axis. Every
+    third box is near the camera (z in [0.3, 4] m), where corners straddle
+    z = 0 and candidate yaws turn them behind it. A target is the envelope of
+    the box at a yaw up to 0.6 rad away, plus up to 3 px of noise per side, or
+    a 100 x 60 px box when that envelope does not exist."""
+    rows = []
+    for i in range(n):
+        z = rng.uniform(0.3, 4.0) if i % 3 == 0 else rng.uniform(4.0, 60.0)
+        box = np.array([z * rng.uniform(-0.6, 0.6), rng.uniform(1.0, 2.0), z,
+                        rng.uniform(0.5, 2.2), rng.uniform(1.0, 2.0), rng.uniform(0.8, 5.0),
+                        rng.uniform(-math.pi, math.pi)])
+        true = box.copy()
+        true[6] += rng.uniform(-0.6, 0.6)
+        try:
+            target = numpy_project_box(true, cam).as_array()
+        except ValueError:
+            target = np.array([550.0, 150.0, 650.0, 210.0])
+        rows.append((box, target + rng.uniform(-3.0, 3.0, size=4)))
+    return rows
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestScalarPathsAgainstNumpyOracles:
+    """`project_box`, the yaw objective and `optimize_rotation` on Python
+    floats against the numpy forms in `oracles.py`: bit for bit, error text
+    included, and the same number of `project_box` calls per search."""
+
+    CAMERAS = {"simple": CAM, "kitti_p2": KITTI_P2, "shifted_p2": SHIFTED_P2}
+
+    @pytest.mark.parametrize("name", list(CAMERAS))
+    def test_envelopes_and_searches_bit_identical(self, name):
+        cam = self.CAMERAS[name]
+        errors = {}
+        for box, target in seeded_rows(np.random.default_rng(17), 512, cam):
+            try:
+                want = numpy_project_box(box, cam).as_array()
+            except ValueError as err:
+                want = str(err)
+            try:
+                env = project_box(box, cam)
+                assert all(type(v) is float for v in (env.x1, env.y1, env.x2, env.y2))
+                got = env.as_array()
+            except ValueError as err:
+                got = str(err)
+            if isinstance(want, str):
+                assert got == want
+                errors[want.split(":")[0]] = errors.get(want.split(":")[0], 0) + 1
+            else:
+                assert bits(got) == bits(want)
+                assert (bits(envelope_l1(env, target.tolist()))
+                        == bits(numpy_envelope_l1(env, target)))
+            yaw, refined, _ = numpy_optimize_rotation(box, target, cam)
+            got_yaw, got_refined = optimize_rotation(box, target, cam)
+            assert (bits(got_yaw), got_refined) == (bits(yaw), refined)
+        # both ways of being behind the camera are exercised where they can arise
+        assert errors.get("box extends behind the camera", 0) > 10
+        if name == "shifted_p2":
+            assert errors.get("point behind camera", 0) > 10
+
+    @pytest.mark.parametrize("name", list(CAMERAS))
+    def test_one_project_box_call_per_objective_evaluation(self, name, monkeypatch):
+        # the benchmark's `objective_evals` counts the `project_box` calls made
+        # through postproc's binding under `optimize_rotation`
+        cam, calls = self.CAMERAS[name], []
+        original = postproc.project_box
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(postproc, "project_box", counting)
+        total = 0
+        for box, target in seeded_rows(np.random.default_rng(23), 128, cam):
+            calls.clear()
+            optimize_rotation(box, target, cam)
+            _, _, evals = numpy_optimize_rotation(box, target, cam)
+            assert len(calls) == evals
+            total += evals
+        assert total > 128 * 10
+
+
+class TestOptimizeRotationRejects:
+    """A row the search cannot mean raises a ValueError naming it, instead of
+    coming back as a refinement that never happened."""
+
+    BOX = (2.0, 1.5, 20.0, 1.7, 1.5, 4.2, 0.2)
+    TARGET = (600.0, 150.0, 700.0, 220.0)
+
+    @pytest.mark.parametrize("box, match", [
+        ((math.nan, 1.5, 20.0, 1.7, 1.5, 4.2, 0.2), r"box must be finite.*nan"),
+        ((2.0, 1.5, math.inf, 1.7, 1.5, 4.2, 0.2), r"box must be finite.*inf"),
+        ((2.0, 1.5, 20.0, 1.7, 1.5, 4.2, math.nan), r"box must be finite"),
+        ((2.0, 1.5, 20.0, 1.7, 1.5, 4.2), r"box must be a \(7,\).*shape \(6,\)"),
+        ((2.0, 1.5, 20.0, -1.7, 1.5, 4.2, 0.2), r"box 3D size \(w, h, l\) must be positive.*-1.7"),
+        ((2.0, 1.5, 20.0, 1.7, 0.0, 4.2, 0.2), r"box 3D size \(w, h, l\) must be positive"),
+    ])
+    def test_bad_box(self, box, match):
+        with pytest.raises(ValueError, match=match):
+            optimize_rotation(box, self.TARGET, CAM)
+
+    @pytest.mark.parametrize("target, match", [
+        ((math.nan, 150.0, 700.0, 220.0), r"target must be finite.*nan"),
+        ((600.0, 150.0, 700.0, -math.inf), r"target must be finite.*inf"),
+        ((600.0, 150.0, 700.0), r"target must be a \(4,\).*shape \(3,\)"),
+    ])
+    def test_bad_target(self, target, match):
+        with pytest.raises(ValueError, match=match):
+            optimize_rotation(self.BOX, target, CAM)
+
+    def test_nan_target_is_not_reported_as_refined(self):
+        # a NaN objective never improves, so the search used to halve its step
+        # to the end and report the start yaw, through a wrap, as refined
+        with pytest.raises(ValueError, match="target"):
+            optimize_rotation(np.array(self.BOX), np.array([600.0, math.nan, 700.0, 220.0]), CAM)
