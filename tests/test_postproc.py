@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -16,9 +17,9 @@ KITTI_P2 = CameraIntrinsics(np.array([
     [0.0, 721.5377, 172.854, 0.2163791],
     [0.0, 0.0, 1.0, 0.002745884],
 ]))
-# KITTI's P2 with its translation column's depth term moved 0.5 m: a box whose
-# corners all have z > 0 can still project to z_p <= 0
-SHIFTED_P2 = CameraIntrinsics(KITTI_P2.K - np.array([[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 0.5]]))
+# KITTI's P2 with its translation column's depth term lowered by 0.5: a box
+# whose corners all have z > 0 can still project to z_p <= 0
+SHIFTED_P2 = CameraIntrinsics(KITTI_P2.K - np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.5]))
 
 
 def table(*dets):
@@ -208,7 +209,7 @@ class TestOptimizeRotation:
 
 
 def seeded_rows(rng, n, cam):
-    """n ((7,) box row, (4,) target) pairs in front of the camera's axis. Every
+    """n ((7,) box row, (4,) target) pairs with the box center at z > 0. Every
     third box is near the camera (z in [0.3, 4] m), where corners straddle
     z = 0 and candidate yaws turn them behind it. A target is the envelope of
     the box at a yaw up to 0.6 rad away, plus up to 3 px of noise per side, or
@@ -243,7 +244,7 @@ class TestScalarPathsAgainstNumpyOracles:
     @pytest.mark.parametrize("name", list(CAMERAS))
     def test_envelopes_and_searches_bit_identical(self, name):
         cam = self.CAMERAS[name]
-        errors = {}
+        errors = collections.Counter()
         for box, target in seeded_rows(np.random.default_rng(17), 512, cam):
             try:
                 want = numpy_project_box(box, cam).as_array()
@@ -257,7 +258,7 @@ class TestScalarPathsAgainstNumpyOracles:
                 got = str(err)
             if isinstance(want, str):
                 assert got == want
-                errors[want.split(":")[0]] = errors.get(want.split(":")[0], 0) + 1
+                errors[want.split(":")[0]] += 1
             else:
                 assert bits(got) == bits(want)
                 assert (bits(envelope_l1(env, target.tolist()))
@@ -266,9 +267,9 @@ class TestScalarPathsAgainstNumpyOracles:
             got_yaw, got_refined = optimize_rotation(box, target, cam)
             assert (bits(got_yaw), got_refined) == (bits(yaw), refined)
         # both ways of being behind the camera are exercised where they can arise
-        assert errors.get("box extends behind the camera", 0) > 10
+        assert errors["box extends behind the camera"] > 10
         if name == "shifted_p2":
-            assert errors.get("point behind camera", 0) > 10
+            assert errors["point behind camera"] > 10
 
     @pytest.mark.parametrize("name", list(CAMERAS))
     def test_one_project_box_call_per_objective_evaluation(self, name, monkeypatch):
