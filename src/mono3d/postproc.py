@@ -9,7 +9,7 @@ import numpy as np
 
 from .geometry import Box2D, Box3D, iou_2d_pairs, project_box, wrap_angle
 
-__all__ = ["Detection", "nms", "confidence_filter", "envelope_l1", "optimize_rotation"]
+__all__ = ["Detection", "nms", "confidence_filter", "optimize_rotation"]
 
 YAW_STEP = 0.3         # first yaw step of the rotation search (rad)
 YAW_STEP_MIN = 1e-3    # the search stops once the halved step falls below this
@@ -62,13 +62,6 @@ def _finite_row(name, values, n, fields):
     return row.tolist()
 
 
-def envelope_l1(env, target):
-    """L1 distance between a Box2D and a [x1, y1, x2, y2] sequence of floats,
-    summed left to right: the bits of numpy's sum over the 4 differences."""
-    t1, t2, t3, t4 = target
-    return abs(env.x1 - t1) + abs(env.y1 - t2) + abs(env.x2 - t3) + abs(env.y2 - t4)
-
-
 def optimize_rotation(box, target, cam):
     """Refine the yaw of a (7,) [x, y, z, w, h, l, yaw] row so that its projected
     envelope matches the (4,) [x1, y1, x2, y2] 2D box `target`: (yaw, refined).
@@ -80,19 +73,21 @@ def optimize_rotation(box, target, cam):
     behind the camera counts as not improving. A box row or target that is
     not finite, or a 3D size that is not positive, raises a ValueError.
 
-    Each evaluation is one `project_box` call, scored by `envelope_l1`.
+    Each evaluation is one `project_box` call, scored by the L1 distance of
+    its envelope to the target summed left to right: the bits of numpy's sum
+    over the 4 differences.
     """
     x, y, z, w, h, l, yaw = _finite_row("box", box, 7, "x, y, z, w, h, l, yaw")
     if min(w, h, l) <= 0.0:
         raise ValueError(f"box 3D size (w, h, l) must be positive, got {(w, h, l)}")
-    target = _finite_row("target", target, 4, "x1, y1, x2, y2")
+    t1, t2, t3, t4 = _finite_row("target", target, 4, "x1, y1, x2, y2")
 
     def objective(yaw):
         try:
             env = project_box((x, y, z, w, h, l, yaw), cam)
         except ValueError:  # a corner behind the camera
             return math.inf
-        return envelope_l1(env, target)
+        return abs(env.x1 - t1) + abs(env.y1 - t2) + abs(env.x2 - t3) + abs(env.y2 - t4)
 
     best = objective(yaw)
     if best == math.inf:

@@ -75,16 +75,17 @@ def test_traced_run_and_unmeasured_rows():
     assert point["tier1"]["counts"] == {"passed": 563, "xfailed": 2}
 
 
-@pytest.mark.parametrize("bad", [
-    dict(correct=False),
-    dict(failed=1),
-    dict(returncode=1),
+@pytest.mark.parametrize("bad, match", [
+    (dict(correct=False), "detect seed 5 trace 0"),
+    (dict(failed=1), "detect seed 5 trace 0"),
+    (dict(returncode=1), "detect seed 5 trace 0"),
+    (dict(lines=record("detect", 5, 5.1)["lines"][1:]), "detect seed 5: no setup_s line"),
 ])
-def test_failed_run_writes_nothing(tmp_path, bad):
+def test_failed_run_writes_nothing(tmp_path, bad, match):
     recs = records()
     recs[2] = {**recs[2], **bad}
     out = tmp_path / "BENCH_0.json"
-    with pytest.raises(bench_point.BenchError, match="detect seed 5 trace 0"):
+    with pytest.raises(bench_point.BenchError, match=match):
         bench_point.write_point(out, recs, TIER1, SPEC, {"point": 0})
     assert not out.exists()
 

@@ -7,9 +7,8 @@ import pytest
 
 import mono3d.postproc as postproc
 from mono3d.geometry import Box2D, Box3D, CameraIntrinsics, iou_2d, project_box
-from mono3d.postproc import (Detection, confidence_filter, envelope_l1, nms,
-                             optimize_rotation)
-from oracles import numpy_envelope_l1, numpy_optimize_rotation, numpy_project_box
+from mono3d.postproc import Detection, confidence_filter, nms, optimize_rotation
+from oracles import numpy_optimize_rotation, numpy_project_box
 
 CAM = CameraIntrinsics.simple(700.0, 600.0, 180.0)
 KITTI_P2 = CameraIntrinsics(np.array([
@@ -261,8 +260,6 @@ class TestScalarPathsAgainstNumpyOracles:
                 errors[want.split(":")[0]] += 1
             else:
                 assert bits(got) == bits(want)
-                assert (bits(envelope_l1(env, target.tolist()))
-                        == bits(numpy_envelope_l1(env, target)))
             yaw, refined, _ = numpy_optimize_rotation(box, target, cam)
             got_yaw, got_refined = optimize_rotation(box, target, cam)
             assert (bits(got_yaw), got_refined) == (bits(yaw), refined)

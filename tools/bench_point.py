@@ -1,20 +1,19 @@
 """Write one benchmark trajectory point, `BENCH_<n>.json`, from the one harness.
 
-    python3 tools/bench_point.py --point N [--repo DIR] [--seeds 1 2 3 4 5]
-        [--trace-seed 1] [--seconds 10] [--out FILE]
+    python3 tools/bench_point.py --point N [--repo DIR]
 
 For each workload that DIR's `BENCHMARK.json` declares, it runs
-`benchmark/run.py` untraced on every seed and traced on one seed, then runs the
-Tier-1 command once and times it. All timing is the harness's own except the
+`benchmark/run.py` for that file's `run_seconds`, untraced on seeds 1-5 and
+traced on seed 1, then runs the Tier-1 command once and times it. All timing is the harness's own except the
 Tier-1 wall time. The point holds the commit and the env, each gated
 (end-to-end) metric's median and interquartile range over the seeds, every
 per-layer metric and report line of the traced run, and the Tier-1 wall time
 and counts. Rows the harness cannot time yet are `null` with the reason.
 
 A run that exits non-zero or is not `correct`, a run with `failed > 0`, or a
-failing Tier-1 run exits with status 1 and writes no file. DIR defaults to the
-checkout that holds this script, so a parent commit can be measured from a
-clone of it.
+failing Tier-1 run exits with status 1 and writes no file. The point goes to
+`BENCH_<n>.json` beside this script's checkout. DIR defaults to that checkout,
+so a parent commit can be measured from a clone of it.
 """
 
 import argparse
@@ -28,6 +27,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 4, 5)   # untraced runs per workload
+TRACE_SEED = 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # aim-1 rows the harness does not time today, with the reason
 UNMEASURED = {
@@ -45,10 +46,7 @@ class BenchError(Exception):
 
 def quartiles(values):
     """(q1, median, q3) with linear interpolation between order statistics."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def check_run(record):
@@ -90,7 +88,12 @@ def aggregate(records, tier1, spec):
                              f"got {len(runs)} and {len(tr)}")
         end_to_end[workload] = {}
         for name, unit in gated.items():
-            values = [next(ln["value"] for ln in r["lines"] if ln["name"] == name) for r in runs]
+            values = []
+            for r in runs:
+                value = next((ln["value"] for ln in r["lines"] if ln["name"] == name), None)
+                if value is None:
+                    raise BenchError(f"{workload} seed {r['seed']}: no {name} line")
+                values.append(value)
             q1, median, q3 = quartiles(values)
             end_to_end[workload][name] = {"unit": unit, "median": median, "iqr": q3 - q1,
                                           "q1": q1, "q3": q3, "values": values}
@@ -161,19 +164,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--point", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output file (default: BENCH_<n>.json beside this script's checkout)")
     args = parser.parse_args(argv)
-    if len(args.seeds) < 5:
-        parser.error("a point needs at least 5 untraced seeds")
     repo = args.repo.resolve()
     spec = json.loads((repo / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    out = args.out or ROOT / f"BENCH_{args.point}.json"
+    seconds = spec["run_seconds"]
+    out = ROOT / f"BENCH_{args.point}.json"
     meta = {"point": args.point, "commit": git(repo, "rev-parse", "HEAD"),
             "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
             "command": "python3 benchmark/run.py --workload W --seed S "
@@ -181,7 +176,7 @@ def main(argv=None):
     records = []
     try:
         for w in [w["name"] for w in spec["workloads"]]:
-            for seed, trace in [(s, 0) for s in args.seeds] + [(args.trace_seed, 1)]:
+            for seed, trace in [(s, 0) for s in SEEDS] + [(TRACE_SEED, 1)]:
                 print(f"# {w} seed {seed} trace {trace}", file=sys.stderr, flush=True)
                 records.append(run_harness(repo, w, seed, trace, seconds))
                 check_run(records[-1])
