@@ -2,10 +2,14 @@
 
 conv2d and the offset-sampled convolution (`align.align_conv`) share one
 column kernel: each builds a (B, Ci, K = kh*kw, OH, OW) column tensor, by
-strided slices or by bilinear reads. The forward adds taps in (kh, kw, ci)
-order, one tap-plane at a time, so its floating-point summation order is
-identical to the naive nested-loop reference (and align_conv with all offsets
-zero is bit-identical to conv2d). The backward is two matrix contractions.
+strided slices or by bilinear reads. The forward is one ordered einsum that
+adds the products in (kh, kw, ci) order onto a bias row, plus an exact repair
+of the two kinds of output where einsum's accumulation differs from the loop's
+(NaN, and zero under a -0.0 bias). Its floating-point result is therefore
+identical to the naive nested-loop reference, and align_conv with all offsets
+zero is bit-identical to conv2d. Those bits need an einsum compiled without
+fused multiply-add, which numpy's X86_V2 baseline build is; the bitwise tests
+check it. The backward is two matrix contractions.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ import numpy as np
 from .tensor import Tensor
 
 __all__ = ["ConvSpec", "conv2d", "softmax_lastdim"]
+
+
+def _int_at_least(v, least):
+    """Whether `v` is an integer, not a bool, of at least `least`."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
 @dataclass
@@ -32,12 +41,16 @@ class ConvSpec:
     bias: Tensor = None
 
     def __post_init__(self):
-        kh, kw = self.kernel
-        if kh < 1 or kw < 1:
-            raise ValueError(f"kernel must be >= 1, got {self.kernel}")
-        if self.stride < 1 or self.padding < 0:
-            raise ValueError(f"stride must be >= 1 and padding >= 0, got stride "
-                             f"{self.stride} and padding {self.padding}")
+        for name in ("in_channels", "out_channels"):
+            if not _int_at_least(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        k = self.kernel
+        if not (isinstance(k, (tuple, list)) and len(k) == 2 and all(_int_at_least(v, 1) for v in k)):
+            raise ValueError(f"kernel must be two integers >= 1, got {k!r}")
+        if not (_int_at_least(self.stride, 1) and _int_at_least(self.padding, 0)):
+            raise ValueError(f"stride must be an integer >= 1 and padding an integer >= 0, "
+                             f"got stride {self.stride!r} and padding {self.padding!r}")
+        kh, kw = k
         wshape = (self.out_channels, self.in_channels, kh, kw)
         if self.weight is None:
             self.weight = Tensor(np.zeros(wshape), requires_grad=True)
@@ -63,45 +76,43 @@ class ConvSpec:
         return [self.weight, self.bias]
 
 
-_CHUNK = 1 << 17  # float64 products per ordered reduce (1 MiB, cache-sized)
-
-
 def _columns_forward(cols, w, b):
     """Convolve a (B, Ci, K, OH, OW) column tensor with (Co, Ci, K) weights.
 
-    Starts from the bias and adds one tap plane at a time in (t, ci) order,
-    the naive loop's summation order, so the result is bitwise reproducible
-    against it. No BLAS call: a matrix product would reorder the sum.
+    Bitwise equal to the naive loop, which starts from the bias and adds one
+    product cols[:, ci, t] * w[:, ci, t] at a time in (t, ci) order. One
+    einsum with optimize=False contracts a (B, 1 + K*Ci, OH*OW) stack of the
+    columns in (t, ci) order, whose row 0 is all ones, with a (1 + K*Ci, Co)
+    weight matrix, whose row 0 is the bias. It adds the products in row
+    order, one multiply and one add each; a BLAS matmul would reorder the sum.
+    Its accumulation differs from the loop's in two places only:
 
-    Within a tap, the products of a chunk of channels are made by one
-    multiply into rows 1.. of a stack whose row 0 holds the running sum, and
-    added by one reduce over that outer axis, which adds row after row: each
-    element's summation order stays that of the loop. The reduce starts from
-    -0.0, the exact additive identity (numpy's default 0.0 would turn a
-    -0.0 sum into +0.0). When a chunk would hold fewer than two product
-    rows, each product is added in place instead.
+    - it adds `product + sum` where the loop adds `sum + product`, so where
+      two NaNs meet, another payload survives;
+    - it starts from +0.0, so where every product is -0.0 in a channel whose
+      bias is -0.0, it ends at +0.0 where the loop ends at -0.0.
+
+    Those outputs, NaN or zero under a -0.0 bias, are recomputed bias first
+    by np.add.accumulate, which is sequential by definition. The repair runs
+    one channel at a time, so it holds at most one stack's worth of products.
     """
-    B, Ci, K = cols.shape[:3]
-    out = np.empty((B, w.shape[0]) + cols.shape[3:])
-    out[:] = b[None, :, None, None]
-    n = min(_CHUNK // out.size, Ci)
-    if n < 2:
-        term = np.empty_like(out)
-        for t in range(K):
-            for ci in range(Ci):
-                np.multiply(cols[:, ci, t, None], w[None, :, ci, t, None, None], out=term)
-                out += term
-        return out
-    xs = cols.transpose(1, 2, 0, 3, 4)[:, :, :, None]  # (Ci, K, B, 1, OH, OW), a view
-    ws = w.transpose(1, 2, 0)[:, :, None, :, None, None]  # (Ci, K, 1, Co, 1, 1)
-    stack = np.empty((n + 1,) + out.shape)
-    for t in range(K):
-        for c0 in range(0, Ci, n):
-            m = min(n, Ci - c0)
-            np.multiply(xs[c0:c0 + m, t], ws[c0:c0 + m, t], out=stack[1:m + 1])
-            stack[0] = out
-            np.add.reduce(stack[:m + 1], axis=0, out=out, initial=-0.0)
-    return out
+    B, Ci, K, OH, OW = cols.shape
+    Co = w.shape[0]
+    stack = np.empty((B, 1 + K * Ci, OH * OW))
+    stack[:, 0] = 1.0
+    stack[:, 1:].reshape(B, K, Ci, OH, OW)[...] = cols.transpose(0, 2, 1, 3, 4)
+    wm = np.empty((1 + K * Ci, Co))
+    wm[0] = b
+    wm[1:] = w.transpose(2, 1, 0).reshape(K * Ci, Co)
+    out = np.einsum("bkp,kc->bcp", stack, wm, optimize=False)
+    redo = np.isnan(out) | ((out == 0.0) & np.signbit(b)[:, None])
+    for c in np.flatnonzero(redo.any(axis=(0, 2))):
+        bi, pi = np.nonzero(redo[:, c])
+        terms = stack[bi, :, pi]  # (n, 1 + K*Ci)
+        terms *= wm[:, c]
+        out[bi, c, pi] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        del terms  # before the next channel's gather
+    return out.reshape(B, Co, OH, OW)
 
 
 def _columns_backward(g, cols, spec, need_cols):
@@ -113,11 +124,11 @@ def _columns_backward(g, cols, spec, need_cols):
     them. Returns gcols = W^T @ G per batch item, shaped like `cols`, when
     `need_cols`, else None; the caller scatters it back onto its input.
     """
-    B, Co = g.shape[:2]
-    G = g.reshape(B, Co, -1)
+    B, Co, OH, OW = g.shape
+    G = g.reshape(B, Co, OH * OW)  # explicit sizes: -1 cannot be inferred when B is 0
     w = spec.weight
     if w.requires_grad:
-        gw = np.tensordot(G, cols.reshape(B, -1, G.shape[2]), axes=([0, 2], [0, 2]))
+        gw = np.tensordot(G, cols.reshape(B, w.size // Co, OH * OW), axes=([0, 2], [0, 2]))
         w.accumulate_grad(gw.reshape(w.shape), fresh=True)
     if spec.bias.requires_grad:
         spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)

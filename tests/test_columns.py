@@ -5,16 +5,18 @@ align_conv ran before they shared one column kernel: the forward adds one
 tap plane at a time, the backward loops over every (tap, channel) with
 einsum and np.add.at. The forward must match them bitwise; the gradients,
 whose summation order changed, within 1e-12 relative to each array's largest
-entry. The column forward itself, which adds chunks of channels by ordered
-reduces, is checked bitwise against one product at a time, and align_conv's
-all-tap corner math against the per-tap corner loop it replaced.
+entry. The column forward itself, one ordered einsum plus the repair of its
+NaN and -0.0 outputs, is checked bitwise against one product at a time, and
+align_conv's all-tap corner math against the per-tap corner loop it replaced.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mono3d.align import _bilinear_corners, _bilinear_slopes, align_conv
-from mono3d.ops import _CHUNK, ConvSpec, _columns_forward, conv2d
+from mono3d.ops import ConvSpec, _columns_forward, conv2d
 from mono3d.tensor import Tensor
 
 RTOL = 1e-12
@@ -229,9 +231,14 @@ def with_specials(rng, a, p=0.01):
     return a
 
 
-def chunk_of(B, Co, OH, OW, Ci):
-    """Channels per ordered reduce for this output; < 2 means the in-place loop."""
-    return min(_CHUNK // (B * Co * OH * OW), Ci)
+def unrepaired_columns_forward(cols, w, b):
+    """The column kernel's einsum alone: its (tap, channel) stack under a row
+    of ones, contracted with the bias row over the weights, no repair."""
+    B, Ci, K, OH, OW = cols.shape
+    stack = np.concatenate([np.ones((B, 1, OH * OW)),
+                            cols.transpose(0, 2, 1, 3, 4).reshape(B, K * Ci, OH * OW)], axis=1)
+    wm = np.concatenate([b[None], w.transpose(2, 1, 0).reshape(K * Ci, -1)])
+    return np.einsum("bkp,kc->bcp", stack, wm, optimize=False).reshape(B, -1, OH, OW)
 
 
 class TestColumnsForwardChunks:
@@ -260,15 +267,56 @@ class TestColumnsForwardChunks:
         assert np.isnan(want).any() and np.isinf(want).any()
         assert np.array_equal(bits(got), bits(want))
 
-    def test_cases_reach_every_path(self):
-        n = {k: chunk_of(B, Co, OH, OW, Ci) for k, (B, Ci, K, Co, OH, OW) in self.CASES.items()}
-        ci = {k: v[1] for k, v in self.CASES.items()}
-        assert n["several_chunks"] >= 2 and ci["several_chunks"] % n["several_chunks"] > 1
-        assert n["one_channel_last_chunk"] == 2
-        assert ci["one_channel_last_chunk"] % n["one_channel_last_chunk"] == 1
-        assert n["wide_chunk"] == ci["wide_chunk"] > 8  # past numpy's 8-way unrolled sums
-        B, _, _, Co, OH, OW = self.CASES["in_place_row"]
-        assert B * Co * OH * OW >= _CHUNK and n["in_place_row"] < 2
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_cases_reach_both_repairs(self, name):
+        # the inputs of test_bitwise_against_one_product_at_a_time
+        B, Ci, K, Co, OH, OW = self.CASES[name]
+        rng = np.random.default_rng(sorted(self.CASES).index(name))
+        cols = with_specials(rng, rng.normal(size=(B, Ci, K, OH, OW)))
+        w = rng.normal(size=(Co, Ci, K))
+        w[0] = -np.abs(w[0])
+        cols[:, :, :, 0, 0] = 0.0
+        b = rng.normal(size=Co)
+        b[0] = -0.0
+        with np.errstate(invalid="ignore"):
+            raw = unrepaired_columns_forward(cols, w, b)
+            want = brute_columns_forward(cols, w, b)
+        differ = bits(raw) != bits(want)
+        nan = np.isnan(want)
+        assert (differ & nan).any()  # another NaN payload survives
+        assert differ[:, 0, 0, 0].all() and (raw[:, 0, 0, 0] == 0.0).all()  # +0.0, not -0.0
+        assert not (differ & ~nan & (want != 0.0)).any()  # nowhere else
+
+    @pytest.mark.parametrize("B,Ci,K,Co,OH,OW", [
+        (1, 64, 9, 64, 24, 80),  # block: align_conv 64 -> 64, 3x3 at 24x80
+        (4, 3, 9, 8, 24, 40),    # train: the first backbone conv on a batch of 4
+        (4, 16, 1, 12, 6, 10),   # a 1x1 head
+    ])
+    def test_bitwise_at_workload_shapes(self, B, Ci, K, Co, OH, OW):
+        rng = np.random.default_rng(Ci * K + Co)
+        cols = rng.normal(size=(B, Ci, K, OH, OW))
+        w = rng.normal(size=(Co, Ci, K))
+        b = rng.normal(size=Co)
+        got = _columns_forward(cols, w, b)
+        assert np.array_equal(bits(got), bits(brute_columns_forward(cols, w, b)))
+
+    def test_repair_memory_stays_near_the_stack(self):
+        # every output of an all-NaN block-shaped input is recomputed; one
+        # channel at a time, the repair holds one stack's worth of products
+        B, Ci, K, Co, OH, OW = 1, 64, 9, 64, 24, 80
+        rng = np.random.default_rng(12)
+        cols = np.where(rng.random((B, Ci, K, OH, OW)) < 0.5, np.nan, -np.nan)
+        w = rng.normal(size=(Co, Ci, K))
+        b = rng.normal(size=Co)
+        tracemalloc.start()
+        try:
+            got = _columns_forward(cols, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = B * (1 + K * Ci) * OH * OW * 8
+        assert peak <= 2.5 * (stack + got.nbytes)
+        assert np.array_equal(bits(got), bits(brute_columns_forward(cols, w, b)))
 
     @pytest.mark.parametrize("B,Ci,Co,H,W,kernel,stride,pad", [
         (2, 7, 5, 9, 11, (3, 3), 1, 1),

@@ -75,6 +75,47 @@ class TestConv2d:
         with pytest.raises(ValueError, match=f"got stride {stride} and padding {padding}"):
             ConvSpec(3, 2, (3, 3), stride=stride, padding=padding)
 
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((3, 0), {}, "out_channels must be an integer >= 1, got 0"),
+        ((-1, 4), {}, "in_channels must be an integer >= 1, got -1"),
+        ((3.0, 4), {}, "in_channels must be an integer >= 1, got 3.0"),
+        ((3, True), {}, "out_channels must be an integer >= 1, got True"),
+        ((3, 4, (3, 0)), {}, r"kernel must be two integers >= 1, got \(3, 0\)"),
+        ((3, 4, (3,)), {}, r"kernel must be two integers >= 1, got \(3,\)"),
+        ((3, 4, (2.5, 3)), {}, r"kernel must be two integers >= 1, got \(2.5, 3\)"),
+        ((3, 4), {"stride": 1.5}, "got stride 1.5 and padding 0"),
+        ((3, 4), {"padding": 0.5}, "got stride 1 and padding 0.5"),
+    ])
+    def test_rejects_bad_sizes(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ConvSpec(*args, **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        spec = ConvSpec(np.int64(2), np.int32(3), (np.intp(3), 3), np.int64(2), np.int64(1))
+        assert spec.weight.shape == (3, 2, 3, 3)
+
+    @pytest.mark.parametrize("kernel,stride,pad,op", [
+        ((3, 3), 1, 1, "conv2d"), ((3, 3), 2, 1, "conv2d"), ((1, 1), 1, 0, "conv2d"),
+        ((3, 3), 1, 1, "align_conv"), ((1, 1), 1, 0, "align_conv"),
+    ])
+    def test_empty_batch(self, kernel, stride, pad, op):
+        rng = np.random.default_rng(8)
+        spec = ConvSpec.init_random(3, 4, kernel, stride, pad, rng=rng)
+        x = Tensor(np.zeros((0, 3, 5, 6)), requires_grad=True)
+        if op == "conv2d":
+            out = conv2d(x, spec)
+        else:
+            off = Tensor(np.zeros((5, 6, kernel[0] * kernel[1], 2)), requires_grad=True)
+            out = align_conv(x, spec, off)
+        oh, ow = (5 + 2 * pad - kernel[0]) // stride + 1, (6 + 2 * pad - kernel[1]) // stride + 1
+        assert out.shape == (0, 4, oh, ow)
+        out.backward(np.zeros(out.shape))
+        assert x.grad.shape == x.shape
+        np.testing.assert_array_equal(spec.weight.grad, np.zeros(spec.weight.shape))
+        np.testing.assert_array_equal(spec.bias.grad, np.zeros(4))
+        if op == "align_conv":
+            np.testing.assert_array_equal(off.grad, np.zeros(off.shape))
+
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
