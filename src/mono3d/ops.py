@@ -8,8 +8,8 @@ of the two kinds of output where einsum's accumulation differs from the loop's
 (NaN, and zero under a -0.0 bias). Its floating-point result is therefore
 identical to the naive nested-loop reference, and align_conv with all offsets
 zero is bit-identical to conv2d. Those bits need an einsum compiled without
-fused multiply-add, which numpy's X86_V2 baseline build is; the bitwise tests
-check it. The backward is two matrix contractions.
+fused multiply-add, as numpy's x86 builds compile it at the X86_V2 baseline;
+the bitwise tests check it. The backward is two matrix contractions.
 """
 
 from __future__ import annotations
@@ -63,14 +63,10 @@ class ConvSpec:
 
     @staticmethod
     def init_random(in_channels, out_channels, kernel=(3, 3), stride=1, padding=0, *, rng, gain=1.0):
-        kh, kw = kernel
-        fan_in = in_channels * kh * kw
-        w = rng.normal(0.0, gain / np.sqrt(fan_in), size=(out_channels, in_channels, kh, kw))
-        b = np.zeros(out_channels)
-        return ConvSpec(
-            in_channels, out_channels, kernel, stride, padding,
-            weight=Tensor(w, requires_grad=True), bias=Tensor(b, requires_grad=True),
-        )
+        spec = ConvSpec(in_channels, out_channels, kernel, stride, padding)  # validates first
+        fan_in = in_channels * kernel[0] * kernel[1]
+        spec.weight.data[...] = rng.normal(0.0, gain / np.sqrt(fan_in), size=spec.weight.shape)
+        return spec
 
     def params(self):
         return [self.weight, self.bias]

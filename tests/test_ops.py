@@ -89,6 +89,8 @@ class TestConv2d:
     def test_rejects_bad_sizes(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ConvSpec(*args, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            ConvSpec.init_random(*args, **kwargs, rng=np.random.default_rng(0))
 
     def test_accepts_numpy_integers(self):
         spec = ConvSpec(np.int64(2), np.int32(3), (np.intp(3), 3), np.int64(2), np.int64(1))
