@@ -1,6 +1,6 @@
 """`tools/bench_point.py`'s aggregation on canned harness records: medians,
-interquartile ranges, the traced run's per-layer metrics, and no file when a
-run or the Tier-1 suite failed."""
+interquartile ranges, the traced run's per-layer metrics, no file when a
+run or the Tier-1 suite failed, and no run over an existing point."""
 
 import importlib.util
 import json
@@ -115,3 +115,17 @@ def test_point_written(tmp_path):
     point = json.loads(out.read_text())
     assert point["point"] == 0 and point["commit"] == "abc"
     assert point["unmeasured"]["geometry.iou_pairs"]["value"] is None
+
+
+def test_existing_point_is_kept_and_nothing_runs(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a run started over an existing point")
+
+    monkeypatch.setattr(bench_point, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_point, "run_harness", must_not_run)
+    monkeypatch.setattr(bench_point, "run_tier1", must_not_run)
+    out = tmp_path / "BENCH_7.json"
+    out.write_bytes(b'{"point": 7}\n')
+    assert bench_point.main(["--point", "7", "--repo", str(ROOT)]) == 1
+    assert capsys.readouterr().err.strip() == "error: BENCH_7.json exists; no point written"
+    assert out.read_bytes() == b'{"point": 7}\n'

@@ -232,22 +232,24 @@ def with_specials(rng, a, p=0.01):
 
 
 def unrepaired_columns_forward(cols, w, b):
-    """The column kernel's einsum alone: its (tap, channel) stack under a row
-    of ones, contracted with the bias row over the weights, no repair."""
+    """The column kernel's einsum alone: its (tap, channel) stack, batch and
+    positions on one axis, under a row of ones, contracted with the bias row
+    over the weights, no repair."""
     B, Ci, K, OH, OW = cols.shape
-    stack = np.concatenate([np.ones((B, 1, OH * OW)),
-                            cols.transpose(0, 2, 1, 3, 4).reshape(B, K * Ci, OH * OW)], axis=1)
+    stack = np.concatenate([np.ones((1, B * OH * OW)),
+                            cols.transpose(2, 1, 0, 3, 4).reshape(K * Ci, B * OH * OW)])
     wm = np.concatenate([b[None], w.transpose(2, 1, 0).reshape(K * Ci, -1)])
-    return np.einsum("bkp,kc->bcp", stack, wm, optimize=False).reshape(B, -1, OH, OW)
+    out = np.einsum("kp,kc->cp", stack, wm, optimize=False)
+    return out.reshape(-1, B, OH, OW).transpose(1, 0, 2, 3)
 
 
 class TestColumnsForwardChunks:
-    # (B, Ci, K, Co, OH, OW): the products one chunk holds follow from B*Co*OH*OW
+    # (B, Ci, K, Co, OH, OW)
     CASES = {
-        "several_chunks": (1, 12, 3, 4, 64, 100),         # 5 per chunk: 5, 5, 2
-        "one_channel_last_chunk": (2, 7, 2, 4, 32, 200),  # 2 per chunk: 2, 2, 2, 1
-        "wide_chunk": (1, 40, 2, 3, 9, 11),               # 40 rows in one reduce
-        "in_place_row": (1, 3, 2, 8, 128, 128),           # one row of 2**17 products
+        "several_chunks": (1, 12, 3, 4, 64, 100),         # 37 rows over 6400 positions
+        "one_channel_last_chunk": (2, 7, 2, 4, 32, 200),  # two items, odd channel count
+        "wide_chunk": (1, 40, 2, 3, 9, 11),               # 81 rows over only 99 positions
+        "in_place_row": (1, 3, 2, 8, 128, 128),           # 7 rows over 2**14 positions
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -290,6 +292,15 @@ class TestColumnsForwardChunks:
     @pytest.mark.parametrize("B,Ci,K,Co,OH,OW", [
         (1, 64, 9, 64, 24, 80),  # block: align_conv 64 -> 64, 3x3 at 24x80
         (4, 3, 9, 8, 24, 40),    # train: the first backbone conv on a batch of 4
+        (4, 8, 9, 12, 12, 20),   # train: the second backbone conv
+        (4, 12, 9, 16, 6, 10),   # train: the third backbone conv
+        (4, 16, 9, 16, 6, 10),   # train: the shape-alignment conv
+        (4, 16, 1, 36, 6, 10),   # train: the 1x1 2D and 3D box heads
+        (4, 16, 1, 18, 6, 10),   # train: the other 1x1 convs, class head first
+        (4, 16, 1, 16, 6, 10),
+        (4, 16, 1, 9, 6, 10),
+        (4, 16, 1, 2, 6, 10),
+        (4, 16, 1, 1, 6, 10),
         (4, 16, 1, 12, 6, 10),   # a 1x1 head
     ])
     def test_bitwise_at_workload_shapes(self, B, Ci, K, Co, OH, OW):
@@ -299,6 +310,40 @@ class TestColumnsForwardChunks:
         b = rng.normal(size=Co)
         got = _columns_forward(cols, w, b)
         assert np.array_equal(bits(got), bits(brute_columns_forward(cols, w, b)))
+
+    def test_repair_maps_merged_positions_back_to_their_items(self):
+        # NaNs, infinities and the all-zero column sit in items 1-3 only, at
+        # different positions in each, so a repair that confuses items or
+        # positions on the merged (item, position) axis writes the wrong outputs
+        B, Ci, K, Co, OH, OW = 4, 5, 3, 6, 7, 9
+        rng = np.random.default_rng(13)
+        cols = rng.normal(size=(B, Ci, K, OH, OW))
+        cols[1:] = with_specials(rng, cols[1:], p=0.02)
+        for item, (i, j) in zip((1, 2, 3), ((0, 0), (3, 5), (6, 8))):
+            cols[item, :, :, i, j] = 0.0
+        w = rng.normal(size=(Co, Ci, K))
+        w[0] = -np.abs(w[0])
+        b = rng.normal(size=Co)
+        b[0] = -0.0
+        with np.errstate(invalid="ignore"):
+            got = _columns_forward(cols, w, b)
+            raw = unrepaired_columns_forward(cols, w, b)
+            want = brute_columns_forward(cols, w, b)
+        assert np.isfinite(want[0]).all() and (want[0] != 0.0).all()
+        differ = bits(raw) != bits(want)
+        assert not differ[0].any() and (differ[1:] & np.isnan(want[1:])).any()
+        assert differ[1, 0, 0, 0] and differ[2, 0, 3, 5] and differ[3, 0, 6, 8]
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("B", [0, 1, 4])
+    def test_output_is_c_contiguous_items_first(self, B):
+        # downstream reductions add in memory order, so the layout is part of the bits
+        rng = np.random.default_rng(14)
+        cols = rng.normal(size=(B, 3, 4, 5, 6))
+        w = rng.normal(size=(7, 3, 4))
+        got = _columns_forward(cols, w, rng.normal(size=7))
+        assert got.shape == (B, 7, 5, 6)
+        assert got.flags.c_contiguous
 
     def test_repair_memory_stays_near_the_stack(self):
         # every output of an all-NaN block-shaped input is recomputed; one
@@ -321,8 +366,8 @@ class TestColumnsForwardChunks:
     @pytest.mark.parametrize("B,Ci,Co,H,W,kernel,stride,pad", [
         (2, 7, 5, 9, 11, (3, 3), 1, 1),
         (2, 7, 5, 9, 11, (3, 3), 2, 1),
-        (2, 8, 6, 100, 120, (3, 3), 2, 1),  # 3 channels per chunk: 3, 3, 2
-        (2, 11, 4, 30, 70, (1, 1), 1, 0),   # pointwise, 7 channels per chunk: 7, 4
+        (2, 8, 6, 100, 120, (3, 3), 2, 1),  # strided, 50x60 outputs per item
+        (2, 11, 4, 30, 70, (1, 1), 1, 0),   # pointwise: the columns are a view of the input
         (1, 5, 3, 33, 41, (1, 1), 2, 0),
     ])
     def test_conv2d_bitwise_with_non_finite_inputs(self, B, Ci, Co, H, W, kernel, stride, pad):

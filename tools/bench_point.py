@@ -12,8 +12,10 @@ and counts. Rows the harness cannot time yet are `null` with the reason.
 
 A run that exits non-zero or is not `correct`, a run with `failed > 0`, or a
 failing Tier-1 run exits with status 1 and writes no file. The point goes to
-`BENCH_<n>.json` beside this script's checkout. DIR defaults to that checkout,
-so a parent commit can be measured from a clone of it.
+`BENCH_<n>.json` beside this script's checkout; if that file exists already,
+the script exits with status 1 before any run and leaves it as it is. DIR
+defaults to that checkout, so a parent commit can be measured from a clone of
+it.
 """
 
 import argparse
@@ -165,10 +167,13 @@ def main(argv=None):
     parser.add_argument("--point", type=int, required=True, help="n of BENCH_<n>.json")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
     args = parser.parse_args(argv)
+    out = ROOT / f"BENCH_{args.point}.json"
+    if out.exists():
+        print(f"error: {out.name} exists; no point written", file=sys.stderr)
+        return 1
     repo = args.repo.resolve()
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    out = ROOT / f"BENCH_{args.point}.json"
     meta = {"point": args.point, "commit": git(repo, "rev-parse", "HEAD"),
             "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
             "command": "python3 benchmark/run.py --workload W --seed S "
