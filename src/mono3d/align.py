@@ -3,8 +3,9 @@
 Shape alignment spreads the sampling taps to cover the best-scoring anchor's
 extent; center alignment shifts all taps toward the predicted object center.
 Both feed `align_conv`, a convolution that reads its taps at fractional
-positions via bilinear interpolation. With an all-zero offset field,
-align_conv is bit-identical to conv2d.
+positions via bilinear interpolation, from one corner table of flat indices
+and bilinear factors that `_bilinear_corners` builds for all taps at once.
+With an all-zero offset field, align_conv is bit-identical to conv2d.
 """
 
 from __future__ import annotations
@@ -90,37 +91,29 @@ def center_align_offsets(residuals, stride):
 
 
 def _bilinear_corners(y, x_coord, H, W):
-    """The four grid corners around fractional (y, x) on an H x W map.
+    """The corner table of fractional (y, x) reads on an H x W map.
 
-    Returns four (flat, wy, wx) triples, corners (dy, dx) = (0, 0), (0, 1),
-    (1, 0), (1, 1) in that order: the corner's flat index y * W + x, clipped
-    into the map, and its two bilinear factors, both zero where the corner
-    lies outside the map (zero padding). A corner's value is
-    v[flat] * wy * wx, multiplied in that order (the per-tap loop's order, so
-    reads are bitwise unchanged).
+    y, x_coord: arrays of one shape (N, ...). Returns (flat, wy, wx), each
+    (N, 4, ...), with the corners (dy, dx) = (0, 0), (0, 1), (1, 0), (1, 1)
+    on axis 1: the corner's flat index y * W + x, clipped into the map, and
+    its two bilinear factors, both zero where the corner lies outside the map
+    (zero padding). A corner's value is v[flat] * wy * wx, multiplied in that
+    order. Coordinates are first clipped to [-2, H + 1] and [-2, W + 1]: past
+    that margin every corner is outside the map already, so no weight or
+    index changes, and a huge offset does not overflow the integer cast.
     """
-    y = np.asarray(y, dtype=np.float64)
-    xq = np.asarray(x_coord, dtype=np.float64)
-    y0 = np.floor(y).astype(np.intp)
-    x0 = np.floor(xq).astype(np.intp)
+    y = np.clip(y, -2.0, H + 1.0)[:, None]
+    xq = np.clip(x_coord, -2.0, W + 1.0)[:, None]
+    y0, x0 = np.floor(y).astype(np.intp), np.floor(xq).astype(np.intp)
     fy, fx = y - y0, xq - x0
-    corners = []
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        yi, xi = y0 + dy, x0 + dx
-        valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
-        flat = np.clip(yi, 0, H - 1) * W + np.clip(xi, 0, W - 1)
-        wy = np.where(valid, fy if dy else 1.0 - fy, 0.0)
-        wx = np.where(valid, fx if dx else 1.0 - fx, 0.0)
-        corners.append((flat, wy, wx))
-    return corners
-
-
-def _bilinear_slopes(vals, corners):
-    """d/dy and d/dx of a bilinear read, from its four corner values."""
-    v00, v01, v10, v11 = vals
-    (_, wy00, wx00), (_, wy01, wx01), (_, wy10, wx10), (_, wy11, wx11) = corners
-    return (v10 * wx10 - v00 * wx00 + v11 * wx11 - v01 * wx01,
-            v01 * wy01 - v00 * wy00 + v11 * wy11 - v10 * wy10)
+    corner = (4,) + (1,) * (y.ndim - 2)
+    dy, dx = np.array([0, 0, 1, 1]).reshape(corner), np.array([0, 1, 0, 1]).reshape(corner)
+    yi, xi = y0 + dy, x0 + dx
+    valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
+    flat = np.clip(yi, 0, H - 1) * W + np.clip(xi, 0, W - 1)
+    wy = np.where(valid, np.where(dy, fy, 1.0 - fy), 0.0)
+    wx = np.where(valid, np.where(dx, fx, 1.0 - fx), 0.0)
+    return flat, wy, wx
 
 
 def align_conv(x, spec, off):
@@ -137,7 +130,8 @@ def align_conv(x, spec, off):
 
     The taps are read into a column tensor and convolved by the column kernel
     that conv2d uses. The bilinear slopes that the offset gradient needs are
-    kept only when the offsets require a gradient.
+    kept only when the offsets require a gradient, the corner weights that
+    scatter the input gradient only when the input requires one.
     """
     if x.ndim != 4:
         raise ValueError(f"align_conv expects a 4-D (B, C, H, W) input, got shape {x.shape}")
@@ -164,18 +158,16 @@ def align_conv(x, spec, off):
     ph = kh // 2
     K, P = kh * kw, H * W
 
-    # the bilinear corners of every tap at once: tap t = i * kw + j reads at
+    # the corner table of every tap at once: tap t = i * kw + j reads at
     # (h + i - ph + dy, w + j - ph + dx), one (dy, dx) per tap or one for all;
-    # one corner map per field item, shared by every channel. The index map
+    # one table per field item, shared by every channel. The index map
     # addresses x as (Ci, B*P), item b at b*P, and serves the scatter in the backward.
     tap_y = np.repeat(np.arange(kh) - ph, kw)[:, None, None]
     tap_x = np.tile(np.arange(kw) - ph, kh)[:, None, None]
     ys = np.arange(H)[:, None] + tap_y + off5[..., 0].transpose(0, 3, 1, 2)
     xs = np.arange(W) + tap_x + off5[..., 1].transpose(0, 3, 1, 2)
-    corners = _bilinear_corners(ys, xs, H, W)  # each (B', K, H, W)
-    item = (np.arange(B) * P)[:, None, None, None]
-    idx = np.stack([flat + item for flat, _, _ in corners], axis=1)  # (B, 4, K, H, W)
-    wgt = np.stack([wy * wx for _, wy, wx in corners], axis=1)  # (B', 4, K, H, W)
+    flat, wy, wx = _bilinear_corners(ys, xs, H, W)  # each (B', 4, K, H, W)
+    idx = flat + (np.arange(B) * P)[:, None, None, None, None]  # (B, 4, K, H, W)
     xc = x.data.transpose(1, 0, 2, 3).reshape(Ci, B * P)
 
     # one column per tap, gathered and weighted in the per-tap loop's order
@@ -183,11 +175,14 @@ def align_conv(x, spec, off):
     # d(column)/dy and d(column)/dx, kept only when the offsets need a grad
     dcols = np.empty((2, B, Ci, K, H, W)) if off.requires_grad else None
     for t in range(K):
-        tap = [(None, wy[:, t, None], wx[:, t, None]) for _, wy, wx in corners]
-        vals = [xc[:, idx[:, c, t]].transpose(1, 0, 2, 3) for c in range(4)]
-        cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, tap))
+        v = [xc[:, idx[:, c, t]].transpose(1, 0, 2, 3) for c in range(4)]
+        wyt, wxt = wy[:, :, t, None].swapaxes(0, 1), wx[:, :, t, None].swapaxes(0, 1)
+        cols[:, :, t] = sum(v[c] * wyt[c] * wxt[c] for c in range(4))
         if dcols is not None:
-            dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, tap)
+            dcols[0, :, :, t] = v[2] * wxt[2] - v[0] * wxt[0] + v[3] * wxt[3] - v[1] * wxt[1]
+            dcols[1, :, :, t] = v[1] * wyt[1] - v[0] * wyt[0] + v[3] * wyt[3] - v[2] * wyt[2]
+    # the scatter weights, kept only when the input needs a grad
+    wgt = wy * wx if x.requires_grad else None
     w3 = spec.weight.data.reshape(spec.out_channels, Ci, K)
     out = _columns_forward(cols, w3, spec.bias.data)
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ class TestAlignConv:
         want = conv2d(Tensor(shifted), spec).data
         # boundary columns read different zero-padding; compare the interior
         np.testing.assert_allclose(got[..., 1:-2], want[..., 1:-2], atol=1e-12)
+
+    def test_huge_finite_offsets_read_like_offsets_past_the_border(self):
+        # past a two-cell margin every corner is outside the map, so 1e20 and
+        # -1e300 read, and differentiate, like +-50, with no numpy warning
+        def run(far):
+            rng = np.random.default_rng(12)
+            off = rng.uniform(-1.5, 1.5, size=(2, 5, 6, 9, 2))
+            off[0, 2, 3, 4, 0], off[1, 0, 0, :, 1], off[1, 4, 5, 0] = far, -far, (far, -far)
+            x = Tensor(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
+            spec = ConvSpec.init_random(3, 4, (3, 3), 1, 1, rng=rng)
+            offt = Tensor(off, requires_grad=True)
+            out = align_conv(x, spec, offt)
+            out.backward(rng.normal(size=out.shape))
+            return [out.data, x.grad, offt.grad, spec.weight.grad, spec.bias.grad]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = run(50.0)
+            for far in (1e20, -1e300):
+                for got, want in zip(run(far), near):
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 1, 1, 4, 4)])
     def test_rejects_input_of_another_rank(self, shape):

@@ -1,6 +1,7 @@
 """`tools/bench_point.py`'s aggregation on canned harness records: medians,
-interquartile ranges, the traced run's per-layer metrics, no file when a
-run or the Tier-1 suite failed, and no run over an existing point."""
+interquartile ranges, the traced runs' per-layer metrics and report lines
+summarized like the gated ones, no file when a run, a traced seed or the
+Tier-1 suite failed or is missing, and no run over an existing point."""
 
 import importlib.util
 import json
@@ -28,7 +29,7 @@ def record(workload, seed, op_ms, trace=0, **overrides):
              {"name": "detect.scene_ms.p50", "value": op_ms, "unit": "ms", "n": 50}]
     if trace:
         lines += [{"name": "anchors.decode.calls", "value": 86.5, "unit": "count", "n": 40},
-                  {"name": "trace.overhead_ms", "value": 0.52, "unit": "ms", "n": 40}]
+                  {"name": "trace.overhead_ms", "value": op_ms / 10, "unit": "ms", "n": 40}]
     return {"workload": workload, "seed": seed, "trace": trace, "returncode": 0,
             "correct": True, "attempted": 100, "failed": 0, "env": ENV, "lines": lines,
             **overrides}
@@ -37,10 +38,11 @@ def record(workload, seed, op_ms, trace=0, **overrides):
 def records():
     out = []
     for workload, base in (("detect", 5.0), ("eval", 160.0)):
-        # seeds given out of order; op times 5.0, 5.4, 5.1, 6.0, 5.2 (x base / 5)
-        for seed, op in zip((3, 1, 5, 2, 4), (5.0, 5.4, 5.1, 6.0, 5.2)):
-            out.append(record(workload, seed, op * base / 5.0))
-        out.append(record(workload, 1, 4.9 * base / 5.0, trace=1))
+        # seeds given out of order; op times 5.0, 5.4, 5.1, 6.0, 5.2 (x base / 5),
+        # traced 0.1 ms slower
+        ops = list(zip((3, 1, 5, 2, 4), (5.0, 5.4, 5.1, 6.0, 5.2)))
+        out += [record(workload, seed, op * base / 5.0) for seed, op in ops]
+        out += [record(workload, seed, (op + 0.1) * base / 5.0, trace=1) for seed, op in ops]
     return out
 
 
@@ -64,11 +66,21 @@ def test_medians_and_interquartile_ranges():
 def test_traced_run_and_unmeasured_rows():
     point = bench_point.aggregate(records(), TIER1, SPEC)
     traced = point["per_layer"]["detect"]
-    assert traced["seed"] == 1
-    assert traced["metrics"] == {
-        "anchors.decode.calls": {"value": 86.5, "unit": "count", "n": 40},
-        "trace.overhead_ms": {"value": 0.52, "unit": "ms", "n": 40}}
+    assert set(traced["metrics"]) == {"anchors.decode.calls", "trace.overhead_ms"}
+    # every traced seed, summarized like the gated rows: sorted 0.51 0.52 0.53 0.55 0.61
+    overhead = traced["metrics"]["trace.overhead_ms"]
+    assert overhead["unit"] == "ms"
+    assert overhead["values"] == pytest.approx([0.55, 0.61, 0.51, 0.53, 0.52])   # by seed
+    assert overhead["median"] == pytest.approx(0.53)
+    assert (overhead["q1"], overhead["q3"]) == pytest.approx((0.52, 0.55))
+    assert overhead["iqr"] == pytest.approx(0.03)
+    assert traced["metrics"]["anchors.decode.calls"] == {
+        "unit": "count", "median": 86.5, "iqr": 0.0, "q1": 86.5, "q3": 86.5, "values": [86.5] * 5}
     assert set(traced["report"]) == {"detect.scene_ms.p50"}   # gated lines are not repeated
+    scene = traced["report"]["detect.scene_ms.p50"]
+    assert scene["median"] == pytest.approx(5.3) and scene["iqr"] == pytest.approx(0.3)
+    assert point["per_layer"]["eval"]["report"]["detect.scene_ms.p50"]["median"] == \
+        pytest.approx(169.6)
     assert all(row["value"] is None and row["reason"] for row in point["unmeasured"].values())
     assert set(point["unmeasured"]) == {"geometry.iou_pairs", "attention.pa2_pool.backward"}
     assert point["env"] == ENV and point["env_consistent"]
@@ -104,7 +116,30 @@ def test_failing_tier1_writes_nothing(tmp_path, bad):
 def test_missing_traced_run_writes_nothing(tmp_path):
     out = tmp_path / "BENCH_0.json"
     recs = [r for r in records() if not (r["workload"] == "eval" and r["trace"])]
-    with pytest.raises(bench_point.BenchError, match="eval: need untraced runs and one traced"):
+    with pytest.raises(bench_point.BenchError, match=r"eval: need one traced run per untraced "
+                                                     r"seed, got untraced seeds \[1, 2, 3, 4, 5\] "
+                                                     r"and traced seeds \[\]"):
+        bench_point.write_point(out, recs, TIER1, SPEC, {"point": 0})
+    assert not out.exists()
+
+
+def test_missing_traced_seed_writes_nothing(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    recs = [r for r in records() if (r["workload"], r["seed"], r["trace"]) != ("eval", 3, 1)]
+    with pytest.raises(bench_point.BenchError, match=r"traced seeds \[1, 2, 4, 5\]"):
+        bench_point.write_point(out, recs, TIER1, SPEC, {"point": 0})
+    assert not out.exists()
+
+
+def test_traced_run_missing_a_line_writes_nothing(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    recs = records()
+    key = ("eval", 3, 1)
+    i = next(i for i, r in enumerate(recs) if (r["workload"], r["seed"], r["trace"]) == key)
+    recs[i] = {**recs[i], "lines": [ln for ln in recs[i]["lines"]
+                                    if ln["name"] != "trace.overhead_ms"]}
+    with pytest.raises(bench_point.BenchError,
+                       match="eval seed 3: no trace.overhead_ms line in the traced run"):
         bench_point.write_point(out, recs, TIER1, SPEC, {"point": 0})
     assert not out.exists()
 

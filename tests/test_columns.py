@@ -15,9 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mono3d.align import _bilinear_corners, _bilinear_slopes, align_conv
+from mono3d.align import _bilinear_corners, align_conv
 from mono3d.ops import ConvSpec, _columns_forward, conv2d
-from mono3d.tensor import Tensor
+from mono3d.tensor import Tensor, no_grad
 
 RTOL = 1e-12
 
@@ -381,62 +381,103 @@ class TestColumnsForwardChunks:
 
 
 def per_tap_align_columns(x, off, kernel):
-    """align_conv's column build as it ran one tap at a time: (cols, idx, wgt, dcols)."""
+    """align_conv's column build as it ran one tap at a time: (cols, idx, wgt, dcols).
+
+    off: (H, W, k, 2) or (B, H, W, k, 2), k the kernel's taps or 1. idx and
+    wgt are each field item's (B', 4, K, H, W) corner indices into its own
+    H*W map and corner weights.
+    """
     kh, kw = kernel
     B, Ci, H, W = x.shape
-    ph, K, P = kh // 2, kh * kw, H * W
+    off5 = off.reshape((-1,) + off.shape[-4:])
+    Bf, ph, K = off5.shape[0], kh // 2, kh * kw
     grid_y, grid_x = np.arange(H)[:, None], np.arange(W)[None, :]
-    xf = x.reshape(B, Ci, P)
+    xf = x.reshape(B, Ci, H * W)
     cols = np.empty((B, Ci, K, H, W))
-    idx = np.empty((4, K, H, W), dtype=np.intp)
-    wgt = np.empty((4, K, H, W))
+    idx = np.empty((Bf, 4, K, H, W), dtype=np.intp)
+    wgt = np.empty((Bf, 4, K, H, W))
     dcols = np.empty((2, B, Ci, K, H, W))
     for i in range(kh):
         for j in range(kw):
             t = i * kw + j
-            ys = grid_y + (i - ph) + off[:, :, t, 0]
-            xs = grid_x + (j - ph) + off[:, :, t, 1]
-            corners = _bilinear_corners(ys, xs, H, W)
-            vals = [xf[:, :, flat] for flat, _, _ in corners]
-            cols[:, :, t] = sum(v * wy * wx for v, (_, wy, wx) in zip(vals, corners))
-            for c, (flat, wy, wx) in enumerate(corners):
-                idx[c, t] = flat
-                wgt[c, t] = wy * wx
-            dcols[0, :, :, t], dcols[1, :, :, t] = _bilinear_slopes(vals, corners)
+            tf = t if off5.shape[3] == K else 0
+            ys = grid_y + (i - ph) + off5[:, :, :, tf, 0]
+            xs = grid_x + (j - ph) + off5[:, :, :, tf, 1]
+            flat, wy, wx = _bilinear_corners(ys, xs, H, W)  # each (B', 4, H, W)
+            items = np.broadcast_to(flat, (B, 4, H, W))
+            v00, v01, v10, v11 = vals = [np.stack([xf[b][:, items[b, c]] for b in range(B)])
+                                         for c in range(4)]
+            wy00, wy01, wy10, wy11 = wys = wy[:, :, None].transpose(1, 0, 2, 3, 4)
+            wx00, wx01, wx10, wx11 = wxs = wx[:, :, None].transpose(1, 0, 2, 3, 4)
+            cols[:, :, t] = sum(v * a * b for v, a, b in zip(vals, wys, wxs))
+            idx[:, :, t], wgt[:, :, t] = flat, wy * wx
+            # each slope: the far corners' values less the near ones', by the other factor
+            dcols[0, :, :, t] = v10 * wx10 - v00 * wx00 + v11 * wx11 - v01 * wx01
+            dcols[1, :, :, t] = v01 * wy01 - v00 * wy00 + v11 * wy11 - v10 * wy10
     return cols, idx, wgt, dcols
 
 
+# (kernel, offset field shape, offsets need a grad, forward under no_grad)
+FIELD_FORMS = {
+    "shared9": ((3, 3), (6, 7, 9, 2), True, False),    # shared 9-tap field
+    "item1": ((1, 1), (2, 6, 7, 1, 2), True, False),   # center alignment: per-item, one tap
+    "item9": ((3, 3), (2, 6, 7, 9, 2), False, False),  # shape alignment: no offset grad
+    "no_grad": ((3, 3), (2, 6, 7, 9, 2), False, True),
+}
+
+
 class TestAlignConvAllTapCorners:
-    def test_bitwise_against_per_tap_corner_loop(self):
+    @pytest.mark.parametrize("kernel, field, off_grad, untaped", FIELD_FORMS.values(),
+                             ids=FIELD_FORMS.keys())
+    def test_bitwise_against_per_tap_corner_loop(self, kernel, field, off_grad, untaped):
         rng = np.random.default_rng(11)
         B, Ci, Co, H, W = 2, 4, 5, 6, 7
-        off = rng.uniform(-2.5, 2.5, size=(H, W, 9, 2))
-        off[0, 0, :, 0] = -2.0  # integer offsets on the border too
+        kh, kw = kernel
+        K = kh * kw
+        off = rng.uniform(-2.5, 2.5, size=field)
+        off[..., 0, 0, :, 0] = -2.0  # integer offsets on the border too
         # the offsets cross the border on several taps
-        ty = np.repeat(np.arange(3) - 1, 3)[:, None, None]
-        tx = np.tile(np.arange(3) - 1, 3)[:, None, None]
-        ys = np.arange(H)[None, :, None] + ty + off[..., 0].transpose(2, 0, 1)
-        xs = np.arange(W)[None, None, :] + tx + off[..., 1].transpose(2, 0, 1)
+        ty = np.repeat(np.arange(kh) - kh // 2, kw)[:, None, None]
+        tx = np.tile(np.arange(kw) - kw // 2, kh)[:, None, None]
+        ys = np.arange(H)[:, None] + ty + np.moveaxis(off[..., 0], -1, -3)
+        xs = np.arange(W) + tx + np.moveaxis(off[..., 1], -1, -3)
         outside = (ys < 0) | (ys > H - 1) | (xs < 0) | (xs > W - 1)
-        assert outside.any(axis=(1, 2)).sum() >= 5
-        x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
-        spec = random_spec(rng, Ci, Co, (3, 3), 1, 1)
-        offt = Tensor(off, requires_grad=True)
-        out = align_conv(x, spec, offt)
+        assert outside.any(axis=(-2, -1)).sum() >= min(5, outside[..., 0, 0].size)
+        x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=not untaped)
+        spec = random_spec(rng, Ci, Co, kernel, 1, kh // 2)
+        offt = Tensor(off, requires_grad=off_grad)
+        if untaped:
+            with no_grad():
+                out = align_conv(x, spec, offt)
+        else:
+            out = align_conv(x, spec, offt)
+
+        cols, idx, wgt, dcols = per_tap_align_columns(x.data, off, kernel)
+        w3 = spec.weight.data.reshape(Co, Ci, K)
+        assert np.array_equal(bits(out.data), bits(_columns_forward(cols, w3, spec.bias.data)))
+        if untaped:
+            assert not out.requires_grad
+            return
         g = rng.normal(size=out.shape)
         out.backward(g)
-
-        cols, idx, wgt, dcols = per_tap_align_columns(x.data, off, (3, 3))
-        w3 = spec.weight.data.reshape(Co, Ci, 9)
-        assert np.array_equal(bits(out.data), bits(_columns_forward(cols, w3, spec.bias.data)))
         # the backward, fed the per-tap loop's index map, weights and slopes
-        gcols = (w3.reshape(Co, Ci * 9).T @ g.reshape(B, Co, -1)).reshape(cols.shape)
+        gcols = (w3.reshape(Co, Ci * K).T @ g.reshape(B, Co, -1)).reshape(cols.shape)
         gx = np.empty((B, Ci, H * W))
         for b in range(B):
+            item = b % len(idx)
             for ci in range(Ci):
-                gx[b, ci] = np.bincount(idx.ravel(), weights=(wgt * gcols[b, ci]).ravel(),
+                gx[b, ci] = np.bincount(idx[item].ravel(),
+                                        weights=(wgt[item] * gcols[b, ci]).ravel(),
                                         minlength=H * W)
-        # the shared field's gradient: one contraction per item, then summed over the items
-        goff = np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols).sum(axis=0)
         assert np.array_equal(bits(x.grad), bits(gx.reshape(x.shape)))
+        if not off_grad:
+            assert offt.grad is None
+            return
+        # one contraction per item, then summed over a shared field's items
+        # and a one-tap field's taps, in that order
+        goff = np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols)
+        if len(field) == 4:
+            goff = goff.sum(axis=0)
+        if field[-2] == 1:
+            goff = goff.sum(axis=-2, keepdims=True)
         assert np.array_equal(bits(offt.grad), bits(goff))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ class TestDetect:
         tensors = [h for h in seen[0].values() if isinstance(h, Tensor)]
         assert len(tensors) == 6 and not any(t.requires_grad for t in tensors)
         assert seen[0]["best_wh"].shape == (1, 6, 10, 2)
+
+    def test_huge_center_shift_returns_without_a_warning(self):
+        # a 1e20 center residual sends every center-aligned tap off the map
+        scenes = make_synthetic_scenes(count=1, seed=0)
+        model = ToyDetector((48, 80), seed=0)
+        model.fit_anchors(scenes)
+        model.center_head.bias.data[:] = 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = detect(model, scenes[0], conf_thresh=0.0)
+        assert isinstance(dets, list)
 
     def test_low_threshold_yields_decoded_boxes(self):
         scenes = make_synthetic_scenes(count=2, seed=1)

@@ -3,15 +3,18 @@
     python3 tools/bench_point.py --point N [--repo DIR]
 
 For each workload that DIR's `BENCHMARK.json` declares, it runs
-`benchmark/run.py` for that file's `run_seconds`, untraced on seeds 1-5 and
-traced on seed 1, then runs the Tier-1 command once and times it. All timing is the harness's own except the
-Tier-1 wall time. The point holds the commit and the env, each gated
-(end-to-end) metric's median and interquartile range over the seeds, every
-per-layer metric and report line of the traced run, and the Tier-1 wall time
-and counts. Rows the harness cannot time yet are `null` with the reason.
+`benchmark/run.py` for that file's `run_seconds`, untraced and traced on
+seeds 1-5, then runs the Tier-1 command once and times it. All timing is the
+harness's own except the Tier-1 wall time. The point holds the commit and the
+env, the Tier-1 wall time and counts, and one row per line: each gated
+(end-to-end) metric over the untraced runs, each per-layer metric and report
+line over the traced runs, every row the median, quartiles, interquartile
+range and per-seed values. Rows the harness cannot time yet are `null` with
+the reason.
 
-A run that exits non-zero or is not `correct`, a run with `failed > 0`, or a
-failing Tier-1 run exits with status 1 and writes no file. The point goes to
+A run that exits non-zero or is not `correct`, a run with `failed > 0`, a
+workload whose traced seeds are not its untraced seeds, or a failing Tier-1
+run exits with status 1 and writes no file. The point goes to
 `BENCH_<n>.json` beside this script's checkout; if that file exists already,
 the script exits with status 1 before any run and leaves it as it is. DIR
 defaults to that checkout, so a parent commit can be measured from a clone of
@@ -29,8 +32,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3, 4, 5)   # untraced runs per workload
-TRACE_SEED = 1
+SEEDS = (1, 2, 3, 4, 5)   # each workload runs untraced and traced on every seed
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # aim-1 rows the harness does not time today, with the reason
 UNMEASURED = {
@@ -67,13 +69,35 @@ def check_tier1(tier1):
         raise BenchError(f"Tier-1 failed (exit {tier1['returncode']}): {tier1['summary']}")
 
 
+def summarize(runs, units):
+    """Each named line over `runs`, which are in seed order: {name: row}.
+
+    A row is the unit, the median, the quartiles, the interquartile range
+    and the per-seed values. Raises BenchError if a run lacks a line.
+    """
+    rows = {}
+    for name, unit in units.items():
+        values = []
+        for r in runs:
+            value = next((ln["value"] for ln in r["lines"] if ln["name"] == name), None)
+            if value is None:
+                raise BenchError(f"{r['workload']} seed {r['seed']}: no {name} line"
+                                 + (" in the traced run" if r["trace"] else ""))
+            values.append(value)
+        q1, median, q3 = quartiles(values)
+        rows[name] = {"unit": unit, "median": median, "iqr": q3 - q1, "q1": q1, "q3": q3,
+                      "values": values}
+    return rows
+
+
 def aggregate(records, tier1, spec):
     """The point's measurements from harness run records and one Tier-1 record.
 
     `records` are dicts with workload, seed, trace, returncode, correct,
     attempted, failed, env and lines ([{name, value, unit, n}], as
     `benchmark/run.py` writes them); `spec` is the parsed `BENCHMARK.json`.
-    Raises BenchError if any run or the Tier-1 suite failed.
+    Raises BenchError if any run or the Tier-1 suite failed, or if a
+    workload's traced seeds are not its untraced seeds.
     """
     for record in records:
         check_run(record)
@@ -82,29 +106,19 @@ def aggregate(records, tier1, spec):
     per_layer = {m["name"] for m in spec["per_layer"]}
     end_to_end, traced = {}, {}
     for workload in [w["name"] for w in spec["workloads"]]:
-        runs = sorted((r for r in records if r["workload"] == workload and not r["trace"]),
-                      key=lambda r: r["seed"])
-        tr = [r for r in records if r["workload"] == workload and r["trace"]]
-        if not runs or len(tr) != 1:
-            raise BenchError(f"{workload}: need untraced runs and one traced run, "
-                             f"got {len(runs)} and {len(tr)}")
-        end_to_end[workload] = {}
-        for name, unit in gated.items():
-            values = []
-            for r in runs:
-                value = next((ln["value"] for ln in r["lines"] if ln["name"] == name), None)
-                if value is None:
-                    raise BenchError(f"{workload} seed {r['seed']}: no {name} line")
-                values.append(value)
-            q1, median, q3 = quartiles(values)
-            end_to_end[workload][name] = {"unit": unit, "median": median, "iqr": q3 - q1,
-                                          "q1": q1, "q3": q3, "values": values}
-        lines = {ln["name"]: {"value": ln["value"], "unit": ln["unit"], "n": ln["n"]}
-                 for ln in tr[0]["lines"] if ln["name"] not in gated}
+        mine = [r for r in sorted(records, key=lambda r: r["seed"]) if r["workload"] == workload]
+        runs = [r for r in mine if not r["trace"]]
+        tr = [r for r in mine if r["trace"]]
+        seeds, tr_seeds = [r["seed"] for r in runs], [r["seed"] for r in tr]
+        if not runs or tr_seeds != seeds:
+            raise BenchError(f"{workload}: need one traced run per untraced seed, got "
+                             f"untraced seeds {seeds} and traced seeds {tr_seeds}")
+        end_to_end[workload] = summarize(runs, gated)
+        rows = summarize(tr, {ln["name"]: ln["unit"] for r in tr for ln in r["lines"]
+                              if ln["name"] not in gated})
         traced[workload] = {
-            "seed": tr[0]["seed"],
-            "metrics": {k: v for k, v in lines.items() if k in per_layer},
-            "report": {k: v for k, v in lines.items() if k not in per_layer},
+            "metrics": {k: v for k, v in rows.items() if k in per_layer},
+            "report": {k: v for k, v in rows.items() if k not in per_layer},
         }
     return {
         "env": records[0]["env"],
@@ -181,7 +195,7 @@ def main(argv=None):
     records = []
     try:
         for w in [w["name"] for w in spec["workloads"]]:
-            for seed, trace in [(s, 0) for s in SEEDS] + [(TRACE_SEED, 1)]:
+            for seed, trace in [(s, 0) for s in SEEDS] + [(s, 1) for s in SEEDS]:
                 print(f"# {w} seed {seed} trace {trace}", file=sys.stderr, flush=True)
                 records.append(run_harness(repo, w, seed, trace, seconds))
                 check_run(records[-1])
