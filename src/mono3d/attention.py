@@ -53,7 +53,8 @@ class PyramidSpec:
             raise ValueError("pyramid needs at least one level")
         for level in self.levels:
             bins = _level_bins(level)
-            if len(bins) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in bins):
+            if len(bins) != 2 or not all(isinstance(n, (int, np.integer))
+                                         and not isinstance(n, bool) and n >= 1 for n in bins):
                 raise ValueError(f"pyramid level {level!r} must be an integer n >= 1 or a pair "
                                  f"(nh, nw) of integers both >= 1")
         counts = [nh * nw for nh, nw in map(_level_bins, self.levels)]

@@ -121,15 +121,22 @@ def average_precision(scores, tp, num_gt, mode="r40"):
     R11 uses {0, 0.1, ..., 1.0}; R40 uses {1/40, ..., 40/40}. Precision at
     recall r is the maximum precision among operating points with recall >= r:
     recall never falls along the score order, so that is a suffix maximum of
-    precision from the first point reaching r.
+    precision from the first point reaching r. Scores of +-inf rank; a NaN
+    score, or flags `tp` not one per score, is a ValueError.
     """
     _check_mode(mode)
     if num_gt <= 0:
         raise ValueError("average precision needs at least one ground truth")
+    scores = np.asarray(scores)
+    if len(scores) != len(tp):
+        raise ValueError(f"scores and tp flags differ in length: {len(scores)} vs {len(tp)}")
+    nan = np.flatnonzero(np.isnan(scores))
+    if len(nan):
+        raise ValueError(f"scores[{nan[0]}] is NaN, which has no rank")
     points = RECALL_POINTS[mode]
     if len(scores) == 0:
         return 0.0
-    order = np.argsort(-np.asarray(scores), kind="stable")
+    order = np.argsort(-scores, kind="stable")
     tp_sorted = np.asarray(tp, dtype=np.float64)[order]
     cum_tp = np.cumsum(tp_sorted)
     cum_fp = np.cumsum(1.0 - tp_sorted)

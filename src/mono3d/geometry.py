@@ -195,31 +195,6 @@ def iou_2d(a, b):
     return inter / union if union > 0.0 else 0.0
 
 
-def clip_polygon(subject, clip):
-    """Sutherland-Hodgman: clip `subject` by convex polygon `clip` (CCW).
-
-    A crossing point is placed by the signed distances of the edge's two ends
-    to the clip line, which differ in sign wherever a crossing is emitted: a
-    subject edge (nearly) collinear with a clip edge cannot divide by zero.
-    """
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        a, b = clip[i], clip[(i + 1) % n]
-        inp, output = output, []
-        if not inp:
-            break
-        side = [(b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) for p in inp]
-        for k, cur in enumerate(inp):
-            prev, s_prev, s_cur = inp[k - 1], side[k - 1], side[k]
-            if (s_cur >= 0.0) != (s_prev >= 0.0):
-                t = s_prev / (s_prev - s_cur)
-                output.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
-            if s_cur >= 0.0:
-                output.append(cur)
-    return output
-
-
 # Pairs clipped at once. A rectangle clipped by a rectangle keeps at most 8
 # vertices (more only where rounding splits a near-collinear edge; the
 # compaction keeps those too), so a block holds about (block, 16, 2)
@@ -239,18 +214,25 @@ def _footprints(boxes):
     return np.stack([x + lx * c + lz * s, z - lx * s + lz * c], axis=2)
 
 
-def _clip_area(subject, clip):
-    """Area of `subject` clipped by `clip`, (P, 4, 2) CCW rectangles each.
+@np.errstate(divide="ignore", invalid="ignore")
+def _clip(subject, clip):
+    """Sutherland-Hodgman on every pair at once: the (P, m, 2) subjects, each
+    clipped by its pair's convex counter-clockwise polygon of the (P, c, 2)
+    clips. Returns (poly, n): the clipped polygon of pair p is
+    `poly[p, :n[p]]`, the rows after it padding.
 
-    `clip_polygon` run on every pair at once: per clip edge each vertex emits
-    (intersection with the edge, vertex) under the same masks, and a stable
-    sort of the emit mask compacts the emitted ones to the front. Then the
-    shoelace area.
+    Per clip edge each vertex emits (crossing with the edge, vertex) under
+    the same masks, and a stable sort of the emit mask compacts the emitted
+    ones to the front. A crossing point is placed by the signed distances of
+    the edge's two ends to the clip line, which differ in sign wherever a
+    crossing is emitted: a subject edge (nearly) collinear with a clip edge
+    cannot divide by zero. Padded slots may; they are masked, and numpy's
+    warnings are off inside.
     """
-    P = len(subject)
-    poly, n = subject, np.full(P, 4)
-    for e in range(4):
-        a, b = clip[:, e, None, :], clip[:, (e + 1) % 4, None, :]
+    P, m, _ = subject.shape
+    poly, n = subject, np.full(P, m)
+    for e in range(clip.shape[1]):
+        a, b = clip[:, e, None, :], clip[:, (e + 1) % clip.shape[1], None, :]
         k = np.arange(poly.shape[1])
         valid = k < n[:, None]
         prev_idx = np.maximum(np.where(k == 0, n[:, None] - 1, k - 1), 0)
@@ -266,6 +248,12 @@ def _clip_area(subject, clip):
         n = emit.sum(axis=1)
         keep = np.argsort(~emit, axis=1, kind="stable")[:, :max(int(n.max()), 1)]
         poly = np.take_along_axis(cand.reshape(P, -1, 2), keep[..., None], axis=1)
+    return poly, n
+
+
+def _clip_area(subject, clip):
+    """Shoelace area of each `_clip` polygon: 0 below three vertices."""
+    poly, n = _clip(subject, clip)
     k = np.arange(poly.shape[1])
     valid = k < n[:, None]
     nxt = np.where(k + 1 < n[:, None], k + 1, 0)
@@ -273,11 +261,18 @@ def _clip_area(subject, clip):
     x_next, y_next = (np.take_along_axis(v, nxt, axis=1) for v in (x, y))
     # summed column by column, so that a pair's area does not depend on the
     # padded width, which is set by the other pairs of its block
-    s1, s2 = np.zeros(P), np.zeros(P)
+    s1, s2 = np.zeros(len(poly)), np.zeros(len(poly))
     for k in range(poly.shape[1]):
         s1 += x[:, k] * y_next[:, k]
         s2 += x_next[:, k] * y[:, k]
     return np.where(n >= 3, 0.5 * np.abs(s1 - s2), 0.0)
+
+
+def clip_polygon(subject, clip):
+    """`_clip` on one pair: the (x, y) float tuples of polygon `subject`
+    clipped by the convex counter-clockwise polygon `clip`."""
+    poly, n = _clip(*(np.asarray(p, dtype=np.float64).reshape(1, -1, 2) for p in (subject, clip)))
+    return list(map(tuple, poly[0, :n[0]].tolist()))
 
 
 def _rows(a, b, width):
@@ -302,10 +297,9 @@ def _bev_intersection(a, b):
     inter = np.zeros(len(a))
     reach = 0.5 * (np.hypot(a[:, 3], a[:, 5]) + np.hypot(b[:, 3], b[:, 5]))
     near = np.flatnonzero(~(np.hypot(a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]) > reach))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, len(near), _PAIR_BLOCK):
-            idx = near[s:s + _PAIR_BLOCK]
-            inter[idx] = _clip_area(_footprints(a[idx]), _footprints(b[idx]))
+    for s in range(0, len(near), _PAIR_BLOCK):
+        idx = near[s:s + _PAIR_BLOCK]
+        inter[idx] = _clip_area(_footprints(a[idx]), _footprints(b[idx]))
     inter[inter < _AREA_EPS] = 0.0
     return inter
 

@@ -69,6 +69,28 @@ def bev_footprint(box):
     return np.stack([x, z], axis=1)
 
 
+def clip_polygon(subject, clip):
+    """Sutherland-Hodgman, one vertex at a time: clip `subject` by convex
+    polygon `clip` (CCW). `geometry._clip` runs this loop on arrays of pairs,
+    and `geometry.clip_polygon` equals it bit for bit."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        a, b = clip[i], clip[(i + 1) % n]
+        inp, output = output, []
+        if not inp:
+            break
+        side = [(b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) for p in inp]
+        for k, cur in enumerate(inp):
+            prev, s_prev, s_cur = inp[k - 1], side[k - 1], side[k]
+            if (s_cur >= 0.0) != (s_prev >= 0.0):
+                t = s_prev / (s_prev - s_cur)
+                output.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if s_cur >= 0.0:
+                output.append(cur)
+    return output
+
+
 def polygon_area(poly):
     """Shoelace area (absolute)."""
     if len(poly) < 3:

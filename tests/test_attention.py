@@ -157,6 +157,19 @@ class TestPyramidSpec:
         with pytest.raises(ValueError, match=bad):
             PyramidSpec(levels)
 
+    @pytest.mark.parametrize("levels,bad", [
+        ([True], "level True "), ([(True, 2)], r"level \(True, 2\)"),
+        ([1, (2, True)], r"level \(2, True\)"),
+    ])
+    def test_rejects_bool_bin_count(self, levels, bad):
+        # bool is an int subclass: these once built 1-, 2- and 3-bin pyramids
+        with pytest.raises(ValueError, match=bad):
+            PyramidSpec(levels)
+
+    def test_numpy_integer_bin_counts(self):
+        spec = PyramidSpec([np.int64(1), (np.int32(2), np.uint8(3))])
+        assert spec.descriptor_count == 7
+
 
 class TestAttentionMap:
     def test_zero_weights_give_half(self):

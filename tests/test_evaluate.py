@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import re
 
 import numpy as np
@@ -311,6 +312,21 @@ class TestAveragePrecision:
         a = average_precision(scores, tp, 2, "r40")
         b = average_precision([scores[i] for i in perm], [tp[i] for i in perm], 2, "r40")
         assert a == b
+
+    @pytest.mark.parametrize("scores,tp", [([0.9, 0.5], [1]), ([0.9, 0.5], [1, 0, 1])])
+    def test_lengths_must_match(self, scores, tp):
+        # once a bare IndexError, or an AP from the first two flags
+        with pytest.raises(ValueError, match=f"differ in length: 2 vs {len(tp)}"):
+            average_precision(scores, tp, 2)
+
+    def test_nan_score_rejected(self):
+        # once ranked last, for an AP of 0.25
+        with pytest.raises(ValueError, match=r"scores\[0\] is NaN"):
+            average_precision([math.nan, 0.5], [1, 0], 2)
+
+    def test_infinite_scores_rank(self):
+        assert average_precision([-math.inf, math.inf], [0, 1], 1) == 1.0
+        assert average_precision([math.inf, 0.5], [0, 1], 1) == 0.5
 
 
 CLASSES = ("Car", "Pedestrian", "Cyclist")

@@ -11,6 +11,7 @@ from mono3d.geometry import (Box2D, Box3D, CameraIntrinsics, alpha_to_yaw, backp
                              iou_3d_pairs, iou_bev, iou_bev_pairs, project, project_box,
                              wrap_angle, yaw_to_alpha)
 
+import oracles
 from oracles import bev_footprint, polygon_area
 
 CAM = CameraIntrinsics.simple(700.0, 600.0, 180.0)
@@ -337,6 +338,44 @@ class TestPolygonOps:
         far = [(5, 5), (6, 5), (6, 6), (5, 6)]
         assert polygon_area(clip_polygon(sq, far)) == 0.0
 
+    @staticmethod
+    def assert_bitwise_oracle(subject, clip):
+        got, want = clip_polygon(subject, clip), oracles.clip_polygon(subject, clip)
+        assert all(type(v) is float for p in got for v in p)
+        bits = lambda poly: np.array(poly, dtype=np.float64).reshape(-1, 2).view(np.uint64)
+        assert np.array_equal(bits(got), bits(want)), (subject, clip)
+        return len(got)
+
+    def test_bitwise_scalar_loop_on_every_degenerate_kind(self):
+        pairs = degenerate_pairs(np.random.default_rng(12), 100)
+        polys = [[_ccw_poly(bev_footprint(box)) for box in pair] for pair in pairs]
+        counts = np.array([self.assert_bitwise_oracle(*pair) for pair in polys])
+        # disc-rejected far pairs clip to nothing; rounding on shared and
+        # collinear edges leaves 3 to 8 vertices
+        assert np.all(counts.reshape(-1, 9)[:, 7] == 0)
+        assert {0, 3, 4, 5, 6, 7, 8}.issubset(counts.tolist())
+
+    def test_bitwise_scalar_loop_on_convex_polygons(self):
+        # triangles, pentagons and hexagons on a random ellipse about a random
+        # rectangle's centre, each clipping the rectangle and clipped by it
+        rng = np.random.default_rng(13)
+        counts = set()
+        for m in (3, 5, 6):
+            for _ in range(60):
+                box = random_box3d(rng)
+                rect = _ccw_poly(bev_footprint(box))
+                angle = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+                radius = rng.uniform(0.5, 4.0, 2)
+                centre = np.array([box.x, box.z]) + rng.uniform(-2.0, 2.0, 2)
+                poly = centre + radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+                counts.add(self.assert_bitwise_oracle(poly, rect))
+                counts.add(self.assert_bitwise_oracle(rect, poly))
+        assert {0, 3, 5, 6, 7}.issubset(counts)
+
+    def test_empty_subject(self):
+        sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert clip_polygon([], sq) == [] == oracles.clip_polygon([], sq)
+
 
 class TestIouBev:
     def test_identical(self):
@@ -417,8 +456,8 @@ class TestIou3d:
 
 
 def reference_ious(a, b):
-    """(BEV, 3D) IoU of two Box3D by the scalar clip_polygon + polygon_area."""
-    inter = polygon_area(clip_polygon(_ccw_poly(bev_footprint(a)), _ccw_poly(bev_footprint(b))))
+    """(BEV, 3D) IoU of two Box3D by the scalar oracles.clip_polygon + polygon_area."""
+    inter = polygon_area(oracles.clip_polygon(*(_ccw_poly(bev_footprint(box)) for box in (a, b))))
     if inter < 1e-12:
         inter = 0.0
     bev = inter / (a.w * a.l + b.w * b.l - inter)
