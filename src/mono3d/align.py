@@ -129,9 +129,14 @@ def align_conv(x, spec, off):
     in the input, the conv parameters, and the offsets.
 
     The taps are read into a column tensor and convolved by the column kernel
-    that conv2d uses. The bilinear slopes that the offset gradient needs are
-    kept only when the offsets require a gradient, the corner weights that
-    scatter the input gradient only when the input requires one.
+    that conv2d uses. Per tap, each corner is read by one np.take, which keeps
+    the (Ci, B, H, W) layout of the input view; the read is weighted in place,
+    by wy and then by wx (the two roundings of v * wy * wx), and the four are
+    summed into the first in corner order, from `+ 0.0` so that an all -0.0
+    sum ends at +0.0 as a sum from 0 does. The bilinear slopes that the
+    offset gradient needs are built from the unweighted reads and kept only
+    when the offsets require a gradient, the corner weights that scatter the
+    input gradient only when the input requires one.
     """
     if x.ndim != 4:
         raise ValueError(f"align_conv expects a 4-D (B, C, H, W) input, got shape {x.shape}")
@@ -170,17 +175,26 @@ def align_conv(x, spec, off):
     idx = flat + (np.arange(B) * P)[:, None, None, None, None]  # (B, 4, K, H, W)
     xc = x.data.transpose(1, 0, 2, 3).reshape(Ci, B * P)
 
-    # one column per tap, gathered and weighted in the per-tap loop's order
+    # one column per tap, each corner read weighted in place and summed in
+    # the per-tap loop's order, then stored once
     cols = np.empty((B, Ci, K, H, W))
     # d(column)/dy and d(column)/dx, kept only when the offsets need a grad
     dcols = np.empty((2, B, Ci, K, H, W)) if off.requires_grad else None
     for t in range(K):
-        v = [xc[:, idx[:, c, t]].transpose(1, 0, 2, 3) for c in range(4)]
-        wyt, wxt = wy[:, :, t, None].swapaxes(0, 1), wx[:, :, t, None].swapaxes(0, 1)
-        cols[:, :, t] = sum(v[c] * wyt[c] * wxt[c] for c in range(4))
-        if dcols is not None:
-            dcols[0, :, :, t] = v[2] * wxt[2] - v[0] * wxt[0] + v[3] * wxt[3] - v[1] * wxt[1]
-            dcols[1, :, :, t] = v[1] * wyt[1] - v[0] * wyt[0] + v[3] * wyt[3] - v[2] * wyt[2]
+        v = [np.take(xc, idx[:, c, t], axis=1) for c in range(4)]
+        wyt, wxt = wy[:, :, t].swapaxes(0, 1), wx[:, :, t].swapaxes(0, 1)  # (4, B', H, W)
+        if dcols is not None:  # the slopes take the unweighted reads
+            dcols[0, :, :, t] = (v[2] * wxt[2] - v[0] * wxt[0] + v[3] * wxt[3]
+                                 - v[1] * wxt[1]).swapaxes(0, 1)
+            dcols[1, :, :, t] = (v[1] * wyt[1] - v[0] * wyt[0] + v[3] * wyt[3]
+                                 - v[2] * wyt[2]).swapaxes(0, 1)
+        for c in range(4):
+            v[c] *= wyt[c]
+            v[c] *= wxt[c]
+        np.add(v[0], 0.0, out=v[0])
+        for c in range(1, 4):
+            v[0] += v[c]
+        cols[:, :, t] = v[0].swapaxes(0, 1)
     # the scatter weights, kept only when the input needs a grad
     wgt = wy * wx if x.requires_grad else None
     w3 = spec.weight.data.reshape(spec.out_channels, Ci, K)

@@ -276,10 +276,16 @@ def clip_polygon(subject, clip):
 
 
 def _rows(a, b, width):
+    """(P, width) float rows of both pair arrays; a ValueError names a
+    non-finite row's argument and index."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, width)
     b = np.asarray(b, dtype=np.float64).reshape(-1, width)
     if a.shape != b.shape:
         raise ValueError(f"pair arrays differ in shape: {a.shape} vs {b.shape}")
+    for name, rows in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{name} row {bad[0]} is not finite: {rows[bad[0]].tolist()}")
     return a, b
 
 

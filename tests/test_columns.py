@@ -15,7 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mono3d.align import _bilinear_corners, align_conv
+from mono3d import align as align_module
+from mono3d.align import (_bilinear_corners, align_conv, select_best_anchor,
+                          shape_align_offsets)
+from mono3d.anchors import generate_anchor_grid
 from mono3d.ops import ConvSpec, _columns_forward, conv2d
 from mono3d.tensor import Tensor, no_grad
 
@@ -426,14 +429,69 @@ FIELD_FORMS = {
 }
 
 
+def assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt, untaped=False):
+    """align_conv on x and offt, bitwise against the per-tap corner loop: the
+    columns it hands the column kernel, its output and, on the tape, the input
+    and offset gradients. Returns the loop's corner indices and weights."""
+    kernel = spec.kernel
+    kh, kw = kernel
+    K, (B, Ci, H, W), Co = kh * kw, x.shape, spec.out_channels
+    seen = []
+
+    def spy(cols, w, b):
+        seen.append(cols)
+        return _columns_forward(cols, w, b)
+
+    monkeypatch.setattr(align_module, "_columns_forward", spy)
+    if untaped:
+        with no_grad():
+            out = align_conv(x, spec, offt)
+    else:
+        out = align_conv(x, spec, offt)
+
+    off = offt.data
+    cols, idx, wgt, dcols = per_tap_align_columns(x.data, off, kernel)
+    w3 = spec.weight.data.reshape(Co, Ci, K)
+    assert np.array_equal(bits(seen[0]), bits(cols))
+    assert np.array_equal(bits(out.data), bits(_columns_forward(cols, w3, spec.bias.data)))
+    if untaped:
+        assert not out.requires_grad
+        return idx, wgt
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    # the backward, fed the per-tap loop's index map, weights and slopes
+    gcols = (w3.reshape(Co, Ci * K).T @ g.reshape(B, Co, -1)).reshape(cols.shape)
+    gx = np.empty((B, Ci, H * W))
+    for b in range(B):
+        item = b % len(idx)
+        for ci in range(Ci):
+            gx[b, ci] = np.bincount(idx[item].ravel(),
+                                    weights=(wgt[item] * gcols[b, ci]).ravel(),
+                                    minlength=H * W)
+    assert np.array_equal(bits(x.grad), bits(gx.reshape(x.shape)))
+    if not offt.requires_grad:
+        assert offt.grad is None
+        return idx, wgt
+    # one contraction per item, then summed over a shared field's items
+    # and a one-tap field's taps, in that order
+    goff = np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols)
+    if off.ndim == 4:
+        goff = goff.sum(axis=0)
+    if off.shape[-2] == 1:
+        goff = goff.sum(axis=-2, keepdims=True)
+    assert np.array_equal(bits(offt.grad), bits(goff))
+    return idx, wgt
+
+
 class TestAlignConvAllTapCorners:
+    @pytest.mark.parametrize("edges", [False, True], ids=["finite", "edges"])
     @pytest.mark.parametrize("kernel, field, off_grad, untaped", FIELD_FORMS.values(),
                              ids=FIELD_FORMS.keys())
-    def test_bitwise_against_per_tap_corner_loop(self, kernel, field, off_grad, untaped):
+    def test_bitwise_against_per_tap_corner_loop(self, monkeypatch, kernel, field, off_grad,
+                                                 untaped, edges):
         rng = np.random.default_rng(11)
         B, Ci, Co, H, W = 2, 4, 5, 6, 7
         kh, kw = kernel
-        K = kh * kw
         off = rng.uniform(-2.5, 2.5, size=field)
         off[..., 0, 0, :, 0] = -2.0  # integer offsets on the border too
         # the offsets cross the border on several taps
@@ -443,41 +501,30 @@ class TestAlignConvAllTapCorners:
         xs = np.arange(W) + tx + np.moveaxis(off[..., 1], -1, -3)
         outside = (ys < 0) | (ys > H - 1) | (xs < 0) | (xs > W - 1)
         assert outside.any(axis=(-2, -1)).sum() >= min(5, outside[..., 0, 0].size)
-        x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=not untaped)
+        xd = rng.normal(size=(B, Ci, H, W))
+        if edges:
+            # -0.0, +-inf and NaN reads, and an inf at the corner that the
+            # border's out-of-map corners clip to
+            xd = with_specials(np.random.default_rng(12), xd, p=0.03)
+            xd[:, 0, 0, 0] = np.inf
+        x = Tensor(xd, requires_grad=not untaped)
         spec = random_spec(rng, Ci, Co, kernel, 1, kh // 2)
         offt = Tensor(off, requires_grad=off_grad)
-        if untaped:
-            with no_grad():
-                out = align_conv(x, spec, offt)
-        else:
-            out = align_conv(x, spec, offt)
+        with np.errstate(invalid="ignore"):
+            idx, wgt = assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt, untaped)
+        if edges:  # the inf is read with weight zero
+            assert np.any((idx == 0) & (wgt == 0.0))
 
-        cols, idx, wgt, dcols = per_tap_align_columns(x.data, off, kernel)
-        w3 = spec.weight.data.reshape(Co, Ci, K)
-        assert np.array_equal(bits(out.data), bits(_columns_forward(cols, w3, spec.bias.data)))
-        if untaped:
-            assert not out.requires_grad
-            return
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-        # the backward, fed the per-tap loop's index map, weights and slopes
-        gcols = (w3.reshape(Co, Ci * K).T @ g.reshape(B, Co, -1)).reshape(cols.shape)
-        gx = np.empty((B, Ci, H * W))
-        for b in range(B):
-            item = b % len(idx)
-            for ci in range(Ci):
-                gx[b, ci] = np.bincount(idx[item].ravel(),
-                                        weights=(wgt[item] * gcols[b, ci]).ravel(),
-                                        minlength=H * W)
-        assert np.array_equal(bits(x.grad), bits(gx.reshape(x.shape)))
-        if not off_grad:
-            assert offt.grad is None
-            return
-        # one contraction per item, then summed over a shared field's items
-        # and a one-tap field's taps, in that order
-        goff = np.einsum("bckhw,dbckhw->bhwkd", gcols, dcols)
-        if len(field) == 4:
-            goff = goff.sum(axis=0)
-        if field[-2] == 1:
-            goff = goff.sum(axis=-2, keepdims=True)
-        assert np.array_equal(bits(offt.grad), bits(goff))
+    @pytest.mark.parametrize("off_grad", [False, True], ids=["shape", "shape_offgrad"])
+    def test_bitwise_at_the_block_shape(self, monkeypatch, off_grad):
+        """One item, 64 -> 64 channels, 3x3 on 24x80, shape-alignment offsets."""
+        rng = np.random.default_rng(13)
+        H, W, stride = 24, 80, 16
+        templates = generate_anchor_grid((H, W), stride).templates
+        best = select_best_anchor(rng.uniform(size=(H, W, len(templates))), templates)
+        field = shape_align_offsets(best, stride, (3, 3))
+        offt = Tensor(field.data, requires_grad=off_grad)
+        x = Tensor(rng.normal(size=(1, 64, H, W)), requires_grad=True)
+        spec = random_spec(rng, 64, 64, (3, 3), 1, 1)
+        idx, wgt = assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt)
+        assert np.any(wgt == 0.0) and np.any((wgt > 0.0) & (wgt < 1.0))

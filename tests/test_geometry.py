@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -533,6 +534,29 @@ class TestPairKernels:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):
             iou_bev_pairs(np.zeros((2, 7)), np.zeros((3, 7)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("column", range(7))
+    def test_non_finite_row_rejected(self, column, side, poison):
+        rng = np.random.default_rng(12)
+        rows = {"a": np.array([random_box3d(rng).as_array() for _ in range(3)]),
+                "b": np.array([random_box3d(rng).as_array() for _ in range(3)])}
+        rows[side][1, column] = poison
+        bad = re.escape(f"{side} row 1 is not finite: ") + r"\[.*" + \
+            ("nan" if np.isnan(poison) else "-?inf")
+        for kernel in (iou_bev_pairs, iou_3d_pairs):
+            with pytest.raises(ValueError, match=bad):
+                kernel(rows["a"], rows["b"])
+        if column in (3, 4, 5) and poison == -np.inf:   # Box3D itself refuses the size
+            with pytest.raises(ValueError, match="non-positive 3D dimensions"):
+                Box3D(*rows[side][1])
+            return
+        boxes = {k: Box3D(*v[1]) for k, v in rows.items()}
+        for scalar in (iou_bev, iou_3d):
+            with pytest.raises(ValueError, match=re.escape(f"{side} row 0 is not finite")):
+                scalar(boxes["a"], boxes["b"])
 
     def test_2d_pairs_bitwise_scalar(self):
         rng = np.random.default_rng(11)
