@@ -484,9 +484,10 @@ def assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt, untaped=False):
 
 
 class TestAlignConvAllTapCorners:
-    @pytest.mark.parametrize("edges", [False, True], ids=["finite", "edges"])
-    @pytest.mark.parametrize("kernel, field, off_grad, untaped", FIELD_FORMS.values(),
-                             ids=FIELD_FORMS.keys())
+    @pytest.mark.parametrize(
+        "kernel, field, off_grad, untaped, edges",
+        [pytest.param(*form, edges, id=name + ("_edges" if edges else ""))
+         for edges in (False, True) for name, form in FIELD_FORMS.items()])
     def test_bitwise_against_per_tap_corner_loop(self, monkeypatch, kernel, field, off_grad,
                                                  untaped, edges):
         rng = np.random.default_rng(11)
