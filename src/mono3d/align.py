@@ -191,7 +191,7 @@ def align_conv(x, spec, off):
         for c in range(4):
             v[c] *= wyt[c]
             v[c] *= wxt[c]
-        np.add(v[0], 0.0, out=v[0])
+        v[0] += 0.0  # a sum that starts at +0.0, as sum() did
         for c in range(1, 4):
             v[0] += v[c]
         cols[:, :, t] = v[0].swapaxes(0, 1)

@@ -10,6 +10,7 @@ NaN and -0.0 outputs, is checked bitwise against one product at a time, and
 align_conv's all-tap corner math against the per-tap corner loop it replaced.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -511,7 +512,9 @@ class TestAlignConvAllTapCorners:
         x = Tensor(xd, requires_grad=not untaped)
         spec = random_spec(rng, Ci, Co, kernel, 1, kh // 2)
         offt = Tensor(off, requires_grad=off_grad)
-        with np.errstate(invalid="ignore"):
+        # only the edge inputs may warn (inf - inf, 0 * inf); the finite ones
+        # still run under the error::RuntimeWarning filter
+        with np.errstate(invalid="ignore") if edges else contextlib.nullcontext():
             idx, wgt = assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt, untaped)
         if edges:  # the inf is read with weight zero
             assert np.any((idx == 0) & (wgt == 0.0))

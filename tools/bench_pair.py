@@ -116,10 +116,7 @@ def main(argv=None):
     meta = {"point": args.point, "workload": args.workload,
             "command": f"python3 benchmark/run.py --workload {args.workload} --seed S "
                        f"--seconds {seconds:g} --trace 0"}
-    meta["commits"] = {side: {"commit": bench_point.git(repo, "rev-parse", "HEAD"),
-                              "dirty": bool(bench_point.git(repo, "status", "--porcelain",
-                                                            "--untracked-files=no"))}
-                       for side, repo in repos.items()}
+    meta["commits"] = {side: bench_point.commit_meta(repo) for side, repo in repos.items()}
     try:
         runs = run_pairs(lambda side, seed: bench_point.run_harness(
             repos[side], args.workload, seed, 0, seconds), args.pairs, args.first_seed)

@@ -176,6 +176,12 @@ def git(repo, *args):
                           check=True).stdout.strip()
 
 
+def commit_meta(repo):
+    """The checkout's HEAD and whether a tracked file differs from it."""
+    return {"commit": git(repo, "rev-parse", "HEAD"),
+            "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no"))}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--point", type=int, required=True, help="n of BENCH_<n>.json")
@@ -188,8 +194,7 @@ def main(argv=None):
     repo = args.repo.resolve()
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    meta = {"point": args.point, "commit": git(repo, "rev-parse", "HEAD"),
-            "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
+    meta = {"point": args.point, **commit_meta(repo),
             "command": "python3 benchmark/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace T"}
     records = []
