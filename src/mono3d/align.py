@@ -5,7 +5,8 @@ extent; center alignment shifts all taps toward the predicted object center.
 Both feed `align_conv`, a convolution that reads its taps at fractional
 positions via bilinear interpolation, from one corner table of flat indices
 and bilinear factors that `_bilinear_corners` builds for all taps at once.
-With an all-zero offset field, align_conv is bit-identical to conv2d.
+With an all-zero offset field and a finite input, align_conv is
+bit-identical to conv2d.
 """
 
 from __future__ import annotations
@@ -33,14 +34,15 @@ def shape_align_offsets(best_anchor_wh, stride, kernel=(3, 3)):
 
     best_anchor_wh: (H, W, 2) or (B, H, W, 2) array of (w_a, h_a) per
     position. Tap (i, j) gets dy = (h_a/(S*kh) - 1) * (i - kh/2 + 0.5) and the
-    analogous dx. Returns the (..., H, W, kh*kw, 2) offset tensor.
+    analogous dx. Returns the (..., H, W, kh*kw, 2) offset tensor. Sizes
+    that are not finite and positive are a ValueError.
     """
     wh = np.asarray(best_anchor_wh, dtype=np.float64)
     if wh.ndim not in (3, 4) or wh.shape[-1] != 2:
-        raise ValueError(f"shape_align_offsets expects an (H, W, 2) or (B, H, W, 2) anchor size "
+        raise ValueError(f"best_anchor_wh must be an (H, W, 2) or (B, H, W, 2) anchor size "
                          f"map, got shape {wh.shape}")
-    if np.any(wh <= 0.0):
-        raise ValueError("anchor sizes must be positive")
+    if not ((wh > 0.0) & (wh < np.inf)).all():   # NaN fails both
+        raise ValueError("best_anchor_wh must hold finite, positive anchor sizes")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     kh, kw = kernel
@@ -60,16 +62,18 @@ def select_best_anchor(cls_scores, anchor_sizes_2d):
 
     cls_scores: (H, W, A) or (B, H, W, A) confidence per anchor template;
     ties resolve to the lowest template index (numpy argmax convention).
-    anchor_sizes_2d: (A, 2) array of (w, h) templates.
+    anchor_sizes_2d: (A, 2) array of (w, h) templates. The forward calls
+    this on its own scores, so non-finite values pass through: a NaN score
+    is the argmax where it stands first.
     """
     scores = np.asarray(cls_scores, dtype=np.float64)
     sizes = np.asarray(anchor_sizes_2d, dtype=np.float64)
-    if sizes.ndim != 2 or sizes.shape[0] == 0:
-        raise ValueError("need at least one anchor template")
-    if scores.shape[-1] != sizes.shape[0]:
-        raise ValueError(
-            f"{scores.shape[-1]} score channels vs {sizes.shape[0]} anchor templates"
-        )
+    if sizes.ndim != 2 or sizes.shape[1] != 2 or sizes.shape[0] == 0:
+        raise ValueError(f"anchor_sizes_2d must be (A, 2) (w, h) templates with A >= 1, got "
+                         f"shape {sizes.shape}")
+    if scores.shape[-1:] != sizes.shape[:1]:
+        raise ValueError(f"cls_scores must end in one channel per anchor template: "
+                         f"{len(sizes)} templates, got shape {scores.shape}")
     return sizes[np.argmax(scores, axis=-1)]
 
 
@@ -126,7 +130,11 @@ def align_conv(x, spec, off):
 
     Stride-1, odd kernels, 'same' padding only: the offset field is defined
     on the output grid, which must coincide with the input grid. Differentiable
-    in the input, the conv parameters, and the offsets.
+    in the input, the conv parameters, and the offsets. A NaN or infinite
+    input is carried to the output, but the zero-offset identity with conv2d
+    holds for finite inputs only: each tap sums four weighted corner reads,
+    and an infinite read times a zero weight is NaN where conv2d's strided
+    read gives +-inf.
 
     The taps are read into a column tensor and convolved by the column kernel
     that conv2d uses. Per tap, each corner is read by one np.take, which keeps
@@ -139,24 +147,23 @@ def align_conv(x, spec, off):
     input gradient only when the input requires one.
     """
     if x.ndim != 4:
-        raise ValueError(f"align_conv expects a 4-D (B, C, H, W) input, got shape {x.shape}")
+        raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")
     kh, kw = spec.kernel
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"align_conv requires odd kernels, got {spec.kernel}")
     if spec.stride != 1 or spec.padding != kh // 2 or kh // 2 != kw // 2:
         raise ValueError("align_conv requires stride 1 and same-padding (k // 2)")
     if off.ndim not in (4, 5) or off.shape[-2:] not in ((kh * kw, 2), (1, 2)):
-        raise ValueError(f"offset field {off.shape} does not match kernel {spec.kernel}: "
+        raise ValueError(f"offset field off {off.shape} does not match kernel {spec.kernel}: "
                          f"expected (..., H, W, {kh * kw}, 2) or (..., H, W, 1, 2)")
     if not np.all(np.isfinite(off.data)):
-        raise NonFiniteOffsetsError("offset field contains non-finite values")
+        raise NonFiniteOffsetsError("offset field off contains non-finite values")
     B, Ci, H, W = x.shape
     if Ci != spec.in_channels:
         raise ValueError(f"input has {Ci} channels, spec expects {spec.in_channels}")
     if off.shape[-4:-2] != (H, W):
-        raise ValueError(
-            f"offset grid {off.shape[-4:-2]} does not match feature grid {(H, W)}"
-        )
+        raise ValueError(f"offset grid of off {off.shape[-4:-2]} does not match the grid of x "
+                         f"{(H, W)}")
     off5 = off.data.reshape((-1,) + off.shape[-4:])  # (B', H, W, K, 2), B' = 1 or B
     if off5.shape[0] not in (1, B):
         raise ValueError(f"offset field has {off5.shape[0]} items, input has {B}")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import iou_2d_pairs, wrap_angle
+from .geometry import _rows, iou_2d_pairs, wrap_angle
 
 __all__ = [
     "AnchorGrid",
@@ -47,7 +47,7 @@ class AnchorGrid:
     def __init__(self, feature_hw, stride, templates):
         self.feature_hw = tuple(feature_hw)
         self.stride = int(stride)
-        self.templates = np.asarray(templates, dtype=np.float64)  # (A, 2) as (w, h)
+        self.templates = _rows("templates", templates, 2)  # (A, 2) as (w, h)
         self.stats3d = np.zeros((len(self.templates), 5))  # filled by fit_anchor_3d_stats
         H, W = self.feature_hw
         ys, xs = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
@@ -78,11 +78,11 @@ def generate_anchor_grid(feature_hw, stride=8, sizes=None):
     """Size x RATIOS template bank tiled over the grid, centers at cell centers.
 
     Ratio r maps a scale s to (w, h) = (s / sqrt(r), s * sqrt(r)), which keeps
-    the area s^2 independent of r.
+    the area s^2 independent of r. `sizes`, read flat, must be finite.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    sizes = default_sizes() if sizes is None else np.asarray(sizes, dtype=np.float64)
+    sizes = default_sizes() if sizes is None else _rows("sizes", np.reshape(sizes, (-1, 1)), 1)[:, 0]
     templates = []
     for s in sizes:
         for r in RATIOS:
@@ -96,16 +96,15 @@ def fit_anchor_3d_stats(grid, boxes2d, params):
     An object contributes to a template when any anchor of that template has
     2D IoU >= STATS_IOU with it. Templates that match nothing inherit the
     global mean so every anchor stays decodable.
-    boxes2d: (n, 4) [x1, y1, x2, y2]; params: (n, 5) (z, w, h, l, alpha).
+    boxes2d: (n, 4) [x1, y1, x2, y2]; params: (n, 5) (z, w, h, l, alpha),
+    both finite.
     """
-    params = np.asarray(params, dtype=np.float64)
+    params, boxes2d = _rows("params", params, 5), _rows("boxes2d", boxes2d, 4)
     if len(params) == 0:
         raise ValueError("cannot fit anchor statistics from an empty label set")
-    if params.ndim != 2 or params.shape[1] != 5:
-        raise ValueError("3D parameters must be (z, w, h, l, alpha)")
-    if np.shape(boxes2d) != (len(params), 4):
-        raise ValueError(f"need one [x1, y1, x2, y2] box per parameter row, got boxes of "
-                         f"shape {np.shape(boxes2d)} for {len(params)} rows")
+    if len(boxes2d) != len(params):
+        raise ValueError(f"need one [x1, y1, x2, y2] box per parameter row, got boxes2d of "
+                         f"shape {boxes2d.shape} for {len(params)} rows")
 
     A = grid.per_position
     iou = iou_2d_pairs(grid.boxes2d().reshape(-1, A, 1, 4), boxes2d)  # (positions, A, objects)
@@ -147,10 +146,10 @@ def encode(anchors, boxes2d, params3d):
     """Exact inverse of `decode`, row by row: the (n, 4) 2D and (n, 7) 3D
     deltas of (n, 9) anchor rows (`AnchorGrid.rows`) against (n, 4)
     [x1, y1, x2, y2] ground-truth boxes and (n, 7) projected 3D parameters
-    (xp, yp, zp, w, h, l, angle). Ground-truth sizes must be positive."""
-    a = np.asarray(anchors, dtype=np.float64)
-    box = np.asarray(boxes2d, dtype=np.float64)
-    p3 = np.asarray(params3d, dtype=np.float64)
+    (xp, yp, zp, w, h, l, angle). All rows must be finite, and ground-truth
+    sizes positive."""
+    a, box = _rows("anchors", anchors, 9), _rows("boxes2d", boxes2d, 4)
+    p3 = _rows("params3d", params3d, 7)
     size2d = box[:, 2:] - box[:, :2]
     if np.any(size2d <= 0.0):
         raise ValueError("ground-truth 2D box must have positive size")

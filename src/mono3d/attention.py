@@ -144,7 +144,7 @@ def pa2_pool(features, attn, spec):
     """
     if features.ndim != 4 or attn.shape != (features.shape[0], 1) + features.shape[2:]:
         raise ValueError(f"pa2_pool expects (B, C, H, W) features and a (B, 1, H, W) attention "
-                         f"map, got features {features.shape} and attention map {attn.shape}")
+                         f"map attn, got features {features.shape} and attention map {attn.shape}")
     B, C, H, W = features.shape
     af = features * attn
     rows = []
@@ -168,7 +168,7 @@ def anab_forward(x, params):
     product runs over the whole batch at once.
     """
     if x.ndim != 4:
-        raise ValueError(f"anab_forward expects a 4-D (B, C, H, W) input, got shape {x.shape}")
+        raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")
     B, C, H, W = x.shape
     want = [(C, C + 1)] * 3 + [(C, C), (C, 1, 1)]
     got = [t.shape for t in (params.query, params.key, params.value, params.out_weight, params.out_bias)]
@@ -191,10 +191,10 @@ def write_pgm(gray, path):
     """Min-max normalized 8-bit binary PGM (P5); a non-finite entry raises ValueError."""
     g = np.asarray(gray, dtype=np.float64)
     if g.ndim != 2:
-        raise ValueError(f"PGM export needs a 2-D map, got shape {g.shape}")
+        raise ValueError(f"gray must be a 2-D map for PGM export, got shape {g.shape}")
     bad = int(np.count_nonzero(~np.isfinite(g)))
     if bad:
-        raise ValueError(f"PGM export needs a finite map, got {bad} non-finite of {g.size} entries")
+        raise ValueError(f"gray must be finite for PGM export, got {bad} non-finite of {g.size} entries")
     lo, hi = g.min(), g.max()
     scaled = np.zeros_like(g) if hi == lo else (g - lo) / (hi - lo)
     pix = np.round(scaled * 255.0).astype(np.uint8)

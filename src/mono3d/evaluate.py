@@ -64,11 +64,11 @@ def passes_difficulty(height_px, occlusion, truncation, difficulty):
     return (height_px >= min_h) & (occlusion <= max_occ) & (truncation <= max_trunc)
 
 
-def _matrix(m, scores):
+def _matrix(name, m, scores):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != scores.ndim + 1 or m.shape[:-1] != scores.shape:
-        raise ValueError(f"IoU matrix needs one row per detection ({scores.shape[-1]}), "
-                         f"got shape {m.shape}")
+        raise ValueError(f"IoU matrix {name} needs one row per detection of scores "
+                         f"{scores.shape}, got shape {m.shape}")
     return m
 
 
@@ -92,9 +92,11 @@ def match_detections(scores, iou, thresh, iou_ignored=None, iou_dontcare=None):
     detection's ground-truth column, or -1.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be an (F, D) stack of frames, got shape {scores.shape}")
     F, D = scores.shape
     ranked = np.arange(F)[:, None], np.argsort(-scores, axis=1, kind="stable")  # NaN last
-    iou = _matrix(iou, scores)[ranked]
+    iou = _matrix("iou", iou, scores)[ranked]
     hits = iou >= thresh
     taken = np.zeros((F, iou.shape[2]), dtype=bool)
     matched = np.full((F, D), -1)
@@ -108,9 +110,9 @@ def match_detections(scores, iou, thresh, iou_ignored=None, iou_dontcare=None):
             taken[f, j] = True
     tp = matched >= 0
     absorbed = np.zeros((F, D), dtype=bool)
-    for m in (iou_ignored, iou_dontcare):
+    for name, m in (("iou_ignored", iou_ignored), ("iou_dontcare", iou_dontcare)):
         if m is not None:
-            absorbed |= (_matrix(m, scores)[ranked] >= thresh).any(axis=2)
+            absorbed |= (_matrix(name, m, scores)[ranked] >= thresh).any(axis=2)
     scores = scores[ranked]
     return scores, tp, (absorbed & ~tp) | np.isnan(scores), matched
 

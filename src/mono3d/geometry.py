@@ -35,17 +35,33 @@ __all__ = [
 _AREA_EPS = 1e-12
 
 
+def _rows(name, values, width):
+    """`values` as float64 (n, width) rows, an empty sequence as no rows. Any
+    other shape, or a row that is not finite, is a ValueError naming `name`
+    with the shape or the first such row: the one check of the rows every
+    public function takes."""
+    rows = np.asarray(values, dtype=np.float64)
+    rows = rows.reshape(0, width) if rows.shape == (0,) else rows
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} must be (n, {width}) rows, got shape {rows.shape}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{name} must be finite: row {bad[0]} is {rows[bad[0]].tolist()}")
+    return rows
+
+
 @dataclass
 class CameraIntrinsics:
-    """3x4 pixel-unit projection matrix (KITTI P2 layout)."""
+    """3x4 pixel-unit projection matrix (KITTI P2 layout): finite, with
+    positive focal entries K[0, 0] and K[1, 1]."""
 
     K: np.ndarray
 
     def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=np.float64)
-        if self.K.shape != (3, 4):
-            raise ValueError(f"projection matrix must be 3x4, got {self.K.shape}")
-        if self.K[0, 0] <= 0 or self.K[1, 1] <= 0:
+        if np.shape(self.K) != (3, 4):
+            raise ValueError(f"K must be a 3x4 projection matrix, got shape {np.shape(self.K)}")
+        self.K = _rows("K", self.K, 4)
+        if not (self.K[0, 0] > 0 and self.K[1, 1] > 0):
             raise ValueError("focal entries must be positive")
 
     @staticmethod
@@ -65,7 +81,7 @@ class Box2D:
     y2: float
 
     def __post_init__(self):
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        if not (self.x1 <= self.x2 and self.y1 <= self.y2):   # NaN fails too
             raise ValueError(f"degenerate 2D box {(self.x1, self.y1, self.x2, self.y2)}")
 
     @property
@@ -95,7 +111,7 @@ class Box3D:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0 or self.l <= 0:
+        if not (self.w > 0 and self.h > 0 and self.l > 0):   # NaN fails too
             raise ValueError(f"non-positive 3D dimensions {(self.w, self.h, self.l)}")
 
     def as_array(self):
@@ -113,10 +129,13 @@ def wrap_angle(a):
 
 def project(cam, points):
     """Pinhole projection of (n, 3) camera-frame rows to (n, 3) pixel rows
-    (x_p, y_p, z_p), with one product."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must be (n, 3) rows, got shape {points.shape}")
+    (x_p, y_p, z_p), with one product. Rows that are not finite, or a point
+    whose projected depth is not positive, are a ValueError."""
+    return _project(cam, _rows("points", points, 3))
+
+
+def _project(cam, points):
+    """`project` on rows that are already checked."""
     h = points @ cam.K[:, :3].T + cam.K[:, 3]
     behind = h[:, 2] <= 0.0
     if behind.any():
@@ -128,10 +147,9 @@ def project(cam, points):
 def backproject(cam, pixels):
     """Exact inverse of `project`, including the 3x4 translation column:
     (n, 3) pixel rows (x_p, y_p, z_p) to the (n, 3) camera-frame points, from
-    one solve over n right-hand sides."""
-    p = np.asarray(pixels, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError(f"pixel must be (n, 3) rows, got shape {p.shape}")
+    one solve over n right-hand sides. Rows that are not finite, or a
+    projected depth that is not positive, are a ValueError."""
+    p = _rows("pixels", pixels, 3)
     bad = p[:, 2] <= 0.0
     if bad.any():
         raise ValueError(f"non-positive projected depth {p[bad, 2][0]}")
@@ -140,14 +158,18 @@ def backproject(cam, pixels):
 
 
 def alpha_to_yaw(alpha, x, z):
-    """Observation angle to global yaw: A = alpha + atan2(x, z), wrapped."""
-    if z <= 0.0:
+    """Observation angle to global yaw: A = alpha + atan2(x, z), wrapped. A
+    depth z that is not positive (NaN included) is a ValueError."""
+    if not z > 0.0:
         raise ValueError(f"need z > 0 for the viewing-ray angle, got {z}")
     return wrap_angle(alpha + math.atan2(x, z))
 
 
 def yaw_to_alpha(yaw, x, z):
-    if z <= 0.0:
+    """Global yaw to observation angle: alpha = yaw - atan2(x, z), wrapped,
+    the inverse of `alpha_to_yaw`. A depth z that is not positive (NaN
+    included) is a ValueError."""
+    if not z > 0.0:
         raise ValueError(f"need z > 0 for the viewing-ray angle, got {z}")
     return wrap_angle(yaw - math.atan2(x, z))
 
@@ -162,9 +184,15 @@ _CORNER_SIGNS = np.array([
 
 def box3d_corners(box):
     """8 corners, (8, 3), of a Box3D or a (7,) [x, y, z, w, h, l, yaw] row.
-    Bottom face at y, top face at y - h; yaw about y."""
-    if isinstance(box, Box3D):
-        box = (box.x, box.y, box.z, box.w, box.h, box.l, box.yaw)
+    Bottom face at y, top face at y - h; yaw about y. A row that is not 7
+    finite numbers is a ValueError.
+
+    `optimize_rotation` calls this once per yaw it tries, through
+    `project_box`, so 7 numbers with a finite sum pass at the cost of that
+    sum; a NaN or infinite entry makes the sum non-finite, and only then, or
+    on an overflow of a finite row, does `_rows` read the row."""
+    box = box.as_array() if isinstance(box, Box3D) else box
+    box = box if len(box) == 7 and math.isfinite(sum(box)) else _rows("box", [box], 7)[0]
     x, y, z, w, h, l, yaw = box
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
@@ -174,12 +202,14 @@ def box3d_corners(box):
 
 def project_box(box, cam):
     """Axis-aligned image envelope of the 8 projected corners of a Box3D or a
-    (7,) row, as a Box2D of Python floats: one `project` call, then one
-    column-wise min and one max over its (8, 3) rows."""
+    (7,) row, as a Box2D of Python floats: one projection, then one
+    column-wise min and one max over its (8, 3) rows. A row that is not 7
+    finite numbers (`box3d_corners`), or a corner behind the camera, is a
+    ValueError."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
-    h = project(cam, pts)
+    h = _project(cam, pts)
     (x1, y1, _), (x2, y2, _) = h.min(axis=0).tolist(), h.max(axis=0).tolist()
     return Box2D(x1, y1, x2, y2)
 
@@ -270,23 +300,10 @@ def _clip_area(subject, clip):
 
 def clip_polygon(subject, clip):
     """`_clip` on one pair: the (x, y) float tuples of polygon `subject`
-    clipped by the convex counter-clockwise polygon `clip`."""
-    poly, n = _clip(*(np.asarray(p, dtype=np.float64).reshape(1, -1, 2) for p in (subject, clip)))
+    clipped by the convex counter-clockwise polygon `clip`, both finite
+    (m, 2) vertex rows."""
+    poly, n = _clip(_rows("subject", subject, 2)[None], _rows("clip", clip, 2)[None])
     return list(map(tuple, poly[0, :n[0]].tolist()))
-
-
-def _rows(a, b, width):
-    """(P, width) float rows of both pair arrays; a ValueError names a
-    non-finite row's argument and index."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, width)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, width)
-    if a.shape != b.shape:
-        raise ValueError(f"pair arrays differ in shape: {a.shape} vs {b.shape}")
-    for name, rows in (("a", a), ("b", b)):
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if len(bad):
-            raise ValueError(f"{name} row {bad[0]} is not finite: {rows[bad[0]].tolist()}")
-    return a, b
 
 
 def _ratio(inter, union):
@@ -296,10 +313,13 @@ def _ratio(inter, union):
 
 def _bev_intersection(a, b):
     """Footprint intersection areas of (P, 7) box-row pairs, clipped in blocks.
+    Row arrays that differ in shape do not pair up: a ValueError.
 
     Pairs whose centre distance exceeds the sum of the half-diagonals cannot
     overlap; they skip the clip with area 0.
     """
+    if a.shape != b.shape:
+        raise ValueError(f"pair arrays differ in shape: {a.shape} vs {b.shape}")
     inter = np.zeros(len(a))
     reach = 0.5 * (np.hypot(a[:, 3], a[:, 5]) + np.hypot(b[:, 3], b[:, 5]))
     near = np.flatnonzero(~(np.hypot(a[:, 0] - b[:, 0], a[:, 2] - b[:, 2]) > reach))
@@ -313,11 +333,12 @@ def _bev_intersection(a, b):
 def iou_2d_pairs(a, b):
     """`iou_2d` of [x1, y1, x2, y2] rows on the last axis, broadcast against
     each other: (P, 4) pairs give (P,), (N, 1, 4) against (1, G, 4) the
-    (N, G) matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
-        raise ValueError(f"2D box rows must have 4 columns, got {a.shape} and {b.shape}")
+    (N, G) matrix. An operand that is not rows of 4 on its last axis, or a
+    row that is not finite, is a ValueError; the check reads the operands,
+    not their broadcast."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    for name, v in (("a", a), ("b", b)):
+        _rows(name, v.reshape(-1, 4) if v.shape[-1:] == (4,) else v, 4)
     ix = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
     iy = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
     inter = ix * iy
@@ -328,26 +349,26 @@ def iou_2d_pairs(a, b):
 
 def iou_bev_pairs(a, b):
     """Rotated-footprint IoU of (P, 7) [x, y, z, w, h, l, yaw] row pairs, (P,)."""
-    a, b = _rows(a, b, 7)
+    a, b = _rows("a", a, 7), _rows("b", b, 7)
     inter = _bev_intersection(a, b)
     return _ratio(inter, a[:, 3] * a[:, 5] + b[:, 3] * b[:, 5] - inter)
 
 
 def iou_3d_pairs(a, b):
     """BEV intersection x vertical overlap over union volume of (P, 7) row pairs."""
-    a, b = _rows(a, b, 7)
-    # bottom at y, top at y - h (camera y points down)
-    y_overlap = np.maximum(0.0, np.minimum(a[:, 1], b[:, 1])
-                           - np.maximum(a[:, 1] - a[:, 4], b[:, 1] - b[:, 4]))
-    inter = _bev_intersection(a, b) * y_overlap
+    a, b = _rows("a", a, 7), _rows("b", b, 7)
+    inter = _bev_intersection(a, b)
+    # times the vertical overlap: bottom at y, top at y - h (camera y points down)
+    inter *= np.maximum(0.0, np.minimum(a[:, 1], b[:, 1])
+                        - np.maximum(a[:, 1] - a[:, 4], b[:, 1] - b[:, 4]))
     return _ratio(inter, a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter)
 
 
 def iou_bev(a, b):
     """Rotated-footprint IoU on the ground plane of two Box3D."""
-    return float(iou_bev_pairs(a.as_array(), b.as_array())[0])
+    return float(iou_bev_pairs([a.as_array()], [b.as_array()])[0])
 
 
 def iou_3d(a, b):
     """3D IoU of two Box3D."""
-    return float(iou_3d_pairs(a.as_array(), b.as_array())[0])
+    return float(iou_3d_pairs([a.as_array()], [b.as_array()])[0])

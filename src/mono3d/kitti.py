@@ -59,6 +59,12 @@ def _num(field_str, line_no, field_no):
 
 
 def parse_label_line(line, line_no=1):
+    """One label or result line as a LabelRecord. A ValueError names the line
+    (`line_no`) for a field count other than 15 or 16, and also the field
+    (numbered from 1, the type being field 1) for a field that is not a
+    finite number or an occlusion that is not an integer; a 2D box whose
+    corners are out of order (NaN included) is a ValueError naming the line
+    and the box."""
     parts = line.split()
     if len(parts) not in (15, 16):
         raise ValueError(f"line {line_no}: expected 15 or 16 fields, got {len(parts)}")
@@ -92,6 +98,9 @@ def parse_label_line(line, line_no=1):
 
 
 def parse_label_file(path):
+    """The LabelRecords of every non-blank line of a file, by
+    `parse_label_line` with lines numbered from 1: the first line it
+    rejects raises its ValueError, naming that line."""
     records = []
     with open(path, newline="") as f:
         for i, line in enumerate(f, start=1):
@@ -112,6 +121,11 @@ def format_label(rec):
 
 
 def detection_to_record(det, class_names):
+    """The result-file LabelRecord of a Detection, its type looked up as
+    `class_names[det.class_id]`, with zero truncation and occlusion. It
+    checks nothing itself: a Detection rejects a score outside [0, 1] and
+    its Box2D and Box3D reject degenerate boxes when they are built, and an
+    unknown class id fails the lookup."""
     b3 = det.box3d
     return LabelRecord(
         type=class_names[det.class_id],
@@ -127,6 +141,9 @@ def detection_to_record(det, class_names):
 
 
 def write_result_file(records, path):
+    """Write one `format_label` line per record, creating the parent
+    directories. It checks nothing: a non-finite number is written as `nan`
+    or `inf`, which `parse_label_line` rejects when the file is read."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:

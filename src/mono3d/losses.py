@@ -56,8 +56,11 @@ def _mean(per_row, segments):
 
 
 def _ce_rows(logits, targets):
-    """Per-row cross entropy of (n, ncls) logits; the row max is treated as a
-    constant shift of the stabilized logsumexp."""
+    """Per-row cross entropy of (n, ncls) logits against (n,) targets; the row
+    max is treated as a constant shift of the stabilized logsumexp."""
+    if logits.ndim != 2 or targets.shape != logits.shape[:1]:
+        raise ValueError(f"need (n, ncls) logits and (n,) targets, got logits of shape "
+                         f"{logits.shape} and targets of shape {targets.shape}")
     m = logits.data.max(axis=1, keepdims=True)
     lse = ((logits - m).exp().sum(axis=1)).log() + Tensor(m[:, 0])
     return lse - logits[np.arange(len(targets)), targets]
@@ -66,22 +69,22 @@ def _ce_rows(logits, targets):
 def loss_cls(logits, targets, segments):
     """Per-segment mean cross entropy of (n, ncls) logits against integer
     targets (see `_mean`)."""
-    logits = _as_tensor(logits)
-    targets = np.asarray(targets, dtype=np.intp)
-    n = logits.shape[0]
-    if targets.shape != (n,):
-        raise ValueError(f"targets shape {targets.shape} does not match {n} rows")
-    return _mean(_ce_rows(logits, targets), segments)
+    return _mean(_ce_rows(_as_tensor(logits), np.asarray(targets, dtype=np.intp)), segments)
 
 
 def per_sample_ce(logits_data, targets):
-    """Tape-free per-sample cross entropy, used for hard-negative ranking."""
+    """Tape-free per-sample cross entropy of (n, ncls) logits, used for
+    hard-negative ranking."""
+    if np.ndim(logits_data) != 2:
+        raise ValueError(f"logits_data must be (n, ncls), got shape {np.shape(logits_data)}")
     return _ce_rows(Tensor(logits_data), np.asarray(targets, dtype=np.intp)).data
 
 
 def iou_2d_tensor(pred, gt):
     """Elementwise IoU of (n, 4) corner boxes, differentiable in `pred`."""
     pred, gt = _as_tensor(pred), _as_tensor(gt)
+    if pred.ndim != 2 or pred.shape[1] != 4 or gt.shape != pred.shape:
+        raise ValueError(f"pred and gt must be (n, 4) boxes, got shapes {pred.shape} and {gt.shape}")
     ix = (pred[:, 2].minimum(gt[:, 2]) - pred[:, 0].maximum(gt[:, 0])).maximum(Tensor(0.0))
     iy = (pred[:, 3].minimum(gt[:, 3]) - pred[:, 1].maximum(gt[:, 1])).maximum(Tensor(0.0))
     inter = ix * iy
@@ -113,7 +116,7 @@ def loss_3d(pred_deltas, target_deltas, segments):
     per-segment mean over rows (see `_mean`)."""
     pred, tgt = _as_tensor(pred_deltas), _as_tensor(target_deltas)
     if pred.shape != tgt.shape:
-        raise ValueError(f"delta shapes differ: {pred.shape} vs {tgt.shape}")
+        raise ValueError(f"pred_deltas and target_deltas shapes differ: {pred.shape} vs {tgt.shape}")
     return _mean(smooth_l1(pred - tgt).sum(axis=-1), segments)
 
 

@@ -143,7 +143,7 @@ def _columns_backward(g, cols, spec, need_cols):
 def conv2d(x, spec):
     """Cross-correlation of a (B, Ci, H, W) tensor with `spec`, zero padding."""
     if x.ndim != 4:
-        raise ValueError(f"conv2d expects a 4-D input, got shape {x.shape}")
+        raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")
     B, Ci, H, W = x.shape
     if Ci != spec.in_channels:
         raise ValueError(f"input has {Ci} channels, spec expects {spec.in_channels}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box2D, Box3D, iou_2d_pairs, project_box, wrap_angle
+from .geometry import Box2D, Box3D, _rows, iou_2d_pairs, project_box, wrap_angle
 
 __all__ = ["Detection", "nms", "confidence_filter", "optimize_rotation"]
 
@@ -34,8 +34,13 @@ def nms(boxes, scores, classes, iou_thresh):
     indices of (n, 4) [x1, y1, x2, y2] boxes with (n,) scores and class ids,
     best first. Score ties keep the lower index; an overlap equal to the
     threshold is kept. One (n, n) IoU matrix, masked to same-class pairs,
-    serves the greedy pass.
+    serves the greedy pass. Box rows that are not finite, or scores and
+    classes that are not one per box, are a ValueError.
     """
+    boxes = _rows("boxes", boxes, 4)
+    for name, v in (("scores", scores), ("classes", classes)):
+        if np.shape(v) != (len(boxes),):
+            raise ValueError(f"{name} must be ({len(boxes)},), one per box, got {np.shape(v)}")
     overlaps = ((iou_2d_pairs(boxes[:, None], boxes[None]) > iou_thresh)
                 & (classes[:, None] == classes[None]))
     suppressed = np.zeros(len(boxes), dtype=bool)
@@ -50,16 +55,6 @@ def nms(boxes, scores, classes, iou_thresh):
 def confidence_filter(scores, thresh):
     """Indices of the scores at or above the threshold (boundary kept)."""
     return np.flatnonzero(scores >= thresh)
-
-
-def _finite_row(name, values, n, fields):
-    """A finite (n,) row as a list of Python floats, or a ValueError naming it."""
-    row = np.asarray(values, dtype=np.float64)
-    if row.shape != (n,):
-        raise ValueError(f"{name} must be a ({n},) [{fields}] row, got shape {row.shape}")
-    if not np.isfinite(row).all():
-        raise ValueError(f"{name} must be finite, got {row.tolist()}")
-    return row.tolist()
 
 
 def optimize_rotation(box, target, cam):
@@ -77,10 +72,10 @@ def optimize_rotation(box, target, cam):
     its envelope to the target summed left to right: the bits of numpy's sum
     over the 4 differences.
     """
-    x, y, z, w, h, l, yaw = _finite_row("box", box, 7, "x, y, z, w, h, l, yaw")
+    x, y, z, w, h, l, yaw = _rows("box", [box], 7)[0].tolist()
     if min(w, h, l) <= 0.0:
         raise ValueError(f"box 3D size (w, h, l) must be positive, got {(w, h, l)}")
-    t1, t2, t3, t4 = _finite_row("target", target, 4, "x1, y1, x2, y2")
+    t1, t2, t3, t4 = _rows("target", [target], 4)[0].tolist()
 
     def objective(yaw):
         try:

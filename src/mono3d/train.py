@@ -16,7 +16,7 @@ import numpy as np
 from .align import align_conv, center_align_offsets, select_best_anchor, shape_align_offsets
 from .anchors import encode, fit_anchor_3d_stats, generate_anchor_grid
 from .attention import AnabParams, PyramidSpec, anab_forward
-from .geometry import CameraIntrinsics, iou_2d_pairs
+from .geometry import CameraIntrinsics, _rows, iou_2d_pairs
 from .losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d, loss_cls,
                      mine_hard, per_sample_ce, total_loss)
 from .ops import ConvSpec, conv2d, softmax_lastdim
@@ -100,10 +100,16 @@ class SGD:
 
 @dataclass
 class Scene:
+    """One image with its labels, which must be finite rows."""
+
     image: Tensor                  # (1, 3, H, W)
     boxes2d: np.ndarray            # (n, 4): x1, y1, x2, y2
     params3d: np.ndarray           # (n, 7): xp, yp, zp, w, h, l, alpha
     cam: CameraIntrinsics
+
+    def __post_init__(self):
+        self.boxes2d = _rows("boxes2d", self.boxes2d, 4)
+        self.params3d = _rows("params3d", self.params3d, 7)
 
 
 def make_synthetic_scenes(count=8, image_hw=(48, 80), objects_per_scene=2, seed=7):

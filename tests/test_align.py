@@ -168,6 +168,20 @@ class TestAlignConv:
         off = Tensor(np.zeros((6, 8, 9, 2)))
         assert np.array_equal(align_conv(x, spec, off).data, conv2d(x, spec).data)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the zero-offset identity holds for finite inputs only: each tap reads all four "
+        "bilinear corners, and an infinite read times a zero weight is NaN where conv2d's "
+        "strided read gives +-inf"))
+    def test_zero_offsets_with_an_inf_input_match_conv2d(self):
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(1, 2, 5, 6))
+        data[0, 0, 2, 3] = np.inf
+        spec = ConvSpec.init_random(2, 2, (3, 3), 1, 1, rng=rng)
+        off = Tensor(np.zeros((5, 6, 9, 2)))
+        with np.errstate(invalid="ignore"):
+            got, want = align_conv(Tensor(data), spec, off).data, conv2d(Tensor(data), spec).data
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_integer_offsets_shift_the_receptive_field(self):
         # a uniform (0, +1) offset equals plain conv on the left-shifted input
         rng = np.random.default_rng(10)

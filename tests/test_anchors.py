@@ -250,7 +250,7 @@ class TestFit3dStats:
     def test_shape_errors(self):
         grid = generate_anchor_grid((2, 2), sizes=[16.0])
         boxes = box_rows((8.0, 8.0, 16.0, 16.0), (4.0, 4.0, 2.0, 2.0))
-        with pytest.raises(ValueError, match=r"\(z, w, h, l, alpha\)"):
+        with pytest.raises(ValueError, match=r"params must be \(n, 5\) rows, got shape \(2, 7\)"):
             fit_anchor_3d_stats(grid, boxes, np.ones((2, 7)))
         with pytest.raises(ValueError, match="one .* box per parameter row"):
             fit_anchor_3d_stats(grid, boxes, np.ones((1, 5)))

@@ -379,8 +379,8 @@ class TestDemo:
         assert main(["demo", "--steps", "1", "--scenes", "1", "--out", str(out)]) == FAIL_EXIT
         captured = capsys.readouterr()
         assert "task=3d mode=r40" in captured.out
-        assert captured.err == (f"error: {out / 'attention.pgm'}: PGM export needs a finite map, "
-                                "got 60 non-finite of 60 entries\n")
+        assert captured.err == (f"error: {out / 'attention.pgm'}: gray must be finite for PGM "
+                                "export, got 60 non-finite of 60 entries\n")
         assert sorted(p.name for p in out.iterdir()) == ["000000.txt", "trace.csv"]
 
     def test_writes_results_and_yaw_ground_truth(self, tmp_path, monkeypatch):

@@ -211,11 +211,11 @@ class TestProjection:
         pixels = np.array([[600.0, 180.0, 10.0], [600.0, 180.0, -2.0], [600.0, 180.0, 0.0]])
         with pytest.raises(ValueError, match=r"non-positive projected depth -2\.0"):
             backproject(CAM, pixels)
-        with pytest.raises(ValueError, match="pixel must be"):
+        with pytest.raises(ValueError, match=r"pixels must be \(n, 3\) rows, got shape \(2, 4\)"):
             backproject(CAM, np.ones((2, 4)))
-        with pytest.raises(ValueError, match="pixel must be"):
+        with pytest.raises(ValueError, match=r"pixels must be \(n, 3\) rows, got shape \(3,\)"):
             backproject(CAM, np.ones(3))
-        with pytest.raises(ValueError, match="points must be"):
+        with pytest.raises(ValueError, match=r"points must be \(n, 3\) rows, got shape \(3,\)"):
             project(CAM, np.ones(3))
 
     def test_intrinsics_validation(self):
@@ -544,18 +544,19 @@ class TestPairKernels:
         rows = {"a": np.array([random_box3d(rng).as_array() for _ in range(3)]),
                 "b": np.array([random_box3d(rng).as_array() for _ in range(3)])}
         rows[side][1, column] = poison
-        bad = re.escape(f"{side} row 1 is not finite: ") + r"\[.*" + \
+        bad = re.escape(f"{side} must be finite: row 1 is ") + r"\[.*" + \
             ("nan" if np.isnan(poison) else "-?inf")
-        for kernel in (iou_bev_pairs, iou_3d_pairs):
-            with pytest.raises(ValueError, match=bad):
-                kernel(rows["a"], rows["b"])
-        if column in (3, 4, 5) and poison == -np.inf:   # Box3D itself refuses the size
+        for kernel, width in ((iou_bev_pairs, 7), (iou_3d_pairs, 7), (iou_2d_pairs, 4)):
+            if column < width:   # the 2D kernel reads the first 4 columns as [x1, y1, x2, y2]
+                with pytest.raises(ValueError, match=bad):
+                    kernel(rows["a"][:, :width], rows["b"][:, :width])
+        if column in (3, 4, 5) and poison != np.inf:   # Box3D itself refuses the size
             with pytest.raises(ValueError, match="non-positive 3D dimensions"):
                 Box3D(*rows[side][1])
             return
         boxes = {k: Box3D(*v[1]) for k, v in rows.items()}
         for scalar in (iou_bev, iou_3d):
-            with pytest.raises(ValueError, match=re.escape(f"{side} row 0 is not finite")):
+            with pytest.raises(ValueError, match=re.escape(f"{side} must be finite: row 0 is [")):
                 scalar(boxes["a"], boxes["b"])
 
     def test_2d_pairs_bitwise_scalar(self):

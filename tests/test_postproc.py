@@ -301,7 +301,7 @@ class TestOptimizeRotationRejects:
         ((math.nan, 1.5, 20.0, 1.7, 1.5, 4.2, 0.2), r"box must be finite.*nan"),
         ((2.0, 1.5, math.inf, 1.7, 1.5, 4.2, 0.2), r"box must be finite.*inf"),
         ((2.0, 1.5, 20.0, 1.7, 1.5, 4.2, math.nan), r"box must be finite"),
-        ((2.0, 1.5, 20.0, 1.7, 1.5, 4.2), r"box must be a \(7,\).*shape \(6,\)"),
+        ((2.0, 1.5, 20.0, 1.7, 1.5, 4.2), r"box must be \(n, 7\) rows, got shape \(1, 6\)"),
         ((2.0, 1.5, 20.0, -1.7, 1.5, 4.2, 0.2), r"box 3D size \(w, h, l\) must be positive.*-1.7"),
         ((2.0, 1.5, 20.0, 1.7, 0.0, 4.2, 0.2), r"box 3D size \(w, h, l\) must be positive"),
     ])
@@ -312,7 +312,7 @@ class TestOptimizeRotationRejects:
     @pytest.mark.parametrize("target, match", [
         ((math.nan, 150.0, 700.0, 220.0), r"target must be finite.*nan"),
         ((600.0, 150.0, 700.0, -math.inf), r"target must be finite.*inf"),
-        ((600.0, 150.0, 700.0), r"target must be a \(4,\).*shape \(3,\)"),
+        ((600.0, 150.0, 700.0), r"target must be \(n, 4\) rows, got shape \(1, 3\)"),
     ])
     def test_bad_target(self, target, match):
         with pytest.raises(ValueError, match=match):

@@ -3,7 +3,8 @@
 Every module's `__all__` names resolve under a star import, the package root
 imports only names that its modules declare public, and a module imports no
 other module's private names except the convolution column kernel that
-`conv2d` and `align_conv` share.
+`conv2d` and `align_conv` share and the row check `geometry._rows`. Every
+public callable has an entry in the poison sweep of `test_validation.py`.
 """
 
 import ast
@@ -17,7 +18,7 @@ import mono3d
 
 PACKAGE = Path(mono3d.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mono3d.__path__))
-SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward")}
+SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward"), ("geometry", "_rows")}
 
 
 def relative_imports(path):
@@ -44,3 +45,13 @@ def test_package_root_imports_only_public_names():
 def test_no_private_imports_across_modules(name):
     private = [(m, n) for m, n in relative_imports(PACKAGE / f"{name}.py") if n.startswith("_")]
     assert set(private) <= SHARED_PRIVATE, private
+
+
+def test_every_public_callable_is_in_the_sweep():
+    from test_validation import CASES, NO_ARRAYS
+    modules = {name: importlib.import_module(f"mono3d.{name}") for name in MODULES}
+    public = {f"{name}.{attr}" for name, module in modules.items()
+              for attr in getattr(module, "__all__", ()) if callable(getattr(module, attr))}
+    swept = set(CASES) | set(NO_ARRAYS)
+    assert public - swept == set(), "public callables without a sweep entry"
+    assert swept - public == set(), "sweep entries that are not public callables"
