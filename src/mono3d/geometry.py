@@ -44,9 +44,9 @@ def _rows(name, values, width):
     rows = rows.reshape(0, width) if rows.shape == (0,) else rows
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(f"{name} must be (n, {width}) rows, got shape {rows.shape}")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if len(bad):
-        raise ValueError(f"{name} must be finite: row {bad[0]} is {rows[bad[0]].tolist()}")
+    if not np.isfinite(rows).all():
+        i = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise ValueError(f"{name} must be finite: row {i} is {rows[i].tolist()}")
     return rows
 
 

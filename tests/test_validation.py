@@ -212,10 +212,18 @@ NO_ARRAYS = {
     "train.write_loss_trace": "trace rows and a path",
 }
 
+
+
+def expand(rows):
+    """{(callable, argument, kind): the rest of the row} from rows of
+    (callable, arguments, kinds, ...): one key per argument and kind."""
+    return {(name, arg, kind): rest[0] if len(rest) == 1 else tuple(rest)
+            for name, args, kinds, *rest in rows for arg in args for kind in kinds}
+
+
 TAPE = "a tape op: the value reaches the output, as in any float arithmetic"
 # (callable, argument, "nan" or "inf") -> (what the call does, why)
-PASS_THROUGH = {}
-for name, args, kinds, expect, reason in [
+PASS_THROUGH = expand([
     ("align.select_best_anchor", ("cls_scores", "anchor_sizes_2d"), ("nan", "inf"), "returns",
      "on the forward's path, which must not crash detect: it takes the model's own scores and "
      "its grid's templates, which AnchorGrid checks, and selects rows without arithmetic"),
@@ -256,7 +264,8 @@ for name, args, kinds, expect, reason in [
     ("losses.smooth_l1", ("residual",), ("nan", "inf"), "carries", TAPE),
     ("losses.total_loss", ("l_cls", "l_2d", "l_3d"), ("nan", "inf"), "carries", TAPE),
     ("losses.per_sample_ce", ("logits_data",), ("nan", "inf"), "returns",
-     "the tape-free twin of loss_cls's rows, which mine_hard ranks"),
+     "the tape-free twin of loss_cls's rows: it passes on what loss_cls carries, for "
+     "mine_hard to rank"),
     ("losses.mine_hard", ("losses",), ("nan", "inf"), "returns",
      "ranks the detached training losses as numpy sorts them; the loss on the tape carries "
      "the value itself"),
@@ -273,14 +282,10 @@ for name, args, kinds, expect, reason in [
     ("tensor.Tensor", ("data",), ("nan", "inf"), "carries", TAPE),
     ("train.Scene", ("image",), ("nan", "inf"), "returns",
      "an image is data: detect warns on what its forward cannot align and drops it"),
-]:
-    for arg in args:
-        for kind in kinds:
-            PASS_THROUGH[name, arg, kind] = expect, reason
+])
 
 # (callable, argument, "width" or "ndim") -> why that shape is not an error
-SHAPE_FREE = {}
-for name, args, kinds, reason in [
+SHAPE_FREE = expand([
     ("align.select_best_anchor", ("cls_scores",), ("ndim",),
      "any leading axes: one score vector per position"),
     ("anchors.generate_anchor_grid", ("sizes",), ("width", "ndim"),
@@ -317,10 +322,7 @@ for name, args, kinds, reason in [
     ("tensor.Tensor", ("data",), ("width", "ndim"), "any shape"),
     ("train.Scene", ("image",), ("width", "ndim"),
      "Scene stores the image; the model's forward checks its size"),
-]:
-    for arg in args:
-        for kind in kinds:
-            SHAPE_FREE[name, arg, kind] = reason
+])
 
 POISONS = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
 
@@ -387,7 +389,10 @@ def test_poisoned_argument(name, arg, label):
     elif expect is not None:
         with np.errstate(all="ignore"):
             out = call(**kwargs)
-        assert expect == "returns" or not (out.passed if expect == "reports" else _finite(out))
+        if expect == "carries":
+            assert not _finite(out)
+        elif expect == "reports":
+            assert not out.passed
     else:
         with pytest.raises(ValueError) as err:
             call(**kwargs)
