@@ -123,13 +123,20 @@ def decode(anchor, d2, d3):
 
     2D/3D centers shift by delta * template size; 2D/3D dimensions scale by
     exp(delta); projected depth and angle are additive, angle wrapped to
-    (-pi, pi].
+    (-pi, pi]. A row of another length or rank is a ValueError naming it.
     """
-    x, y, w, h, z0, w0, h0, l0, a0 = anchor
-    tx, ty, tw, th = d2
+    try:
+        x, y, w, h, z0, w0, h0, l0, a0 = anchor
+        tx, ty, tw, th = d2
+        tx3, ty3, tz3, tw3, th3, tl3, ta3 = d3
+    except (TypeError, ValueError):   # checked only once an unpacking fails
+        for name, row, n in (("anchor", anchor, 9), ("d2", d2, 4), ("d3", d3, 7)):
+            if np.shape(row) != (n,):
+                raise ValueError(
+                    f"{name} must be a ({n},) row, got shape {np.shape(row)}") from None
+        raise
     cx, cy, bw, bh = tx * w + x, ty * h + y, math.exp(tw) * w, math.exp(th) * h
     box2d = (cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
-    tx3, ty3, tz3, tw3, th3, tl3, ta3 = d3
     params3d = (
         tx3 * w + x,
         ty3 * h + y,

@@ -113,6 +113,12 @@ class Box3D:
     def __post_init__(self):
         if not (self.w > 0 and self.h > 0 and self.l > 0):   # NaN fails too
             raise ValueError(f"non-positive 3D dimensions {(self.w, self.h, self.l)}")
+        # a non-finite sum flags a non-finite field (or an overflow, which the
+        # field-by-field pass accepts); that pass names the failing field
+        if not math.isfinite(self.x + self.y + self.z + self.yaw + self.alpha):
+            for name in ("x", "y", "z", "yaw", "alpha"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"3D box {name} must be finite, got {getattr(self, name)}")
 
     def as_array(self):
         """The (7,) row [x, y, z, w, h, l, yaw] the pair IoU kernels take."""
@@ -120,10 +126,13 @@ class Box3D:
 
 
 def wrap_angle(a):
-    """Wrap into (-pi, pi], elementwise on an array; a scalar gives a float."""
+    """Wrap into (-pi, pi], elementwise on an array; a scalar gives a float.
+    A NaN or +-inf angle wraps to NaN, without a warning."""
     if not isinstance(a, np.ndarray):
-        a = float(a)
-    a = (a + math.pi) % (2.0 * math.pi)
+        a = (float(a) + math.pi) % (2.0 * math.pi)
+    else:
+        with np.errstate(invalid="ignore"):   # an infinite angle has no remainder
+            a = (a + math.pi) % (2.0 * math.pi)
     return a + 2.0 * math.pi * (a <= 0.0) - math.pi
 
 

@@ -8,6 +8,7 @@ type, truncation, occlusion, alpha, 2D box (x1 y1 x2 y2), dimensions
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,8 +144,21 @@ def detection_to_record(det, class_names):
 def write_result_file(records, path):
     """Write one `format_label` line per record, creating the parent
     directories. It checks nothing: a non-finite number is written as `nan`
-    or `inf`, which `parse_label_line` rejects when the file is read."""
+    or `inf`, which `parse_label_line` rejects when the file is read.
+
+    The text is formatted before the file is opened, so a record that fails
+    formatting raises with an existing file left as it was. An existing file
+    is overwritten in place and then truncated to the new text, which leaves
+    the same bytes as `open(path, "w")` without first freeing the file's
+    blocks; the directories are made only when the open finds them missing.
+    """
+    text = "".join([format_label(rec) + "\n" for rec in records])
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write("".join([format_label(rec) + "\n" for rec in records]))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as f:
+        f.write(text)
+        f.truncate()

@@ -159,6 +159,11 @@ class TestWrapAngle:
         assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_array_wraps_to_nan_without_a_warning(self):
+        assert np.isnan(wrap_angle(np.array([np.inf, -np.inf, np.nan]))).all()
+        assert math.isnan(wrap_angle(math.inf)) and math.isnan(wrap_angle(-math.inf))
+
 
 def pinhole(cam, p):
     """Independent per-point projection oracle: (x_p, y_p) of K @ [x, y, z, 1]."""
@@ -270,6 +275,17 @@ class TestBox3dCorners:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError, match="dimensions"):
             Box3D(0, 0, 10, 0.0, 1, 1, 0)
+
+    @pytest.mark.parametrize("field", ["x", "y", "z", "yaw", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_field_by_name(self, field, value):
+        fields = dict(x=1.0, y=1.5, z=20.0, w=1.7, h=1.5, l=4.2, yaw=0.2, alpha=0.1)
+        with pytest.raises(ValueError, match=rf"^3D box {field} must be finite"):
+            Box3D(**{**fields, field: value})
+
+    def test_huge_finite_fields_pass(self):
+        box = Box3D(1e308, 1e308, 1e308, 1.0, 1.0, 1.0, 1e308, alpha=1e308)
+        assert box.x + box.y == math.inf   # the sum overflows; no field is non-finite
 
     def test_envelope_oracle(self):
         rng = np.random.default_rng(3)
@@ -550,14 +566,18 @@ class TestPairKernels:
             if column < width:   # the 2D kernel reads the first 4 columns as [x1, y1, x2, y2]
                 with pytest.raises(ValueError, match=bad):
                     kernel(rows["a"][:, :width], rows["b"][:, :width])
-        if column in (3, 4, 5) and poison != np.inf:   # Box3D itself refuses the size
-            with pytest.raises(ValueError, match="non-positive 3D dimensions"):
-                Box3D(*rows[side][1])
+        if column in (3, 4, 5) and poison == np.inf:   # an infinite size reaches the kernels
+            boxes = {k: Box3D(*v[1]) for k, v in rows.items()}
+            for scalar in (iou_bev, iou_3d):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"{side} must be finite: row 0 is [")):
+                    scalar(boxes["a"], boxes["b"])
             return
-        boxes = {k: Box3D(*v[1]) for k, v in rows.items()}
-        for scalar in (iou_bev, iou_3d):
-            with pytest.raises(ValueError, match=re.escape(f"{side} must be finite: row 0 is [")):
-                scalar(boxes["a"], boxes["b"])
+        # Box3D itself refuses the size, and names a non-finite center or yaw
+        field = ("x", "y", "z", "w", "h", "l", "yaw")[column]
+        with pytest.raises(ValueError, match="non-positive 3D dimensions" if column in (3, 4, 5)
+                           else f"^3D box {field} must be finite"):
+            Box3D(*rows[side][1])
 
     def test_2d_pairs_bitwise_scalar(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -168,6 +169,51 @@ class TestFormatParity:
         assert path.read_bytes() == b""
 
 
+class TestRewriteInPlace:
+    """An existing result file is overwritten in place, then truncated: the
+    bytes on disk are always those of a fresh `open(path, "w")` write."""
+
+    @staticmethod
+    def text(records):
+        return "".join(reference_format_label(r) + "\n" for r in records).encode()
+
+    def test_shrinking_rewrites_hold_only_the_new_lines(self, tmp_path):
+        records = seeded_records(np.random.default_rng(7), 50)
+        path = tmp_path / "000000.txt"
+        write_result_file(records, path)
+        write_result_file(records[:3], path)
+        assert path.read_bytes() == self.text(records[:3])
+        write_result_file([], path)
+        assert path.read_bytes() == b""
+
+    def test_missing_parent_directories_are_made(self, tmp_path):
+        records = seeded_records(np.random.default_rng(8), 2)
+        path = tmp_path / "a" / "b" / "000000.txt"
+        write_result_file(records, path)
+        assert path.read_bytes() == self.text(records)
+
+    def test_a_hard_link_reads_the_rewrite(self, tmp_path):
+        records = seeded_records(np.random.default_rng(9), 5)
+        path, link = tmp_path / "000000.txt", tmp_path / "link.txt"
+        write_result_file(records, path)
+        os.link(path, link)
+        write_result_file(records[:1], path)
+        assert link.read_bytes() == path.read_bytes() == self.text(records[:1])
+
+    def test_a_record_that_fails_formatting_leaves_the_file(self, tmp_path):
+        records = seeded_records(np.random.default_rng(10), 4)
+        path = tmp_path / "000000.txt"
+        write_result_file(records, path)
+        bad = LabelRecord("Car", 0.0, None, 0.0, (0, 0, 1, 1), (1, 1, 1), (0, 0, 9), 0.0)
+        with pytest.raises(TypeError):
+            write_result_file(records[:2] + [bad], path)
+        assert path.read_bytes() == self.text(records)
+
+    def test_a_directory_at_the_path_raises(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_result_file([], tmp_path)
+
+
 class TestRoundtrip:
     def test_write_parse_write_fixed_point(self, tmp_path):
         rec = parse_label_line(CAR_LINE + " 0.900000")
@@ -189,6 +235,12 @@ class TestRoundtrip:
         assert back.location[2] == pytest.approx(46.70, abs=0.01)
         assert back.dims == pytest.approx((1.65, 1.67, 3.64), abs=0.01)
         assert back.rotation_y == pytest.approx(-1.59, abs=1e-6)
+
+    def test_non_finite_detection_stops_at_its_box(self):
+        # it once went through detection_to_record to a result line with `nan`
+        with pytest.raises(ValueError, match="^3D box x must be finite, got nan$"):
+            Detection(1, 0.9, Box2D(0, 0, 10, 10), Box3D(np.nan, 1.5, 20, 1.7, 1.5, 4.2, 0.2),
+                      0.0)
 
     def test_format_precision(self):
         rec = LabelRecord("Car", 0.0, 0, -1.5807, (1.234567, 2, 3, 4),

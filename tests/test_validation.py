@@ -186,8 +186,8 @@ NO_ARRAYS = {
     "evaluate.evaluate_class": "frames of Detections and LabelRecords; the IoU kernels check "
                                "the rows built from them",
     "geometry.Box2D": "four scalars; an order test that NaN fails rejects a NaN corner",
-    "geometry.Box3D": "scalars; a size test that NaN fails rejects a NaN size, and the row "
-                      "kernels check the rest",
+    "geometry.Box3D": "scalars; a size test that NaN fails rejects a NaN size, and a "
+                      "finiteness test names a non-finite center, yaw or alpha",
     "geometry.alpha_to_yaw": "scalars; a depth that is not positive, NaN included, is an error",
     "geometry.yaw_to_alpha": "scalars; a depth that is not positive, NaN included, is an error",
     "geometry.iou_2d": "two Box2D",
@@ -290,9 +290,6 @@ SHAPE_FREE = expand([
      "any leading axes: one score vector per position"),
     ("anchors.generate_anchor_grid", ("sizes",), ("width", "ndim"),
      "any number of sizes, read flat"),
-    ("anchors.decode", ("anchor", "d2", "d3"), ("width", "ndim"),
-     "called once per candidate without a check: a row of another length fails Python's "
-     "tuple unpacking, a ValueError that does not name it"),
     ("attention.AnabParams", ("query", "key", "value", "out_weight", "out_bias"),
      ("width", "ndim"), "a parameter container: anab_forward checks the shapes against its input"),
     ("attention.attention_map", ("x",), ("width",), "any image width"),
