@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# the bytes that one chunk of align_conv's taps may read, over its 4 corners
+_CHUNK_BYTES = 1 << 20
+
+
 class NonFiniteOffsetsError(ValueError):
     """An offset field with a NaN or infinite entry."""
 
@@ -106,15 +110,15 @@ def _bilinear_corners(y, x_coord, H, W):
     that margin every corner is outside the map already, so no weight or
     index changes, and a huge offset does not overflow the integer cast.
     """
-    y = np.clip(y, -2.0, H + 1.0)[:, None]
-    xq = np.clip(x_coord, -2.0, W + 1.0)[:, None]
+    y = np.minimum(np.maximum(y, -2.0), H + 1.0)[:, None]
+    xq = np.minimum(np.maximum(x_coord, -2.0), W + 1.0)[:, None]
     y0, x0 = np.floor(y).astype(np.intp), np.floor(xq).astype(np.intp)
     fy, fx = y - y0, xq - x0
     corner = (4,) + (1,) * (y.ndim - 2)
     dy, dx = np.array([0, 0, 1, 1]).reshape(corner), np.array([0, 1, 0, 1]).reshape(corner)
     yi, xi = y0 + dy, x0 + dx
     valid = (yi >= 0) & (yi < H) & (xi >= 0) & (xi < W)
-    flat = np.clip(yi, 0, H - 1) * W + np.clip(xi, 0, W - 1)
+    flat = np.minimum(np.maximum(yi, 0), H - 1) * W + np.minimum(np.maximum(xi, 0), W - 1)
     wy = np.where(valid, np.where(dy, fy, 1.0 - fy), 0.0)
     wx = np.where(valid, np.where(dx, fx, 1.0 - fx), 0.0)
     return flat, wy, wx
@@ -137,14 +141,21 @@ def align_conv(x, spec, off):
     read gives +-inf.
 
     The taps are read into a column tensor and convolved by the column kernel
-    that conv2d uses. Per tap, each corner is read by one np.take, which keeps
-    the (Ci, B, H, W) layout of the input view; the read is weighted in place,
-    by wy and then by wx (the two roundings of v * wy * wx), and the four are
-    summed into the first in corner order, from `+ 0.0` so that an all -0.0
-    sum ends at +0.0 as a sum from 0 does. The bilinear slopes that the
-    offset gradient needs are built from the unweighted reads and kept only
-    when the offsets require a gradient, the corner weights that scatter the
-    input gradient only when the input requires one.
+    that conv2d uses. The taps are read in chunks of consecutive taps, as many
+    as keep a chunk's four corner reads within `_CHUNK_BYTES` and at least
+    one: all 9 taps of a 3x3 kernel at a small map, one tap per chunk where a
+    tap's reads are large (B = 1, 64 channels on 24x80 reads 3.9 MB per tap),
+    where a larger chunk no longer saves numpy calls and only costs memory.
+    Per chunk, each corner is read by one np.take, which keeps the
+    (Ci, B, taps, H, W) layout of the input view; the read is weighted in
+    place, by wy and then by wx (the two roundings of v * wy * wx), and the
+    four are summed into the first in corner order, from `+ 0.0` so that an
+    all -0.0 sum ends at +0.0 as a sum from 0 does. Every value goes through
+    the same elementwise operations whatever the chunk length, so the bits do
+    not depend on it. The bilinear slopes that the offset gradient needs are
+    built from the unweighted reads and kept only when the offsets require a
+    gradient, the corner weights that scatter the input gradient only when
+    the input requires one.
     """
     if x.ndim != 4:
         raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")
@@ -174,34 +185,37 @@ def align_conv(x, spec, off):
     # (h + i - ph + dy, w + j - ph + dx), one (dy, dx) per tap or one for all;
     # one table per field item, shared by every channel. The index map
     # addresses x as (Ci, B*P), item b at b*P, and serves the scatter in the backward.
-    tap_y = np.repeat(np.arange(kh) - ph, kw)[:, None, None]
-    tap_x = np.tile(np.arange(kw) - ph, kh)[:, None, None]
-    ys = np.arange(H)[:, None] + tap_y + off5[..., 0].transpose(0, 3, 1, 2)
-    xs = np.arange(W) + tap_x + off5[..., 1].transpose(0, 3, 1, 2)
+    tap_i, tap_j = np.divmod(np.arange(K), kw)
+    ys = np.arange(H)[:, None] + (tap_i - ph)[:, None, None] + off5[..., 0].transpose(0, 3, 1, 2)
+    xs = np.arange(W) + (tap_j - ph)[:, None, None] + off5[..., 1].transpose(0, 3, 1, 2)
     flat, wy, wx = _bilinear_corners(ys, xs, H, W)  # each (B', 4, K, H, W)
     idx = flat + (np.arange(B) * P)[:, None, None, None, None]  # (B, 4, K, H, W)
     xc = x.data.transpose(1, 0, 2, 3).reshape(Ci, B * P)
 
-    # one column per tap, each corner read weighted in place and summed in
-    # the per-tap loop's order, then stored once
+    # the columns of a chunk of consecutive taps at a time: each corner read
+    # weighted in place and summed in the per-tap loop's order, then stored
+    # once; a chunk holds as many taps as keep its 4 reads of Ci * B * P
+    # floats per tap within the budget, and at least one (also when B is 0)
     cols = np.empty((B, Ci, K, H, W))
     # d(column)/dy and d(column)/dx, kept only when the offsets need a grad
     dcols = np.empty((2, B, Ci, K, H, W)) if off.requires_grad else None
-    for t in range(K):
-        v = [np.take(xc, idx[:, c, t], axis=1) for c in range(4)]
-        wyt, wxt = wy[:, :, t].swapaxes(0, 1), wx[:, :, t].swapaxes(0, 1)  # (4, B', H, W)
+    chunk = max(1, _CHUNK_BYTES // max(1, 4 * Ci * B * P * 8))
+    for t0 in range(0, K, chunk):
+        taps = slice(t0, t0 + chunk)
+        v = [np.take(xc, idx[:, c, taps], axis=1) for c in range(4)]  # (Ci, B, T, H, W)
+        wyt, wxt = wy[:, :, taps].swapaxes(0, 1), wx[:, :, taps].swapaxes(0, 1)  # (4, B', T, H, W)
         if dcols is not None:  # the slopes take the unweighted reads
-            dcols[0, :, :, t] = (v[2] * wxt[2] - v[0] * wxt[0] + v[3] * wxt[3]
-                                 - v[1] * wxt[1]).swapaxes(0, 1)
-            dcols[1, :, :, t] = (v[1] * wyt[1] - v[0] * wyt[0] + v[3] * wyt[3]
-                                 - v[2] * wyt[2]).swapaxes(0, 1)
+            dcols[0, :, :, taps] = (v[2] * wxt[2] - v[0] * wxt[0] + v[3] * wxt[3]
+                                    - v[1] * wxt[1]).swapaxes(0, 1)
+            dcols[1, :, :, taps] = (v[1] * wyt[1] - v[0] * wyt[0] + v[3] * wyt[3]
+                                    - v[2] * wyt[2]).swapaxes(0, 1)
         for c in range(4):
             v[c] *= wyt[c]
             v[c] *= wxt[c]
         v[0] += 0.0  # a sum that starts at +0.0, as sum() did
         for c in range(1, 4):
             v[0] += v[c]
-        cols[:, :, t] = v[0].swapaxes(0, 1)
+        cols[:, :, taps] = v[0].swapaxes(0, 1)
     # the scatter weights, kept only when the input needs a grad
     wgt = wy * wx if x.requires_grad else None
     w3 = spec.weight.data.reshape(spec.out_channels, Ci, K)

@@ -123,29 +123,34 @@ def decode(anchor, d2, d3):
 
     2D/3D centers shift by delta * template size; 2D/3D dimensions scale by
     exp(delta); projected depth and angle are additive, angle wrapped to
-    (-pi, pi]. A row of another length or rank is a ValueError naming it.
+    (-pi, pi]. A row of another length or rank, or a ragged one, is a
+    ValueError naming it; an overflowing exp is math's OverflowError.
     """
-    try:
+    try:   # free on the pass path: rows are checked only once it fails
         x, y, w, h, z0, w0, h0, l0, a0 = anchor
         tx, ty, tw, th = d2
         tx3, ty3, tz3, tw3, th3, tl3, ta3 = d3
-    except (TypeError, ValueError):   # checked only once an unpacking fails
+        cx, cy, bw, bh = tx * w + x, ty * h + y, math.exp(tw) * w, math.exp(th) * h
+        box2d = (cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
+        params3d = (
+            tx3 * w + x,
+            ty3 * h + y,
+            tz3 + z0,
+            math.exp(tw3) * w0,
+            math.exp(th3) * h0,
+            math.exp(tl3) * l0,
+            wrap_angle(ta3 + a0),
+        )
+    except (TypeError, ValueError):   # an OverflowError from exp passes as it is
         for name, row, n in (("anchor", anchor, 9), ("d2", d2, 4), ("d3", d3, 7)):
-            if np.shape(row) != (n,):
-                raise ValueError(
-                    f"{name} must be a ({n},) row, got shape {np.shape(row)}") from None
+            try:
+                shape = np.shape(row)
+            except ValueError:   # numpy finds no shape in a ragged row
+                shape = None
+            if shape != (n,):
+                got = "a ragged row" if shape is None else f"shape {shape}"
+                raise ValueError(f"{name} must be a ({n},) row, got {got}") from None
         raise
-    cx, cy, bw, bh = tx * w + x, ty * h + y, math.exp(tw) * w, math.exp(th) * h
-    box2d = (cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0)
-    params3d = (
-        tx3 * w + x,
-        ty3 * h + y,
-        tz3 + z0,
-        math.exp(tw3) * w0,
-        math.exp(th3) * h0,
-        math.exp(tl3) * l0,
-        wrap_angle(ta3 + a0),
-    )
     return box2d, params3d
 
 

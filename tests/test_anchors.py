@@ -156,6 +156,21 @@ class TestCodec:
         with pytest.raises(ValueError, match=rf"^{arg} must be a \({n},\) row, got shape"):
             decode(**{**rows, arg: bad})
 
+    # rows that unpack and then fail in the arithmetic, and a ragged row,
+    # which numpy gives no shape
+    @pytest.mark.parametrize("arg, bad, got", [
+        ("d3", [[0.0]] * 7, r"shape \(7, 1\)"), ("d2", [[0.0]] * 4, r"shape \(4, 1\)"),
+        ("anchor", [[0.0] * 9, [0.0]], "a ragged row")], ids=["d3_7x1", "d2_4x1", "anchor_ragged"])
+    def test_decode_names_a_malformed_row(self, arg, bad, got):
+        rows = {"anchor": [1.0] * 9, "d2": [0.0] * 4, "d3": [0.0] * 7}
+        n = len(rows[arg])
+        with pytest.raises(ValueError, match=rf"^{arg} must be a \({n},\) row, got {got}$"):
+            decode(**{**rows, arg: bad})
+
+    def test_decode_overflow_stays_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            decode([1.0] * 9, [0.0, 0.0, 1000.0, 0.0], [0.0] * 7)
+
     def test_encode_rejects_degenerate(self):
         anc = anchor_row(0.0, 0.0, 10.0, 10.0)
         with pytest.raises(ValueError, match="positive"):

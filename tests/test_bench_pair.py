@@ -1,6 +1,7 @@
 """`tools/bench_pair.py` on canned harness records: the alternating run order,
-the per-pair differences and the count of pairs the change ran lower, both
-sides' summaries, and no file when a run failed or the file exists."""
+the per-pair differences and the count of pairs the change ran lower, the
+`gain` and `within_bound` verdicts, both sides' summaries, and no file when a
+run failed or the file exists."""
 
 import json
 import sys
@@ -13,7 +14,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 import bench_pair  # noqa: E402
 
 SPEC = {"workloads": [{"name": "block"}],
-        "end_to_end": [{"name": "setup_s", "unit": "s"}, {"name": "op_norm_ms.p50", "unit": "ms"}]}
+        "end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                       {"name": "op_norm_ms.p50", "unit": "ms", "better": "lower", "bound": 0.25}]}
 ENV = {"numpy": "2.x", "nproc": 2}
 # op_norm_ms.p50 per pair: the change is lower in pairs 0, 1 and 3
 OPS = {"parent": [80.0, 82.0, 79.0, 85.0], "change": [75.0, 76.0, 81.0, 77.0]}
@@ -59,14 +61,57 @@ def test_differences_and_counts():
                                   "diff": {"setup_s": 0.0, "op_norm_ms.p50": 2.0}}
     op = result["verdict"]["op_norm_ms.p50"]
     # sorted diffs -8 -6 -5 2: median -5.5; the parent's median is 81.0
+    # lower in 3/4 only; the medians 81.0 and 76.5 are within the bound
     assert op == {"unit": "ms", "median_diff": -5.5, "median_rel": pytest.approx(-5.5 / 81.0),
-                  "lower": 3, "pairs": 4}
+                  "lower": 3, "pairs": 4, "gain": False, "within_bound": True}
     assert result["verdict"]["setup_s"]["lower"] == 0   # equal is not lower
+    assert not result["verdict"]["setup_s"]["gain"] and result["verdict"]["setup_s"]["within_bound"]
     parent = result["summary"]["parent"]["op_norm_ms.p50"]
     assert parent["values"] == OPS["parent"] and parent["median"] == 81.0
     assert result["summary"]["change"]["op_norm_ms.p50"]["median"] == 76.5
     assert result["seeds"] == [601, 602, 603, 604]
     assert result["env"] == {"parent": ENV, "change": ENV} and result["env_consistent"]
+
+
+# ten parent values: median 104.5, quartiles 102.25 and 106.75, IQR 4.5
+PARENT10 = [100.0 + i for i in range(10)]
+
+
+def verdict(parent, change, better="lower", bound=0.25):
+    """The op_norm_ms.p50 verdict of pairs of canned runs, one value per side and pair."""
+    spec = {"end_to_end": [{"name": "op_norm_ms.p50", "unit": "ms", "better": better,
+                            "bound": bound}]}
+    runs = {side: [record(601 + i, v) for i, v in enumerate(values)]
+            for side, values in (("parent", parent), ("change", change))}
+    return bench_pair.compare(runs, spec)["verdict"]["op_norm_ms.p50"]
+
+
+@pytest.mark.parametrize("change, better, gain", [
+    # lower in 9/10, medians 6.0 apart: a gain
+    ([v - 6.0 for v in PARENT10[:9]] + [110.0], "lower", True),
+    # lower in 8/10 only
+    ([v - 6.0 for v in PARENT10[:8]] + [109.0, 110.0], "lower", False),
+    # lower in 10/10, but the medians are 4.0 apart, within the parent's IQR
+    ([v - 4.0 for v in PARENT10], "lower", False),
+    # 9/10 lower is 9/10 worse where higher is better
+    ([v - 6.0 for v in PARENT10[:9]] + [110.0], "higher", False),
+    ([v + 6.0 for v in PARENT10[:9]] + [100.0], "higher", True),
+], ids=["9_of_10", "8_of_10", "within_iqr", "lower_is_worse", "higher_is_better"])
+def test_gain(change, better, gain):
+    v = verdict(PARENT10, change, better)
+    assert v["gain"] is gain
+
+
+@pytest.mark.parametrize("shift, better, within", [
+    (5.0, "lower", True),     # 5.0 worse, the bound is 0.05 * 104.5 = 5.225
+    (6.0, "lower", False),
+    (-6.0, "lower", True),    # better is always within
+    (-5.0, "higher", True),
+    (-6.0, "higher", False),
+])
+def test_within_bound(shift, better, within):
+    v = verdict(PARENT10, [p + shift for p in PARENT10], better, bound=0.05)
+    assert v["within_bound"] is within
 
 
 @pytest.mark.parametrize("bad, match", [

@@ -7,7 +7,8 @@ einsum and np.add.at. The forward must match them bitwise; the gradients,
 whose summation order changed, within 1e-12 relative to each array's largest
 entry. The column forward itself, one ordered einsum plus the repair of its
 NaN and -0.0 outputs, is checked bitwise against one product at a time, and
-align_conv's all-tap corner math against the per-tap corner loop it replaced.
+align_conv's all-tap corner math against the per-tap corner loop it replaced,
+at every chunk length of its tap loop.
 """
 
 import contextlib
@@ -432,8 +433,9 @@ FIELD_FORMS = {
 
 def assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt, untaped=False):
     """align_conv on x and offt, bitwise against the per-tap corner loop: the
-    columns it hands the column kernel, its output and, on the tape, the input
-    and offset gradients. Returns the loop's corner indices and weights."""
+    columns it hands the column kernel, its output and, on the tape, the
+    input, weight, bias and offset gradients. Returns the loop's corner
+    indices and weights."""
     kernel = spec.kernel
     kh, kw = kernel
     K, (B, Ci, H, W), Co = kh * kw, x.shape, spec.out_channels
@@ -470,6 +472,10 @@ def assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt, untaped=False):
                                     weights=(wgt[item] * gcols[b, ci]).ravel(),
                                     minlength=H * W)
     assert np.array_equal(bits(x.grad), bits(gx.reshape(x.shape)))
+    gw = np.tensordot(g.reshape(B, Co, H * W), cols.reshape(B, Ci * K, H * W),
+                      axes=([0, 2], [0, 2]))
+    assert np.array_equal(bits(spec.weight.grad), bits(gw.reshape(spec.weight.shape)))
+    assert np.array_equal(bits(spec.bias.grad), bits(g.sum(axis=(0, 2, 3))))
     if not offt.requires_grad:
         assert offt.grad is None
         return idx, wgt
@@ -532,3 +538,68 @@ class TestAlignConvAllTapCorners:
         spec = random_spec(rng, 64, 64, (3, 3), 1, 1)
         idx, wgt = assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt)
         assert np.any(wgt == 0.0) and np.any((wgt > 0.0) & (wgt < 1.0))
+
+
+class CountTakes:
+    """numpy as align_conv sees it, logging the index shape of every np.take."""
+
+    def __init__(self):
+        self.index_shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, a, indices, axis):
+        self.index_shapes.append(indices.shape)
+        return np.take(a, indices, axis=axis)
+
+
+# (kernel, offset field shape, offsets need a grad)
+CHUNK_FIELDS = {
+    "shared9_offgrad": ((3, 3), (6, 7, 9, 2), True),   # the slope path
+    "item9": ((3, 3), (2, 6, 7, 9, 2), False),
+    "item1": ((1, 1), (2, 6, 7, 1, 2), True),
+}
+# taps per chunk: one, two (a 3x3 kernel's last chunk then holds one) or all
+CHUNK_TAPS = {"one_tap": 1, "two_taps": 2, "all_taps": 9}
+
+
+class TestAlignConvChunks:
+    """The tap loop reads chunks of as many taps as fit its byte budget; the
+    bits must not depend on where the chunks begin and end."""
+
+    @pytest.mark.parametrize("taps", CHUNK_TAPS.values(), ids=CHUNK_TAPS)
+    @pytest.mark.parametrize("kernel, field, off_grad", CHUNK_FIELDS.values(), ids=CHUNK_FIELDS)
+    def test_bitwise_at_every_chunk_length(self, monkeypatch, kernel, field, off_grad, taps):
+        rng = np.random.default_rng(17)
+        B, Ci, Co, H, W = 2, 4, 5, 6, 7
+        kh, kw = kernel
+        per_tap = 4 * Ci * B * H * W * 8   # the four corner reads of one tap
+        # a budget just short of one more tap still holds `taps` taps
+        monkeypatch.setattr(align_module, "_CHUNK_BYTES", (taps + 1) * per_tap - 1)
+        takes = CountTakes()
+        monkeypatch.setattr(align_module, "np", takes)
+        x = Tensor(rng.normal(size=(B, Ci, H, W)), requires_grad=True)
+        spec = random_spec(rng, Ci, Co, kernel, 1, kh // 2)
+        offt = Tensor(rng.uniform(-2.5, 2.5, size=field), requires_grad=off_grad)
+        assert_bitwise_per_tap(monkeypatch, rng, x, spec, offt)
+        K = kh * kw
+        lengths = [shape[1] for shape in takes.index_shapes]
+        want = [min(taps, K - t0) for t0 in range(0, K, taps)]
+        assert lengths == [n for n in want for _ in range(4)]   # one take per corner per chunk
+
+    @pytest.mark.parametrize("budget", [1, align_module._CHUNK_BYTES], ids=["one_byte", "default"])
+    def test_empty_batch(self, monkeypatch, budget):
+        """B = 0 reads zero bytes per tap; every tap fits one chunk."""
+        monkeypatch.setattr(align_module, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(18)
+        spec = random_spec(rng, 3, 4, (3, 3), 1, 1)
+        x = Tensor(np.zeros((0, 3, 5, 6)), requires_grad=True)
+        offt = Tensor(rng.uniform(-1.0, 1.0, size=(5, 6, 9, 2)), requires_grad=True)
+        out = align_conv(x, spec, offt)
+        assert out.shape == (0, 4, 5, 6)
+        out.backward(np.zeros(out.shape))
+        assert x.grad.shape == x.shape
+        for grad in (spec.weight.grad, spec.bias.grad, offt.grad):
+            assert np.array_equal(bits(grad), bits(np.zeros(grad.shape)))
+        assert offt.grad.shape == offt.shape

@@ -9,7 +9,12 @@ weighs on both sides alike. The file holds both commits, the env, each pair's
 value of every gated (end-to-end) metric on both sides with the change's
 difference, both sides' `bench_point.summarize` rows over all pairs, and per
 metric the median per-pair difference, that median over the parent's median,
-and how many pairs the change ran lower.
+how many pairs the change ran lower, and two verdicts in the metric's
+`better` direction:
+- `gain`: the change is better in at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- `within_bound`: the change's median is worse than the parent's by at most
+  the metric's `bound` times the parent's median.
 
 A run that exits non-zero or is not `correct`, or a run with `failed > 0`,
 exits with status 1 and writes no file, as `bench_point.py` does. The file
@@ -52,7 +57,8 @@ def compare(runs, spec):
     seeds = [[r["seed"] for r in runs[side]] for side in SIDES]
     if seeds[0] != seeds[1]:
         raise BenchError(f"the sides ran different seeds: parent {seeds[0]}, change {seeds[1]}")
-    gated = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    gated = {name: m["unit"] for name, m in metrics.items()}
     summary = {side: summarize(runs[side], gated) for side in SIDES}
     pairs = []
     for i, seed in enumerate(seeds[0]):
@@ -62,12 +68,18 @@ def compare(runs, spec):
         row["diff"] = {name: row["change"][name] - row["parent"][name] for name in gated}
         pairs.append(row)
     verdict = {}
-    for name, unit in gated.items():
+    for name, m in metrics.items():
         diffs = [p["diff"][name] for p in pairs]
         median, base = statistics.median(diffs), summary["parent"][name]["median"]
-        verdict[name] = {"unit": unit, "median_diff": median,
+        sign = 1 if m["better"] == "lower" else -1   # sign * diff < 0: the change is better
+        better = sum(sign * d < 0 for d in diffs)
+        gain_by = sign * (base - summary["change"][name]["median"])
+        verdict[name] = {"unit": m["unit"], "median_diff": median,
                          "median_rel": median / base if base else None,
-                         "lower": sum(d < 0 for d in diffs), "pairs": len(diffs)}
+                         "lower": sum(d < 0 for d in diffs), "pairs": len(diffs),
+                         "gain": 10 * better >= 9 * len(diffs)
+                         and gain_by > summary["parent"][name]["iqr"],
+                         "within_bound": -gain_by <= m["bound"] * abs(base)}
     return {"env": {side: runs[side][0]["env"] for side in SIDES},
             "env_consistent": len({json.dumps(r["env"], sort_keys=True)
                                    for side in SIDES for r in runs[side]}) == 1,
@@ -127,7 +139,8 @@ def main(argv=None):
     for name, v in result["verdict"].items():
         rel = "" if v["median_rel"] is None else f" ({100 * v['median_rel']:+.1f}%)"
         print(f"{name}: median diff {v['median_diff']:+.4g} {v['unit']}{rel}, "
-              f"lower in {v['lower']}/{v['pairs']}")
+              f"lower in {v['lower']}/{v['pairs']}, gain {v['gain']}, "
+              f"within bound {v['within_bound']}")
     print(f"wrote {out}")
     return 0
 
