@@ -202,8 +202,9 @@ def align_conv(x, spec, off):
     chunk = max(1, _CHUNK_BYTES // max(1, 4 * Ci * B * P * 8))
     for t0 in range(0, K, chunk):
         taps = slice(t0, t0 + chunk)
-        v = [np.take(xc, idx[:, c, taps], axis=1) for c in range(4)]  # (Ci, B, T, H, W)
-        wyt, wxt = wy[:, :, taps].swapaxes(0, 1), wx[:, :, taps].swapaxes(0, 1)  # (4, B', T, H, W)
+        v = [np.take(xc, idx[:, c, taps], axis=1) for c in range(4)]  # (Ci, B, taps, H, W)
+        # (4, B', taps, H, W)
+        wyt, wxt = wy[:, :, taps].swapaxes(0, 1), wx[:, :, taps].swapaxes(0, 1)
         if dcols is not None:  # the slopes take the unweighted reads
             dcols[0, :, :, taps] = (v[2] * wxt[2] - v[0] * wxt[0] + v[3] * wxt[3]
                                     - v[1] * wxt[1]).swapaxes(0, 1)
