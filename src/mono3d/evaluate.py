@@ -8,7 +8,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import iou_2d_pairs, iou_3d_pairs, iou_bev_pairs
+from .geometry import _footprint_ious, iou_2d_pairs
 
 __all__ = [
     "EvalConfig",
@@ -161,37 +161,45 @@ def _check_2d(rows):
 
 
 def _stack(kernel, rows, cols, n_rows, n_cols):
-    """(F, max n_rows, max n_cols) stack of `kernel` on every pair of a
-    frame's rows and columns (both sorted by frame), from one kernel call over
-    the pairs in frame, row, column order; NaN where no pair lands."""
+    """Read-only (F, max n_rows, max n_cols) stacks, one per array `kernel`
+    returns, of its values on every pair of a frame's rows and columns (both
+    sorted by frame), from one kernel call over the pairs in frame, row,
+    column order; NaN where no pair lands."""
     R, C = n_rows.max(initial=0), n_cols.max(initial=0)
     f, r, c = np.nonzero((np.arange(R) < n_rows[:, None])[:, :, None]
                          & (np.arange(C) < n_cols[:, None])[:, None, :])
-    out = np.full((len(n_rows), R, C), np.nan)
-    out[f, r, c] = kernel(rows[(np.cumsum(n_rows) - n_rows)[f] + r],
-                          cols[(np.cumsum(n_cols) - n_cols)[f] + c])
-    return out
+    values = kernel(rows[(np.cumsum(n_rows) - n_rows)[f] + r],
+                    cols[(np.cumsum(n_cols) - n_cols)[f] + c])
+    stacks = []
+    for v in values:
+        out = np.full((len(n_rows), R, C), np.nan)
+        out[f, r, c] = v
+        out.flags.writeable = False
+        stacks.append(out)
+    return stacks
 
 
-_last_stacks = None   # (key, (class, DontCare) IoU stacks) of the last call
+def _iou_2d(a, b):
+    """`iou_2d_pairs` as the one-array tuple `_stack` takes."""
+    return (iou_2d_pairs(a, b),)
 
 
-def _stacks(task, det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc):
-    """The class and DontCare IoU stacks, read-only. They do not depend on the
-    difficulty, so the last ones are kept under the exact bytes of every array
-    they are computed from: the next call on equal inputs (the next difficulty
-    of the same task and class) reuses them. The key and the stacks are read
-    and replaced as one tuple, so concurrent callers never pair them wrongly."""
-    global _last_stacks
-    key = (task, *(a.tobytes() for a in (det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc)))
-    last = _last_stacks
+# (class name, "class" or "dontcare") -> (key, stacks) of the last call that
+# filled the slot: the class stacks ((2d,) or (bev, 3d)) and the DontCare one
+_memo = {}
+
+
+def _stacks(slot, family, kernel, rows, cols, n_rows, n_cols):
+    """`_stack` of `kernel`, memoised in `_memo[slot]` under the kernel family
+    tag and the exact bytes of every array it is computed from, never on
+    object identity: the next call on equal inputs reuses it. The tag keeps
+    apart families whose inputs can have equal bytes (two empty row sets).
+    The key and the stacks are read and replaced as one tuple, so concurrent
+    callers never pair them wrongly."""
+    key = (family, *(a.tobytes() for a in (rows, cols, n_rows, n_cols)))
+    last = _memo.get(slot)
     if last is None or last[0] != key:
-        kernel = {"2d": iou_2d_pairs, "bev": iou_bev_pairs, "3d": iou_3d_pairs}[task]
-        stacks = (_stack(kernel, det_rows, gt_rows, n_det, n_gt),
-                  _stack(iou_2d_pairs, det_2d, dc_2d, n_det, n_dc))
-        for s in stacks:
-            s.flags.writeable = False
-        last = _last_stacks = key, stacks
+        last = _memo[slot] = key, _stack(kernel, rows, cols, n_rows, n_cols)
     return last[1]
 
 
@@ -208,8 +216,12 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
     detection-DontCare pair, as padded (frame, detection, ground truth)
     stacks for one `match_detections` call. A frame's ground-truth columns
     keep label order and the difficulty only masks them, so the stacks are
-    the same at every difficulty and a call on the same rows as the last
-    call reuses its stacks.
+    the same at every difficulty. They are memoised per class name: a class
+    slot holds the 2d stack or, from one footprint clip, both the bev and
+    the 3d stack, and a DontCare slot holds the DontCare stack, which every
+    task shares. A call whose rows equal those that filled a slot reuses it,
+    so the three difficulties of each task, and bev then 3d, cost one kernel
+    call per class.
     """
     F = len(frames)
     labels = [(f, g) for f, (_, gts) in enumerate(frames) for g in gts
@@ -242,7 +254,10 @@ def evaluate_class(frames, class_name, config, difficulty="moderate"):
         if bad.any():
             h, w, l = gt_rows[bad][0, [4, 3, 5]].tolist()   # in the file's (h, w, l) order
             raise ValueError(f"non-positive 3D dimensions {(h, w, l)}")
-    iou, iou_dc = _stacks(config.task, det_2d, det_rows, gt_rows, dc_2d, n_det, n_gt, n_dc)
+    family, kernel = ("2d", _iou_2d) if config.task == "2d" else ("footprint", _footprint_ious)
+    stacks = _stacks((class_name, "class"), family, kernel, det_rows, gt_rows, n_det, n_gt)
+    iou = stacks[config.task == "3d"]   # (2d,) or (bev, 3d)
+    (iou_dc,) = _stacks((class_name, "dontcare"), "2d", _iou_2d, det_2d, dc_2d, n_det, n_dc)
     # the difficulty masks columns in place: valid ones keep their relative
     # order, so equal IoUs still go to the same ground truth
     column = np.arange(len(gt)) - (np.cumsum(n_gt) - n_gt)[frame[gt]]

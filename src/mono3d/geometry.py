@@ -356,21 +356,28 @@ def iou_2d_pairs(a, b):
     return _ratio(inter, area_a + area_b - inter)
 
 
-def iou_bev_pairs(a, b):
-    """Rotated-footprint IoU of (P, 7) [x, y, z, w, h, l, yaw] row pairs, (P,)."""
+def _footprint_ious(a, b):
+    """(bev, 3d) IoUs of (P, 7) [x, y, z, w, h, l, yaw] row pairs, each (P,),
+    from one check of the rows and one footprint clip: the 3D intersection is
+    the footprint intersection times the vertical overlap. `iou_bev_pairs`
+    and `iou_3d_pairs` read one each; `evaluate_class` keeps both."""
     a, b = _rows("a", a, 7), _rows("b", b, 7)
     inter = _bev_intersection(a, b)
-    return _ratio(inter, a[:, 3] * a[:, 5] + b[:, 3] * b[:, 5] - inter)
+    bev = _ratio(inter, a[:, 3] * a[:, 5] + b[:, 3] * b[:, 5] - inter)
+    # times the vertical overlap: bottom at y, top at y - h (camera y points down)
+    inter *= np.maximum(0.0, np.minimum(a[:, 1], b[:, 1])
+                        - np.maximum(a[:, 1] - a[:, 4], b[:, 1] - b[:, 4]))
+    return bev, _ratio(inter, a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter)
+
+
+def iou_bev_pairs(a, b):
+    """Rotated-footprint IoU of (P, 7) [x, y, z, w, h, l, yaw] row pairs, (P,)."""
+    return _footprint_ious(a, b)[0]
 
 
 def iou_3d_pairs(a, b):
     """BEV intersection x vertical overlap over union volume of (P, 7) row pairs."""
-    a, b = _rows("a", a, 7), _rows("b", b, 7)
-    inter = _bev_intersection(a, b)
-    # times the vertical overlap: bottom at y, top at y - h (camera y points down)
-    inter *= np.maximum(0.0, np.minimum(a[:, 1], b[:, 1])
-                        - np.maximum(a[:, 1] - a[:, 4], b[:, 1] - b[:, 4]))
-    return _ratio(inter, a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter)
+    return _footprint_ious(a, b)[1]
 
 
 def iou_bev(a, b):

@@ -575,20 +575,75 @@ class TestStackMemo:
         frames = kitti_shaped_frames(np.random.default_rng(seed), n_frames=30)
         return [([d for d in dets if d.class_id == 0], gts) for dets, gts in frames]
 
-    @pytest.mark.parametrize("task,kernel", [("bev", "iou_bev_pairs"), ("3d", "iou_3d_pairs")])
-    def test_three_difficulties_one_kernel_call(self, monkeypatch, task, kernel):
-        frames = self.car_frames(41)
-        evaluate_class(frames, "Car", EvalConfig(task="2d"), "easy")   # a different key
-        calls = {kernel: 0, "iou_2d_pairs": 0}
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the pair-kernel passes `evaluate_class` makes through evaluate's
+        namespace, from an empty memo."""
+        monkeypatch.setattr(evaluate, "_memo", {})
+        calls = {"_footprint_ious": 0, "iou_2d_pairs": 0}
         for name in calls:
             def counted(a, b, _kernel=getattr(evaluate, name), _name=name):
                 calls[_name] += 1
                 return _kernel(a, b)
             monkeypatch.setattr(evaluate, name, counted)
-        cfg = EvalConfig(task=task)
-        got = [evaluate_class(frames, "Car", cfg, d) for d in DIFFICULTIES]
-        assert calls == {kernel: 1, "iou_2d_pairs": 1}   # the class stack and the DontCare one
-        assert got == per_frame_evaluate(frames, "Car", cfg, DIFFICULTIES)
+        return calls
+
+    @pytest.mark.parametrize("tasks", [("bev", "3d"), ("3d", "bev")], ids="-".join)
+    def test_three_difficulties_one_kernel_call(self, monkeypatch, tasks):
+        frames = self.car_frames(41)
+        calls = self.counting(monkeypatch)
+        evaluate_class(self.car_frames(42), "Car", EvalConfig(task="bev"), "easy")   # other rows
+        calls.update({name: 0 for name in calls})
+        got = {t: [evaluate_class(frames, "Car", EvalConfig(task=t), d) for d in DIFFICULTIES]
+               for t in tasks}
+        assert calls == {"_footprint_ious": 1, "iou_2d_pairs": 1}   # the footprint and DontCare passes
+        for t in tasks:
+            assert got[t] == per_frame_evaluate(frames, "Car", EvalConfig(task=t), DIFFICULTIES)
+
+    def test_task_major_order_one_footprint_pass_per_class(self, monkeypatch):
+        frames = kitti_shaped_frames(np.random.default_rng(44), n_frames=30)
+        by_class = {cls: [([d for d in dets if d.class_id == k], gts) for dets, gts in frames]
+                    for k, cls in enumerate(CLASSES)}
+        calls = self.counting(monkeypatch)
+        aps = [evaluate_class(by_class[cls], cls, EvalConfig(task=task), d)
+               for task in ("2d", "bev", "3d") for cls in CLASSES for d in DIFFICULTIES]
+        assert not any(math.isnan(v) for v in aps[1::3])   # every class has moderate ground truth
+        # per class: a 2d pass, a footprint pass and a DontCare pass
+        assert calls == {"_footprint_ious": 3, "iou_2d_pairs": 6}
+
+    @pytest.mark.parametrize("field", ["y", "h"])
+    def test_moving_only_y_or_h_between_bev_and_3d(self, monkeypatch, field):
+        frames = self.car_frames(45)
+        bev, three_d = EvalConfig(task="bev"), EvalConfig(task="3d")
+        before = [evaluate_class(frames, "Car", three_d, d) for d in DIFFICULTIES]
+        bev_before = [evaluate_class(frames, "Car", bev, d) for d in DIFFICULTIES]
+        for d in [d for ds, _ in frames for d in ds][::2]:   # the footprints stay where they are
+            setattr(d.box3d, field, getattr(d.box3d, field) + 0.8)
+        got = [evaluate_class(frames, "Car", three_d, d) for d in DIFFICULTIES]
+        assert [evaluate_class(frames, "Car", bev, d) for d in DIFFICULTIES] == bev_before
+        fresh = copy.deepcopy(frames)
+        monkeypatch.setattr(evaluate, "_memo", {})
+        assert got == [evaluate_class(fresh, "Car", three_d, d) for d in DIFFICULTIES]
+        assert got != before   # the move matters
+
+    def test_memo_stacks_are_the_pair_kernels_bits(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_memo", {})
+        frames = self.car_frames(46)
+        evaluate_class(frames, "Car", EvalConfig(task="bev"), "moderate")
+        _, stacks = evaluate._memo["Car", "class"]
+        index, a, b = [], [], []
+        for f, (dets, gts) in enumerate(frames):
+            cars = [g.as_box3d().as_array() for g in gts if g.type == "Car"]
+            for i, d in enumerate(dets):
+                for j, row in enumerate(cars):
+                    index.append((f, i, j))
+                    a.append(d.box3d.as_array())
+                    b.append(row)
+        f, i, j = np.array(index).T
+        for stack, kernel in zip(stacks, (iou_bev_pairs, iou_3d_pairs)):
+            want = np.full(stack.shape, np.nan)
+            want[f, i, j] = kernel(a, b)
+            assert np.array_equal(stack.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("task", ["2d", "bev", "3d"])
     def test_in_place_mutation_never_reads_a_stale_stack(self, task):

@@ -18,7 +18,8 @@ import mono3d
 
 PACKAGE = Path(mono3d.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mono3d.__path__))
-SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward"), ("geometry", "_rows")}
+SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward"), ("geometry", "_rows"),
+                  ("geometry", "_footprint_ious")}
 
 
 def relative_imports(path):
