@@ -185,7 +185,8 @@ def _iou_2d(a, b):
 
 
 # (class name, "class" or "dontcare") -> (key, stacks) of the last call that
-# filled the slot: the class stacks ((2d,) or (bev, 3d)) and the DontCare one
+# filled the slot: the class stacks ((2d,) or (bev, 3d)) and the DontCare one.
+# Two slots per class name scored, held for the life of the process.
 _memo = {}
 
 
