@@ -87,7 +87,9 @@ def center_align_offsets(residuals, stride):
     residuals: Tensor (H, W, 2) or (B, H, W, 2) of (x_r, y_r) in image
     pixels. Returns the (..., H, W, 1, 2) field (y_r/S, x_r/S), which
     `align_conv` applies to every tap, on the tape so offset gradients flow
-    back into the center-regression head.
+    back into the center-regression head. It is built from tape ops (a
+    reversed slice, a division by the stride, a reshape), so its gradient
+    needs no hand-written backward.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -130,7 +132,9 @@ def align_conv(x, spec, off):
     off: Tensor of per-position (dy, dx) offsets in feature-grid units,
     (H, W, K, 2) shared by every batch item or (B, H, W, K, 2) with one field
     per item (a leading 1 is shared too); K is kh*kw, or 1 for one shift of
-    all taps. A NaN or infinite offset raises NonFiniteOffsetsError.
+    all taps. A NaN or infinite offset raises NonFiniteOffsetsError. This is
+    the one place a field is checked (shape against the kernel, the grid and
+    the item count, then finiteness): the offset generators only return it.
 
     Stride-1, odd kernels, 'same' padding only: the offset field is defined
     on the output grid, which must coincide with the input grid. Differentiable
@@ -156,6 +160,16 @@ def align_conv(x, spec, off):
     built from the unweighted reads and kept only when the offsets require a
     gradient, the corner weights that scatter the input gradient only when
     the input requires one.
+
+    The corner table is one per field item (B' is 1 for a shared field) and
+    shared by every channel; adding each item's offset b*H*W gives a
+    (B, 4, K, H, W) index map into the input viewed as (Ci, B*H*W). The
+    backward scatters the input gradient by one np.bincount per channel
+    over that map: each item's pixels are their own bins, added in the
+    order a per-item bincount adds them. Per channel it holds B*4*K*H*W
+    weights, where one flat bincount over all channels would hold four
+    column tensors' worth. The offset gradient of a shared or one-tap field
+    is summed over the items or taps by accumulate_grad's unbroadcast.
     """
     if x.ndim != 4:
         raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")

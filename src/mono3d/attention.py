@@ -68,7 +68,12 @@ class PyramidSpec:
 
 @dataclass
 class AnabParams:
-    """The block's four projections, attention-map conv and pyramid, for C channels."""
+    """The block's four projections, attention-map conv and pyramid, for C channels.
+
+    Query, key and value are (C, C+1) `[W | b]` leaf matrices, the affine
+    maps the block multiplies; the output projection is a (C, C) weight and
+    a (C, 1, 1) bias.
+    """
 
     query: Tensor        # (C, C+1) [W | b], the affine map anab_forward multiplies
     key: Tensor          # (C, C+1) [W | b]
@@ -140,7 +145,10 @@ def pa2_pool(features, attn, spec):
 
     `attn` is the (B, 1, H, W) map. Each bin's descriptor is
     sum(a*f)/(sum(a) + EPSILON) over the bin; levels are concatenated in ascending
-    order, bins row-major within a level. The tape differentiates it.
+    order, bins row-major within a level. The tape differentiates it. It
+    loops over the levels only, never over bins or batch items; under a
+    constant attention map it is an adaptive average pool. Shapes other than
+    these are a ValueError naming both.
     """
     if features.ndim != 4 or attn.shape != (features.shape[0], 1) + features.shape[2:]:
         raise ValueError(f"pa2_pool expects (B, C, H, W) features and a (B, 1, H, W) attention "
@@ -166,6 +174,14 @@ def anab_forward(x, params):
     s = X^T ([Wq|bq]^T k^T) (N x L), and the output projection into the
     values: y = (Wo v^T) softmax(s)^T + bo (C x N), plus the residual. Every
     product runs over the whole batch at once.
+
+    In exact arithmetic this equals projecting at full resolution and then
+    pooling, as asymmetric pyramid non-local blocks do (Zhu et al. 2019,
+    arXiv:1908.07678); the tests keep that order as a reference, beside the
+    standard non-local block. The matmuls cost N*L*(2C+1) + L*C*(4C+3)
+    multiply-adds per item, linear in N, against 2*N^2*C for that block.
+    Its backward peaks about two N x L maps above what the forward holds,
+    where an always-copied gradient would make it three (`accumulate_grad`).
     """
     if x.ndim != 4:
         raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")

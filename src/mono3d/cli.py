@@ -1,6 +1,13 @@
-"""Command-line entry point.
+"""Command-line entry point, `mono3d` (or `python3 -m mono3d.cli`).
 
-Subcommands: demo, eval, gradcheck.
+Subcommands: demo, eval, gradcheck. Exit codes: 0 on success; USAGE_EXIT
+(2) for a usage error, which names the flag, and for an input or output
+path at fault, as `error: <path>: <reason>`; FAIL_EXIT (1) for a failed
+check (a gradcheck op, a non-finite attention map) and when the reader of
+stdout stops early. Counts (`--steps`, `--scenes`) must be positive
+integers, `--seed` a non-negative integer, `gradcheck --step` and `--tol`
+finite numbers > 0, `demo --conf` a probability in [0, 1], and
+`eval --classes` a `class_list`.
 """
 
 from __future__ import annotations
@@ -111,6 +118,21 @@ def _print_ap_table(frames_by_class, task, mode):
 
 
 def cmd_demo(args):
+    """Train on `args.scenes` synthetic scenes (see `_train`; batch 4,
+    `max(1, scenes // 4)` warm-up steps capped at `--steps`), detect on as
+    many held-out scenes and print the easy/moderate/hard Car AP table of
+    the 2d, bev and 3d tasks. A ground truth's rotation_y is
+    `alpha_to_yaw(alpha, x, z)`, as a detection's is, so a detection equal
+    to a ground truth reads BEV and 3D IoU 1.
+
+    With `--out`, the directory is made before training, so a bad `--out`
+    stops it first. `trace.csv` (`write_loss_trace`) is written right after
+    training, so a later failure still leaves it; then one result file per
+    held-out scene (`000000.txt`, ...) and `attention.pgm`, the trained
+    block's attention map on held-out scene 0 (10x6 pixels for 48x80
+    scenes). An output that cannot be written exits 2 naming the file; a map
+    with a non-finite entry is not drawn and exits 1.
+    """
     from .attention import attention_map, write_pgm
     from .detector import detect
     from .geometry import alpha_to_yaw, backproject
@@ -174,6 +196,19 @@ def cmd_demo(args):
 
 
 def cmd_eval(args):
+    """Score the KITTI result files of `--det` against the label files of
+    `--gt` with the same names and print the AP table, then CSV lines. Each
+    class is scored on its own detections only.
+
+    A missing directory or no label file exits 2, and so does a file that
+    does not parse, with `error: <path>: <reason>`. Any record fails on a
+    non-numeric field, a non-integer occlusion or a 2D box whose corners
+    are out of order. Only records of the scored classes are checked for a
+    score outside [0, 1] and, under bev and 3d, for a 3D size <= 0; these
+    errors name the line. DontCare regions and the 2d task read no 3D field,
+    so KITTI's `-1 -1 -1` sentinels and 2D-only result lines pass under
+    `--task 2d`.
+    """
     from .kitti import parse_label_file
     from .postproc import Detection
 
@@ -262,6 +297,9 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code; a reader of stdout that
+    stops early (`mono3d eval ... | head -3`) gives 1 without a traceback,
+    following the SIGPIPE note in Python's `signal` documentation."""
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)

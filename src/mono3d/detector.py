@@ -21,6 +21,14 @@ def detect(model, scene, score_floor=0.1, nms_iou=0.4, conf_thresh=0.75):
     """Full inference for one scene on one table of candidate rows: decode,
     NMS, filter, then yaw refinement, building a `Detection` per row returned.
 
+    The forward runs under `no_grad`. Each anchor's score and class id are
+    the forward's `scores` and `classes` rows, in flat anchor order; detect
+    takes no softmax of its own. The candidates are the flat indices whose
+    score is at least `score_floor` or non-finite. `decode` runs once per
+    finite candidate, on Python floats, because the benchmark's detection
+    funnel counts candidates by these calls. The yaw of every detection that
+    passes NMS and the confidence filter is refined by `optimize_rotation`.
+
     A candidate whose score or decoded box is non-finite, or whose decoded 3D
     size is not positive, is dropped, and the scene's drop count is reported
     in one RuntimeWarning. A candidate behind the camera is dropped silently:

@@ -1,5 +1,18 @@
 """KITTI-protocol evaluation: interpolated AP at 11/40 recall points,
-difficulty buckets, and depth-error analysis."""
+difficulty buckets, and depth-error analysis.
+
+R40 follows Simonelli et al. 2019 (arXiv:1905.12365). Where the rules depart
+from the KITTI devkit (`evaluate_object.cpp`):
+
+- matching is detection-first with `>=` (`match_detections`), where the
+  devkit's `computeStatistics` walks the ground truths and gives each the
+  best unassigned detection whose overlap is strictly above the threshold,
+  so boundary IoUs and some contested pairs can score differently;
+- a DontCare region absorbs a detection at IoU >= the class threshold, where
+  the devkit uses the intersection over the detection's area;
+- neighbouring classes (Van for Car, Person_sitting for Pedestrian) and the
+  minimum detection height are not applied.
+"""
 
 from __future__ import annotations
 
@@ -35,6 +48,9 @@ def _check_mode(mode):
 
 @dataclass
 class EvalConfig:
+    """The AP mode and the task. The IoU thresholds are IOU_THRESHOLDS;
+    `threshold_for` gives 0.5 for a class not in it."""
+
     mode: str = "r40"          # "r11" or "r40"
     task: str = "3d"           # "2d", "bev", or "3d"
 
@@ -123,8 +139,9 @@ def average_precision(scores, tp, num_gt, mode="r40"):
     R11 uses {0, 0.1, ..., 1.0}; R40 uses {1/40, ..., 40/40}. Precision at
     recall r is the maximum precision among operating points with recall >= r:
     recall never falls along the score order, so that is a suffix maximum of
-    precision from the first point reaching r. Scores of +-inf rank; a NaN
-    score, or flags `tp` not one per score, is a ValueError.
+    precision from the first point reaching r, found by binary search.
+    Scores of +-inf rank; a NaN score, or flags `tp` not one per score, is a
+    ValueError.
     """
     _check_mode(mode)
     if num_gt <= 0:

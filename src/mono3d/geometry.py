@@ -99,7 +99,11 @@ class Box2D:
 @dataclass
 class Box3D:
     """Bottom-face center (x, y, z), dims (w, h, l), yaw about camera y, and
-    the observation angle alpha."""
+    the observation angle alpha.
+
+    Sizes must be positive and the other fields finite; like
+    `parse_label_line`, it tests one sum first and goes field by field only
+    when the sum is not finite, so a huge finite box still passes."""
 
     x: float
     y: float
@@ -214,7 +218,9 @@ def project_box(box, cam):
     (7,) row, as a Box2D of Python floats: one projection, then one
     column-wise min and one max over its (8, 3) rows. A row that is not 7
     finite numbers (`box3d_corners`), or a corner behind the camera, is a
-    ValueError."""
+    ValueError: "box extends behind the camera" for a corner with z <= 0
+    first, then `project`'s "point behind camera" for a projected depth <= 0
+    that a translation column makes."""
     pts = box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
@@ -227,6 +233,8 @@ def project_box(box, cam):
 
 
 def iou_2d(a, b):
+    """IoU of two Box2D: the scalar reference that the tests and the
+    benchmark's `detect` check hold `iou_2d_pairs` and `nms` against."""
     ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
     iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
     inter = ix * iy

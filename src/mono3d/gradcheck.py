@@ -45,8 +45,10 @@ def grad_check(f, inputs, step=1e-5, tol=1e-6, name=None):
     """Compare analytic and central-difference gradients of f over `inputs`.
 
     f takes the Tensors in `inputs` positionally and returns one Tensor.
-    Only inputs with requires_grad=True are perturbed. Returns a GradReport;
-    non-finite values anywhere produce a failure naming the op.
+    Only inputs with requires_grad=True are perturbed, in place, element by
+    element, so a non-contiguous (say, transposed) leaf is checked like any
+    other. Returns a GradReport; non-finite values anywhere produce a failure
+    naming the op.
     """
     op_name = name or getattr(f, "__name__", "op")
     for t in inputs:

@@ -65,7 +65,9 @@ def parse_label_line(line, line_no=1):
     (numbered from 1, the type being field 1) for a field that is not a
     finite number or an occlusion that is not an integer; a 2D box whose
     corners are out of order (NaN included) is a ValueError naming the line
-    and the box."""
+    and the box. The numeric fields go through one `float` conversion; the
+    field-by-field pass that names a bad field runs only when it fails or
+    its sum is not finite."""
     parts = line.split()
     if len(parts) not in (15, 16):
         raise ValueError(f"line {line_no}: expected 15 or 16 fields, got {len(parts)}")
@@ -106,7 +108,8 @@ _LINE = "%s %.2f %d %.6f" + " %.2f" * 10 + " %.6f"
 
 
 def format_label(rec):
-    """Result-format line: boxes at 2 decimals, angles/scores at 6."""
+    """Result-format line: boxes at 2 decimals, angles/scores at 6, from one
+    `%`-format."""
     line = _LINE % (rec.type, rec.truncation, int(rec.occlusion), rec.alpha,
                     *rec.box2d, *rec.dims, *rec.location, rec.rotation_y)
     return line if rec.score is None else line + " %.6f" % rec.score

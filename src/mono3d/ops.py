@@ -126,6 +126,8 @@ def _columns_backward(g, cols, spec, need_cols):
     bias gradient, g summed over items and positions, where `spec` needs
     them. Returns gcols = W^T @ G per batch item, shaped like `cols`, when
     `need_cols`, else None; the caller scatters it back onto its input.
+    Both contractions sum in another order than the per-tap loops, so the
+    gradients are held within 1e-12 of a per-tap reference, not bitwise.
     """
     B, Co, OH, OW = g.shape
     G = g.reshape(B, Co, OH * OW)  # explicit sizes: -1 cannot be inferred when B is 0
@@ -141,7 +143,12 @@ def _columns_backward(g, cols, spec, need_cols):
 
 
 def conv2d(x, spec):
-    """Cross-correlation of a (B, Ci, H, W) tensor with `spec`, zero padding."""
+    """Cross-correlation of a (B, Ci, H, W) tensor with `spec`, zero padding.
+
+    The columns are one strided slice of the zero-padded input per tap (for
+    a 1x1, stride-1, pad-0 kernel a view of the input), and the backward
+    scatters the column gradient back by K strided adds (col2im).
+    """
     if x.ndim != 4:
         raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")
     B, Ci, H, W = x.shape

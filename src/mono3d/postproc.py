@@ -53,7 +53,12 @@ def nms(boxes, scores, classes, iou_thresh):
 
 
 def confidence_filter(scores, thresh):
-    """Indices of the scores at or above the threshold (boundary kept)."""
+    """Indices of the scores at or above the threshold (boundary kept).
+
+    Indices rather than a mask, so that the result's length is the number
+    that pass, which the benchmark's detection funnel reads as `after_conf`.
+    Like `nms`, it has no default threshold: `detect`'s are the only ones.
+    """
     return np.flatnonzero(scores >= thresh)
 
 
@@ -70,7 +75,11 @@ def optimize_rotation(box, target, cam):
 
     Each evaluation is one `project_box` call, scored by the L1 distance of
     its envelope to the target summed left to right: the bits of numpy's sum
-    over the 4 differences.
+    over the 4 differences. The row and the target become Python floats
+    once, after their check. The steps start at YAW_STEP and the search
+    stops below YAW_STEP_MIN or after YAW_MAX_ITER iterations. This
+    post-optimisation comes from M3D-RPN (Brazil & Liu 2019,
+    arXiv:1907.06038); the M3DSSD abstract does not name it.
     """
     x, y, z, w, h, l, yaw = _rows("box", [box], 7)[0].tolist()
     if min(w, h, l) <= 0.0:

@@ -145,7 +145,7 @@ class Tensor:
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this node. `grad` defaults to ones and must
-        have this node's shape.
+        have this node's shape (else ValueError).
 
         The sweep consumes the graph: once a node's closure has run (or no
         gradient reached it), the closure and the node's parent links are
@@ -347,6 +347,9 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, idx):
+        """`self.data[idx]` on the tape. The backward adds into the input's
+        gradient at `idx` only (`np.add.at` for advanced indices, which may
+        repeat), so a per-item loop over a batch stays linear in its size."""
         out_data = self.data[idx]
         basic = _basic_index(idx)
 

@@ -3,8 +3,10 @@
 Every module's `__all__` names resolve under a star import, the package root
 imports only names that its modules declare public, and a module imports no
 other module's private names except the convolution column kernel that
-`conv2d` and `align_conv` share and the row check `geometry._rows`. Every
-public callable has an entry in the poison sweep of `test_validation.py`.
+`conv2d` and `align_conv` share, the row check `geometry._rows` and the
+footprint IoU kernel `geometry._footprint_ious` that `evaluate_class` reads
+bev and 3d from. Every public callable has an entry in the poison sweep of
+`test_validation.py`.
 """
 
 import ast

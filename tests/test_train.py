@@ -8,7 +8,8 @@ from mono3d.losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, l
                            loss_cls, mine_hard, per_sample_ce, total_loss)
 from mono3d.ops import conv2d
 from mono3d.tensor import Tensor
-from mono3d.train import (HEAD_SCALE, LR_FLOOR, LR_TARGET, MOMENTUM, WEIGHT_DECAY, SGD, Scene,
+from mono3d.train import (GRAD_CLIP, HEAD_SCALE, LR_FLOOR, LR_TARGET, MOMENTUM, WEIGHT_DECAY, SGD,
+                          Scene,
                           ToyDetector, TrainConfig, lr_at, make_synthetic_scenes, train_toy,
                           write_loss_trace)
 
@@ -115,6 +116,44 @@ class TestSGD:
         opt.zero_grad()
         opt.step(0.5)
         assert p.data[0] == pytest.approx(10.0 - 0.5 * WEIGHT_DECAY * 10.0, abs=1e-15)
+
+    @staticmethod
+    def two_steps(grads, lr=0.1):
+        """Weights after two steps from fixed weights with `grads` each step;
+        a None gradient is left missing."""
+        params = [Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                  Tensor(np.array([[0.5], [3.0]]), requires_grad=True),
+                  Tensor(np.array([7.0]), requires_grad=True)]
+        opt = SGD(params, TrainConfig())
+        for _ in range(2):
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            opt.step(lr)
+        return [p.data for p in params]
+
+    def test_below_the_clip_is_bitwise_the_unclipped_update(self):
+        rng = np.random.default_rng(0)
+        grads = [rng.normal(size=2), rng.normal(size=(2, 1)), None]
+        grads = [g * (GRAD_CLIP * 0.999 / np.sqrt(sum(np.vdot(g, g) for g in grads[:2])))
+                 for g in grads[:2]] + [None]
+        expect = [np.array([1.0, -2.0]), np.array([[0.5], [3.0]]), np.array([7.0])]
+        vel = [np.zeros_like(e) for e in expect]
+        for _ in range(2):
+            for e, v, g in zip(expect, vel, grads):
+                v *= MOMENTUM
+                v += (np.zeros_like(e) if g is None else g) + WEIGHT_DECAY * e
+                e -= 0.1 * v
+        for got, want in zip(self.two_steps(grads), expect):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_norm_of_twice_the_clip_moves_as_half_the_gradient(self):
+        # global norm sqrt(24^2 + 32^2) = 40 = 2 * GRAD_CLIP exactly; the
+        # missing third gradient counts as zeros
+        assert GRAD_CLIP == 20.0
+        grads = [np.array([24.0, 0.0]), np.array([[0.0], [32.0]]), None]
+        halved = [g / 2 for g in grads[:2]] + [None]
+        for got, want in zip(self.two_steps(grads), self.two_steps(halved)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSyntheticScenes:
@@ -378,6 +417,17 @@ class TestTrainToy:
         assert t1 == t2
         for p1, p2 in zip(m1.params(), m2.params()):
             assert np.array_equal(p1.data, p2.data)
+
+    @pytest.mark.parametrize("sweep_seed", [905, 909])
+    def test_trains_from_initialisations_that_diverge_without_the_clip(self, sweep_seed):
+        # two draws of default_rng(s) give the scenes' seed and the model
+        # seed; without the gradient clip these end at 1.71x and 0.75x
+        rng = np.random.default_rng(sweep_seed)
+        scene_seed, model_seed = int(rng.integers(2**31)), int(rng.integers(2**31))
+        trace, _ = train_toy(make_synthetic_scenes(8, (48, 80), seed=scene_seed),
+                             steps=200, seed=model_seed)
+        total = [row[5] for row in trace]
+        assert (total[-2] + total[-1]) / (total[0] + total[1]) <= 0.5
 
     def test_loss_drops(self):
         scenes = make_synthetic_scenes(count=4, seed=3)
