@@ -1,10 +1,12 @@
 """`tools/init_sweep.py`: its seed draws and its per-seed loss ratio, run for
-3 steps, equal an in-process `train_toy` call bitwise."""
+3 steps, equal an in-process `train_toy` call bitwise; and the draws that
+diverge without the gradient clip train."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mono3d.train import make_synthetic_scenes, train_toy
 
@@ -27,3 +29,9 @@ def test_per_seed_ratio_equals_train_toy_bitwise():
                          seed=model_seed)
     expect = (trace[-2][5] + trace[-1][5]) / (trace[0][5] + trace[1][5])
     assert init_sweep.loss_ratio(905, steps=3).hex() == expect.hex()
+
+
+@pytest.mark.parametrize("seed", [905, 909])
+def test_initialisations_that_diverge_without_the_clip_train(seed):
+    # without the gradient clip these end at 1.71x and 0.75x
+    assert init_sweep.loss_ratio(seed) <= init_sweep.BOUND
