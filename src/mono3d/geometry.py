@@ -150,9 +150,9 @@ def project(cam, points):
 def _project(cam, points):
     """`project` on rows that are already checked."""
     h = points @ cam.K[:, :3].T + cam.K[:, 3]
-    behind = h[:, 2] <= 0.0
-    if behind.any():
-        raise ValueError(f"point behind camera: projected depth {h[behind, 2][0]}")
+    # fmin skips a NaN depth (an overflowed corner's 0 * inf), as `<=` does
+    if np.fmin.reduce(h[:, 2]) <= 0.0:
+        raise ValueError(f"point behind camera: projected depth {h[h[:, 2] <= 0.0, 2][0]}")
     h[:, :2] /= h[:, 2:]
     return h
 
@@ -222,7 +222,7 @@ def project_box(box, cam):
     first, then `project`'s "point behind camera" for a projected depth <= 0
     that a translation column makes."""
     pts = box3d_corners(box)
-    if np.any(pts[:, 2] <= 0.0):
+    if np.fmin.reduce(pts[:, 2]) <= 0.0:
         raise ValueError("box extends behind the camera")
     h = _project(cam, pts)
     (x1, y1, _), (x2, y2, _) = h.min(axis=0).tolist(), h.max(axis=0).tolist()

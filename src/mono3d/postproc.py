@@ -73,9 +73,12 @@ def optimize_rotation(box, target, cam):
     behind the camera counts as not improving. A box row or target that is
     not finite, or a 3D size that is not positive, raises a ValueError.
 
-    Each evaluation is one `project_box` call, scored by the L1 distance of
-    its envelope to the target summed left to right: the bits of numpy's sum
-    over the 4 differences. The row and the target become Python floats
+    Each distinct yaw is scored once, by one `project_box` call: the L1
+    distance of its envelope to the target summed left to right, the bits of
+    numpy's sum over the 4 differences. A candidate equal to a yaw already
+    tried, chiefly (yaw - step) + step right after a -step move, reuses the
+    stored value, so the search's decisions are those of scoring every
+    candidate afresh. The row and the target become Python floats
     once, after their check. The steps start at YAW_STEP and the search
     stops below YAW_STEP_MIN or after YAW_MAX_ITER iterations. This
     post-optimisation comes from M3D-RPN (Brazil & Liu 2019,
@@ -86,12 +89,19 @@ def optimize_rotation(box, target, cam):
         raise ValueError(f"box 3D size (w, h, l) must be positive, got {(w, h, l)}")
     t1, t2, t3, t4 = _rows("target", [target], 4)[0].tolist()
 
+    scored = {}  # yaw -> objective; +-0.0 share a key and project alike
+
     def objective(yaw):
-        try:
-            env = project_box((x, y, z, w, h, l, yaw), cam)
-        except ValueError:  # a corner behind the camera
-            return math.inf
-        return abs(env.x1 - t1) + abs(env.y1 - t2) + abs(env.x2 - t3) + abs(env.y2 - t4)
+        val = scored.get(yaw)
+        if val is None:
+            try:
+                env = project_box((x, y, z, w, h, l, yaw), cam)
+            except ValueError:  # a corner behind the camera
+                val = math.inf
+            else:
+                val = abs(env.x1 - t1) + abs(env.y1 - t2) + abs(env.x2 - t3) + abs(env.y2 - t4)
+            scored[yaw] = val
+        return val
 
     best = objective(yaw)
     if best == math.inf:

@@ -118,14 +118,15 @@ def numpy_envelope_l1(env, target):
 
 def numpy_optimize_rotation(box, target, cam):
     """`optimize_rotation`'s yaw search scored by `numpy_envelope_l1` on
-    `numpy_project_box`'s envelope: (yaw, refined, objective evaluations)."""
+    `numpy_project_box`'s envelope, every candidate scored afresh: (yaw,
+    refined, the yaws scored in order, repeats included). Its distinct yaws
+    are the ones `optimize_rotation` projects."""
     *fixed, yaw = map(float, box)
     target = np.asarray(target, dtype=np.float64)
-    evals = 0
+    scored = []
 
     def objective(yaw):
-        nonlocal evals
-        evals += 1
+        scored.append(yaw)
         try:
             env = numpy_project_box((*fixed, yaw), cam)
         except ValueError:
@@ -134,7 +135,7 @@ def numpy_optimize_rotation(box, target, cam):
 
     best = objective(yaw)
     if best == math.inf:
-        return yaw, False, evals
+        return yaw, False, scored
     step = YAW_STEP
     for _ in range(YAW_MAX_ITER):
         if step < YAW_STEP_MIN:
@@ -146,4 +147,4 @@ def numpy_optimize_rotation(box, target, cam):
                 break
         else:
             step /= 2.0
-    return wrap_angle(yaw), True, evals
+    return wrap_angle(yaw), True, scored

@@ -329,6 +329,16 @@ class TestBox3dCorners:
         with pytest.raises(ValueError, match="point behind camera: projected depth -"):
             project_box(Box3D(0.0, 1.0, 20.0, 2.0, 2.0, 4.0, 0.0), CameraIntrinsics(K))
 
+    def test_projected_depth_behind_camera_beside_an_overflowed_corner(self):
+        # the +l/2 corners' x overflows to inf, and 0 * inf makes their
+        # projected depth NaN; a NaN-propagating min would miss the -l/2
+        # corners at z = 0.4, whose depth the translation column makes -0.1
+        K = CAM.K.copy()
+        K[2, 3] = -0.5
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="point behind camera: projected depth -0.09"):
+            project_box((1.7e308, 1.0, 1.0, 1.2, 1.5, 1.7e308, 0.0), CameraIntrinsics(K))
+
 
 class TestIou2d:
     def test_identical(self):

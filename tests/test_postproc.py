@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mono3d.postproc as postproc
-from mono3d.geometry import Box2D, Box3D, CameraIntrinsics, iou_2d, project_box
+from mono3d.geometry import Box2D, Box3D, CameraIntrinsics, iou_2d, project_box, wrap_angle
 from mono3d.postproc import Detection, confidence_filter, nms, optimize_rotation
 from oracles import numpy_optimize_rotation, numpy_project_box
 
@@ -233,6 +233,14 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
+def logging_project_box(yaws):
+    """`project_box` that first appends the yaw of the row it is given to `yaws`."""
+    def logging(box, cam):
+        yaws.append(box[6])
+        return project_box(box, cam)
+    return logging
+
+
 class TestScalarPathsAgainstNumpyOracles:
     """`project_box`, the yaw objective and `optimize_rotation` on Python
     floats against the numpy forms in `oracles.py`: bit for bit, error text
@@ -269,25 +277,41 @@ class TestScalarPathsAgainstNumpyOracles:
             assert errors["point behind camera"] > 10
 
     @pytest.mark.parametrize("name", list(CAMERAS))
-    def test_one_project_box_call_per_objective_evaluation(self, name, monkeypatch):
+    def test_one_project_box_call_per_distinct_yaw(self, name, monkeypatch):
         # the benchmark's `objective_evals` counts the `project_box` calls made
-        # through postproc's binding under `optimize_rotation`
-        cam, calls = self.CAMERAS[name], []
-        original = postproc.project_box
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(postproc, "project_box", counting)
-        total = 0
+        # through postproc's binding under `optimize_rotation`: one per distinct
+        # yaw, in the order the reference search first scores it
+        cam, yaws = self.CAMERAS[name], []
+        monkeypatch.setattr(postproc, "project_box", logging_project_box(yaws))
+        evals = distinct = 0
         for box, target in seeded_rows(np.random.default_rng(23), 128, cam):
-            calls.clear()
+            yaws.clear()
             optimize_rotation(box, target, cam)
-            _, _, evals = numpy_optimize_rotation(box, target, cam)
-            assert len(calls) == evals
-            total += evals
-        assert total > 128 * 10
+            _, _, scored = numpy_optimize_rotation(box, target, cam)
+            assert bits(yaws) == bits(list(dict.fromkeys(scored)))
+            evals += len(scored)
+            distinct += len(yaws)
+        assert distinct > 128 * 10
+        assert distinct < evals  # some searches propose a yaw they scored already
+
+    def test_the_yaw_just_left_is_not_projected_again(self, monkeypatch):
+        # the target is the envelope at yaw0 - YAW_STEP, so the search's first
+        # -step move lands on it, and its next candidate, (yaw0 - step) + step,
+        # is yaw0 again, bit for bit
+        box = np.array([2.0, 1.5, 20.0, 1.7, 1.5, 4.2, 0.5])
+        yaw0 = box[6]
+        left = yaw0 - postproc.YAW_STEP
+        assert left + postproc.YAW_STEP == yaw0
+        target = project_box((*box[:6], left), CAM).as_array()
+        yaws = []
+        monkeypatch.setattr(postproc, "project_box", logging_project_box(yaws))
+        got_yaw, got_refined = optimize_rotation(box, target, CAM)
+        yaw, refined, scored = numpy_optimize_rotation(box, target, CAM)
+        assert scored[:4] == [yaw0, yaw0 + postproc.YAW_STEP, left, yaw0]
+        assert yaws.count(yaw0) == 1
+        assert bits(yaws) == bits(list(dict.fromkeys(scored)))
+        assert (bits(got_yaw), got_refined) == (bits(yaw), refined)
+        assert refined and yaw == wrap_angle(left)
 
 
 class TestOptimizeRotationRejects:
