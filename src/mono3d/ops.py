@@ -95,11 +95,8 @@ def _columns_forward(cols, w, b):
       bias is -0.0, it ends at +0.0 where the loop ends at -0.0.
 
     Those outputs, NaN or zero under a -0.0 bias, are recomputed bias first
-    by np.add.accumulate, which is sequential by definition. The scan for
-    them always looks for NaN, and for zeros only when some bias entry has
-    its sign bit set; the repair loop runs only when the scan found an output
-    to redo. It runs one channel at a time, so it holds at most one stack's
-    worth of products.
+    by np.add.accumulate, which is sequential by definition. The repair runs
+    one channel at a time, so it holds at most one stack's worth of products.
     Returns a C-contiguous (B, Co, OH, OW) array.
     """
     B, Ci, K, OH, OW = cols.shape
@@ -111,17 +108,13 @@ def _columns_forward(cols, w, b):
     wm[0] = b
     wm[1:] = w.transpose(2, 1, 0).reshape(K * Ci, Co)
     out = np.einsum("kp,kc->cp", stack, wm, optimize=False)
-    redo = np.isnan(out)
-    negative = np.signbit(b)
-    if negative.any():
-        redo |= (out == 0.0) & negative[:, None]
-    if redo.any():
-        for c in np.flatnonzero(redo.any(axis=1)):
-            pi = np.flatnonzero(redo[c])
-            terms = stack[:, pi]  # (1 + K*Ci, n)
-            terms *= wm[:, c, None]
-            out[c, pi] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-            del terms  # before the next channel's gather
+    redo = np.isnan(out) | ((out == 0.0) & np.signbit(b)[:, None])
+    for c in np.flatnonzero(redo.any(axis=1)):
+        pi = np.flatnonzero(redo[c])
+        terms = stack[:, pi]  # (1 + K*Ci, n)
+        terms *= wm[:, c, None]
+        out[c, pi] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        del terms  # before the next channel's gather
     return np.ascontiguousarray(out.reshape(Co, B, OH, OW).transpose(1, 0, 2, 3))
 
 

@@ -274,35 +274,6 @@ class TestColumnsForwardChunks:
         assert np.isnan(want).any() and np.isinf(want).any()
         assert np.array_equal(bits(got), bits(want))
 
-    # what the repair scan meets besides NaN and zero outputs under a -0.0
-    # bias together: each input reaches one branch of its guard
-    GUARD_INPUTS = ("nan_under_positive_zero_biases", "negative_zero_bias_no_zero_output",
-                    "neither")
-
-    @pytest.mark.parametrize("inputs", GUARD_INPUTS)
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_bitwise_at_each_branch_of_the_repair_guard(self, name, inputs):
-        B, Ci, K, Co, OH, OW = self.CASES[name]
-        rng = np.random.default_rng(100 + sorted(self.CASES).index(name))
-        cols = rng.normal(size=(B, Ci, K, OH, OW))
-        w = rng.normal(size=(Co, Ci, K))
-        b = np.abs(rng.normal(size=Co))
-        if inputs == "nan_under_positive_zero_biases":
-            cols = with_specials(rng, cols)
-            w[0] = -np.abs(w[0])  # -0.0 products onto a +0.0 bias stay +0.0
-            cols[:, :, :, 0, 0] = 0.0
-            b[:] = 0.0
-        elif inputs == "negative_zero_bias_no_zero_output":
-            b[0] = -0.0
-        with np.errstate(invalid="ignore"):  # inf - inf
-            got = _columns_forward(cols, w, b)
-            want = brute_columns_forward(cols, w, b)
-        assert np.isnan(want).any() == (inputs == "nan_under_positive_zero_biases")
-        assert np.signbit(b).any() == (inputs == "negative_zero_bias_no_zero_output")
-        if inputs != "nan_under_positive_zero_biases":
-            assert (want != 0.0).all()
-        assert np.array_equal(bits(got), bits(want))
-
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_cases_reach_both_repairs(self, name):
         # the inputs of test_bitwise_against_one_product_at_a_time
