@@ -142,17 +142,15 @@ def wrap_angle(a):
 
 def project(cam, points):
     """Pinhole projection of (n, 3) camera-frame rows to (n, 3) pixel rows
-    (x_p, y_p, z_p), with one product. Rows that are not finite, or a point
-    whose projected depth is not positive, are a ValueError."""
-    return _project(cam, _rows("points", points, 3))
-
-
-def _project(cam, points):
-    """`project` on rows that are already checked."""
-    h = points @ cam.K[:, :3].T + cam.K[:, 3]
-    # fmin skips a NaN depth (an overflowed corner's 0 * inf), as `<=` does
-    if np.fmin.reduce(h[:, 2]) <= 0.0:
-        raise ValueError(f"point behind camera: projected depth {h[h[:, 2] <= 0.0, 2][0]}")
+    (x_p, y_p, z_p), all in numpy: one product `points @ K[:, :3].T + K[:, 3]`,
+    then one divide of its first two columns by the third. Rows that are not
+    finite, or a point whose projected depth is not positive, are a
+    ValueError. `project_box` makes the same product and does the rest on
+    Python floats."""
+    h = _rows("points", points, 3) @ cam.K[:, :3].T + cam.K[:, 3]
+    behind = h[:, 2] <= 0.0
+    if behind.any():
+        raise ValueError(f"point behind camera: projected depth {h[behind, 2][0]}")
     h[:, :2] /= h[:, 2:]
     return h
 
@@ -187,12 +185,40 @@ def yaw_to_alpha(yaw, x, z):
     return wrap_angle(yaw - math.atan2(x, z))
 
 
-# Local corner signs of (l / 2, h, w / 2): the bottom face (y = 0) first,
-# then the top face (y = -h) in the same order.
-_CORNER_SIGNS = np.array([
-    [1, 0, 1], [1, 0, -1], [-1, 0, -1], [-1, 0, 1],
-    [1, -1, 1], [1, -1, -1], [-1, -1, -1], [-1, -1, 1],
-], dtype=np.float64)
+# A box row whose entries sum in magnitude to less than this is small: each
+# corner coordinate is a sum of at most three terms no larger than the row's
+# entries (|cos|, |sin| <= 1), and its projection by a camera with entries
+# below 1e150 stays far below float64's 1.8e308, so neither product can
+# overflow, and only larger rows pay for `np.errstate`. (A camera entry
+# nearer 1.8e308 is not tested for; no pixel-unit camera comes close.)
+_SMALL = 1e150
+
+
+def _on_row(f, box, *args):
+    """`f(row, *args)` on the 7 entries of a Box3D or a (7,) row as a list, run
+    with numpy's overflow and invalid-value warnings off unless the row is
+    small. A row that is not 7 finite numbers is `_rows`'s ValueError."""
+    box = box.as_array() if isinstance(box, Box3D) else box
+    row = box.tolist() if isinstance(box, np.ndarray) else box
+    if len(row) == 7 and sum(map(abs, row)) < _SMALL:   # NaN and +-inf fail too
+        return f(row, *args)
+    row = _rows("box", [box], 7)[0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f(row, *args)
+
+
+def _corners(row):
+    """The (8, 3) corners of a [x, y, z, w, h, l, yaw] row: the local corners
+    of (l / 2, h, w / 2), the bottom face (y = 0) first and then the top face
+    (y = -h) in the same order, rotated and moved by one numpy product and
+    sum."""
+    x, y, z, w, h, l, yaw = row
+    c, s = math.cos(yaw), math.sin(yaw)
+    a, b = l / 2.0, w / 2.0
+    local = np.array([a, 0.0, b, a, 0.0, -b, -a, 0.0, -b, -a, 0.0, b,
+                      a, -h, b, a, -h, -b, -a, -h, -b, -a, -h, b]).reshape(8, 3)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return local @ rot.T + np.array([x, y, z])
 
 
 def box3d_corners(box):
@@ -200,33 +226,55 @@ def box3d_corners(box):
     Bottom face at y, top face at y - h; yaw about y. A row that is not 7
     finite numbers is a ValueError.
 
-    `optimize_rotation` calls this once per yaw it tries, through
-    `project_box`, so 7 numbers with a finite sum pass at the cost of that
-    sum; a NaN or infinite entry makes the sum non-finite, and only then, or
-    on an overflow of a finite row, does `_rows` read the row."""
-    box = box.as_array() if isinstance(box, Box3D) else box
-    box = box if len(box) == 7 and math.isfinite(sum(box)) else _rows("box", [box], 7)[0]
-    x, y, z, w, h, l, yaw = box
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    local = _CORNER_SIGNS * np.array([l / 2.0, h, w / 2.0])
-    return local @ rot.T + np.array([x, y, z])
+    The numpy work is one product and one sum, `local @ rot.T + xyz`; the
+    row is read once as Python floats (a Box3D through `as_array().tolist()`)
+    and the local corners and rotation are built from them. A row whose
+    entries sum in magnitude to 1e150 or more runs the same arithmetic with
+    numpy's overflow warnings off, so an overflowed corner is inf or NaN
+    without a RuntimeWarning."""
+    return _on_row(_corners, box)
+
+
+def _envelope(row, cam):
+    """`project_box` on a row of Python floats."""
+    pts = _corners(row)
+    for _, _, depth in pts.tolist():
+        if depth <= 0.0:   # a NaN depth (an overflowed corner) is not behind
+            raise ValueError("box extends behind the camera")
+    h = (pts @ cam.K[:, :3].T + cam.K[:, 3]).tolist()
+    for _, _, depth in h:
+        if depth <= 0.0:
+            raise ValueError(f"point behind camera: projected depth {depth}")
+    us = [hx / hz for hx, _, hz in h]
+    vs = [hy / hz for _, hy, hz in h]
+    if not math.isfinite(sum(us) + sum(vs)):   # a NaN or inf, or a sum past 1.8e308
+        uv = np.array([us, vs])
+        env = (*uv.min(axis=1).tolist(), *uv.max(axis=1).tolist())
+        if not all(map(math.isfinite, env)):
+            raise ValueError(f"projected envelope must be finite, got {env}")
+    return Box2D(min(us), min(vs), max(us), max(vs))
 
 
 def project_box(box, cam):
     """Axis-aligned image envelope of the 8 projected corners of a Box3D or a
-    (7,) row, as a Box2D of Python floats: one projection, then one
-    column-wise min and one max over its (8, 3) rows. A row that is not 7
-    finite numbers (`box3d_corners`), or a corner behind the camera, is a
-    ValueError: "box extends behind the camera" for a corner with z <= 0
-    first, then `project`'s "point behind camera" for a projected depth <= 0
-    that a translation column makes."""
-    pts = box3d_corners(box)
-    if np.fmin.reduce(pts[:, 2]) <= 0.0:
-        raise ValueError("box extends behind the camera")
-    h = _project(cam, pts)
-    (x1, y1, _), (x2, y2, _) = h.min(axis=0).tolist(), h.max(axis=0).tolist()
-    return Box2D(x1, y1, x2, y2)
+    (7,) row, as a Box2D of Python floats.
+
+    The numpy work is the two products, `box3d_corners`' `local @ rot.T +
+    xyz` and `project`'s `pts @ K[:, :3].T + K[:, 3]`, which set the bits.
+    The rest is on Python floats from their `tolist()` rows: the two depth
+    tests, the divide and the envelope's min and max, the bits of numpy's
+    divide and column-wise reductions (these can differ only on a tie of
+    +0.0 and -0.0, and a -0.0 needs a camera with a -0.0 translation entry
+    and corner products that underflow). A row that is not 7 finite numbers
+    (`box3d_corners`) is a ValueError, and so is a corner behind the camera:
+    "box extends behind the camera" for a corner with z <= 0 first, then
+    `project`'s "point behind camera" for a projected depth <= 0 that a
+    translation column makes. A corner whose coordinates or projection
+    overflowed (NaN depths are skipped by both tests) leaves an envelope
+    that is not finite, which is a ValueError too; a row whose entries sum
+    in magnitude to 1e150 or more runs with numpy's overflow warnings off,
+    so none escapes."""
+    return _on_row(_envelope, box, cam)
 
 
 # -- IoU ----------------------------------------------------------------------

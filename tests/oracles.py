@@ -7,7 +7,7 @@ import numpy as np
 
 from mono3d.align import align_conv, shape_align_offsets
 from mono3d.attention import AnabParams, PyramidSpec, anab_forward
-from mono3d.geometry import Box2D, box3d_corners, project, wrap_angle
+from mono3d.geometry import Box2D, Box3D, project, wrap_angle
 from mono3d.ops import ConvSpec, softmax_lastdim
 from mono3d.postproc import YAW_MAX_ITER, YAW_STEP, YAW_STEP_MIN
 from mono3d.tensor import Tensor
@@ -100,10 +100,29 @@ def polygon_area(poly):
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
+# Local corner signs of (l / 2, h, w / 2), in `box3d_corners`' order.
+CORNER_SIGNS = np.array([
+    [1, 0, 1], [1, 0, -1], [-1, 0, -1], [-1, 0, 1],
+    [1, -1, 1], [1, -1, -1], [-1, -1, -1], [-1, -1, 1],
+], dtype=np.float64)
+
+
+def numpy_box3d_corners(box):
+    """`box3d_corners` on numpy scalars: the local corners as a product of
+    the sign table and (l / 2, h, w / 2), then the same `local @ rot.T + xyz`."""
+    box = box.as_array() if isinstance(box, Box3D) else box
+    x, y, z, w, h, l, yaw = np.asarray(box, dtype=np.float64)
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    local = CORNER_SIGNS * np.array([l / 2.0, h, w / 2.0])
+    return local @ rot.T + np.array([x, y, z])
+
+
 def numpy_project_box(box, cam):
-    """`project_box` on numpy scalars: one `project` call, then four scalar
-    reductions over its u and v columns."""
-    pts = box3d_corners(box)
+    """`project_box` on numpy scalars: `numpy_box3d_corners`, one `project`
+    call (numpy's divide), then four scalar reductions over its u and v
+    columns."""
+    pts = numpy_box3d_corners(box)
     if np.any(pts[:, 2] <= 0.0):
         raise ValueError("box extends behind the camera")
     u, v, _ = project(cam, pts).T

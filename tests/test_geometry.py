@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import re
@@ -11,11 +12,20 @@ from mono3d.geometry import (Box2D, Box3D, CameraIntrinsics, alpha_to_yaw, backp
                              box3d_corners, clip_polygon, iou_2d, iou_2d_pairs, iou_3d,
                              iou_3d_pairs, iou_bev, iou_bev_pairs, project, project_box,
                              wrap_angle, yaw_to_alpha)
+from mono3d.postproc import optimize_rotation
 
 import oracles
 from oracles import bev_footprint, polygon_area
 
 CAM = CameraIntrinsics.simple(700.0, 600.0, 180.0)
+KITTI_P2 = CameraIntrinsics(np.array([
+    [721.5377, 0.0, 609.5593, 44.85728],
+    [0.0, 721.5377, 172.854, 0.2163791],
+    [0.0, 0.0, 1.0, 0.002745884],
+]))
+# KITTI's P2 with its translation column's depth term lowered by 0.5: a box
+# whose corners all have z > 0 can still project to z_p <= 0
+SHIFTED_P2 = CameraIntrinsics(KITTI_P2.K - np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.5]))
 
 
 def random_box3d(rng, z_range=(8.0, 60.0)):
@@ -335,9 +345,61 @@ class TestBox3dCorners:
         # corners at z = 0.4, whose depth the translation column makes -0.1
         K = CAM.K.copy()
         K[2, 3] = -0.5
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="point behind camera: projected depth -0.09"):
+        with pytest.raises(ValueError, match="point behind camera: projected depth -0.09"):
             project_box((1.7e308, 1.0, 1.0, 1.2, 1.5, 1.7e308, 0.0), CameraIntrinsics(K))
+
+    # finite rows whose corners (the first) or projections (the others)
+    # overflow; the second's envelope was once (inf, inf, inf, inf), and the
+    # third's entries sum to a finite 3e306, above the 1e150 that turns
+    # numpy's overflow warnings off
+    OVERFLOWING = [(1.7e308, 1.0, 1.0, 1.2, 1.5, 1.7e308, 0.0),
+                   (1e308, 1e308, 1e308, 1.0, 1.0, 1.0, 0.3),
+                   (1e306, 1e306, 1e306, 1.0, 1.0, 1.0, 0.3)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", OVERFLOWING)
+    def test_overflowing_row_is_a_value_error_without_a_warning(self, row):
+        assert box3d_corners(row).shape == (8, 3)
+        for box in (row, np.array(row), Box3D(*row)):
+            with pytest.raises(ValueError, match="^projected envelope must be finite, got "):
+                project_box(box, CAM)
+        assert optimize_rotation(row, [500.0, 150.0, 700.0, 210.0], CAM) == (row[6], False)
+
+    @pytest.mark.parametrize("name", ["simple", "kitti_p2", "shifted_p2"])
+    def test_bitwise_numpy_oracle(self, name):
+        # corners and envelopes bitwise, each row given as a tuple, a numpy
+        # row and a Box3D; every fifth row has integer entries (an int64 row,
+        # a Box3D of ints) and every third Box3D holds np.float64 fields. Near
+        # rows put corners behind the camera, and the shifted camera moves
+        # projected depths behind it.
+        cam = {"simple": CAM, "kitti_p2": KITTI_P2, "shifted_p2": SHIFTED_P2}[name]
+        rng = np.random.default_rng(41)
+        errors = collections.Counter()
+        for i in range(2000):
+            z = rng.uniform(0.3, 4.0) if i % 3 == 0 else rng.uniform(4.0, 60.0)
+            row = (z * rng.uniform(-0.6, 0.6), rng.uniform(-1.0, 2.5), z, rng.uniform(0.5, 2.2),
+                   rng.uniform(1.0, 2.0), rng.uniform(0.8, 5.0), rng.uniform(-math.pi, math.pi))
+            if i % 5 == 0:
+                row = tuple(int(v) for v in rng.integers([-9, 0, 1, 1, 1, 1, -3],
+                                                         [10, 3, 40, 3, 3, 6, 4]))
+            fields = map(np.float64, row) if i % 3 == 1 else row
+            try:
+                want = tuple(v.hex() for v in oracles.numpy_project_box(row, cam).as_array())
+            except ValueError as err:
+                want = str(err)
+                errors[want.split(":")[0]] += 1
+            corners = oracles.numpy_box3d_corners(row).tobytes()
+            for box in (row, np.array(row), Box3D(*fields)):
+                assert box3d_corners(box).tobytes() == corners, (i, box)
+                try:
+                    env = project_box(box, cam)
+                    got = tuple(float.hex(v) for v in (env.x1, env.y1, env.x2, env.y2))
+                except ValueError as err:
+                    got = str(err)
+                assert got == want, (i, box)
+        assert errors["box extends behind the camera"] > 100
+        if name == "shifted_p2":
+            assert errors["point behind camera"] > 10
 
 
 class TestIou2d:

@@ -1,6 +1,7 @@
 """`tools/init_sweep.py`: its seed draws and its per-seed loss ratio, run for
-3 steps, equal an in-process `train_toy` call bitwise; and the draws that
-diverge without the gradient clip train."""
+3 steps, equal an in-process `train_toy` call bitwise, and so do the ratios
+its worker pool returns; and the draws that diverge without the gradient
+clip train."""
 
 import sys
 from pathlib import Path
@@ -29,6 +30,12 @@ def test_per_seed_ratio_equals_train_toy_bitwise():
                          seed=model_seed)
     expect = (trace[-2][5] + trace[-1][5]) / (trace[0][5] + trace[1][5])
     assert init_sweep.loss_ratio(905, steps=3).hex() == expect.hex()
+
+
+def test_pool_returns_the_serial_ratios_in_seed_order():
+    seeds = init_sweep.SEEDS[:3]
+    pooled = list(init_sweep.sweep(seeds, steps=3))
+    assert [r.hex() for r in pooled] == [init_sweep.loss_ratio(s, steps=3).hex() for s in seeds]
 
 
 @pytest.mark.parametrize("seed", [905, 909])

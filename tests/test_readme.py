@@ -1,6 +1,7 @@
 """README.md as the paper-to-code map: it names every name the package root
 imports, in backticks; every test and tool path it names exists; it points at
-the newest `BENCH_<n>.json`; and it stays one page."""
+the newest `BENCH_<n>.json` and at every `PAIR_<n>_*.json` of the newest paired
+runs; and it stays one page."""
 
 import ast
 import re
@@ -34,6 +35,12 @@ def test_named_test_and_tool_paths_exist():
 def test_points_at_the_newest_bench_point():
     newest = max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
     assert f"`{newest.name}`" in README
+
+
+def test_points_at_the_newest_paired_runs():
+    newest = max(int(p.stem.split("_")[1]) for p in ROOT.glob("PAIR_*.json"))
+    missing = [p.name for p in ROOT.glob(f"PAIR_{newest}_*.json") if f"`{p.name}`" not in README]
+    assert not missing
 
 
 def test_stays_one_page():

@@ -6,11 +6,16 @@ For each sweep seed s, two draws from `numpy.random.default_rng(s)` give the
 scenes' seed, for `make_synthetic_scenes(8, (48, 80), seed=...)`, and the
 model seed of `train_toy`. A seed's ratio is the mean total loss of the last
 two of 200 steps over the mean of the first two. The seeds are the benchmark
-README's 50: 401-410, 501-510, 701-710, 901-910 and 1001-1010. It prints one
-line per seed, then a markdown table of the count of seeds above `BOUND`
-(0.5), the median and the max, and exits 1 if any seed ends above the bound.
+README's 50: 401-410, 501-510, 701-710, 901-910 and 1001-1010. The seeds
+run in a pool of one worker process per CPU this process may run on, and
+their results come back in seed order. It prints one line per seed, then a
+markdown table of the count of seeds above `BOUND` (0.5), the median and the
+max, and exits 1 if any seed ends above the bound.
 """
 
+import functools
+import multiprocessing
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -42,11 +47,18 @@ def loss_ratio(seed, steps=STEPS):
     return (total[-2] + total[-1]) / (total[0] + total[1])
 
 
+def sweep(seeds, steps=STEPS):
+    """`loss_ratio` of each seed, yielded in seed order as the pool's workers
+    finish them."""
+    with multiprocessing.Pool(len(os.sched_getaffinity(0))) as pool:
+        yield from pool.imap(functools.partial(loss_ratio, steps=steps), seeds)
+
+
 def main():
     ratios = []
-    for seed in SEEDS:
-        ratios.append(loss_ratio(seed))
-        print(f"seed {seed}: {ratios[-1]:.3f}", flush=True)
+    for seed, ratio in zip(SEEDS, sweep(SEEDS)):
+        ratios.append(ratio)
+        print(f"seed {seed}: {ratio:.3f}", flush=True)
     failing = [f"{s} ({r:.2f}x)" for s, r in zip(SEEDS, ratios) if r > BOUND]
     print(f"| init sweep ({len(SEEDS)} seeds, {STEPS} steps) | above {BOUND} | median | max |")
     print("|---|---|---|---|")
