@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ConvSpec, conv2d, softmax_lastdim
+from .ops import ConvSpec, _softmax_rows, _softmax_rows_backward, conv2d
 from .tensor import Tensor
 
 __all__ = [
@@ -163,6 +163,42 @@ def pa2_pool(features, attn, spec):
     return Tensor.concat(rows, axis=2).transpose(0, 2, 1)
 
 
+def _attend(xt, q, a):
+    """a @ softmax(xt @ q)^T as one tape op, for xt (B, N, C+1), q (B, C+1, L)
+    and a (B, C, L): the block's N x L product, (B, C, N).
+
+    The forward runs the softmax in place on the similarity product, so the
+    op holds one N x L map, the probabilities P. Its two products are
+    `Tensor` matmuls on detached operands, which record no node. The backward
+    forms a^T g (B, L, N), not (g^T a)^T, whose last bits differ, and reads
+    it transposed, chunk by chunk, into the softmax backward, which writes
+    the similarity gradient over P's buffer. Every value goes through the
+    ufuncs and BLAS calls, on the operand layouts, that `xt @ q`,
+    `softmax_lastdim`, a transpose and `a @ P^T` as four tape ops use, so
+    the output and every gradient keep their bits.
+    """
+    p = (Tensor(xt.data) @ Tensor(q.data)).data            # B x N x L
+    B, N, L = p.shape
+    _softmax_rows(p.reshape(B * N, L))
+    out = (Tensor(a.data) @ Tensor(p.transpose(0, 2, 1))).data
+
+    def bw(g):
+        g = np.asarray(g)
+        if a.requires_grad:
+            a.accumulate_grad(g @ p, fresh=True)
+        if xt.requires_grad or q.requires_grad:
+            gpt = a.data.swapaxes(-1, -2) @ g               # B x L x N
+            for i in range(B):
+                _softmax_rows_backward(gpt[i].T, p[i], p[i])
+            del gpt
+            if xt.requires_grad:
+                xt.accumulate_grad(p @ q.data.swapaxes(-1, -2), fresh=True)
+            if q.requires_grad:
+                q.accumulate_grad(xt.data.swapaxes(-1, -2) @ p, fresh=True)
+
+    return Tensor.from_op(out, (xt, q, a), bw)
+
+
 def anab_forward(x, params):
     """Full attention block on a (B, C, H, W) tensor.
 
@@ -173,15 +209,18 @@ def anab_forward(x, params):
     v = P [Wv|bv]^T. The query projection folds into the similarity,
     s = X^T ([Wq|bq]^T k^T) (N x L), and the output projection into the
     values: y = (Wo v^T) softmax(s)^T + bo (C x N), plus the residual. Every
-    product runs over the whole batch at once.
+    product runs over the whole batch at once, and the N x L part of y,
+    from X^T to the product with softmax(s)^T, is one tape op (`_attend`).
 
     In exact arithmetic this equals projecting at full resolution and then
     pooling, as asymmetric pyramid non-local blocks do (Zhu et al. 2019,
     arXiv:1908.07678); the tests keep that order as a reference, beside the
     standard non-local block. The matmuls cost N*L*(2C+1) + L*C*(4C+3)
     multiply-adds per item, linear in N, against 2*N^2*C for that block.
-    Its backward peaks about two N x L maps above what the forward holds,
-    where an always-copied gradient would make it three (`accumulate_grad`).
+    On `align_conv` plus this block at 8 channels, the graph holds 1.76 N x L
+    maps when the forward returns, of which `_attend` keeps one, and the
+    backward peaks 1.19 maps above that; as four tape ops (two matmuls, a
+    softmax and a transpose) the product held 2.76 and peaked 2.04 above.
     """
     if x.ndim != 4:
         raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")
@@ -198,8 +237,9 @@ def anab_forward(x, params):
     p = pa2_pool(xs, attn, params.pyramid)                 # B x L x (C+1)
     k = p @ w_k.T                                          # B x L x C
     v = p @ w_v.T                                          # B x L x C
-    s = xs.reshape(B, C + 1, N).transpose(0, 2, 1) @ (w_q.T @ k.transpose(0, 2, 1))  # B x N x L
-    m_out = (w_o @ v.transpose(0, 2, 1)) @ softmax_lastdim(s).transpose(0, 2, 1)     # B x C x N
+    m_out = _attend(xs.reshape(B, C + 1, N).transpose(0, 2, 1),   # B x N x (C+1)
+                    w_q.T @ k.transpose(0, 2, 1),                  # B x (C+1) x L
+                    w_o @ v.transpose(0, 2, 1))                    # B x C x L
     return m_out.reshape(B, C, H, W) + params.out_bias + x
 
 

@@ -185,19 +185,48 @@ def conv2d(x, spec):
     return Tensor.from_op(out, (x, spec.weight, spec.bias), bw)
 
 
+_ROWS = 64   # softmax rows per chunk: 64 rows of L = 337 doubles are 168 KiB, in cache
+
+
+def _softmax_rows(out):
+    """Softmax over the last axis of a C-contiguous (M, L) array, in place,
+    `_ROWS` rows at a time: subtract the row max, exponentiate, divide by
+    the row sum. Each row sees the same ufuncs whatever the chunking."""
+    for r in range(0, out.shape[0], _ROWS):
+        c = out[r:r + _ROWS]
+        c -= c.max(axis=-1, keepdims=True)
+        np.exp(c, out=c)
+        c /= c.sum(axis=-1, keepdims=True)
+
+
+def _softmax_rows_backward(g, p, out):
+    """Softmax's input gradient p * (g - sum(g * p)) for an (M, L) output `p`
+    and upstream `g` of any layout, into `out` (which may be `p`), `_ROWS`
+    rows at a time.
+
+    Each chunk of `g` is first copied to C order as 0.0 + g, the bits of
+    `accumulate_grad`'s copy, so a transposed `g` is never copied whole and
+    every row sum runs over contiguous rows."""
+    M, L = p.shape
+    G = np.empty((min(M, _ROWS), L))
+    for r in range(0, M, _ROWS):
+        pc = p[r:r + _ROWS]
+        gc = np.add(0.0, g[r:r + _ROWS], out=G[:len(pc)])
+        dot = (gc * pc).sum(axis=-1, keepdims=True)
+        gc -= dot
+        np.multiply(gc, pc, out=out[r:r + _ROWS])
+
+
 def softmax_lastdim(x):
-    """Row-stabilized softmax over the last dimension, in one output buffer."""
-    out = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    """Row-stabilized softmax over the last dimension, in one output buffer;
+    forward and backward run `_ROWS` rows at a time (`_softmax_rows`)."""
+    out = np.array(x.data, order="C")
+    L = out.shape[-1]
+    _softmax_rows(out.reshape(-1, L))
 
     def bw(g):
-        # one (..., L) temporary; t *= out has the bits of out * (g - dot)
-        g = np.asarray(g)
-        t = g * out
-        dot = t.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=t)
-        t *= out
+        t = np.empty_like(out)
+        _softmax_rows_backward(np.asarray(g).reshape(-1, L), out.reshape(-1, L), t.reshape(-1, L))
         x.accumulate_grad(t, fresh=True)
 
     return Tensor.from_op(out, (x,), bw)

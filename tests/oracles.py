@@ -41,10 +41,11 @@ def attention_block_graph():
     return [x] + spec.params() + anab.params(), out, rng.normal(size=out.shape)
 
 
-def backward_transient_maps():
-    """The attention block's backward transient in N x L float64 maps:
-    tracemalloc's peak during `out.backward(g)` on `attention_block_graph()`,
-    less the memory held when the forward returned, over N*L*8 bytes."""
+def attention_block_maps():
+    """The attention block's memory in N x L float64 maps, on
+    `attention_block_graph()`: (held, transient). `held` is what tracemalloc
+    counts when the forward has returned, the whole graph included;
+    `transient` is its peak during `out.backward(g)` less `held`."""
     attention_block_graph()   # warm any first-call allocation
     tracemalloc.start()
     try:
@@ -56,7 +57,15 @@ def backward_transient_maps():
     finally:
         tracemalloc.stop()
     _, _, H, W = out.shape
-    return (peak - held) / (H * W * PAPER_PYRAMID.descriptor_count * 8)
+    nl_map = H * W * PAPER_PYRAMID.descriptor_count * 8
+    return held / nl_map, (peak - held) / nl_map
+
+
+def composed_attend(xt, q, a):
+    """The attention block's N x L product a @ softmax(xt @ q)^T as four tape
+    ops (a matmul, `softmax_lastdim`, a transpose and a second matmul): the
+    composition `attention._attend` must equal bit for bit."""
+    return a @ softmax_lastdim(xt @ q).transpose(0, 2, 1)
 
 
 def bev_footprint(box):

@@ -9,7 +9,7 @@ from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
 from mono3d.tensor import Tensor
 
-from oracles import reference_nonlocal
+from oracles import composed_attend, reference_nonlocal
 
 
 def identity_params(channels, pyramid, attn_bias=5.0):
@@ -357,6 +357,69 @@ class TestAnabForward:
         x = Tensor(rng.normal(size=(1, 6, 4, 6)), requires_grad=True)
         r = grad_check(lambda *a: anab_forward(a[0], params), [x] + params.params(),
                        name="anab")
+        assert r.passed, str(r)
+
+
+class TestAttendOp:
+    """`attention._attend`, the block's N x L product a @ softmax(xt @ q)^T as
+    one tape op, against `composed_attend`'s four tape ops: the output and
+    all three input gradients bitwise. xt is the transposed view of a
+    (B, C+1, N) leaf, as `anab_forward` passes it."""
+
+    @staticmethod
+    def leaves(rng, B, C, N, L):
+        """(xs, q, a) leaves and an upstream gradient with planted 0.0 and -0.0;
+        row 0's logits saturate at +-700 (whole probabilities underflow to 0)."""
+        xs = rng.normal(size=(B, C + 1, N))
+        q = rng.normal(size=(B, C + 1, L))
+        xs[:, :, 0], xs[:, 0, 0] = 0.0, 1.0
+        q[:, 0] = np.where(np.arange(L) % 2, -700.0, 700.0)
+        g = rng.normal(size=(B, C, N))
+        g.flat[::3], g.flat[1::5] = 0.0, -0.0
+        return ([Tensor(v, requires_grad=True) for v in (xs, q, rng.normal(size=(B, C, L)))], g)
+
+    @staticmethod
+    def run(op, leaves, g):
+        xs, q, a = leaves
+        for t in leaves:
+            t.zero_grad()
+        out = op(xs.transpose(0, 2, 1), q, a)
+        out.backward(g)
+        return [out.data] + [t.grad for t in leaves]
+
+    def assert_same_bits(self, leaves, g):
+        got, want = self.run(attention._attend, leaves, g), self.run(composed_attend, leaves, g)
+        for u, w in zip(got, want):
+            assert u.shape == w.shape
+            assert np.array_equal(u.view(np.int64), w.view(np.int64))
+        return got
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("C", [1, 8, 64])
+    @pytest.mark.parametrize("N", [1, 7, 60, 130, 1920])   # 130: two chunks of 64 and 2 rows
+    @pytest.mark.parametrize("L", [1, 5, 337])
+    def test_bitwise_equal_to_four_tape_ops(self, B, C, N, L):
+        rng = np.random.default_rng(B * 1000 + C * 100 + N + L)
+        got = self.assert_same_bits(*self.leaves(rng, B, C, N, L))
+        assert all(np.all(np.isfinite(v)) for v in got)
+
+    @pytest.mark.parametrize("B, C, N, L", [(1, 1, 1, 1), (1, 8, 7, 5), (3, 8, 130, 337),
+                                            (1, 64, 1920, 337)])
+    def test_an_infinite_logit_gives_the_same_nans(self, B, C, N, L):
+        rng = np.random.default_rng(12)
+        (xs, q, a), g = self.leaves(rng, B, C, N, L)
+        xs.data[:, 1, N - 1] = np.inf   # row N-1: +-inf logits, inf - inf = NaN
+        with np.errstate(invalid="ignore"):
+            got = self.assert_same_bits([xs, q, a], g)
+        assert np.isnan(got[0]).any()
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(14)
+        xs = Tensor(rng.normal(size=(2, 4, 70)), requires_grad=True)   # N = 70 crosses a chunk
+        q = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        a = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        r = grad_check(lambda x_, q_, a_: attention._attend(x_.transpose(0, 2, 1), q_, a_),
+                       [xs, q, a], name="attend")
         assert r.passed, str(r)
 
 

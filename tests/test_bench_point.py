@@ -1,7 +1,8 @@
 """`tools/bench_point.py`'s aggregation on canned harness records: medians,
 interquartile ranges, the traced runs' per-layer metrics and report lines
 summarized like the gated ones, no file when a run, a traced seed or the
-Tier-1 suite failed or is missing, and no run over an existing point."""
+Tier-1 suite failed or is missing, and no run over an existing point; with
+stub runners, the point on disk while Tier-1 runs and gone if it fails."""
 
 import importlib.util
 import json
@@ -164,3 +165,53 @@ def test_existing_point_is_kept_and_nothing_runs(tmp_path, monkeypatch, capsys):
     assert bench_point.main(["--point", "7", "--repo", str(ROOT)]) == 1
     assert capsys.readouterr().err.strip() == "error: BENCH_7.json exists; no point written"
     assert out.read_bytes() == b'{"point": 7}\n'
+
+
+def stub_main(tmp_path, monkeypatch, tier1):
+    """main() over SPEC's workloads with a stub harness and `tier1` as the
+    Tier-1 runner; the point goes to tmp_path/BENCH_9.json."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_text(json.dumps({**SPEC, "run_seconds": 1}))
+    monkeypatch.setattr(bench_point, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_point, "commit_meta", lambda repo: {"commit": "abc", "dirty": False})
+    monkeypatch.setattr(bench_point, "run_harness",
+                        lambda repo, w, seed, trace, seconds: record(w, seed, 5.0 + seed, trace))
+    monkeypatch.setattr(bench_point, "run_tier1", tier1)
+    return bench_point.main(["--point", "9", "--repo", str(repo)])
+
+
+def test_tier1_sees_the_point_then_it_holds_the_tier1_record(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_9.json"
+    seen = []
+
+    def tier1(repo):
+        seen.append(json.loads(out.read_text()))
+        return TIER1
+
+    assert stub_main(tmp_path, monkeypatch, tier1) == 0
+    assert len(seen) == 1 and seen[0]["tier1"] is None
+    assert seen[0]["end_to_end"]["detect"]["op_norm_ms.p50"]["median"] == 8.0
+    point = json.loads(out.read_text())
+    assert point["tier1"]["counts"] == {"passed": 563, "xfailed": 2}
+    assert {k: v for k, v in point.items() if k != "tier1"} == \
+        {k: v for k, v in seen[0].items() if k != "tier1"}
+
+
+def test_failing_tier1_leaves_no_point(tmp_path, monkeypatch, capsys):
+    def tier1(repo):
+        assert (tmp_path / "BENCH_9.json").exists()
+        return {**TIER1, "returncode": 1, "counts": {"passed": 562, "failed": 1}}
+
+    assert stub_main(tmp_path, monkeypatch, tier1) == 1
+    assert "Tier-1 failed" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_9.json").exists()
+
+
+def test_interrupted_tier1_leaves_no_point(tmp_path, monkeypatch):
+    def tier1(repo):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        stub_main(tmp_path, monkeypatch, tier1)
+    assert not (tmp_path / "BENCH_9.json").exists()

@@ -3,9 +3,10 @@
 Every module's `__all__` names resolve under a star import, the package root
 imports only names that its modules declare public, and a module imports no
 other module's private names except the convolution column kernel that
-`conv2d` and `align_conv` share, the row check `geometry._rows` and the
-footprint IoU kernel `geometry._footprint_ious` that `evaluate_class` reads
-bev and 3d from. Every public callable has an entry in the poison sweep of
+`conv2d` and `align_conv` share, the row-chunked softmax that
+`softmax_lastdim` and the attention block's N x L product share, the row
+check `geometry._rows` and the footprint IoU kernel
+`geometry._footprint_ious` that `evaluate_class` reads bev and 3d from. Every public callable has an entry in the poison sweep of
 `test_validation.py`.
 """
 
@@ -20,8 +21,9 @@ import mono3d
 
 PACKAGE = Path(mono3d.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mono3d.__path__))
-SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward"), ("geometry", "_rows"),
-                  ("geometry", "_footprint_ious")}
+SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward"),
+                  ("ops", "_softmax_rows"), ("ops", "_softmax_rows_backward"),
+                  ("geometry", "_rows"), ("geometry", "_footprint_ious")}
 
 
 def relative_imports(path):

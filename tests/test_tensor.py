@@ -10,7 +10,7 @@ from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor, no_grad
 from mono3d.train import make_synthetic_scenes, train_toy
-from oracles import attention_block_graph, backward_transient_maps
+from oracles import attention_block_graph, attention_block_maps
 
 
 def test_elementwise_grads():
@@ -300,10 +300,17 @@ class TestFreshGradients:
     block's backward holds fewer N x L maps, and every gradient keeps the bits
     the always-copy path gives."""
 
-    def test_attention_backward_transient_at_most_two_and_a_quarter_maps(self):
-        # the always-copy path reads 3.0 maps: one more N x L map on the peak
-        maps = backward_transient_maps()
-        assert maps <= 2.25, maps
+    def test_attention_backward_transient_at_most_one_and_a_quarter_maps(self):
+        # 1.19 maps: a^T g, while the softmax backward writes over P's buffer;
+        # the always-copy four-op tape read 3.0, with fresh gradients 2.04
+        _, transient = attention_block_maps()
+        assert transient <= 1.25, transient
+
+    def test_attention_forward_holds_at_most_1_85_maps(self):
+        # 1.76 maps: the product keeps only P, where the four-op tape kept the
+        # scores too and read 2.76
+        held, _ = attention_block_maps()
+        assert held <= 1.85, held
 
     @staticmethod
     def gradients_both_ways(monkeypatch, run):

@@ -12,13 +12,15 @@ line over the traced runs, every row the median, quartiles, interquartile
 range and per-seed values. Rows the harness cannot time yet are `null` with
 the reason.
 
-A run that exits non-zero or is not `correct`, a run with `failed > 0`, a
-workload whose traced seeds are not its untraced seeds, or a failing Tier-1
-run exits with status 1 and writes no file. The point goes to
-`BENCH_<n>.json` beside this script's checkout; if that file exists already,
-the script exits with status 1 before any run and leaves it as it is. DIR
-defaults to that checkout, so a parent commit can be measured from a clone of
-it.
+The point goes to `BENCH_<n>.json` beside this script's checkout. It is
+written once before Tier-1 runs, with `"tier1": null`, so that Tier-1's
+README check can find it, and written again with the Tier-1 record when
+Tier-1 passes. A run that exits non-zero or is not `correct`, a run with
+`failed > 0`, a workload whose traced seeds are not its untraced seeds, or a
+failing or interrupted Tier-1 run exits with status 1 and leaves no file. If
+`BENCH_<n>.json` exists already, the script exits with status 1 before any
+run and leaves it as it is. DIR defaults to that checkout, so a parent commit
+can be measured from a clone of it.
 """
 
 import argparse
@@ -96,12 +98,14 @@ def aggregate(records, tier1, spec):
     `records` are dicts with workload, seed, trace, returncode, correct,
     attempted, failed, env and lines ([{name, value, unit, n}], as
     `benchmark/run.py` writes them); `spec` is the parsed `BENCHMARK.json`.
-    Raises BenchError if any run or the Tier-1 suite failed, or if a
-    workload's traced seeds are not its untraced seeds.
+    `tier1` is None for the point written before Tier-1 runs. Raises
+    BenchError if any run or the Tier-1 suite failed, or if a workload's
+    traced seeds are not its untraced seeds.
     """
     for record in records:
         check_run(record)
-    check_tier1(tier1)
+    if tier1 is not None:
+        check_tier1(tier1)
     gated = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     per_layer = {m["name"] for m in spec["per_layer"]}
     end_to_end, traced = {}, {}
@@ -127,7 +131,7 @@ def aggregate(records, tier1, spec):
         "end_to_end": end_to_end,
         "per_layer": traced,
         "unmeasured": {k: {"value": None, "reason": why} for k, why in UNMEASURED.items()},
-        "tier1": {k: tier1[k] for k in ("command", "seconds", "counts", "summary")},
+        "tier1": tier1 and {k: tier1[k] for k in ("command", "seconds", "counts", "summary")},
     }
 
 
@@ -197,19 +201,24 @@ def main(argv=None):
     meta = {"point": args.point, **commit_meta(repo),
             "command": "python3 benchmark/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace T"}
-    records = []
+    records, done = [], False
     try:
         for w in [w["name"] for w in spec["workloads"]]:
             for seed, trace in [(s, 0) for s in SEEDS] + [(s, 1) for s in SEEDS]:
                 print(f"# {w} seed {seed} trace {trace}", file=sys.stderr, flush=True)
                 records.append(run_harness(repo, w, seed, trace, seconds))
                 check_run(records[-1])
+        write_point(out, records, None, spec, meta)   # Tier-1's README check reads it
         print("# Tier-1", file=sys.stderr, flush=True)
         tier1 = run_tier1(repo)
         write_point(out, records, tier1, spec, meta)
+        done = True
     except BenchError as err:
         print(f"error: {err}; no point written", file=sys.stderr)
         return 1
+    finally:
+        if not done:
+            out.unlink(missing_ok=True)
     print(f"wrote {out}")
     return 0
 
