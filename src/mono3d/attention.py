@@ -179,7 +179,7 @@ def _attend(xt, q, a):
     """
     p = (Tensor(xt.data) @ Tensor(q.data)).data            # B x N x L
     B, N, L = p.shape
-    _softmax_rows(p.reshape(B * N, L))
+    _softmax_rows(p.reshape(B * N, L), p.reshape(B * N, L))
     out = (Tensor(a.data) @ Tensor(p.transpose(0, 2, 1))).data
 
     def bw(g):
@@ -190,7 +190,7 @@ def _attend(xt, q, a):
             gpt = a.data.swapaxes(-1, -2) @ g               # B x L x N
             for i in range(B):
                 _softmax_rows_backward(gpt[i].T, p[i], p[i])
-            del gpt
+            del gpt   # before the two products allocate theirs
             if xt.requires_grad:
                 xt.accumulate_grad(p @ q.data.swapaxes(-1, -2), fresh=True)
             if q.requires_grad:
@@ -219,7 +219,7 @@ def anab_forward(x, params):
     multiply-adds per item, linear in N, against 2*N^2*C for that block.
     On `align_conv` plus this block at 8 channels, the graph holds 1.76 N x L
     maps when the forward returns, of which `_attend` keeps one, and the
-    backward peaks 1.19 maps above that; as four tape ops (two matmuls, a
+    backward peaks 1.16 maps above that; as four tape ops (two matmuls, a
     softmax and a transpose) the product held 2.76 and peaked 2.04 above.
     """
     if x.ndim != 4:

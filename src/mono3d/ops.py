@@ -185,44 +185,46 @@ def conv2d(x, spec):
     return Tensor.from_op(out, (x, spec.weight, spec.bias), bw)
 
 
-_ROWS = 64   # softmax rows per chunk: 64 rows of L = 337 doubles are 168 KiB, in cache
+_CHUNK = 1 << 14   # softmax elements per chunk, 128 KiB: 48 rows of L = 337 stay in cache
 
 
-def _softmax_rows(out):
-    """Softmax over the last axis of a C-contiguous (M, L) array, in place,
-    `_ROWS` rows at a time: subtract the row max, exponentiate, divide by
-    the row sum. Each row sees the same ufuncs whatever the chunking."""
-    for r in range(0, out.shape[0], _ROWS):
-        c = out[r:r + _ROWS]
-        c -= c.max(axis=-1, keepdims=True)
+def _softmax_rows(x, out):
+    """Softmax over the last axis of an (M, L) array into C-contiguous `out`
+    (which may be `x`), about `_CHUNK` elements of whole rows at a time:
+    subtract the row max, exponentiate, divide by the row sum. Each row sees
+    the same ufuncs whatever the chunking."""
+    n = max(1, _CHUNK // x.shape[1])
+    for r in range(0, len(x), n):
+        c = np.subtract(x[r:r + n], x[r:r + n].max(axis=-1, keepdims=True), out=out[r:r + n])
         np.exp(c, out=c)
         c /= c.sum(axis=-1, keepdims=True)
 
 
 def _softmax_rows_backward(g, p, out):
     """Softmax's input gradient p * (g - sum(g * p)) for an (M, L) output `p`
-    and upstream `g` of any layout, into `out` (which may be `p`), `_ROWS`
-    rows at a time.
+    and upstream `g` of any layout, into `out` (which may be `p`), in the
+    chunks of `_softmax_rows`.
 
     Each chunk of `g` is first copied to C order as 0.0 + g, the bits of
     `accumulate_grad`'s copy, so a transposed `g` is never copied whole and
     every row sum runs over contiguous rows."""
     M, L = p.shape
-    G = np.empty((min(M, _ROWS), L))
-    for r in range(0, M, _ROWS):
-        pc = p[r:r + _ROWS]
-        gc = np.add(0.0, g[r:r + _ROWS], out=G[:len(pc)])
+    n = max(1, _CHUNK // L)
+    G = np.empty((min(M, n), L))
+    for r in range(0, M, n):
+        pc = p[r:r + n]
+        gc = np.add(0.0, g[r:r + n], out=G[:len(pc)])
         dot = (gc * pc).sum(axis=-1, keepdims=True)
         gc -= dot
-        np.multiply(gc, pc, out=out[r:r + _ROWS])
+        np.multiply(gc, pc, out=out[r:r + n])
 
 
 def softmax_lastdim(x):
     """Row-stabilized softmax over the last dimension, in one output buffer;
-    forward and backward run `_ROWS` rows at a time (`_softmax_rows`)."""
-    out = np.array(x.data, order="C")
+    forward and backward run in row chunks (`_softmax_rows`)."""
+    out = np.empty(x.shape)
     L = out.shape[-1]
-    _softmax_rows(out.reshape(-1, L))
+    _softmax_rows(x.data.reshape(-1, L), out.reshape(-1, L))
 
     def bw(g):
         t = np.empty_like(out)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mono3d import attention
+from mono3d import attention, ops
 from mono3d.attention import AnabParams, PyramidSpec, anab_forward, attention_map, pa2_pool, write_pgm
 from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
@@ -396,7 +396,7 @@ class TestAttendOp:
 
     @pytest.mark.parametrize("B", [1, 3])
     @pytest.mark.parametrize("C", [1, 8, 64])
-    @pytest.mark.parametrize("N", [1, 7, 60, 130, 1920])   # 130: two chunks of 64 and 2 rows
+    @pytest.mark.parametrize("N", [1, 7, 60, 130, 1920])   # at L = 337, 130 rows: 48 + 48 + 34
     @pytest.mark.parametrize("L", [1, 5, 337])
     def test_bitwise_equal_to_four_tape_ops(self, B, C, N, L):
         rng = np.random.default_rng(B * 1000 + C * 100 + N + L)
@@ -413,9 +413,10 @@ class TestAttendOp:
             got = self.assert_same_bits([xs, q, a], g)
         assert np.isnan(got[0]).any()
 
-    def test_gradcheck(self):
+    def test_gradcheck(self, monkeypatch):
+        monkeypatch.setattr(ops, "_CHUNK", 16)   # 3 rows of L = 5 per chunk
         rng = np.random.default_rng(14)
-        xs = Tensor(rng.normal(size=(2, 4, 70)), requires_grad=True)   # N = 70 crosses a chunk
+        xs = Tensor(rng.normal(size=(2, 4, 70)), requires_grad=True)
         q = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
         a = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         r = grad_check(lambda x_, q_, a_: attention._attend(x_.transpose(0, 2, 1), q_, a_),

@@ -301,7 +301,7 @@ class TestFreshGradients:
     the always-copy path gives."""
 
     def test_attention_backward_transient_at_most_one_and_a_quarter_maps(self):
-        # 1.19 maps: a^T g, while the softmax backward writes over P's buffer;
+        # 1.16 maps: a^T g, while the softmax backward writes over P's buffer;
         # the always-copy four-op tape read 3.0, with fresh gradients 2.04
         _, transient = attention_block_maps()
         assert transient <= 1.25, transient

@@ -131,7 +131,8 @@ def aggregate(records, tier1, spec):
         "end_to_end": end_to_end,
         "per_layer": traced,
         "unmeasured": {k: {"value": None, "reason": why} for k, why in UNMEASURED.items()},
-        "tier1": tier1 and {k: tier1[k] for k in ("command", "seconds", "counts", "summary")},
+        "tier1": None if tier1 is None else {k: tier1[k] for k in ("command", "seconds", "counts",
+                                                                   "summary")},
     }
 
 
