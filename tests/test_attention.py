@@ -369,7 +369,8 @@ class TestAttendOp:
     @staticmethod
     def leaves(rng, B, C, N, L):
         """(xs, q, a) leaves and an upstream gradient with planted 0.0 and -0.0;
-        row 0's logits saturate at +-700 (whole probabilities underflow to 0)."""
+        row 0's logits are +-700, so its -700 entries' probabilities underflow
+        to 0."""
         xs = rng.normal(size=(B, C + 1, N))
         q = rng.normal(size=(B, C + 1, L))
         xs[:, :, 0], xs[:, 0, 0] = 0.0, 1.0
