@@ -93,7 +93,7 @@ def center_align_offsets(residuals, stride):
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    r = residuals if isinstance(residuals, Tensor) else Tensor(residuals)
+    r = Tensor._coerce(residuals)
     if r.ndim not in (3, 4) or r.shape[-1] != 2:
         raise ValueError(f"center_align_offsets expects (H, W, 2) or (B, H, W, 2) residuals, "
                          f"got shape {r.shape}")

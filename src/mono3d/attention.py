@@ -133,11 +133,8 @@ def _bin_sum(x, grid):
     s = np.add.reduceat(np.add.reduceat(x.data, r0, axis=-2), c0, axis=-1)
     s[..., nr == 0, :] = 0.0
     s[..., nc == 0] = 0.0
-
-    def bw(g):
-        x.accumulate_grad(np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1), fresh=True)
-
-    return Tensor.from_op(s, (x,), bw)
+    return Tensor._op(s, (x,), (lambda g: np.repeat(np.repeat(g, nr, axis=-2), nc, axis=-1),),
+                      adopt=True)
 
 
 def pa2_pool(features, attn, spec):

@@ -28,10 +28,6 @@ POSITIVE_IOU = 0.5     # anchor-to-ground-truth 2D IoU at or above which an anch
 NEGATIVE_IOU = 0.4     # ... below which it is background; in between it is ignored
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _segments(segments, n):
     """Counts and per-row segment ids of `segments`, the row counts of
     consecutive segments that must cover n rows."""
@@ -47,12 +43,8 @@ def _mean(per_row, segments):
     segment's mean is 0."""
     counts, seg = _segments(segments, per_row.shape[0])
     scale = 1.0 / np.maximum(counts, 1)
-
-    def bw(g):
-        per_row.accumulate_grad((g * scale)[seg], fresh=True)
-
     out = np.bincount(seg, weights=per_row.data, minlength=counts.size) * scale
-    return Tensor.from_op(out, (per_row,), bw)
+    return Tensor._op(out, (per_row,), (lambda g: (g * scale)[seg],), adopt=True)
 
 
 def _ce_rows(logits, targets):
@@ -69,7 +61,7 @@ def _ce_rows(logits, targets):
 def loss_cls(logits, targets, segments):
     """Per-segment mean cross entropy of (n, ncls) logits against integer
     targets (see `_mean`)."""
-    return _mean(_ce_rows(_as_tensor(logits), np.asarray(targets, dtype=np.intp)), segments)
+    return _mean(_ce_rows(Tensor._coerce(logits), np.asarray(targets, dtype=np.intp)), segments)
 
 
 def per_sample_ce(logits_data, targets):
@@ -82,7 +74,7 @@ def per_sample_ce(logits_data, targets):
 
 def iou_2d_tensor(pred, gt):
     """Elementwise IoU of (n, 4) corner boxes, differentiable in `pred`."""
-    pred, gt = _as_tensor(pred), _as_tensor(gt)
+    pred, gt = Tensor._coerce(pred), Tensor._coerce(gt)
     if pred.ndim != 2 or pred.shape[1] != 4 or gt.shape != pred.shape:
         raise ValueError(f"pred and gt must be (n, 4) boxes, got shapes {pred.shape} and {gt.shape}")
     ix = (pred[:, 2].minimum(gt[:, 2]) - pred[:, 0].maximum(gt[:, 0])).maximum(Tensor(0.0))
@@ -105,7 +97,7 @@ def loss_2d(pred, gt, segments):
 
 def smooth_l1(residual):
     """0.5 x^2 below |x| = 1, |x| - 0.5 above; continuous at the knee."""
-    r = _as_tensor(residual)
+    r = Tensor._coerce(residual)
     a = r.abs()
     quad_mask = (a.data < 1.0).astype(np.float64)
     return a * a * 0.5 * quad_mask + (a - 0.5) * (1.0 - quad_mask)
@@ -114,7 +106,7 @@ def smooth_l1(residual):
 def loss_3d(pred_deltas, target_deltas, segments):
     """Smooth L1 over the 7 regression components, summed per row,
     per-segment mean over rows (see `_mean`)."""
-    pred, tgt = _as_tensor(pred_deltas), _as_tensor(target_deltas)
+    pred, tgt = Tensor._coerce(pred_deltas), Tensor._coerce(target_deltas)
     if pred.shape != tgt.shape:
         raise ValueError(f"pred_deltas and target_deltas shapes differ: {pred.shape} vs {tgt.shape}")
     return _mean(smooth_l1(pred - tgt).sum(axis=-1), segments)
@@ -148,4 +140,4 @@ def mine_hard(losses, fraction, segments, protected=None):
 
 def total_loss(l_cls, l_2d, l_3d):
     """L = L_cls + LAMBDA_2D * L_2d + LAMBDA_3D * L_3d."""
-    return _as_tensor(l_cls) + LAMBDA_2D * _as_tensor(l_2d) + LAMBDA_3D * _as_tensor(l_3d)
+    return Tensor._coerce(l_cls) + LAMBDA_2D * Tensor._coerce(l_2d) + LAMBDA_3D * Tensor._coerce(l_3d)

@@ -12,17 +12,23 @@ attention maps) are freed during the sweep even while the caller still holds
 the output. A second backward() that reaches a swept node raises
 RuntimeError; build the graph again instead.
 
-A closure that makes a new array for an input's gradient passes
-`accumulate_grad(..., fresh=True)`, and the input's first write adopts that
-array rather than copying it; a pass-through or view gradient, which another
-holder may still read, is copied. Only the layout a copy would have
-(C-contiguous float64 of the input's shape) is adopted, so the bits of every
-gradient stay those of the copy.
+An op whose backward hands each input its own gradient builds its node with
+`Tensor._op`, the one place where adopt-or-copy is decided for such ops: an
+op whose gradients are new arrays (a product, a matmul product) passes
+`adopt=True`, and the input's first write adopts that array rather than
+copying it; a pass-through or view gradient (a sum, a reshape, a transpose, a
+concat's slices), which another holder may still read, is copied. Only the
+layout a copy would have (C-contiguous float64 of the input's shape) is
+adopted, so the bits of every gradient stay those of the copy. The ops whose
+backwards interleave work between inputs (indexing, the convolutions,
+softmax, the attention product) register their closures with
+`Tensor.from_op` and decide per write.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,6 +63,11 @@ def _basic_index(idx):
     return all(p is None or p is Ellipsis or isinstance(p, slice)
                or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
                for p in parts)
+
+
+def _identity(g):
+    """The gradient of a pass-through input: the upstream one itself."""
+    return g
 
 
 def _unbroadcast(grad, shape):
@@ -95,6 +106,28 @@ class Tensor:
             out._backward = backward
         return out
 
+    @staticmethod
+    def _op(data, parents, grads, adopt=False):
+        """The node of an op whose backward hands `parents[i]` the gradient
+        `grads[i](g)` of the upstream `g`, in input order, for each input
+        that requires one.
+
+        The one place where such an op's hand-off is decided: with
+        `adopt=True` every `grads[i]` makes a new array that nothing else
+        holds (a product, a quotient, a matmul product), which the input's
+        first write adopts (`accumulate_grad(..., fresh=True)`); by default
+        it may return `g` itself or a view of it, which the input copies.
+        """
+        if not _recording:   # under no_grad, build no backward closure
+            return Tensor(data)
+
+        def backward(g):
+            for t, grad in zip(parents, grads):
+                if t.requires_grad:
+                    t.accumulate_grad(grad(g), fresh=adopt)
+
+        return Tensor.from_op(data, parents, backward)
+
     @property
     def shape(self):
         return self.data.shape
@@ -121,16 +154,19 @@ class Tensor:
 
         The first write stores zeros + g bitwise (a -0.0 reads +0.0). By
         default it goes into a new array, so the gradient never aliases the
-        caller's `g`. A closure that made `g` itself and keeps no reference
-        to it passes `fresh=True` (a product, a matmul product, softmax's
-        `t`, conv's weight and bias sums): the gradient then adopts `g`,
-        zeroing its -0.0 in place, and no second copy of it exists. A
-        pass-through `g`, the backward seed and views, which another holder
-        may still read, keep the default and are copied. Only a writeable,
-        C-contiguous float64 array of exactly this tensor's shape is adopted;
-        any other `g` (a transposed or strided view, a broadcast) is copied,
-        so the gradient's layout, and the summation order of every later op
-        that reads it, is that of the copy.
+        caller's `g`. With `fresh=True`, for a `g` that the caller made and
+        keeps no reference to, the gradient adopts `g`, zeroing its -0.0 in
+        place, and no second copy of it exists. `Tensor._op` is the one place
+        that decides this for the ops it builds; the closures that pass
+        `fresh=True` themselves are `conv2d`'s (its weight and bias sums),
+        `align_conv`'s (its input and offset gradients), `softmax_lastdim`'s
+        (its `t`) and `attention._attend`'s (every input's). A pass-through
+        `g`, the backward seed and views, which another holder may still
+        read, keep the default and are copied. Only a writeable, C-contiguous
+        float64 array of exactly this tensor's shape is adopted; any other
+        `g` (a transposed or strided view, a broadcast) is copied, so the
+        gradient's layout, and the summation order of every later op that
+        reads it, is that of the copy.
         """
         g = np.asarray(g, dtype=np.float64)
         adopt = (fresh and self.grad is None and g.shape == self.data.shape
@@ -196,20 +232,14 @@ class Tensor:
 
     # -- elementwise arithmetic ----------------------------------------------
 
-    def _coerce(self, other):
-        return other if isinstance(other, Tensor) else Tensor(other)
+    @staticmethod
+    def _coerce(x):
+        """`x` itself if it is a Tensor, else `x` as a constant leaf: the tape's one coercion."""
+        return x if isinstance(x, Tensor) else Tensor(x)
 
     def __add__(self, other):
         other = self._coerce(other)
-        out_data = self.data + other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self.accumulate_grad(g)
-            if other.requires_grad:
-                other.accumulate_grad(g)
-
-        return Tensor.from_op(out_data, (self, other), bw)
+        return Tensor._op(self.data + other.data, (self, other), (_identity, _identity))
 
     __radd__ = __add__
 
@@ -221,63 +251,34 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self.accumulate_grad(g * other.data, fresh=True)
-            if other.requires_grad:
-                other.accumulate_grad(g * self.data, fresh=True)
-
-        return Tensor.from_op(out_data, (self, other), bw)
+        return Tensor._op(self.data * other.data, (self, other),
+                          (lambda g: g * other.data, lambda g: g * self.data), adopt=True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self.accumulate_grad(g / other.data, fresh=True)
-            if other.requires_grad:
-                other.accumulate_grad(-g * self.data / other.data ** 2, fresh=True)
-
-        return Tensor.from_op(out_data, (self, other), bw)
+        return Tensor._op(self.data / other.data, (self, other),
+                          (lambda g: g / other.data, lambda g: -g * self.data / other.data ** 2),
+                          adopt=True)
 
     # -- elementwise functions -----------------------------------------------
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def bw(g):
-            self.accumulate_grad(g * out_data, fresh=True)
-
-        return Tensor.from_op(out_data, (self,), bw)
+        return Tensor._op(out_data, (self,), (lambda g: g * out_data,), adopt=True)
 
     def log(self):
-        out_data = np.log(self.data)
-
-        def bw(g):
-            self.accumulate_grad(g / self.data, fresh=True)
-
-        return Tensor.from_op(out_data, (self,), bw)
+        return Tensor._op(np.log(self.data), (self,), (lambda g: g / self.data,), adopt=True)
 
     def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def bw(g):
-            self.accumulate_grad(g * out_data * (1.0 - out_data), fresh=True)
-
-        return Tensor.from_op(out_data, (self,), bw)
+        with np.errstate(over="ignore"):  # exp(-x) is inf below x ~ -709, where 0.0 is right
+            out_data = 1.0 / (1.0 + np.exp(-self.data))
+        return Tensor._op(out_data, (self,), (lambda g: g * out_data * (1.0 - out_data),), adopt=True)
 
     def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def bw(g):
-            self.accumulate_grad(g * (self.data > 0.0), fresh=True)
-
-        return Tensor.from_op(out_data, (self,), bw)
+        return Tensor._op(np.maximum(self.data, 0.0), (self,),
+                          (lambda g: g * (self.data > 0.0),), adopt=True)
 
     def maximum(self, other):
         """Elementwise max; at ties the gradient goes to `self` (subgradient)."""
@@ -291,56 +292,29 @@ class Tensor:
         """`self` where `keep_self(self, other)` holds, else `other`."""
         other = self._coerce(other)
         take_self = keep_self(self.data, other.data)
-        out_data = np.where(take_self, self.data, other.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self.accumulate_grad(g * take_self, fresh=True)
-            if other.requires_grad:
-                other.accumulate_grad(g * ~take_self, fresh=True)
-
-        return Tensor.from_op(out_data, (self, other), bw)
+        return Tensor._op(np.where(take_self, self.data, other.data), (self, other),
+                          (lambda g: g * take_self, lambda g: g * ~take_self), adopt=True)
 
     def abs(self):
         sign = np.where(self.data >= 0.0, 1.0, -1.0)
-        out_data = np.abs(self.data)
-
-        def bw(g):
-            self.accumulate_grad(g * sign, fresh=True)
-
-        return Tensor.from_op(out_data, (self,), bw)
+        return Tensor._op(np.abs(self.data), (self,), (lambda g: g * sign,), adopt=True)
 
     # -- reductions / shaping -------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def bw(g):
-            g = np.asarray(g)
+        def grad(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.accumulate_grad(np.broadcast_to(g, self.data.shape))
+            return np.broadcast_to(g, self.data.shape)
 
-        return Tensor.from_op(out_data, (self,), bw)
+        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), (self,), (grad,))
 
     def reshape(self, *shape):
-        out_data = self.data.reshape(shape)
-
-        def bw(g):
-            self.accumulate_grad(np.asarray(g).reshape(self.data.shape))
-
-        return Tensor.from_op(out_data, (self,), bw)
+        return Tensor._op(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
-        axes = axes or None
-        out_data = self.data.transpose(axes) if axes else self.data.T
-        inv = np.argsort(axes) if axes else None
-
-        def bw(g):
-            g = np.asarray(g)
-            self.accumulate_grad(g.transpose(inv) if inv is not None else g.T)
-
-        return Tensor.from_op(out_data, (self,), bw)
+        inv = np.argsort(axes) if axes else None   # None reverses the axes
+        return Tensor._op(self.data.transpose(axes or None), (self,), (lambda g: g.transpose(inv),))
 
     @property
     def T(self):
@@ -366,19 +340,11 @@ class Tensor:
 
     @staticmethod
     def concat(tensors, axis=0):
-        datas = [t.data for t in tensors]
-        out_data = np.concatenate(datas, axis=axis)
-        offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
-
-        def bw(g):
-            g = np.asarray(g)
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(lo, hi)
-                    t.accumulate_grad(g[tuple(sl)])
-
-        return Tensor.from_op(out_data, tuple(tensors), bw)
+        out_data = np.concatenate([t.data for t in tensors], axis=axis)
+        lead = (slice(None),) * (axis % out_data.ndim)
+        bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        parts = [itemgetter(lead + (slice(lo, hi),)) for lo, hi in zip(bounds, bounds[1:])]
+        return Tensor._op(out_data, tuple(tensors), parts)
 
     # -- linear algebra -------------------------------------------------------
 
@@ -389,17 +355,10 @@ class Tensor:
             raise ValueError(
                 f"matmul inner dimensions differ: {a.shape} @ {b.shape}"
             )
-        out_data = a @ b
-
-        def bw(g):
-            g = np.asarray(g)
-            # stacked operands broadcast; accumulate_grad sums the batch axes away
-            if self.requires_grad:
-                self.accumulate_grad(g @ b.swapaxes(-1, -2), fresh=True)
-            if other.requires_grad:
-                other.accumulate_grad(a.swapaxes(-1, -2) @ g, fresh=True)
-
-        return Tensor.from_op(out_data, (self, other), bw)
+        # stacked operands broadcast; accumulate_grad sums the batch axes away
+        return Tensor._op(a @ b, (self, other),
+                          (lambda g: g @ b.swapaxes(-1, -2), lambda g: a.swapaxes(-1, -2) @ g),
+                          adopt=True)
 
     __matmul__ = matmul
 

@@ -92,6 +92,18 @@ class TestDetect:
             dets = detect(model, scenes[0], conf_thresh=0.0)
         assert isinstance(dets, list)
 
+    def test_huge_image_returns_without_a_warning(self):
+        # x 1e5 drives attention-map logits below -709, where the sigmoid's
+        # exp(-x) overflows to inf and the map reads 0.0
+        scenes = make_synthetic_scenes(count=1, seed=1)
+        model = ToyDetector((48, 80), seed=0)
+        model.fit_anchors(scenes)
+        scene = dataclasses.replace(scenes[0], image=Tensor(scenes[0].image.data * 1e5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = detect(model, scene, conf_thresh=0.0)
+        assert isinstance(dets, list)
+
     def test_low_threshold_yields_decoded_boxes(self):
         scenes = make_synthetic_scenes(count=2, seed=1)
         _, model = train_toy(scenes, steps=10, seed=0, warmup_steps=2)

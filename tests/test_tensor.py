@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,43 @@ class TestAccumulateGrad:
         assert np.signbit(seed).tolist() == [True, False, True]
         assert not np.shares_memory(y.grad, seed)
         np.testing.assert_array_equal(a.grad, [0.0, 2.0, 0.0])
+
+
+class TestCopiedGradients:
+    """An op whose input gradient is the upstream one or a view of it (a sum,
+    a reshape, a transpose, a reduction's broadcast) hands its input a copy:
+    the root keeps its gradient, and no input's gradient shares its memory."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y,
+        lambda x, y: x.reshape(6),
+        lambda x, y: x.transpose(),
+        lambda x, y: x.sum(axis=0),
+    ], ids=["add", "reshape", "transpose", "sum"])
+    def test_root_keeps_its_gradient(self, op):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        root = op(x, y)
+        seed = rng.normal(size=root.shape)
+        root.backward(seed)
+        np.testing.assert_array_equal(root.grad, seed)
+        inputs = [t for t in (x, y) if t.grad is not None]
+        assert inputs
+        for t in inputs:
+            assert not np.shares_memory(t.grad, root.grad)
+
+
+class TestSigmoid:
+    def test_saturates_below_the_exp_overflow_without_a_warning(self):
+        # exp(800) overflows to inf, so 1 / (1 + inf) reads 0.0 exactly
+        x = Tensor([-800.0, 0.0], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = x.sigmoid()
+            y.backward()
+        np.testing.assert_array_equal(y.data, [0.0, 0.5])
+        np.testing.assert_array_equal(x.grad, [0.0, 0.25])
 
 
 class TestFreshGradients:

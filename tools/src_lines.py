@@ -7,7 +7,9 @@ inside a module, class or function docstring (found with `ast`); the lines of
 any other string are code, a `#` at the start of one included. So docstrings
 added or removed beside a change do not hide its net change in code lines.
 With `--base REF` the same counts are printed for the files at git revision
-REF, read with `git show`, and the net change of each.
+REF, read with `git show`, and the net change of each; then one row per module
+whose lines or code lines changed, added and removed modules included (base
+-> now, net), so a report shows where the lines went.
 """
 
 import argparse
@@ -45,28 +47,48 @@ def totals(texts):
     return len(counts), sum(c[0] for c in counts), sum(c[1] for c in counts)
 
 
+def module_changes(base, now):
+    """One row per module whose (lines, code lines) differ between the
+    name -> text maps `base` and `now`; a module only one side has is a row
+    even if it is empty, and counts (0, 0) on the other side."""
+    rows = []
+    for name in sorted(base.keys() | now.keys()):
+        b = count(base[name]) if name in base else (0, 0)
+        n = count(now[name]) if name in now else (0, 0)
+        if b != n or (name in base) != (name in now):
+            tag = " (added)" if name not in base else " (removed)" if name not in now else ""
+            rows.append("  {}{}: lines {} -> {} ({:+d}), code lines {} -> {} ({:+d})".format(
+                name, tag, b[0], n[0], n[0] - b[0], b[1], n[1], n[1] - b[1]))
+    return rows
+
+
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout
 
 
 def base_texts(ref):
+    """Module name -> source text of the package at git revision `ref`."""
     names = git("ls-tree", "--name-only", f"{ref}:{PACKAGE}").split()
-    return [git("show", f"{ref}:{PACKAGE}/{n}") for n in names if n.endswith(".py")]
+    return {n: git("show", f"{ref}:{PACKAGE}/{n}") for n in names if n.endswith(".py")}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", metavar="REF", help="also count REF's files, and the net change")
     args = parser.parse_args(argv)
-    now = totals(p.read_text() for p in sorted((ROOT / PACKAGE).glob("*.py")))
+    texts = {p.name: p.read_text() for p in sorted((ROOT / PACKAGE).glob("*.py"))}
+    now = totals(texts.values())
     row = "{}: {} modules, {} lines, {} code lines"
     print(row.format(PACKAGE, *now))
     if args.base:
-        base = totals(base_texts(args.base))
+        base_by_name = base_texts(args.base)
+        base = totals(base_by_name.values())
         print(row.format(f"base {args.base}", *base))
         print("net: modules {:+d}, lines {:+d}, code lines {:+d}".format(
             *(a - b for a, b in zip(now, base))))
+        for line in module_changes(base_by_name, texts):
+            print(line)
     return 0
 
 
