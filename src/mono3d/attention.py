@@ -160,6 +160,18 @@ def pa2_pool(features, attn, spec):
     return Tensor.concat(rows, axis=2).transpose(0, 2, 1)
 
 
+def _at_g_rows(at, g, rows):
+    """Rows `rows` of (at @ g)^T, for at (L, C) and g (C, N), formed from
+    those columns of `g` alone, with the bits of the whole product's rows.
+
+    A one-column product runs as a matrix-vector product, whose last bits
+    differ from the whole matrix product's, so a one-column block of a
+    product of two or more columns is widened by the column before it.
+    """
+    lo = max(0, min(rows.start, g.shape[1] - 2))
+    return (at @ g[:, lo:rows.stop]).T[rows.start - lo:]
+
+
 def _attend(xt, q, a):
     """a @ softmax(xt @ q)^T as one tape op, for xt (B, N, C+1), q (B, C+1, L)
     and a (B, C, L): the block's N x L product, (B, C, N).
@@ -167,12 +179,13 @@ def _attend(xt, q, a):
     The forward runs the softmax in place on the similarity product, so the
     op holds one N x L map, the probabilities P. Its two products are
     `Tensor` matmuls on detached operands, which record no node. The backward
-    forms a^T g (B, L, N), not (g^T a)^T, whose last bits differ, and reads
-    it transposed, chunk by chunk, into the softmax backward, which writes
-    the similarity gradient over P's buffer. Every value goes through the
-    ufuncs and BLAS calls, on the operand layouts, that `xt @ q`,
-    `softmax_lastdim`, a transpose and `a @ P^T` as four tape ops use, so
-    the output and every gradient keep their bits.
+    forms a^T g (L x N per item), not (g^T a)^T, whose last bits differ, one
+    row chunk of the softmax backward at a time (`_at_g_rows`), and writes
+    the similarity gradient over P's buffer: besides P it holds one chunk of
+    a^T g (48 rows of N at L = 337, 128 KiB), never the whole map. Every
+    value goes through the ufuncs and BLAS calls, on the operand layouts,
+    that `xt @ q`, `softmax_lastdim`, a transpose and `a @ P^T` as four tape
+    ops use, so the output and every gradient keep their bits.
     """
     p = (Tensor(xt.data) @ Tensor(q.data)).data            # B x N x L
     B, N, L = p.shape
@@ -184,10 +197,8 @@ def _attend(xt, q, a):
         if a.requires_grad:
             a.accumulate_grad(g @ p, fresh=True)
         if xt.requires_grad or q.requires_grad:
-            gpt = a.data.swapaxes(-1, -2) @ g               # B x L x N
-            for i in range(B):
-                _softmax_rows_backward(gpt[i].T, p[i], p[i])
-            del gpt   # before the two products allocate theirs
+            for ai, gi, pi in zip(a.data, g, p):
+                _softmax_rows_backward(lambda rows: _at_g_rows(ai.T, gi, rows), pi, pi)
             if xt.requires_grad:
                 xt.accumulate_grad(p @ q.data.swapaxes(-1, -2), fresh=True)
             if q.requires_grad:
@@ -214,10 +225,11 @@ def anab_forward(x, params):
     arXiv:1908.07678); the tests keep that order as a reference, beside the
     standard non-local block. The matmuls cost N*L*(2C+1) + L*C*(4C+3)
     multiply-adds per item, linear in N, against 2*N^2*C for that block.
-    On `align_conv` plus this block at 8 channels, the graph holds 1.76 N x L
+    On `align_conv` plus this block at 8 channels, the graph holds 1.77 N x L
     maps when the forward returns, of which `_attend` keeps one, and the
-    backward peaks 1.16 maps above that; as four tape ops (two matmuls, a
-    softmax and a transpose) the product held 2.76 and peaked 2.04 above.
+    backward peaks 0.18 maps above that (1.16 with a^T g formed whole); as
+    four tape ops (two matmuls, a softmax and a transpose) the product held
+    2.76 and peaked 2.04 above.
     """
     if x.ndim != 4:
         raise ValueError(f"x must be a 4-D (B, C, H, W) input, got shape {x.shape}")

@@ -11,7 +11,8 @@ the two kinds of output where einsum's accumulation differs from the loop's
 identical to the naive nested-loop reference, and align_conv with all offsets
 zero is bit-identical to conv2d. Those bits need an einsum compiled without
 fused multiply-add, as numpy's x86 builds compile it at the X86_V2 baseline;
-the bitwise tests check it. The backward is two matrix contractions.
+the bitwise tests check it. The backward is two matrix contractions, the
+weight gradient's first: each op frees its column tensor between the two.
 """
 
 from __future__ import annotations
@@ -118,28 +119,40 @@ def _columns_forward(cols, w, b):
     return np.ascontiguousarray(out.reshape(Co, B, OH, OW).transpose(1, 0, 2, 3))
 
 
-def _columns_backward(g, cols, spec, need_cols):
-    """Backward of `_columns_forward` with `spec`'s weight and bias, for
-    upstream `g` (B, Co, OH, OW).
+def _columns_param_grads(g, cols, spec):
+    """The weight and bias gradients of `_columns_forward` with `spec`'s
+    parameters, for upstream `g` (B, Co, OH, OW): the weight's is the sum
+    over b of G_b @ cols_b^T, the bias's is g summed over items and
+    positions. Each is accumulated where `spec` needs it.
 
-    Accumulates the weight gradient, sum over b of G_b @ cols_b^T, and the
-    bias gradient, g summed over items and positions, where `spec` needs
-    them. Returns gcols = W^T @ G per batch item, shaped like `cols`, when
-    `need_cols`, else None; the caller scatters it back onto its input.
-    Both contractions sum in another order than the per-tap loops, so the
-    gradients are held within 1e-12 of a per-tap reference, not bitwise.
+    This is the last read of `cols` in either convolution's backward: the
+    closures drop their column tensor after it, so that it is freed before
+    `_columns_input_grad` allocates a column tensor's worth of its own, and
+    a backward holds one column tensor at a time, not two.
     """
     B, Co, OH, OW = g.shape
-    G = g.reshape(B, Co, OH * OW)  # explicit sizes: -1 cannot be inferred when B is 0
     w = spec.weight
     if w.requires_grad:
-        gw = np.tensordot(G, cols.reshape(B, w.size // Co, OH * OW), axes=([0, 2], [0, 2]))
+        # explicit sizes: -1 cannot be inferred when B is 0
+        gw = np.tensordot(g.reshape(B, Co, OH * OW), cols.reshape(B, w.size // Co, OH * OW),
+                          axes=([0, 2], [0, 2]))
         w.accumulate_grad(gw.reshape(w.shape), fresh=True)
     if spec.bias.requires_grad:
         spec.bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
-    if need_cols:
-        return (w.data.reshape(Co, -1).T @ G).reshape(cols.shape)
-    return None
+
+
+def _columns_input_grad(g, w):
+    """The column gradient W^T @ G per batch item, (B, Ci, K, OH, OW), for
+    upstream `g` (B, Co, OH, OW) and the (Co, Ci, kh, kw) weights `w`; the
+    caller scatters it back onto its input.
+
+    This and `_columns_param_grads` sum in another order than the per-tap
+    loops, so the gradients are held within 1e-12 of a per-tap reference,
+    not bitwise.
+    """
+    B, Co, OH, OW = g.shape
+    _, Ci, kh, kw = w.shape
+    return (w.reshape(Co, -1).T @ g.reshape(B, Co, OH * OW)).reshape(B, Ci, kh * kw, OH, OW)
 
 
 def conv2d(x, spec):
@@ -175,8 +188,12 @@ def conv2d(x, spec):
     out = _columns_forward(cols, w3, spec.bias.data)
 
     def bw(g):
-        gcols = _columns_backward(np.asarray(g), cols, spec, x.requires_grad)
-        if gcols is not None:
+        nonlocal cols
+        g = np.asarray(g)
+        _columns_param_grads(g, cols, spec)
+        cols = None   # freed before the column gradient is allocated
+        if x.requires_grad:
+            gcols = _columns_input_grad(g, spec.weight.data)
             gpad = np.zeros((B, Ci, H + 2 * p, W + 2 * p))
             for t, (i, j) in enumerate(taps):
                 gpad[:, :, i:i + OH * s:s, j:j + OW * s:s] += gcols[:, :, t]
@@ -200,20 +217,20 @@ def _softmax_rows(x, out):
         c /= c.sum(axis=-1, keepdims=True)
 
 
-def _softmax_rows_backward(g, p, out):
+def _softmax_rows_backward(g_rows, p, out):
     """Softmax's input gradient p * (g - sum(g * p)) for an (M, L) output `p`
-    and upstream `g` of any layout, into `out` (which may be `p`), in the
-    chunks of `_softmax_rows`.
+    into `out` (which may be `p`), in the chunks of `_softmax_rows`.
 
-    Each chunk of `g` is first copied to C order as 0.0 + g, the bits of
-    `accumulate_grad`'s copy, so a transposed `g` is never copied whole and
-    every row sum runs over contiguous rows."""
+    `g_rows(rows)` returns the upstream gradient's rows at the slice `rows`,
+    in any layout, so a caller may form each chunk of it on demand and never
+    hold it whole. Each chunk is first copied to C order as 0.0 + g, the bits
+    of `accumulate_grad`'s copy, so every row sum runs over contiguous rows."""
     M, L = p.shape
     n = max(1, _CHUNK // L)
     G = np.empty((min(M, n), L))
     for r in range(0, M, n):
         pc = p[r:r + n]
-        gc = np.add(0.0, g[r:r + n], out=G[:len(pc)])
+        gc = np.add(0.0, g_rows(slice(r, r + n)), out=G[:len(pc)])
         dot = (gc * pc).sum(axis=-1, keepdims=True)
         gc -= dot
         np.multiply(gc, pc, out=out[r:r + n])
@@ -228,7 +245,8 @@ def softmax_lastdim(x):
 
     def bw(g):
         t = np.empty_like(out)
-        _softmax_rows_backward(np.asarray(g).reshape(-1, L), out.reshape(-1, L), t.reshape(-1, L))
+        _softmax_rows_backward(np.asarray(g).reshape(-1, L).__getitem__, out.reshape(-1, L),
+                               t.reshape(-1, L))
         x.accumulate_grad(t, fresh=True)
 
     return Tensor.from_op(out, (x,), bw)

@@ -313,8 +313,13 @@ class Tensor:
         return Tensor._op(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
-        inv = np.argsort(axes) if axes else None   # None reverses the axes
-        return Tensor._op(self.data.transpose(axes or None), (self,), (lambda g: g.transpose(inv),))
+        """The axes permuted as numpy's `transpose` takes them: as separate
+        ints, as one tuple or list, or none (or None) to reverse them."""
+        if len(axes) == 1 and (axes[0] is None or isinstance(axes[0], (tuple, list))):
+            axes = axes[0] or ()
+        data = self.data.transpose(tuple(axes) or None)
+        inv = np.argsort(np.mod(axes, self.ndim)) if axes else None   # None reverses the axes
+        return Tensor._op(data, (self,), (lambda g: g.transpose(inv),))
 
     @property
     def T(self):

@@ -19,7 +19,7 @@ from .attention import AnabParams, PyramidSpec, anab_forward
 from .geometry import CameraIntrinsics, _rows, iou_2d_pairs
 from .losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d, loss_cls,
                      mine_hard, per_sample_ce, total_loss)
-from .ops import ConvSpec, conv2d, softmax_lastdim
+from .ops import ConvSpec, conv2d
 from .tensor import Tensor
 
 __all__ = [
@@ -236,10 +236,16 @@ class ToyDetector:
 
         s = HEAD_SCALE
         cls = self._rows(conv2d(x, self.cls_head) * s, self.num_classes)  # (B, N, ncls)
-        # the anchor score, off the tape: the softmax foreground maximum;
-        # shape alignment ranks each position's anchors by it
-        fg = softmax_lastdim(Tensor(cls.data)).data[..., 1:]
-        scores = fg.max(axis=-1)
+        # the anchor score, off the tape: the two-class softmax's foreground
+        # probability, from the two logit columns with the ufuncs of
+        # `softmax_lastdim`'s rows (a row max of two values is their maximum,
+        # a row sum of two their sum), so with its bits, but for the NaN bits
+        # of a background logit that is a NaN other than numpy's own; shape
+        # alignment ranks each position's anchors by it
+        x0, x1 = cls.data[..., 0], cls.data[..., 1]
+        m = np.maximum(x0, x1)
+        e0, e1 = np.exp(x0 - m), np.exp(x1 - m)
+        scores = e1 / (e0 + e1)
         best_wh = select_best_anchor(scores.reshape(B, H, W, A), self.grid.templates)
         trunk = align_conv(x, self.shape_conv, shape_align_offsets(best_wh, STRIDE, (3, 3))).relu()
 
@@ -257,7 +263,7 @@ class ToyDetector:
             "depth": self._rows(conv2d(depth_feat, self.depth_head) * s, 1),
             "best_wh": best_wh,
             "scores": scores,
-            "classes": fg.argmax(axis=-1) + 1,
+            "classes": np.ones(scores.shape, dtype=np.intp),   # the one foreground class
             "features": aligned,
         }
 

@@ -27,18 +27,43 @@ def reference_nonlocal(x):
 PAPER_PYRAMID = PyramidSpec([1, 4, 8, 16])   # L = 337 bins
 
 
-def attention_block_graph():
-    """A shape-aligned 3x3 `align_conv`, then `anab_forward` with the paper's
-    pyramid, at 8 ch x 24x40. Returns (leaves, out, g): the leaf tensors, the
-    block's output and an upstream gradient for it."""
-    rng = np.random.default_rng(0)
-    C, H, W = 8, 24, 40
+def shape_aligned_conv(rng, C=8, H=24, W=40):
+    """A shape-aligned 3x3 `align_conv`'s inputs at C ch x HxW, batch 1:
+    (x, spec, off), the input requiring a gradient and the offsets none."""
     x = Tensor(rng.normal(size=(1, C, H, W)), requires_grad=True)
     spec = ConvSpec.init_random(C, C, (3, 3), 1, 1, rng=rng)
-    anab = AnabParams.init_random(C, PAPER_PYRAMID, rng=rng)
     off = shape_align_offsets(rng.uniform(8.0, 64.0, size=(1, H, W, 2)), 8, (3, 3))
+    return x, spec, off
+
+
+def attention_block_graph():
+    """A shape-aligned 3x3 `align_conv` (`shape_aligned_conv`), then
+    `anab_forward` with the paper's pyramid, at 8 ch x 24x40. Returns
+    (leaves, out, g): the leaf tensors, the block's output and an upstream
+    gradient for it."""
+    rng = np.random.default_rng(0)
+    x, spec, off = shape_aligned_conv(rng)
+    anab = AnabParams.init_random(x.shape[1], PAPER_PYRAMID, rng=rng)
     out = anab_forward(align_conv(x, spec, off), anab)
     return [x] + spec.params() + anab.params(), out, rng.normal(size=out.shape)
+
+
+def traced_peaks(forward, backward):
+    """tracemalloc's peak during `out = forward()` less what was held before
+    it, and its peak during `backward(out)` less what was held before that, in
+    bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = forward()
+        held, fwd_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(out)
+        bwd_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return fwd_peak - before, held - before, bwd_peak - held
 
 
 def attention_block_maps():
@@ -46,19 +71,28 @@ def attention_block_maps():
     `attention_block_graph()`: (held, transient). `held` is what tracemalloc
     counts when the forward has returned, the whole graph included;
     `transient` is its peak during `out.backward(g)` less `held`."""
-    attention_block_graph()   # warm any first-call allocation
-    tracemalloc.start()
-    try:
-        _, out, g = attention_block_graph()
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out.backward(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, out, _ = attention_block_graph()   # warm any first-call allocation
+    _, held, transient = traced_peaks(attention_block_graph, lambda r: r[1].backward(r[2]))
     _, _, H, W = out.shape
     nl_map = H * W * PAPER_PYRAMID.descriptor_count * 8
-    return held / nl_map, (peak - held) / nl_map
+    return held / nl_map, transient / nl_map
+
+
+def align_conv_peaks():
+    """`align_conv`'s memory in column tensors (B*Ci*K*H*W float64) on
+    `shape_aligned_conv`'s inputs: (forward, backward). `forward` is
+    tracemalloc's peak during the call less what was held before it;
+    `backward` is its peak during the output's backward less what was held
+    when the forward returned. At the block workload's 64 channels (on a
+    24x40 grid), where the column tensors, not the corner table, set both
+    peaks."""
+    x, spec, off = shape_aligned_conv(np.random.default_rng(0), C=64)
+    g = np.random.default_rng(1).normal(size=x.shape)
+    align_conv(x, spec, off).backward(g)   # warm any first-call allocation
+    forward, _, backward = traced_peaks(lambda: align_conv(x, spec, off),
+                                        lambda out: out.backward(g))
+    column = x.size * spec.kernel[0] * spec.kernel[1] * 8
+    return forward / column, backward / column
 
 
 def composed_attend(xt, q, a):

@@ -10,6 +10,8 @@ from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d
 from mono3d.tensor import Tensor
 
+from oracles import align_conv_peaks
+
 
 def tap_offset(w_a, h_a, stride, kh, kw, i, j):
     """Independent one-line evaluator of the per-tap offset formula."""
@@ -316,3 +318,20 @@ class TestBatchedFields:
         spec = ConvSpec(1, 1, (3, 3), padding=1)
         with pytest.raises(ValueError, match="does not match kernel"):
             align_conv(Tensor(np.ones((1, 1, 2, 2))), spec, Tensor(np.zeros((1, 2, 2, 2, 9, 2))))
+
+
+class TestAlignConvMemory:
+    """`align_conv`'s peaks in column tensors (`oracles.align_conv_peaks`, at
+    64 channels): each large temporary is freed at its last read."""
+
+    def test_forward_peak_at_most_two_and_a_half_column_tensors(self):
+        # 2.35: the columns, the column kernel's stack and the output; with
+        # the four corner reads and the corner table alive it read 3.01
+        forward, _ = align_conv_peaks()
+        assert forward <= 2.5, forward
+
+    def test_backward_peak_at_most_0_4_column_tensors(self):
+        # 0.29 above the held graph: the columns are freed before W^T G
+        # allocates their gradient; with both alive it read 1.29
+        _, backward = align_conv_peaks()
+        assert backward <= 0.4, backward

@@ -9,7 +9,7 @@ from mono3d.gradcheck import grad_check
 from mono3d.ops import ConvSpec, conv2d, softmax_lastdim
 from mono3d.tensor import Tensor
 
-from oracles import composed_attend, reference_nonlocal
+from oracles import attention_block_graph, composed_attend, reference_nonlocal
 
 
 def identity_params(channels, pyramid, attn_bias=5.0):
@@ -397,7 +397,8 @@ class TestAttendOp:
 
     @pytest.mark.parametrize("B", [1, 3])
     @pytest.mark.parametrize("C", [1, 8, 64])
-    @pytest.mark.parametrize("N", [1, 7, 60, 130, 1920])   # at L = 337, 130 rows: 48 + 48 + 34
+    # at L = 337, 130 rows: 48 + 48 + 34, and 49 rows: 48 + 1
+    @pytest.mark.parametrize("N", [1, 7, 49, 60, 130, 1920])
     @pytest.mark.parametrize("L", [1, 5, 337])
     def test_bitwise_equal_to_four_tape_ops(self, B, C, N, L):
         rng = np.random.default_rng(B * 1000 + C * 100 + N + L)
@@ -423,6 +424,49 @@ class TestAttendOp:
         r = grad_check(lambda x_, q_, a_: attention._attend(x_.transpose(0, 2, 1), q_, a_),
                        [xs, q, a], name="attend")
         assert r.passed, str(r)
+
+
+class TestBlockedProduct:
+    """`_attend`'s backward forms a^T g one softmax row chunk at a time
+    (`_at_g_rows`). Every block must carry the bits of the whole product's
+    rows, or the gradients drift from the four-op tape's; a BLAS whose
+    products depend on the blocking fails here by name."""
+
+    @staticmethod
+    def blocks_seen(monkeypatch):
+        """Spy on `_at_g_rows`: each block is checked bitwise against the
+        whole product as `_attend` calls it; returns the list of row slices."""
+        seen, blocked = [], attention._at_g_rows
+
+        def spy(at, g, rows):
+            got = blocked(at, g, rows)
+            want = (at @ g).T[rows]
+            assert got.shape == want.shape, rows
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
+            seen.append(rows)
+            return got
+
+        monkeypatch.setattr(attention, "_at_g_rows", spy)
+        return seen
+
+    @staticmethod
+    def chunk_starts(B, N, L):
+        return [r for _ in range(B) for r in range(0, N, max(1, ops._CHUNK // L))]
+
+    def test_every_block_bitwise_on_the_oracle_graph(self, monkeypatch):
+        seen = self.blocks_seen(monkeypatch)
+        _, out, g = attention_block_graph()
+        out.backward(g)
+        _, _, H, W = out.shape
+        assert [r.start for r in seen] == self.chunk_starts(1, H * W, 337)
+
+    @pytest.mark.parametrize("B, C, N", [(1, 64, 1920), (2, 8, 49)],
+                             ids=["block-workload", "one-row-tail"])
+    def test_every_block_bitwise_in_attend_at(self, B, C, N, monkeypatch):
+        seen = self.blocks_seen(monkeypatch)
+        (xs, q, a), g = TestAttendOp.leaves(np.random.default_rng(N), B, C, N, 337)
+        attention._attend(xs.transpose(0, 2, 1), q, a).backward(g)
+        assert [r.start for r in seen] == self.chunk_starts(B, N, 337)
 
 
 class TestAnabParams:

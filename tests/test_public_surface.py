@@ -21,7 +21,8 @@ import mono3d
 
 PACKAGE = Path(mono3d.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mono3d.__path__))
-SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_backward"),
+SHARED_PRIVATE = {("ops", "_columns_forward"), ("ops", "_columns_param_grads"),
+                  ("ops", "_columns_input_grad"),
                   ("ops", "_softmax_rows"), ("ops", "_softmax_rows_backward"),
                   ("geometry", "_rows"), ("geometry", "_footprint_ious")}
 

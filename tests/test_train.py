@@ -6,7 +6,8 @@ from mono3d.attention import anab_forward
 from mono3d.geometry import Box2D, iou_2d
 from mono3d.losses import (HARD_FRACTION, NEGATIVE_IOU, POSITIVE_IOU, loss_2d, loss_3d,
                            loss_cls, mine_hard, per_sample_ce, total_loss)
-from mono3d.ops import conv2d
+from mono3d import train
+from mono3d.ops import _softmax_rows, conv2d
 from mono3d.tensor import Tensor
 from mono3d.train import (GRAD_CLIP, HEAD_SCALE, LR_FLOOR, LR_TARGET, MOMENTUM, WEIGHT_DECAY, SGD,
                           Scene, ToyDetector, TrainConfig, lr_at, make_synthetic_scenes, train_toy,
@@ -204,6 +205,50 @@ class TestToyDetector:
         assert np.array_equal(heads["best_wh"], model.grid.templates[fg.argmax(axis=-1)])
         np.testing.assert_allclose(heads["scores"], fg.reshape(8, -1), rtol=0, atol=1e-15)
         assert np.array_equal(heads["classes"], np.ones((8, len(model.grid))))
+
+    # the NaN an invalid x86 operation makes (inf - inf), whose sign bit is set
+    X86_NAN = np.array(-0x0008000000000000).view(np.float64)
+    # logit rows for the foreground score: ties, +-inf, NaN, signed zeros and
+    # overflow-scale pairs
+    PLANTED_ROWS = np.array([[0.0, 0.0], [1.5, 1.5], [-3.0, -3.0], [-0.0, 0.0], [0.0, -0.0],
+                             [np.inf, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0, -np.inf],
+                             [np.inf, np.inf], [-np.inf, -np.inf], [np.inf, -np.inf],
+                             [-np.inf, np.inf], [np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan],
+                             [np.nan, np.inf], [-np.inf, np.nan], [800.0, -800.0], [-800.0, 800.0],
+                             [X86_NAN, 0.0], [0.0, X86_NAN], [X86_NAN, X86_NAN]])
+
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_foreground_score_bitwise_equal_to_the_row_softmax(self, B, monkeypatch):
+        """The two-column score against `_softmax_rows`, with the class logits
+        planted: random rows, random ties and every planted row. Bitwise but
+        for a background logit that is a NaN of other bits than numpy's
+        `np.nan`: numpy's row max returns `np.nan` for it, `np.maximum` the
+        NaN itself, so the score is NaN on both sides with other NaN bits."""
+        model = ToyDetector((48, 80), seed=0)
+        (H, W), A = model.feature_hw, model.grid.per_position
+        rng = np.random.default_rng(B)
+        rows = rng.normal(0.0, 4.0, size=(B * H * W * A, 2))
+        rows[1::5, 1] = rows[1::5, 0]
+        rows[::7][:len(self.PLANTED_ROWS)] = self.PLANTED_ROWS
+        planted = rows.reshape(B, H, W, A * 2).transpose(0, 3, 1, 2)
+        conv = train.conv2d
+        monkeypatch.setattr(train, "conv2d", lambda x, spec: Tensor(planted)
+                            if spec is model.cls_head else conv(x, spec))
+        images = Tensor(np.random.default_rng(0).normal(size=(B, 3, 48, 80)))
+        with np.errstate(invalid="ignore"):   # inf - inf
+            heads = model.forward(images)
+            want = np.empty((B * H * W * A, 2))
+            _softmax_rows(heads["cls"].data.reshape(-1, 2), want)
+        assert np.array_equal(heads["cls"].data.reshape(-1, 2), rows * HEAD_SCALE, equal_nan=True)
+        assert heads["scores"].shape == (B, H * W * A)
+        x0 = rows[:, 0].view(np.int64)
+        other_nan = np.isnan(rows[:, 0]) & (x0 != np.array(np.nan).view(np.int64))
+        assert other_nan.sum() == 2
+        got = heads["scores"].ravel()
+        assert np.array_equal(got[~other_nan].view(np.int64), want[~other_nan, 1].view(np.int64))
+        assert np.isnan(got[other_nan]).all() and np.isnan(want[other_nan, 1]).all()
+        assert heads["classes"].dtype == np.intp
+        assert np.array_equal(heads["classes"], np.ones((B, H * W * A)))
 
     def test_anchor_matching_labels(self):
         scenes = make_synthetic_scenes(count=1, seed=1)
